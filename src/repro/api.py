@@ -59,11 +59,13 @@ from typing import (
 from repro.engine import bsn, naive, psn, seminaive
 from repro.engine.database import Database
 from repro.engine.fixpoint import EvalResult
+from repro.engine.kernels import strand_kernel
 from repro.engine.rules import (
     AssignStep,
     CompiledRule,
     LiteralStep,
     compile_plan,
+    shared_compiled_rules,
 )
 from repro.errors import (
     EvaluationError,
@@ -531,13 +533,17 @@ class CompiledProgram:
             f"rules={len(self.program.rules)})"
         )
 
-    def explain(self, join_plans: bool = True, timings: bool = False) -> str:
+    def explain(self, join_plans: bool = True, timings: bool = False,
+                kernels: bool = False) -> str:
         """Human-readable compilation report: validation summary,
         per-pass rule diffs, the final rewritten program, and (by
         default) the compiled join plan of every rule.
         ``timings=True`` appends per-pass compile times (opt-in: the
         numbers vary run to run, so the default report stays
-        deterministic for golden-output comparisons)."""
+        deterministic for golden-output comparisons).
+        ``kernels=True`` appends the generated source of every strand
+        kernel -- one per (rule, driving literal), the function PSN
+        runs when a tuple of that literal's relation commits."""
         lines: List[str] = []
         lines.append(f"== compiled program {self.name!r} ==")
         pipeline = ", ".join(self.applied_passes) or "(none)"
@@ -597,6 +603,14 @@ class CompiledProgram:
                 total += snap.elapsed
                 lines.append(f"{snap.name}: {snap.elapsed * 1e3:.3f} ms")
             lines.append(f"total: {total * 1e3:.3f} ms")
+        if kernels:
+            lines.append("-- strand kernels --")
+            stats = StatsCatalog()
+            for crule in shared_compiled_rules(self.program):
+                for index in crule.literal_indexes:
+                    kernel = strand_kernel(crule, index, stats)
+                    lines.append(f"{kernel.filename()}:")
+                    lines.append(kernel.source().rstrip())
         return "\n".join(lines)
 
     # -- derived artifacts ----------------------------------------------
@@ -1170,10 +1184,12 @@ class Deployment:
         """The deployed (localized) program."""
         return self.cluster.program
 
-    def explain(self, join_plans: bool = True, timings: bool = False) -> str:
+    def explain(self, join_plans: bool = True, timings: bool = False,
+                kernels: bool = False) -> str:
         if self.compiled is None:
             return format_program(self.cluster.program)
-        return self.compiled.explain(join_plans=join_plans, timings=timings)
+        return self.compiled.explain(join_plans=join_plans, timings=timings,
+                                     kernels=kernels)
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ from repro.engine.fixpoint import EvalResult, load_program_facts
 from repro.engine.rules import (
     CompiledRule,
     compile_plan,
-    rule_head as _head_of,
+    instantiate_head as _head_of,
     rule_solutions as _solutions,
 )
 from repro.engine.stratify import stratify
@@ -124,7 +124,7 @@ def evaluate(
                     _solutions(crule, sources[id(crule)], db.functions, plan)
                 ):
                     result.inferences += 1
-                    head = _head_of(crule, bindings, db.functions, plan)
+                    head = _head_of(crule, bindings, db.functions)
                     if provenance is not None:
                         provenance.capture(crule, bindings, head, 1,
                                            db.functions)
@@ -144,7 +144,7 @@ def evaluate(
                 crule, sources[id(crule)], db.functions, plan
             ):
                 result.inferences += 1
-                contribution = _head_of(crule, bindings, db.functions, plan)
+                contribution = _head_of(crule, bindings, db.functions)
                 if provenance is not None:
                     provenance.capture(crule, bindings, contribution, 1,
                                        db.functions)
@@ -170,7 +170,7 @@ def _materialize_argmin(db: Database, crule: CompiledRule,
     winners = {}
     for bindings in _solutions(crule, rule_sources, db.functions, plan):
         result.inferences += 1
-        head = _head_of(crule, bindings, db.functions, plan)
+        head = _head_of(crule, bindings, db.functions)
         if provenance is not None:
             provenance.capture(crule, bindings, head, 1, db.functions)
         group = tuple(head[i] for i in group_positions)

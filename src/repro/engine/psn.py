@@ -36,14 +36,17 @@ Under this discipline:
 One engine therefore serves as the paper's PSN evaluator *and* its
 materialized-view maintenance layer.
 
-**Join plans.**  With ``use_plans=True`` (the default) every strand
-carries a join plan compiled at engine construction (see
-:mod:`repro.engine.rules`): literal order chosen by bound-ness and
-estimated selectivity, per-literal lookup/bind metadata precomputed,
-expressions compiled to closures, partner tables (and their live index
-dicts) bound into the executor, and all probed indexes pre-registered
-on the tables.  ``use_plans=False`` keeps the original interpreted
-path for baseline comparisons (``benchmarks/bench_join_plans.py``).
+**Strand kernels.**  With ``use_plans=True`` (the default) every strand
+runs as a *generated kernel* (:mod:`repro.engine.kernels`): its join
+plan (:mod:`repro.engine.rules` -- literal order by bound-ness and
+estimated selectivity) is turned into the source of one flat Python
+function -- driving tuple unpacked into locals, one loop per partner
+literal over that table's live index dict, conditions, assignments and
+the head tuple inlined -- compiled once per program and bound per engine
+to its tables.  A firing collects the kernel's head tuples, then emits
+them.  ``use_plans=False`` runs the interpreter behind the same kernel
+signature, for baseline comparisons
+(``benchmarks/bench_join_plans.py``).
 
 **Micro-batched commits.**  With ``batch_size > 1`` the queue is
 drained in chunks instead of one delta at a time (Section 4's "bursty
@@ -107,13 +110,11 @@ from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult
 from repro.engine.table import INFINITY
+from repro.engine.kernels import strand_kernel
 from repro.engine.rules import (
     CompiledRule,
-    compile_driver_step,
-    compile_plan,
-    instantiate_head,
-    solve,
-    unify_literal,
+    interpreted_kernel,
+    shared_compiled_rules,
 )
 from repro.opt.costbased import StatsCatalog
 from repro.ndlog.ast import Literal, Program
@@ -151,55 +152,64 @@ class Strand:
     """One rule strand: a compiled rule driven by one body literal
     position, as in Figures 3 and 5 of the paper.
 
-    When join planning is on, the strand carries everything the hot
-    path needs, compiled once at engine construction: ``plan`` (the
-    ordered, metadata-annotated join over the non-driver literals),
-    ``driver_step`` (the matcher seeding bindings from the driving
-    fact), and ``sources`` (body index -> table, fixed per engine).
+    ``kernel(args, functions, out)`` is everything the hot path needs:
+    it appends to ``out`` every head tuple the driving tuple ``args``
+    derives against ``db``'s tables.  Given ``stats`` (a
+    :class:`StatsCatalog`) it is a generated function
+    (:mod:`repro.engine.kernels`) for the literal order the statistics
+    imply -- ``code`` is the shared :class:`StrandKernel`, generated at
+    most once per program, ``kernel_source`` its text -- and only the
+    table/index binding happens here; without, it is the interpreter
+    behind the same signature.  ``capture_kernel`` is the provenance
+    variant, whose ``out`` receives ``(head, ground body facts)`` pairs.
+    Either is bound on first need (:meth:`bind`).
     """
 
-    __slots__ = ("crule", "driver_index", "driver_literal", "plan",
-                 "driver_step", "sources", "bound_executor")
+    __slots__ = ("crule", "driver_index", "driver_literal", "code",
+                 "kernel", "capture_kernel", "_db")
 
-    def __init__(self, crule: CompiledRule, driver_index: int):
+    def __init__(self, crule: CompiledRule, driver_index: int,
+                 db: Database, stats=None):
         self.crule = crule
         self.driver_index = driver_index
         self.driver_literal: Literal = crule.body[driver_index]
-        self.plan = None
-        self.driver_step = None
-        self.sources: Optional[Dict[int, object]] = None
-        self.bound_executor = None
-
-    def attach_sources(self, db: Database) -> None:
-        """Bind the partner tables once at engine construction; both
-        evaluation paths read them from here instead of rebuilding the
-        dict on every firing."""
-        self.sources = {
-            index: db.table(self.crule.body[index].pred)
-            for index in self.crule.literal_indexes
-            if index != self.driver_index
-        }
-
-    def attach_plan(self, db: Database, stats=None) -> None:
-        """Compile this strand's join plan against ``db``; the executor
-        is *bound* -- the partner tables (and their live index dicts)
-        are captured in the closures, pre-registering every index the
-        plan probes."""
-        self.plan = compile_plan(
-            self.crule, driver_index=self.driver_index, stats=stats
+        self.code = (
+            strand_kernel(crule, driver_index, stats)
+            if stats is not None else None
         )
-        self.driver_step = compile_driver_step(self.crule, self.driver_index)
-        if self.sources is None:
-            self.attach_sources(db)
-        for pred, positions in self.plan.index_requests():
-            db.table(pred).register_index(positions)
-        self.bound_executor = self.plan.bind(self.sources)
+        self.kernel: Optional[Callable] = None
+        self.capture_kernel: Optional[Callable] = None
+        self._db = db
+
+    def bind(self, capture: bool) -> Callable:
+        """Bind (and keep) the plain or the capture kernel; registers
+        every index the kernel probes."""
+        if self.code is not None:
+            kernel = self.code.bind(self._db, capture)
+        else:
+            kernel = interpreted_kernel(self.crule, self.driver_index,
+                                        self._db, capture)
+        if capture:
+            self.capture_kernel = kernel
+        else:
+            self.kernel = kernel
+        return kernel
+
+    @property
+    def kernel_source(self) -> Optional[str]:
+        """Generated source of the kernel (``None`` when interpreted)."""
+        return self.code.source() if self.code is not None else None
 
     def __repr__(self) -> str:
-        return f"Strand({self.crule.label}, driver={self.driver_literal.pred})"
+        how = "interpreted" if self.code is None else (
+            f"{self.code.filename()} order={self.code.plan.order}"
+        )
+        return (f"Strand({self.crule.label}, "
+                f"driver={self.driver_literal.pred}, {how})")
 
 
-def build_strands(compiled: List[CompiledRule]) -> Dict[str, List[Strand]]:
+def build_strands(compiled: List[CompiledRule], db: Database,
+                  stats=None) -> Dict[str, List[Strand]]:
     """Index strands by driving predicate.
 
     Every body literal position of every rule yields a strand, so a new
@@ -209,7 +219,7 @@ def build_strands(compiled: List[CompiledRule]) -> Dict[str, List[Strand]]:
     strands: Dict[str, List[Strand]] = {}
     for crule in compiled:
         for index in crule.literal_indexes:
-            strand = Strand(crule, index)
+            strand = Strand(crule, index, db, stats)
             strands.setdefault(strand.driver_literal.pred, []).append(strand)
     return strands
 
@@ -254,19 +264,17 @@ class PSNEngine:
     ):
         self.program = program
         self.db = db if db is not None else Database.for_program(program)
-        self.compiled = [CompiledRule(rule) for rule in program.rules if rule.body]
-        self.strands = build_strands(self.compiled)
+        self.compiled = shared_compiled_rules(program)
         self.use_plans = use_plans
         self.batch_size = max(1, int(batch_size))
+        if use_plans and stats is None:
+            stats = StatsCatalog.from_database(self.db)
+        self.strands = build_strands(self.compiled, self.db,
+                                     stats if use_plans else None)
         for strand_list in self.strands.values():
             for strand in strand_list:
-                strand.attach_sources(self.db)
-        if use_plans:
-            if stats is None:
-                stats = StatsCatalog.from_database(self.db)
-            for strand_list in self.strands.values():
-                for strand in strand_list:
-                    strand.attach_plan(self.db, stats=stats)
+                # Binding now registers every probed index up front.
+                strand.bind(capture=provenance is not None)
         #: The catalog plans were costed against; live deployments feed
         #: observed cardinalities and churn back into it
         #: (``Cluster.refresh_stats``), the adaptive-cost-model input.
@@ -920,55 +928,75 @@ class PSNEngine:
 
     def _fire_strands(self, fact: Fact, sign: int) -> None:
         for strand in self.strands.get(fact.pred, ()):
-            self._fire_strand(strand, fact, sign)
+            self._fire_strand(strand, (fact,), sign)
 
-    def _fire_strand(self, strand: Strand, fact: Fact, sign: int) -> None:
+    def _fire_strands_batch(self, facts: List[Fact], sign: int,
+                            traces: Optional[List] = None) -> None:
+        """Fire every strand of the run's predicate once with the whole
+        list of driving facts (the batched counterpart of
+        :meth:`_fire_strands`), netting view outputs over the run."""
+        for strand in self.strands.get(facts[0].pred, ()):
+            self._fire_strand(strand, facts, sign, traces, net_views=True)
+
+    def _fire_strand(self, strand: Strand, facts, sign: int,
+                     traces: Optional[List] = None,
+                     net_views: bool = False) -> None:
+        """Fire one strand with a run of driving facts (a single delta
+        is a run of one).  Each fact's heads are collected from the
+        strand's kernel, then emitted in order.  ``traces`` (tracing
+        only) carries each fact's trace id so derived deltas inherit
+        their own driver's trace even inside a batched firing;
+        ``net_views`` feeds an aggregate / arg-extreme head through
+        ``apply_many`` once for the whole run instead of per head."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
         profiler = self.profiler
         started = perf_counter() if profiler is not None else 0.0
+        kernel = strand.kernel if capture is None else strand.capture_kernel
+        if kernel is None:
+            kernel = strand.bind(capture is not None)
+        emit = self._emit
+        view_heads: Optional[List[Tuple]] = None
+        if net_views and (crule.aggregate is not None
+                          or crule.argmin is not None):
+            view_heads = []
         inferences = 0
-        if strand.plan is not None:
-            seed = strand.driver_step.match(fact.args, {}, functions)
-            if seed is not None:
-                emit = self._emit
-                instantiate = crule.instantiate
-                if capture is None:
-                    for bindings in strand.bound_executor(
-                        seed, None, functions, fact, None
-                    ):
-                        inferences += 1
-                        emit(crule, instantiate(bindings, functions), sign)
-                else:
-                    for bindings in strand.bound_executor(
-                        seed, None, functions, fact, None
-                    ):
-                        inferences += 1
-                        head = instantiate(bindings, functions)
-                        capture.capture(crule, bindings, head, sign,
-                                        functions)
+        for position, fact in enumerate(facts):
+            if traces is not None:
+                self._active_trace = traces[position]
+            out: List = []
+            kernel(fact.args, functions, out)
+            if not out:
+                continue
+            inferences += len(out)
+            if capture is not None:
+                for head, body in out:
+                    capture.record_fact(crule.label,
+                                        Fact(crule.head.pred, head), body,
+                                        sign)
+                    if view_heads is None:
                         emit(crule, head, sign)
-        else:
-            seed = unify_literal(
-                strand.driver_literal, fact.args, {}, functions
-            )
-            if seed is not None:
-                for bindings in solve(
-                    crule,
-                    strand.sources,
-                    functions,
-                    bindings=seed,
-                    skip_index=strand.driver_index,
-                    skip_fact=fact,
-                ):
-                    inferences += 1
-                    head = instantiate_head(crule, bindings, functions)
-                    if capture is not None:
-                        capture.capture(crule, bindings, head, sign,
-                                        functions)
-                    self._emit(crule, head, sign)
+                    else:
+                        view_heads.append(head)
+            elif view_heads is not None:
+                view_heads += out
+            else:
+                for head in out:
+                    emit(crule, head, sign)
         self.inferences += inferences
+        if view_heads:
+            # Net view outputs for the whole run.  Under tracing the
+            # netted group-value changes are attributed to the last
+            # contributing driver's trace -- an approximation (a net
+            # change can mix contributions from several traces).
+            pred = crule.head.pred
+            if crule.aggregate is not None:
+                view = self.views[pred]
+            else:
+                view = self.argmin_views[pred]
+            for view_sign, view_args in view.apply_many(view_heads, sign):
+                self.derive(Fact(pred, view_args), view_sign)
         if profiler is not None:
             profiler.add(crule.label, strand.driver_literal.pred,
                          perf_counter() - started)
@@ -983,89 +1011,6 @@ class PSNEngine:
         firings[label] = firings.get(label, 0) + 1
         counts = metrics.rule_inferences
         counts[label] = counts.get(label, 0) + inferences
-
-    def _fire_strands_batch(self, facts: List[Fact], sign: int,
-                            traces: Optional[List] = None) -> None:
-        """Fire every strand of the run's predicate once with the whole
-        list of driving facts (the batched counterpart of
-        :meth:`_fire_strands`).  ``traces`` (tracing only) carries each
-        fact's trace id so derived deltas inherit their own driver's
-        trace even inside a batched firing."""
-        for strand in self.strands.get(facts[0].pred, ()):
-            self._fire_strand_batch(strand, facts, sign, traces)
-
-    def _fire_strand_batch(self, strand: Strand, facts: List[Fact],
-                           sign: int, traces: Optional[List] = None) -> None:
-        crule = strand.crule
-        functions = self.db.functions
-        capture = self.provenance
-        profiler = self.profiler
-        started = perf_counter() if profiler is not None else 0.0
-        batch_view = crule.aggregate is not None or crule.argmin is not None
-        heads: Optional[List[Tuple]] = [] if batch_view else None
-        inferences = 0
-        if strand.plan is not None:
-            match = strand.driver_step.match
-            executor = strand.bound_executor
-            instantiate = crule.instantiate
-            emit = self._emit
-            for position, fact in enumerate(facts):
-                if traces is not None:
-                    self._active_trace = traces[position]
-                seed = match(fact.args, {}, functions)
-                if seed is None:
-                    continue
-                for bindings in executor(seed, None, functions, fact, None):
-                    inferences += 1
-                    head = instantiate(bindings, functions)
-                    if capture is not None:
-                        capture.capture(crule, bindings, head, sign,
-                                        functions)
-                    if batch_view:
-                        heads.append(head)
-                    else:
-                        emit(crule, head, sign)
-        else:
-            driver_literal = strand.driver_literal
-            sources = strand.sources
-            driver_index = strand.driver_index
-            for position, fact in enumerate(facts):
-                if traces is not None:
-                    self._active_trace = traces[position]
-                seed = unify_literal(driver_literal, fact.args, {}, functions)
-                if seed is None:
-                    continue
-                for bindings in solve(
-                    crule, sources, functions, bindings=seed,
-                    skip_index=driver_index, skip_fact=fact,
-                ):
-                    inferences += 1
-                    head = instantiate_head(crule, bindings, functions)
-                    if capture is not None:
-                        capture.capture(crule, bindings, head, sign,
-                                        functions)
-                    if batch_view:
-                        heads.append(head)
-                    else:
-                        self._emit(crule, head, sign)
-        self.inferences += inferences
-        if batch_view and heads:
-            # Net view outputs for the whole batch.  Under tracing the
-            # netted group-value changes are attributed to the last
-            # contributing driver's trace -- an approximation (a net
-            # change can mix contributions from several traces).
-            pred = crule.head.pred
-            if crule.aggregate is not None:
-                view = self.views[pred]
-            else:
-                view = self.argmin_views[pred]
-            for view_sign, view_args in view.apply_many(heads, sign):
-                self.derive(Fact(pred, view_args), view_sign)
-        if profiler is not None:
-            profiler.add(crule.label, strand.driver_literal.pred,
-                         perf_counter() - started)
-        if inferences and self.metrics is not None:
-            self._note_firing(crule.label, inferences)
 
     def _emit(self, crule: CompiledRule, head: Tuple, sign: int) -> None:
         """Route a rule firing to its head relation (virtual: the

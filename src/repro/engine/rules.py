@@ -1,9 +1,7 @@
-"""Rule compilation and the join evaluators shared by every engine.
+"""Rule compilation, join planning and the reference evaluators.
 
-Two evaluation paths live here:
-
-* :func:`solve` -- the original interpreter.  A rule body is evaluated
-  left to right (the paper notes implementations "typically employ a
+* :func:`solve` -- the interpreter.  A rule body is evaluated left to
+  right (the paper notes implementations "typically employ a
   left-to-right execution strategy"); each literal is matched against a
   *source* -- a full table, a snapshot set, or a single driving fact --
   re-deriving the bound positions from the body AST on every call and
@@ -11,40 +9,39 @@ Two evaluation paths live here:
   reference implementation (``use_plans=False`` in the engines) and as
   the baseline for ``benchmarks/bench_join_plans.py``.
 
-* :func:`compile_plan` / :func:`execute_plan` -- the compile-once join
-  plans used by all engines by default.  For each rule (optionally
-  relative to a *driving* literal, i.e. one strand of Figures 3/5 of
-  the paper) the compiler chooses a literal order (bound-ness first,
-  then estimated selectivity -- Sections 5.1.2/5.3, via
-  :mod:`repro.planner.reorder` and :class:`repro.opt.costbased.StatsCatalog`)
-  and precomputes per-literal static metadata:
+* :func:`compile_plan` -- the planner every engine uses by default.
+  For a rule (optionally relative to a *driving* literal, i.e. one
+  strand of Figures 3/5 of the paper) it chooses a literal order
+  (bound-ness first, then estimated selectivity -- Sections 5.1.2/5.3,
+  via :mod:`repro.planner.reorder` and
+  :class:`repro.opt.costbased.StatsCatalog`) and classifies every
+  argument position of every literal once: fed to the hash-index lookup
+  (constants, prefix-bound variables, prefix-evaluable expressions),
+  binding a new variable, repeating one within the literal, or an
+  embedded expression to check per candidate.  A :class:`JoinPlan` is
+  pure metadata; it has two executors:
 
-  - which argument positions feed the hash-index lookup (constants,
-    variables bound by the left-to-right prefix, and expressions whose
-    inputs the prefix binds);
-  - which positions bind new variables (and where a variable repeats
-    *within* the literal, reducing unification to a positional equality
-    check on the candidate tuple);
-  - which embedded expressions must be checked per candidate.
+  - PSN strands generate one flat Python function from it
+    (:mod:`repro.engine.kernels`);
+  - the set-oriented engines run it through :func:`execute_plan`, the
+    step chain folded into generator closures over binding dicts.
 
-  Executing a plan therefore does no per-tuple AST introspection: the
-  index lookup eliminates the bound positions entirely and only the
-  genuinely unbound positions are touched per candidate.
-
-``ts_limit`` implements PSN's timestamp discipline: when given, a literal
-only matches facts whose insertion timestamp is ``<= ts_limit``, so each
-joint derivation fires exactly once, when its youngest participant is
-processed (Theorem 2 of the paper).
+``ts_limit`` implements PSN's timestamp discipline for the set-oriented
+executors: when given, a literal only matches facts whose insertion
+timestamp is ``<= ts_limit``, so each joint derivation fires exactly
+once, when its youngest participant is processed (Theorem 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.engine.facts import Fact
 from repro.errors import EvaluationError, PlanError
-from repro.ndlog.ast import Assignment, Condition, Literal, Rule
+from repro.ndlog.ast import Assignment, Condition, Literal, Program, Rule
 from repro.ndlog.terms import (
     AggregateSpec,
     Constant,
@@ -135,95 +132,28 @@ class CompiledRule:
             )
         #: (group_positions, value_position, func) witness annotation.
         self.argmin = rule.argmin
-        self._head_getters: Optional[Tuple[Callable, ...]] = None
-        self._body_getters = None
-        self._label = rule.label or repr(rule.head)
-
-    def head_getters(self) -> Tuple[Callable, ...]:
-        """Compiled head template: one ``getter(bindings, functions)``
-        per head position, built once per rule (used by the planned
-        evaluation path instead of re-dispatching on term types per
-        firing)."""
-        if self._head_getters is None:
-            getters: List[Callable] = []
-            label = self.label
-            for term in self.head.args:
-                if isinstance(term, AggregateSpec):
-                    if term.var:
-                        def agg_getter(bindings, functions, _name=term.var,
-                                       _label=label):
-                            try:
-                                return bindings[_name]
-                            except KeyError:
-                                raise EvaluationError(
-                                    f"aggregate variable {_name!r} unbound",
-                                    rule=_label,
-                                ) from None
-                        getters.append(agg_getter)
-                    else:
-                        getters.append(lambda bindings, functions: 1)
-                elif isinstance(term, Constant):
-                    getters.append(
-                        lambda bindings, functions, _v=term.value: _v
-                    )
-                elif isinstance(term, Variable):
-                    getters.append(
-                        lambda bindings, functions, _n=term.name: bindings[_n]
-                    )
-                else:
-                    getters.append(compile_term(term))
-            self._head_getters = tuple(getters)
-        return self._head_getters
-
-    def instantiate(self, bindings: Dict[str, object],
-                    functions: Dict[str, Callable]) -> Tuple:
-        """Ground the head via the compiled template (see
-        :func:`instantiate_head` for the interpreted equivalent)."""
-        getters = self._head_getters
-        if getters is None:
-            getters = self.head_getters()
-        return tuple([g(bindings, functions) for g in getters])
+        self.label: str = rule.label or repr(rule.head)
+        #: Generated strand kernels, ``(driver index, literal order)`` ->
+        #: :class:`repro.engine.kernels.StrandKernel`.
+        self.kernels: Dict[Tuple[int, Tuple[int, ...]], object] = {}
 
     def ground_body(self, bindings: Dict[str, object],
                     functions: Dict[str, Callable]):
         """Ground every body literal under a full solution's bindings.
 
-        The provenance capture seam shared by all four engines: a
-        solution yielded by :func:`solve` / :func:`execute_plan` binds
-        every body-literal variable, so the participating facts can be
-        re-derived from the bindings after the fact -- the join
-        executors themselves stay capture-free (and cost nothing when
-        provenance is off).  Per-literal argument getters are compiled
-        once, lazily, on first capture.
+        The provenance capture seam of the binding-dict evaluators
+        (:func:`solve` / :func:`execute_plan`): a solution binds every
+        body-literal variable, so the participating facts can be
+        re-derived from the bindings after the fact -- the evaluators
+        themselves stay capture-free.  (Generated strand kernels hand
+        over the matched tuples directly.)
         """
-        getters = self._body_getters
-        if getters is None:
-            compiled = []
-            for index in self.literal_indexes:
-                literal = self.body[index]
-                arg_getters: List[Callable] = []
-                for term in literal.args:
-                    if isinstance(term, Constant):
-                        arg_getters.append(
-                            lambda bindings, functions, _v=term.value: _v
-                        )
-                    elif isinstance(term, Variable):
-                        arg_getters.append(
-                            lambda bindings, functions, _n=term.name:
-                            bindings[_n]
-                        )
-                    else:
-                        arg_getters.append(compile_term(term))
-                compiled.append((literal.pred, tuple(arg_getters)))
-            getters = self._body_getters = tuple(compiled)
         return tuple(
-            Fact(pred, tuple(g(bindings, functions) for g in arg_getters))
-            for pred, arg_getters in getters
+            Fact(literal.pred, tuple(
+                evaluate(term, bindings, functions) for term in literal.args
+            ))
+            for literal in map(self.body.__getitem__, self.literal_indexes)
         )
-
-    @property
-    def label(self) -> str:
-        return self._label
 
     def body_preds(self) -> Tuple[str, ...]:
         return tuple(self.body[i].pred for i in self.literal_indexes)
@@ -398,13 +328,39 @@ def _solve_from(
     raise PlanError(f"unsupported body item {item!r}")
 
 
+def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
+                       capture: bool = False) -> Callable:
+    """One strand through the interpreter, behind the calling convention
+    of the generated kernels (:mod:`repro.engine.kernels`):
+    ``kernel(args, functions, out)`` appends every head the driving
+    tuple ``args`` derives -- ``(head, ground body facts)`` pairs under
+    ``capture``.  PSN's ``use_plans=False`` reference path."""
+    literal = crule.body[driver_index]
+    sources = {
+        index: db.table(crule.body[index].pred)
+        for index in crule.literal_indexes
+        if index != driver_index
+    }
+
+    def kernel(args, functions, out):
+        seed = unify_literal(literal, args, {}, functions)
+        if seed is None:
+            return
+        for bindings in solve(crule, sources, functions, bindings=seed,
+                              skip_index=driver_index,
+                              skip_fact=Fact(literal.pred, args)):
+            head = instantiate_head(crule, bindings, functions)
+            if capture:
+                out.append((head, crule.ground_body(bindings, functions)))
+            else:
+                out.append(head)
+
+    return kernel
+
+
 # ----------------------------------------------------------------------
 # Compiled join plans
 # ----------------------------------------------------------------------
-#: Getter kinds for index-lookup positions.
-_CONST, _VAR, _EXPR = 0, 1, 2
-
-
 class LiteralStep:
     """Static matching metadata for one body literal at its position in
     a compiled plan.
@@ -413,28 +369,31 @@ class LiteralStep:
     argument position is classified once, at compile time:
 
     * ``positions`` / ``getters`` -- positions consumed by the hash
-      index lookup: constants, prefix-bound variables, and expressions
-      whose inputs are prefix-bound.  ``static_values`` caches the value
-      tuple when it is all constants.
+      index lookup, each with the term that supplies its value: a
+      constant, a prefix-bound variable, or an expression whose inputs
+      are prefix-bound.
     * ``bind_specs`` -- positions whose (first-occurrence) variable is
       bound from the candidate tuple.
     * ``dup_checks`` -- ``(pos, first_pos)`` pairs for a variable
       repeated within the literal: candidate tuples must agree on the
       two positions (a pure positional comparison, no unification).
-    * ``residual_exprs`` -- embedded expressions whose inputs include
-      variables this literal itself binds; checked per candidate after
-      binding.
+    * ``residual_exprs`` -- ``(pos, term)`` for embedded expressions
+      whose inputs include variables this literal itself binds; checked
+      per candidate after binding.
 
     ``exclude_driver`` marks literals that precede the driving literal
     in the original body of a strand and share its predicate: the
     paper's footnote-2 delta form excludes the driving fact there so a
     self-join derivation fires exactly once (Theorem 2).
+
+    Steps hold terms, not code: the strand-kernel generator
+    (:mod:`repro.engine.kernels`) and the closure executor below each
+    compile them their own way, on first use.
     """
 
     __slots__ = (
         "literal", "body_index", "arity", "positions", "getters",
-        "static_values", "bind_specs", "dup_checks", "residual_exprs",
-        "exclude_driver", "values_fn", "fast_bind",
+        "bind_specs", "dup_checks", "residual_exprs", "exclude_driver",
     )
 
     def __init__(self, literal: Literal, body_index: int, bound,
@@ -443,120 +402,32 @@ class LiteralStep:
         self.body_index = body_index
         self.arity = len(literal.args)
         self.exclude_driver = exclude_driver
-        lookups: List[Tuple[int, int, object]] = []
+        lookups: List[Tuple[int, Term]] = []
         bind_specs: List[Tuple[int, str]] = []
         dup_checks: List[Tuple[int, int]] = []
         residual: List[Tuple[int, Term]] = []
         first_local: Dict[str, int] = {}
         for pos, term in enumerate(literal.args):
             if isinstance(term, Constant):
-                lookups.append((pos, _CONST, term.value))
+                lookups.append((pos, term))
             elif isinstance(term, Variable):
                 name = term.name
                 if name in bound:
-                    lookups.append((pos, _VAR, name))
+                    lookups.append((pos, term))
                 elif name in first_local:
                     dup_checks.append((pos, first_local[name]))
                 else:
                     first_local[name] = pos
                     bind_specs.append((pos, name))
+            elif term.variables() <= bound:
+                lookups.append((pos, term))
             else:
-                # Embedded expressions are compiled to closures here, so
-                # the hot loops below never re-dispatch on term types.
-                if term.variables() <= bound:
-                    lookups.append((pos, _EXPR, compile_term(term)))
-                else:
-                    residual.append((pos, compile_term(term)))
-        self.positions = tuple(pos for pos, _kind, _payload in lookups)
-        self.getters = tuple((kind, payload) for _pos, kind, payload in lookups)
-        if all(kind == _CONST for kind, _payload in self.getters):
-            self.static_values: Optional[Tuple] = tuple(
-                payload for _kind, payload in self.getters
-            )
-        else:
-            self.static_values = None
+                residual.append((pos, term))
+        self.positions = tuple(pos for pos, _term in lookups)
+        self.getters = tuple(term for _pos, term in lookups)
         self.bind_specs = tuple(bind_specs)
         self.dup_checks = tuple(dup_checks)
         self.residual_exprs = tuple(residual)
-        self.values_fn = self._compile_values_fn()
-        #: Fast-path unification for the common driver shape (every
-        #: position a distinct fresh variable): just zip names to args.
-        if (not self.positions and not self.dup_checks
-                and not self.residual_exprs
-                and len(self.bind_specs) == self.arity):
-            self.fast_bind: Optional[Tuple[str, ...]] = tuple(
-                name for _pos, name in self.bind_specs
-            )
-        else:
-            self.fast_bind = None
-
-    def _compile_values_fn(self) -> Callable:
-        """Specialized lookup-value constructors for the common getter
-        shapes, compiled once per step."""
-        if self.static_values is not None:
-            static = self.static_values
-            return lambda bindings, functions: static
-        if all(kind == _VAR for kind, _payload in self.getters):
-            names = tuple(payload for _kind, payload in self.getters)
-            if len(names) == 1:
-                name = names[0]
-                return lambda bindings, functions: (bindings[name],)
-            return lambda bindings, functions: tuple(
-                [bindings[n] for n in names]
-            )
-        return self.lookup_values
-
-    def new_vars(self) -> frozenset:
-        return frozenset(name for _pos, name in self.bind_specs)
-
-    def lookup_values(
-        self, bindings: Dict[str, object], functions: Dict[str, Callable]
-    ) -> Tuple:
-        if self.static_values is not None:
-            return self.static_values
-        values: List[object] = []
-        for kind, payload in self.getters:
-            if kind == _CONST:
-                values.append(payload)
-            elif kind == _VAR:
-                values.append(bindings[payload])
-            else:
-                values.append(payload(bindings, functions))
-        return tuple(values)
-
-    def match(
-        self,
-        fact_args: Tuple,
-        bindings: Dict[str, object],
-        functions: Dict[str, Callable],
-    ) -> Optional[Dict[str, object]]:
-        """Unify one tuple against this step (used to seed a strand from
-        its driving fact).  Returns extended bindings or ``None``."""
-        if len(fact_args) != self.arity:
-            return None
-        if self.fast_bind is not None and not bindings:
-            return dict(zip(self.fast_bind, fact_args))
-        for pos, (kind, payload) in zip(self.positions, self.getters):
-            value = fact_args[pos]
-            if kind == _CONST:
-                if payload != value:
-                    return None
-            elif kind == _VAR:
-                if bindings[payload] != value:
-                    return None
-            else:
-                if payload(bindings, functions) != value:
-                    return None
-        for pos, first_pos in self.dup_checks:
-            if fact_args[pos] != fact_args[first_pos]:
-                return None
-        new = dict(bindings)
-        for pos, name in self.bind_specs:
-            new[name] = fact_args[pos]
-        for pos, expr_fn in self.residual_exprs:
-            if expr_fn(new, functions) != fact_args[pos]:
-                return None
-        return new
 
     def __repr__(self) -> str:
         return (
@@ -565,33 +436,17 @@ class LiteralStep:
         )
 
 
-class AssignStep:
-    """Compiled ``var := expr`` body item (expression pre-compiled to a
-    closure)."""
+class AssignStep(NamedTuple):
+    """``var := expr`` body item at its place in a plan."""
 
-    __slots__ = ("name", "expr", "fn")
-
-    def __init__(self, name: str, expr: Term):
-        self.name = name
-        self.expr = expr
-        self.fn = compile_term(expr)
-
-    def __repr__(self) -> str:
-        return f"AssignStep({self.name} := {self.expr!r})"
+    name: str
+    expr: Term
 
 
-class CondStep:
-    """Compiled boolean condition body item (expression pre-compiled to
-    a closure)."""
+class CondStep(NamedTuple):
+    """Boolean condition body item at its place in a plan."""
 
-    __slots__ = ("expr", "fn")
-
-    def __init__(self, expr: Term):
-        self.expr = expr
-        self.fn = compile_term(expr)
-
-    def __repr__(self) -> str:
-        return f"CondStep({self.expr!r})"
+    expr: Term
 
 
 class JoinPlan:
@@ -601,11 +456,13 @@ class JoinPlan:
     ``order`` records the body indexes of the literals in evaluation
     order (driver excluded); ``steps`` interleaves
     :class:`LiteralStep`, :class:`AssignStep` and :class:`CondStep`.
-    ``executor`` is the step chain compiled into nested generator
-    closures -- evaluation never dispatches on step types at runtime.
+    A plan is pure metadata.  PSN strands turn it into a generated
+    kernel (:mod:`repro.engine.kernels`); the set-oriented engines run
+    it through ``executor``, the step chain folded into nested generator
+    closures on first use.
     """
 
-    __slots__ = ("crule", "driver_index", "order", "steps", "executor")
+    __slots__ = ("crule", "driver_index", "order", "steps", "_executor")
 
     def __init__(self, crule: CompiledRule, driver_index: Optional[int],
                  order: Tuple[int, ...], steps: Tuple):
@@ -613,16 +470,13 @@ class JoinPlan:
         self.driver_index = driver_index
         self.order = order
         self.steps = steps
-        self.executor = _compile_executor(steps)
+        self._executor: Optional[Callable] = None
 
-    def bind(self, sources: Dict[int, object]) -> Callable:
-        """Compile an executor with ``sources`` pinned into the closures
-        (PSN strands join against fixed tables, so the per-call source
-        dict lookup -- and for tables even the index lookup method --
-        can be resolved once, here).  The returned callable has the same
-        signature as ``executor``; its ``sources`` argument is ignored.
-        """
-        return _compile_executor(self.steps, static_sources=sources)
+    @property
+    def executor(self) -> Callable:
+        if self._executor is None:
+            self._executor = _compile_executor(self.steps)
+        return self._executor
 
     def literal_steps(self) -> List[LiteralStep]:
         return [s for s in self.steps if isinstance(s, LiteralStep)]
@@ -642,12 +496,6 @@ class JoinPlan:
             f"JoinPlan({self.crule.label}, driver={self.driver_index}, "
             f"order={self.order})"
         )
-
-
-def compile_driver_step(crule: CompiledRule, driver_index: int) -> LiteralStep:
-    """The matcher that seeds a strand's bindings from its driving fact
-    (no prefix bound: constants check, variables bind positionally)."""
-    return LiteralStep(crule.body[driver_index], driver_index, frozenset())
 
 
 def compile_plan(
@@ -765,11 +613,12 @@ def execute_plan(
 ) -> Iterator[Dict[str, object]]:
     """Yield every satisfying assignment of the plan's rule body.
 
-    The planned counterpart of :func:`solve`: ``sources`` still maps
-    body-item index to source, so engines build them identically for
-    both paths.  ``skip_fact`` is the strand's driving fact (excluded
-    from the steps flagged ``exclude_driver``); ``ts_limit`` restricts
-    every literal to facts stamped ``<= ts_limit``.
+    The planned counterpart of :func:`solve` for the set-oriented
+    engines: ``sources`` still maps body-item index to source, so they
+    build them identically for both paths.  ``skip_fact`` is a strand's
+    driving fact (excluded from the steps flagged ``exclude_driver``);
+    ``ts_limit`` restricts every literal to facts stamped
+    ``<= ts_limit``.
 
     Yielded binding dicts may be shared between solutions when a step
     binds no new variables; callers must treat them as read-only.
@@ -794,41 +643,19 @@ def rule_solutions(
     return solve(crule, sources, functions)
 
 
-def rule_head(
-    crule: CompiledRule,
-    bindings: Dict[str, object],
-    functions: Dict[str, Callable],
-    plan: Optional[JoinPlan],
-) -> Tuple:
-    """Head tuple via the compiled template (planned) or the
-    interpreter (unplanned); counterpart of :func:`rule_solutions`."""
-    if plan is not None:
-        return crule.instantiate(bindings, functions)
-    return instantiate_head(crule, bindings, functions)
-
-
 def _yield_solution(bindings, sources, functions, skip_fact, ts_limit):
     yield bindings
 
 
-def _compile_executor(steps: Tuple, static_sources=None) -> Callable:
+def _compile_executor(steps: Tuple) -> Callable:
     """Fold the step tuple (right to left) into one generator closure
     per step, each capturing its metadata as locals and calling the
-    next step's closure directly -- no step-type dispatch, no tuple
-    indexing, no attribute lookups in the hot loop.
-
-    With ``static_sources`` (body index -> source, fixed for the
-    executor's lifetime) each literal's source -- and for tables the
-    live index dict itself -- is captured at compile time.
+    next step's closure directly -- no step-type dispatch in the loop.
     """
     follow = _yield_solution
     for step in reversed(steps):
         if isinstance(step, LiteralStep):
-            if static_sources is not None:
-                source = static_sources.get(step.body_index, EMPTY_SOURCE)
-                follow = _bound_literal_runner(step, follow, source)
-            else:
-                follow = _literal_runner(step, follow)
+            follow = _literal_runner(step, follow)
         elif isinstance(step, AssignStep):
             follow = _assign_runner(step, follow)
         elif isinstance(step, CondStep):
@@ -838,189 +665,32 @@ def _compile_executor(steps: Tuple, static_sources=None) -> Callable:
     return follow
 
 
-def _empty_runner(bindings, sources, functions, skip_fact, ts_limit):
-    return iter(())
-
-
-def _bound_literal_runner(step: LiteralStep, follow: Callable,
-                          source) -> Callable:
-    """Like :func:`_literal_runner` but with the source pinned; for
-    table sources the candidate rows come straight out of the captured
-    live index dict, with no per-row arity checks (the table enforces
-    arity on insert)."""
-    positions = step.positions
-    values_fn = step.values_fn
-    arity = step.arity
-    dup_checks = step.dup_checks or None
-    bind_specs = step.bind_specs or None
-    residual = step.residual_exprs or None
-    exclude_driver = step.exclude_driver
-
-    table_arity = getattr(source, "arity", None)
-    if table_arity is not None and table_arity != arity:
-        # The literal can never match this relation's tuples.
-        return _empty_runner
-
-    index_for = getattr(source, "index_for", None)
-    if (index_for is not None and dup_checks is None and residual is None
-            and not exclude_driver and bind_specs is not None):
-        if positions:
-            index = index_for(positions)
-
-            def run_indexed(bindings, sources, functions, skip_fact,
-                            ts_limit):
-                rows = index.get(values_fn(bindings, functions))
-                if rows is None:
-                    return
-                if ts_limit is None:
-                    for fact_args in rows:
-                        extended = dict(bindings)
-                        for pos, name in bind_specs:
-                            extended[name] = fact_args[pos]
-                        yield from follow(extended, sources, functions,
-                                          skip_fact, ts_limit)
-                else:
-                    ts = source.ts
-                    for fact_args in rows:
-                        if ts(fact_args) > ts_limit:
-                            continue
-                        extended = dict(bindings)
-                        for pos, name in bind_specs:
-                            extended[name] = fact_args[pos]
-                        yield from follow(extended, sources, functions,
-                                          skip_fact, ts_limit)
-
-            return run_indexed
-
-        rows_view = source.rows_view()
-
-        def run_scan(bindings, sources, functions, skip_fact, ts_limit):
-            if ts_limit is None:
-                for fact_args in rows_view:
-                    extended = dict(bindings)
-                    for pos, name in bind_specs:
-                        extended[name] = fact_args[pos]
-                    yield from follow(extended, sources, functions,
-                                      skip_fact, ts_limit)
-            else:
-                ts = source.ts
-                for fact_args in rows_view:
-                    if ts(fact_args) > ts_limit:
-                        continue
-                    extended = dict(bindings)
-                    for pos, name in bind_specs:
-                        extended[name] = fact_args[pos]
-                    yield from follow(extended, sources, functions,
-                                      skip_fact, ts_limit)
-
-        return run_scan
-
-    lookup = source.lookup
-    skip_arity_check = table_arity is not None
-
-    def run(bindings, sources, functions, skip_fact, ts_limit):
-        rows = lookup(positions, values_fn(bindings, functions))
-        exclude = (
-            skip_fact.args
-            if (exclude_driver and skip_fact is not None)
-            else None
-        )
-        for fact_args in rows:
-            if not skip_arity_check and len(fact_args) != arity:
-                continue
-            if fact_args == exclude:
-                continue
-            if dup_checks:
-                ok = True
-                for pos, first_pos in dup_checks:
-                    if fact_args[pos] != fact_args[first_pos]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            if ts_limit is not None and source.ts(fact_args) > ts_limit:
-                continue
-            if bind_specs:
-                extended = dict(bindings)
-                for pos, name in bind_specs:
-                    extended[name] = fact_args[pos]
-            else:
-                extended = bindings
-            if residual:
-                ok = True
-                for pos, expr_fn in residual:
-                    if expr_fn(extended, functions) != fact_args[pos]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-            yield from follow(extended, sources, functions, skip_fact,
-                              ts_limit)
-
-    return run
-
-
 def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
     body_index = step.body_index
     positions = step.positions
-    values_fn = step.values_fn
     arity = step.arity
-    dup_checks = step.dup_checks or None
-    bind_specs = step.bind_specs or None
-    residual = step.residual_exprs or None
+    dup_checks = step.dup_checks
+    bind_specs = step.bind_specs
+    residual = tuple(
+        (pos, compile_term(term)) for pos, term in step.residual_exprs
+    )
     exclude_driver = step.exclude_driver
-
-    if (dup_checks is None and residual is None and not exclude_driver
-            and bind_specs is not None):
-        # The overwhelmingly common shape: fresh variables to bind, no
-        # self-join exclusion, no in-literal checks -- a tight loop.
-        def run_fast(bindings, sources, functions, skip_fact, ts_limit):
-            source = sources.get(body_index, EMPTY_SOURCE)
-            rows = source.lookup(positions, values_fn(bindings, functions))
-            if ts_limit is None:
-                for fact_args in rows:
-                    if len(fact_args) != arity:
-                        continue
-                    extended = dict(bindings)
-                    for pos, name in bind_specs:
-                        extended[name] = fact_args[pos]
-                    yield from follow(extended, sources, functions,
-                                      skip_fact, ts_limit)
-            else:
-                for fact_args in rows:
-                    if len(fact_args) != arity:
-                        continue
-                    if source.ts(fact_args) > ts_limit:
-                        continue
-                    extended = dict(bindings)
-                    for pos, name in bind_specs:
-                        extended[name] = fact_args[pos]
-                    yield from follow(extended, sources, functions,
-                                      skip_fact, ts_limit)
-
-        return run_fast
+    getters = tuple(compile_term(term) for term in step.getters)
 
     def run(bindings, sources, functions, skip_fact, ts_limit):
         source = sources.get(body_index, EMPTY_SOURCE)
-        rows = source.lookup(positions, values_fn(bindings, functions))
+        values = tuple([get(bindings, functions) for get in getters])
         exclude = (
             skip_fact.args
             if (exclude_driver and skip_fact is not None)
             else None
         )
-        for fact_args in rows:
-            if len(fact_args) != arity:
+        for fact_args in source.lookup(positions, values):
+            if len(fact_args) != arity or fact_args == exclude:
                 continue
-            if fact_args == exclude:
+            if dup_checks and any(fact_args[pos] != fact_args[first]
+                                  for pos, first in dup_checks):
                 continue
-            if dup_checks:
-                ok = True
-                for pos, first_pos in dup_checks:
-                    if fact_args[pos] != fact_args[first_pos]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
             if ts_limit is not None and source.ts(fact_args) > ts_limit:
                 continue
             if bind_specs:
@@ -1029,14 +699,9 @@ def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
                     extended[name] = fact_args[pos]
             else:
                 extended = bindings
-            if residual:
-                ok = True
-                for pos, expr_fn in residual:
-                    if expr_fn(extended, functions) != fact_args[pos]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if residual and any(expr_fn(extended, functions) != fact_args[pos]
+                                for pos, expr_fn in residual):
+                continue
             yield from follow(extended, sources, functions, skip_fact,
                               ts_limit)
 
@@ -1045,7 +710,7 @@ def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
 
 def _assign_runner(step: AssignStep, follow: Callable) -> Callable:
     name = step.name
-    fn = step.fn
+    fn = compile_term(step.expr)
 
     def run(bindings, sources, functions, skip_fact, ts_limit):
         value = fn(bindings, functions)
@@ -1063,7 +728,7 @@ def _assign_runner(step: AssignStep, follow: Callable) -> Callable:
 
 
 def _cond_runner(step: CondStep, follow: Callable) -> Callable:
-    fn = step.fn
+    fn = compile_term(step.expr)
 
     def run(bindings, sources, functions, skip_fact, ts_limit):
         if fn(bindings, functions):
@@ -1105,5 +770,21 @@ def instantiate_head(
     return tuple(values)
 
 
-def compile_rules(rules: Sequence[Rule]) -> List[CompiledRule]:
-    return [CompiledRule(rule) for rule in rules]
+def shared_compiled_rules(program: Program) -> List[CompiledRule]:
+    """One :class:`CompiledRule` per non-empty rule of ``program``,
+    memoized on the program object: every engine built over the same
+    ``Program`` (each node of a deployment) shares them, and with them
+    the strand kernels generated from them -- code is compiled once per
+    program and collected with it."""
+    cache = program.compiled_cache
+    compiled = []
+    for rule in program.rules:
+        if not rule.body:
+            continue
+        crule = cache.get(id(rule))
+        # An entry keeps its rule alive, so its id cannot be recycled --
+        # unless the cache was copied along with a copied program.
+        if crule is None or crule.rule is not rule:
+            crule = cache[id(rule)] = CompiledRule(rule)
+        compiled.append(crule)
+    return compiled

@@ -33,7 +33,7 @@ from repro.engine.rules import (
     CompiledRule,
     SetSource,
     compile_plan,
-    rule_head as _head_of,
+    instantiate_head as _head_of,
     rule_solutions as _solutions,
 )
 from repro.engine.stratify import Stratum, stratify
@@ -125,7 +125,7 @@ def _evaluate_stratum(
         plan = base_plans[id(crule)]
         for bindings in _solutions(crule, rule_sources, db.functions, plan):
             result.inferences += 1
-            head = _head_of(crule, bindings, db.functions, plan)
+            head = _head_of(crule, bindings, db.functions)
             if provenance is not None:
                 provenance.capture(crule, bindings, head, 1, db.functions)
             if head not in table and head not in buffers[crule.head.pred]:
@@ -189,7 +189,7 @@ def _evaluate_stratum(
                 for bindings in _solutions(crule, rule_sources,
                                            db.functions, plan):
                     result.inferences += 1
-                    head = _head_of(crule, bindings, db.functions, plan)
+                    head = _head_of(crule, bindings, db.functions)
                     if provenance is not None:
                         provenance.capture(crule, bindings, head, 1,
                                            db.functions)
@@ -212,7 +212,7 @@ def _evaluate_stratum(
         plan = base_plans[id(crule)]
         for bindings in _solutions(crule, rule_sources, db.functions, plan):
             result.inferences += 1
-            contribution = _head_of(crule, bindings, db.functions, plan)
+            contribution = _head_of(crule, bindings, db.functions)
             if provenance is not None:
                 provenance.capture(crule, bindings, contribution, 1,
                                    db.functions)

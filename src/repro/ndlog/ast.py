@@ -184,6 +184,12 @@ class Program:
     materializations: Dict[str, Materialization] = field(default_factory=dict)
     query: Optional[Literal] = None
     name: str = ""
+    #: Engine-owned memo of what has been compiled from ``rules`` (see
+    #: ``repro.engine.rules.shared_compiled_rules``); not part of the
+    #: program's value, and collected with the object.
+    compiled_cache: Dict[int, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def predicates(self) -> Dict[str, int]:
         """Map every predicate to its arity; raise on inconsistent use."""

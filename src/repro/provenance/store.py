@@ -370,10 +370,10 @@ class ProvenanceRecorder:
 
     def record_fact(self, rule: str, head: Fact, body: Sequence[Fact],
                     sign: int) -> Optional[int]:
-        """Record a firing whose body facts are already ground (cache
-        hits, synthesized derivations)."""
+        """Record a firing whose body facts are already ground (PSN
+        strand kernels, cache hits, synthesized derivations)."""
         return self.store.record(rule, head, body, sign, node=self.node,
-                                 time=self.now())
+                                 time=self.now(), dedup=self.dedup)
 
     def base(self, fact: Fact, weight: int) -> None:
         self.store.record_base(fact, weight, node=self.node, time=self.now())

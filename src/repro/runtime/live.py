@@ -497,8 +497,10 @@ class LiveDeployment:
     def program(self):
         return self.compiled.program
 
-    def explain(self, join_plans: bool = True, timings: bool = False) -> str:
-        return self.compiled.explain(join_plans=join_plans, timings=timings)
+    def explain(self, join_plans: bool = True, timings: bool = False,
+                kernels: bool = False) -> str:
+        return self.compiled.explain(join_plans=join_plans, timings=timings,
+                                     kernels=kernels)
 
     def __repr__(self) -> str:
         state = "running" if self.started else "not started"

@@ -282,7 +282,7 @@ class NodeRuntime(PSNEngine):
         for strand in self.strands.get(fact.pred, ()):
             if suppress and strand.crule.rule.label in suppress:
                 continue
-            self._fire_strand(strand, fact, sign)
+            self._fire_strand(strand, (fact,), sign)
 
     def _try_cache_hit(self, policy, fact: Fact) -> Tuple[str, ...]:
         """On a cached destination, answer directly and stop the flood

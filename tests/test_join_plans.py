@@ -12,20 +12,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engine import Database, bsn, naive, psn, seminaive
 from repro.engine.psn import PSNEngine
 from repro.engine.rules import (
-    AssignStep,
     CompiledRule,
-    CondStep,
     LiteralStep,
     SetSource,
-    compile_driver_step,
     compile_plan,
     execute_plan,
     solve,
+    unify_literal,
 )
 from repro.engine.table import Table
 from repro.errors import PlanError
 from repro.ndlog import parse, programs
 from repro.ndlog.functions import default_functions
+from repro.ndlog.terms import Constant
 from repro.opt.costbased import StatsCatalog
 from repro.planner.reorder import bound_positions, greedy_join_order
 
@@ -47,7 +46,7 @@ def test_literal_step_classification():
     # repeated A is a positional check, B + 1 is a residual expression.
     step = LiteralStep(crule.body[0], 0, frozenset())
     assert step.positions == (2,)            # the constant c1
-    assert step.static_values == ("c1",)
+    assert step.getters == (Constant("c1"),)
     assert [name for _pos, name in step.bind_specs] == ["A", "B"]
     assert step.dup_checks == ((3, 0),)      # position 3 must equal 0
     assert [pos for pos, _fn in step.residual_exprs] == [4]
@@ -60,19 +59,29 @@ def test_literal_step_classification():
     assert step.residual_exprs == ()
 
 
-def test_driver_step_fast_path_and_mismatch():
-    crule = CompiledRule(rule_of("R: out(@A, C) :- p(@A, B, C)."))
-    step = compile_driver_step(crule, 0)
-    assert step.fast_bind == ("A", "B", "C")
-    assert step.match(("x", "y", 3), {}, {}) == {"A": "x", "B": "y", "C": 3}
-    assert step.match(("x", "y"), {}, {}) is None  # arity mismatch
+def test_kernel_driver_match_and_mismatch():
+    """The driving tuple is matched inside the generated kernel:
+    variables bind positionally, constants and repeated variables are
+    checked, and a literal whose arity differs from its table's never
+    matches."""
+    def fire(text, args, arity=None):
+        program = parse(text)
+        db = Database.for_program(program)
+        if arity is not None:
+            db.tables["p"] = Table("p", arity)
+        (strand,) = PSNEngine(program, db=db).strands["p"]
+        out = []
+        strand.kernel(args, db.functions, out)
+        return out
 
-    crule = CompiledRule(rule_of("R: out(@A) :- p(@A, A, c7)."))
-    step = compile_driver_step(crule, 0)
-    assert step.fast_bind is None
-    assert step.match(("x", "x", "c7"), {}, {}) == {"A": "x"}
-    assert step.match(("x", "y", "c7"), {}, {}) is None   # dup check
-    assert step.match(("x", "x", "c8"), {}, {}) is None   # constant
+    plain = "R: out(@A, B, C) :- p(@A, B, C)."
+    assert fire(plain, ("x", "y", 3)) == [("x", "y", 3)]
+    assert fire(plain, ("x", "y"), arity=2) == []   # arity mismatch
+
+    checked = "R: out(@A) :- p(@A, A, c7)."
+    assert fire(checked, ("x", "x", "c7")) == [("x",)]
+    assert fire(checked, ("x", "y", "c7")) == []    # dup check
+    assert fire(checked, ("x", "x", "c8")) == []    # constant
 
 
 def test_strand_plan_orders_bound_literal_first():
@@ -220,8 +229,7 @@ def test_execute_plan_skip_fact_matches_solve_self_join():
         pred = "tc"
         args = ("b", "c")
 
-    seed_literal = compile_driver_step(crule, 1)
-    seed = seed_literal.match(FakeFact.args, {}, functions)
+    seed = unify_literal(crule.body[1], FakeFact.args, {}, functions)
     plan = compile_plan(crule, driver_index=1)
     planned = solutions(
         execute_plan(plan, {0: table}, functions, bindings=dict(seed),

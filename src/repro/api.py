@@ -111,8 +111,8 @@ __all__ = [
 
 #: Engine name -> ``evaluate(program, db, **opts)`` entry point.  This
 #: table is the single place engine selection is decided; everything
-#: else (the :mod:`repro.core` shims, examples, experiments) routes
-#: through :meth:`CompiledProgram.run`.
+#: else (examples, experiments) routes through
+#: :meth:`CompiledProgram.run`.
 ENGINES: Dict[str, Callable[..., EvalResult]] = {
     "naive": naive.evaluate,
     "seminaive": seminaive.evaluate,
@@ -665,7 +665,7 @@ class CompiledProgram:
         ``engine`` is one of ``naive`` / ``seminaive`` / ``bsn`` /
         ``psn``; ``facts`` maps relation names to rows loaded before
         evaluation; ``engine_opts`` pass through to the engine entry
-        point (``use_plans``, ``batch_size``, ``max_steps``, ...).
+        point (``batch_size``, ``max_steps``, ...).
 
         ``provenance`` overrides the artifact's compile-time flag for
         this run (``True``/``False``, or a pre-built

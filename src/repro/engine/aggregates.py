@@ -25,8 +25,8 @@ same structure backs :class:`ArgExtremeView`'s witness promotion, with a
 total-order tie-break key (:func:`order_key`) making the promoted
 witness deterministic for values whose natural ordering admits ties.
 
-Both views also expose :meth:`apply_many`, the batched entry point used
-by the engines' micro-batched commit path (``batch_size > 1``): a chunk
+Both views also expose :meth:`apply_many`, the batched entry point a
+strand firing driven by a run of several deltas uses: a chunk
 of contributions is applied in order and only the *net* change to each
 emitted head is returned, so a burst that moves a group's value several
 times costs one retraction and one insertion downstream instead of a

@@ -9,15 +9,12 @@ The key relaxation is *scheduling freedom*: a tuple from a traditional
 SN iteration may be buffered arbitrarily and handled in some future
 iteration of our choice, while still producing the SN fixpoint.  We
 expose that freedom through a ``scheduler`` callable that decides how
-many buffered deltas each local iteration consumes; the engine shares
-PSN's strand/timestamp machinery (PSN "can allow just as much buffering
-as BSN", Section 3.3.2), so correctness follows from the same argument.
-
-``batch_size > 1`` additionally routes each scheduled iteration through
-PSN's micro-batched commit path (Z-set weight netting at the queue,
-run-batched strand firing, weighted aggregate views -- see
-:mod:`repro.engine.psn`), which is the natural pairing: BSN already
-*buffers* bursts, weight addition nets them before processing too.
+many buffered deltas each local iteration consumes; the engine *is*
+PSN's chunked commit path (PSN "can allow just as much buffering as
+BSN", Section 3.3.2), so correctness follows from the same argument.
+Each scheduled iteration drains as chunks of up to ``batch_size``
+deltas (see :mod:`repro.engine.psn`): BSN already *buffers* bursts,
+weight addition nets them before processing too.
 """
 
 from __future__ import annotations
@@ -48,13 +45,11 @@ class BSNEngine(PSNEngine):
         db: Optional[Database] = None,
         scheduler: Scheduler = drain_all,
         on_commit=None,
-        use_plans: bool = True,
         batch_size: int = 1,
         provenance=None,
     ):
         super().__init__(program, db=db, on_commit=on_commit,
-                         use_plans=use_plans, batch_size=batch_size,
-                         provenance=provenance)
+                         batch_size=batch_size, provenance=provenance)
         self.scheduler = scheduler
         self.iterations = 0
 
@@ -91,11 +86,10 @@ def evaluate(
     db: Optional[Database] = None,
     scheduler: Scheduler = drain_all,
     max_steps: int = DEFAULT_MAX_STEPS,
-    use_plans: bool = True,
     batch_size: int = 1,
     provenance=None,
 ) -> EvalResult:
     """Run ``program`` to fixpoint with BSN and return the result."""
     return BSNEngine(program, db=db, scheduler=scheduler,
-                     use_plans=use_plans, batch_size=batch_size,
+                     batch_size=batch_size,
                      provenance=provenance).fixpoint(max_steps=max_steps)

@@ -5,10 +5,8 @@ deltas, no book-keeping -- each iteration re-derives everything from the
 full current state until nothing changes.  Deliberately simple; used for
 correctness baselines and the engine micro-benchmarks.
 
-With ``use_plans=True`` (the default) each rule's join is compiled once
-per stratum (see :mod:`repro.engine.rules`) and the plan is reused every
-iteration; ``use_plans=False`` keeps the original interpreted
-:func:`repro.engine.rules.solve` path for baseline comparisons.
+Each rule's join is compiled once per stratum (see
+:mod:`repro.engine.rules`) and the plan is reused every iteration.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from repro.engine.fixpoint import EvalResult, load_program_facts
 from repro.engine.rules import (
     CompiledRule,
     compile_plan,
+    execute_plan,
     instantiate_head as _head_of,
-    rule_solutions as _solutions,
 )
 from repro.engine.stratify import stratify
 from repro.ndlog.ast import Program
@@ -34,11 +32,8 @@ from repro.opt.costbased import StatsCatalog
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
-def _plan_for(crule: CompiledRule, db: Database, stats, use_plans: bool):
-    """Compile (and index-register) a full-rule plan, or ``None`` when
-    planning is off."""
-    if not use_plans:
-        return None
+def _plan_for(crule: CompiledRule, db: Database, stats):
+    """Compile (and index-register) a full-rule plan."""
     plan = compile_plan(crule, stats=stats)
     for pred, positions in plan.index_requests():
         db.table(pred).register_index(positions)
@@ -80,14 +75,13 @@ def evaluate(
     program: Program,
     db: Optional[Database] = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    use_plans: bool = True,
     provenance=None,
 ) -> EvalResult:
     if db is None:
         db = Database.for_program(program)
     load_program_facts(program, db)
     result = EvalResult(db=db, program=program)
-    stats = StatsCatalog.from_database(db) if use_plans else None
+    stats = StatsCatalog.from_database(db)
     if provenance is not None:
         provenance = seed_base_provenance(provenance, program, db)
         result.provenance = provenance.store
@@ -100,7 +94,7 @@ def evaluate(
         argmins = [c for c in compiled if c.argmin is not None]
         # Compile once per stratum; reuse the plan (and the source dict)
         # on every iteration of the loop below.
-        plans = {id(c): _plan_for(c, db, stats, use_plans) for c in compiled}
+        plans = {id(c): _plan_for(c, db, stats) for c in compiled}
         sources = {id(c): _table_sources(c, db) for c in compiled}
 
         iterations = 0
@@ -121,7 +115,7 @@ def evaluate(
                 # among the sources, and inserting while scanning it is
                 # undefined.
                 for bindings in list(
-                    _solutions(crule, sources[id(crule)], db.functions, plan)
+                    execute_plan(plan, sources[id(crule)], db.functions)
                 ):
                     result.inferences += 1
                     head = _head_of(crule, bindings, db.functions)
@@ -140,8 +134,8 @@ def evaluate(
         for crule in aggregated:
             view = AggregateView(crule.head.pred, crule.aggregate)
             plan = plans[id(crule)]
-            for bindings in _solutions(
-                crule, sources[id(crule)], db.functions, plan
+            for bindings in execute_plan(
+                plan, sources[id(crule)], db.functions
             ):
                 result.inferences += 1
                 contribution = _head_of(crule, bindings, db.functions)
@@ -163,12 +157,12 @@ def evaluate(
 
 
 def _materialize_argmin(db: Database, crule: CompiledRule,
-                        result: EvalResult, plan=None,
+                        result: EvalResult, plan,
                         provenance=None) -> None:
     group_positions, value_position, func = crule.argmin
     rule_sources = _table_sources(crule, db)
     winners = {}
-    for bindings in _solutions(crule, rule_sources, db.functions, plan):
+    for bindings in execute_plan(plan, rule_sources, db.functions):
         result.inferences += 1
         head = _head_of(crule, bindings, db.functions)
         if provenance is not None:

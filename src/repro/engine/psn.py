@@ -36,21 +36,18 @@ Under this discipline:
 One engine therefore serves as the paper's PSN evaluator *and* its
 materialized-view maintenance layer.
 
-**Strand kernels.**  With ``use_plans=True`` (the default) every strand
-runs as a *generated kernel* (:mod:`repro.engine.kernels`): its join
-plan (:mod:`repro.engine.rules` -- literal order by bound-ness and
-estimated selectivity) is turned into the source of one flat Python
-function -- driving tuple unpacked into locals, one loop per partner
-literal over that table's live index dict, conditions, assignments and
-the head tuple inlined -- compiled once per program and bound per engine
-to its tables.  A firing collects the kernel's head tuples, then emits
-them.  ``use_plans=False`` runs the interpreter behind the same kernel
-signature, for baseline comparisons
-(``benchmarks/bench_join_plans.py``).
+**Strand kernels.**  Every strand runs as a *generated kernel*
+(:mod:`repro.engine.kernels`): its join plan (:mod:`repro.engine.rules`
+-- literal order by bound-ness and estimated selectivity) is turned
+into the source of one flat Python function -- driving tuple unpacked
+into locals, one loop per partner literal over that table's live index
+dict, conditions, assignments and the head tuple inlined -- compiled
+once per program and bound per engine to its tables.  A firing collects
+the kernel's head tuples, then emits them.
 
-**Micro-batched commits.**  With ``batch_size > 1`` the queue is
-drained in chunks instead of one delta at a time (Section 4's "bursty
-updates" processed as bursts):
+**One commit path: chunks of runs.**  The queue is drained in chunks of
+up to ``batch_size`` deltas (Section 4's "bursty updates" processed as
+bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
 
 1. *Weight netting at the queue* -- Z-set addition applied before any
    table or strand work: within a chunk, the intents on one primary-key
@@ -71,30 +68,27 @@ updates" processed as bursts):
    are one count bump of ``+w``, deletions one decrement, and the
    visibility transition (strand firing) happens at most once either
    way.  Every other intent replays in its original position.
-2. *Run batching* -- surviving weighted intents are split into maximal
-   runs of one (predicate, direction), each run is committed to the
-   table in order, and every strand of that predicate then fires
-   **once per run** with the list of driving facts, amortizing strand
-   lookup, driver-step seeding and inference bookkeeping.  Run
-   batching applies only to predicates with no self-join strands (no
-   rule both driven by and joining against the same predicate); for
-   those, commit-then-fire is join-for-join identical to sequential
-   processing because a run never touches its own partner tables.
-   Self-join predicates, forced deletions and (in the distributed
-   runtime) cache-intercepted query predicates fall back to the
-   per-delta reference path mid-chunk.
-3. *Aggregate netting* -- a batched strand firing feeds its aggregate
-   or arg-extreme view through ``apply_many``, which emits only the
-   net group-value change for the chunk.
+2. *Runs* -- surviving weighted intents are split into maximal runs of
+   one (predicate, direction); each run is committed to the table in
+   order, and every strand of that predicate then fires **once per
+   run** with the list of driving deltas.  Commit-then-fire is
+   join-for-join identical to firing after each commit because a run
+   never touches its own partner tables -- so a predicate with a
+   self-join strand (a rule both driven by and joining against it)
+   gets runs capped at one delta, as do forced deletions and (in the
+   distributed runtime) the cache-intercepted query predicate.  A run
+   of one is still a run: same methods, nothing to amortize.
+3. *Aggregate netting* -- a firing driven by more than one delta feeds
+   its aggregate or arg-extreme view through ``apply_many``, which
+   emits only the net group-value change for the run.
 
-``batch_size=1`` (the default) is the reference path and reproduces
-the historical commit order exactly.  Batching may change the
-*intermediate* delta traffic (zero-weight runs never commit, netted
-aggregates skip transient values) but never the fixpoint or the final
-derivation counts -- ``tests/test_batching.py`` and
-``tests/test_zset.py`` hold both paths to that, and
-``benchmarks/bench_zset.py`` measures the win over both the per-delta
-path and PR 2's guard-based cancellation.
+``batch_size=1`` (the default) is the same path on chunks of one:
+nothing to net, every run a single delta, views fed head by head --
+Algorithm 3 as written, and the differential reference.  Larger chunks
+may change the *intermediate* delta traffic (zero-weight runs never
+commit, netted aggregates skip transient values) but never the fixpoint
+or the final derivation counts -- ``tests/test_batching.py`` and
+``tests/test_zset.py`` hold every batch size to that.
 
 """
 
@@ -111,11 +105,7 @@ from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult
 from repro.engine.table import INFINITY
 from repro.engine.kernels import strand_kernel
-from repro.engine.rules import (
-    CompiledRule,
-    interpreted_kernel,
-    shared_compiled_rules,
-)
+from repro.engine.rules import CompiledRule, shared_compiled_rules
 from repro.opt.costbased import StatsCatalog
 from repro.ndlog.ast import Literal, Program
 from repro.ndlog.terms import evaluate as eval_term
@@ -154,29 +144,25 @@ class Strand:
 
     ``kernel(args, functions, out)`` is everything the hot path needs:
     it appends to ``out`` every head tuple the driving tuple ``args``
-    derives against ``db``'s tables.  Given ``stats`` (a
-    :class:`StatsCatalog`) it is a generated function
-    (:mod:`repro.engine.kernels`) for the literal order the statistics
-    imply -- ``code`` is the shared :class:`StrandKernel`, generated at
-    most once per program, ``kernel_source`` its text -- and only the
-    table/index binding happens here; without, it is the interpreter
-    behind the same signature.  ``capture_kernel`` is the provenance
-    variant, whose ``out`` receives ``(head, ground body facts)`` pairs.
-    Either is bound on first need (:meth:`bind`).
+    derives against ``db``'s tables -- a generated function
+    (:mod:`repro.engine.kernels`) for the literal order ``stats`` (a
+    :class:`StatsCatalog`) implies.  ``code`` is the shared
+    :class:`StrandKernel`, generated at most once per program,
+    ``kernel_source`` its text; only the table/index binding happens
+    here.  ``capture_kernel`` is the provenance variant, whose ``out``
+    receives ``(head, ground body facts)`` pairs.  Either is bound on
+    first need (:meth:`bind`).
     """
 
     __slots__ = ("crule", "driver_index", "driver_literal", "code",
                  "kernel", "capture_kernel", "_db")
 
     def __init__(self, crule: CompiledRule, driver_index: int,
-                 db: Database, stats=None):
+                 db: Database, stats):
         self.crule = crule
         self.driver_index = driver_index
         self.driver_literal: Literal = crule.body[driver_index]
-        self.code = (
-            strand_kernel(crule, driver_index, stats)
-            if stats is not None else None
-        )
+        self.code = strand_kernel(crule, driver_index, stats)
         self.kernel: Optional[Callable] = None
         self.capture_kernel: Optional[Callable] = None
         self._db = db
@@ -184,11 +170,7 @@ class Strand:
     def bind(self, capture: bool) -> Callable:
         """Bind (and keep) the plain or the capture kernel; registers
         every index the kernel probes."""
-        if self.code is not None:
-            kernel = self.code.bind(self._db, capture)
-        else:
-            kernel = interpreted_kernel(self.crule, self.driver_index,
-                                        self._db, capture)
+        kernel = self.code.bind(self._db, capture)
         if capture:
             self.capture_kernel = kernel
         else:
@@ -196,20 +178,18 @@ class Strand:
         return kernel
 
     @property
-    def kernel_source(self) -> Optional[str]:
-        """Generated source of the kernel (``None`` when interpreted)."""
-        return self.code.source() if self.code is not None else None
+    def kernel_source(self) -> str:
+        """Generated source of the kernel."""
+        return self.code.source()
 
     def __repr__(self) -> str:
-        how = "interpreted" if self.code is None else (
-            f"{self.code.filename()} order={self.code.plan.order}"
-        )
         return (f"Strand({self.crule.label}, "
-                f"driver={self.driver_literal.pred}, {how})")
+                f"driver={self.driver_literal.pred}, "
+                f"{self.code.filename()} order={self.code.plan.order})")
 
 
 def build_strands(compiled: List[CompiledRule], db: Database,
-                  stats=None) -> Dict[str, List[Strand]]:
+                  stats) -> Dict[str, List[Strand]]:
     """Index strands by driving predicate.
 
     Every body literal position of every rule yields a strand, so a new
@@ -243,10 +223,10 @@ class PSNEngine:
     recorder, each hot site is guarded by one ``None`` check, so the
     disabled path (the default) costs nothing.
 
-    ``batch_size`` selects the queue discipline: 1 (the default)
-    processes one delta per step exactly as Algorithm 3 writes it;
-    larger values enable the micro-batched commit path (cancellation,
-    run batching, aggregate netting -- see the module docstring).
+    ``batch_size`` is the chunk size the queue is drained in: 1 (the
+    default) processes one delta per step exactly as Algorithm 3
+    writes it; larger chunks are netted and committed run by run (see
+    the module docstring).
     """
 
     def __init__(
@@ -254,7 +234,6 @@ class PSNEngine:
         program: Program,
         db: Optional[Database] = None,
         on_commit: Optional[Callable[[Fact, int], None]] = None,
-        use_plans: bool = True,
         stats: Optional[StatsCatalog] = None,
         batch_size: int = 1,
         provenance=None,
@@ -265,12 +244,10 @@ class PSNEngine:
         self.program = program
         self.db = db if db is not None else Database.for_program(program)
         self.compiled = shared_compiled_rules(program)
-        self.use_plans = use_plans
         self.batch_size = max(1, int(batch_size))
-        if use_plans and stats is None:
+        if stats is None:
             stats = StatsCatalog.from_database(self.db)
-        self.strands = build_strands(self.compiled, self.db,
-                                     stats if use_plans else None)
+        self.strands = build_strands(self.compiled, self.db, stats)
         for strand_list in self.strands.values():
             for strand in strand_list:
                 # Binding now registers every probed index up front.
@@ -279,11 +256,11 @@ class PSNEngine:
         #: observed cardinalities and churn back into it
         #: (``Cluster.refresh_stats``), the adaptive-cost-model input.
         self.stats_catalog = stats
-        #: Predicates whose deltas must take the per-delta reference
-        #: path even inside a chunk: any predicate that drives a strand
-        #: also joining against itself (run batching would double- or
-        #: under-count the self-join), plus subclass-specific exclusions.
-        self._unbatchable = set(self._unbatchable_preds())
+        #: Predicates whose runs are capped at one delta: any predicate
+        #: that drives a strand also joining against itself (a longer
+        #: run would double- or under-count the self-join), plus
+        #: subclass-specific exclusions.
+        self._single_delta = set(self._single_delta_preds())
         for pred, strand_list in self.strands.items():
             for strand in strand_list:
                 crule = strand.crule
@@ -292,7 +269,7 @@ class PSNEngine:
                     for index in crule.literal_indexes
                     if index != strand.driver_index
                 ):
-                    self._unbatchable.add(pred)
+                    self._single_delta.add(pred)
                     break
         self.views: Dict[str, AggregateView] = {}
         self.argmin_views: Dict[str, ArgExtremeView] = {}
@@ -308,7 +285,7 @@ class PSNEngine:
                 )
         self.queue: Deque[QueuedDelta] = deque()
         #: While True, rule firings keep their heads on this node (the
-        #: distributed ``_emit`` override skips shipping).  Set around a
+        #: distributed ``_route`` override skips shipping).  Set around a
         #: fallback restore: the restored row is an old advertisement
         #: that must not re-announce itself to the network.
         self._local_only = False
@@ -341,10 +318,10 @@ class PSNEngine:
         #: derived delta inherits its driver's trace.
         self._active_trace: Optional[int] = None
 
-    def _unbatchable_preds(self):
-        """Extra predicates the batched path must hand to the per-delta
-        reference path (subclass hook; the distributed node runtime
-        excludes its cache-intercepted query predicate)."""
+    def _single_delta_preds(self):
+        """Extra predicates whose runs are capped at one delta
+        (subclass hook; the distributed node runtime caps its
+        cache-intercepted query predicate)."""
         return ()
 
     # ------------------------------------------------------------------
@@ -440,20 +417,13 @@ class PSNEngine:
         raises as soon as a further delta would exceed it (not one
         delta too late).
         """
-        taken = 0
-        chunk = self.batch_size
-        while self.queue:
-            if taken >= max_steps:
-                raise EvaluationError(
-                    f"PSN exceeded {max_steps} steps (non-terminating "
-                    f"program?)",
-                    engine="psn",
-                )
-            if chunk > 1:
-                taken += self.process_chunk(min(chunk, max_steps - taken))
-            else:
-                self.process_next()
-                taken += 1
+        taken = self.run_batch(max_steps)
+        if self.queue:
+            raise EvaluationError(
+                f"PSN exceeded {max_steps} steps (non-terminating "
+                f"program?)",
+                engine="psn",
+            )
         return taken
 
     def queue_slot_repairs(self) -> int:
@@ -489,13 +459,8 @@ class PSNEngine:
     def run_batch(self, batch: int) -> int:
         """Process at most ``batch`` deltas (used by BSN scheduling)."""
         taken = 0
-        chunk = self.batch_size
         while self.queue and taken < batch:
-            if chunk > 1:
-                taken += self.process_chunk(min(chunk, batch - taken))
-            else:
-                self.process_next()
-                taken += 1
+            taken += self.process_chunk(min(self.batch_size, batch - taken))
         return taken
 
     @property
@@ -511,91 +476,57 @@ class PSNEngine:
     # Core processing
     # ------------------------------------------------------------------
     def process_next(self) -> None:
-        delta = self.queue.popleft()
-        self.steps += 1
-        if self.tracer is not None:
-            self._active_trace = delta.trace
-        if delta.restore:
-            self._commit_restore(delta.fact)
-        elif delta.weight > 0:
-            self._commit_insert(delta.fact, delta.weight)
-        else:
-            self._commit_delete(delta.fact, -delta.weight, force=delta.force)
+        """Process one delta: a chunk of one."""
+        self.process_chunk(1)
 
-    # ------------------------------------------------------------------
-    # Micro-batched processing (batch_size > 1)
-    # ------------------------------------------------------------------
     def process_chunk(self, limit: int) -> int:
         """Drain up to ``limit`` deltas as one chunk; returns the number
         of deltas consumed off the queue (cancelled pairs included)."""
         queue = self.queue
         count = min(limit, len(queue))
-        if count <= 1:
-            if count:
-                self.process_next()
-            return count
-        chunk = [queue.popleft() for _ in range(count)]
+        if count <= 0:
+            return 0
+        survivors = [queue.popleft() for _ in range(count)]
         self.steps += count
         # Netting can only change anything when the chunk mixes
         # directions; all-refresh or all-expiry bursts skip the scan
         # outright (and keep their per-intent TTL refreshes).
         has_plus = has_minus = False
-        for delta in chunk:
+        for delta in survivors:
             if delta.force or delta.restore:
                 continue
             if delta.weight > 0:
                 has_plus = True
             else:
                 has_minus = True
-        survivors = (
-            self._net_chunk(chunk) if has_plus and has_minus else chunk
-        )
-        unbatchable = self._unbatchable
-        tracing = self.tracer is not None
+        if has_plus and has_minus:
+            survivors = self._net_chunk(survivors)
+        single_delta = self._single_delta
         index = 0
         end = len(survivors)
         while index < end:
             delta = survivors[index]
-            pred = delta.fact.pred
-            plus = delta.weight > 0
-            if tracing:
-                self._active_trace = delta.trace
             if delta.restore:
+                if self.tracer is not None:
+                    self._active_trace = delta.trace
                 self._commit_restore(delta.fact)
                 index += 1
                 continue
-            if delta.force or pred in unbatchable:
-                if plus:
-                    self._commit_insert(delta.fact, delta.weight)
-                else:
-                    self._commit_delete(delta.fact, -delta.weight,
-                                        force=delta.force)
-                index += 1
-                continue
+            pred = delta.fact.pred
+            plus = delta.weight > 0
             stop = index + 1
-            while stop < end:
-                nxt = survivors[stop]
-                if (nxt.force or nxt.restore
-                        or (nxt.weight > 0) != plus
-                        or nxt.fact.pred != pred):
-                    break
-                stop += 1
-            if stop - index == 1:
-                if plus:
-                    self._commit_insert(delta.fact, delta.weight)
-                else:
-                    self._commit_delete(delta.fact, -delta.weight)
+            if not delta.force and pred not in single_delta:
+                while stop < end:
+                    nxt = survivors[stop]
+                    if (nxt.force or nxt.restore
+                            or (nxt.weight > 0) != plus
+                            or nxt.fact.pred != pred):
+                        break
+                    stop += 1
+            if plus:
+                self._commit_insert_run(survivors, index, stop)
             else:
-                if plus:
-                    run = [(survivors[i].fact, survivors[i].weight,
-                            survivors[i].trace)
-                           for i in range(index, stop)]
-                    self._commit_insert_run(run)
-                else:
-                    run = [(survivors[i].fact, -survivors[i].weight,
-                            survivors[i].trace)
-                           for i in range(index, stop)]
-                    self._commit_delete_run(run)
+                self._commit_delete_run(survivors, index, stop)
             index = stop
         return count
 
@@ -686,193 +617,147 @@ class PSNEngine:
         self.cancelled += netted
         return survivors
 
-    def _commit_insert_run(
-        self, items: List[Tuple[Fact, int, Optional[int]]]
-    ) -> None:
-        """Commit a run of same-predicate weighted insertions, then fire
-        each strand once with the freshly visible facts.  Join-for-join
-        identical to sequential processing: the predicate has no
-        self-join strands (checked by the caller), so the deferred
-        firings read partner tables this run never touches."""
-        table = self.db.table(items[0][0].pred)
+    def _commit_insert_run(self, deltas: List[QueuedDelta], start: int,
+                           stop: int) -> None:
+        """Commit ``deltas[start:stop]``, a run of same-predicate
+        weighted insertions, then fire each strand once with the deltas
+        whose facts became visible.  Join-for-join identical to firing
+        after each commit: unless the run is a single delta, the
+        predicate has no self-join strands (checked by the caller), so
+        the deferred firings read partner tables this run never
+        touches."""
+        table = self.db.table(deltas[start].fact.pred)
         on_commit = self.on_commit
         tracing = self.tracer is not None
         soft = table.lifetime != INFINITY
-        pending: List[Fact] = []
-        pending_traces: Optional[List] = [] if tracing else None
-        for fact, weight, trace in items:
+        fresh: List[QueuedDelta] = []
+        for index in range(start, stop):
+            delta = deltas[index]
             if tracing:
-                self._active_trace = trace
+                self._active_trace = delta.trace
+            fact = delta.fact
             args = fact.args
             if args in table:
                 # More derivations of a visible fact: one count bump of
-                # the whole weight + timestamp refresh (observable only
-                # for soft-state TTL consumers, and as one refresh of
-                # the whole weight).
+                # the whole weight + timestamp refresh.  For soft-state
+                # tables (finite lifetime) the re-insertion is a
+                # *refresh* and must reach the TTL observer (Section
+                # 4.2: "facts must be explicitly reinserted ... with a
+                # new TTL").
                 self.clock += 1
-                table.insert(args, ts=self.clock, count=weight)
+                table.insert(args, ts=self.clock, count=delta.weight)
                 if soft and on_commit is not None:
-                    on_commit(fact, weight)
+                    on_commit(fact, delta.weight)
                 continue
             old = table.get_by_key(table.key_of(args))
             if old is not None:
-                # Replacement retracts the superseded row through the
-                # sequential path; flush deferred firings first so the
+                # Primary-key replacement retracts the superseded row
+                # first; flush deferred firings before that so the
                 # retraction cannot overtake them (the old row may even
                 # be a member of this very run).
-                if pending:
-                    self._fire_strands_batch(pending, 1, pending_traces)
-                    pending = []
+                if fresh:
+                    self._fire_strands(fresh, 1)
+                    fresh = []
                     if tracing:
-                        pending_traces = []
-                if table.fallback:
-                    self._supersede_visible(Fact(fact.pred, old),
-                                            table.count(old))
-                else:
-                    self._retract_visible(Fact(fact.pred, old),
-                                          table.count(old))
+                        self._active_trace = delta.trace
+                self._displace_visible(table, Fact(fact.pred, old))
             self.clock += 1
-            table.insert(args, ts=self.clock, count=weight)
+            table.insert(args, ts=self.clock, count=delta.weight)
             if table.fallback:
                 table.absorb_shadow(args)
             if on_commit is not None:
-                on_commit(fact, weight)
-            pending.append(fact)
-            if tracing:
-                pending_traces.append(trace)
-        if pending:
-            self._fire_strands_batch(pending, 1, pending_traces)
+                on_commit(fact, delta.weight)
+            fresh.append(delta)
+        if fresh:
+            self._fire_strands(fresh, 1)
 
-    def _commit_delete_run(
-        self, items: List[Tuple[Fact, int, Optional[int]]]
-    ) -> None:
-        """Commit a run of same-predicate (non-forced) weighted
-        deletions -- ``count`` derivations withdrawn per fact -- then
-        fire each strand once with the facts that lost visibility.
-        Removing the tuples up front reproduces the sequential
-        visibility rule ("a co-participant deleted later no longer sees
-        it") because the run's facts never appear in each other's
+    def _commit_delete_run(self, deltas: List[QueuedDelta], start: int,
+                           stop: int) -> None:
+        """Commit ``deltas[start:stop]``, a run of same-predicate
+        weighted deletions -- ``-weight`` derivations withdrawn per
+        fact, or the whole row when ``force`` -- and fire each strand
+        once with the deltas whose facts lost visibility.
+
+        A lone delta's strands run while its fact is still in the table:
+        a self-join partner position must see the dying fact (footnote
+        2 / Theorem 2), and every predicate with a self-join strand is
+        capped to runs of one.  A longer run drops rows as it goes (so a
+        fact repeated in the run is found gone) and fires afterwards,
+        which reads the same ("a co-participant deleted later no longer
+        sees it") because the run's facts never appear in each other's
         partner tables."""
-        table = self.db.table(items[0][0].pred)
+        table = self.db.table(deltas[start].fact.pred)
         on_commit = self.on_commit
         tracing = self.tracer is not None
-        pending: List[Fact] = []
-        pending_traces: Optional[List] = [] if tracing else None
-        for fact, count, trace in items:
+        lone = stop - start == 1
+        dying: List[QueuedDelta] = []
+        for index in range(start, stop):
+            delta = deltas[index]
             if tracing:
-                self._active_trace = trace
-            current = table.count(fact.args)
+                self._active_trace = delta.trace
+            fact = delta.fact
+            args = fact.args
+            count = -delta.weight
+            current = table.count(args)
             if current <= 0:
-                # Superseded, never committed, or already gone; on a
-                # fallback table this may withdraw a shadowed version.
+                # Superseded, never committed, or already gone.  On a
+                # fallback table the deletion may target a shadowed
+                # version: its producer withdrew an advertisement that
+                # was never (or no longer) current, so it must stop
+                # being a restore candidate.
                 if table.fallback:
-                    table.shadow_discard(fact.args, count)
+                    table.shadow_discard(args, count)
                 continue
-            if current > count:
-                table.delete(fact.args, count)
+            if current > count and not delta.force:
+                table.delete(args, count)
                 continue
             if on_commit is not None:
                 on_commit(fact, -current)
-            if self.provenance is not None:
-                self.provenance.retracted(fact)
-            table.force_delete(fact.args)
-            if table.fallback and count > current:
-                # Surplus weight beyond the visible count withdraws
-                # shadowed copies (see :meth:`_commit_delete`).
-                table.shadow_discard(fact.args, count - current)
-            pending.append(fact)
-            if tracing:
-                pending_traces.append(trace)
-        if pending:
-            self._fire_strands_batch(pending, -1, pending_traces)
-
-    def _commit_insert(self, fact: Fact, weight: int = 1) -> None:
-        table = self.db.table(fact.pred)
-        if fact.args in table:
-            # More derivations of a visible fact: bump its count by the
-            # whole weight and refresh its timestamp to the current
-            # clock.  For soft-state tables (finite lifetime) the
-            # re-insertion is a *refresh* and must reach the TTL
-            # observer (Section 4.2: "facts must be explicitly
-            # reinserted ... with a new TTL").
-            self.clock += 1
-            table.insert(fact.args, ts=self.clock, count=weight)
-            if table.lifetime != INFINITY and self.on_commit is not None:
-                self.on_commit(fact, weight)
-            return
-        old = table.get_by_key(table.key_of(fact.args))
-        if old is not None:
-            # Primary-key replacement: retract the superseded tuple first.
-            if table.fallback:
-                self._supersede_visible(Fact(fact.pred, old),
-                                        table.count(old))
+            if lone:
+                self._fire_strands((delta,), -1)
             else:
-                self._retract_visible(Fact(fact.pred, old),
-                                      table.count(old))
-        self.clock += 1
-        table.insert(fact.args, ts=self.clock, count=weight)
+                dying.append(delta)
+            if delta.force and self.provenance is not None:
+                # The row is dropped wholesale, whatever support it
+                # still has; a counted delete was already decremented
+                # by its own ``-1`` firings (and a re-derivation still
+                # on the queue may have recorded fresh support).
+                self.provenance.retracted(fact)
+            table.force_delete(args)
+            if not table.fallback:
+                continue
+            if delta.force:
+                # A forced delete wipes the slot outright (base-table
+                # semantics: superseded values never resurrect).
+                table.clear_shadow(table.key_of(args))
+            elif count > current:
+                # The withdrawal outweighs the visible count: the excess
+                # targets shadowed copies of the same advertisement
+                # (e.g. a dead peer's netted contributions), which must
+                # stop being restore candidates.
+                table.shadow_discard(args, count - current)
+        if dying:
+            self._fire_strands(dying, -1)
+
+    def _displace_visible(self, table, fact: Fact) -> None:
+        """Primary-key replacement: remove the slot's current row.  Its
+        deletion strands run while it is still in the table (so partners
+        see it), then it is dropped wholesale.  On a fallback table the
+        derivation stays outstanding in the table's shadow: its producer
+        never withdrew it, only the replacement displaced it, so a later
+        withdrawal of the replacement falls back to it
+        (:meth:`_restore_fallback`)."""
+        if self.on_commit is not None:
+            self.on_commit(fact, -table.count(fact.args))
+        self._fire_strands(
+            (QueuedDelta(fact, -1, trace=self._active_trace),), -1
+        )
+        if self.provenance is not None:
+            self.provenance.retracted(fact)
         if table.fallback:
-            table.absorb_shadow(fact.args)
-        if self.on_commit is not None:
-            self.on_commit(fact, weight)
-        self._fire_strands(fact, 1)
-
-    def _commit_delete(self, fact: Fact, count: int = 1,
-                       force: bool = False) -> None:
-        table = self.db.table(fact.pred)
-        current = table.count(fact.args)
-        if current <= 0:
-            # Superseded, never committed, or already gone.  On a
-            # fallback table the deletion may target a shadowed version:
-            # its producer withdrew an advertisement that was never (or
-            # no longer) current, so it must stop being a restore
-            # candidate.
-            if table.fallback:
-                table.shadow_discard(fact.args, count)
-            return
-        if current > count and not force:
-            table.delete(fact.args, count)
-            return
-        self._retract_visible(fact, current)
-        if force and table.fallback:
-            # A forced delete wipes the slot outright (base-table
-            # semantics: superseded values never resurrect).
-            table.clear_shadow(table.key_of(fact.args))
-        elif table.fallback and count > current:
-            # The withdrawal outweighs the visible count: the excess
-            # targets shadowed copies of the same advertisement (e.g. a
-            # dead peer's netted contributions), which must stop being
-            # restore candidates -- exactly what the surplus unit
-            # minuses did one at a time.
-            table.shadow_discard(fact.args, count - current)
-
-    def _retract_visible(self, fact: Fact, count: int = 1) -> None:
-        """Remove a visible fact: run its deletion strands while it is
-        still in the table (so partners see it), then drop it.
-        ``count`` is the derivation count the row held -- the weighted
-        magnitude its ``on_commit`` retraction reports."""
-        if self.on_commit is not None:
-            self.on_commit(fact, -count)
-        self._fire_strands(fact, -1)
-        if self.provenance is not None:
-            # The row is dropped wholesale (replacement / forced delete /
-            # last derivation); kill its remaining live support.
-            self.provenance.retracted(fact)
-        self.db.table(fact.pred).force_delete(fact.args)
-
-    def _supersede_visible(self, fact: Fact, count: int = 1) -> None:
-        """Displace the current row of a keyed slot.  Downstream
-        consumers see a retraction (only the latest version of a slot is
-        visible), but the derivation stays outstanding in the table's
-        shadow: its producer never withdrew it, only the replacement
-        displaced it, so a later withdrawal of the replacement falls
-        back to it (:meth:`_restore_fallback`)."""
-        if self.on_commit is not None:
-            self.on_commit(fact, -count)
-        self._fire_strands(fact, -1)
-        if self.provenance is not None:
-            self.provenance.retracted(fact)
-        self.db.table(fact.pred).supersede(fact.args)
+            table.supersede(fact.args)
+        else:
+            table.force_delete(fact.args)
 
     def _commit_restore(self, fact: Fact) -> None:
         """Process a deferred restore intent: if the keyed slot ``fact``
@@ -922,80 +807,80 @@ class PSNEngine:
             self.provenance.record_fact("<fallback>", fact, (), 1)
         self._local_only = True
         try:
-            self._fire_strands(fact, 1)
+            self._fire_strands(
+                (QueuedDelta(fact, 1, trace=self._active_trace),), 1
+            )
         finally:
             self._local_only = False
 
-    def _fire_strands(self, fact: Fact, sign: int) -> None:
-        for strand in self.strands.get(fact.pred, ()):
-            self._fire_strand(strand, (fact,), sign)
-
-    def _fire_strands_batch(self, facts: List[Fact], sign: int,
-                            traces: Optional[List] = None) -> None:
+    def _fire_strands(self, deltas, sign: int) -> None:
         """Fire every strand of the run's predicate once with the whole
-        list of driving facts (the batched counterpart of
-        :meth:`_fire_strands`), netting view outputs over the run."""
-        for strand in self.strands.get(facts[0].pred, ()):
-            self._fire_strand(strand, facts, sign, traces, net_views=True)
+        run of driving deltas (virtual: the distributed runtime
+        suppresses flooding strands on a query-cache hit)."""
+        for strand in self.strands.get(deltas[0].fact.pred, ()):
+            self._fire_strand(strand, deltas, sign)
 
-    def _fire_strand(self, strand: Strand, facts, sign: int,
-                     traces: Optional[List] = None,
-                     net_views: bool = False) -> None:
-        """Fire one strand with a run of driving facts (a single delta
-        is a run of one).  Each fact's heads are collected from the
-        strand's kernel, then emitted in order.  ``traces`` (tracing
-        only) carries each fact's trace id so derived deltas inherit
-        their own driver's trace even inside a batched firing;
-        ``net_views`` feeds an aggregate / arg-extreme head through
-        ``apply_many`` once for the whole run instead of per head."""
+    def _fire_strand(self, strand: Strand, deltas, sign: int) -> None:
+        """Fire one strand with a run of driving deltas.  Each fact's
+        heads are collected from the strand's kernel, then sent on in
+        order: plain heads through :meth:`_route`, aggregate /
+        arg-extreme heads through the rule's view -- head by head for a
+        lone delta, once through ``apply_many`` (net change only) for a
+        longer run.  Derived deltas inherit their own driver's trace."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
         profiler = self.profiler
+        tracing = self.tracer is not None
         started = perf_counter() if profiler is not None else 0.0
         kernel = strand.kernel if capture is None else strand.capture_kernel
         if kernel is None:
             kernel = strand.bind(capture is not None)
-        emit = self._emit
-        view_heads: Optional[List[Tuple]] = None
-        if net_views and (crule.aggregate is not None
-                          or crule.argmin is not None):
-            view_heads = []
+        pred = crule.head.pred
+        if crule.aggregate is not None:
+            view = self.views[pred]
+        elif crule.argmin is not None:
+            view = self.argmin_views[pred]
+        else:
+            view = None
+        netted: Optional[List[Tuple]] = None
+        if view is not None and len(deltas) > 1:
+            netted = []
+        route = self._route
         inferences = 0
-        for position, fact in enumerate(facts):
-            if traces is not None:
-                self._active_trace = traces[position]
+        for delta in deltas:
+            if tracing:
+                self._active_trace = delta.trace
             out: List = []
-            kernel(fact.args, functions, out)
+            kernel(delta.fact.args, functions, out)
             if not out:
                 continue
             inferences += len(out)
             if capture is not None:
                 for head, body in out:
-                    capture.record_fact(crule.label,
-                                        Fact(crule.head.pred, head), body,
+                    capture.record_fact(crule.label, Fact(pred, head), body,
                                         sign)
-                    if view_heads is None:
-                        emit(crule, head, sign)
+                    if netted is not None:
+                        netted.append(head)
+                    elif view is None:
+                        route(pred, head, sign)
                     else:
-                        view_heads.append(head)
-            elif view_heads is not None:
-                view_heads += out
+                        self._feed_view(view, pred, head, sign)
+            elif netted is not None:
+                netted += out
+            elif view is None:
+                for head in out:
+                    route(pred, head, sign)
             else:
                 for head in out:
-                    emit(crule, head, sign)
+                    self._feed_view(view, pred, head, sign)
         self.inferences += inferences
-        if view_heads:
-            # Net view outputs for the whole run.  Under tracing the
-            # netted group-value changes are attributed to the last
-            # contributing driver's trace -- an approximation (a net
-            # change can mix contributions from several traces).
-            pred = crule.head.pred
-            if crule.aggregate is not None:
-                view = self.views[pred]
-            else:
-                view = self.argmin_views[pred]
-            for view_sign, view_args in view.apply_many(view_heads, sign):
+        if netted:
+            # Under tracing the netted group-value changes are
+            # attributed to the last contributing driver's trace -- an
+            # approximation (a net change can mix contributions from
+            # several traces).
+            for view_sign, view_args in view.apply_many(netted, sign):
                 self.derive(Fact(pred, view_args), view_sign)
         if profiler is not None:
             profiler.add(crule.label, strand.driver_literal.pred,
@@ -1012,28 +897,23 @@ class PSNEngine:
         counts = metrics.rule_inferences
         counts[label] = counts.get(label, 0) + inferences
 
-    def _emit(self, crule: CompiledRule, head: Tuple, sign: int) -> None:
-        """Route a rule firing to its head relation (virtual: the
-        distributed runtime overrides this to ship remote heads)."""
-        pred = crule.head.pred
-        if crule.aggregate is not None:
-            view = self.views[pred]
-            for view_sign, view_args in view.apply(head, sign):
-                self.derive(Fact(pred, view_args), view_sign)
-            return
-        if crule.argmin is not None:
-            view = self.argmin_views[pred]
-            for view_sign, view_args in view.apply(head, sign):
-                self.derive(Fact(pred, view_args), view_sign)
-            return
+    def _route(self, pred: str, head: Tuple, sign: int) -> None:
+        """Send a plain rule head to its relation (virtual: the
+        distributed runtime ships heads located at another node)."""
         self.derive(Fact(pred, head), sign)
+
+    def _feed_view(self, view, pred: str, head: Tuple, sign: int) -> None:
+        """One contribution into an aggregate / arg-extreme view; the
+        group-value changes it causes are derived here (view rules are
+        local rules, so their output never ships)."""
+        for view_sign, view_args in view.apply(head, sign):
+            self.derive(Fact(pred, view_args), view_sign)
 
 
 def evaluate(
     program: Program,
     db: Optional[Database] = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    use_plans: bool = True,
     batch_size: int = 1,
     provenance=None,
     profiler=None,
@@ -1042,7 +922,6 @@ def evaluate(
 
     ``profiler`` (an :class:`repro.obs.Profiler`) accumulates
     per-strand CPU time for the run when given."""
-    engine = PSNEngine(program, db=db, use_plans=use_plans,
-                       batch_size=batch_size, provenance=provenance,
-                       profiler=profiler)
+    engine = PSNEngine(program, db=db, batch_size=batch_size,
+                       provenance=provenance, profiler=profiler)
     return engine.fixpoint(max_steps=max_steps)

@@ -1,35 +1,25 @@
-"""Rule compilation, join planning and the reference evaluators.
+"""Rule compilation and join planning.
 
-* :func:`solve` -- the interpreter.  A rule body is evaluated left to
-  right (the paper notes implementations "typically employ a
-  left-to-right execution strategy"); each literal is matched against a
-  *source* -- a full table, a snapshot set, or a single driving fact --
-  re-deriving the bound positions from the body AST on every call and
-  re-unifying every argument of every candidate tuple.  Kept as the
-  reference implementation (``use_plans=False`` in the engines) and as
-  the baseline for ``benchmarks/bench_join_plans.py``.
+:func:`compile_plan` is the planner every engine uses.  For a rule
+(optionally relative to a *driving* literal, i.e. one strand of Figures
+3/5 of the paper) it chooses a literal order (bound-ness first, then
+estimated selectivity -- Sections 5.1.2/5.3, via
+:mod:`repro.planner.reorder` and
+:class:`repro.opt.costbased.StatsCatalog`) and classifies every
+argument position of every literal once: fed to the hash-index lookup
+(constants, prefix-bound variables, prefix-evaluable expressions),
+binding a new variable, repeating one within the literal, or an
+embedded expression to check per candidate.  A :class:`JoinPlan` is
+pure metadata; it has two executors:
 
-* :func:`compile_plan` -- the planner every engine uses by default.
-  For a rule (optionally relative to a *driving* literal, i.e. one
-  strand of Figures 3/5 of the paper) it chooses a literal order
-  (bound-ness first, then estimated selectivity -- Sections 5.1.2/5.3,
-  via :mod:`repro.planner.reorder` and
-  :class:`repro.opt.costbased.StatsCatalog`) and classifies every
-  argument position of every literal once: fed to the hash-index lookup
-  (constants, prefix-bound variables, prefix-evaluable expressions),
-  binding a new variable, repeating one within the literal, or an
-  embedded expression to check per candidate.  A :class:`JoinPlan` is
-  pure metadata; it has two executors:
+- PSN strands generate one flat Python function from it
+  (:mod:`repro.engine.kernels`);
+- the set-oriented engines run it through :func:`execute_plan`, the
+  step chain folded into generator closures over binding dicts.
 
-  - PSN strands generate one flat Python function from it
-    (:mod:`repro.engine.kernels`);
-  - the set-oriented engines run it through :func:`execute_plan`, the
-    step chain folded into generator closures over binding dicts.
-
-``ts_limit`` implements PSN's timestamp discipline for the set-oriented
-executors: when given, a literal only matches facts whose insertion
-timestamp is ``<= ts_limit``, so each joint derivation fires exactly
-once, when its youngest participant is processed (Theorem 2).
+The left-to-right interpreter, which shares nothing with the planner,
+lives in ``tests/interpreter.py`` as the reference both executors are
+held to.
 """
 
 from __future__ import annotations
@@ -69,9 +59,6 @@ class SetSource:
 
     def rows(self) -> Sequence[Tuple]:
         return self._rows
-
-    def ts(self, args: Tuple) -> int:
-        return -1
 
     def lookup(self, positions: Tuple[int, ...], values: Tuple):
         if not positions:
@@ -141,11 +128,11 @@ class CompiledRule:
                     functions: Dict[str, Callable]):
         """Ground every body literal under a full solution's bindings.
 
-        The provenance capture seam of the binding-dict evaluators
-        (:func:`solve` / :func:`execute_plan`): a solution binds every
+        The provenance capture seam of the binding-dict evaluator
+        (:func:`execute_plan`): a solution binds every
         body-literal variable, so the participating facts can be
-        re-derived from the bindings after the fact -- the evaluators
-        themselves stay capture-free.  (Generated strand kernels hand
+        re-derived from the bindings after the fact -- the evaluator
+        itself stays capture-free.  (Generated strand kernels hand
         over the matched tuples directly.)
         """
         return tuple(
@@ -200,162 +187,6 @@ def unify_literal(
 
 
 _MISSING = object()
-
-
-def _literal_candidates(
-    literal: Literal,
-    source,
-    bindings: Dict[str, object],
-    functions: Dict[str, Callable],
-):
-    """Candidate facts for ``literal``: an indexed lookup on the positions
-    bound under ``bindings`` (falling back to a scan when nothing is
-    bound)."""
-    positions: List[int] = []
-    values: List[object] = []
-    for index, term in enumerate(literal.args):
-        if isinstance(term, Constant):
-            positions.append(index)
-            values.append(term.value)
-        elif isinstance(term, Variable):
-            bound = bindings.get(term.name, _MISSING)
-            if bound is not _MISSING:
-                positions.append(index)
-                values.append(bound)
-        else:
-            names = term.variables()
-            if all(name in bindings for name in names):
-                positions.append(index)
-                values.append(evaluate(term, bindings, functions))
-    if not positions:
-        return source.rows()
-    return source.lookup(tuple(positions), tuple(values))
-
-
-def solve(
-    crule: CompiledRule,
-    sources: Dict[int, object],
-    functions: Dict[str, Callable],
-    bindings: Optional[Dict[str, object]] = None,
-    skip_index: Optional[int] = None,
-    skip_fact=None,
-    ts_limit: Optional[int] = None,
-) -> Iterator[Dict[str, object]]:
-    """Yield every satisfying assignment of the rule body.
-
-    ``sources`` maps body-item index -> source for each literal;
-    ``skip_index`` marks the driving literal already consumed (its
-    bindings must be in ``bindings``).
-
-    ``skip_fact`` (the driving fact) implements the self-join discipline
-    of the paper's footnote-2 delta form: literal positions *before* the
-    driving position exclude the driving fact itself, so a derivation in
-    which the same tuple fills several positions fires exactly once --
-    when the strand for its first position runs (Theorem 2).
-
-    ``ts_limit`` additionally restricts every literal to facts with
-    timestamp ``<= ts_limit`` (unused by the commit-at-processing PSN
-    engine, where table state already equals the correct prefix, but
-    available for timestamp-explicit execution).
-    """
-    state = bindings or {}
-    return _solve_from(crule, 0, state, sources, functions, skip_index,
-                       skip_fact, ts_limit)
-
-
-def _solve_from(
-    crule: CompiledRule,
-    item_index: int,
-    bindings: Dict[str, object],
-    sources: Dict[int, object],
-    functions: Dict[str, Callable],
-    skip_index: Optional[int],
-    skip_fact,
-    ts_limit: Optional[int],
-) -> Iterator[Dict[str, object]]:
-    if item_index == len(crule.body):
-        yield bindings
-        return
-    item = crule.body[item_index]
-
-    if item_index == skip_index:
-        yield from _solve_from(crule, item_index + 1, bindings, sources,
-                               functions, skip_index, skip_fact, ts_limit)
-        return
-
-    if isinstance(item, Literal):
-        source = sources.get(item_index, EMPTY_SOURCE)
-        exclude = None
-        if (
-            skip_fact is not None
-            and skip_index is not None
-            and item_index < skip_index
-            and item.pred == skip_fact.pred
-        ):
-            exclude = skip_fact.args
-        for fact_args in _literal_candidates(item, source, bindings, functions):
-            if fact_args == exclude:
-                continue
-            if ts_limit is not None and source.ts(fact_args) > ts_limit:
-                continue
-            extended = unify_literal(item, fact_args, bindings, functions)
-            if extended is None:
-                continue
-            yield from _solve_from(crule, item_index + 1, extended, sources,
-                                   functions, skip_index, skip_fact, ts_limit)
-        return
-
-    if isinstance(item, Assignment):
-        value = evaluate(item.expr, bindings, functions)
-        name = item.var.name
-        bound = bindings.get(name, _MISSING)
-        if bound is _MISSING:
-            extended = dict(bindings)
-            extended[name] = value
-            yield from _solve_from(crule, item_index + 1, extended, sources,
-                                   functions, skip_index, skip_fact, ts_limit)
-        elif bound == value:
-            yield from _solve_from(crule, item_index + 1, bindings, sources,
-                                   functions, skip_index, skip_fact, ts_limit)
-        return
-
-    if isinstance(item, Condition):
-        if evaluate(item.expr, bindings, functions):
-            yield from _solve_from(crule, item_index + 1, bindings, sources,
-                                   functions, skip_index, skip_fact, ts_limit)
-        return
-
-    raise PlanError(f"unsupported body item {item!r}")
-
-
-def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
-                       capture: bool = False) -> Callable:
-    """One strand through the interpreter, behind the calling convention
-    of the generated kernels (:mod:`repro.engine.kernels`):
-    ``kernel(args, functions, out)`` appends every head the driving
-    tuple ``args`` derives -- ``(head, ground body facts)`` pairs under
-    ``capture``.  PSN's ``use_plans=False`` reference path."""
-    literal = crule.body[driver_index]
-    sources = {
-        index: db.table(crule.body[index].pred)
-        for index in crule.literal_indexes
-        if index != driver_index
-    }
-
-    def kernel(args, functions, out):
-        seed = unify_literal(literal, args, {}, functions)
-        if seed is None:
-            return
-        for bindings in solve(crule, sources, functions, bindings=seed,
-                              skip_index=driver_index,
-                              skip_fact=Fact(literal.pred, args)):
-            head = instantiate_head(crule, bindings, functions)
-            if capture:
-                out.append((head, crule.ground_body(bindings, functions)))
-            else:
-                out.append(head)
-
-    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -514,15 +345,11 @@ def compile_plan(
     bound-ness first, then estimated selectivity (``stats``), via
     :func:`repro.planner.reorder.choose_next_literal`.  Assignments and
     conditions run at the earliest point their inputs are bound,
-    preserving their original relative order.
-
-    One deliberate divergence from the interpreted path: planned
-    bodies are evaluated under their *declarative* reading (conjuncts
-    commute), so an assignment or condition written before the literal
-    that binds its inputs simply waits for that literal.  The
-    interpreted path evaluates strictly left to right and raises
-    ``EvaluationError`` on such bodies.  Items whose inputs never
-    become bound still raise, exactly like the interpreter.
+    preserving their original relative order: bodies are evaluated
+    under their *declarative* reading (conjuncts commute), so an
+    assignment or condition written before the literal that binds its
+    inputs simply waits for that literal.  Items whose inputs never
+    become bound raise ``EvaluationError`` when reached.
     """
     if driver_index is not None and lead_index is not None:
         raise PlanError("driver_index and lead_index are mutually exclusive")
@@ -593,7 +420,7 @@ def compile_plan(
         order.append(body_index)
 
     # Items whose inputs never become bound keep their original order at
-    # the end (they raise at runtime, exactly like the interpreter).
+    # the end (they raise at runtime).
     for item in pending:
         if isinstance(item, Assignment):
             steps.append(AssignStep(item.var.name, item.expr))
@@ -609,41 +436,23 @@ def execute_plan(
     functions: Dict[str, Callable],
     bindings: Optional[Dict[str, object]] = None,
     skip_fact=None,
-    ts_limit: Optional[int] = None,
 ) -> Iterator[Dict[str, object]]:
     """Yield every satisfying assignment of the plan's rule body.
 
-    The planned counterpart of :func:`solve` for the set-oriented
-    engines: ``sources`` still maps body-item index to source, so they
-    build them identically for both paths.  ``skip_fact`` is a strand's
-    driving fact (excluded from the steps flagged ``exclude_driver``);
-    ``ts_limit`` restricts every literal to facts stamped
-    ``<= ts_limit``.
+    ``sources`` maps body-item index to source (a table or a
+    :class:`SetSource`); ``skip_fact`` is a strand's driving fact
+    (excluded from the steps flagged ``exclude_driver``).
 
     Yielded binding dicts may be shared between solutions when a step
     binds no new variables; callers must treat them as read-only.
     """
     return plan.executor(
         bindings if bindings is not None else {},
-        sources, functions, skip_fact, ts_limit,
+        sources, functions, skip_fact,
     )
 
 
-def rule_solutions(
-    crule: CompiledRule,
-    sources: Dict[int, object],
-    functions: Dict[str, Callable],
-    plan: Optional[JoinPlan],
-) -> Iterator[Dict[str, object]]:
-    """Body solutions through the plan when one is given, else through
-    the interpreter -- the shared dispatch for the set-oriented engines
-    (``use_plans`` toggling)."""
-    if plan is not None:
-        return execute_plan(plan, sources, functions)
-    return solve(crule, sources, functions)
-
-
-def _yield_solution(bindings, sources, functions, skip_fact, ts_limit):
+def _yield_solution(bindings, sources, functions, skip_fact):
     yield bindings
 
 
@@ -677,7 +486,7 @@ def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
     exclude_driver = step.exclude_driver
     getters = tuple(compile_term(term) for term in step.getters)
 
-    def run(bindings, sources, functions, skip_fact, ts_limit):
+    def run(bindings, sources, functions, skip_fact):
         source = sources.get(body_index, EMPTY_SOURCE)
         values = tuple([get(bindings, functions) for get in getters])
         exclude = (
@@ -691,8 +500,6 @@ def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
             if dup_checks and any(fact_args[pos] != fact_args[first]
                                   for pos, first in dup_checks):
                 continue
-            if ts_limit is not None and source.ts(fact_args) > ts_limit:
-                continue
             if bind_specs:
                 extended = dict(bindings)
                 for pos, name in bind_specs:
@@ -702,8 +509,7 @@ def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
             if residual and any(expr_fn(extended, functions) != fact_args[pos]
                                 for pos, expr_fn in residual):
                 continue
-            yield from follow(extended, sources, functions, skip_fact,
-                              ts_limit)
+            yield from follow(extended, sources, functions, skip_fact)
 
     return run
 
@@ -712,17 +518,15 @@ def _assign_runner(step: AssignStep, follow: Callable) -> Callable:
     name = step.name
     fn = compile_term(step.expr)
 
-    def run(bindings, sources, functions, skip_fact, ts_limit):
+    def run(bindings, sources, functions, skip_fact):
         value = fn(bindings, functions)
         current = bindings.get(name, _MISSING)
         if current is _MISSING:
             extended = dict(bindings)
             extended[name] = value
-            yield from follow(extended, sources, functions, skip_fact,
-                              ts_limit)
+            yield from follow(extended, sources, functions, skip_fact)
         elif current == value:
-            yield from follow(bindings, sources, functions, skip_fact,
-                              ts_limit)
+            yield from follow(bindings, sources, functions, skip_fact)
 
     return run
 
@@ -730,10 +534,9 @@ def _assign_runner(step: AssignStep, follow: Callable) -> Callable:
 def _cond_runner(step: CondStep, follow: Callable) -> Callable:
     fn = compile_term(step.expr)
 
-    def run(bindings, sources, functions, skip_fact, ts_limit):
+    def run(bindings, sources, functions, skip_fact):
         if fn(bindings, functions):
-            yield from follow(bindings, sources, functions, skip_fact,
-                              ts_limit)
+            yield from follow(bindings, sources, functions, skip_fact)
 
     return run
 

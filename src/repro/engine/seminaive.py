@@ -13,12 +13,11 @@ previous iteration's new tuples, and literals *after* it range over
 everything so far -- which "avoids redundant inferences within each
 iteration".
 
-With ``use_plans=True`` (the default) one join plan is compiled per
-``(rule, delta_position)`` pair -- leading with the delta literal, by
-far the smallest source -- and reused across iterations; the source
-partitioning above is unchanged (each literal still reads from its
-old/delta/full source by original body position, whatever order the
-plan joins them in).
+One join plan is compiled per ``(rule, delta_position)`` pair --
+leading with the delta literal, by far the smallest source -- and
+reused across iterations; each literal reads from its old/delta/full
+source by original body position, whatever order the plan joins them
+in.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from repro.engine.rules import (
     CompiledRule,
     SetSource,
     compile_plan,
+    execute_plan,
     instantiate_head as _head_of,
-    rule_solutions as _solutions,
 )
 from repro.engine.stratify import Stratum, stratify
 from repro.ndlog.ast import Program
@@ -47,7 +46,6 @@ def evaluate(
     program: Program,
     db: Optional[Database] = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    use_plans: bool = True,
     provenance=None,
 ) -> EvalResult:
     if db is None:
@@ -62,7 +60,7 @@ def evaluate(
 
     for stratum in stratify(program):
         _evaluate_stratum(program, db, stratum, result, max_iterations,
-                          use_plans, provenance=provenance)
+                          provenance=provenance)
     return result
 
 
@@ -72,7 +70,6 @@ def _evaluate_stratum(
     stratum: Stratum,
     result: EvalResult,
     max_iterations: int,
-    use_plans: bool = True,
     provenance=None,
 ) -> None:
     compiled = [CompiledRule(rule) for rule in stratum.rules]
@@ -82,11 +79,9 @@ def _evaluate_stratum(
     argmins = [c for c in compiled if c.argmin is not None]
     recursive_preds = stratum.preds
 
-    stats = StatsCatalog.from_database(db) if use_plans else None
+    stats = StatsCatalog.from_database(db)
 
     def make_plan(crule, lead_index=None):
-        if not use_plans:
-            return None
         plan = compile_plan(crule, lead_index=lead_index, stats=stats)
         # Pre-register the probed indexes on the stored tables; the
         # per-iteration delta/old SetSources index themselves lazily.
@@ -123,7 +118,7 @@ def _evaluate_stratum(
             for index in crule.literal_indexes
         }
         plan = base_plans[id(crule)]
-        for bindings in _solutions(crule, rule_sources, db.functions, plan):
+        for bindings in execute_plan(plan, rule_sources, db.functions):
             result.inferences += 1
             head = _head_of(crule, bindings, db.functions)
             if provenance is not None:
@@ -179,15 +174,13 @@ def _evaluate_stratum(
                         rule_sources[index] = delta_sources[pred]
                     else:
                         rule_sources[index] = db.table(pred)
-                plan = None
-                if use_plans:
-                    plan_key = (id(crule), delta_position)
-                    plan = delta_plans.get(plan_key)
-                    if plan is None:
-                        plan = make_plan(crule, lead_index=delta_position)
-                        delta_plans[plan_key] = plan
-                for bindings in _solutions(crule, rule_sources,
-                                           db.functions, plan):
+                plan_key = (id(crule), delta_position)
+                plan = delta_plans.get(plan_key)
+                if plan is None:
+                    plan = make_plan(crule, lead_index=delta_position)
+                    delta_plans[plan_key] = plan
+                for bindings in execute_plan(plan, rule_sources,
+                                             db.functions):
                     result.inferences += 1
                     head = _head_of(crule, bindings, db.functions)
                     if provenance is not None:
@@ -210,7 +203,7 @@ def _evaluate_stratum(
             for index in crule.literal_indexes
         }
         plan = base_plans[id(crule)]
-        for bindings in _solutions(crule, rule_sources, db.functions, plan):
+        for bindings in execute_plan(plan, rule_sources, db.functions):
             result.inferences += 1
             contribution = _head_of(crule, bindings, db.functions)
             if provenance is not None:

@@ -125,7 +125,7 @@ class Table:
             # Duplicate derivation: bump the count *and* refresh the
             # timestamp -- a re-inserted fact is a refresh (Section 4.2:
             # soft-state facts "must be explicitly reinserted ... with a
-            # new TTL"), and ``ts_limit`` consumers must see the latest
+            # new TTL"), and timestamp consumers must see the latest
             # (re-)insertion time.  Refreshes only move forward: callers
             # that omit ``ts`` (default 0) must not rewind an existing
             # stamp (use :meth:`restamp` for forced reassignment).

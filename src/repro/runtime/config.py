@@ -55,9 +55,9 @@ class RuntimeConfig:
     #: spread across it, so individual commit/ship times may shift
     #: earlier by up to (k - 1) * cpu_delay.  Batching cuts the
     #: host-side cost of the simulation -- one heap event and one
-    #: engine chunk per k deltas -- and routes bursts through the
-    #: engine's micro-batched commit path.  Set to 1 for the exact
-    #: historical schedule.
+    #: engine chunk per k deltas -- and lets the engine net and
+    #: run-batch bursts (:mod:`repro.engine.psn`).  Set to 1 for the
+    #: exact historical schedule.
     cpu_batch: int = 16
     #: Link capacity (10 Mbps in the paper's Emulab setup).
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS

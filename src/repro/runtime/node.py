@@ -9,12 +9,11 @@ destination is a link neighbour).
 
 Processing costs virtual CPU time: each queued delta consumed charges
 ``cpu_delay``, which serializes a node's work the way a single P2
-dataflow thread would.  A tick consumes up to ``config.cpu_batch``
-deltas through the engine's micro-batched commit path and books the
-node for the corresponding multiple of ``cpu_delay``, so virtual-time
-accounting is independent of the batch size while the host-side
-simulation does per-event work once per batch instead of once per
-delta.
+dataflow thread would.  A tick consumes one chunk of up to
+``config.cpu_batch`` deltas and books the node for the corresponding
+multiple of ``cpu_delay``, so virtual-time accounting is independent of
+the batch size while the host-side simulation does per-event work once
+per batch instead of once per delta.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Dict, Optional, Tuple
 from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine, QueuedDelta
-from repro.engine.rules import CompiledRule
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import REGISTRY
 
@@ -37,9 +35,9 @@ class NodeRuntime(PSNEngine):
     """One network node executing the localized program."""
 
     def __init__(self, address: str, program: Program, cluster):
-        # Set before super().__init__: the engine's batchable-predicate
-        # scan calls back into _unbatchable_preds, which reads the
-        # cluster's cache policy.
+        # Set before super().__init__: the engine's run-cap scan calls
+        # back into _single_delta_preds, which reads the cluster's
+        # cache policy.
         self.address = address
         self.cluster = cluster
         #: This node's scheduling clock: the shared cluster clock, or a
@@ -84,10 +82,10 @@ class NodeRuntime(PSNEngine):
         self.result_cache: Dict[str, Tuple[Tuple, float]] = {}
         self.cache_hits = 0
 
-    def _unbatchable_preds(self):
-        """Cache-intercepted query tuples must flow through the
-        per-delta path so :meth:`_fire_strands` can suppress the
-        flooding strands on a hit."""
+    def _single_delta_preds(self):
+        """Cache-intercepted query tuples commit as runs of one, so
+        :meth:`_fire_strands` can suppress the flooding strands per
+        query on a hit."""
         policy = self.cluster.config.cache
         return () if policy is None else (policy.query_pred,)
 
@@ -128,14 +126,10 @@ class NodeRuntime(PSNEngine):
             depth = len(self.queue)
             if depth > metrics.queue_peak:
                 metrics.queue_peak = depth
-        processed = 0
-        if self.queue:
-            if self.batch_size > 1:
-                processed = self.process_chunk(self.batch_size)
-            else:
-                self.process_next()
-                processed = 1
-            self.deltas_processed += processed
+        # A tick that only served out the CPU time booked for the last
+        # chunk finds the queue empty.
+        processed = self.process_chunk(self.batch_size) if self.queue else 0
+        self.deltas_processed += processed
         # The tick that fired was charged one cpu_delay ahead (for its
         # first delta); the remaining (processed - 1) deltas owe their
         # CPU time now, so the node stays booked for it -- deltas
@@ -200,20 +194,7 @@ class NodeRuntime(PSNEngine):
             if count > 0:
                 self.derive(fact, -count)
 
-    def _emit(self, crule: CompiledRule, head: Tuple, sign: int) -> None:
-        pred = crule.head.pred
-        if crule.aggregate is not None:
-            # Aggregate rules are local rules (their inputs and output
-            # share the node), so the view output stays here.
-            view = self.views[pred]
-            for view_sign, view_args in view.apply(head, sign):
-                self.derive(Fact(pred, view_args), view_sign)
-            return
-        if crule.argmin is not None:
-            view = self.argmin_views[pred]
-            for view_sign, view_args in view.apply(head, sign):
-                self.derive(Fact(pred, view_args), view_sign)
-            return
+    def _route(self, pred: str, head: Tuple, sign: int) -> None:
         destination = head[0]
         if destination == self.address:
             self.derive(Fact(pred, head), sign)
@@ -270,19 +251,22 @@ class NodeRuntime(PSNEngine):
         if existing is None or cost < existing[1]:
             self.result_cache[destination] = (suffix, cost)
 
-    def _fire_strands(self, fact: Fact, sign: int) -> None:
+    def _fire_strands(self, deltas, sign: int) -> None:
         policy = self.cluster.config.cache
-        suppress = ()
+        fact = deltas[0].fact
         if (
             policy is not None
             and sign > 0
             and fact.pred == policy.query_pred
         ):
+            # The query predicate's runs are capped at this one delta.
             suppress = self._try_cache_hit(policy, fact)
-        for strand in self.strands.get(fact.pred, ()):
-            if suppress and strand.crule.rule.label in suppress:
-                continue
-            self._fire_strand(strand, (fact,), sign)
+            if suppress:
+                for strand in self.strands.get(fact.pred, ()):
+                    if strand.crule.rule.label not in suppress:
+                        self._fire_strand(strand, deltas, sign)
+                return
+        super()._fire_strands(deltas, sign)
 
     def _try_cache_hit(self, policy, fact: Fact) -> Tuple[str, ...]:
         """On a cached destination, answer directly and stop the flood

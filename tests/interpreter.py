@@ -1,0 +1,187 @@
+"""The interpreter: the one join evaluator that shares nothing with
+``compile_plan`` -- the tests' reference for ``execute_plan`` and the
+generated strand kernels.
+
+:func:`solve` evaluates a rule body left to right; each literal is
+matched against a *source* -- a full table, a snapshot set, or a single
+driving fact -- re-deriving the bound positions from the body AST on
+every call and re-unifying every argument of every candidate tuple.
+Moved verbatim out of ``repro.engine.rules`` when the engines stopped
+offering it (``use_plans=False``); :func:`interpret` puts it back
+behind a built engine's strands for engine-level differentials.
+"""
+
+from typing import Callable, Dict, Iterator, List, Optional
+
+from repro.engine.facts import Fact
+from repro.engine.rules import (
+    EMPTY_SOURCE,
+    CompiledRule,
+    instantiate_head,
+    unify_literal,
+)
+from repro.errors import PlanError
+from repro.ndlog.ast import Assignment, Condition, Literal
+from repro.ndlog.terms import Constant, Variable, evaluate
+
+_MISSING = object()
+
+
+def _literal_candidates(
+    literal: Literal,
+    source,
+    bindings: Dict[str, object],
+    functions: Dict[str, Callable],
+):
+    """Candidate facts for ``literal``: an indexed lookup on the positions
+    bound under ``bindings`` (falling back to a scan when nothing is
+    bound)."""
+    positions: List[int] = []
+    values: List[object] = []
+    for index, term in enumerate(literal.args):
+        if isinstance(term, Constant):
+            positions.append(index)
+            values.append(term.value)
+        elif isinstance(term, Variable):
+            bound = bindings.get(term.name, _MISSING)
+            if bound is not _MISSING:
+                positions.append(index)
+                values.append(bound)
+        else:
+            names = term.variables()
+            if all(name in bindings for name in names):
+                positions.append(index)
+                values.append(evaluate(term, bindings, functions))
+    if not positions:
+        return source.rows()
+    return source.lookup(tuple(positions), tuple(values))
+
+
+def solve(
+    crule: CompiledRule,
+    sources: Dict[int, object],
+    functions: Dict[str, Callable],
+    bindings: Optional[Dict[str, object]] = None,
+    skip_index: Optional[int] = None,
+    skip_fact=None,
+) -> Iterator[Dict[str, object]]:
+    """Yield every satisfying assignment of the rule body.
+
+    ``sources`` maps body-item index -> source for each literal;
+    ``skip_index`` marks the driving literal already consumed (its
+    bindings must be in ``bindings``).
+
+    ``skip_fact`` (the driving fact) implements the self-join discipline
+    of the paper's footnote-2 delta form: literal positions *before* the
+    driving position exclude the driving fact itself, so a derivation in
+    which the same tuple fills several positions fires exactly once --
+    when the strand for its first position runs (Theorem 2).
+    """
+    state = bindings or {}
+    return _solve_from(crule, 0, state, sources, functions, skip_index,
+                       skip_fact)
+
+
+def _solve_from(
+    crule: CompiledRule,
+    item_index: int,
+    bindings: Dict[str, object],
+    sources: Dict[int, object],
+    functions: Dict[str, Callable],
+    skip_index: Optional[int],
+    skip_fact,
+) -> Iterator[Dict[str, object]]:
+    if item_index == len(crule.body):
+        yield bindings
+        return
+    item = crule.body[item_index]
+
+    if item_index == skip_index:
+        yield from _solve_from(crule, item_index + 1, bindings, sources,
+                               functions, skip_index, skip_fact)
+        return
+
+    if isinstance(item, Literal):
+        source = sources.get(item_index, EMPTY_SOURCE)
+        exclude = None
+        if (
+            skip_fact is not None
+            and skip_index is not None
+            and item_index < skip_index
+            and item.pred == skip_fact.pred
+        ):
+            exclude = skip_fact.args
+        for fact_args in _literal_candidates(item, source, bindings, functions):
+            if fact_args == exclude:
+                continue
+            extended = unify_literal(item, fact_args, bindings, functions)
+            if extended is None:
+                continue
+            yield from _solve_from(crule, item_index + 1, extended, sources,
+                                   functions, skip_index, skip_fact)
+        return
+
+    if isinstance(item, Assignment):
+        value = evaluate(item.expr, bindings, functions)
+        name = item.var.name
+        bound = bindings.get(name, _MISSING)
+        if bound is _MISSING:
+            extended = dict(bindings)
+            extended[name] = value
+            yield from _solve_from(crule, item_index + 1, extended, sources,
+                                   functions, skip_index, skip_fact)
+        elif bound == value:
+            yield from _solve_from(crule, item_index + 1, bindings, sources,
+                                   functions, skip_index, skip_fact)
+        return
+
+    if isinstance(item, Condition):
+        if evaluate(item.expr, bindings, functions):
+            yield from _solve_from(crule, item_index + 1, bindings, sources,
+                                   functions, skip_index, skip_fact)
+        return
+
+    raise PlanError(f"unsupported body item {item!r}")
+
+
+def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
+                       capture: bool = False) -> Callable:
+    """One strand through the interpreter, behind the calling convention
+    of the generated kernels (:mod:`repro.engine.kernels`):
+    ``kernel(args, functions, out)`` appends every head the driving
+    tuple ``args`` derives -- ``(head, ground body facts)`` pairs under
+    ``capture``."""
+    literal = crule.body[driver_index]
+    sources = {
+        index: db.table(crule.body[index].pred)
+        for index in crule.literal_indexes
+        if index != driver_index
+    }
+
+    def kernel(args, functions, out):
+        seed = unify_literal(literal, args, {}, functions)
+        if seed is None:
+            return
+        for bindings in solve(crule, sources, functions, bindings=seed,
+                              skip_index=driver_index,
+                              skip_fact=Fact(literal.pred, args)):
+            head = instantiate_head(crule, bindings, functions)
+            if capture:
+                out.append((head, crule.ground_body(bindings, functions)))
+            else:
+                out.append(head)
+
+    return kernel
+
+
+def interpret(engine):
+    """Swap every strand of a built PSN/BSN engine over to the
+    interpreter (plain and provenance-capture kernels alike) and return
+    the engine."""
+    for strand_list in engine.strands.values():
+        for strand in strand_list:
+            strand.kernel = interpreted_kernel(
+                strand.crule, strand.driver_index, engine.db)
+            strand.capture_kernel = interpreted_kernel(
+                strand.crule, strand.driver_index, engine.db, capture=True)
+    return engine

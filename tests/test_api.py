@@ -491,47 +491,10 @@ class TestDeployment:
 
 
 # ----------------------------------------------------------------------
-# Shim equivalence: the old entry points produce the new facade's
-# fixpoints (acceptance criterion for the migration).
+# The runtime's own constructor takes a bare Program or the staged
+# artifact and reaches the same fixpoint.
 # ----------------------------------------------------------------------
 class TestShimEquivalence:
-    def test_run_centralized_matches_api(self, default_rows):
-        from repro import core
-
-        with pytest.deprecated_call():
-            old = core.run_centralized(
-                programs.shortest_path_safe(),
-                facts={"link": FIGURE2_LINKS},
-                aggregate_selections=True,
-            )
-        assert old.rows("shortestPath") == default_rows
-
-    def test_compile_program_matches_api(self):
-        from repro import core
-
-        with pytest.deprecated_call():
-            old = core.compile_program(
-                programs.shortest_path(), aggregate_selections=True,
-                localized=True,
-            )
-        new = api.compile(
-            programs.shortest_path(), passes=["aggsel", "localize"]
-        ).program
-        from repro.ndlog.pretty import format_program
-
-        assert format_program(old) == format_program(new)
-
-    def test_core_engines_table_keeps_module_values(self):
-        # Old internal pattern: core.ENGINES[name].evaluate(program, db).
-        from repro import core
-        from repro.engine import Database
-
-        program = programs.transitive_closure()
-        db = Database.for_program(program)
-        db.load_facts("edge", [("x", "y"), ("y", "z")])
-        result = core.ENGINES["psn"].evaluate(program, db)
-        assert ("x", "z") in result.rows("tc")
-
     def test_cluster_accepts_program_and_compiled_equally(self):
         from repro.runtime import Cluster, RuntimeConfig
 

@@ -1,16 +1,16 @@
-"""Batched vs unbatched delta processing.
+"""One commit path at every chunk size.
 
-The micro-batched commit path (``batch_size > 1``: Z-set weight
-netting at the queue, run-batched strand firing, netted aggregate
-views) may change *intermediate* traffic but must never change what
-the engines compute: property tests hold the fixpoint contents, the
-final derivation counts, the aggregate views, and the net commit
-multiset equal across batch sizes and engines; deterministic tests pin
-the netting pass's slot-order discipline (runs seal at replacements,
-forced deletes and restores) one case at a time -- including the two
-injected patterns where the batch is deliberately *atomic* and
-diverges from per-delta replay (see ``engine/psn.py``'s module
-docstring).
+Draining the queue in chunks larger than one (Z-set weight netting at
+the queue, one strand firing per run, netted aggregate views) may
+change *intermediate* traffic but must never change what the engines
+compute: property tests hold the fixpoint contents, the final
+derivation counts, the aggregate views, and the net commit multiset
+equal across batch sizes and engines, ``batch_size=1`` (chunks of one:
+nothing to net) being the reference; deterministic tests pin the
+netting pass's slot-order discipline (runs seal at replacements, forced
+deletes and restores) and the orderings a run must keep (self-join
+visibility, forced deletes and restores mid-chunk, replacement of a
+member of the same run) one case at a time.
 """
 
 import random
@@ -163,7 +163,7 @@ def test_batched_psn_matches_reference_on_shortest_path(edge_set, seed, ops):
 @settings(**SETTINGS)
 def test_batched_engines_match_seminaive_fixpoint(edge_set, seed):
     """PSN and BSN at every batch size reach the semi-naive fixpoint,
-    including on self-join rules (which fall back to the per-delta path
+    including on self-join rules (whose runs are capped at one delta
     inside a chunk)."""
     rng = random.Random(seed)
     links = []
@@ -211,10 +211,10 @@ def kv_engine(batch_size, rows=()):
     return engine
 
 
-def enqueue(engine, sign, args, force=False):
+def enqueue(engine, sign, args, force=False, pred="kv"):
     from repro.engine.facts import Fact
     from repro.engine.psn import QueuedDelta
-    engine._enqueue(QueuedDelta(Fact("kv", args), sign, force))
+    engine._enqueue(QueuedDelta(Fact(pred, args), sign, force))
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -335,6 +335,139 @@ def test_duplicate_then_delete_nets_to_count(batch_size):
     engine.run()
     assert engine.db.table("kv").count(("a", 1)) == 1
     assert engine.db.table("out").rows() == [("a", 1)]
+
+
+# ----------------------------------------------------------------------
+# Orderings every run must keep, whatever the chunk size
+# ----------------------------------------------------------------------
+FALLBACK_PROGRAM = """
+materialize(offer, infinity, infinity, keys(1, 2)).
+materialize(best, infinity, infinity, keys(1)).
+materialize(out, infinity, infinity, keys(1, 2)).
+F1: best(@K, V) :- #offer(@K, V).
+F2: out(@K, V) :- best(@K, V).
+"""
+
+
+TWO_HOP_PROGRAM = """
+materialize(hop, infinity, infinity, keys(1, 2)).
+H1: two(X, Z) :- hop(X, Y), hop(Y, Z).
+"""
+
+
+def self_joining_base_fact_insert_then_delete(engine_of):
+    """``hop(a,a)`` is its own join partner.  Inserted, it derives
+    ``two(a,a)`` once (footnote 2: the earlier position excludes the
+    driver) and ``two(a,b)`` once -- a run of two would count it twice;
+    deleted, its strands must find it still in the table, or
+    ``two(a,a)`` is never retracted."""
+    engine = engine_of(parse(TWO_HOP_PROGRAM))
+    engine.insert("hop", ("a", "a"))
+    engine.insert("hop", ("a", "b"))
+    engine.run()
+    assert counts_snapshot(engine.db)["two"] == {("a", "a"): 1,
+                                                 ("a", "b"): 1}
+    engine.delete("hop", ("a", "a"))
+    engine.run()
+    assert engine.db.table("two").rows() == []
+    return engine
+
+
+def self_join_insert_then_delete(engine_of):
+    """``tc(X,Z) :- tc(X,Y), tc(Y,Z)`` with ``tc(a,a)`` joining itself:
+    a dying fact's strands must run while it is still visible (footnote
+    2), and a run longer than one would double-count the self-join.
+    (What survives the deletes is the cyclic support counting cannot
+    retract -- the same rows and counts at every chunk size.)"""
+    engine = engine_of(programs.transitive_closure_nonlinear())
+    for edge in [("a", "a"), ("a", "b"), ("b", "c"), ("c", "d")]:
+        engine.insert("edge", edge)
+    engine.run()
+    assert engine.db.table("tc").count(("a", "a")) == 2
+    engine.delete("edge", ("a", "a"))
+    engine.delete("edge", ("b", "c"))
+    engine.run()
+    assert ("b", "c") not in engine.db.table("tc")
+    return engine
+
+
+def forced_delete_between_two_runs(engine_of):
+    """[+a, +b, force -a, +c, +d]: the forced delete splits its
+    predicate's inserts into two runs and must see the first committed."""
+    engine = engine_of(parse(KV_PROGRAM))
+    enqueue(engine, 1, ("a", 1))
+    enqueue(engine, 1, ("b", 2))
+    enqueue(engine, -1, ("a", 1), force=True)
+    enqueue(engine, 1, ("c", 3))
+    enqueue(engine, 1, ("d", 4))
+    engine.run()
+    assert engine.db.table("out").rows() == [("b", 2), ("c", 3), ("d", 4)]
+    return engine
+
+
+def replacement_of_a_member_of_the_same_run(engine_of):
+    """[+k1, +j5, +k2, +m7] is one run; k2 replaces k1, a member of it:
+    k1's pending firing must flush before its retraction."""
+    engine = engine_of(parse(KV_PROGRAM))
+    for args in [("k", 1), ("j", 5), ("k", 2), ("m", 7)]:
+        enqueue(engine, 1, args)
+    engine.run()
+    assert engine.db.table("out").rows() == [("j", 5), ("k", 2), ("m", 7)]
+    return engine
+
+
+def fallback_restore_mid_chunk(engine_of):
+    """A keyed slot whose current version is withdrawn falls back to the
+    superseded one through a restore intent, which stays outside runs
+    (here between two inserts of another predicate's run)."""
+    engine = engine_of(parse(FALLBACK_PROGRAM))
+    for args in [("k", 1), ("j", 9), ("k", 2)]:
+        enqueue(engine, 1, args, pred="offer")
+    engine.run()
+    enqueue(engine, -1, ("k", 2), pred="offer")
+    engine.run()
+    assert engine.db.table("best").rows() == [("j", 9)]
+    enqueue(engine, 1, ("m", 3), pred="offer")
+    assert engine.queue_slot_repairs() == 1
+    enqueue(engine, 1, ("n", 4), pred="offer")
+    engine.run()
+    assert engine.db.table("out").rows() == [
+        ("j", 9), ("k", 1), ("m", 3), ("n", 4)]
+    # A forced delete wipes the whole slot: the version n4 shadowed when
+    # n5 displaced it must not come back.
+    enqueue(engine, 1, ("n", 5), pred="offer")
+    engine.run()
+    assert engine.db.table("best").shadowed(("n", 4))
+    engine.delete("best", ("n", 5))
+    engine.run()
+    assert engine.queue_slot_repairs() == 0
+    assert ("n", 4) not in engine.db.table("out")
+    return engine
+
+
+@pytest.mark.parametrize("batch_size", [2, 3, 16, 64])
+@pytest.mark.parametrize("scenario", [
+    self_joining_base_fact_insert_then_delete,
+    self_join_insert_then_delete,
+    forced_delete_between_two_runs,
+    replacement_of_a_member_of_the_same_run,
+    fallback_restore_mid_chunk,
+], ids=lambda scenario: scenario.__name__)
+def test_run_orderings_match_chunks_of_one(scenario, batch_size):
+    """Rows, derivation counts and the net commit multiset of each
+    ordering scenario equal the ``batch_size=1`` reference."""
+    def observed(size):
+        commits = {}
+
+        def on_commit(fact, weight):
+            commits[fact] = commits.get(fact, 0) + weight
+
+        engine = scenario(lambda program: PSNEngine(
+            program, batch_size=size, on_commit=on_commit))
+        return (engine.db.snapshot(), counts_snapshot(engine.db),
+                {fact: net for fact, net in commits.items() if net})
+
+    assert observed(batch_size) == observed(1)
 
 
 def test_chunk_limit_is_exact():

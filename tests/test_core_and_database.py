@@ -1,8 +1,8 @@
-"""Tests for the core facade and schema derivation."""
+"""Tests for the compile/run/deploy facade and schema derivation."""
 
 import pytest
 
-from repro import core
+import repro
 from repro.engine import Database
 from repro.errors import PlanError, SchemaError
 from repro.ndlog import parse, programs
@@ -16,18 +16,16 @@ FIGURE2_LINKS = [
 
 class TestCoreFacade:
     def test_run_centralized_from_source(self):
-        result = core.run_centralized(
-            programs.SHORTEST_PATH_SAFE,
+        result = repro.compile(programs.SHORTEST_PATH_SAFE).run(
             facts={"link": FIGURE2_LINKS},
         )
         assert ("a", "b", ("a", "c", "b"), 2) in result.rows("shortestPath")
 
     def test_run_centralized_all_engines_agree(self):
+        compiled = repro.compile(programs.transitive_closure())
         outcomes = {
-            engine: core.run_centralized(
-                programs.transitive_closure(),
-                facts={"edge": [("x", "y"), ("y", "z")]},
-                engine=engine,
+            engine: compiled.run(
+                engine=engine, facts={"edge": [("x", "y"), ("y", "z")]},
             ).rows("tc")
             for engine in ("naive", "seminaive", "bsn", "psn")
         }
@@ -36,25 +34,23 @@ class TestCoreFacade:
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(PlanError):
-            core.run_centralized(programs.transitive_closure(),
-                                 engine="quantum")
+            repro.compile(programs.transitive_closure()).run(engine="quantum")
 
     def test_compile_program_pipeline(self):
-        program = core.compile_program(
-            programs.shortest_path(),
-            aggregate_selections=True,
-            localized=True,
-        )
+        program = repro.compile(
+            programs.shortest_path(), passes=["aggsel", "localize"],
+        ).program
         from repro.planner.localization import is_canonical
 
         assert is_canonical(program)
         assert "path__best" in program.predicates()
 
     def test_deploy_runs(self):
-        cluster = core.deploy(programs.shortest_path(), n_nodes=10,
-                              degree=3, seed=4, metric="hopcount")
-        cluster.run()
-        assert cluster.rows("shortestPath")
+        deployment = repro.compile(
+            programs.shortest_path(), passes=["aggsel"],
+        ).deploy(n_nodes=10, degree=3, seed=4, metric="hopcount")
+        deployment.advance()
+        assert deployment.rows("shortestPath")
 
 
 class TestSchemaDerivation:

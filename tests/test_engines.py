@@ -248,3 +248,20 @@ def test_facts_in_program_text_are_loaded():
         assert result.rows("tc") == frozenset(
             {("a", "b"), ("b", "c"), ("a", "c")}
         )
+
+
+def test_removed_use_plans_option_fails_loudly():
+    """There is one evaluator per engine; asking for another is an
+    error at every entry point, not a silently ignored keyword."""
+    import repro
+
+    program = transitive_closure()
+    for engine_cls in (PSNEngine, BSNEngine):
+        with pytest.raises(TypeError, match="use_plans"):
+            engine_cls(program, use_plans=False)
+    for module in ENGINES:
+        with pytest.raises(TypeError, match="use_plans"):
+            module.evaluate(program, use_plans=False)
+        with pytest.raises(EvaluationError, match="use_plans"):
+            repro.compile(program).run(
+                engine=module.__name__.rsplit(".", 1)[-1], use_plans=False)

@@ -1,8 +1,10 @@
 """The compiled join-plan layer (``repro.engine.rules``): plan compiler
-unit tests, planned-vs-interpreted equivalence at the rule level, and
-the cross-engine property that planned and unplanned evaluation compute
-identical fixpoints (with identical inference counts -- planning must
-not change *what* fires, only how fast)."""
+unit tests, planned-vs-interpreted equivalence at the rule level (the
+interpreter is ``tests/interpreter.py``), and the engine-level
+properties: every engine reaches the naive fixpoint, and PSN/BSN
+compute identical fixpoints with identical inference counts whether
+their strands run generated kernels or the interpreter -- planning
+must not change *what* fires, only how fast."""
 
 import random
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Database, bsn, naive, psn, seminaive
+from repro.engine.bsn import BSNEngine
 from repro.engine.psn import PSNEngine
 from repro.engine.rules import (
     CompiledRule,
@@ -17,7 +20,6 @@ from repro.engine.rules import (
     SetSource,
     compile_plan,
     execute_plan,
-    solve,
     unify_literal,
 )
 from repro.engine.table import Table
@@ -27,6 +29,8 @@ from repro.ndlog.functions import default_functions
 from repro.ndlog.terms import Constant
 from repro.opt.costbased import StatsCatalog
 from repro.planner.reorder import bound_positions, greedy_join_order
+
+from interpreter import interpret, solve
 
 ENGINES = (naive, seminaive, bsn, psn)
 
@@ -138,20 +142,21 @@ def test_planned_bodies_have_declarative_order_semantics():
     program = parse("Q: q(A, B) :- B := A + 1, p(A).")
     db = Database.for_program(program)
     db.load_facts("p", [(3,)])
-    result = naive.evaluate(program, db, use_plans=True)
+    result = naive.evaluate(program, db)
     assert result.rows("q") == frozenset({(3, 4)})
     from repro.errors import EvaluationError
+    sources = {1: db.table("p")}
     with pytest.raises(EvaluationError):
-        db2 = Database.for_program(program)
-        db2.load_facts("p", [(3,)])
-        naive.evaluate(program, db2, use_plans=False)
+        list(solve(CompiledRule(program.rules[0]), sources, db.functions))
 
     never_bound = parse("Q: q(A, B) :- B := Z + 1, p(A).")
-    for use_plans in (True, False):
-        db3 = Database.for_program(never_bound)
-        db3.load_facts("p", [(3,)])
-        with pytest.raises(EvaluationError):
-            naive.evaluate(never_bound, db3, use_plans=use_plans)
+    db3 = Database.for_program(never_bound)
+    db3.load_facts("p", [(3,)])
+    with pytest.raises(EvaluationError):
+        naive.evaluate(never_bound, db3)
+    with pytest.raises(EvaluationError):
+        list(solve(CompiledRule(never_bound.rules[0]),
+                   {1: db3.table("p")}, db3.functions))
 
 
 def test_index_requests_cover_probed_positions():
@@ -244,19 +249,6 @@ def test_execute_plan_skip_fact_matches_solve_self_join():
     assert planned == interpreted
 
 
-def test_execute_plan_honors_ts_limit():
-    crule = CompiledRule(rule_of("R: out(X, Y) :- p(X, Y)."))
-    functions = default_functions()
-    table = Table("p", 2)
-    table.insert(("a", "b"), ts=1)
-    table.insert(("c", "d"), ts=5)
-    plan = compile_plan(crule)
-    got = solutions(
-        execute_plan(plan, {0: table}, functions, ts_limit=2), ("X", "Y")
-    )
-    assert got == [("a", "b")]
-
-
 # ----------------------------------------------------------------------
 # Ordering helpers and statistics
 # ----------------------------------------------------------------------
@@ -294,7 +286,7 @@ def test_stats_catalog_from_database_skips_empty_tables():
 
 
 # ----------------------------------------------------------------------
-# Property: planned == unplanned on every engine
+# Properties: every engine == naive; generated kernels == interpreter
 # ----------------------------------------------------------------------
 SETTINGS = dict(
     deadline=None,
@@ -322,52 +314,54 @@ def weighted(edge_set, seed=3):
     return rows
 
 
+def loaded(builder, pred, rows):
+    program = builder()
+    db = Database.for_program(program)
+    db.load_facts(pred, rows)
+    return program, db
+
+
+def assert_planned_equals_unplanned(builder, pred, rows,
+                                    same_inferences=False):
+    """Every engine reaches the naive fixpoint, and so do PSN/BSN run
+    on the interpreter (no plan, no generated code) -- on aggregate-free
+    programs with the same number of inferences as on their kernels
+    (with aggregates the join order decides which transient group
+    values exist)."""
+    reference = naive.evaluate(*loaded(builder, pred, rows)).db.snapshot()
+    for module in ENGINES[1:]:
+        result = module.evaluate(*loaded(builder, pred, rows))
+        assert result.db.snapshot() == reference, module.__name__
+    for engine_cls in (PSNEngine, BSNEngine):
+        planned = engine_cls(*loaded(builder, pred, rows)).fixpoint()
+        unplanned = interpret(
+            engine_cls(*loaded(builder, pred, rows))).fixpoint()
+        context = (engine_cls.__name__, builder.__name__)
+        assert unplanned.db.snapshot() == reference, context
+        if same_inferences:
+            assert unplanned.inferences == planned.inferences, context
+
+
 @given(edge_set=edges)
 @settings(**SETTINGS)
 def test_property_planned_equals_unplanned_tc(edge_set):
     for pred, builder in GRAPH_PROGRAMS:
-        for module in ENGINES:
-            snapshots = []
-            inference_counts = []
-            for use_plans in (True, False):
-                program = builder()
-                db = Database.for_program(program)
-                db.load_facts(pred, edge_set)
-                result = module.evaluate(program, db, use_plans=use_plans)
-                snapshots.append(result.db.snapshot())
-                inference_counts.append(result.inferences)
-            assert snapshots[0] == snapshots[1], (module.__name__, builder.__name__)
-            assert inference_counts[0] == inference_counts[1]
+        assert_planned_equals_unplanned(builder, pred, edge_set,
+                                        same_inferences=True)
 
 
 @given(edge_set=edges)
 @settings(**SETTINGS)
 def test_property_planned_equals_unplanned_shortest_path(edge_set):
-    links = weighted(edge_set)
-    for module in ENGINES:
-        snapshots = []
-        for use_plans in (True, False):
-            program = programs.shortest_path_safe()
-            db = Database.for_program(program)
-            db.load_facts("link", links)
-            result = module.evaluate(program, db, use_plans=use_plans)
-            snapshots.append(result.db.snapshot())
-        assert snapshots[0] == snapshots[1], module.__name__
+    assert_planned_equals_unplanned(
+        programs.shortest_path_safe, "link", weighted(edge_set))
 
 
 @given(edge_set=edges)
 @settings(**SETTINGS)
 def test_property_planned_equals_unplanned_distance_vector(edge_set):
-    links = weighted(edge_set, seed=9)
-    for module in ENGINES:
-        snapshots = []
-        for use_plans in (True, False):
-            program = programs.distance_vector()
-            db = Database.for_program(program)
-            db.load_facts("link", links)
-            result = module.evaluate(program, db, use_plans=use_plans)
-            snapshots.append(result.db.snapshot())
-        assert snapshots[0] == snapshots[1], module.__name__
+    assert_planned_equals_unplanned(
+        programs.distance_vector, "link", weighted(edge_set, seed=9))
 
 
 def test_planned_incremental_updates_match_rebuild():

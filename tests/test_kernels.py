@@ -1,7 +1,8 @@
 """Generated strand kernels (``repro.engine.kernels``).
 
 A kernel is the third implementation of one strand's join, beside the
-closure executor (``execute_plan``) and the interpreter (``solve``);
+closure executor (``execute_plan``) and the interpreter (``solve``,
+kept in ``tests/interpreter.py`` as the reference);
 the property tests here hold all three to the same heads -- on every
 builtin program and on random rule shapes -- and the unit tests pin
 what the generator must preserve: error paths, live index capture,
@@ -32,7 +33,6 @@ from repro.engine.rules import (
     LiteralStep,
     execute_plan,
     instantiate_head,
-    solve,
     unify_literal,
 )
 from repro.engine.table import Table
@@ -42,6 +42,7 @@ from repro.ndlog.ast import Literal
 from repro.ndlog.terms import Constant, evaluate
 from repro.opt.costbased import StatsCatalog
 
+from interpreter import interpret, solve
 from test_pretty import random_programs
 
 SETTINGS = dict(
@@ -283,9 +284,13 @@ def test_generator_semantics_on_directed_cases(text, rows):
 # ----------------------------------------------------------------------
 # Error paths
 # ----------------------------------------------------------------------
-def run_program(text, facts, use_plans, functions=None):
+def run_program(text, facts, generated, functions=None):
+    """Run ``text`` through PSN on its generated kernels, or with every
+    strand swapped over to the tests' interpreter."""
     program = parse(text)
-    engine = PSNEngine(program, use_plans=use_plans)
+    engine = PSNEngine(program)
+    if not generated:
+        interpret(engine)
     if functions:
         engine.db.functions.update(functions)
     for pred, rows in facts.items():
@@ -295,27 +300,27 @@ def run_program(text, facts, use_plans, functions=None):
     return engine
 
 
-@pytest.mark.parametrize("use_plans", [True, False])
+@pytest.mark.parametrize("generated", [True, False])
 class TestErrorPathParity:
-    def test_unknown_function_raises_only_when_evaluated(self, use_plans):
+    def test_unknown_function_raises_only_when_evaluated(self, generated):
         text = "R: out(@A, B) :- p(@A, X), X > 5, B := f_nope(X)."
         # The guard fails first: the call is never reached, nothing raises.
-        engine = run_program(text, {"p": [("n", 1)]}, use_plans)
+        engine = run_program(text, {"p": [("n", 1)]}, generated)
         assert engine.db.rows("out") == []
         with pytest.raises(EvaluationError, match="unknown function"):
-            run_program(text, {"p": [("n", 9)]}, use_plans)
+            run_program(text, {"p": [("n", 9)]}, generated)
 
-    def test_unbound_aggregate_variable(self, use_plans):
+    def test_unbound_aggregate_variable(self, generated):
         text = "R: low(@A, min<Z>) :- p(@A, X)."
         with pytest.raises(EvaluationError, match="aggregate variable 'Z'"):
-            run_program(text, {"p": [("n", 1)]}, use_plans)
+            run_program(text, {"p": [("n", 1)]}, generated)
 
-    def test_unbound_variable_in_an_expression(self, use_plans):
+    def test_unbound_variable_in_an_expression(self, generated):
         text = "R: out(@A, B) :- p(@A, X), B := Y + 1."
         with pytest.raises(EvaluationError, match="unbound variable 'Y'"):
-            run_program(text, {"p": [("n", 1)]}, use_plans)
+            run_program(text, {"p": [("n", 1)]}, generated)
 
-    def test_boolean_operators_evaluate_both_sides(self, use_plans):
+    def test_boolean_operators_evaluate_both_sides(self, generated):
         calls = []
 
         def f_spy(value):
@@ -323,12 +328,12 @@ class TestErrorPathParity:
             return 1
 
         text = "R: out(@A) :- p(@A, X), X > 5 && f_spy(X) == 1."
-        engine = run_program(text, {"p": [("n", 1)]}, use_plans,
+        engine = run_program(text, {"p": [("n", 1)]}, generated,
                              functions={"f_spy": f_spy})
         assert engine.db.rows("out") == []
         assert calls == [1]     # right side ran although the left failed
         text = "R: out(@A) :- p(@A, X), X < 5 || f_spy(X) == 1."
-        engine = run_program(text, {"p": [("n", 2)]}, use_plans,
+        engine = run_program(text, {"p": [("n", 2)]}, generated,
                              functions={"f_spy": f_spy})
         assert engine.db.rows("out") == [("n",)]
         assert calls == [1, 2]
@@ -338,7 +343,7 @@ def test_kernel_traceback_shows_the_generated_line():
     text = "R7: out(@A, B) :- p(@A, X), B := X + nope."
     with pytest.raises(TypeError):
         try:
-            run_program(text, {"p": [("n", 1)]}, use_plans=True)
+            run_program(text, {"p": [("n", 1)]}, generated=True)
         except TypeError:
             shown = traceback.format_exc()
             raise
@@ -409,9 +414,6 @@ def test_strand_repr_and_kernel_source():
     source = strand.kernel_source
     assert "def kernel(args, functions, out):" in source
     assert "v_C = (v_C1 + v_C2)" in source
-    interpreted = PSNEngine(programs.shortest_path_safe(), use_plans=False)
-    strand = interpreted.strands["link"][0]
-    assert strand.kernel_source is None and "interpreted" in repr(strand)
 
 
 def test_explain_kernels_section_is_opt_in():
@@ -524,12 +526,7 @@ def test_fixpoint_and_audit_do_not_depend_on_the_hash_seed():
     provenance audit must not.  Under one seed, batch sizes 1 and 64
     agree on the rows and on every derivation count, as
     ``test_batching`` pins in-process (``inferences``/``steps`` are
-    intermediate traffic, which netting legitimately shrinks).
-
-    The link-flap audit is asserted at the benchmark's batch size only:
-    un-netted flaps replayed one delta at a time leave the provenance
-    store short of the table counts on the parent commit as well (a
-    store/auditor finding, independent of how strands execute)."""
+    intermediate traffic, which netting legitimately shrinks)."""
     runs = {(seed, batch): run_under_hash_seed(seed, batch)
             for seed in (0, 1, 2) for batch in (1, 64)}
     reference = runs[(0, 64)]
@@ -537,7 +534,7 @@ def test_fixpoint_and_audit_do_not_depend_on_the_hash_seed():
     for (seed, batch), run in runs.items():
         key = (seed, batch)
         assert run["burst"]["audit"] and run["burst"]["quiescent"], key
-        assert run["link_flap"]["audit"] or batch == 1, key
+        assert run["link_flap"]["audit"], key
         assert run["link_flap"]["rows"] == reference["link_flap"]["rows"], key
         assert run["burst"]["rows"] == reference["burst"]["rows"], key
     for seed in (0, 1, 2):

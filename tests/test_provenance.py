@@ -23,6 +23,8 @@ from repro.provenance import (
 )
 from repro.topology import build_overlay, transit_stub
 
+from interpreter import interpret
+
 LINKS = [
     ("a", "b", 1), ("b", "c", 1), ("a", "c", 5), ("c", "d", 1),
     ("b", "d", 4),
@@ -149,20 +151,22 @@ class TestCentralWhy:
         assert result.provenance is not None
         assert result.why("link", ("a", "b", 1)).is_base
 
-    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("generated", [True, False])
     @pytest.mark.parametrize("batch_size", [1, 8])
-    def test_planned_interpreted_batched_graphs_identical(self, use_plans,
+    def test_planned_interpreted_batched_graphs_identical(self, generated,
                                                           batch_size):
-        """Planned vs interpreted executors and batched vs per-delta
-        commits must record byte-identical derivation graphs."""
+        """Generated kernels vs the tests' interpreter, and chunks of
+        eight vs chunks of one, must record byte-identical derivation
+        graphs."""
         prog = repro.compile(programs.shortest_path_safe(),
                              passes=["aggsel"]).program
         store = ProvenanceStore()
         db = Database.for_program(prog)
         db.load_facts("link", LINKS)
-        engine = PSNEngine(prog, db=db, use_plans=use_plans,
-                           batch_size=batch_size,
+        engine = PSNEngine(prog, db=db, batch_size=batch_size,
                            provenance=store.recorder())
+        if not generated:
+            interpret(engine)
         engine.fixpoint()
         assert audit_engine(engine).ok
         graph = {
@@ -277,6 +281,38 @@ class TestAuditor:
             # The oracle exercised the cancellation path, not just the
             # reference path.
             assert engine.cancelled > 0
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
+    def test_unnetted_link_flaps_keep_rederived_support(self, batch_size):
+        """A transient link (queued ``+link, +link, -link, -link``)
+        flips ``spCost`` away and back, so the queue holds ``-F ... +F``
+        for some ``shortestPath`` facts: committing ``-F`` (a counted
+        delete, already decremented by its own ``-1`` firing) must not
+        wipe the support the queued ``+F`` firing recorded.  Only a
+        chunk that holds all four intents nets the flap away."""
+        rng = random.Random(5)
+        nodes = [f"v{i}" for i in range(8)]
+        pairs = {tuple(sorted((nodes[i], nodes[(i + 1) % 8])))
+                 for i in range(8)}
+        pairs |= {tuple(sorted((nodes[i], nodes[(i + 3) % 8])))
+                  for i in range(0, 8, 2)}
+        program = programs.shortest_path_safe()
+        db = Database.for_program(program)
+        for a, b in sorted(pairs):
+            cost = rng.randint(1, 10)
+            db.load_facts("link", [(a, b, cost), (b, a, cost)])
+        engine = PSNEngine(program, db=db, batch_size=batch_size,
+                           provenance=ProvenanceStore().recorder())
+        engine.fixpoint()
+        absent = [(a, b) for a in nodes for b in nodes
+                  if a < b and (a, b) not in pairs]
+        for a, b in rng.sample(absent, 4):
+            for weight in (1, -1):
+                engine.derive(Fact("link", (a, b, 3)), weight)
+                engine.derive(Fact("link", (b, a, 3)), weight)
+        engine.run()
+        report = audit_engine(engine)
+        assert report.ok, report.mismatches[:5]
 
     def test_batched_and_reference_paths_agree(self):
         counts = []

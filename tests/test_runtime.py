@@ -282,9 +282,9 @@ class TestTransportModes:
 
 
 class TestMagicAndCaching:
-    def run_queries(self, overlay, queries, caching):
+    def run_queries(self, overlay, queries, caching, cpu_batch=16):
         config = RuntimeConfig(
-            aggregate_selections=True,
+            aggregate_selections=True, cpu_batch=cpu_batch,
             cache=CachePolicy(query_pred="pathQ__best") if caching else None,
         )
         cluster = Cluster(overlay, programs.multi_query_magic(), config,
@@ -322,6 +322,24 @@ class TestMagicAndCaching:
         plain = self.run_queries(overlay, queries, caching=False)
         cached = self.run_queries(overlay, queries, caching=True)
         assert cached.stats.total_mb() < plain.stats.total_mb()
+
+    def test_cache_suppresses_the_same_strands_at_every_cpu_batch(
+            self, overlay):
+        """A cache hit is decided per query tuple: the query predicate's
+        runs are capped at one delta, so chunking changes nothing."""
+        nodes = overlay.nodes
+        queries = [(nodes[i], nodes[-1]) for i in range(6)]
+        runs = [self.run_queries(overlay, queries, caching=True,
+                                 cpu_batch=cpu_batch)
+                for cpu_batch in (1, 16)]
+        observed = [
+            ({address: node.cache_hits
+              for address, node in cluster.nodes.items()},
+             cluster.rows("queryResult"), cluster.stats.total_mb())
+            for cluster in runs
+        ]
+        assert observed[0] == observed[1]
+        assert any(observed[0][0].values())
 
 
 class TestSoftState:

@@ -129,7 +129,7 @@ def test_duplicate_insert_refreshes_ts():
 
 
 def test_duplicate_insert_refresh_visible_to_ts_limit_consumers():
-    """Regression: the stale timestamp made any ``ts_limit`` filter
+    """Regression: the stale timestamp made any timestamp filter
     treat a refreshed fact as old, and soft-state refreshes kept the
     original expiry."""
     t = Table("p", 2)

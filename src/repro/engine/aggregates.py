@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.rules import AggregateInfo
+from repro.engine.table import projector
 from repro.ndlog.terms import ConstructedTuple
 
 #: Rebuild a lazy-deletion heap when stale entries outnumber live ones
@@ -192,6 +193,7 @@ class AggregateView:
     def __init__(self, pred: str, info: AggregateInfo):
         self.pred = pred
         self.info = info
+        self._group_of = projector(info.group_positions)
         self.groups: Dict[Tuple, GroupState] = {}
         #: Cumulative group-value transitions emitted (pre-netting) --
         #: a plain int bump per change, pulled into metrics snapshots
@@ -200,7 +202,7 @@ class AggregateView:
 
     def apply(self, contribution: Tuple, weight: int) -> List[Tuple[int, Tuple]]:
         info = self.info
-        group_key = tuple(contribution[i] for i in info.group_positions)
+        group_key = self._group_of(contribution)
         value = contribution[info.value_position]
         state = self.groups.get(group_key)
         if state is None:
@@ -290,6 +292,7 @@ class ArgExtremeView:
         self.group_positions = group_positions
         self.value_position = value_position
         self.func = func
+        self._group_of = projector(tuple(group_positions))
         #: group -> {tuple: multiplicity}
         self.members: Dict[Tuple, Dict[Tuple, int]] = {}
         #: group -> current witness tuple
@@ -299,9 +302,6 @@ class ArgExtremeView:
         #: Cumulative witness transitions emitted (pre-netting); see
         #: :class:`AggregateView.changes`.
         self.changes = 0
-
-    def _group_of(self, args: Tuple) -> Tuple:
-        return tuple(args[i] for i in self.group_positions)
 
     def _better(self, a, b) -> bool:
         return a < b if self.func == "min" else a > b

@@ -11,10 +11,13 @@ insertion").  Weights beyond +-1 arise from netting: a batch of changes
 to the same fact collapses to the sum of its weights, so cancellation
 is simply addition.
 
-``ts`` is the local, monotonically increasing timestamp PSN assigns at
-enqueue time; the join discipline "match only tuples with the same or
-older timestamp" (Section 3.3.2) is what makes PSN avoid repeated
-inferences (Theorem 2).
+``ts`` is a local, monotonically increasing timestamp.  PSN stamps a
+row when it *commits* it (its queue is event-sourced: tables change
+only as deltas are dequeued, so the table itself is the "same or older
+timestamp" join prefix of Section 3.3.2 that avoids repeated
+inferences, Theorem 2).  PSN's queue does not hold ``Delta`` or
+``Fact`` objects at all -- its rows are plain tuples, see
+:mod:`repro.engine.psn` -- and builds a ``Fact`` only for an observer.
 """
 
 from __future__ import annotations

@@ -12,6 +12,26 @@ weight, insert ``+1`` / delete ``-1``) on a FIFO queue:
   a dead peer's netted contributions), which commit as one weighted
   count adjustment instead of a run of unit deltas.
 
+**Queue rows.**  An intent on the queue is one Z-set entry as a plain
+tuple, ``(pred, args, weight, force, restore, trace)``: ``weight``
+derivations of ``pred(args)`` asserted (``> 0``) or withdrawn (``< 0``).
+``force`` removes the row regardless of its derivation count (external
+base deletions) -- an *assignment*, outside the weight algebra, so
+forced intents never net.  ``restore`` is a deferred fallback check on
+the row's keyed slot: it re-materializes the latest shadowed version
+only if the slot is still empty when the intent is processed (a
+replacement already in flight fills it first, so transient
+``-old/+new`` update pairs do not churn through stale versions).
+``trace`` is the delta-propagation trace id the intent belongs to
+(minted at base-fact injection; ``None`` when tracing is off).  That
+one tuple is all that travels: a strand kernel appends head tuples to
+a list, :meth:`PSNEngine._emit` turns the list into rows on the queue
+in one call, netting and run splitting read rows by position, and the
+commit hands ``args`` and ``weight`` to the table.  A :class:`Fact` is
+built only where an observer consumes one -- ``on_commit``, the
+provenance recorder, the tracer, the runtime's query-cache hook -- so
+with all of them off the loop allocates none.
+
 **Commit discipline.**  The queue is purely event-sourced: table state
 is mutated only when a delta is *processed* (dequeued), never when it is
 enqueued, so at any processing step the tables hold exactly the facts
@@ -96,7 +116,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.aggregates import AggregateView, ArgExtremeView
@@ -113,29 +133,9 @@ from repro.ndlog.terms import evaluate as eval_term
 DEFAULT_MAX_STEPS = 20_000_000
 
 
-class QueuedDelta(NamedTuple):
-    """An intent on the queue: one Z-set entry, ``weight`` derivations
-    of ``fact`` asserted (``> 0``) or withdrawn (``< 0``).  ``force``
-    removes a fact regardless of its derivation count (external base
-    deletions, pkey replacement) -- an *assignment*, outside the weight
-    algebra, so forced intents never net.  ``restore`` is a deferred
-    fallback check on the fact's keyed slot: it re-materializes the
-    latest shadowed version only if the slot is still empty when the
-    intent is processed (a replacement already in flight fills it
-    first, so transient ``-old/+new`` update pairs do not churn through
-    stale versions).  ``trace`` is the delta-propagation trace id this
-    intent belongs to (minted at base-fact injection; ``None`` when
-    tracing is off)."""
-
-    fact: Fact
-    weight: int
-    force: bool = False
-    restore: bool = False
-    trace: Optional[int] = None
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.weight > 0 else -1
+#: One intent on the queue (layout and field meanings: module docstring,
+#: "Queue rows").
+QueueRow = Tuple[str, Tuple, int, bool, bool, Optional[int]]
 
 
 class Strand:
@@ -213,7 +213,11 @@ class PSNEngine:
     visibility transition: ``+k`` derivations became visible (a bulk
     burst counts ``k``, not 1), ``-k`` left visibility (the count the
     fact held when retracted).  The sign is the transition direction,
-    so sign-only consumers keep working unchanged.
+    so sign-only consumers keep working unchanged.  The magnitude
+    depends on where netting folds (a fresh row inserted twice in one
+    chunk becomes visible as one ``+2``, in chunks of one as a ``+1``
+    and a silent count bump); what every chunk size agrees on is the
+    net of transition *signs* per fact.
 
     ``metrics`` / ``tracer`` / ``profiler`` are the observability
     hooks (:mod:`repro.obs`): a per-node
@@ -283,9 +287,9 @@ class PSNEngine:
                 self.argmin_views[crule.head.pred] = ArgExtremeView(
                     crule.head.pred, group_positions, value_position, func
                 )
-        self.queue: Deque[QueuedDelta] = deque()
+        self.queue: Deque[QueueRow] = deque()
         #: While True, rule firings keep their heads on this node (the
-        #: distributed ``_route`` override skips shipping).  Set around a
+        #: distributed ``_emit`` override skips shipping).  Set around a
         #: fallback restore: the restored row is an old advertisement
         #: that must not re-announce itself to the network.
         self._local_only = False
@@ -332,27 +336,22 @@ class PSNEngine:
         attributes (detected at commit) is an *update*: the old tuple is
         deleted first, exactly as "an update is treated as a deletion
         followed by an insertion"."""
-        fact = Fact(pred, tuple(args))
-        if self.provenance is not None:
-            self.provenance.base(fact, 1)
-        if self.tracer is not None:
-            # Base-fact injection mints the trace id this delta (and
-            # everything derived from it) will carry.
-            self._enqueue(
-                QueuedDelta(fact, 1, trace=self.tracer.mint(fact, 1))
-            )
-        else:
-            self.derive(fact, 1)
+        self._inject(pred, tuple(args), 1, False)
 
     def delete(self, pred: str, args: Tuple) -> None:
         """Delete a base tuple outright (whatever its derivation count)."""
-        fact = Fact(pred, tuple(args))
-        if self.provenance is not None:
-            self.provenance.base(fact, -1)
+        self._inject(pred, tuple(args), -1, True)
+
+    def _inject(self, pred: str, args: Tuple, weight: int,
+                force: bool) -> None:
+        """Base-fact injection: note it as base support and mint the
+        trace id this delta (and everything derived from it) carries."""
         trace = None
+        if self.provenance is not None:
+            self.provenance.base(Fact(pred, args), weight)
         if self.tracer is not None:
-            trace = self.tracer.mint(fact, -1)
-        self._enqueue(QueuedDelta(fact, -1, force=True, trace=trace))
+            trace = self.tracer.mint(Fact(pred, args), weight)
+        self._enqueue((pred, args, weight, force, False, trace))
 
     def update(self, pred: str, args: Tuple) -> None:
         """Alias of :meth:`insert`; replacement does the delete half."""
@@ -370,12 +369,15 @@ class PSNEngine:
         confluent).  Strand firings always carry ``+-1`` (a visibility
         transition); larger magnitudes arrive from seeding, dead-peer
         invalidation and netted remote batches."""
-        weight = int(weight)
+        self._derive(fact.pred, fact.args, int(weight))
+
+    def _derive(self, pred: str, args: Tuple, weight: int) -> None:
+        """:meth:`derive` on a bare row (view outputs, wire arrivals)."""
         if weight:
             trace = self._active_trace
             if trace is not None:
-                self.tracer.derive(fact, weight, trace)
-            self._enqueue(QueuedDelta(fact, weight, trace=trace))
+                self.tracer.derive(Fact(pred, args), weight, trace)
+            self._enqueue((pred, args, weight, False, False, trace))
 
     # ------------------------------------------------------------------
     # Fixpoint driving
@@ -404,10 +406,9 @@ class PSNEngine:
             for args in table.rows():
                 count = table.count(args)
                 table.force_delete(args)
-                fact = Fact(table.name, args)
                 if provenance is not None:
-                    provenance.base(fact, count)
-                self._enqueue(QueuedDelta(fact, count))
+                    provenance.base(Fact(table.name, args), count)
+                self._enqueue((table.name, args, count, False, False, None))
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Process queued deltas until quiescent; returns steps taken.
@@ -450,9 +451,7 @@ class PSNEngine:
                 if table.get_by_key(key) is not None or not bucket:
                     continue
                 witness = next(iter(bucket))
-                self._enqueue(
-                    QueuedDelta(Fact(table.name, witness), 1, restore=True)
-                )
+                self._enqueue((table.name, witness, 1, False, True, None))
                 queued += 1
         return queued
 
@@ -467,10 +466,10 @@ class PSNEngine:
     def quiescent(self) -> bool:
         return not self.queue
 
-    def _enqueue(self, delta: QueuedDelta) -> None:
+    def _enqueue(self, row: QueueRow) -> None:
         """Append an intent to the FIFO queue (overridable: the
         distributed node runtime also schedules a processing tick)."""
-        self.queue.append(delta)
+        self.queue.append(row)
 
     # ------------------------------------------------------------------
     # Core processing
@@ -486,92 +485,76 @@ class PSNEngine:
         count = min(limit, len(queue))
         if count <= 0:
             return 0
-        survivors = [queue.popleft() for _ in range(count)]
+        rows = [queue.popleft() for _ in range(count)]
         self.steps += count
         # Netting can only change anything when the chunk mixes
         # directions; all-refresh or all-expiry bursts skip the scan
         # outright (and keep their per-intent TTL refreshes).
         has_plus = has_minus = False
-        for delta in survivors:
-            if delta.force or delta.restore:
+        for _, _, weight, force, restore, _ in rows:
+            if force or restore:
                 continue
-            if delta.weight > 0:
+            if weight > 0:
                 has_plus = True
             else:
                 has_minus = True
         if has_plus and has_minus:
-            survivors = self._net_chunk(survivors)
+            rows = self._net_chunk(rows)
         single_delta = self._single_delta
         index = 0
-        end = len(survivors)
+        end = len(rows)
         while index < end:
-            delta = survivors[index]
-            if delta.restore:
+            pred, args, weight, force, restore, trace = rows[index]
+            if restore:
                 if self.tracer is not None:
-                    self._active_trace = delta.trace
-                self._commit_restore(delta.fact)
+                    self._active_trace = trace
+                self._commit_restore(pred, args)
                 index += 1
                 continue
-            pred = delta.fact.pred
-            plus = delta.weight > 0
+            plus = weight > 0
             stop = index + 1
-            if not delta.force and pred not in single_delta:
+            if not force and pred not in single_delta:
                 while stop < end:
-                    nxt = survivors[stop]
-                    if (nxt.force or nxt.restore
-                            or (nxt.weight > 0) != plus
-                            or nxt.fact.pred != pred):
+                    nxt = rows[stop]
+                    if (nxt[0] != pred or (nxt[2] > 0) != plus
+                            or nxt[3] or nxt[4]):  # forced / restore
                         break
                     stop += 1
             if plus:
-                self._commit_insert_run(survivors, index, stop)
+                self._commit_insert_run(rows, index, stop)
             else:
-                self._commit_delete_run(survivors, index, stop)
+                self._commit_delete_run(rows, index, stop)
             index = stop
         return count
 
-    def _net_chunk(self, chunk: List[QueuedDelta]) -> List[QueuedDelta]:
+    def _net_chunk(self, chunk: List[QueueRow]) -> List[QueueRow]:
         """Net the chunk by Z-set addition before any table or strand
-        work -- [Gupta et al. 93]'s count algorithm as a group law.
-
-        Weights fold per primary-key *slot*, and only when folding is
-        provably equivalent to sequential processing: every chunk
-        intent on the slot must target one identical tuple (replacement
-        and forced deletion are assignments, not group elements, so
-        weights must not flow across them), none may be forced or a
-        deferred restore, the table must not be soft-state (a
-        re-insertion is a TTL refresh that must stay observable), and
-        the stored row under the key -- if any -- must be that same
-        tuple.  Stored counts floor at zero, so the folded weight also
-        requires that no prefix of the slot's intents sums negative:
-        sequentially those early withdrawals are a decrement *or* a
-        floored no-op, which addition cannot predict.
-
-        An eligible slot netting to zero annihilates outright (the
-        sequential wave/unwave pairs end exactly where they started); a
-        positive net commits as one weighted delta in the slot's first
-        position.  Everything else replays intent-by-intent in original
-        order."""
+        work -- [Gupta et al. 93]'s count algorithm as a group law
+        (eligibility rules: module docstring, "Weight netting at the
+        queue").  Weights fold per primary-key *slot*; an eligible slot
+        netting to zero annihilates outright (the sequential wave/unwave
+        pairs end exactly where they started), a positive net commits
+        as one weighted delta in the slot's first position, and
+        everything else replays intent-by-intent in original order."""
         table_of = self.db.table
         # slot -> [args, eligible, positions, folded-weight-or-None]
         groups: Dict[Tuple[str, Tuple], List] = {}
         slots: List[Tuple[str, Tuple]] = []
-        for position, delta in enumerate(chunk):
-            fact = delta.fact
-            table = table_of(fact.pred)
-            slot = (fact.pred, table.key_of(fact.args))
+        for position, row in enumerate(chunk):
+            pred, args, _, force, restore, _ = row
+            table = table_of(pred)
+            slot = (pred, table.key_of(args))
             slots.append(slot)
             group = groups.get(slot)
             if group is None:
                 groups[slot] = [
-                    fact.args,
-                    not (delta.force or delta.restore)
-                    and table.lifetime == INFINITY,
+                    args,
+                    not (force or restore) and table.lifetime == INFINITY,
                     [position],
                     None,
                 ]
             else:
-                if delta.force or delta.restore or group[0] != fact.args:
+                if force or restore or group[0] != args:
                     group[1] = False
                 group[2].append(position)
         for slot, group in groups.items():
@@ -580,63 +563,64 @@ class PSNEngine:
                 continue
             weight = low = 0
             for position in positions:
-                weight += chunk[position].weight
+                weight += chunk[position][2]
                 if weight < low:
                     low = weight
             if low < 0:
                 continue
-            table = table_of(slot[0])
-            stored = table.get_by_key(slot[1])
+            stored = table_of(slot[0]).get_by_key(slot[1])
             if stored is not None and stored != args:
                 continue
             group[3] = weight
-        survivors: List[QueuedDelta] = []
+        survivors: List[QueueRow] = []
         netted = 0
         tracer = self.tracer
-        for position, delta in enumerate(chunk):
+        for position, row in enumerate(chunk):
             group = groups[slots[position]]
             weight = group[3]
             if weight is None:
-                survivors.append(delta)
+                survivors.append(row)
                 continue
+            pred, args, own_weight, _, _, trace = row
             if weight == 0:
                 netted += 1
             elif position == group[2][0]:
                 netted += len(group[2]) - 1
                 # The folded intent keeps the first delta's trace (the
                 # slot's other traces end here with a net span below).
-                survivors.append(
-                    QueuedDelta(delta.fact, weight, trace=delta.trace)
-                )
+                survivors.append((pred, args, weight, False, False, trace))
                 continue
-            if tracer is not None and delta.trace is not None:
+            if tracer is not None and trace is not None:
                 # This intent was annihilated (or folded into the
                 # slot's first position) by Z-set addition: its trace's
                 # propagation ends at the queue.
-                tracer.net(delta.fact, delta.weight, delta.trace)
+                tracer.net(Fact(pred, args), own_weight, trace)
         self.cancelled += netted
         return survivors
 
-    def _commit_insert_run(self, deltas: List[QueuedDelta], start: int,
+    def _commit_insert_run(self, rows: List[QueueRow], start: int,
                            stop: int) -> None:
-        """Commit ``deltas[start:stop]``, a run of same-predicate
-        weighted insertions, then fire each strand once with the deltas
-        whose facts became visible.  Join-for-join identical to firing
-        after each commit: unless the run is a single delta, the
-        predicate has no self-join strands (checked by the caller), so
-        the deferred firings read partner tables this run never
-        touches."""
-        table = self.db.table(deltas[start].fact.pred)
+        """Commit ``rows[start:stop]``, a run of same-predicate
+        weighted insertions, then fire each strand once with the rows
+        that became visible.  Join-for-join identical to firing after
+        each commit: unless the run is a single delta, the predicate
+        has no self-join strands (checked by the caller), so the
+        deferred firings read partner tables this run never touches."""
+        pred = rows[start][0]
+        table = self.db.table(pred)
         on_commit = self.on_commit
         tracing = self.tracer is not None
         soft = table.lifetime != INFINITY
-        fresh: List[QueuedDelta] = []
+        fallback = table.fallback
+        key_of, get_by_key, insert = (
+            table.key_of, table.get_by_key, table.insert
+        )
+        fresh: List[QueueRow] = []
         for index in range(start, stop):
-            delta = deltas[index]
+            row = rows[index]
+            args, weight = row[1], row[2]
             if tracing:
-                self._active_trace = delta.trace
-            fact = delta.fact
-            args = fact.args
+                self._active_trace = row[5]
             if args in table:
                 # More derivations of a visible fact: one count bump of
                 # the whole weight + timestamp refresh.  For soft-state
@@ -645,11 +629,11 @@ class PSNEngine:
                 # 4.2: "facts must be explicitly reinserted ... with a
                 # new TTL").
                 self.clock += 1
-                table.insert(args, ts=self.clock, count=delta.weight)
+                insert(args, self.clock, weight)
                 if soft and on_commit is not None:
-                    on_commit(fact, delta.weight)
+                    on_commit(Fact(pred, args), weight)
                 continue
-            old = table.get_by_key(table.key_of(args))
+            old = get_by_key(key_of(args))
             if old is not None:
                 # Primary-key replacement retracts the superseded row
                 # first; flush deferred firings before that so the
@@ -659,24 +643,24 @@ class PSNEngine:
                     self._fire_strands(fresh, 1)
                     fresh = []
                     if tracing:
-                        self._active_trace = delta.trace
-                self._displace_visible(table, Fact(fact.pred, old))
+                        self._active_trace = row[5]
+                self._displace_visible(table, pred, old)
             self.clock += 1
-            table.insert(args, ts=self.clock, count=delta.weight)
-            if table.fallback:
+            insert(args, self.clock, weight)
+            if fallback:
                 table.absorb_shadow(args)
             if on_commit is not None:
-                on_commit(fact, delta.weight)
-            fresh.append(delta)
+                on_commit(Fact(pred, args), weight)
+            fresh.append(row)
         if fresh:
             self._fire_strands(fresh, 1)
 
-    def _commit_delete_run(self, deltas: List[QueuedDelta], start: int,
+    def _commit_delete_run(self, rows: List[QueueRow], start: int,
                            stop: int) -> None:
-        """Commit ``deltas[start:stop]``, a run of same-predicate
+        """Commit ``rows[start:stop]``, a run of same-predicate
         weighted deletions -- ``-weight`` derivations withdrawn per
-        fact, or the whole row when ``force`` -- and fire each strand
-        once with the deltas whose facts lost visibility.
+        row, or the whole row when ``force`` -- and fire each strand
+        once with the rows that lost visibility.
 
         A lone delta's strands run while its fact is still in the table:
         a self-join partner position must see the dying fact (footnote
@@ -686,47 +670,49 @@ class PSNEngine:
         which reads the same ("a co-participant deleted later no longer
         sees it") because the run's facts never appear in each other's
         partner tables."""
-        table = self.db.table(deltas[start].fact.pred)
+        pred = rows[start][0]
+        table = self.db.table(pred)
         on_commit = self.on_commit
         tracing = self.tracer is not None
+        fallback = table.fallback
+        count_of, force_delete = table.count, table.force_delete
         lone = stop - start == 1
-        dying: List[QueuedDelta] = []
+        dying: List[QueueRow] = []
         for index in range(start, stop):
-            delta = deltas[index]
+            row = rows[index]
+            args, force = row[1], row[3]
             if tracing:
-                self._active_trace = delta.trace
-            fact = delta.fact
-            args = fact.args
-            count = -delta.weight
-            current = table.count(args)
+                self._active_trace = row[5]
+            count = -row[2]
+            current = count_of(args)
             if current <= 0:
                 # Superseded, never committed, or already gone.  On a
                 # fallback table the deletion may target a shadowed
                 # version: its producer withdrew an advertisement that
                 # was never (or no longer) current, so it must stop
                 # being a restore candidate.
-                if table.fallback:
+                if fallback:
                     table.shadow_discard(args, count)
                 continue
-            if current > count and not delta.force:
+            if current > count and not force:
                 table.delete(args, count)
                 continue
             if on_commit is not None:
-                on_commit(fact, -current)
+                on_commit(Fact(pred, args), -current)
             if lone:
-                self._fire_strands((delta,), -1)
+                self._fire_strands((row,), -1)
             else:
-                dying.append(delta)
-            if delta.force and self.provenance is not None:
+                dying.append(row)
+            if force and self.provenance is not None:
                 # The row is dropped wholesale, whatever support it
                 # still has; a counted delete was already decremented
                 # by its own ``-1`` firings (and a re-derivation still
                 # on the queue may have recorded fresh support).
-                self.provenance.retracted(fact)
-            table.force_delete(args)
-            if not table.fallback:
+                self.provenance.retracted(Fact(pred, args))
+            force_delete(args)
+            if not fallback:
                 continue
-            if delta.force:
+            if force:
                 # A forced delete wipes the slot outright (base-table
                 # semantics: superseded values never resurrect).
                 table.clear_shadow(table.key_of(args))
@@ -739,33 +725,33 @@ class PSNEngine:
         if dying:
             self._fire_strands(dying, -1)
 
-    def _displace_visible(self, table, fact: Fact) -> None:
-        """Primary-key replacement: remove the slot's current row.  Its
-        deletion strands run while it is still in the table (so partners
-        see it), then it is dropped wholesale.  On a fallback table the
-        derivation stays outstanding in the table's shadow: its producer
-        never withdrew it, only the replacement displaced it, so a later
-        withdrawal of the replacement falls back to it
-        (:meth:`_restore_fallback`)."""
+    def _displace_visible(self, table, pred: str, old: Tuple) -> None:
+        """Primary-key replacement: remove the slot's current row
+        ``old``.  Its deletion strands run while it is still in the
+        table (so partners see it), then it is dropped wholesale.  On a
+        fallback table the derivation stays outstanding in the table's
+        shadow: its producer never withdrew it, only the replacement
+        displaced it, so a later withdrawal of the replacement falls
+        back to it (:meth:`_restore_fallback`)."""
         if self.on_commit is not None:
-            self.on_commit(fact, -table.count(fact.args))
+            self.on_commit(Fact(pred, old), -table.count(old))
         self._fire_strands(
-            (QueuedDelta(fact, -1, trace=self._active_trace),), -1
+            ((pred, old, -1, False, False, self._active_trace),), -1
         )
         if self.provenance is not None:
-            self.provenance.retracted(fact)
+            self.provenance.retracted(Fact(pred, old))
         if table.fallback:
-            table.supersede(fact.args)
+            table.supersede(old)
         else:
-            table.force_delete(fact.args)
+            table.force_delete(old)
 
-    def _commit_restore(self, fact: Fact) -> None:
-        """Process a deferred restore intent: if the keyed slot ``fact``
-        was retracted from is *still* empty (no replacement landed while
-        the intent waited in the queue), re-materialize its latest
-        shadowed version."""
-        table = self.db.table(fact.pred)
-        key = table.key_of(fact.args)
+    def _commit_restore(self, pred: str, args: Tuple) -> None:
+        """Process a deferred restore intent: if the keyed slot
+        ``pred(args)`` was retracted from is *still* empty (no
+        replacement landed while the intent waited in the queue),
+        re-materialize its latest shadowed version."""
+        table = self.db.table(pred)
+        key = table.key_of(args)
         if table.get_by_key(key) is not None:
             return  # a newer version already refilled the slot
         self._restore_fallback(table, key)
@@ -800,33 +786,35 @@ class PSNEngine:
         # live justification (keeps the provenance audit exact).
         self.clock += 1
         table.insert(args, ts=self.clock)
-        fact = Fact(table.name, args)
         if self.on_commit is not None:
-            self.on_commit(fact, 1)
+            self.on_commit(Fact(table.name, args), 1)
         if self.provenance is not None:
-            self.provenance.record_fact("<fallback>", fact, (), 1)
+            self.provenance.record_fact(
+                "<fallback>", Fact(table.name, args), (), 1)
         self._local_only = True
         try:
             self._fire_strands(
-                (QueuedDelta(fact, 1, trace=self._active_trace),), 1
+                ((table.name, args, 1, False, False, self._active_trace),),
+                1,
             )
         finally:
             self._local_only = False
 
-    def _fire_strands(self, deltas, sign: int) -> None:
+    def _fire_strands(self, rows, sign: int) -> None:
         """Fire every strand of the run's predicate once with the whole
-        run of driving deltas (virtual: the distributed runtime
+        run of driving rows (virtual: the distributed runtime
         suppresses flooding strands on a query-cache hit)."""
-        for strand in self.strands.get(deltas[0].fact.pred, ()):
-            self._fire_strand(strand, deltas, sign)
+        for strand in self.strands.get(rows[0][0], ()):
+            self._fire_strand(strand, rows, sign)
 
-    def _fire_strand(self, strand: Strand, deltas, sign: int) -> None:
-        """Fire one strand with a run of driving deltas.  Each fact's
+    def _fire_strand(self, strand: Strand, rows, sign: int) -> None:
+        """Fire one strand with a run of driving rows.  Each row's
         heads are collected from the strand's kernel, then sent on in
-        order: plain heads through :meth:`_route`, aggregate /
-        arg-extreme heads through the rule's view -- head by head for a
-        lone delta, once through ``apply_many`` (net change only) for a
-        longer run.  Derived deltas inherit their own driver's trace."""
+        order: plain heads to the queue in one :meth:`_emit` call,
+        aggregate / arg-extreme heads through the rule's view -- head
+        by head for a lone row, once through ``apply_many`` (net change
+        only) for a longer run.  Derived deltas inherit their own
+        driver's trace."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
@@ -844,15 +832,19 @@ class PSNEngine:
         else:
             view = None
         netted: Optional[List[Tuple]] = None
-        if view is not None and len(deltas) > 1:
+        if view is not None and len(rows) > 1:
             netted = []
-        route = self._route
         inferences = 0
-        for delta in deltas:
+        # An observed firing sends heads on row by row (each inherits
+        # its own driver's trace and is recorded against its own
+        # body); otherwise the whole run's heads move in one piece.
+        for group in ([rows] if capture is None and not tracing
+                      else [(row,) for row in rows]):
             if tracing:
-                self._active_trace = delta.trace
+                self._active_trace = group[0][5]
             out: List = []
-            kernel(delta.fact.args, functions, out)
+            for row in group:
+                kernel(row[1], functions, out)
             if not out:
                 continue
             inferences += len(out)
@@ -860,20 +852,22 @@ class PSNEngine:
                 for head, body in out:
                     capture.record_fact(crule.label, Fact(pred, head), body,
                                         sign)
-                    if netted is not None:
-                        netted.append(head)
-                    elif view is None:
-                        route(pred, head, sign)
-                    else:
-                        self._feed_view(view, pred, head, sign)
-            elif netted is not None:
+                    if view is None:
+                        # Before the next record: a shipped head
+                        # piggybacks its latest derivation id.
+                        self._emit(pred, (head,), sign)
+                if view is None:
+                    continue
+                out = [head for head, _ in out]
+            if netted is not None:
                 netted += out
             elif view is None:
-                for head in out:
-                    route(pred, head, sign)
+                self._emit(pred, out, sign)
             else:
+                # View rules are local rules: their output never ships.
                 for head in out:
-                    self._feed_view(view, pred, head, sign)
+                    for view_sign, view_args in view.apply(head, sign):
+                        self._derive(pred, view_args, view_sign)
         self.inferences += inferences
         if netted:
             # Under tracing the netted group-value changes are
@@ -881,7 +875,7 @@ class PSNEngine:
             # approximation (a net change can mix contributions from
             # several traces).
             for view_sign, view_args in view.apply_many(netted, sign):
-                self.derive(Fact(pred, view_args), view_sign)
+                self._derive(pred, view_args, view_sign)
         if profiler is not None:
             profiler.add(crule.label, strand.driver_literal.pred,
                          perf_counter() - started)
@@ -897,17 +891,17 @@ class PSNEngine:
         counts = metrics.rule_inferences
         counts[label] = counts.get(label, 0) + inferences
 
-    def _route(self, pred: str, head: Tuple, sign: int) -> None:
-        """Send a plain rule head to its relation (virtual: the
-        distributed runtime ships heads located at another node)."""
-        self.derive(Fact(pred, head), sign)
-
-    def _feed_view(self, view, pred: str, head: Tuple, sign: int) -> None:
-        """One contribution into an aggregate / arg-extreme view; the
-        group-value changes it causes are derived here (view rules are
-        local rules, so their output never ships)."""
-        for view_sign, view_args in view.apply(head, sign):
-            self.derive(Fact(pred, view_args), view_sign)
+    def _emit(self, pred: str, heads, sign: int) -> None:
+        """Queue the plain heads of one firing, in order (virtual: the
+        distributed runtime ships the heads located at another node)."""
+        trace = self._active_trace
+        if trace is not None:
+            derive = self.tracer.derive
+            for head in heads:
+                derive(Fact(pred, head), sign, trace)
+        self.queue.extend(
+            [(pred, head, sign, False, False, trace) for head in heads]
+        )
 
 
 def evaluate(

@@ -26,11 +26,28 @@ Mutating methods return the list of externally visible deltas
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchemaError
 
 INFINITY = float("inf")
+
+
+@lru_cache(maxsize=None)
+def projector(positions: Tuple[int, ...]) -> Callable[[Tuple], Tuple]:
+    """The function projecting a row onto ``positions``, always as a
+    tuple (one position gives the 1-tuple the strand kernels probe
+    with).  Built once per positions tuple and shared by every table,
+    index and aggregate view in the process -- the cache is bounded by
+    the distinct key / index signatures of the loaded programs."""
+    if len(positions) == 1:
+        position, = positions
+        return lambda args: (args[position],)
+    if not positions:
+        return lambda args: ()
+    return itemgetter(*positions)
 
 
 class Table:
@@ -57,6 +74,10 @@ class Table:
         self.key: Tuple[int, ...] = tuple(key) or tuple(range(arity))
         self.lifetime = lifetime
         self._full_key = self.key == tuple(range(arity))
+        #: row -> primary-key value (the identity on a full-key table).
+        self.key_of: Callable[[Tuple], Tuple] = (
+            tuple if self._full_key else projector(self.key)
+        )
         #: Shadow superseded slot versions so the latest outstanding one
         #: can be restored when the current row is withdrawn.  Only
         #: meaningful for keyed tables that rules derive into, where a
@@ -75,8 +96,10 @@ class Table:
         #: key value -> {superseded args -> derivation count}, in
         #: displacement order (most recent last).
         self._shadow: Dict[Tuple, Dict[Tuple, int]] = {}
-        #: positions tuple -> (value tuple -> set of args)
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[Tuple]]] = {}
+        #: positions tuple -> (projector, value tuple -> set of args)
+        self._indexes: Dict[
+            Tuple[int, ...], Tuple[Callable, Dict[Tuple, Set[Tuple]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -96,11 +119,6 @@ class Table:
 
     def ts(self, args: Tuple) -> int:
         return self._ts.get(args, -1)
-
-    def key_of(self, args: Tuple) -> Tuple:
-        if self._full_key:
-            return args
-        return tuple(args[i] for i in self.key)
 
     def get_by_key(self, key_values: Tuple) -> Optional[Tuple]:
         """The stored tuple matching a primary-key value, if any."""
@@ -145,8 +163,8 @@ class Table:
         self._rows[key] = args
         self._counts[args] = count
         self._ts[args] = ts
-        for positions, index in self._indexes.items():
-            projected = tuple(args[i] for i in positions)
+        for project, index in self._indexes.values():
+            projected = project(args)
             bucket = index.get(projected)
             if bucket is None:
                 index[projected] = {args}
@@ -263,7 +281,7 @@ class Table:
         self._counts.clear()
         self._ts.clear()
         self._shadow.clear()
-        for index in self._indexes.values():
+        for _, index in self._indexes.values():
             index.clear()
 
     def _remove(self, args: Tuple) -> None:
@@ -272,8 +290,8 @@ class Table:
         key = self.key_of(args)
         if self._rows.get(key) == args:
             del self._rows[key]
-        for positions, index in self._indexes.items():
-            projected = tuple(args[i] for i in positions)
+        for project, index in self._indexes.values():
+            projected = project(args)
             bucket = index.get(projected)
             if bucket is not None:
                 bucket.discard(args)
@@ -291,10 +309,8 @@ class Table:
         compiled join plans may capture it directly.
         """
         positions = tuple(positions)
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._build_index(positions)
-        return index
+        entry = self._indexes.get(positions)
+        return self._build_index(positions) if entry is None else entry[1]
 
     def rows_view(self):
         """Live view of the stored tuples (do not mutate the table while
@@ -313,11 +329,10 @@ class Table:
 
     def _build_index(self, positions: Tuple[int, ...]) -> Dict[Tuple, Set[Tuple]]:
         index: Dict[Tuple, Set[Tuple]] = {}
+        project = projector(positions)
         for args in self._rows.values():
-            index.setdefault(
-                tuple(args[i] for i in positions), set()
-            ).add(args)
-        self._indexes[positions] = index
+            index.setdefault(project(args), set()).add(args)
+        self._indexes[positions] = (project, index)
         return index
 
     def lookup(self, positions: Tuple[int, ...], values: Tuple) -> Iterable[Tuple]:
@@ -327,7 +342,6 @@ class Table:
         """
         if not positions:
             return self._rows.values()
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._build_index(positions)
+        entry = self._indexes.get(positions)
+        index = self._build_index(positions) if entry is None else entry[1]
         return index.get(values, ())

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.engine.facts import Fact
-from repro.engine.psn import PSNEngine, QueuedDelta
+from repro.engine.psn import PSNEngine, QueueRow
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import REGISTRY
 
@@ -92,8 +92,8 @@ class NodeRuntime(PSNEngine):
     # ------------------------------------------------------------------
     # Scheduling: up to cpu_batch deltas per CPU tick
     # ------------------------------------------------------------------
-    def _enqueue(self, delta: QueuedDelta) -> None:
-        self.queue.append(delta)
+    def _enqueue(self, row: QueueRow) -> None:
+        self.queue.append(row)
         self._schedule_tick()
 
     def _schedule_tick(self) -> None:
@@ -163,7 +163,8 @@ class NodeRuntime(PSNEngine):
         wire; ``origin`` is the sending neighbor, booked on the peer
         ledger when the watchdog may later need to invalidate that
         neighbor's contributions."""
-        fact = Fact(pred, tuple(args))
+        args = tuple(args)
+        fact = Fact(pred, args)
         if origin is not None and self.cluster.config.reliable:
             ledger = self.peer_ledger.setdefault(origin, {})
             count = ledger.get(fact, 0) + weight
@@ -178,9 +179,9 @@ class NodeRuntime(PSNEngine):
             # enqueue with the id attached so downstream derivations and
             # the local commit stay causally linked.
             self.tracer.receive(fact, weight, trace, origin)
-            self._enqueue(QueuedDelta(fact, weight, trace=trace))
+            self._enqueue((pred, args, weight, False, False, trace))
         else:
-            self.derive(fact, weight)
+            self._derive(pred, args, weight)
 
     def invalidate_peer(self, peer: str) -> None:
         """Watchdog support: retract every net contribution ``peer``
@@ -194,25 +195,31 @@ class NodeRuntime(PSNEngine):
             if count > 0:
                 self.derive(fact, -count)
 
-    def _route(self, pred: str, head: Tuple, sign: int) -> None:
-        destination = head[0]
-        if destination == self.address:
-            self.derive(Fact(pred, head), sign)
-        else:
-            if self._local_only:
-                # Fallback restore in progress: the restored row is an
-                # old advertisement -- downstream already saw (and moved
-                # past) it, so it must not be re-announced.
-                return
-            prov = None
-            if self.provenance is not None and sign > 0:
-                # Piggyback the freshest live derivation id so the
-                # remote materialization links back to this firing.
-                prov = self.provenance.store.latest_live_id(
-                    Fact(pred, head)
-                )
-            self.cluster.ship(self.address, destination, pred, head, sign,
-                              prov=prov, trace=self._active_trace)
+    def _emit(self, pred: str, heads, sign: int) -> None:
+        """Split one firing's heads by location specifier: local heads
+        join this node's queue, the rest ship along the link."""
+        address = self.address
+        local = []
+        for head in heads:
+            destination = head[0]
+            if destination == address:
+                local.append(head)
+            elif not self._local_only:
+                # (During a fallback restore the restored row is an old
+                # advertisement -- downstream already saw, and moved
+                # past, it -- so it must not be re-announced.)
+                prov = None
+                if self.provenance is not None and sign > 0:
+                    # Piggyback the freshest live derivation id so the
+                    # remote materialization links back to this firing.
+                    prov = self.provenance.store.latest_live_id(
+                        Fact(pred, head)
+                    )
+                self.cluster.ship(address, destination, pred, head, sign,
+                                  prov=prov, trace=self._active_trace)
+        if local:
+            super()._emit(pred, local, sign)
+            self._schedule_tick()
 
     # ------------------------------------------------------------------
     # Query-result caching hooks (Section 5.2)
@@ -251,28 +258,27 @@ class NodeRuntime(PSNEngine):
         if existing is None or cost < existing[1]:
             self.result_cache[destination] = (suffix, cost)
 
-    def _fire_strands(self, deltas, sign: int) -> None:
+    def _fire_strands(self, rows, sign: int) -> None:
         policy = self.cluster.config.cache
-        fact = deltas[0].fact
+        pred, args = rows[0][0], rows[0][1]
         if (
             policy is not None
             and sign > 0
-            and fact.pred == policy.query_pred
+            and pred == policy.query_pred
         ):
             # The query predicate's runs are capped at this one delta.
-            suppress = self._try_cache_hit(policy, fact)
+            suppress = self._try_cache_hit(policy, args)
             if suppress:
-                for strand in self.strands.get(fact.pred, ()):
+                for strand in self.strands.get(pred, ()):
                     if strand.crule.rule.label not in suppress:
-                        self._fire_strand(strand, deltas, sign)
+                        self._fire_strand(strand, rows, sign)
                 return
-        super()._fire_strands(deltas, sign)
+        super()._fire_strands(rows, sign)
 
-    def _try_cache_hit(self, policy, fact: Fact) -> Tuple[str, ...]:
-        """On a cached destination, answer directly and stop the flood
-        ("this cached value can be reused by all queries for destination
-        d that pass through a")."""
-        args = fact.args
+    def _try_cache_hit(self, policy, args: Tuple) -> Tuple[str, ...]:
+        """On a cached destination, answer the query tuple ``args``
+        directly and stop the flood ("this cached value can be reused by
+        all queries for destination d that pass through a")."""
         destination = args[policy.dst_position]
         if destination == self.address:
             return ()
@@ -287,11 +293,12 @@ class NodeRuntime(PSNEngine):
         full_cost = args[policy.cost_position] + suffix_cost
         qid = args[1]
         self.cache_hits += 1
-        answer = Fact(policy.answer_pred,
-                      (self.address, qid, full_path, full_cost))
+        answer = (self.address, qid, full_path, full_cost)
         if self.provenance is not None:
             # A cache hit synthesizes the answer outside any rule strand;
             # record it so the derivation graph still supports the tuple.
-            self.provenance.record_fact("<cache>", answer, (fact,), 1)
-        self.derive(answer, 1)
+            self.provenance.record_fact(
+                "<cache>", Fact(policy.answer_pred, answer),
+                (Fact(policy.query_pred, args),), 1)
+        self._derive(policy.answer_pred, answer, 1)
         return policy.suppress_labels

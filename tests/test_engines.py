@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine import Database, bsn, naive, psn, seminaive
 from repro.engine.bsn import BSNEngine
+from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
 from repro.errors import EvaluationError, PlanError
 from repro.ndlog import parse
@@ -265,3 +266,145 @@ def test_removed_use_plans_option_fails_loudly():
         with pytest.raises(EvaluationError, match="use_plans"):
             repro.compile(program).run(
                 engine=module.__name__.rsplit(".", 1)[-1], use_plans=False)
+
+
+# ----------------------------------------------------------------------
+# The queue carries plain rows; the public surface around it is unchanged
+# ----------------------------------------------------------------------
+KEYED_LINK = """
+materialize(link, infinity, infinity, keys(1, 2)).
+materialize(hop, infinity, infinity, keys(1, 2, 3)).
+H1: hop(@S, D, C) :- #link(@S, D, C).
+"""
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_external_change_api_and_queue_surface(batch_size):
+    """``derive`` / ``insert`` / ``delete`` / ``update`` queue one
+    intent each (a zero weight none); ``len(engine.queue)`` and
+    ``quiescent`` read the backlog; nothing touches a table until
+    ``run``."""
+    engine = PSNEngine(parse(KEYED_LINK), batch_size=batch_size)
+    assert engine.quiescent and len(engine.queue) == 0
+    engine.insert("link", ["a", "b", 1])          # any sequence of values
+    engine.derive(Fact("link", ("a", "c", 2)), 2)  # two derivations
+    engine.derive(Fact("link", ("a", "d", 9)), 0)  # no-op
+    assert len(engine.queue) == 2 and not engine.quiescent
+    assert len(engine.db.table("link")) == 0
+    assert engine.run() == 4  # two links, two hops
+    assert engine.quiescent
+    link, hop = engine.db.table("link"), engine.db.table("hop")
+    assert sorted(link.rows()) == [("a", "b", 1), ("a", "c", 2)]
+    assert link.count(("a", "c", 2)) == 2
+    assert sorted(hop.rows()) == [("a", "b", 1), ("a", "c", 2)]
+
+    engine.update("link", ("a", "b", 5))           # key replacement
+    engine.derive(Fact("link", ("a", "c", 2)), -1)  # one of two withdrawn
+    assert len(engine.queue) == 2
+    engine.run()
+    assert sorted(link.rows()) == [("a", "b", 5), ("a", "c", 2)]
+    assert link.count(("a", "c", 2)) == 1
+    assert sorted(hop.rows()) == [("a", "b", 5), ("a", "c", 2)]
+
+    engine.derive(Fact("link", ("a", "b", 5)), 3)
+    engine.delete("link", ("a", "b", 5))           # whatever the count
+    engine.derive(Fact("link", ("a", "c", 2)), -1)
+    engine.run()
+    assert link.rows() == [] and hop.rows() == []
+    assert engine.steps == 4 + 4 + 5 and engine.quiescent
+
+
+def test_bsn_scheduler_reads_the_queue_length():
+    """The scheduler is handed ``len(engine.queue)`` before every
+    iteration and its answer bounds what that iteration consumes."""
+    edges = [(f"n{i}", f"n{i+1}") for i in range(5)]
+    program = transitive_closure()
+    seen = []
+
+    def two_at_a_time(buffered):
+        seen.append((buffered, len(engine.queue)))
+        return 2
+
+    engine = BSNEngine(program, scheduler=two_at_a_time)
+    for edge in edges:
+        engine.insert("edge", edge)
+    before = len(engine.queue)
+    taken = engine.run()
+    assert seen[0] == (before, before) == (5, 5)
+    assert all(buffered == depth > 0 for buffered, depth in seen)
+    assert engine.iterations == len(seen) and taken <= 2 * len(seen)
+    assert frozenset(engine.db.table("tc").rows()) == run(
+        seminaive, transitive_closure(), {"edge": edges}).rows("tc")
+
+
+def test_obs_queue_depth_reads_the_queue():
+    import repro
+    from repro.topology.overlay import Overlay
+
+    overlay = Overlay(
+        nodes=["a", "b"], host={"a": "h", "b": "h"},
+        links={("a", "b"): {"latency": 10.0, "hopcount": 1.0}})
+    deployment = repro.compile(KEYED_LINK).deploy(
+        topology=overlay, link_loads={}, metrics=True)
+    deployment.inject("a", "link", ("a", "b", 1))
+    deployment.inject("a", "link", ("a", "c", 2))
+    depth = {name: counts["queue_depth"]
+             for name, counts in deployment.metrics().nodes.items()}
+    assert depth == {"a": 2, "b": 0}
+    deployment.advance()
+    assert all(counts["queue_depth"] == 0
+               for counts in deployment.metrics().nodes.values())
+
+
+def _count_facts(monkeypatch):
+    """Swap a counting double in for :class:`Fact` wherever ``repro``
+    imported it by name."""
+    import sys
+
+    class CountingFact(Fact):
+        __slots__ = ()
+        made = 0
+
+        def __new__(cls, pred, args):
+            CountingFact.made += 1
+            return Fact.__new__(cls, pred, args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "Fact", None) is Fact:
+            monkeypatch.setattr(module, "Fact", CountingFact)
+    return CountingFact
+
+
+@pytest.mark.parametrize("batch_size", [1, 64])
+def test_no_fact_is_built_unless_an_observer_consumes_it(
+        monkeypatch, batch_size):
+    """With ``on_commit``, provenance and tracing all off, rows travel
+    kernel -> queue -> table as plain tuples: a run over insertions,
+    a key replacement, netted flaps, aggregate views and a forced
+    deletion constructs no ``Fact``; with an observer on it does."""
+    double = _count_facts(monkeypatch)
+
+    seen = []
+
+    def burst(**observers):
+        program = shortest_path_safe()
+        db = Database.for_program(program)
+        db.load_facts("link", FIGURE2_LINKS)
+        engine = PSNEngine(program, db=db, batch_size=batch_size,
+                           **observers)
+        engine.fixpoint()
+        engine.update("link", ("a", "b", 2))
+        engine.insert("link", ("d", "e", 1))
+        engine.insert("link", ("e", "d", 1))
+        engine.delete("link", ("a", "c", 1))
+        double.made = 0
+        seen.clear()  # count the burst's run() only
+        engine.run()
+        return engine
+
+    quiet = burst()
+    assert double.made == 0
+    observed = burst(on_commit=lambda fact, weight: seen.append(fact))
+    assert double.made == len(seen) > 0
+    assert all(type(fact) is double for fact in seen)
+    assert observed.db.snapshot() == quiet.db.snapshot()

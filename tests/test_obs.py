@@ -350,6 +350,60 @@ class TestTracing:
         kinds = [event.kind for event in observed.tracer.events]
         assert "link_teardown" in kinds
 
+    KV = """
+    materialize(kv, infinity, infinity, keys(1)).
+    materialize(out, infinity, infinity, keys(1, 2)).
+    KV1: out(@K, V) :- #kv(@K, V).
+    """
+
+    def traced_engine(self, batch_size):
+        tracer = Tracer(lambda: 0.0)
+        engine = PSNEngine(parse(self.KV), batch_size=batch_size,
+                           tracer=tracer.recorder("c"))
+
+        def spans():
+            return {(e.trace, e.kind, e.pred, e.args, e.weight)
+                    for e in tracer.events}
+
+        return engine, spans
+
+    def test_folded_intent_keeps_first_trace_and_the_rest_end_in_net(self):
+        """Queue rows are plain tuples; netting still rebuilds the
+        folded row with the slot's first trace id, and every intent it
+        absorbed or annihilated ends its trace in a ``net`` span."""
+        engine, spans = self.traced_engine(8)
+        engine.insert("kv", ("a", 1))                # trace 1
+        engine.insert("kv", ("a", 1))                # trace 2: folds into 1
+        engine.insert("kv", ("b", 2))                # trace 3: annihilated
+        engine.derive(Fact("kv", ("b", 2)), -1)      # untraced withdrawal
+        engine.run()
+        assert engine.cancelled == 3
+        assert engine.db.table("kv").count(("a", 1)) == 2
+        assert {span for span in spans() if span[1] != "inject"} == {
+            (2, "net", "kv", ("a", 1), 1),
+            (3, "net", "kv", ("b", 2), 1),
+            (1, "derive", "out", ("a", 1), 1),
+        }
+
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_replacement_retraction_is_traced_to_its_replacer(
+            self, batch_size):
+        """A key replacement mid-run flushes the run's earlier firings
+        under their own traces, then retracts the displaced row under
+        the replacing delta's."""
+        engine, spans = self.traced_engine(batch_size)
+        engine.insert("kv", ("k", 1))                # trace 1
+        engine.run()
+        engine.insert("kv", ("j", 5))                # trace 2
+        engine.insert("kv", ("k", 2))                # trace 3 replaces k
+        engine.run()
+        assert {span for span in spans() if span[1] == "derive"} == {
+            (1, "derive", "out", ("k", 1), 1),
+            (2, "derive", "out", ("j", 5), 1),
+            (3, "derive", "out", ("k", 1), -1),
+            (3, "derive", "out", ("k", 2), 1),
+        }
+
 
 # ----------------------------------------------------------------------
 # Wire format: the piggybacked trace id

@@ -2,9 +2,13 @@
 indexes."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
-from repro.engine.table import Table
+from repro.engine.facts import Fact
+from repro.engine.psn import PSNEngine
+from repro.engine.table import Table, projector
+from repro.ndlog import parse
 
 
 def test_insert_and_contains():
@@ -163,3 +167,110 @@ def test_clear():
     t.clear()
     assert len(t) == 0
     assert set(t.lookup((0,), ("a",))) == set()
+
+
+# ----------------------------------------------------------------------
+# Shared projectors: one per positions tuple, for every table and index
+# ----------------------------------------------------------------------
+def test_tables_indexed_on_the_same_positions_share_one_projector():
+    a, b = Table("a", 3, key=(0, 1)), Table("b", 3, key=(0, 1))
+    assert a.key_of is b.key_of is projector((0, 1))
+    a.register_index((0, 2))
+    b.index_for((0, 2))
+    project_a, _ = a._indexes[(0, 2)]
+    project_b, _ = b._indexes[(0, 2)]
+    assert project_a is project_b is projector((0, 2))
+    assert project_a(("x", "y", "z")) == ("x", "z")
+
+
+def test_one_position_index_is_keyed_by_one_tuples():
+    t = Table("p", 2)
+    t.insert(("a", 1))
+    t.insert(("a", 2))
+    assert projector((1,))(("a", 1)) == (1,)
+    assert set(t.index_for((0,))) == {("a",)}
+    assert set(t.lookup((0,), ("a",))) == {("a", 1), ("a", 2)}
+    assert set(t.lookup((0,), "a")) == set()  # a bare value is no key
+    t.force_delete(("a", 1))
+    assert set(t.index_for((0,))[("a",)]) == {("a", 2)}
+    keyed = Table("q", 2, key=(0,))
+    assert keyed.key_of(("a", 1)) == ("a",)
+
+
+def _reference_index(table, positions):
+    """The index as the generator expression the projectors replaced
+    would rebuild it from the stored rows."""
+    index = {}
+    for args in table.rows():
+        index.setdefault(tuple(args[i] for i in positions), set()).add(args)
+    return index
+
+
+TABLE_SHAPES = {
+    "full-key": dict(key=()),
+    "keyed": dict(key=(0, 1)),
+    "fallback": dict(key=(0, 1), fallback=True),
+}
+values = st.integers(min_value=0, max_value=2)
+table_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "delete", "force_delete", "supersede", "clear"]),
+        st.tuples(values, values, values),
+        st.integers(min_value=1, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("shape", sorted(TABLE_SHAPES))
+@given(ops=table_ops)
+@settings(deadline=None, max_examples=60)
+def test_maintained_indexes_equal_a_rebuild_from_rows(shape, ops):
+    """After any sequence of mutations every maintained index -- and
+    the key map -- equals one rebuilt from ``rows()``; an index
+    registered midway is built from the rows already stored."""
+    table = Table("t", 3, **TABLE_SHAPES[shape])
+    index_positions = [(0,), (2,), (1, 2), (2, 0)]
+    live = {positions: table.index_for(positions)
+            for positions in index_positions[:2]}
+    for step, (op, args, count) in enumerate(ops):
+        if step == len(ops) // 2:
+            for positions in index_positions[2:]:
+                live[positions] = table.index_for(positions)
+        if op == "insert":
+            table.insert(args, ts=step, count=count)
+        elif op == "delete":
+            table.delete(args, count)
+        elif op == "clear":
+            table.clear()
+        else:
+            getattr(table, op)(args)
+        for positions, index in live.items():
+            assert index is table.index_for(positions)  # stable object
+            assert index == _reference_index(table, positions), (
+                positions, op, args)
+        assert {table.key_of(args): args for args in table.rows()} == {
+            tuple(args[i] for i in table.key): args for args in table.rows()
+        } == table._rows
+        assert set(table._counts) == set(table.rows())
+
+
+def test_wrong_arity_row_raises_and_keeps_the_rows_before_it():
+    """The arity check stays per row: earlier rows of the same run are
+    committed (and indexed), exactly as sequential commits left them."""
+    program = parse("""
+        materialize(p, infinity, infinity, keys(1, 2)).
+        materialize(q, infinity, infinity, keys(1, 2)).
+        R1: q(@X, Y) :- #p(@X, Y).
+    """)
+    engine = PSNEngine(program, batch_size=8)
+    engine.derive(Fact("p", ("a", 1)), 1)
+    engine.derive(Fact("p", ("b", 2)), 1)
+    engine.derive(Fact("p", ("c",)), 1)
+    engine.derive(Fact("p", ("d", 4)), 1)
+    with pytest.raises(SchemaError):
+        engine.run()
+    table = engine.db.table("p")
+    assert sorted(table.rows()) == [("a", 1), ("b", 2)]
+    assert set(table.lookup((0,), ("b",))) == {("b", 2)}

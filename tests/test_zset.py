@@ -14,7 +14,7 @@ fixpoint and exercise the weighted wire format both ways.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro
 from repro.engine import Database, naive, seminaive
@@ -27,6 +27,7 @@ from repro.ndlog.pretty import format_delta
 from repro.net.live import decode_message, encode_message
 from repro.net.message import Message, NetDelta, coalesce, single
 from repro.topology import build_overlay, transit_stub
+from test_batching import CommitLog
 
 SETTINGS = dict(
     deadline=None,
@@ -88,13 +89,14 @@ def weighted_burst_run(edge_set, ops, batch_size, unit_intents):
     program = programs.shortest_path_safe()
     db = Database.for_program(program)
     db.load_facts("link", _link_rows(state))
-    commits = {}
+    commits = CommitLog()
 
-    def on_commit(fact, sign):
-        commits[fact] = commits.get(fact, 0) + sign
+    def insert(args):
+        commits.inserting("link", args)
+        engine.insert("link", args)
 
     engine = PSNEngine(program, db=db, batch_size=batch_size,
-                       on_commit=on_commit)
+                       on_commit=commits)
     engine.fixpoint()
     commits.clear()  # compare the burst phase only
 
@@ -111,16 +113,16 @@ def weighted_burst_run(edge_set, ops, batch_size, unit_intents):
         pair = pairs[index % len(pairs)]
         if kind == "ins" and pair not in state:
             state[pair] = cost
-            engine.insert("link", (*pair, cost))
-            engine.insert("link", (pair[1], pair[0], cost))
+            insert((*pair, cost))
+            insert((pair[1], pair[0], cost))
         elif kind == "del" and pair in state:
             old = state.pop(pair)
             engine.delete("link", (*pair, old))
             engine.delete("link", (pair[1], pair[0], old))
         elif kind == "upd" and pair in state:
             state[pair] = cost
-            engine.update("link", (*pair, cost))
-            engine.update("link", (pair[1], pair[0], cost))
+            insert((*pair, cost))  # update() is insert()
+            insert((pair[1], pair[0], cost))
         elif kind == "flap" and pair not in state:
             # Transient weighted announce/withdraw: nets to zero weight.
             derive(Fact("link", (*pair, cost)), weight)
@@ -138,10 +140,16 @@ def weighted_burst_run(edge_set, ops, batch_size, unit_intents):
 
 
 @given(edge_set=undirected_edges, ops=operations)
+@example(edge_set={("n0", "n1")},
+         ops=[("upd", 0, 1, 1), ("upd", 0, 1, 1), ("del", 0, 1, 1),
+              ("ins", 0, 2, 1), ("upd", 0, 2, 1)])
 @settings(**SETTINGS)
 def test_weighted_intents_match_signed_reference(edge_set, ops):
     """Weighted interleavings at every batch size are observationally
-    equal to the same interleavings as one-at-a-time unit intents."""
+    equal to the same interleavings as one-at-a-time unit intents.
+    Commits are compared as :class:`CommitLog` nets: the pinned example
+    inserts a fresh link and updates it to the same cost, which a chunk
+    reports as one ``+2`` transition and chunks of one as ``+1``."""
     reference = None
     for batch_size, unit_intents in ((1, True), (1, False), (7, False),
                                      (64, False)):
@@ -152,7 +160,7 @@ def test_weighted_intents_match_signed_reference(edge_set, ops):
             engine.db.snapshot(),
             counts_snapshot(engine.db),
             view_rows(engine),
-            {fact: net for fact, net in commits.items() if net != 0},
+            commits.net(),
         )
         if reference is None:
             reference = observed

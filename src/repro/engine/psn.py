@@ -78,8 +78,9 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    on the slot must target one identical tuple, none may be forced or
    a deferred restore (primary-key replacement and forced deletion are
    assignments, not group elements, so weights must not flow across
-   them), the table must not be soft-state (a re-insertion is a TTL
-   refresh that must stay observable), the stored row under the key --
+   them), the table must not be soft-state (a re-insertion there
+   renews a deadline and adds no derivation, so a renewal followed by a
+   counted withdrawal is not addition), the stored row under the key --
    if any -- must be that same tuple, and no prefix of the slot's
    intents may sum negative (stored counts floor at zero, so an early
    withdrawal is sequentially a decrement *or* a no-op, which addition
@@ -322,6 +323,11 @@ class PSNEngine:
         #: derived delta inherits its driver's trace.
         self._active_trace: Optional[int] = None
 
+    def now(self) -> float:
+        """Time source for soft-state deadlines (overridable: a
+        centralized engine has no clock, and nothing there sweeps)."""
+        return 0.0
+
     def _single_delta_preds(self):
         """Extra predicates whose runs are capped at one delta
         (subclass hook; the distributed node runtime caps its
@@ -336,22 +342,28 @@ class PSNEngine:
         attributes (detected at commit) is an *update*: the old tuple is
         deleted first, exactly as "an update is treated as a deletion
         followed by an insertion"."""
-        self._inject(pred, tuple(args), 1, False)
+        self.inject_run(pred, (args,))
 
     def delete(self, pred: str, args: Tuple) -> None:
         """Delete a base tuple outright (whatever its derivation count)."""
-        self._inject(pred, tuple(args), -1, True)
+        self.inject_run(pred, (args,), -1, True)
 
-    def _inject(self, pred: str, args: Tuple, weight: int,
-                force: bool) -> None:
-        """Base-fact injection: note it as base support and mint the
-        trace id this delta (and everything derived from it) carries."""
-        trace = None
-        if self.provenance is not None:
-            self.provenance.base(Fact(pred, args), weight)
-        if self.tracer is not None:
-            trace = self.tracer.mint(Fact(pred, args), weight)
-        self._enqueue((pred, args, weight, force, False, trace))
+    def inject_run(self, pred: str, rows, weight: int = 1,
+                   force: bool = False) -> None:
+        """Base-fact injection of a run of ``pred`` rows (:meth:`insert`
+        and :meth:`delete` are runs of one).  Observed, each row is noted
+        as base support and mints the trace id its derivations carry."""
+        provenance, tracer = self.provenance, self.tracer
+        if provenance is None and tracer is None:
+            self.queue.extend([(pred, tuple(args), weight, force, False, None)
+                               for args in rows])
+            return
+        for args in rows:
+            fact = Fact(pred, tuple(args))
+            if provenance is not None:
+                provenance.base(fact, weight)
+            trace = None if tracer is None else tracer.mint(fact, weight)
+            self.queue.append((pred, fact.args, weight, force, False, trace))
 
     def update(self, pred: str, args: Tuple) -> None:
         """Alias of :meth:`insert`; replacement does the delete half."""
@@ -488,8 +500,7 @@ class PSNEngine:
         rows = [queue.popleft() for _ in range(count)]
         self.steps += count
         # Netting can only change anything when the chunk mixes
-        # directions; all-refresh or all-expiry bursts skip the scan
-        # outright (and keep their per-intent TTL refreshes).
+        # directions; all-refresh or all-expiry bursts skip the scan.
         has_plus = has_minus = False
         for _, _, weight, force, restore, _ in rows:
             if force or restore:
@@ -610,29 +621,34 @@ class PSNEngine:
         table = self.db.table(pred)
         on_commit = self.on_commit
         tracing = self.tracer is not None
-        soft = table.lifetime != INFINITY
         fallback = table.fallback
+        # One deadline per run; none for a hard-state table.
+        deadline = (None if table.lifetime == INFINITY
+                    else self.now() + table.lifetime)
         key_of, get_by_key, insert = (
             table.key_of, table.get_by_key, table.insert
         )
         fresh: List[QueueRow] = []
+        renewed = 0
         for index in range(start, stop):
             row = rows[index]
             args, weight = row[1], row[2]
-            if tracing:
-                self._active_trace = row[5]
             if args in table:
                 # More derivations of a visible fact: one count bump of
-                # the whole weight + timestamp refresh.  For soft-state
-                # tables (finite lifetime) the re-insertion is a
-                # *refresh* and must reach the TTL observer (Section
-                # 4.2: "facts must be explicitly reinserted ... with a
-                # new TTL").
+                # the whole weight, or on a soft-state table a renewal
+                # (Section 4.2: "reinserted ... with a new TTL"): the
+                # table moves the deadline and that is all -- no count,
+                # observer or strand.  Decided here, at dequeue: an
+                # expiry delete queued ahead has already removed the row.
                 self.clock += 1
-                insert(args, self.clock, weight)
-                if soft and on_commit is not None:
-                    on_commit(Fact(pred, args), weight)
+                insert(args, self.clock, weight, deadline)
+                if deadline is not None:
+                    renewed += 1
+                    if row[5] is not None:
+                        self.tracer.renew(Fact(pred, args), weight, row[5])
                 continue
+            if tracing:
+                self._active_trace = row[5]
             old = get_by_key(key_of(args))
             if old is not None:
                 # Primary-key replacement retracts the superseded row
@@ -646,12 +662,14 @@ class PSNEngine:
                         self._active_trace = row[5]
                 self._displace_visible(table, pred, old)
             self.clock += 1
-            insert(args, self.clock, weight)
+            insert(args, self.clock, weight, deadline)
             if fallback:
                 table.absorb_shadow(args)
             if on_commit is not None:
                 on_commit(Fact(pred, args), weight)
             fresh.append(row)
+        if renewed:
+            table.renewals += renewed
         if fresh:
             self._fire_strands(fresh, 1)
 

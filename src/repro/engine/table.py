@@ -10,7 +10,17 @@ Semantics follow P2 (Section 2 of the paper):
   neighbour's new best-path advertisement supersedes the old value);
 * re-inserting an identical tuple increments its *derivation count* (the
   count algorithm of [Gupta et al. 93], used in Section 4); a tuple is
-  only removed when its count drops to zero.
+  only removed when its count drops to zero;
+* on a table with a finite ``materialize`` lifetime (soft state, Section
+  4.2: "facts must be explicitly reinserted with their latest values and
+  a new TTL") an identical re-insertion is a **renewal** instead: its
+  deadline and timestamp move, its count does not (a row refreshed 200
+  times holds count 1; one counted withdrawal removes it).  Such a table
+  keeps its rows' deadlines itself, in deadline order: one lifetime per
+  table and a forward-only clock issue them in non-decreasing order, so
+  an insertion-ordered dict with pop-and-reinsert on renewal is already
+  sorted and the due rows are a prefix (:meth:`Table.claim_due`).  The
+  committer passes the deadline, the sweeper the time.
 
 Storage is multiplicity-aware throughout: a table is a Z-set whose
 entries are the stored tuples with positive integer weights (the
@@ -93,6 +103,10 @@ class Table:
         self._counts: Dict[Tuple, int] = {}
         #: args -> timestamp of (re-)insertion
         self._ts: Dict[Tuple, int] = {}
+        #: args -> deadline, in deadline order; hard-state tables: None.
+        self._deadlines = None if lifetime == INFINITY else {}
+        #: Renewals committed so far (the engine adds them run by run).
+        self.renewals = 0
         #: key value -> {superseded args -> derivation count}, in
         #: displacement order (most recent last).
         self._shadow: Dict[Tuple, Dict[Tuple, int]] = {}
@@ -127,30 +141,37 @@ class Table:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def insert(self, args: Tuple, ts: int = 0, count: int = 1) -> List[Tuple[int, Tuple]]:
+    def insert(self, args: Tuple, ts: int = 0, count: int = 1,
+               deadline: Optional[float] = None) -> List[Tuple[int, Tuple]]:
         """Insert ``args``; return visible deltas.
 
         * brand-new tuple                -> ``[(+1, args)]``
-        * duplicate derivation           -> ``[]`` (count incremented)
+        * duplicate derivation           -> ``[]`` (count incremented,
+          or on a finite-lifetime table ``deadline`` renewed)
         * primary-key replacement        -> ``[(-1, old), (+1, args)]``
+
+        A soft-state row committed without a ``deadline`` never comes due.
         """
         args = tuple(args)
+        deadlines = self._deadlines
+        if args in self._counts:
+            # Duplicate derivation: bump the count, or on a soft-state
+            # table renew the deadline (a row :meth:`claim_due` took
+            # stays claimed: its queued delete wins).  Stamps only move
+            # forward: callers that omit ``ts`` do not rewind one
+            # (:meth:`restamp` reassigns by force).
+            if deadlines is None:
+                self._counts[args] += count
+            elif args in deadlines:
+                del deadlines[args]
+                deadlines[args] = deadline
+            if ts > self._ts.get(args, -1):
+                self._ts[args] = ts
+            return []
         if len(args) != self.arity:
             raise SchemaError(
                 f"table {self.name!r}: arity {self.arity} but got {args!r}"
             )
-        if args in self._counts:
-            # Duplicate derivation: bump the count *and* refresh the
-            # timestamp -- a re-inserted fact is a refresh (Section 4.2:
-            # soft-state facts "must be explicitly reinserted ... with a
-            # new TTL"), and timestamp consumers must see the latest
-            # (re-)insertion time.  Refreshes only move forward: callers
-            # that omit ``ts`` (default 0) must not rewind an existing
-            # stamp (use :meth:`restamp` for forced reassignment).
-            self._counts[args] += count
-            if ts > self._ts.get(args, -1):
-                self._ts[args] = ts
-            return []
         deltas: List[Tuple[int, Tuple]] = []
         key = self.key_of(args)
         old = self._rows.get(key)
@@ -163,6 +184,8 @@ class Table:
         self._rows[key] = args
         self._counts[args] = count
         self._ts[args] = ts
+        if deadline is not None and deadlines is not None:
+            deadlines[args] = deadline
         for project, index in self._indexes.values():
             projected = project(args)
             bucket = index.get(projected)
@@ -269,6 +292,27 @@ class Table:
         wipe the whole slot: nothing may resurrect)."""
         self._shadow.pop(key, None)
 
+    @property
+    def deadlines(self) -> Dict[Tuple, float]:
+        """Live ``args -> deadline`` view of the rows holding one, in
+        deadline order (do not mutate; empty on a hard-state table)."""
+        return self._deadlines or {}
+
+    def claim_due(self, now: float) -> List[Tuple]:
+        """Take the rows with a deadline ``<= now`` out of the deadline
+        order, earliest first.  They stay stored: the caller queues
+        their deletion, and until it commits a claimed row can be
+        neither claimed nor renewed again."""
+        deadlines = self.deadlines
+        due: List[Tuple] = []
+        for args, deadline in deadlines.items():
+            if deadline > now:
+                break
+            due.append(args)
+        for args in due:
+            del deadlines[args]
+        return due
+
     def restamp(self, args: Tuple, ts: int) -> None:
         """Reassign a stored tuple's timestamp (used when pre-loaded rows
         are seeded into a PSN queue, so table and delta timestamps agree)."""
@@ -281,12 +325,16 @@ class Table:
         self._counts.clear()
         self._ts.clear()
         self._shadow.clear()
+        if self._deadlines is not None:
+            self._deadlines.clear()
         for _, index in self._indexes.values():
             index.clear()
 
     def _remove(self, args: Tuple) -> None:
         del self._counts[args]
         self._ts.pop(args, None)
+        if self._deadlines is not None:
+            self._deadlines.pop(args, None)
         key = self.key_of(args)
         if self._rows.get(key) == args:
             del self._rows[key]

@@ -121,7 +121,7 @@ class ResultTracker:
 
     def on_commit(self, time: float, fact, weight: int) -> None:
         """A weighted visibility transition for ``fact``: ``weight > 0``
-        derivations became visible (or refreshed an existing row), or
+        derivations became visible (a soft-state renewal is not one), or
         ``-weight`` left visibility.  Sign-only callers (the historical
         ``+-1`` contract) flow through unchanged."""
         if fact.pred != self.watch_pred:

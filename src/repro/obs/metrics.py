@@ -28,6 +28,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 
+def _relation_entry() -> Dict[str, float]:
+    return {"commits": 0, "retractions": 0, "renewals": 0, "rows": 0,
+            "view_changes": 0}
+
+
 class NodeMetrics:
     """Per-node push counters.  Handed to the node's engine at
     construction; the engine only ever does dict bumps on it."""
@@ -72,8 +77,10 @@ class MetricsSnapshot:
         self.nodes = nodes
         #: (node, rule label) -> {"firings", "inferences"}.
         self.rules = rules
-        #: (node, relation) -> {"commits", "retractions", "rows",
-        #: "view_changes"}.
+        #: (node, relation) -> {"commits", "retractions", "renewals",
+        #: "rows", "view_changes"}; ``renewals`` are soft-state
+        #: re-insertions that only moved a deadline -- not commits, so
+        #: not churn.
         self.relations = relations
         self.transport = transport
         #: (src, dst) -> retransmits on that link (reliable transport).
@@ -94,11 +101,7 @@ class MetricsSnapshot:
         """Per-relation counters summed over nodes."""
         totals: Dict[str, Dict[str, float]] = {}
         for (_node, pred), counts in self.relations.items():
-            slot = totals.setdefault(
-                pred,
-                {"commits": 0, "retractions": 0, "rows": 0,
-                 "view_changes": 0},
-            )
+            slot = totals.setdefault(pred, _relation_entry())
             for key, value in counts.items():
                 slot[key] += value
         return totals
@@ -168,6 +171,14 @@ class MetricsSnapshot:
             "Weighted derivations that left visibility per (node, relation).",
             [(f'{{node="{n}",relation="{p}"}}', c["retractions"])
              for (n, p), c in sorted(self.relations.items())],
+        )
+        family(
+            "ndlog_renewals_total", "counter",
+            "Soft-state re-insertions that only renewed a stored row's "
+            "deadline per (node, relation).",
+            [(f'{{node="{n}",relation="{p}"}}', c["renewals"])
+             for (n, p), c in sorted(self.relations.items())
+             if c["renewals"]],
         )
         family(
             "ndlog_table_rows", "gauge",
@@ -275,29 +286,18 @@ class MetricsRegistry:
                 preds.update(pushed.retractions)
             for pred in preds:
                 table = engine.db.tables.get(pred)
-                entry = {
-                    "commits": pushed.commits.get(pred, 0) if pushed else 0,
-                    "retractions": (
-                        pushed.retractions.get(pred, 0) if pushed else 0
-                    ),
-                    "rows": len(table) if table is not None else 0,
-                    "view_changes": 0,
-                }
-                relations[(name, pred)] = entry
-            for pred, view in engine.views.items():
-                slot = relations.setdefault(
-                    (name, pred),
-                    {"commits": 0, "retractions": 0, "rows": 0,
-                     "view_changes": 0},
-                )
-                slot["view_changes"] += view.changes
-            for pred, view in engine.argmin_views.items():
-                slot = relations.setdefault(
-                    (name, pred),
-                    {"commits": 0, "retractions": 0, "rows": 0,
-                     "view_changes": 0},
-                )
-                slot["view_changes"] += view.changes
+                entry = relations[(name, pred)] = _relation_entry()
+                if pushed is not None:
+                    entry["commits"] = pushed.commits.get(pred, 0)
+                    entry["retractions"] = pushed.retractions.get(pred, 0)
+                if table is not None:
+                    entry["renewals"] = table.renewals
+                    entry["rows"] = len(table)
+            for views in (engine.views, engine.argmin_views):
+                for pred, view in views.items():
+                    slot = relations.setdefault(
+                        (name, pred), _relation_entry())
+                    slot["view_changes"] += view.changes
         stats = cluster.stats
         transport = {
             "messages": stats.messages,

@@ -32,13 +32,24 @@ class TraceEvent(NamedTuple):
 
     ts: float
     trace: Optional[int]        # None for fault events outside any flow
-    kind: str                   # inject|derive|net|ship|receive|commit|...
+    kind: str                   # inject|derive|net|renew|ship|receive|commit|...
     node: Optional[str]
     pred: Optional[str]
     args: Optional[Tuple]
     weight: Optional[int]
     src: Optional[str]
     dst: Optional[str]
+
+
+def _span(kind: str):
+    """A :class:`NodeTracer` method recording one ``kind`` span."""
+    def record(self, fact, weight: int, trace: int) -> None:
+        tracer = self.tracer
+        tracer.events.append(TraceEvent(
+            tracer.now(), trace, kind, self.node,
+            fact.pred, fact.args, weight, None, None,
+        ))
+    return record
 
 
 class NodeTracer:
@@ -61,27 +72,13 @@ class NodeTracer:
         ))
         return trace
 
-    def derive(self, fact, weight: int, trace: int) -> None:
-        tracer = self.tracer
-        tracer.events.append(TraceEvent(
-            tracer.now(), trace, "derive", self.node,
-            fact.pred, fact.args, weight, None, None,
-        ))
-
-    def net(self, fact, weight: int, trace: int) -> None:
-        """A queued delta annihilated by Z-set folding before commit."""
-        tracer = self.tracer
-        tracer.events.append(TraceEvent(
-            tracer.now(), trace, "net", self.node,
-            fact.pred, fact.args, weight, None, None,
-        ))
-
-    def commit(self, fact, weight: int, trace: int) -> None:
-        tracer = self.tracer
-        tracer.events.append(TraceEvent(
-            tracer.now(), trace, "commit", self.node,
-            fact.pred, fact.args, weight, None, None,
-        ))
+    derive = _span("derive")
+    #: A queued delta annihilated by Z-set folding before commit.
+    net = _span("net")
+    #: A re-insertion that only renewed a soft-state row's deadline:
+    #: the trace ends here, nothing is visible downstream.
+    renew = _span("renew")
+    commit = _span("commit")
 
     def receive(self, fact, weight: int, trace: int,
                 origin: Optional[str]) -> None:

@@ -24,8 +24,8 @@ Checks, per stored tuple:
 Strict mode is automatically dropped to support-only when the transport
 is allowed to elide or lose deltas (periodic buffering dedupes
 re-advertisements; lossy links drop firings that were recorded at the
-sender), and soft-state tables are always exempt (TTL refreshes bump
-counts invisibly to the graph).
+sender), and soft-state tables are always exempt (a TTL renewal is
+injected as base support but adds no derivation to the stored row).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _audit_tables(
 ) -> None:
     for table in db.tables.values():
         if table.lifetime != INFINITY:
-            continue  # soft state: TTL refreshes are invisible to the graph
+            continue  # soft state: renewals add support, not derivations
         is_view = table.name in store.view_preds
         for args in table.rows():
             fact = Fact(table.name, args)

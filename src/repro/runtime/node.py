@@ -96,6 +96,15 @@ class NodeRuntime(PSNEngine):
         self.queue.append(row)
         self._schedule_tick()
 
+    def inject_run(self, pred: str, rows, weight: int = 1,
+                   force: bool = False) -> None:
+        super().inject_run(pred, rows, weight, force)
+        self._schedule_tick()
+
+    def now(self) -> float:
+        """The cluster clock, not this node's skewed view of it."""
+        return self.cluster.clock.now
+
     def _schedule_tick(self) -> None:
         if self._tick_scheduled or not self.queue:
             return
@@ -226,8 +235,8 @@ class NodeRuntime(PSNEngine):
     # ------------------------------------------------------------------
     def _commit_hook(self, fact: Fact, weight: int) -> None:
         """Weighted visibility transition: ``+w`` derivations became
-        visible (or refreshed), or ``-w`` left visibility -- a ``+k``
-        burst counts ``k``, not 1 (see ``PSNEngine.on_commit``)."""
+        visible (a soft-state renewal is not one), or ``-w`` left it --
+        a ``+k`` burst counts ``k``, not 1 (``PSNEngine.on_commit``)."""
         cluster = self.cluster
         policy = cluster.config.cache
         if (policy is not None and weight > 0

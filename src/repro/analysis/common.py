@@ -47,19 +47,6 @@ def program_is_located(program: Program) -> bool:
     return False
 
 
-def arity_map(program: Program) -> Dict[str, int]:
-    """Maximum observed arity per predicate (tolerant of conflicts --
-    the validator owns arity *checking*)."""
-    arities: Dict[str, int] = {}
-    for literal in all_literals(program):
-        seen = arities.get(literal.pred, 0)
-        if literal.arity > seen:
-            arities[literal.pred] = literal.arity
-        else:
-            arities.setdefault(literal.pred, literal.arity)
-    return arities
-
-
 def edb_predicates(program: Program) -> Set[str]:
     """Predicates never derived by a rule with a body: the base tables
     the deployment loads facts into."""

@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from time import perf_counter
+from types import SimpleNamespace
 from typing import (
     Callable,
     Dict,
@@ -70,7 +71,6 @@ from repro.engine.rules import (
 from repro.errors import (
     EvaluationError,
     NDlogValidationError,
-    NetworkError,
     PlanError,
     ReproError,
     StaticAnalysisError,
@@ -87,6 +87,7 @@ from repro.ndlog.pretty import (
 )
 from repro.ndlog.validator import ValidationReport
 from repro.ndlog.validator import validate as validate_program
+from repro.net.stats import ResultTracker
 from repro.opt import aggsel as _aggsel
 from repro.opt.costbased import StatsCatalog
 from repro.planner.localization import localize as _localize
@@ -977,33 +978,17 @@ def _enforce_lint(artifact: CompiledProgram) -> None:
 # ----------------------------------------------------------------------
 # The deployment handle
 # ----------------------------------------------------------------------
-class _Subscription:
-    """Adapter routing cluster commit observations to a callback."""
-
-    __slots__ = ("pred", "callback")
-
-    def __init__(self, pred: Optional[str], callback: Callable):
-        self.pred = pred
-        self.callback = callback
-
-    def on_commit(self, now: float, fact, weight: int) -> None:
-        """``weight`` is the weighted visibility transition: ``+k``
-        derivations became visible (or refreshed), ``-k`` left
-        visibility.  Sign-only callbacks keep working (the historical
-        deltas are the ``+-1`` special case)."""
-        if self.pred is None or fact.pred == self.pred:
-            self.callback(now, fact, weight)
-
-
 class Deployment:
-    """A live (simulated) declarative network -- one object from source
-    text to running distributed system.
+    """A deployed declarative network -- one object from source text to
+    running distributed system, on either target.
 
     Thin, stable facade over :class:`~repro.runtime.cluster.Cluster`:
     data-plane verbs (``inject`` / ``update`` / ``delete``), observation
     (``watch`` / ``subscribe`` / ``rows`` / ``query_rows``), and
     lifecycle (``advance`` / ``quiescent``).  The underlying cluster
     stays reachable as ``.cluster`` for simulator-level control.
+    The simulator's handle, and the base of the live one
+    (:class:`~repro.runtime.live.LiveDeployment`).
     """
 
     def __init__(self, cluster, compiled: Optional[CompiledProgram] = None):
@@ -1033,40 +1018,40 @@ class Deployment:
 
     @property
     def now(self) -> float:
-        return self.cluster.sim.now
+        return self.cluster.clock.now
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at virtual ``time`` (workload injection)."""
-        self.cluster.sim.at(time, fn)
+        """Schedule ``fn`` at clock ``time`` (workload injection)."""
+        self.cluster.clock.at(time, fn)
 
     # -- data plane -----------------------------------------------------
-    def _node(self, node: str):
-        runtime = self.cluster.nodes.get(node)
-        if runtime is None:
-            raise NetworkError(
-                f"unknown node {node!r}; this deployment has "
-                f"{len(self.cluster.nodes)} nodes"
-            )
-        return runtime
+    def _op(self, verb: str, node: str, pred: str, args: Tuple) -> None:
+        """The engine's ``insert`` / ``update`` / ``delete`` at ``node``."""
+        getattr(self.cluster.node(node), verb)(pred, tuple(args))
 
     def inject(self, node: str, pred: str, args: Tuple) -> None:
         """Insert a base tuple at ``node`` (e.g. a magic seed fact)."""
-        self._node(node).insert(pred, tuple(args))
+        self._op("insert", node, pred, args)
 
     def update(self, node: str, pred: str, args: Tuple) -> None:
         """Update a base tuple at ``node``: a primary-key match commits
         as a deletion of the old row followed by this insertion."""
-        self._node(node).update(pred, tuple(args))
+        self._op("update", node, pred, args)
 
     def delete(self, node: str, pred: str, args: Tuple) -> None:
         """Delete a base tuple at ``node`` outright."""
-        self._node(node).delete(pred, tuple(args))
+        self._op("delete", node, pred, args)
 
     # -- observation ----------------------------------------------------
-    def watch(self, pred: str):
+    def _listen(self, listener) -> Callable[[], None]:
+        return self.cluster.subscribe(listener)
+
+    def watch(self, pred: str) -> ResultTracker:
         """Track completion times for ``pred``; returns the
         :class:`~repro.net.stats.ResultTracker`."""
-        return self.cluster.watch(pred)
+        tracker = ResultTracker(watch_pred=pred)
+        self._listen(tracker)
+        return tracker
 
     def subscribe(
         self, pred: Optional[str], callback: Callable
@@ -1076,19 +1061,18 @@ class Deployment:
         (``pred=None`` observes every relation): ``+k`` derivations
         became visible, ``-k`` left.  Returns an unsubscribe
         callable."""
-        subscription = _Subscription(pred, callback)
-        self.cluster.trackers.append(subscription)
+        if pred is None:
+            on_commit = callback
+        else:
+            def on_commit(now: float, fact, weight: int) -> None:
+                if fact.pred == pred:
+                    callback(now, fact, weight)
 
-        def unsubscribe() -> None:
-            if subscription in self.cluster.trackers:
-                self.cluster.trackers.remove(subscription)
-
-        return unsubscribe
+        return self._listen(SimpleNamespace(on_commit=on_commit))
 
     def rows(self, pred: str, node: Optional[str] = None) -> frozenset:
-        if node is not None:
-            return frozenset(self._node(node).db.table(pred).rows())
-        return self.cluster.rows(pred)
+        """Union of ``pred`` rows across nodes (or one node's rows)."""
+        return self.cluster.rows(pred, node)
 
     def query_rows(self) -> frozenset:
         """Union of the query predicate's rows across all nodes."""

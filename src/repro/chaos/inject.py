@@ -114,11 +114,11 @@ class ChaosController:
         self.trace.append((round(now, 9), kind, src, dst))
         tally = self.cluster.stats.faults_injected
         tally[kind] = tally.get(kind, 0) + 1
-        tracer = getattr(self.cluster, "tracer", None)
-        if tracer is not None:
+        observer = self.cluster.observer
+        if observer is not None:
             # Interleave the fault with the delta spans it affected, so
             # an exported trace shows *why* a flow stalled or repeated.
-            tracer.fault("fault:" + kind, src, dst)
+            observer.fault("fault:" + kind, src, dst)
 
     # -- node state -----------------------------------------------------
     def down_until(self, node: str, now: Optional[float] = None) -> \

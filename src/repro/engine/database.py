@@ -109,13 +109,6 @@ class Database:
         except KeyError:
             raise SchemaError(f"unknown relation {pred!r}") from None
 
-    def ensure_table(self, pred: str, arity: int, key: Tuple[int, ...] = ()) -> Table:
-        table = self.tables.get(pred)
-        if table is None:
-            table = Table(pred, arity, key=key)
-            self.tables[pred] = table
-        return table
-
     def load_facts(self, pred: str, rows: Iterable[Tuple]) -> None:
         """Bulk-load base tuples (timestamp 0, derivation count 1)."""
         table = self.table(pred)

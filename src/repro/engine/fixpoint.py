@@ -85,7 +85,3 @@ def load_program_facts(program: Program, db: Database) -> None:
             evaluate(arg, {}, db.functions) for arg in fact.args
         )
         db.table(fact.pred).insert(values)
-
-
-def idb_of(program: Program) -> frozenset:
-    return program.idb_predicates()

@@ -28,9 +28,10 @@ one tuple is all that travels: a strand kernel appends head tuples to
 a list, :meth:`PSNEngine._emit` turns the list into rows on the queue
 in one call, netting and run splitting read rows by position, and the
 commit hands ``args`` and ``weight`` to the table.  A :class:`Fact` is
-built only where an observer consumes one -- ``on_commit``, the
-provenance recorder, the tracer, the runtime's query-cache hook -- so
-with all of them off the loop allocates none.
+built only where one is consumed -- here for the provenance recorder,
+behind the observer handle (:mod:`repro.obs.observer`) for ``on_commit``
+or a commit listener; tracer and counters take the bare row -- so with
+those off the loop allocates none.
 
 **Commit discipline.**  The queue is purely event-sourced: table state
 is mutated only when a delta is *processed* (dequeued), never when it is
@@ -62,8 +63,9 @@ materialized-view maintenance layer.
 into the source of one flat Python function -- driving tuple unpacked
 into locals, one loop per partner literal over that table's live index
 dict, conditions, assignments and the head tuple inlined -- compiled
-once per program and bound per engine to its tables.  A firing collects
-the kernel's head tuples, then emits them.
+once per program and bound per engine to its tables.  A firing runs
+the kernel over the whole run of driving rows into one list of head
+tuples, then emits them in one call.
 
 **One commit path: chunks of runs.**  The queue is drained in chunks of
 up to ``batch_size`` deltas (Section 4's "bursty updates" processed as
@@ -116,6 +118,7 @@ or the final derivation counts -- ``tests/test_batching.py`` and
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -127,6 +130,7 @@ from repro.engine.fixpoint import EvalResult
 from repro.engine.table import INFINITY
 from repro.engine.kernels import strand_kernel
 from repro.engine.rules import CompiledRule, shared_compiled_rules
+from repro.obs.observer import Observer
 from repro.opt.costbased import StatsCatalog
 from repro.ndlog.ast import Literal, Program
 from repro.ndlog.terms import evaluate as eval_term
@@ -220,13 +224,15 @@ class PSNEngine:
     and a silent count bump); what every chunk size agrees on is the
     net of transition *signs* per fact.
 
-    ``metrics`` / ``tracer`` / ``profiler`` are the observability
-    hooks (:mod:`repro.obs`): a per-node
+    ``on_commit`` and ``metrics`` / ``tracer`` / ``profiler`` (a
     :class:`~repro.obs.metrics.NodeMetrics` holder, a
-    :class:`~repro.obs.trace.NodeTracer` handle, and a
-    :class:`~repro.obs.profile.Profiler`.  Like the provenance
-    recorder, each hot site is guarded by one ``None`` check, so the
-    disabled path (the default) costs nothing.
+    :class:`~repro.obs.trace.NodeTracer`, a
+    :class:`~repro.obs.profile.Profiler`) are composed into
+    ``self.observer``, the one handle the engine raises its events on
+    (``inject``, ``fire``, ``derive``, ``net``, ``renew``, ``commit``:
+    :mod:`repro.obs.observer`) -- ``None`` when none is given, so the
+    unobserved path is one check per site.  ``provenance`` stays its
+    own handle: it is part of the run, not a subscriber to it.
 
     ``batch_size`` is the chunk size the queue is drained in: 1 (the
     default) processes one delta per step exactly as Algorithm 3
@@ -298,7 +304,6 @@ class PSNEngine:
         self.inferences = 0
         self.steps = 0
         self.cancelled = 0
-        self.on_commit = on_commit
         #: Optional :class:`~repro.provenance.store.ProvenanceRecorder`.
         #: Every hook site below is guarded by one ``None`` check, so
         #: the disabled path (the default) costs nothing.
@@ -313,11 +318,8 @@ class PSNEngine:
                 set(self.views) | set(self.argmin_views)
             )
         self.provenance = provenance
-        #: Observability hooks (:mod:`repro.obs`), all ``None`` when
-        #: the deployment was built without the corresponding flag.
-        self.metrics = metrics
-        self.tracer = tracer
-        self.profiler = profiler
+        #: Who watches (:class:`~repro.obs.observer.Observer`), or ``None``.
+        self.observer = Observer.compose(metrics, tracer, profiler, on_commit)
         #: Trace id of the delta currently being processed (always
         #: ``None`` when tracing is off); rule firings read it so every
         #: derived delta inherits its driver's trace.
@@ -353,17 +355,20 @@ class PSNEngine:
         """Base-fact injection of a run of ``pred`` rows (:meth:`insert`
         and :meth:`delete` are runs of one).  Observed, each row is noted
         as base support and mints the trace id its derivations carry."""
-        provenance, tracer = self.provenance, self.tracer
-        if provenance is None and tracer is None:
+        provenance, observer = self.provenance, self.observer
+        traced = observer is not None and observer.traced
+        if provenance is None and not traced:
             self.queue.extend([(pred, tuple(args), weight, force, False, None)
                                for args in rows])
             return
-        for args in rows:
-            fact = Fact(pred, tuple(args))
-            if provenance is not None:
-                provenance.base(fact, weight)
-            trace = None if tracer is None else tracer.mint(fact, weight)
-            self.queue.append((pred, fact.args, weight, force, False, trace))
+        rows = [tuple(args) for args in rows]
+        if provenance is not None:
+            for args in rows:
+                provenance.base(Fact(pred, args), weight)
+        traces = (observer.inject(pred, rows, weight) if traced
+                  else repeat(None))
+        self.queue.extend([(pred, args, weight, force, False, trace)
+                           for args, trace in zip(rows, traces)])
 
     def update(self, pred: str, args: Tuple) -> None:
         """Alias of :meth:`insert`; replacement does the delete half."""
@@ -388,7 +393,7 @@ class PSNEngine:
         if weight:
             trace = self._active_trace
             if trace is not None:
-                self.tracer.derive(Fact(pred, args), weight, trace)
+                self.observer.span("derive", pred, args, weight, trace)
             self._enqueue((pred, args, weight, False, False, trace))
 
     # ------------------------------------------------------------------
@@ -517,8 +522,7 @@ class PSNEngine:
         while index < end:
             pred, args, weight, force, restore, trace = rows[index]
             if restore:
-                if self.tracer is not None:
-                    self._active_trace = trace
+                self._active_trace = trace
                 self._commit_restore(pred, args)
                 index += 1
                 continue
@@ -585,7 +589,6 @@ class PSNEngine:
             group[3] = weight
         survivors: List[QueueRow] = []
         netted = 0
-        tracer = self.tracer
         for position, row in enumerate(chunk):
             group = groups[slots[position]]
             weight = group[3]
@@ -601,11 +604,11 @@ class PSNEngine:
                 # slot's other traces end here with a net span below).
                 survivors.append((pred, args, weight, False, False, trace))
                 continue
-            if tracer is not None and trace is not None:
+            if trace is not None:
                 # This intent was annihilated (or folded into the
                 # slot's first position) by Z-set addition: its trace's
                 # propagation ends at the queue.
-                tracer.net(Fact(pred, args), own_weight, trace)
+                self.observer.span("net", pred, args, own_weight, trace)
         self.cancelled += netted
         return survivors
 
@@ -619,8 +622,8 @@ class PSNEngine:
         deferred firings read partner tables this run never touches."""
         pred = rows[start][0]
         table = self.db.table(pred)
-        on_commit = self.on_commit
-        tracing = self.tracer is not None
+        observer = self.observer
+        tracing = observer is not None and observer.traced
         fallback = table.fallback
         # One deadline per run; none for a hard-state table.
         deadline = (None if table.lifetime == INFINITY
@@ -630,6 +633,7 @@ class PSNEngine:
         )
         fresh: List[QueueRow] = []
         renewed = 0
+        traced_renewals: List[QueueRow] = []
         for index in range(start, stop):
             row = rows[index]
             args, weight = row[1], row[2]
@@ -645,7 +649,7 @@ class PSNEngine:
                 if deadline is not None:
                     renewed += 1
                     if row[5] is not None:
-                        self.tracer.renew(Fact(pred, args), weight, row[5])
+                        traced_renewals.append(row)
                 continue
             if tracing:
                 self._active_trace = row[5]
@@ -665,11 +669,13 @@ class PSNEngine:
             insert(args, self.clock, weight, deadline)
             if fallback:
                 table.absorb_shadow(args)
-            if on_commit is not None:
-                on_commit(Fact(pred, args), weight)
+            if observer is not None:
+                observer.commit(pred, args, weight, row[5])
             fresh.append(row)
         if renewed:
             table.renewals += renewed
+            if traced_renewals:
+                observer.renew(pred, traced_renewals)
         if fresh:
             self._fire_strands(fresh, 1)
 
@@ -690,8 +696,8 @@ class PSNEngine:
         partner tables."""
         pred = rows[start][0]
         table = self.db.table(pred)
-        on_commit = self.on_commit
-        tracing = self.tracer is not None
+        observer = self.observer
+        tracing = observer is not None and observer.traced
         fallback = table.fallback
         count_of, force_delete = table.count, table.force_delete
         lone = stop - start == 1
@@ -715,8 +721,8 @@ class PSNEngine:
             if current > count and not force:
                 table.delete(args, count)
                 continue
-            if on_commit is not None:
-                on_commit(Fact(pred, args), -current)
+            if observer is not None:
+                observer.commit(pred, args, -current, row[5])
             if lone:
                 self._fire_strands((row,), -1)
             else:
@@ -751,8 +757,9 @@ class PSNEngine:
         shadow: its producer never withdrew it, only the replacement
         displaced it, so a later withdrawal of the replacement falls
         back to it (:meth:`_restore_fallback`)."""
-        if self.on_commit is not None:
-            self.on_commit(Fact(pred, old), -table.count(old))
+        if self.observer is not None:
+            self.observer.commit(pred, old, -table.count(old),
+                                 self._active_trace)
         self._fire_strands(
             ((pred, old, -1, False, False, self._active_trace),), -1
         )
@@ -804,8 +811,8 @@ class PSNEngine:
         # live justification (keeps the provenance audit exact).
         self.clock += 1
         table.insert(args, ts=self.clock)
-        if self.on_commit is not None:
-            self.on_commit(Fact(table.name, args), 1)
+        if self.observer is not None:
+            self.observer.commit(table.name, args, 1, self._active_trace)
         if self.provenance is not None:
             self.provenance.record_fact(
                 "<fallback>", Fact(table.name, args), (), 1)
@@ -826,19 +833,21 @@ class PSNEngine:
             self._fire_strand(strand, rows, sign)
 
     def _fire_strand(self, strand: Strand, rows, sign: int) -> None:
-        """Fire one strand with a run of driving rows.  Each row's
-        heads are collected from the strand's kernel, then sent on in
-        order: plain heads to the queue in one :meth:`_emit` call,
-        aggregate / arg-extreme heads through the rule's view -- head
-        by head for a lone row, once through ``apply_many`` (net change
-        only) for a longer run.  Derived deltas inherit their own
-        driver's trace."""
+        """Fire one strand with a run of driving rows: the kernel runs
+        over every row into one ``out``, then the heads are sent on in
+        order -- plain heads in one :meth:`_emit`, aggregate /
+        arg-extreme heads through the rule's view, head by head for a
+        lone row, once through ``apply_many`` (net change only) for a
+        longer run.  Traced, each head carries its own driver's trace."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
-        profiler = self.profiler
-        tracing = self.tracer is not None
-        started = perf_counter() if profiler is not None else 0.0
+        observer = self.observer
+        traced = timed = metered = False
+        if observer is not None:
+            traced, timed, metered = (
+                observer.traced, observer.timed, observer.metered)
+        started = perf_counter() if timed else 0.0
         kernel = strand.kernel if capture is None else strand.capture_kernel
         if kernel is None:
             kernel = strand.bind(capture is not None)
@@ -849,76 +858,59 @@ class PSNEngine:
             view = self.argmin_views[pred]
         else:
             view = None
-        netted: Optional[List[Tuple]] = None
-        if view is not None and len(rows) > 1:
-            netted = []
-        inferences = 0
-        # An observed firing sends heads on row by row (each inherits
-        # its own driver's trace and is recorded against its own
-        # body); otherwise the whole run's heads move in one piece.
-        for group in ([rows] if capture is None and not tracing
-                      else [(row,) for row in rows]):
-            if tracing:
-                self._active_trace = group[0][5]
-            out: List = []
-            for row in group:
+        out: List = []
+        traces: Optional[List] = None
+        if traced:
+            # One trace id per head: a row's share of ``out`` is what
+            # its kernel call appended.  View outputs go out under the
+            # last driver's trace (a netted change can mix several).
+            traces = []
+            for row in rows:
+                before = len(out)
                 kernel(row[1], functions, out)
-            if not out:
-                continue
-            inferences += len(out)
+                traces += [row[5]] * (len(out) - before)
+            self._active_trace = rows[-1][5]
+        else:
+            for row in rows:
+                kernel(row[1], functions, out)
+        inferences = len(out)
+        if out:
+            self.inferences += inferences
             if capture is not None:
-                for head, body in out:
+                for index, (head, body) in enumerate(out):
                     capture.record_fact(crule.label, Fact(pred, head), body,
                                         sign)
                     if view is None:
                         # Before the next record: a shipped head
                         # piggybacks its latest derivation id.
-                        self._emit(pred, (head,), sign)
-                if view is None:
-                    continue
+                        self._emit(pred, (head,), sign,
+                                   traces and traces[index:index + 1])
                 out = [head for head, _ in out]
-            if netted is not None:
-                netted += out
             elif view is None:
-                self._emit(pred, out, sign)
-            else:
+                self._emit(pred, out, sign, traces)
+            if view is not None:
                 # View rules are local rules: their output never ships.
-                for head in out:
-                    for view_sign, view_args in view.apply(head, sign):
+                if len(rows) > 1:
+                    for view_sign, view_args in view.apply_many(out, sign):
                         self._derive(pred, view_args, view_sign)
-        self.inferences += inferences
-        if netted:
-            # Under tracing the netted group-value changes are
-            # attributed to the last contributing driver's trace -- an
-            # approximation (a net change can mix contributions from
-            # several traces).
-            for view_sign, view_args in view.apply_many(netted, sign):
-                self._derive(pred, view_args, view_sign)
-        if profiler is not None:
-            profiler.add(crule.label, strand.driver_literal.pred,
-                         perf_counter() - started)
-        if inferences and self.metrics is not None:
-            self._note_firing(crule.label, inferences)
+                else:
+                    for head in out:
+                        for view_sign, view_args in view.apply(head, sign):
+                            self._derive(pred, view_args, view_sign)
+        if timed or (inferences and metered):
+            observer.fire(crule.label, strand.driver_literal.pred,
+                          inferences,
+                          perf_counter() - started if timed else 0.0)
 
-    def _note_firing(self, label: str, inferences: int) -> None:
-        """Metrics push: one productive strand invocation (kept out of
-        the firing loop so the disabled path stays a single check)."""
-        metrics = self.metrics
-        firings = metrics.rule_firings
-        firings[label] = firings.get(label, 0) + 1
-        counts = metrics.rule_inferences
-        counts[label] = counts.get(label, 0) + inferences
-
-    def _emit(self, pred: str, heads, sign: int) -> None:
-        """Queue the plain heads of one firing, in order (virtual: the
+    def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
+        """Queue the plain heads of one firing, in order; ``traces``
+        (traced firings only) holds each head's trace id (virtual: the
         distributed runtime ships the heads located at another node)."""
-        trace = self._active_trace
-        if trace is not None:
-            derive = self.tracer.derive
-            for head in heads:
-                derive(Fact(pred, head), sign, trace)
+        if traces is not None:
+            self.observer.derive(pred, heads, sign, traces)
         self.queue.extend(
-            [(pred, head, sign, False, False, trace) for head in heads]
+            [(pred, head, sign, False, False, trace)
+             for head, trace in zip(heads, traces or repeat(None))]
         )
 
 

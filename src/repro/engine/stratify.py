@@ -116,20 +116,6 @@ def strata(program: Program) -> List[Stratum]:
     return out
 
 
-def recursive_nonmonotone_rules(program: Program) -> List[Tuple[Stratum, Rule]]:
-    """The ``(stratum, rule)`` pairs where an aggregate or arg-extreme
-    rule sits inside a recursive stratum -- the shape the set-oriented
-    engines cannot evaluate."""
-    out: List[Tuple[Stratum, Rule]] = []
-    for stratum in strata(program):
-        if not stratum.recursive:
-            continue
-        for rule in stratum.rules:
-            if rule.head_aggregate() is not None or rule.argmin is not None:
-                out.append((stratum, rule))
-    return out
-
-
 def stratify(program: Program) -> List[Stratum]:
     """Split ``program`` into strata in evaluation order.
 

@@ -152,8 +152,5 @@ class FlowTable:
             self._flows[key] = flow
         return flow
 
-    def peek(self, src: str, dst: str) -> Optional[Flow]:
-        return self._flows.get((src, dst))
-
     def values(self):
         return self._flows.values()

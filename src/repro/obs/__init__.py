@@ -13,9 +13,16 @@ Enable per deployment::
 
 ``python -m repro.obs trace.json`` summarizes a saved trace file.
 
-Everything here follows the provenance recorder's cost discipline: a
-deployment built without these flags holds ``None`` in every hook slot
-and pays one attribute check per hot site.
+All three are subscribers behind one seam, :mod:`repro.obs.observer`
+(which holds the payload table): an engine, a node and the wire each
+hold one optional handle and raise the events of a delta's life on it
+-- ``inject``, ``derive``, ``renew`` (per run), ``fire`` (per firing),
+``net``, ``commit`` (per row) on an engine, ``tick`` / ``receive`` on a
+node, ``ship``, ``netted``, ``retransmit``, ``fault`` on the wire.
+Built without these flags and with no commit listener a deployment
+holds ``None`` and pays one check per site.  Provenance is deliberately
+*not* a subscriber: it is part of the run (it selects the capture
+kernel and must record a head before that head ships).
 """
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, NodeMetrics

@@ -3,16 +3,13 @@
 The paper's whole evaluation (Figures 7-14) is about *observing* a
 running declarative network -- per-node bandwidth, convergence CDFs,
 aggregate communication work.  This module gives the runtime one
-registry those observations hang off, following the provenance
-recorder's cost discipline:
+registry those observations hang off:
 
 * **Push counters** exist only where the engine cannot reconstruct the
-  number afterwards: per-rule firings/inferences (the strand loop),
-  per-relation weighted commits/retractions (the commit hook), per-link
-  retransmits (the reliable transport), queue-depth high-water marks
-  (the node scheduler).  Every push site is guarded by a single
-  ``None`` check, so a deployment built without ``metrics=True`` pays
-  one attribute read per site and nothing else.
+  number afterwards, and are bumped by the observer seam
+  (:mod:`repro.obs.observer`): per-rule firings/inferences (``fire``),
+  per-relation weighted commits/retractions (``commit``), per-link
+  retransmits (``retransmit``), queue-depth high-water marks (``tick``).
 * Everything else is **pulled** at snapshot time from state the engine
   already keeps: engine step/inference/cancellation counters, queue
   lengths, table cardinalities, aggregate-view change counters,
@@ -34,8 +31,8 @@ def _relation_entry() -> Dict[str, float]:
 
 
 class NodeMetrics:
-    """Per-node push counters.  Handed to the node's engine at
-    construction; the engine only ever does dict bumps on it."""
+    """Per-node push counters: handed to the node's engine at
+    construction, only ever dict-bumped (by its observer)."""
 
     __slots__ = ("node", "rule_firings", "rule_inferences", "commits",
                  "retractions", "queue_peak")

@@ -3,9 +3,8 @@
 A :class:`Profiler` accumulates wall-clock seconds spent inside each
 rule strand's firing loop (join probing, head instantiation, emission)
 keyed by ``(rule label, driving predicate)`` -- the strand identity of
-Figure 3.  The engine times a firing only when a profiler is attached
-(one ``None`` check per strand invocation), so the disabled path costs
-nothing.
+Figure 3.  The engine clocks a firing only when a profiler subscribed
+(its observer is ``timed``, :mod:`repro.obs.observer`).
 
 Compile-time companion: every optimizer pass records its elapsed time
 on its :class:`~repro.api.PassSnapshot`, surfaced by

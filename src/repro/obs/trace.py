@@ -9,10 +9,10 @@ result answers "where did this delta's latency go?" across a rule
 firing, a wire hop and a remote commit -- on the simulator (virtual
 timestamps) and on live inproc/UDP targets (wall timestamps) alike.
 
-Events are recorded through per-node :class:`NodeTracer` handles bound
-off one shared :class:`Tracer`, mirroring the provenance recorder: the
-engine holds ``None`` when tracing is off, so every hot site is a
-single ``None`` check.
+The spans are written by the observer seam
+(:mod:`repro.obs.observer`), whose handles append to one shared
+:class:`Tracer`'s log; an engine built without tracing carries
+``None`` as every row's trace id and records nothing.
 
 Export is Chrome trace-event JSON (``chrome://tracing`` /
 https://ui.perfetto.dev): one process per node, one instant event per
@@ -41,19 +41,11 @@ class TraceEvent(NamedTuple):
     dst: Optional[str]
 
 
-def _span(kind: str):
-    """A :class:`NodeTracer` method recording one ``kind`` span."""
-    def record(self, fact, weight: int, trace: int) -> None:
-        tracer = self.tracer
-        tracer.events.append(TraceEvent(
-            tracer.now(), trace, kind, self.node,
-            fact.pred, fact.args, weight, None, None,
-        ))
-    return record
-
-
 class NodeTracer:
-    """Per-node recording handle; every method is one list append."""
+    """One node's name on the shared :class:`Tracer`: what an engine is
+    handed as ``tracer=``.  :mod:`repro.obs.observer` unpacks it and
+    appends spans to the shared log directly; :meth:`mint` is the
+    single-row form of its ``inject`` event."""
 
     __slots__ = ("tracer", "node")
 
@@ -65,28 +57,12 @@ class NodeTracer:
         """Mint a fresh trace id for a base-fact injection and record
         the root ``inject`` span."""
         tracer = self.tracer
-        trace = tracer.mint()
+        (trace,) = tracer.mint_run(1)
         tracer.events.append(TraceEvent(
             tracer.now(), trace, "inject", self.node,
             fact.pred, fact.args, weight, None, None,
         ))
         return trace
-
-    derive = _span("derive")
-    #: A queued delta annihilated by Z-set folding before commit.
-    net = _span("net")
-    #: A re-insertion that only renewed a soft-state row's deadline:
-    #: the trace ends here, nothing is visible downstream.
-    renew = _span("renew")
-    commit = _span("commit")
-
-    def receive(self, fact, weight: int, trace: int,
-                origin: Optional[str]) -> None:
-        tracer = self.tracer
-        tracer.events.append(TraceEvent(
-            tracer.now(), trace, "receive", self.node,
-            fact.pred, fact.args, weight, origin, self.node,
-        ))
 
 
 class Tracer:
@@ -104,36 +80,15 @@ class Tracer:
         self.events: List[TraceEvent] = []
         self._next = 0
 
-    def mint(self) -> int:
-        self._next += 1
-        return self._next
+    def mint_run(self, count: int) -> range:
+        """``count`` fresh consecutive trace ids."""
+        first = self._next + 1
+        self._next += count
+        return range(first, first + count)
 
     def recorder(self, node: Optional[str] = None) -> NodeTracer:
         """A per-node handle stamping events with ``node``."""
         return NodeTracer(self, node)
-
-    def ship(self, delta, src: str, dst: str) -> None:
-        """A traced :class:`NetDelta` put on the wire (recorded per
-        transmission, so retransmits show as repeated ship spans)."""
-        self.events.append(TraceEvent(
-            self.now(), delta.trace, "ship", src,
-            delta.pred, delta.args, delta.weight, src, dst,
-        ))
-
-    def netted(self, delta, node: str) -> None:
-        """A buffered traced delta coalesced away before transmission."""
-        self.events.append(TraceEvent(
-            self.now(), delta.trace, "net", node,
-            delta.pred, delta.args, delta.weight, None, None,
-        ))
-
-    def fault(self, kind: str, src: Optional[str],
-              dst: Optional[str]) -> None:
-        """A chaos injection or watchdog link teardown, interleaved
-        with the delta spans it affected (satellite: faults in traces)."""
-        self.events.append(TraceEvent(
-            self.now(), None, kind, src, None, None, None, src, dst,
-        ))
 
     # -- analysis ------------------------------------------------------
     def span_graph(self) -> Dict[int, Tuple]:

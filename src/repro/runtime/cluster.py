@@ -18,9 +18,8 @@ re-applied; the artifact's pass pipeline wins over config flags).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.engine.facts import Fact
 from repro.errors import NetworkError, PlanError, SchemaError
 from repro.net.channel import Channel
 from repro.net.clock import Clock
@@ -28,6 +27,8 @@ from repro.net.link import LinkChannel
 from repro.net.message import Message
 from repro.net.sim import Simulator
 from repro.net.stats import ResultTracker, TrafficStats
+from repro.obs.observer import WireObserver, node_observer
+from repro.obs.profile import Profiler
 from repro.planner.localization import is_canonical
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.node import NodeRuntime
@@ -67,21 +68,17 @@ class Cluster:
         #: clock as ``cluster.sim``.
         self.sim = self.clock
         self.stats = TrafficStats()
-        self.trackers: List[ResultTracker] = []
-        #: Observability (:mod:`repro.obs`): the metrics registry and
-        #: the trace recorder, or ``None`` when the config leaves them
-        #: off.  Built before transport/chaos/nodes -- all three bind
-        #: them at construction time.
-        self.metrics = None
-        self.tracer = None
-        if self.config.metrics:
-            from repro.obs import MetricsRegistry
-
-            self.metrics = MetricsRegistry()
-        if self.config.trace:
-            from repro.obs import Tracer
-
-            self.tracer = Tracer(now=lambda: self.clock.now)
+        #: Commit listeners (:meth:`subscribe`): the one list every
+        #: node's observer delivers to.
+        self.trackers: List = []
+        #: Who watches the wire -- transport, chaos injector and link
+        #: watchdog raise their events on it -- and the registries it
+        #: feeds, which the nodes' observers bind too; ``None`` when off.
+        wire = self.observer = (
+            WireObserver(self.config, self.clock)
+            if self.config.metrics or self.config.trace else None)
+        self.metrics = None if wire is None else wire.metrics
+        self.tracer = None if wire is None else wire.tracer
         #: True while a watchdog teardown's repair window is open (the
         #: deferred fallback restores it queued are not yet drained).
         self._repair_pending = False
@@ -123,6 +120,7 @@ class Cluster:
             self.transport: Transport = ReliableTransport(self, self.config)
         else:
             self.transport = Transport(self, self.config)
+        self.transport.observer = wire
         self._channels: Dict[Tuple[str, str], Channel] = {}
         for (a, b), metrics in overlay.links.items():
             self._channels[(a, b)] = self._make_channel(a, b, metrics)
@@ -180,14 +178,40 @@ class Cluster:
         for src, dst, cost in self.overlay.link_rows(metric):
             self.nodes[src].insert(pred, (src, dst, cost))
 
+    def node(self, name: str) -> NodeRuntime:
+        """The runtime of node ``name``."""
+        runtime = self.nodes.get(name)
+        if runtime is None:
+            raise NetworkError(
+                f"unknown node {name!r}; this deployment has "
+                f"{len(self.nodes)} nodes"
+            )
+        return runtime
+
     def inject(self, node: str, pred: str, args: Tuple) -> None:
         """Insert a base tuple at ``node`` (e.g. a magic fact)."""
-        self.nodes[node].insert(pred, tuple(args))
+        self.node(node).insert(pred, tuple(args))
+
+    def subscribe(self, listener) -> Callable[[], None]:
+        """Deliver every visible table change anywhere in the cluster
+        to ``listener.on_commit(time, fact, weight)`` (``+k``
+        derivations became visible, ``-k`` left); returns the callable
+        that stops delivery.  An unwatched node gets its observer here."""
+        self.trackers.append(listener)
+        for node in self.nodes.values():
+            if node.observer is None:
+                node.observer = node_observer(node)
+
+        def unsubscribe() -> None:
+            if listener in self.trackers:
+                self.trackers.remove(listener)
+
+        return unsubscribe
 
     def watch(self, pred: str) -> ResultTracker:
         """Track completion times for ``pred`` (Figures 8/10 curves)."""
         tracker = ResultTracker(watch_pred=pred)
-        self.trackers.append(tracker)
+        self.subscribe(tracker)
         return tracker
 
     # ------------------------------------------------------------------
@@ -216,9 +240,7 @@ class Cluster:
     def _dispatch(self, message: Message) -> None:
         """Hand one in-order message to the destination node (the live
         cluster overrides this to enqueue onto the node task's inbox)."""
-        node = self.nodes.get(message.dst)
-        if node is None:
-            raise NetworkError(f"message to unknown node {message.dst}")
+        node = self.node(message.dst)
         for delta in message.deltas:
             node.receive(delta.pred, delta.args, delta.weight,
                          prov=delta.prov, origin=message.src,
@@ -240,8 +262,8 @@ class Cluster:
         if node is None:
             return
         self.stats.links_torn_down += 1
-        if self.tracer is not None:
-            self.tracer.fault("link_teardown", src, dst)
+        if self.observer is not None:
+            self.observer.fault("link_teardown", src, dst)
         self._begin_repair()
         for pred in self.link_loads:
             table = node.db.tables.get(pred)
@@ -263,10 +285,6 @@ class Cluster:
         if not key:
             return args
         return tuple(args[i] for i in key)
-
-    def observe_commit(self, node: str, fact: Fact, weight: int) -> None:
-        for tracker in self.trackers:
-            tracker.on_commit(self.clock.now, fact, weight)
 
     # ------------------------------------------------------------------
     # Execution
@@ -341,7 +359,7 @@ class Cluster:
     def rows(self, pred: str, node: Optional[str] = None) -> frozenset:
         """Union of ``pred`` rows across nodes (or one node's rows)."""
         if node is not None:
-            return frozenset(self.nodes[node].db.table(pred).rows())
+            return frozenset(self.node(node).db.table(pred).rows())
         out = set()
         for runtime in self.nodes.values():
             out.update(runtime.db.table(pred).rows())
@@ -405,27 +423,19 @@ class Cluster:
     # ------------------------------------------------------------------
     # Observability (:mod:`repro.obs`)
     # ------------------------------------------------------------------
-    def _require_metrics(self):
-        if self.metrics is None:
+    def _require(self, flag: str) -> None:
+        if not getattr(self.config, flag):
             raise PlanError(
-                "deployment was started without the metrics registry; "
-                "deploy(..., metrics=True) to collect it"
+                f"deployment was started without {flag}; "
+                f"deploy(..., {flag}=True) to collect it"
             )
-        return self.metrics
-
-    def _require_tracer(self):
-        if self.tracer is None:
-            raise PlanError(
-                "deployment was started without delta tracing; "
-                "deploy(..., trace=True) to record spans"
-            )
-        return self.tracer
 
     def metrics_snapshot(self):
         """Point-in-time :class:`~repro.obs.MetricsSnapshot`: pushed
         counters (rule firings, weighted commits, retransmits) merged
         with state pulled from the engines, tables and traffic stats."""
-        return self._require_metrics().snapshot(self)
+        self._require("metrics")
+        return self.metrics.snapshot(self)
 
     def metrics_text(self) -> str:
         """The snapshot in Prometheus text exposition format."""
@@ -450,19 +460,13 @@ class Cluster:
 
     def profile_report(self):
         """Merged per-(rule, strand) CPU profile across all nodes."""
-        if not self.config.profile:
-            raise PlanError(
-                "deployment was started without profiling; "
-                "deploy(..., profile=True) to accumulate strand timings"
-            )
-        from repro.obs import Profiler
-
+        self._require("profile")
         merged = Profiler()
         for node in self.nodes.values():
-            if node.profiler is not None:
-                merged.merge(node.profiler)
+            merged.merge(node.observer.profiler)
         return merged
 
     def save_trace(self, path: str) -> None:
         """Export the recorded spans as Chrome trace-event JSON."""
-        self._require_tracer().save(path)
+        self._require("trace")
+        self.tracer.save(path)

@@ -35,12 +35,12 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.api import Deployment
 from repro.errors import NetworkError
 from repro.net.channel import Channel
 from repro.net.clock import WallClock
 from repro.net.live import QueueChannel, UdpChannel, UdpFabric
 from repro.net.message import Message
-from repro.net.stats import ResultTracker
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import RuntimeConfig
 
@@ -122,27 +122,25 @@ class LiveCluster(Cluster):
             self.fabric.stats = self.stats
             for name in self.nodes:
                 await self.fabric.bind(name)
-        for name, node in self.nodes.items():
+        for name in self.nodes:
             inbox: asyncio.Queue = asyncio.Queue()
             self._inboxes[name] = inbox
             self._tasks.append(
-                loop.create_task(self._node_loop(name, node, inbox),
+                loop.create_task(self._node_loop(name, inbox),
                                  name=f"ndlog-node-{name}")
             )
         for pred, metric in self._deferred_link_loads.items():
             self.load_links(pred, metric)
 
-    async def _node_loop(self, name: str, node, inbox: asyncio.Queue) -> None:
-        """One node's ingestion task: messages in, deltas to the engine."""
+    async def _node_loop(self, name: str, inbox: asyncio.Queue) -> None:
+        """One node's ingestion task: messages in, deltas to the engine
+        (the simulated cluster's dispatch, one task hop later)."""
         while True:
             message = await inbox.get()
             if message is _SHUTDOWN:
                 return
             try:
-                for delta in message.deltas:
-                    node.receive(delta.pred, delta.args, delta.weight,
-                                 prov=delta.prov, origin=message.src,
-                                 trace=delta.trace)
+                super()._dispatch(message)
             except BaseException as exc:  # noqa: BLE001 -- surfaced at stop
                 self._task_failures.append((name, exc))
 
@@ -210,17 +208,21 @@ class LiveCluster(Cluster):
         return self.idle
 
 
-class LiveDeployment:
+class LiveDeployment(Deployment):
     """Deployment handle for the live target.
 
-    Mirrors the simulated :class:`~repro.api.Deployment` verbs where
-    they make sense on wall time, with the lifecycle verbs async:
-    :meth:`start`, :meth:`quiescent` (wait for convergence),
-    :meth:`stop`.  ``inject``/``update``/``delete``/``watch``/``at``
-    issued before :meth:`start` are buffered and replayed once the
-    network is up, so workload scripts read the same as their simulator
-    counterparts.  :meth:`converge` wraps the whole lifecycle for
-    synchronous callers.
+    Declares only what differs from :class:`~repro.api.Deployment` on
+    wall time.  The lifecycle is async -- :meth:`start`,
+    :meth:`quiescent` (wait for convergence), :meth:`stop`;
+    :meth:`converge` wraps all three for synchronous callers.  The
+    cluster exists from :meth:`start` on (the wall clock binds to a
+    running loop): before it ``.cluster`` and every inherited reader
+    raise ``NetworkError("... not started ...")``, while ``inject`` /
+    ``update`` / ``delete`` / ``at`` / ``watch`` / ``subscribe`` are
+    buffered and replayed once the network is up, so workload scripts
+    read the same as on the simulator.  :meth:`quiescent` and
+    :meth:`stop` override a property and a plain method with coroutines
+    -- a change of kind that existing callers on both targets pin.
     """
 
     def __init__(
@@ -235,43 +237,54 @@ class LiveDeployment:
         _check_backend(channels)
         self.compiled = compiled
         self.topology = topology
-        self.config = config
         self.link_loads = link_loads
         self.channels = channels
         self.host = host
-        self.cluster: Optional[LiveCluster] = None
+        self._config = config
+        self._cluster: Optional[LiveCluster] = None
         self._stopped = False
+        #: Workload verbs issued before start(), as (method, args).
         self._pending_ops: List[Tuple] = []
-        self._pending_trackers: List[ResultTracker] = []
+        self._pending_listeners: List = []
 
     # -- lifecycle ------------------------------------------------------
     @property
+    def cluster(self) -> LiveCluster:  # type: ignore[override]
+        if self._cluster is None:
+            raise NetworkError(
+                "live deployment not started (await deployment.start(), "
+                "or use deployment.converge())"
+            )
+        return self._cluster
+
+    @property
     def started(self) -> bool:
-        return self.cluster is not None
+        return self._cluster is not None
 
     async def start(self) -> "LiveDeployment":
         """Build the live cluster on the running loop, spawn the node
         tasks, and replay buffered workload calls."""
         self._check_not_stopped()
-        if self.cluster is not None:
+        if self._cluster is not None:
             return self
-        self.cluster = LiveCluster(
+        cluster = self._cluster = LiveCluster(
             self.topology,
             self.compiled,
-            self.config,
+            self._config,
             link_loads=self.link_loads,
             channels=self.channels,
             host=self.host,
         )
-        self.cluster.trackers.extend(self._pending_trackers)
-        self._pending_trackers = []
-        await self.cluster.start()
-        for op in self._pending_ops:
-            self._apply(op)
-        self._pending_ops = []
+        for listener in self._pending_listeners:
+            cluster.subscribe(listener)
+        await cluster.start()
+        for method, *args in self._pending_ops:
+            method(*args)
+        self._pending_listeners.clear()
+        self._pending_ops.clear()
         return self
 
-    async def quiescent(
+    async def quiescent(  # type: ignore[override]
         self,
         timeout: float = 30.0,
         poll: float = 0.02,
@@ -281,7 +294,7 @@ class LiveDeployment:
         consecutive idle samples ``poll`` seconds apart.  Returns True on
         quiescence, False if ``timeout`` elapses first."""
         self._check_not_stopped()
-        cluster = self._require_started()
+        cluster = self.cluster
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         streak = 0
@@ -302,14 +315,14 @@ class LiveDeployment:
                 return False
             await asyncio.sleep(poll)
 
-    async def stop(self) -> None:
+    async def stop(self) -> None:  # type: ignore[override]
         """Tear down node tasks and channel endpoints; raises if any
         node callback failed during the run.  The handle's tables stay
         readable (``rows``/``query_rows``), but workload verbs and the
         lifecycle are finished -- a new run needs a new deployment."""
-        if self.cluster is not None:
+        if self._cluster is not None:
             self._stopped = True
-            await self.cluster.stop()
+            await self._cluster.stop()
 
     def converge(self, timeout: float = 30.0) -> bool:
         """Synchronous one-shot: start, wait for quiescence, stop.
@@ -323,7 +336,7 @@ class LiveDeployment:
         await self.stop()
         return ok
 
-    # -- data plane -----------------------------------------------------
+    # -- buffered workload verbs ----------------------------------------
     def _check_not_stopped(self) -> None:
         # The wall clock and node tasks died with the loop that ran
         # them; scheduling against them would surface as an opaque
@@ -334,173 +347,44 @@ class LiveDeployment:
                 "but a new run needs a fresh deploy(target='live')"
             )
 
-    def _require_started(self) -> LiveCluster:
-        if self.cluster is None:
-            raise NetworkError(
-                "live deployment not started (await deployment.start(), "
-                "or use deployment.converge())"
-            )
-        return self.cluster
-
-    def _apply(self, op: Tuple) -> None:
-        verb = op[0]
-        cluster = self.cluster
-        if verb == "at":
-            _v, time, fn = op
-            cluster.clock.at(time, fn)
-            return
-        _v, node, pred, args = op
-        runtime = cluster.nodes.get(node)
-        if runtime is None:
-            raise NetworkError(
-                f"unknown node {node!r}; this deployment has "
-                f"{len(cluster.nodes)} nodes"
-            )
-        getattr(runtime, verb)(pred, tuple(args))
-
-    def _op(self, op: Tuple) -> None:
+    def _op(self, verb: str, node: str, pred: str, args: Tuple) -> None:
         self._check_not_stopped()
-        if self.cluster is None:
-            self._pending_ops.append(op)
+        if self._cluster is None:
+            self._pending_ops.append((self._op, verb, node, pred, args))
         else:
-            self._apply(op)
-
-    def inject(self, node: str, pred: str, args: Tuple) -> None:
-        """Insert a base tuple at ``node`` (buffered until started)."""
-        self._op(("insert", node, pred, tuple(args)))
-
-    def update(self, node: str, pred: str, args: Tuple) -> None:
-        self._op(("update", node, pred, tuple(args)))
-
-    def delete(self, node: str, pred: str, args: Tuple) -> None:
-        self._op(("delete", node, pred, tuple(args)))
+            super()._op(verb, node, pred, args)
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at wall time ``time`` (seconds from start)."""
-        self._op(("at", time, fn))
-
-    # -- observation ----------------------------------------------------
-    def watch(self, pred: str) -> ResultTracker:
-        """Track completion times for ``pred`` (buffered until started)."""
-        tracker = ResultTracker(watch_pred=pred)
-        if self.cluster is None:
-            self._pending_trackers.append(tracker)
+        self._check_not_stopped()
+        if self._cluster is None:
+            self._pending_ops.append((self.at, time, fn))
         else:
-            self.cluster.trackers.append(tracker)
-        return tracker
+            super().at(time, fn)
 
-    def subscribe(self, pred: Optional[str], callback: Callable):
-        from repro.api import _Subscription
-
-        subscription = _Subscription(pred, callback)
-        if self.cluster is None:
-            self._pending_trackers.append(subscription)
-        else:
-            self.cluster.trackers.append(subscription)
+    def _listen(self, listener) -> Callable[[], None]:
+        if self._cluster is not None:
+            return super()._listen(listener)
+        self._pending_listeners.append(listener)
 
         def unsubscribe() -> None:
-            pools = [self._pending_trackers]
-            if self.cluster is not None:
-                pools.append(self.cluster.trackers)
-            for pool in pools:
-                if subscription in pool:
-                    pool.remove(subscription)
+            pool = (self._pending_listeners if self._cluster is None
+                    else self._cluster.trackers)
+            if listener in pool:
+                pool.remove(listener)
 
         return unsubscribe
 
-    def rows(self, pred: str, node: Optional[str] = None) -> frozenset:
-        cluster = self._require_started()
-        if node is not None:
-            runtime = cluster.nodes.get(node)
-            if runtime is None:
-                raise NetworkError(
-                    f"unknown node {node!r}; this deployment has "
-                    f"{len(cluster.nodes)} nodes"
-                )
-            return frozenset(runtime.db.table(pred).rows())
-        return cluster.rows(pred)
-
-    def query_rows(self) -> frozenset:
-        return self._require_started().query_rows()
-
-    # -- provenance -----------------------------------------------------
+    # -- surfaces readable before start ---------------------------------
     @property
-    def provenance(self):
-        """The shared provenance store (``None`` before start or when
-        capture is off)."""
-        return self.cluster.provenance if self.cluster is not None else None
+    def config(self) -> RuntimeConfig:
+        if self._cluster is not None:
+            return self._cluster.config
+        return self._config or RuntimeConfig()
 
-    def why(self, pred: str, args: Tuple, max_depth: int = 128):
-        """Derivation tree for ``pred(args)`` on the live network (see
-        :meth:`repro.api.Deployment.why`).  Readable after ``stop()``."""
-        return self._require_started().why(pred, args, max_depth=max_depth)
-
-    def why_not(self, pred: str, args: Tuple, depth: int = 2):
-        """Failed-body analysis for the absent ``pred(args)`` (see
-        :meth:`repro.api.Deployment.why_not`)."""
-        return self._require_started().why_not(pred, args, depth=depth)
-
-    def audit(self, strict: Optional[bool] = None,
-              exclude_nodes=()):
-        """Count/graph cross-check at quiescence (see
-        :func:`repro.provenance.audit_cluster`)."""
-        return self._require_started().audit(strict=strict,
-                                             exclude_nodes=exclude_nodes)
-
-    # -- observability --------------------------------------------------
-    @property
-    def tracer(self):
-        """The shared delta tracer (``None`` before start or when
-        tracing is off)."""
-        return self.cluster.tracer if self.cluster is not None else None
-
-    def metrics(self):
-        """Point-in-time metrics snapshot (see
-        :meth:`repro.api.Deployment.metrics`).  Readable after
-        ``stop()``."""
-        return self._require_started().metrics_snapshot()
-
-    def metrics_text(self) -> str:
-        """The snapshot in Prometheus text exposition format."""
-        return self._require_started().metrics_text()
-
-    def refresh_stats(self) -> None:
-        """Feed live sizes/churn into each node's StatsCatalog."""
-        self._require_started().refresh_stats()
-
-    def profile(self):
-        """Merged per-(rule, strand) CPU profile across nodes."""
-        return self._require_started().profile_report()
-
-    def save_trace(self, path: str) -> None:
-        """Export recorded spans as Chrome trace-event JSON."""
-        self._require_started().save_trace(path)
-
-    # -- surfaces -------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.cluster.clock.now if self.cluster is not None else 0.0
-
-    @property
-    def nodes(self):
-        return self._require_started().nodes
-
-    @property
-    def stats(self):
-        return self._require_started().stats
-
-    @property
-    def overlay(self):
-        return self.topology
-
-    @property
-    def program(self):
-        return self.compiled.program
-
-    def explain(self, join_plans: bool = True, timings: bool = False,
-                kernels: bool = False) -> str:
-        return self.compiled.explain(join_plans=join_plans, timings=timings,
-                                     kernels=kernels)
+        return self._cluster.clock.now if self._cluster is not None else 0.0
 
     def __repr__(self) -> str:
         state = "running" if self.started else "not started"

@@ -18,6 +18,7 @@ per batch instead of once per delta.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional, Tuple
 
 from repro.engine.database import Database
@@ -25,6 +26,7 @@ from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine, QueueRow
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import REGISTRY
+from repro.obs.observer import node_observer
 
 _SUBPATH = REGISTRY["f_subpath"]
 _CONCAT = REGISTRY["f_concatPath"]
@@ -44,34 +46,20 @@ class NodeRuntime(PSNEngine):
         #: drifted view of it when a chaos schedule skews this node.
         #: (``self.clock`` is taken: PSN's logical timestamp counter.)
         self.net_clock = cluster.clock_for(address)
-        store = getattr(cluster, "provenance", None)
+        store = cluster.provenance
         recorder = None
         if store is not None:
             recorder = store.recorder(
                 node=address, clock=lambda: cluster.clock.now
             )
-        # Observability handles follow the provenance recorder's shape:
-        # per-node views bound off the cluster-wide registries, or
-        # ``None`` so every hot-path site is one attribute check.
-        registry = getattr(cluster, "metrics", None)
-        metrics = registry.node(address) if registry is not None else None
-        shared_tracer = getattr(cluster, "tracer", None)
-        tracer = (
-            shared_tracer.recorder(address)
-            if shared_tracer is not None else None
-        )
-        profiler = None
-        if cluster.config.profile:
-            from repro.obs import Profiler
-
-            profiler = Profiler()
         super().__init__(program, db=Database.for_program(program),
                          batch_size=cluster.config.cpu_batch,
-                         provenance=recorder, metrics=metrics,
-                         tracer=tracer, profiler=profiler)
+                         provenance=recorder)
+        #: ``None`` until something watches this node: an observability
+        #: flag, a cache policy, or the first ``Cluster.subscribe``.
+        self.observer = node_observer(self)
         self._tick_scheduled = False
         self.deltas_processed = 0
-        self.on_commit = self._commit_hook
         #: Net arrivals per neighbor: peer -> fact -> (inserts - deletes).
         #: Maintained only under the reliable transport, where the
         #: convergence watchdog may need to invalidate everything a dead
@@ -130,11 +118,9 @@ class NodeRuntime(PSNEngine):
                     self._tick,
                 )
                 return
-        metrics = self.metrics
-        if metrics is not None:
-            depth = len(self.queue)
-            if depth > metrics.queue_peak:
-                metrics.queue_peak = depth
+        observer = self.observer
+        if observer is not None and observer.metered:
+            observer.tick(len(self.queue))
         # A tick that only served out the CPU time booked for the last
         # chunk finds the queue empty.
         processed = self.process_chunk(self.batch_size) if self.queue else 0
@@ -173,8 +159,8 @@ class NodeRuntime(PSNEngine):
         ledger when the watchdog may later need to invalidate that
         neighbor's contributions."""
         args = tuple(args)
-        fact = Fact(pred, args)
         if origin is not None and self.cluster.config.reliable:
+            fact = Fact(pred, args)
             ledger = self.peer_ledger.setdefault(origin, {})
             count = ledger.get(fact, 0) + weight
             if count:
@@ -182,12 +168,14 @@ class NodeRuntime(PSNEngine):
             else:
                 ledger.pop(fact, None)
         if prov is not None and self.provenance is not None and weight > 0:
-            self.provenance.arrival(fact, prov)
-        if trace is not None and weight and self.tracer is not None:
+            self.provenance.arrival(Fact(pred, args), prov)
+        observer = self.observer
+        if (trace is not None and weight and observer is not None
+                and observer.traced):
             # Continue the sender's trace: record the arrival span and
             # enqueue with the id attached so downstream derivations and
             # the local commit stay causally linked.
-            self.tracer.receive(fact, weight, trace, origin)
+            observer.receive(pred, args, weight, trace, origin)
             self._enqueue((pred, args, weight, False, False, trace))
         else:
             self._derive(pred, args, weight)
@@ -204,15 +192,16 @@ class NodeRuntime(PSNEngine):
             if count > 0:
                 self.derive(fact, -count)
 
-    def _emit(self, pred: str, heads, sign: int) -> None:
+    def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
         """Split one firing's heads by location specifier: local heads
         join this node's queue, the rest ship along the link."""
         address = self.address
-        local = []
-        for head in heads:
+        local, local_traces = [], []
+        for head, trace in zip(heads, traces or repeat(None)):
             destination = head[0]
             if destination == address:
                 local.append(head)
+                local_traces.append(trace)
             elif not self._local_only:
                 # (During a fallback restore the restored row is an old
                 # advertisement -- downstream already saw, and moved
@@ -225,37 +214,25 @@ class NodeRuntime(PSNEngine):
                         Fact(pred, head)
                     )
                 self.cluster.ship(address, destination, pred, head, sign,
-                                  prov=prov, trace=self._active_trace)
+                                  prov=prov, trace=trace)
         if local:
-            super()._emit(pred, local, sign)
+            super()._emit(pred, local, sign, traces and local_traces)
             self._schedule_tick()
 
     # ------------------------------------------------------------------
     # Query-result caching hooks (Section 5.2)
     # ------------------------------------------------------------------
-    def _commit_hook(self, fact: Fact, weight: int) -> None:
-        """Weighted visibility transition: ``+w`` derivations became
-        visible (a soft-state renewal is not one), or ``-w`` left it --
-        a ``+k`` burst counts ``k``, not 1 (``PSNEngine.on_commit``)."""
-        cluster = self.cluster
-        policy = cluster.config.cache
-        if (policy is not None and weight > 0
-                and fact.pred == policy.answer_pred):
-            self._cache_answer(policy, fact.args)
-        metrics = self.metrics
-        if metrics is not None:
-            counters = metrics.commits if weight > 0 else metrics.retractions
-            counters[fact.pred] = counters.get(fact.pred, 0) + abs(weight)
-        if self.tracer is not None and self._active_trace is not None:
-            self.tracer.commit(fact, weight, self._active_trace)
-        cluster.observe_commit(self.address, fact, weight)
-
-    def _cache_answer(self, policy, args: Tuple) -> None:
-        """Install a cache entry from an answer travelling the reverse
-        path: the suffix of the answer path from this node to the
-        destination is itself an optimal path ("since the subpaths of
-        shortest paths are optimal, these can also be cached")."""
-        path = args[policy.answer_path_position]
+    def cache_answer(self, fact: Fact, weight: int) -> None:
+        """Commit subscriber under a cache policy (composed in
+        :func:`~repro.obs.observer.node_observer`): install a cache
+        entry from an answer travelling the reverse path -- the suffix
+        of the answer path from this node to the destination is itself
+        an optimal path ("since the subpaths of shortest paths are
+        optimal, these can also be cached")."""
+        policy = self.cluster.config.cache
+        if weight <= 0 or fact.pred != policy.answer_pred:
+            return
+        path = fact.args[policy.answer_path_position]
         if not isinstance(path, tuple) or self.address not in path:
             return
         suffix = _SUBPATH(path, self.address)

@@ -48,10 +48,9 @@ class Transport:
     def __init__(self, cluster, config: RuntimeConfig):
         self.cluster = cluster
         self.config = config
-        #: Observability handles bound once (``None`` when off, or when
-        #: the cluster is a test stub without the registries).
-        self.tracer = getattr(cluster, "tracer", None)
-        self.metrics = getattr(cluster, "metrics", None)
+        #: Who watches the wire (:class:`~repro.obs.observer.WireObserver`,
+        #: handed over by the cluster that composed one), or ``None``.
+        self.observer = None
         #: (src, dst) -> list of queued NetDelta
         self._buffers: Dict[Tuple[str, str], List[NetDelta]] = {}
         self._flush_scheduled: Dict[Tuple[str, str], bool] = {}
@@ -100,16 +99,17 @@ class Transport:
         before = len(deltas)
         deltas = list(coalesce(deltas))
         self.cluster.stats.netdeltas_coalesced += before - len(deltas)
-        tracer = self.tracer
-        if tracer is not None and len(deltas) != before:
+        observer = self.observer
+        if (observer is not None and observer.traced
+                and len(deltas) != before):
             # Traced deltas whose (pred, args) slot vanished in the
             # window were annihilated before transmission: end their
             # propagation with a net span at the sender.
             surviving = {(d.pred, d.args) for d in deltas}
-            for delta in buffered:
-                if (delta.trace is not None
-                        and (delta.pred, delta.args) not in surviving):
-                    tracer.netted(delta, src)
+            observer.netted(
+                [delta for delta in buffered
+                 if delta.trace is not None
+                 and (delta.pred, delta.args) not in surviving], src)
         if self.config.buffer_interval:
             deltas = self._net_change(key, deltas)
         if not deltas:
@@ -205,13 +205,9 @@ class Transport:
         stats = self.cluster.stats
         stats.netdeltas_shipped += len(message.deltas)
         stats.record(self.cluster.clock.now, message.src, message.size)
-        tracer = self.tracer
-        if tracer is not None:
-            for delta in message.deltas:
-                if delta.trace is not None:
-                    # Per actual transmission, so retransmits show as
-                    # repeated ship spans on the trace.
-                    tracer.ship(delta, message.src, message.dst)
+        observer = self.observer
+        if observer is not None and observer.traced:
+            observer.ship(message)
         channel.transmit(
             self.cluster.clock, message, self.cluster.deliver,
             rng=self.cluster.loss_rng,
@@ -315,11 +311,8 @@ class ReliableTransport(Transport):
             return
         flow.backoff(self.config.rto_backoff, self.config.rto_max)
         self.cluster.stats.retransmits += 1
-        registry = self.metrics
-        if registry is not None:
-            links = registry.link_retransmits
-            key = (flow.src, flow.dst)
-            links[key] = links.get(key, 0) + 1
+        if self.observer is not None:
+            self.observer.retransmit(flow.src, flow.dst)
         self._send(channel, message)
         self._arm_retransmit(flow)
 

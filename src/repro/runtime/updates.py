@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.runtime.cluster import Cluster
 
@@ -91,27 +91,6 @@ class LinkUpdateDriver:
         """Schedule bursts at the given virtual times."""
         for time in times:
             self.cluster.clock.at(time, self.apply_burst)
-
-    def schedule_periodic(
-        self, interval: float, count: int, start: Optional[float] = None
-    ) -> None:
-        start = interval if start is None else start
-        self.schedule_bursts([start + i * interval for i in range(count)])
-
-    def schedule_interleaved(
-        self,
-        intervals: Sequence[float],
-        count: int,
-        start: float,
-    ) -> None:
-        """Alternate between the given intervals (Figure 14 interleaves
-        2 s and 8 s)."""
-        time = start
-        times = []
-        for index in range(count):
-            times.append(time)
-            time += intervals[index % len(intervals)]
-        self.schedule_bursts(times)
 
     def current_link_rows(self) -> List[Tuple[str, str, float]]:
         rows = []

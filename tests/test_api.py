@@ -477,6 +477,62 @@ class TestDeployment:
         with pytest.raises(NetworkError, match="unknown node"):
             deployment.rows("link", node="nope")
 
+    @pytest.mark.parametrize("target", ["sim", "live"])
+    def test_config_is_the_effective_runtime_config(self, target):
+        """Both handles answer ``.config`` with the RuntimeConfig in
+        force, never the (possibly ``None``) constructor argument."""
+        from repro.runtime import RuntimeConfig
+
+        compiled = api.compile(programs.shortest_path_safe())
+        plain = compiled.deploy(topology=figure2_overlay(), target=target)
+        assert plain.config == RuntimeConfig()
+        flagged = compiled.deploy(topology=figure2_overlay(), target=target,
+                                  metrics=True)
+        assert flagged.config == RuntimeConfig(metrics=True)
+        if target == "live":
+            assert flagged.converge(timeout=30.0)
+            assert flagged.config is flagged.cluster.config
+            assert flagged.config.metrics
+
+    @pytest.mark.parametrize("target", ["sim", "live"])
+    def test_cluster_names_an_unknown_node_like_the_handle(self, target):
+        """``Cluster.inject`` / ``Cluster.rows`` raise the handle's
+        NetworkError, not a bare KeyError, on either target."""
+        import asyncio
+
+        from repro.errors import NetworkError
+
+        compiled = api.compile(programs.shortest_path_safe())
+        deployment = compiled.deploy(topology=figure2_overlay(),
+                                     target=target)
+        message = "unknown node 'nope'; this deployment has 5 nodes"
+
+        def check():
+            cluster = deployment.cluster
+            with pytest.raises(NetworkError, match=message):
+                cluster.inject("nope", "link", ("nope", "x", 1.0))
+            with pytest.raises(NetworkError, match=message):
+                cluster.rows("link", node="nope")
+            with pytest.raises(NetworkError, match=message):
+                cluster.node("nope")
+            with pytest.raises(NetworkError, match=message):
+                deployment.rows("link", node="nope")
+            assert cluster.node("a") is deployment.nodes["a"]
+
+        async def live():
+            await deployment.start()
+            try:
+                check()
+                with pytest.raises(NetworkError, match=message):
+                    deployment.inject("nope", "link", ("nope", "x", 1.0))
+            finally:
+                await deployment.stop()
+
+        if target == "live":
+            asyncio.run(live())
+        else:
+            check()
+
     def test_inject_and_delete_roundtrip(self):
         compiled = api.compile(programs.shortest_path_safe())
         deployment = compiled.deploy(topology=figure2_overlay())

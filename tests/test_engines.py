@@ -378,10 +378,14 @@ def _count_facts(monkeypatch):
 @pytest.mark.parametrize("batch_size", [1, 64])
 def test_no_fact_is_built_unless_an_observer_consumes_it(
         monkeypatch, batch_size):
-    """With ``on_commit``, provenance and tracing all off, rows travel
-    kernel -> queue -> table as plain tuples: a run over insertions,
-    a key replacement, netted flaps, aggregate views and a forced
-    deletion constructs no ``Fact``; with an observer on it does."""
+    """Without a commit listener or provenance, rows travel kernel ->
+    queue -> table as plain tuples: a run over insertions, a key
+    replacement, netted flaps, aggregate views and a forced deletion
+    constructs no ``Fact`` -- also when it is traced, metered and
+    profiled, whose subscribers take the bare row; with ``on_commit``
+    on, one per commit."""
+    from repro.obs import NodeMetrics, Profiler, Tracer
+
     double = _count_facts(monkeypatch)
 
     seen = []
@@ -404,6 +408,14 @@ def test_no_fact_is_built_unless_an_observer_consumes_it(
 
     quiet = burst()
     assert double.made == 0
+    metrics, tracer = NodeMetrics("c"), Tracer(lambda: 0.0)
+    traced = burst(metrics=metrics, tracer=tracer.recorder("c"),
+                   profiler=Profiler())
+    assert double.made == 0
+    assert sum(metrics.commits.values()) > 0 < sum(
+        metrics.retractions.values())
+    assert {"inject", "derive", "commit"} <= {e.kind for e in tracer.events}
+    assert traced.db.snapshot() == quiet.db.snapshot()
     observed = burst(on_commit=lambda fact, weight: seen.append(fact))
     assert double.made == len(seen) > 0
     assert all(type(fact) is double for fact in seen)

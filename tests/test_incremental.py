@@ -20,11 +20,11 @@ from repro.ndlog.programs import (
 CHECK_PREDS = ("path", "spCost", "shortestPath")
 
 
-def fresh_fixpoint(program_builder, link_rows):
+def fresh_fixpoint(program_builder, link_rows, on_commit=None):
     program = program_builder()
     db = Database.for_program(program)
     db.load_facts("link", link_rows)
-    engine = PSNEngine(program, db=db)
+    engine = PSNEngine(program, db=db, on_commit=on_commit)
     engine.fixpoint()
     return engine
 
@@ -82,9 +82,11 @@ class TestBaseTableChanges:
         assert ("a", "b", ("a", "b"), 1) in sp
 
     def test_update_is_delete_plus_insert(self):
-        engine = fresh_fixpoint(shortest_path_safe, [("a", "b", 5), ("b", "a", 5)])
         commits = []
-        engine.on_commit = lambda fact, sign: commits.append((sign, fact))
+        engine = fresh_fixpoint(
+            shortest_path_safe, [("a", "b", 5), ("b", "a", 5)],
+            on_commit=lambda fact, sign: commits.append((sign, fact)))
+        commits.clear()  # observe the update only, not the fixpoint
         engine.update("link", ("a", "b", 2))
         engine.run()
         link_commits = [(s, f) for s, f in commits if f.pred == "link"]

@@ -382,7 +382,9 @@ class TestTracing:
         assert {span for span in spans() if span[1] != "inject"} == {
             (2, "net", "kv", ("a", 1), 1),
             (3, "net", "kv", ("b", 2), 1),
+            (1, "commit", "kv", ("a", 1), 2),
             (1, "derive", "out", ("a", 1), 1),
+            (1, "commit", "out", ("a", 1), 1),
         }
 
     @pytest.mark.parametrize("batch_size", [1, 8])
@@ -403,6 +405,215 @@ class TestTracing:
             (3, "derive", "out", ("k", 1), -1),
             (3, "derive", "out", ("k", 2), 1),
         }
+
+
+# ----------------------------------------------------------------------
+# The observer seam itself (repro.obs.observer)
+# ----------------------------------------------------------------------
+class RecordingObserver:
+    """Stands in for an engine's observer: every event, flattened to
+    one entry per row so runs of different lengths compare equal."""
+
+    traced = timed = metered = True
+
+    def __init__(self):
+        self.events = []
+        self.inferred = {}
+        self.minted = 0
+
+    def inject(self, pred, rows, weight):
+        traces = range(self.minted + 1, self.minted + 1 + len(rows))
+        self.minted += len(rows)
+        self.events += [("inject", pred, args, weight, trace)
+                        for args, trace in zip(rows, traces)]
+        return traces
+
+    def derive(self, pred, heads, sign, traces):
+        assert len(heads) == len(traces)
+        self.events += [("derive", pred, head, sign, trace)
+                        for head, trace in zip(heads, traces)]
+
+    def renew(self, pred, rows):
+        self.events += [("renew", pred, row[1], row[2], row[5])
+                        for row in rows]
+
+    def span(self, kind, pred, args, weight, trace):
+        assert kind in ("net", "derive")
+        self.events.append((kind, pred, args, weight, trace))
+
+    def commit(self, pred, args, weight, trace):
+        self.events.append(("commit", pred, args, weight, trace))
+
+    def fire(self, rule, driver, inferences, seconds):
+        assert seconds >= 0.0
+        key = (rule, driver)
+        self.inferred[key] = self.inferred.get(key, 0) + inferences
+
+    def commit_signs(self):
+        signs = {}
+        for kind, pred, args, weight, _trace in self.events:
+            if kind == "commit":
+                signs.setdefault((pred, args), []).append(
+                    1 if weight > 0 else -1)
+        return signs
+
+
+class TestObserverSeam:
+    #: Three rules, every derived fact with exactly one derivation, and
+    #: a soft ``edge`` table so a re-insertion is a renewal.
+    THREE_RULES = """
+    materialize(edge, 10, infinity, keys(1, 2)).
+    materialize(hop, infinity, infinity, keys(1, 2)).
+    materialize(back, infinity, infinity, keys(1, 2)).
+    materialize(two, infinity, infinity, keys(1, 2, 3)).
+    S1: hop(X, Y) :- edge(X, Y).
+    S2: back(Y, X) :- edge(X, Y).
+    S3: two(X, Y, Z) :- hop(X, Y), edge(Y, Z).
+    """
+    EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a"),
+             ("a", "c"), ("c", "e"), ("b", "d"), ("d", "a")]
+
+    def observed_run(self, batch_size):
+        engine = PSNEngine(parse(self.THREE_RULES), batch_size=batch_size)
+        assert engine.observer is None
+        fake = engine.observer = RecordingObserver()
+        engine.inject_run("edge", self.EDGES)
+        engine.run()
+        engine.inject_run("edge", self.EDGES[:3])       # renewals
+        engine.run()
+        engine.delete("edge", ("a", "b"))
+        engine.delete("edge", ("d", "e"))
+        engine.run()
+        assert engine.db.table("edge").renewals == 3
+        return fake
+
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_every_batch_size_raises_the_same_events(self, batch_size):
+        reference = self.observed_run(1)
+        got = self.observed_run(batch_size)
+        assert sorted(got.events) == sorted(reference.events)
+        assert got.commit_signs() == reference.commit_signs()
+        assert got.inferred == reference.inferred
+        kinds = {event[0] for event in reference.events}
+        assert kinds == {"inject", "derive", "renew", "commit"}
+        assert set(reference.inferred) == {
+            ("S1", "edge"), ("S2", "edge"), ("S3", "hop"), ("S3", "edge")}
+
+    def test_each_head_of_a_run_carries_its_own_drivers_trace(self):
+        """One firing over several driving rows: the kernel fills one
+        ``out``, and every head still leaves under the trace of the row
+        that derived it -- on the queue and on the wire."""
+        tracer = Tracer(lambda: 0.0)
+        engine = PSNEngine(parse(TestTracing.KV), batch_size=8,
+                           tracer=tracer.recorder("c"))
+        rows = [("a", 1), ("b", 2), ("c", 3)]
+        engine.inject_run("kv", rows)
+        engine.run()
+        assert engine.steps == 6  # two chunks: the run, then its heads
+        derived = {(e.trace, e.args) for e in tracer.events
+                   if e.kind == "derive"}
+        assert derived == {(tracer.trace_of("kv", row), row) for row in rows}
+
+        names = ["n0", "n1", "n2", "n3"]
+        star = Overlay(
+            nodes=names, host={name: "h" for name in names},
+            links={("n0", name): {"latency": 10.0, "hopcount": 1.0}
+                   for name in names[1:]})
+        deployment = repro.compile(DIRECTED_REACH, name="dreach").deploy(
+            topology=star, link_loads={}, trace=True,
+            config=RuntimeConfig(cpu_batch=16))
+        for name in names[1:]:
+            deployment.inject("n0", "link", ("n0", name, 1.0))
+        deployment.advance()
+        assert len(deployment.rows("reach")) == 12
+        trace_of = {name: deployment.tracer.trace_of(
+            "link", ("n0", name, 1.0)) for name in names[1:]}
+        assert len(set(trace_of.values())) == 3
+        reach = [e for e in deployment.tracer.events if e.pred == "reach"]
+        assert {e.kind for e in reach} == {
+            "derive", "ship", "receive", "commit"}
+        # reach(@S, @D) descends from link(n0, D) alone.
+        assert all(e.trace == trace_of[e.args[1]] for e in reach)
+
+    def test_unwatched_nodes_hold_none_until_the_first_listener(self):
+        from repro.runtime import SoftStateManager
+
+        def nodes_of(deployment):
+            return deployment.nodes.values()
+
+        watched = deploy_line()
+        assert all(node.observer is None for node in nodes_of(watched))
+        watched.watch("reach")
+        assert all(node.observer is not None for node in nodes_of(watched))
+
+        subscribed = deploy_line()
+        seen = []
+        unsubscribe = subscribed.subscribe(
+            None, lambda now, fact, weight: seen.append(fact.pred))
+        assert all(node.observer is not None
+                   for node in nodes_of(subscribed))
+        subscribed.advance()
+        assert sorted(set(seen)) == ["link", "reach"]
+        delivered, before = len(seen), subscribed.rows("reach")
+        unsubscribe()
+        subscribed.inject("n3", "link", ("n3", "n0", 1.0))
+        subscribed.advance()
+        assert subscribed.rows("reach") > before  # commits went unheard
+        assert len(seen) == delivered
+
+        swept = deploy_line()
+        manager = SoftStateManager(swept.cluster)
+        assert all(node.observer is None for node in nodes_of(swept))
+        manager.install()
+        assert swept.cluster.trackers == [manager]
+        assert all(node.observer is not None for node in nodes_of(swept))
+
+        # Deployed with a flag, every node is watched from the start
+        # and hears a later listener through the same handle.
+        metered = deploy_line(metrics=True)
+        handles = [node.observer for node in nodes_of(metered)]
+        assert all(handle is not None for handle in handles)
+        tracker = metered.watch("reach")
+        assert [node.observer for node in nodes_of(metered)] == handles
+        metered.advance()
+        assert tracker.committed_weight == 9
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 64])
+    def test_centralised_engine_counts_and_traces_its_commits(
+            self, batch_size):
+        """One ``commit`` event feeds the counters, the tracer and
+        ``on_commit`` alike, also without a cluster around the engine."""
+        from repro.obs import NodeMetrics
+
+        program = programs.shortest_path_safe()
+        metrics, tracer = NodeMetrics("c"), Tracer(lambda: 0.0)
+        tally = {}
+
+        def on_commit(fact, weight):
+            key = (fact.pred, weight > 0)
+            tally[key] = tally.get(key, 0) + abs(weight)
+
+        engine = PSNEngine(program, batch_size=batch_size,
+                           on_commit=on_commit, metrics=metrics,
+                           tracer=tracer.recorder("c"))
+        links = [("a", "b", 1), ("b", "a", 1), ("b", "c", 2), ("c", "b", 2),
+                 ("a", "c", 5), ("c", "a", 5)]
+        engine.inject_run("link", links)
+        engine.run()
+        engine.delete("link", ("b", "c", 2))
+        engine.update("link", ("a", "c", 1))
+        engine.run()
+        assert metrics.commits == {
+            pred: n for (pred, plus), n in tally.items() if plus}
+        assert metrics.retractions == {
+            pred: n for (pred, plus), n in tally.items() if not plus}
+        assert metrics.retractions["link"] == 2
+        spans = {}
+        for event in tracer.events:
+            if event.kind == "commit":
+                key = (event.pred, event.weight > 0)
+                spans[key] = spans.get(key, 0) + abs(event.weight)
+        assert spans == tally
 
 
 # ----------------------------------------------------------------------

@@ -387,7 +387,7 @@ class TestManager:
                 key = (fact.pred, fact.args)
                 signs.setdefault(key, []).append(1 if weight > 0 else -1)
 
-        cluster.trackers.append(Listener())
+        cluster.subscribe(Listener())
         manager = SoftStateManager(cluster, SWEEP)
         manager.install()
         manager.schedule_refresh("beacon", rows_by_node, interval=0.5,

@@ -28,7 +28,14 @@ from repro.topology import build_overlay, transit_stub
 
 N_NODES = 24
 #: CI gate: provenance-on may cost at most this factor over capture-off.
-MAX_OVERHEAD = 2.0
+#: Capture itself costs what it cost -- 0.053 s -> 0.050 s added on
+#: shortest-path -- but the base shrank under it when the arg-extreme
+#: views stopped building a tie-break key per member (capture-off
+#: 0.078 s -> 0.046 s, capture-on 0.131 s -> 0.096 s), so the ratio
+#: reads 2.03-2.22x over four rounds and 2.12-2.42x over the two rounds
+#: of ``--fast`` (what CI runs).  2.5x of the new base allows 0.069 s
+#: added, less than the 0.078 s that 2.0x allowed on the old one.
+MAX_OVERHEAD = 2.5
 
 
 def overlay_links(seed=3, n_nodes=N_NODES):

@@ -64,6 +64,29 @@ class _Rev:
         return other.key == self.key
 
 
+class _TieBreak:
+    """A heap member ordered by :func:`order_key` of its tuple, with the
+    key built only when it is needed.  The tie-break is read only when
+    two members tie on the value, and then the raw tuple comparison
+    settles it whenever it does not raise: both orders are
+    lexicographic and decide on the first differing element, which is
+    then same-typed (numbers pool the same way), so they agree."""
+
+    __slots__ = ("args",)
+
+    def __init__(self, args: Tuple):
+        self.args = args
+
+    def __lt__(self, other) -> bool:
+        try:
+            return self.args < other.args
+        except TypeError:
+            return order_key(self.args) < order_key(other.args)
+
+    def __eq__(self, other) -> bool:
+        return self.args == other.args
+
+
 def order_key(value):
     """A total-order key over the ground values NDlog tuples carry.
 
@@ -297,7 +320,7 @@ class ArgExtremeView:
         self.members: Dict[Tuple, Dict[Tuple, int]] = {}
         #: group -> current witness tuple
         self.winners: Dict[Tuple, Tuple] = {}
-        #: group -> lazy-deletion heap of (value key, tie-break key, tuple)
+        #: group -> lazy-deletion heap of (value key, tie-breaking member)
         self._heaps: Dict[Tuple, List] = {}
         #: Cumulative witness transitions emitted (pre-netting); see
         #: :class:`AggregateView.changes`.
@@ -310,7 +333,7 @@ class ArgExtremeView:
         value_key = order_key(args[self.value_position])
         if self.func == "max":
             value_key = _Rev(value_key)
-        return (value_key, order_key(args), args)
+        return (value_key, _TieBreak(args))
 
     def apply(self, args: Tuple, weight: int) -> List[Tuple[int, Tuple]]:
         group = self._group_of(args)
@@ -364,9 +387,9 @@ class ArgExtremeView:
             self.changes += 1
             return [(-1, args)]
         heap = self._heaps[group]
-        while heap[0][2] not in members:
+        while heap[0][1].args not in members:
             heapq.heappop(heap)
-        best = heap[0][2]
+        best = heap[0][1].args
         if len(heap) > 2 * len(members) + _COMPACT_SLACK:
             rebuilt = [self._entry(member) for member in members]
             heapq.heapify(rebuilt)

@@ -41,12 +41,16 @@ from repro.net.message import Message, NetDelta
 from repro.ndlog.terms import ConstructedTuple
 
 __all__ = [
+    "MAX_DATAGRAM_BYTES",
     "QueueChannel",
     "UdpChannel",
     "UdpFabric",
     "encode_message",
     "decode_message",
 ]
+
+#: Largest UDP payload over IPv4: 65,535 less the IP and UDP headers.
+MAX_DATAGRAM_BYTES = 65_507
 
 
 # ----------------------------------------------------------------------
@@ -337,9 +341,17 @@ class UdpChannel(Channel):
             raise NetworkError(
                 f"UdpChannel {self.a}-{self.b} has no fabric attached"
             )
+        data = encode_message(message)
+        if len(data) > MAX_DATAGRAM_BYTES:
+            # asyncio drops an oversized datagram without raising:
+            # nothing would arrive and ``in_flight`` would leak.
+            raise NetworkError(
+                f"wire frame {message.src}->{message.dst} is {len(data)} "
+                f"bytes ({len(message.deltas)} deltas); a UDP datagram "
+                f"carries at most {MAX_DATAGRAM_BYTES}"
+            )
         arrive, lost = self.plan(clock, message, rng)
         if not lost:
-            data = encode_message(message)
             clock.post(
                 max(0.0, arrive - clock.now),
                 lambda: self.fabric.sendto(message.src, message.dst, data),

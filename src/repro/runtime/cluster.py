@@ -221,11 +221,6 @@ class Cluster:
         key = (a, b) if a <= b else (b, a)
         return self._channels.get(key)
 
-    def ship(self, src: str, dst: str, pred: str, args: Tuple, weight: int,
-             prov: Optional[int] = None, trace: Optional[int] = None) -> None:
-        self.transport.send(src, dst, pred, args, weight, prov=prov,
-                            trace=trace)
-
     def deliver(self, message: Message) -> None:
         """Channel arrival: chaos delivery guard, then the reliable
         transport's dedup/reassembly filter, then dispatch.  All three
@@ -238,13 +233,10 @@ class Cluster:
             self._dispatch(ready)
 
     def _dispatch(self, message: Message) -> None:
-        """Hand one in-order message to the destination node (the live
-        cluster overrides this to enqueue onto the node task's inbox)."""
-        node = self.node(message.dst)
-        for delta in message.deltas:
-            node.receive(delta.pred, delta.args, delta.weight,
-                         prov=delta.prov, origin=message.src,
-                         trace=delta.trace)
+        """Hand one in-order message's deltas, as one run, to the
+        destination node (the live cluster overrides this to enqueue
+        onto the node task's inbox)."""
+        self.node(message.dst).receive(message.deltas, message.src)
 
     def clock_for(self, node: str):
         """The clock a node schedules on: the shared cluster clock, or

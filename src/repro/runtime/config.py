@@ -56,8 +56,12 @@ class RuntimeConfig:
     #: earlier by up to (k - 1) * cpu_delay.  Batching cuts the
     #: host-side cost of the simulation -- one heap event and one
     #: engine chunk per k deltas -- and lets the engine net and
-    #: run-batch bursts (:mod:`repro.engine.psn`).  Set to 1 for the
-    #: exact historical schedule.
+    #: run-batch bursts (:mod:`repro.engine.psn`).  It also bounds how
+    #: many deltas share a message: a chunk's remote heads leave as one
+    #: run per neighbour (:mod:`repro.runtime.transport`).  1 gives the
+    #: one-delta-per-event schedule, but not byte for byte the
+    #: historical wire: one delta's strands can still put two heads for
+    #: one neighbour in one message.
     cpu_batch: int = 16
     #: Link capacity (10 Mbps in the paper's Emulab setup).
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS

@@ -14,18 +14,36 @@ dataflow thread would.  A tick consumes one chunk of up to
 multiple of ``cpu_delay``, so virtual-time accounting is independent of
 the batch size while the host-side simulation does per-event work once
 per batch instead of once per delta.
+
+The run is the unit on the wire as it is on the queue (Section 5.2
+buffers outbound tuples so that those bound for one neighbour share a
+message).  While a chunk is processed, each remote head joins the
+*outbox* run of its destination (``dst -> [NetDelta]``, emission order,
+the provenance piggyback read as the head is emitted); when the chunk
+ends :meth:`NodeRuntime._tick` hands every destination's run to
+``Transport.send`` once.  A chunk commits at one virtual instant, so
+shipping at its end delays nothing.  Per-link FIFO -- what Theorem 4
+needs -- is the list order; a run never mixes destinations, and the
+``+`` and ``-`` deltas of a chunk travel together in the order they
+were emitted.  Arrivals come back the same way: one message's deltas
+are one :meth:`NodeRuntime.receive`, which on a plain deployment is one
+``queue.extend`` and one tick request; the peer ledger (``reliable``),
+the provenance arrival note and the ``receive`` span are the only
+per-delta work, each done only when its feature is on.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine, QueueRow
+from repro.errors import NetworkError
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import REGISTRY
+from repro.net.message import NetDelta
 from repro.obs.observer import node_observer
 
 _SUBPATH = REGISTRY["f_subpath"]
@@ -59,6 +77,10 @@ class NodeRuntime(PSNEngine):
         #: flag, a cache policy, or the first ``Cluster.subscribe``.
         self.observer = node_observer(self)
         self._tick_scheduled = False
+        #: Remote heads of the chunk being processed: destination ->
+        #: deltas in emission order; :meth:`_tick` hands each list to
+        #: the transport when the chunk ends.
+        self._outbox: Dict[str, List[NetDelta]] = {}
         self.deltas_processed = 0
         #: Net arrivals per neighbor: peer -> fact -> (inserts - deletes).
         #: Maintained only under the reliable transport, where the
@@ -123,62 +145,109 @@ class NodeRuntime(PSNEngine):
             observer.tick(len(self.queue))
         # A tick that only served out the CPU time booked for the last
         # chunk finds the queue empty.
-        processed = self.process_chunk(self.batch_size) if self.queue else 0
-        self.deltas_processed += processed
-        # The tick that fired was charged one cpu_delay ahead (for its
-        # first delta); the remaining (processed - 1) deltas owe their
-        # CPU time now, so the node stays booked for it -- deltas
-        # arriving meanwhile wait their turn exactly as behind a busy
-        # single-threaded dataflow.  With batch_size=1 this reduces to
-        # the historical schedule: one charged delta per event, idle
-        # immediately after a drain.
-        delay = self.cluster.config.cpu_delay
-        if self.queue:
-            self.net_clock.post(delay * max(processed, 1), self._tick)
-        elif processed > 1:
-            self.net_clock.post(delay * (processed - 1), self._tick)
-        else:
-            self._tick_scheduled = False
+        processed = 0
+        try:
+            if self.queue:
+                processed = self.process_chunk(self.batch_size)
+                self.deltas_processed += processed
+                if self._outbox:
+                    self._ship_outbox()
+        finally:
+            # (Also when the chunk or a channel raised: the error
+            # surfaces through the clock, and a node that did not book
+            # its next tick would sit on its queue for good.)
+            # The tick that fired was charged one cpu_delay ahead (for
+            # its first delta); the remaining (processed - 1) deltas owe
+            # their CPU time now, so the node stays booked for it --
+            # deltas arriving meanwhile wait their turn exactly as
+            # behind a busy single-threaded dataflow.  With batch_size=1
+            # this reduces to the historical schedule: one charged delta
+            # per event, idle immediately after a drain.
+            delay = self.cluster.config.cpu_delay
+            if self.queue:
+                self.net_clock.post(delay * max(processed, 1), self._tick)
+            elif processed > 1:
+                self.net_clock.post(delay * (processed - 1), self._tick)
+            else:
+                self._tick_scheduled = False
+
+    def _ship_outbox(self) -> None:
+        """Hand the transport the heads of the chunk that just
+        committed: it committed at one virtual instant, so they leave
+        together, one run per neighbour, in emission order.  A channel
+        may refuse a run with a :class:`NetworkError` (a frame no
+        datagram can carry: the byte model only estimates the encoded
+        size); the other neighbours' runs still leave before the first
+        refusal surfaces."""
+        outbox, self._outbox = self._outbox, {}
+        send = self.cluster.transport.send
+        address = self.address
+        refused = None
+        for destination, deltas in outbox.items():
+            try:
+                send(address, destination, deltas)
+            except NetworkError as error:
+                refused = refused or error
+        if refused is not None:
+            raise refused
 
     # ------------------------------------------------------------------
     # Network interface
     # ------------------------------------------------------------------
-    def receive(self, pred: str, args: Tuple, weight: int,
-                prov: Optional[int] = None,
-                origin: Optional[str] = None,
-                trace: Optional[int] = None) -> None:
-        """A weighted tuple arrived over a link: enqueue it like a local
-        delta ("a timestamp is added to each tuple at arrival", Section
-        3.3.2 -- in our commit discipline the arrival order itself is
-        the timestamp).  ``weight`` is the Z-set weight off the wire
-        (``+-1`` per visibility transition; larger magnitudes when the
-        sender coalesced a window).  ``prov`` is the piggybacked
-        derivation id from the producing node, noted on the shared
-        store so the arrival is traceable even across a real (UDP)
-        wire; ``origin`` is the sending neighbor, booked on the peer
-        ledger when the watchdog may later need to invalidate that
-        neighbor's contributions."""
-        args = tuple(args)
-        if origin is not None and self.cluster.config.reliable:
-            fact = Fact(pred, args)
-            ledger = self.peer_ledger.setdefault(origin, {})
-            count = ledger.get(fact, 0) + weight
-            if count:
-                ledger[fact] = count
-            else:
-                ledger.pop(fact, None)
-        if prov is not None and self.provenance is not None and weight > 0:
-            self.provenance.arrival(Fact(pred, args), prov)
+    def receive(self, deltas, origin: Optional[str] = None) -> None:
+        """The deltas of one message arrived over a link from neighbour
+        ``origin``: enqueue them like local deltas ("a timestamp is
+        added to each tuple at arrival", Section 3.3.2 -- in our commit
+        discipline the arrival order itself is the timestamp), one
+        ``queue.extend`` and one tick request for the whole run.  A
+        delta's ``weight`` is the Z-set weight off the wire (``+-1`` per
+        visibility transition; larger magnitudes when the sender
+        coalesced a window; a zero-weight entry is no change and is
+        dropped).
+
+        Three things are done per delta, each only when its feature is
+        on: under ``config.reliable`` the arrival is booked on the peer
+        ledger (the watchdog may later need to invalidate that
+        neighbour's contributions); a piggybacked ``prov`` derivation id
+        is noted on the shared provenance store, so the arrival is
+        traceable even across a real (UDP) wire; a traced delta records
+        its ``receive`` span and keeps its trace id on the queue row, so
+        downstream derivations and the local commit stay causally
+        linked."""
         observer = self.observer
-        if (trace is not None and weight and observer is not None
-                and observer.traced):
-            # Continue the sender's trace: record the arrival span and
-            # enqueue with the id attached so downstream derivations and
-            # the local commit stay causally linked.
-            observer.receive(pred, args, weight, trace, origin)
-            self._enqueue((pred, args, weight, False, False, trace))
-        else:
-            self._derive(pred, args, weight)
+        traced = observer is not None and observer.traced
+        provenance = self.provenance
+        ledger = None
+        if origin is not None and self.cluster.config.reliable:
+            ledger = self.peer_ledger.setdefault(origin, {})
+        if ledger is None and provenance is None and not traced:
+            self.queue.extend([
+                (delta.pred, delta.args, delta.weight, False, False, None)
+                for delta in deltas if delta.weight
+            ])
+            self._schedule_tick()
+            return
+        rows = []
+        for delta in deltas:
+            pred, args, weight = delta.pred, delta.args, delta.weight
+            if not weight:
+                continue
+            if ledger is not None:
+                fact = Fact(pred, args)
+                count = ledger.get(fact, 0) + weight
+                if count:
+                    ledger[fact] = count
+                else:
+                    ledger.pop(fact, None)
+            if (delta.prov is not None and provenance is not None
+                    and weight > 0):
+                provenance.arrival(Fact(pred, args), delta.prov)
+            trace = delta.trace if traced else None
+            if trace is not None:
+                observer.receive(pred, args, weight, trace, origin)
+            rows.append((pred, args, weight, False, False, trace))
+        self.queue.extend(rows)
+        self._schedule_tick()
 
     def invalidate_peer(self, peer: str) -> None:
         """Watchdog support: retract every net contribution ``peer``
@@ -194,27 +263,37 @@ class NodeRuntime(PSNEngine):
 
     def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
         """Split one firing's heads by location specifier: local heads
-        join this node's queue, the rest ship along the link."""
+        join this node's queue, the rest join the outbox run of their
+        destination (shipped when the chunk ends, see :meth:`_tick`)."""
         address = self.address
+        outbox = self._outbox
+        # A zero weight is no change at all, and during a fallback
+        # restore the restored row is an old advertisement -- downstream
+        # already saw, and moved past, it -- so it must not be
+        # re-announced.
+        shipping = sign and not self._local_only
+        # Piggyback the freshest live derivation id -- read now, before
+        # the firing's next head is recorded -- so the remote
+        # materialization links back to this firing.
+        store = None
+        if self.provenance is not None and sign > 0:
+            store = self.provenance.store
         local, local_traces = [], []
         for head, trace in zip(heads, traces or repeat(None)):
             destination = head[0]
             if destination == address:
                 local.append(head)
                 local_traces.append(trace)
-            elif not self._local_only:
-                # (During a fallback restore the restored row is an old
-                # advertisement -- downstream already saw, and moved
-                # past, it -- so it must not be re-announced.)
+            elif shipping:
                 prov = None
-                if self.provenance is not None and sign > 0:
-                    # Piggyback the freshest live derivation id so the
-                    # remote materialization links back to this firing.
-                    prov = self.provenance.store.latest_live_id(
-                        Fact(pred, head)
-                    )
-                self.cluster.ship(address, destination, pred, head, sign,
-                                  prov=prov, trace=trace)
+                if store is not None:
+                    prov = store.latest_live_id(Fact(pred, head))
+                delta = NetDelta(pred, head, sign, prov, trace)
+                run = outbox.get(destination)
+                if run is None:
+                    outbox[destination] = [delta]
+                else:
+                    run.append(delta)
         if local:
             super()._emit(pred, local, sign, traces and local_traces)
             self._schedule_tick()

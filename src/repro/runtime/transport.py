@@ -1,8 +1,27 @@
-"""Outbound message handling: direct sends, periodic batching with
-net-change elimination (periodic aggregate selections, Section 5.1.1),
-opportunistic message sharing (Section 5.2), and -- with
-``config.reliable`` -- the ack/retransmit layer that restores the
-delivery guarantees of Theorem 4 on faulty links.
+"""Outbound message handling: one send path whose three modes differ
+only in *when* a link's window of outbound deltas is flushed.
+
+A node hands the transport a *run* -- every remote head one chunk
+produced for one neighbour, in emission order -- once per (chunk,
+neighbour) (:meth:`Transport.send`).  What happens next is a flush
+policy:
+
+* **eager** (neither ``buffer_interval`` nor ``share_delay``): the
+  window is flushed now -- the run leaves as one message, as is (the
+  chunk was already netted at the sender's queue);
+* **periodic** (``buffer_interval``, Section 5.1.1): the run joins the
+  ``(src, dst)`` window, which a timer flushes every interval through
+  Z-set coalescing and net-change elimination (periodic aggregate
+  selections);
+* **sharing** (``share_delay``, Section 5.2): the same window, held for
+  the share delay and cut into share groups whose common attributes
+  are charged once.
+
+A message larger than :data:`MAX_MESSAGE_BYTES` is cut into consecutive
+messages (:func:`messages`), so a long window still fits a datagram.
+With ``config.reliable`` the ack/retransmit layer that restores the
+delivery guarantees of Theorem 4 on faulty links sits on the messages,
+whichever policy produced them.
 
 All paths charge bytes to :class:`repro.net.stats.TrafficStats` at
 actual transmission time, so the bandwidth figures reflect what really
@@ -14,10 +33,11 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.net.message import (
     DELTA_HEADER_BYTES,
+    HEADER_BYTES,
     Message,
     NetDelta,
     coalesce,
@@ -30,6 +50,41 @@ from repro.runtime.config import RuntimeConfig
 #: buffers armed in the same instant do not flush in lockstep (which
 #: would synthesize bandwidth spikes no real deployment shows).
 FLUSH_JITTER = 0.10
+
+#: Largest message the transport builds, in model bytes.  A UDP datagram
+#: carries at most 65,507 bytes and the JSON wire codec inflates the
+#: model size 1.3-1.5x on path-vector tuples (more with provenance and
+#: trace tags, which the byte model does not charge), so half the
+#: datagram leaves headroom.  It is an estimate, not a guarantee -- a
+#: float is 8 model bytes and up to 24 characters -- and a frame that
+#: still overruns the datagram is refused by the UDP channel with a
+#: ``NetworkError`` (``NodeRuntime._ship_outbox`` keeps that safe).
+MAX_MESSAGE_BYTES = 32_768
+
+
+def messages(src: str, dst: str, deltas: Sequence[NetDelta],
+             shared_bytes: int = 0, ack=None) -> Iterator[Message]:
+    """The run as one message -- or, where that would exceed
+    :data:`MAX_MESSAGE_BYTES`, as consecutive pieces under the limit (a
+    lone delta above it travels alone).  Each piece is its own message,
+    hence gets its own ``seq``: per-link FIFO and the reliable layer see
+    ordinary messages."""
+    def piece(chunk) -> Message:
+        return Message(src=src, dst=dst, deltas=tuple(chunk),
+                       shared_bytes=shared_bytes, ack=ack)
+
+    whole = piece(deltas)
+    if whole.size <= MAX_MESSAGE_BYTES or len(deltas) < 2:
+        yield whole
+        return
+    start, total = 0, HEADER_BYTES
+    for index, delta in enumerate(deltas):
+        size = delta.payload_size()
+        if total + size > MAX_MESSAGE_BYTES and index > start:
+            yield piece(deltas[start:index])
+            start, total = index, HEADER_BYTES
+        total += size
+    yield piece(deltas[start:])
 
 
 class Transport:
@@ -51,9 +106,10 @@ class Transport:
         #: Who watches the wire (:class:`~repro.obs.observer.WireObserver`,
         #: handed over by the cluster that composed one), or ``None``.
         self.observer = None
-        #: (src, dst) -> list of queued NetDelta
+        #: (src, dst) -> the link's open window: deltas queued since its
+        #: flush timer was armed (a key is present exactly while a
+        #: flush is pending).
         self._buffers: Dict[Tuple[str, str], List[NetDelta]] = {}
-        self._flush_scheduled: Dict[Tuple[str, str], bool] = {}
         #: (src, dst) -> pkey -> last advertised args (periodic mode)
         self._advertised: Dict[Tuple[str, str], Dict[Tuple, Tuple]] = {}
         self._jitter_rng = random.Random(config.seed + 4099)
@@ -66,30 +122,27 @@ class Transport:
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def send(self, src: str, dst: str, pred: str, args: Tuple, weight: int,
-             prov=None, trace=None) -> None:
-        if not weight:
-            return  # a zero-weight Z-set entry is no change at all
-        delta = NetDelta(pred, tuple(args), weight, prov, trace)
-        delay = self.config.buffer_interval or self.config.share_delay
-        if not delay:
-            self._transmit(src, dst, (delta,))
+    def send(self, src: str, dst: str, deltas: List[NetDelta]) -> None:
+        """Ship one run -- the remote heads a chunk at ``src`` produced
+        for neighbour ``dst``, in emission order (the transport takes
+        the list over)."""
+        if not (self.config.buffer_interval or self.config.share_delay):
+            self._transmit(src, dst, deltas)
             return
         key = (src, dst)
-        self._buffers.setdefault(key, []).append(delta)
-        if not self._flush_scheduled.get(key):
-            self._flush_scheduled[key] = True
-            self.cluster.clock.after(self._flush_delay(),
-                                   lambda: self._flush(key))
+        window = self._buffers.get(key)
+        if window is not None:
+            window.extend(deltas)
+            return
+        self._buffers[key] = deltas
+        self.cluster.clock.after(self._flush_delay(),
+                                 lambda: self._flush(key))
 
     # ------------------------------------------------------------------
-    # Buffered modes
+    # Timed windows
     # ------------------------------------------------------------------
     def _flush(self, key: Tuple[str, str]) -> None:
-        self._flush_scheduled[key] = False
-        deltas = self._buffers.pop(key, [])
-        if not deltas:
-            return
+        deltas = self._buffers.pop(key)
         src, dst = key
         # Z-set coalescing first: same-fact weights in the window sum,
         # so a link flap buffered whole ships nothing.  Runs before the
@@ -97,7 +150,7 @@ class Transport:
         # assumes one net intent per fact.
         buffered = deltas
         before = len(deltas)
-        deltas = list(coalesce(deltas))
+        deltas = coalesce(deltas)
         self.cluster.stats.netdeltas_coalesced += before - len(deltas)
         observer = self.observer
         if (observer is not None and observer.traced
@@ -119,16 +172,10 @@ class Transport:
                 self._transmit(src, dst, message_deltas, shared)
         else:
             # One batch message; per-delta headers still paid.
-            self._transmit(src, dst, tuple(deltas))
-        # If more arrived while flushing was pending they are in a new
-        # buffer; schedule the next window.
-        if self._buffers.get(key):
-            self._flush_scheduled[key] = True
-            self.cluster.clock.after(self._flush_delay(),
-                                   lambda: self._flush(key))
+            self._transmit(src, dst, deltas)
 
     def _net_change(
-        self, key: Tuple[str, str], deltas: List[NetDelta]
+        self, key: Tuple[str, str], deltas: Sequence[NetDelta]
     ) -> List[NetDelta]:
         """Collapse a window to one delta per primary key: the receiver
         only needs the final state ("a node buffers up new paths ...
@@ -154,7 +201,7 @@ class Transport:
                                     None, delta.trace))
         return out
 
-    def _share_groups(self, deltas: List[NetDelta]):
+    def _share_groups(self, deltas: Sequence[NetDelta]):
         """Group buffered deltas by share key; each group becomes one
         message whose common attributes are charged once."""
         groups: "OrderedDict[object, List[NetDelta]]" = OrderedDict()
@@ -179,9 +226,9 @@ class Transport:
                     + len(spec.base)
                     + sum(value_size(v) for v in group_key[3])
                 )
-                yield tuple(members), shared_bytes
+                yield members, shared_bytes
             else:
-                yield tuple(members), 0
+                yield members, 0
 
     # ------------------------------------------------------------------
     # Wire
@@ -190,16 +237,15 @@ class Transport:
         self,
         src: str,
         dst: str,
-        deltas: Tuple[NetDelta, ...],
+        deltas: Sequence[NetDelta],
         shared_bytes: int = 0,
     ) -> None:
         channel = self.cluster.channel(src, dst)
         if channel is None:
             self.cluster.stats.dropped_no_link += 1
             return
-        message = Message(src=src, dst=dst, deltas=deltas,
-                          shared_bytes=shared_bytes)
-        self._send(channel, message)
+        for message in messages(src, dst, deltas, shared_bytes):
+            self._send(channel, message)
 
     def _send(self, channel, message: Message) -> None:
         stats = self.cluster.stats
@@ -248,7 +294,7 @@ class ReliableTransport(Transport):
         self,
         src: str,
         dst: str,
-        deltas: Tuple[NetDelta, ...],
+        deltas: Sequence[NetDelta],
         shared_bytes: int = 0,
     ) -> None:
         channel = self.cluster.channel(src, dst)
@@ -262,12 +308,11 @@ class ReliableTransport(Transport):
             self.cluster.stats.dead_link_drops += 1
             return
         reverse = self._flow(dst, src)
-        message = Message(src=src, dst=dst, deltas=deltas,
-                          shared_bytes=shared_bytes,
-                          ack=reverse.cursor)
-        message.seq = flow.stamp(message)
-        reverse.ack_owed = False  # piggybacked on this send
-        self._send(channel, message)
+        for message in messages(src, dst, deltas, shared_bytes,
+                                ack=reverse.cursor):
+            message.seq = flow.stamp(message)
+            reverse.ack_owed = False  # piggybacked on this send
+            self._send(channel, message)
         if flow.timer is None:
             self._arm_retransmit(flow)
 

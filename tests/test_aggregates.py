@@ -296,3 +296,82 @@ class TestOrderKey:
         deltas = view.apply(("g", 5, "zebra"), -1)
         # Promotion is deterministic: the least tuple under order_key.
         assert deltas == [(-1, ("g", 5, "zebra")), (1, ("g", 5, "aardvark"))]
+
+
+def _tied_members():
+    """Members that all tie on the value (position 1), by family."""
+    from repro.ndlog.terms import ConstructedTuple as CT
+
+    return {
+        "homogeneous": [("g", 5, "zebra"), ("g", 5, "aardvark"),
+                        ("g", 5.0, "mole"), ("g", 5, "bat")],
+        "mixed": [("g", 5, (1, "x")), ("g", 5, (1, 2)), ("g", 5, "s"),
+                  ("g", 5, 3), ("g", 5, None), ("g", 5, 2.5)],
+        "nested": [("g", 5, ("a", ("b", 1))), ("g", 5, ("a", ("b", 0.5))),
+                   ("g", 5, ("a",)), ("g", 5, ("a", ("b",))),
+                   ("g", 5, ("a", ("b", "c")))],
+        "constructed": [("g", 5, CT("link", ("a", "b"))),
+                        ("g", 5, CT("link", ("a", "c"))),
+                        ("g", 5, CT("hop", ("z",))),
+                        ("g", 5, CT("link", ("a", 1)))],
+    }
+
+
+class TestLazyTieBreak:
+    """The tie-break key is built only when raw tuple comparison
+    raises; the promotion order it yields is still ``order_key`` order
+    (CI runs this file under PYTHONHASHSEED 0, 1 and 2, and the members
+    go in in set order)."""
+
+    @pytest.mark.parametrize("func", ["min", "max"])
+    @pytest.mark.parametrize("family", sorted(_tied_members()))
+    def test_promotion_order_among_ties_is_order_key_order(
+            self, family, func):
+        members = _tied_members()[family]
+        view = ArgExtremeView("best", (0,), 1, func=func)
+        # A strictly better incumbent, so no tied member wins by
+        # arriving first.
+        incumbent = ("g", 4 if func == "min" else 6, "incumbent")
+        view.apply(incumbent, 1)
+        for args in set(members):
+            assert view.apply(args, 1) == []
+        promoted = []
+        winner = incumbent
+        for _ in members:
+            (_, gone), (_, winner) = view.apply(winner, -1)
+            promoted.append(winner)
+        assert promoted == sorted(members, key=order_key)
+        assert view.apply(winner, -1) == [(-1, winner)]
+
+    def test_compaction_keeps_the_order(self):
+        """A rebuilt heap (stale entries compacted away) promotes in
+        the same order."""
+        members = _tied_members()["mixed"]
+        view = ArgExtremeView("best", (0,), 1, func="min")
+        view.apply(("g", 1, "incumbent"), 1)
+        for _ in range(40):  # strand entries until the heap compacts
+            view.apply(("g", 9, "flap"), 1)
+            view.apply(("g", 9, "flap"), -1)
+        for args in set(members):
+            view.apply(args, 1)
+        (_, _), (_, winner) = view.apply(("g", 1, "incumbent"), -1)
+        assert winner == min(members, key=order_key)
+
+    def test_no_key_is_built_for_comparable_members(self, monkeypatch):
+        import repro.engine.aggregates as aggregates
+
+        calls = []
+        real = aggregates.order_key
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(aggregates, "order_key", counting)
+        view = ArgExtremeView("best", (0,), 3, func="min")
+        path = ("a", "b", "c", "d")
+        view.apply(("a", "d", path, 5), 1)
+        view.apply(("a", "d", path[:2] + ("x", "d"), 5), 1)
+        view.apply(("a", "d", path, 5), -1)
+        # One key per member, for the value alone: never the path.
+        assert calls == [5, 5]

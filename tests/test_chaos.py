@@ -33,6 +33,20 @@ def sp_compiled():
 
 
 @pytest.fixture(scope="module")
+def sp_confluent():
+    """The same protocol with aggregate selections, for the tests that
+    hold a lossy run to the *exact* fault-free fixpoint.  A node then
+    advertises only improvements on its best path and the fixpoint is
+    the all-pairs shortest paths however arrivals interleave.  Without
+    ``aggsel`` a ``path`` slot holds the neighbour's latest
+    advertisement of any of its paths, and what survives depends on
+    which one was last: the fault-free run keeps the one-hop routes
+    only, while a run that learns of a link late keeps more."""
+    return repro.compile(programs.shortest_path_dynamic(),
+                         passes=["aggsel", "localize"])
+
+
+@pytest.fixture(scope="module")
 def sp_provenance():
     return repro.compile(programs.shortest_path_dynamic(),
                          passes=["localize"], provenance=True)
@@ -187,10 +201,10 @@ class TestLossyConvergence:
 
     @pytest.mark.parametrize("loss_rate", [0.05, 0.2])
     def test_sim_shortest_path_converges_under_loss(
-        self, sp_compiled, loss_rate
+        self, sp_confluent, loss_rate
     ):
-        monitor = ChaosMonitor(sp_compiled, overlay8())
-        deployment = sp_compiled.deploy(
+        monitor = ChaosMonitor(sp_confluent, overlay8())
+        deployment = sp_confluent.deploy(
             topology=overlay8(),
             chaos=ChaosSchedule(seed=11).drop(rate=loss_rate),
             reliable=True,
@@ -221,9 +235,9 @@ class TestLossyConvergence:
         assert deployment.rows("queryResult")  # the query got an answer
 
     @pytest.mark.parametrize("loss_rate", [0.05, 0.2])
-    def test_live_inproc_converges_under_loss(self, sp_compiled, loss_rate):
-        monitor = ChaosMonitor(sp_compiled, overlay8())
-        live = sp_compiled.deploy(
+    def test_live_inproc_converges_under_loss(self, sp_confluent, loss_rate):
+        monitor = ChaosMonitor(sp_confluent, overlay8())
+        live = sp_confluent.deploy(
             topology=overlay8(), target="live",
             chaos=ChaosSchedule(seed=11).drop(rate=loss_rate),
             reliable=True,
@@ -233,9 +247,9 @@ class TestLossyConvergence:
         assert verdict.ok, verdict.summary()
         assert verdict.stats["retransmits"] > 0
 
-    def test_live_udp_converges_under_loss(self, sp_compiled):
-        monitor = ChaosMonitor(sp_compiled, overlay8())
-        live = sp_compiled.deploy(
+    def test_live_udp_converges_under_loss(self, sp_confluent):
+        monitor = ChaosMonitor(sp_confluent, overlay8())
+        live = sp_confluent.deploy(
             topology=overlay8(), target="live", channels="udp",
             chaos=ChaosSchedule(seed=11).drop(rate=0.1),
             reliable=True,
@@ -275,7 +289,10 @@ class TestCombinedScenario:
         verdict = monitor.check(deployment)
         assert verdict.ok, verdict.summary()
         assert verdict.audit_ok is True
-        assert verdict.stats["faults"] > 500
+        # Faults are drawn per message, so the plan is held to the share
+        # of messages it hit (0.08 when every delta was its own message,
+        # 0.14 now that a chunk's deltas share one), not to a count.
+        assert verdict.stats["faults"] > 0.1 * deployment.stats.messages
         assert verdict.stats["dup_dropped"] > 0
         assert verdict.stats["malformed_dropped"] > 0
 

@@ -12,7 +12,14 @@ from repro.ndlog import parse, programs
 from repro.ndlog.terms import ConstructedTuple
 from repro.net.clock import WallClock
 from repro.net.link import LinkChannel
-from repro.net.live import QueueChannel, decode_message, encode_message
+from repro.net.live import (
+    MAX_DATAGRAM_BYTES,
+    QueueChannel,
+    UdpChannel,
+    UdpFabric,
+    decode_message,
+    encode_message,
+)
 from repro.net.message import Message, NetDelta, single
 from repro.net.sim import Simulator
 from repro.runtime import LiveCluster, LiveDeployment, RuntimeConfig
@@ -214,6 +221,23 @@ class TestChannelUnification:
         assert delivered == []
 
 
+    def test_udp_channel_refuses_a_frame_no_datagram_can_carry(self):
+        """asyncio drops an oversized datagram without raising; the
+        channel must fail loudly before anything is booked or sent."""
+        sim = Simulator()
+        fabric = UdpFabric()
+        channel = UdpChannel("a", "b", latency=0.0, fabric=fabric)
+        deltas = tuple(
+            NetDelta("path", ("a", "b", ("a", "n%d" % i, "b"), float(i)), 1)
+            for i in range(1500))
+        message = Message(src="a", dst="b", deltas=deltas)
+        assert len(encode_message(message)) > MAX_DATAGRAM_BYTES
+        with pytest.raises(NetworkError, match="UDP datagram"):
+            channel.transmit(sim, message, lambda m: None)
+        assert sim.pending == 0 and fabric.in_flight == 0
+        assert channel._last_departure == {}
+
+
 # ----------------------------------------------------------------------
 # Sim-vs-live equivalence and UDP convergence
 # ----------------------------------------------------------------------
@@ -265,6 +289,29 @@ class TestSimLiveEquivalence:
         assert live.query_rows() == sim_fixpoint
         fabric = live.cluster.fabric
         assert fabric.datagrams_sent > 0  # deltas really crossed sockets
+
+    def test_udp_live_with_timed_windows_loses_no_frame(
+        self, sp_compiled, eight_node_overlay, sim_fixpoint
+    ):
+        """A buffered flush puts a whole window in one frame; every
+        frame must fit a datagram, decode, and be accounted for."""
+        live = sp_compiled.deploy(
+            topology=eight_node_overlay, link_loads={"link": "hopcount"},
+            target="live", channels="udp",
+            config=RuntimeConfig(buffer_interval=0.05),
+        )
+        try:
+            converged = live.converge(timeout=60.0)
+        except OSError as exc:  # no loopback sockets in this sandbox
+            pytest.skip(f"cannot open UDP sockets: {exc}")
+        assert converged
+        assert live.query_rows() == sim_fixpoint
+        fabric = live.cluster.fabric
+        stats = live.cluster.stats
+        assert stats.netdeltas_shipped > stats.messages  # frames share
+        assert fabric.datagrams_sent == fabric.datagrams_received > 0
+        assert fabric.malformed_dropped == 0
+        assert fabric.in_flight == 0
 
     def test_live_watch_and_buffered_inject(self, eight_node_overlay):
         """Pre-start watch/inject are replayed once the network is up;

@@ -7,6 +7,7 @@ import heapq
 import pytest
 
 from repro.ndlog import parse, programs
+from repro.net.message import HEADER_BYTES
 from repro.runtime import (
     CachePolicy,
     Cluster,
@@ -281,6 +282,228 @@ class TestTransportModes:
             assert plain.rows(pred) == shared.rows(pred)
 
 
+class TestReceiveARun:
+    """``NodeRuntime.receive`` takes one message's deltas as a run; the
+    per-delta work happens only for the feature that needs it."""
+
+    RUN = [
+        ("path", ("n0", "nX", "nY", ("n0", "nY", "nX"), 7.0), 1),
+        ("path", ("n0", "nX", "nY", ("n0", "nY", "nX"), 7.0), 1),
+        ("path", ("n0", "nZ", "nY", ("n0", "nY", "nZ"), 9.0), 0),
+        ("path", ("n0", "nW", "nY", ("n0", "nY", "nW"), 3.0), -2),
+        ("path", ("n0", "nV", "nY", ("n0", "nY", "nV"), 4.0), 1),
+        ("path", ("n0", "nV", "nY", ("n0", "nY", "nV"), 4.0), -1),
+    ]
+
+    def deploy(self, overlay, provenance=False, **options):
+        import repro
+
+        compiled = repro.compile(programs.shortest_path(),
+                                 passes=["aggsel", "localize"],
+                                 provenance=provenance)
+        deployment = compiled.deploy(topology=overlay,
+                                     link_loads={"link": "latency"},
+                                     **options)
+        deployment.advance()
+        return deployment, deployment.cluster.node("n0")
+
+    def run_of(self, **tags):
+        from repro.net.message import NetDelta
+
+        return [NetDelta(pred, args, weight,
+                         **{tag: values[index]
+                            for tag, values in tags.items()})
+                for index, (pred, args, weight) in enumerate(self.RUN)]
+
+    def queued(self, node):
+        return [(row[0], row[1], row[2]) for row in node.queue]
+
+    def test_plain_run_is_one_extend_and_drops_zero_weights(self, overlay):
+        _deployment, node = self.deploy(overlay)
+        node.receive(self.run_of(), "n1")
+        assert self.queued(node) == [r for r in self.RUN if r[2]]
+        assert all(row[3:] == (False, False, None) for row in node.queue)
+        assert node._tick_scheduled
+        assert node.peer_ledger == {}
+
+    def test_reliable_books_every_delta_on_the_peer_ledger(self, overlay):
+        from repro.engine.facts import Fact
+
+        _deployment, node = self.deploy(overlay, reliable=True)
+        before = dict(node.peer_ledger.get("n1", {}))
+        node.receive(self.run_of(), "n1")
+        ledger = node.peer_ledger["n1"]
+        changed = {fact: count for fact, count in ledger.items()
+                   if before.get(fact) != count}
+        assert changed == {
+            Fact(*self.RUN[0][:2]): 2,    # booked twice
+            Fact(*self.RUN[3][:2]): -2,   # the weight, not the sign
+        }                                 # the +1/-1 pair nets away
+        assert self.queued(node) == [r for r in self.RUN if r[2]]
+
+    def test_tagged_arrivals_are_noted_on_the_provenance_store(
+            self, overlay):
+        deployment, node = self.deploy(overlay, provenance=True)
+        store = deployment.provenance
+        store.arrivals.clear()
+        node.receive(
+            self.run_of(prov=[11, None, 12, 13, 14, 15]), "n1")
+        # Tagged, positive and nonzero: the first and the fifth.
+        assert [(a.fact.args, a.prov_id, a.node) for a in store.arrivals] \
+            == [(self.RUN[0][1], 11, "n0"), (self.RUN[4][1], 14, "n0")]
+        assert self.queued(node) == [r for r in self.RUN if r[2]]
+
+    def test_one_receive_span_per_traced_delta(self, overlay):
+        deployment, node = self.deploy(overlay, trace=True)
+        events = deployment.cluster.tracer.events
+        del events[:]
+        node.receive(
+            self.run_of(trace=[21, None, 22, 23, None, 24]), "n1")
+        spans = [(ev.kind, ev.trace, ev.args, ev.weight, ev.src, ev.dst)
+                 for ev in events]
+        assert spans == [
+            ("receive", 21, self.RUN[0][1], 1, "n1", "n0"),
+            ("receive", 23, self.RUN[3][1], -2, "n1", "n0"),
+            ("receive", 24, self.RUN[5][1], -1, "n1", "n0"),
+        ]
+        # The trace id stays on the queue row; the zero weight is gone.
+        assert [row[5] for row in node.queue] == [21, None, 23, None, 24]
+
+
+class TestRestoreShipsNothing:
+    PROGRAM = """
+    materialize(offer, infinity, infinity, keys(1, 2, 3)).
+    materialize(best, infinity, infinity, keys(1, 2)).
+    F1: best(@A, K, V) :- offer(@A, K, V).
+    F2: seen(@B, A, K, V) :- #link(@A, @B, C), best(@A, K, V).
+    """
+
+    def test_fallback_restore_in_a_chunk_that_ships_other_heads(self):
+        """A restored row is an old advertisement: its strands fire
+        locally only, while the other heads of the same chunk ship."""
+        from repro.engine.facts import Fact
+        from repro.net.message import NetDelta
+
+        overlay = small_overlay(n=4, degree=2, seed=8)
+        cluster = Cluster(overlay, parse(self.PROGRAM),
+                          RuntimeConfig(cpu_batch=16, validate=False),
+                          link_loads={"link": "hopcount"})
+        a = overlay.nodes[0]
+        neighbours = sorted(overlay.neighbors(a))
+        node = cluster.node(a)
+        node.insert("offer", (a, "k", 1))
+        cluster.run()
+        node.insert("offer", (a, "k", 2))   # shadows best(a, k, 1)
+        cluster.run()
+        node.derive(Fact("offer", (a, "k", 2)), -1)
+        cluster.run()
+        assert not node.db.table("best").rows()
+
+        carried = []
+        for channel in cluster._channels.values():
+            real_transmit = channel.transmit
+
+            def transmit(clock, message, deliver, rng=None,
+                         real_transmit=real_transmit):
+                carried.append(message)
+                return real_transmit(clock, message, deliver, rng=rng)
+
+            channel.transmit = transmit
+        assert node.queue_slot_repairs() == 1
+        node.derive(Fact("best", (a, "m", 3)), 1)
+        assert len(node.queue) == 2          # one chunk at cpu_batch=16
+        processed = node.deltas_processed
+        cluster.run()
+        assert node.deltas_processed == processed + 2
+        assert node.db.table("best").rows() == [(a, "k", 1), (a, "m", 3)]
+        assert sorted((m.dst, m.deltas) for m in carried) == [
+            (b, (NetDelta("seen", (b, a, "m", 3), 1),)) for b in neighbours]
+        for b in neighbours:
+            assert (b, a, "k", 1) not in cluster.rows("seen", node=b)
+
+
+class TestRefusedRun:
+    PROGRAM = """
+    R1: reading(@B, A, K, V) :- #link(@A, @B, C), sample(@A, K, V).
+    """
+
+    def test_a_refused_frame_starves_no_neighbour_and_wedges_no_node(self):
+        """The byte model only estimates a frame: long floats encode at
+        three times their eight model bytes, so a run the transport
+        need not split can still be more than a datagram carries.  The
+        UDP channel refuses it loudly; the chunk's other runs leave all
+        the same and the node goes on ticking."""
+        from repro.errors import NetworkError
+        from repro.net.live import (
+            MAX_DATAGRAM_BYTES,
+            UdpChannel,
+            encode_message,
+        )
+        from repro.net.message import Message, NetDelta
+        from repro.runtime.transport import MAX_MESSAGE_BYTES
+
+        class Fabric:
+            def __init__(self):
+                self.frames = []
+
+            def sendto(self, src, dst, data):
+                self.frames.append((src, dst, data))
+
+        overlay = small_overlay(n=4, degree=2, seed=8)
+        cluster = Cluster(overlay, parse(self.PROGRAM),
+                          RuntimeConfig(cpu_batch=512, validate=False),
+                          link_loads={"link": "hopcount"})
+        a = overlay.nodes[0]
+        node = cluster.node(a)
+        cluster.run()                        # link facts settle first
+        # The neighbour whose run leaves first gets the datagram link.
+        order = []
+        real_send = cluster.transport.send
+
+        def send(src, dst, deltas):
+            order.append(dst)
+            real_send(src, dst, deltas)
+
+        cluster.transport.send = send
+        node.insert("sample", (a, -1, (0.0,)))
+        cluster.run()
+        del cluster.transport.send
+        udp_end, *others = order
+        assert sorted(order) == sorted(overlay.neighbors(a)) and others
+        key = (a, udp_end) if a <= udp_end else (udp_end, a)
+        fabric = Fabric()
+        cluster._channels[key] = UdpChannel(*key, latency=0.001,
+                                            fabric=fabric)
+
+        floats = tuple(-1.2345678901234567e-100 * (i + 1) for i in range(12))
+        node.inject_run("sample", [(a, k, floats) for k in range(250)])
+        with pytest.raises(NetworkError, match="UDP datagram") as refusal:
+            cluster.run()
+        assert "250 deltas" in str(refusal.value)
+        cluster.run()                        # the rest of the instant
+        # The refused run was one the byte model let through whole ...
+        refused = Message(src=a, dst=udp_end, deltas=tuple(
+            NetDelta("reading", (udp_end, a, k, floats), 1)
+            for k in range(250)))
+        assert refused.size <= MAX_MESSAGE_BYTES
+        assert len(encode_message(refused)) > MAX_DATAGRAM_BYTES
+        # ... nothing of it was booked or sent ...
+        assert fabric.frames == []
+        assert cluster.rows("reading", node=udp_end) == {
+            (udp_end, a, -1, (0.0,))}        # the probe, nothing since
+        # ... every other neighbour got its run of the same chunk ...
+        for b in others:
+            assert len(cluster.rows("reading", node=b)) == 1 + 250
+        # ... and the node still ticks: the next chunk ships to all.
+        assert node.quiescent and not node._tick_scheduled
+        node.insert("sample", (a, 999, (1.0,)))
+        cluster.run()
+        for b in others:
+            assert (b, a, 999, (1.0,)) in cluster.rows("reading", node=b)
+        (frame,) = fabric.frames
+        assert frame[:2] == (a, udp_end)
+
+
 class TestMagicAndCaching:
     def run_queries(self, overlay, queries, caching, cpu_batch=16):
         config = RuntimeConfig(
@@ -326,7 +549,8 @@ class TestMagicAndCaching:
     def test_cache_suppresses_the_same_strands_at_every_cpu_batch(
             self, overlay):
         """A cache hit is decided per query tuple: the query predicate's
-        runs are capped at one delta, so chunking changes nothing."""
+        runs are capped at one delta, so chunking changes nothing it
+        ships -- only how many messages (headers) the deltas share."""
         nodes = overlay.nodes
         queries = [(nodes[i], nodes[-1]) for i in range(6)]
         runs = [self.run_queries(overlay, queries, caching=True,
@@ -335,7 +559,10 @@ class TestMagicAndCaching:
         observed = [
             ({address: node.cache_hits
               for address, node in cluster.nodes.items()},
-             cluster.rows("queryResult"), cluster.stats.total_mb())
+             cluster.rows("queryResult"),
+             cluster.stats.netdeltas_shipped,
+             cluster.stats.total_bytes()
+             - HEADER_BYTES * cluster.stats.messages)
             for cluster in runs
         ]
         assert observed[0] == observed[1]

@@ -7,9 +7,10 @@ artifact), each returning structured
 ======================  ==========  =====================================
 analysis                codes       what it checks
 ======================  ==========  =====================================
-``types``               ND101-102   column type inference & consistency
+``types``               ND101-103   column type inference & consistency
                                     by unification across rule
-                                    occurrences (addresses vs values)
+                                    occurrences (addresses vs values);
+                                    builtin call arity
 ``termination``         ND201-202   count-to-infinity divergence:
                                     recursive growth through function
                                     symbols with / without a bound

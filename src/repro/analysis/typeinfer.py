@@ -24,6 +24,12 @@ A cell that ends up with incompatible evidence is a conflict:
 * **ND102** (warning) -- two non-address value types collide (e.g. a
   column holding both numbers and paths).
 
+A builtin called with the wrong number of arguments is reported here
+too, since this pass is the one that reads the signatures:
+
+* **ND103** (error) -- ``f_member(X)``: the call would only fail as a
+  bare ``TypeError`` from inside a strand kernel, mid-run.
+
 Plain string atoms are compatible with addresses (addresses *are*
 strings at runtime); everything else is pairwise distinct.
 """
@@ -212,10 +218,18 @@ class _Inference:
             if signature is None:
                 return None
             arg_types, return_type = signature
-            for position, result in enumerate(arg_results):
-                if position >= len(arg_types):
-                    break
-                wanted = arg_types[position]
+            if len(arg_results) != len(arg_types):
+                self.local_conflicts.append(Diagnostic(
+                    code="ND103", severity="error", analysis=ANALYSIS,
+                    rule=rule,
+                    message=(f"{term.name} takes {len(arg_types)} "
+                             f"argument(s), {len(arg_results)} given: "
+                             f"{term!r}"),
+                    hint="the call would raise a TypeError when the rule "
+                         "first fires",
+                ))
+            for position, (wanted, result) in enumerate(
+                    zip(arg_types, arg_results)):
                 if wanted is not None:
                     self.constrain(
                         result, wanted, rule,

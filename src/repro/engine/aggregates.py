@@ -211,6 +211,9 @@ class AggregateView:
     derivations added, ``-w`` withdrawn), updates the group, and
     returns the visible deltas on the aggregate relation:
     ``[(-1, old_head), (+1, new_head)]`` when the group's value changes.
+    A ``min``/``max`` group's heap is read once per contribution, for
+    the old extreme; it is read again only when that extreme's last
+    derivation was just withdrawn.
     """
 
     def __init__(self, pred: str, info: AggregateInfo):
@@ -236,7 +239,19 @@ class AggregateView:
             state.add(value, weight)
         else:
             state.remove(value, -weight)
-        new = state.current()
+        func = info.func
+        if func != "min" and func != "max":
+            new = state.current()
+        elif weight > 0:
+            # The extreme can only move to the value just added.
+            if old is None or (value < old if func == "min" else value > old):
+                new = value
+            else:
+                new = old
+        elif value == old and value not in state.values:
+            new = state.current()   # the extreme died: next off the heap
+        else:
+            new = old
         if not state.values:
             del self.groups[group_key]
         if old == new:

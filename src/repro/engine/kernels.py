@@ -5,20 +5,42 @@ The paper executes a program as *rule strands* -- each (rule, driving
 literal) pair compiled once into a fixed dataflow chain (Section 3.2,
 Figures 3/5).  :func:`strand_kernel` does that literally: it walks a
 strand's :class:`~repro.engine.rules.JoinPlan` and emits Python source
-for one straight-line function -- the driving tuple unpacked into
-locals, one ``for`` loop per partner literal over that table's live
-index dict, conditions and assignments inlined as plain expressions, the
-head tuple built in place and appended to ``out``::
+for one straight-line function over a *run* of driving rows -- builtins
+resolved once, then one ``for`` loop over the run's queue rows (the
+driving tuple is field 1), that tuple unpacked into locals, one ``for``
+loop per partner literal over that table's live index dict, conditions
+and assignments inlined as plain expressions, the head tuple built in
+place and appended to ``out``::
 
     def bind(s0):
-        def kernel(args, functions, out):
-            v_S, v_Z, v_C1 = args
+        def kernel(rows, functions, out):
             f_concatPath = functions.get('f_concatPath') or _unknown(...)
-            for _, v_D, v_Z2, v_P2, v_C2 in s0.get((v_Z,), ()):
-                v_C = (v_C1 + v_C2)
-                ...
-                out.append((v_S, v_D, v_Z, v_P, v_C))
+            inline0 = f_concatPath is F0
+            for row in rows:
+                v_S, v_Z, v_C1 = row[1]
+                for _, v_D, v_Z2, v_P2, v_C2 in s0.get((v_Z,), ()):
+                    v_C = (v_C1 + v_C2)
+                    ...
+                    out.append((v_S, v_D, v_Z, v_P, v_C))
         return kernel
+
+So a firing is one call whatever the length of the run, and the heads
+of a run of N rows are the concatenation, in order, of N one-row calls
+(a traced firing makes exactly those calls, ``(row,)`` each, to keep
+every head under its own driver's trace).
+
+**Inlined builtins.**  A call whose argument shapes the generator can
+see -- variables and constants, ``link(..)`` terms over them, ``nil`` --
+and whose builtin declares a template for that shape
+(:data:`repro.ndlog.functions.INLINE`) is expanded in place as ``<fast
+expression> if <builtin unchanged> and <shape test> else <the call>``.
+``<builtin unchanged>`` is the invalidation rule: one identity test per
+firing (``inline0`` above) of the function just resolved from
+``functions`` against the function object the template was declared on,
+so a per-database override, a late registration and a re-registration
+are honoured at the next firing, and the call stays the definition for
+every value the shape test turns away.  Nested or computed arguments
+are left as calls (nothing is ever evaluated twice).
 
 What is shared and what is per node: the source is generated and
 ``compile()``-d once per (rule, driver index, literal order) and kept on
@@ -51,7 +73,9 @@ from repro.engine.rules import (
     LiteralStep,
     compile_plan,
 )
+from repro.ndlog.functions import INLINE
 from repro.ndlog.terms import (
+    NIL,
     AggregateSpec,
     BinOp,
     Constant,
@@ -80,7 +104,7 @@ def _unknown(name: str) -> Callable:
     return missing
 
 
-def _no_solutions(args, functions, out) -> None:
+def _no_solutions(rows, functions, out) -> None:
     """Kernel of a strand whose literal arity differs from its table's:
     no tuple can ever match."""
 
@@ -114,40 +138,51 @@ class _Generator:
         self.crule = plan.crule
         self.capture = capture
         self.lines: List[str] = []
-        self.depth = 0                      # enclosing partner loops
+        self.depth = 1                      # enclosing loops, the run's first
         self.locals: Dict[str, str] = {}    # bound variable -> local name
         self.functions: Dict[str, str] = {}  # builtin -> local name
+        #: builtin with an expanded call site -> (the local holding its
+        #: builtin-unchanged test, the name the function its templates
+        #: were declared on is bound to)
+        self.unchanged: Dict[str, Tuple[str, str]] = {}
         self.constants: Dict[str, object] = {}
         #: body index -> the local holding that literal's matched tuple
         #: (capture only: the firing's ground body, in body order).
         self.matched: Dict[int, str] = {plan.driver_index: "args"}
+        #: Whether anything reads the driving tuple whole.
+        self.keep_args = capture or any(
+            isinstance(step, LiteralStep) and step.exclude_driver
+            for step in plan.steps
+        )
         #: One ``(pred, arity, positions)`` per ``bind`` parameter.
         self.slots: List[Tuple[str, int, Tuple[int, ...]]] = []
         driver = self.crule.body[plan.driver_index]
-        body: List[str] = self.lines
         self._literal(LiteralStep(driver, plan.driver_index, frozenset()),
                       driver=True)
-        # Builtins resolve once the driving tuple has matched (right
-        # after the unpack if matching it already calls one), and no
-        # earlier than this firing: late registrations are seen.
-        resolve_at = 1 if self.functions else len(body)
         for step in plan.steps:
             if isinstance(step, LiteralStep):
                 self._literal(step)
             elif isinstance(step, AssignStep):
                 self._assign(step)
             elif isinstance(step, CondStep):
-                self._line(f"if not {self._expr(step.expr)}: {self._skip()}")
+                self._line(f"if not {self._expr(step.expr)}: continue")
         self._head()
-        body[resolve_at:resolve_at] = [
-            f"        {local} = functions.get({name!r}) or _unknown({name!r})"
-            for name, local in self.functions.items()
-        ]
+        # Builtins resolve once per firing, ahead of the run -- and no
+        # earlier, so late registrations are seen.
+        resolve: List[str] = []
+        for name, local in self.functions.items():
+            resolve.append(f"        {local} = functions.get({name!r}) "
+                           f"or _unknown({name!r})")
+            if name in self.unchanged:
+                flag, declared_on = self.unchanged[name]
+                resolve.append(f"        {flag} = {local} is {declared_on}")
         params = ", ".join(f"s{i}" for i in range(len(self.slots)))
         self.source = "\n".join([
             f"def bind({params}):",
-            "    def kernel(args, functions, out):",
-            *body,
+            "    def kernel(rows, functions, out):",
+            *resolve,
+            "        for row in rows:",
+            *self.lines,
             "    return kernel",
             "",
         ])
@@ -156,14 +191,11 @@ class _Generator:
     def _line(self, text: str) -> None:
         self.lines.append("    " * (self.depth + 2) + text)
 
-    def _skip(self) -> str:
-        return "continue" if self.depth else "return"
-
     def _literal(self, step: LiteralStep, driver: bool = False) -> None:
         """Unpack one candidate tuple of ``step`` -- the driving tuple
         itself, or each row of a partner loop -- and apply its checks."""
         values = [self._expr(term) for term in step.getters]
-        level = 0 if driver else self.depth + 1
+        level = 0 if driver else self.depth
         targets = ["_"] * step.arity
         for pos, name in step.bind_specs:
             targets[pos] = self._local(name)
@@ -177,9 +209,14 @@ class _Generator:
         if set(targets) == {"_"}:
             unpack = "_"
         if driver:
-            self._line(f"{unpack} = args")
+            source = "row[1]"
+            if self.keep_args:
+                self._line("args = row[1]")
+                source = "args"
+            if unpack != "_":
+                self._line(f"{unpack} = {source}")
             for pos, value in zip(step.positions, values):
-                self._line(f"if {value} != t0_{pos}: return")
+                self._line(f"if {value} != t0_{pos}: continue")
         else:
             rows = f"s{len(self.slots)}"
             self.slots.append((step.literal.pred, step.arity, step.positions))
@@ -197,18 +234,16 @@ class _Generator:
                 self._line(f"for {unpack} in {rows}:")
                 self.depth += 1
         for pos, first in step.dup_checks:
-            self._line(f"if t{level}_{pos} != {targets[first]}: "
-                       f"{self._skip()}")
+            self._line(f"if t{level}_{pos} != {targets[first]}: continue")
         for pos, term in step.residual_exprs:
-            self._line(f"if {self._expr(term)} != t{level}_{pos}: "
-                       f"{self._skip()}")
+            self._line(f"if {self._expr(term)} != t{level}_{pos}: continue")
 
     def _assign(self, step: AssignStep) -> None:
         value = self._expr(step.expr)
         if step.name in self.locals:
             # Assignment to a bound variable is an equality test.
             self._line(f"if not ({self.locals[step.name]} == {value}): "
-                       f"{self._skip()}")
+                       "continue")
         else:
             self._line(f"{self._local(step.name)} = {value}")
 
@@ -245,9 +280,63 @@ class _Generator:
     def _constant(self, value) -> str:
         if _literal_safe(value):
             return repr(value)
-        name = f"K{len(self.constants)}"
+        return self._declared(value, "K")
+
+    def _declared(self, value, prefix: str = "F") -> str:
+        """Bind ``value`` into the kernel's namespace; returns its name."""
+        name = f"{prefix}{len(self.constants)}"
         self.constants[name] = value
         return name
+
+    def _simple(self, term: Term) -> Optional[str]:
+        """Source of ``term`` if reading it twice is reading it once: a
+        bound variable or a constant."""
+        if isinstance(term, Variable):
+            return self.locals.get(term.name)
+        if isinstance(term, Constant):
+            return f"({self._constant(term.value)})"
+        return None
+
+    def _match(self, shapes, args) -> Optional[Dict[str, str]]:
+        """Template slot -> argument source if the call's arguments have
+        ``shapes`` (:class:`repro.ndlog.functions.Inline`)."""
+        if len(shapes) != len(args):
+            return None
+        slots: Dict[str, str] = {}
+        for shape, arg in zip(shapes, args):
+            if isinstance(shape, str):
+                names, terms = (shape,), (arg,)
+            elif shape == NIL:
+                if arg != Constant(NIL):
+                    return None
+                continue
+            elif isinstance(arg, TupleTerm) and len(arg.args) >= len(shape):
+                names, terms = shape, arg.args
+            else:
+                return None
+            sources = [self._simple(term) for term in terms]
+            if None in sources:
+                return None
+            slots.update(zip(names, sources))
+        return slots
+
+    def _call(self, term: FuncCall, local: str) -> str:
+        """A builtin call, expanded in place when the builtin declares a
+        template for the shape of its arguments."""
+        args = ", ".join(self._expr(arg) for arg in term.args)
+        call = f"{local}({args})"
+        declared_on, templates = INLINE.get(term.name, (None, ()))
+        for template in templates:
+            slots = self._match(template.shapes, term.args)
+            if slots is not None:
+                if term.name not in self.unchanged:
+                    self.unchanged[term.name] = (
+                        f"inline{len(self.unchanged)}",
+                        self._declared(declared_on),
+                    )
+                return template.expand(slots, self.unchanged[term.name][0],
+                                       call)
+        return call
 
     def _expr(self, term: Term) -> str:
         if isinstance(term, Constant):
@@ -276,8 +365,7 @@ class _Generator:
                 if not (local.startswith("f_") and local.isidentifier()):
                     local = f"f{len(self.functions)}_"
                 self.functions[term.name] = local
-            args = ", ".join(self._expr(arg) for arg in term.args)
-            return f"{local}({args})"
+            return self._call(term, local)
         if isinstance(term, TupleTerm):
             items = _tuple([self._expr(arg) for arg in term.args])
             return f"ConstructedTuple({term.pred!r}, {items})"
@@ -332,7 +420,7 @@ class StrandKernel:
         return self._variant(capture)[0]
 
     def bind(self, db, capture: bool = False) -> Callable:
-        """The kernel ``(args, functions, out)`` over ``db``'s tables:
+        """The kernel ``(rows, functions, out)`` over ``db``'s tables:
         each partner literal's live index dict (or row view, for a
         scan) is captured and pre-registered here, so the first delta
         does not pay the index-build cost."""

@@ -63,8 +63,10 @@ materialized-view maintenance layer.
 into the source of one flat Python function -- driving tuple unpacked
 into locals, one loop per partner literal over that table's live index
 dict, conditions, assignments and the head tuple inlined -- compiled
-once per program and bound per engine to its tables.  A firing runs
-the kernel over the whole run of driving rows into one list of head
+once per program and bound per engine to its tables.  A firing is one
+kernel call over the whole run of driving rows -- builtins resolved
+once, the hot ``f_member`` / ``f_concatPath`` shapes expanded in place,
+so no Python call is made per joined tuple -- into one list of head
 tuples, then emits them in one call.
 
 **One commit path: chunks of runs.**  The queue is drained in chunks of
@@ -147,11 +149,13 @@ class Strand:
     """One rule strand: a compiled rule driven by one body literal
     position, as in Figures 3 and 5 of the paper.
 
-    ``kernel(args, functions, out)`` is everything the hot path needs:
-    it appends to ``out`` every head tuple the driving tuple ``args``
-    derives against ``db``'s tables -- a generated function
+    ``kernel(rows, functions, out)`` is everything the hot path needs:
+    it appends to ``out``, row by row, every head tuple the driving
+    tuples of the run ``rows`` (queue rows; the tuple is field 1)
+    derive against ``db``'s tables -- a generated function
     (:mod:`repro.engine.kernels`) for the literal order ``stats`` (a
-    :class:`StatsCatalog`) implies.  ``code`` is the shared
+    :class:`StatsCatalog`) implies, called once per firing (and, traced,
+    once per row with ``(row,)``).  ``code`` is the shared
     :class:`StrandKernel`, generated at most once per program,
     ``kernel_source`` its text; only the table/index binding happens
     here.  ``capture_kernel`` is the provenance variant, whose ``out``
@@ -833,8 +837,8 @@ class PSNEngine:
             self._fire_strand(strand, rows, sign)
 
     def _fire_strand(self, strand: Strand, rows, sign: int) -> None:
-        """Fire one strand with a run of driving rows: the kernel runs
-        over every row into one ``out``, then the heads are sent on in
+        """Fire one strand with a run of driving rows: one kernel call
+        takes the run into one ``out``, then the heads are sent on in
         order -- plain heads in one :meth:`_emit`, aggregate /
         arg-extreme heads through the rule's view, head by head for a
         lone row, once through ``apply_many`` (net change only) for a
@@ -861,18 +865,19 @@ class PSNEngine:
         out: List = []
         traces: Optional[List] = None
         if traced:
-            # One trace id per head: a row's share of ``out`` is what
-            # its kernel call appended.  View outputs go out under the
-            # last driver's trace (a netted change can mix several).
+            # One trace id per head: the same kernel over runs of one, a
+            # row's share of ``out`` being what its call appended (a
+            # run's heads are its rows' heads, concatenated).  View
+            # outputs go out under the last driver's trace (a netted
+            # change can mix several).
             traces = []
             for row in rows:
                 before = len(out)
-                kernel(row[1], functions, out)
+                kernel((row,), functions, out)
                 traces += [row[5]] * (len(out) - before)
             self._active_trace = rows[-1][5]
         else:
-            for row in rows:
-                kernel(row[1], functions, out)
+            kernel(rows, functions, out)
         inferences = len(out)
         if out:
             self.inferences += inferences

@@ -17,11 +17,25 @@ work with one definition:
 * ``f_concatPath(link(s,d,c), nil)``       -> ``(s, d)``       (rule SP1)
 * ``f_concatPath(link(s,z,c), (z,...,d))`` -> ``(s, z, ..., d)`` (rule SP2)
 * ``f_concatPath((s,...,z), link(z,d,c))`` -> ``(s, ..., z, d)`` (rule SP2-SD)
+
+**Inline templates.**  A builtin may declare, beside its definition,
+what a call of a given argument shape computes as one Python expression
+(:class:`Inline`; ``register(name, inline=[...])``).  The strand kernel
+generator (:mod:`repro.engine.kernels`) expands such a call in place --
+``<fast> if <builtin unchanged> and <test> else <the call>`` -- so the
+hot shapes of ``f_member``, ``f_concatPath`` and ``f_first`` cost no
+Python call per joined tuple.  The function stays the definition: the
+fast arm runs only while the kernel's ``functions`` still hold the very
+function object the template was declared on (one identity test per
+firing) and the argument has the shape ``test`` names; every other
+value -- link tuples held in a variable, scalars, the error messages --
+goes through the call.  ``tests/test_kernels.py`` holds every template
+to its function over all of those.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.errors import EvaluationError, SchemaError
 from repro.ndlog.terms import ConstructedTuple, NIL
@@ -30,13 +44,50 @@ from repro.ndlog.terms import ConstructedTuple, NIL
 REGISTRY: Dict[str, Callable] = {}
 
 
-def register(name: str):
-    """Decorator registering a builtin under ``name`` (must start ``f_``)."""
+class Inline(NamedTuple):
+    """One inline template: what a call whose arguments match ``shapes``
+    returns, as the Python expression ``fast``, whenever ``test`` holds.
+
+    ``shapes`` has one entry per parameter: a name stands for an
+    argument that is a variable or a constant; a pair of names for a
+    tuple term (``link(S, D, ..)``) given its first two argument
+    expressions -- its node sequence, so no :class:`ConstructedTuple`
+    is built; :data:`NIL` for the constant ``nil``.  ``fast`` and
+    ``test`` refer to the named arguments as ``{name}``; an empty
+    ``test`` means the shape alone decides.
+    """
+
+    shapes: Tuple
+    fast: str
+    test: str = ""
+
+    def expand(self, slots: Mapping[str, str], unchanged: str,
+               call: str) -> str:
+        """Source of one call site: ``slots`` maps each shape name to
+        the source of its argument, ``unchanged`` is the source of the
+        builtin-unchanged test and ``call`` the plain call."""
+        fast, test = self.fast.format(**slots), self.test.format(**slots)
+        when = f"{unchanged} and {test}" if test else unchanged
+        return f"({fast} if {when} else {call})"
+
+
+#: Inline templates by builtin name: the function object they were
+#: declared on (what a kernel compares its resolved builtin against --
+#: never whatever ``REGISTRY`` holds under the name later) and the
+#: templates, first match wins.
+INLINE: Dict[str, Tuple[Callable, Tuple[Inline, ...]]] = {}
+
+
+def register(name: str, inline: Sequence[Inline] = ()):
+    """Decorator registering a builtin under ``name`` (must start ``f_``),
+    with its ``inline`` templates if it declares any."""
     if not name.startswith("f_"):
         raise SchemaError(f"builtin names must start with 'f_': {name!r}")
 
     def wrap(func: Callable) -> Callable:
         REGISTRY[name] = func
+        if inline:
+            INLINE[name] = (func, tuple(inline))
         return func
 
     return wrap
@@ -61,7 +112,19 @@ def node_sequence(value) -> Tuple:
     return (value,)
 
 
-@register("f_concatPath")
+_IS_LIST = "{P}.__class__ is tuple"
+
+
+@register("f_concatPath", inline=[
+    # The paper's three usages (module docstring), in order.
+    Inline((("S", "D"), NIL), "({S}, {D})"),
+    Inline((("S", "Z"), "P"),
+           "(({S}, {Z}) + {P}[1:] if {P} and {Z} == {P}[0] "
+           "else ({S}, {Z}) + {P})", _IS_LIST),
+    Inline(("P", ("Z", "D")),
+           "({P} + ({D},) if {P} and {P}[-1] == {Z} "
+           "else {P} + ({Z}, {D}))", _IS_LIST),
+])
 def f_concat_path(first, second) -> Tuple:
     """Concatenate two path-like values, merging a shared junction node."""
     left = node_sequence(first)
@@ -71,7 +134,9 @@ def f_concat_path(first, second) -> Tuple:
     return left + right
 
 
-@register("f_member")
+@register("f_member", inline=[
+    Inline(("P", "X"), "(1 if {X} in {P} else 0)", _IS_LIST),
+])
 def f_member(path, item) -> int:
     """1 if ``item`` occurs in ``path``, else 0 (P2 convention)."""
     if not isinstance(path, tuple):
@@ -87,7 +152,9 @@ def f_size(path) -> int:
     return len(path)
 
 
-@register("f_first")
+@register("f_first", inline=[
+    Inline(("P",), "{P}[0]", _IS_LIST + " and {P}"),
+])
 def f_first(path):
     """First element of a non-empty list."""
     if not isinstance(path, tuple) or not path:
@@ -185,4 +252,5 @@ def default_functions() -> Dict[str, Callable]:
 
 
 # Re-export for convenience in user programs.
-__all__ = ["REGISTRY", "register", "default_functions", "node_sequence", "NIL"]
+__all__ = ["REGISTRY", "INLINE", "Inline", "register", "default_functions",
+           "node_sequence", "NIL"]

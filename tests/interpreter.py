@@ -148,9 +148,9 @@ def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
                        capture: bool = False) -> Callable:
     """One strand through the interpreter, behind the calling convention
     of the generated kernels (:mod:`repro.engine.kernels`):
-    ``kernel(args, functions, out)`` appends every head the driving
-    tuple ``args`` derives -- ``(head, ground body facts)`` pairs under
-    ``capture``."""
+    ``kernel(rows, functions, out)`` appends every head the driving
+    tuples of the run derive (queue rows: the tuple is field 1), row by
+    row -- ``(head, ground body facts)`` pairs under ``capture``."""
     literal = crule.body[driver_index]
     sources = {
         index: db.table(crule.body[index].pred)
@@ -158,18 +158,21 @@ def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
         if index != driver_index
     }
 
-    def kernel(args, functions, out):
-        seed = unify_literal(literal, args, {}, functions)
-        if seed is None:
-            return
-        for bindings in solve(crule, sources, functions, bindings=seed,
-                              skip_index=driver_index,
-                              skip_fact=Fact(literal.pred, args)):
-            head = instantiate_head(crule, bindings, functions)
-            if capture:
-                out.append((head, crule.ground_body(bindings, functions)))
-            else:
-                out.append(head)
+    def kernel(rows, functions, out):
+        for row in rows:
+            args = row[1]
+            seed = unify_literal(literal, args, {}, functions)
+            if seed is None:
+                continue
+            for bindings in solve(crule, sources, functions, bindings=seed,
+                                  skip_index=driver_index,
+                                  skip_fact=Fact(literal.pred, args)):
+                head = instantiate_head(crule, bindings, functions)
+                if capture:
+                    out.append((head,
+                                crule.ground_body(bindings, functions)))
+                else:
+                    out.append(head)
 
     return kernel
 

@@ -1,8 +1,10 @@
 """Incremental aggregate maintenance tests (Sections 3.3.2 and 4)."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.aggregates import (
     AggregateView,
@@ -164,6 +166,59 @@ class TestAggregateView:
         view.apply(("a", "b", 4), 1)
         deltas = view.apply_many([("a", "b", 4)], -1)
         assert deltas == [(-1, ("a", "b", 4)), (1, ("a", "b", 5))]
+
+
+EXTREME_VALUES = st.one_of(
+    st.integers(-4, 4), st.sampled_from([-2.5, 0.5, 1.0, 3.0, 3.5]))
+#: ``(value, weight)`` adds a value; ``(pick, weight)`` with a negative
+#: weight withdraws from the ``pick``-th live value (modulo).
+EXTREME_OPS = st.lists(st.one_of(
+    st.tuples(EXTREME_VALUES, st.integers(1, 3)),
+    st.tuples(st.integers(0, 20), st.integers(-3, -1)),
+), max_size=60)
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+@given(ops=EXTREME_OPS)
+@settings(max_examples=150, deadline=None)
+def test_extreme_view_matches_recompute_from_values(func, ops):
+    """``apply`` reads the heap once per contribution and derives the
+    new extreme from the old one; after every add and remove -- ints,
+    floats equal to ints, repeats, the extreme's last derivation, the
+    group's last value -- the emitted deltas are what recomputing the
+    extreme over the live values gives."""
+    view = make_view(func)
+    best = min if func == "min" else max
+    live = Counter()
+    emitted = 0
+
+    def step(value, weight):
+        nonlocal emitted
+        old = best(live) if live else None
+        live[value] += weight
+        if not live[value]:
+            del live[value]
+        new = best(live) if live else None
+        expected = []
+        if old != new:
+            expected = [(-1, ("a", "b", old))] * (old is not None)
+            expected += [(1, ("a", "b", new))] * (new is not None)
+        assert view.apply(("a", "b", value), weight) == expected
+        emitted += len(expected)
+        assert view.changes == emitted
+        if live:
+            assert view.groups[("a", "b")].values == live
+        assert view.current_rows() == [("a", "b", new)] * (new is not None)
+
+    for first, weight in ops:
+        if weight > 0:
+            step(first, weight)
+        elif live:
+            value = sorted(live)[first % len(live)]
+            step(value, max(weight, -live[value]))
+    for value in sorted(live, reverse=func == "max"):
+        step(value, -live[value])       # retract to empty, extreme first
+    assert view.groups == {}
 
 
 class TestHeapBackedExtremes:

@@ -7,6 +7,7 @@ property (the analyzer never crashes and always names real rules) that
 reuses the random program generator from test_pretty.py.
 """
 
+import inspect
 import pathlib
 
 import pytest
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from repro import api
 from repro.analysis import ANALYSES, analyze
 from repro.analysis.common import rule_name
+from repro.analysis.typeinfer import FUNCTION_SIGNATURES
 from repro.errors import StaticAnalysisError
 from repro.ndlog import programs
+from repro.ndlog.functions import INLINE, REGISTRY
 from repro.ndlog.parser import parse
 from repro.ndlog.pretty import format_analysis_report
 from test_pretty import random_programs
@@ -69,6 +72,42 @@ class TestTypes:
         """, passes=["types"])
         warnings = report.by_code("ND102")
         assert warnings and warnings[0].severity == "warning"
+
+    def test_wrong_builtin_arity_is_nd103_error(self):
+        # Without it the program compiles, lints clean, and dies mid-run
+        # on "TypeError: f_member() missing 1 required positional
+        # argument" from inside a kernel.
+        source = """
+            W1: ok(@S, B) :- #link(@S, D, C), P := f_init(D),
+                             B := f_member(P).
+            W2: ok(@S, B) :- #link(@S, D, C), B := f_size(f_init(D, S), 1).
+        """
+        report = analyze(source, passes=["types"])
+        hits = report.by_code("ND103")
+        assert [(d.severity, d.rule) for d in hits] == [
+            ("error", "W1"), ("error", "W2"), ("error", "W2")]
+        assert "f_member takes 2 argument(s), 1 given" in hits[0].message
+        messages = " ".join(d.message for d in hits)
+        assert "f_init takes 1 argument(s), 2 given" in messages
+        assert "f_size takes 1 argument(s), 2 given" in messages
+        with pytest.raises(StaticAnalysisError, match="ND103"):
+            api.compile(source, lint="error")
+
+    def test_signatures_and_templates_track_the_registry(self):
+        """Drift guard: ND103 counts against ``FUNCTION_SIGNATURES``,
+        the kernels inline from ``INLINE``; both must describe the
+        functions ``REGISTRY`` actually holds."""
+        assert set(FUNCTION_SIGNATURES) == set(REGISTRY)
+        for name, func in REGISTRY.items():
+            arity = len(inspect.signature(func).parameters)
+            assert len(FUNCTION_SIGNATURES[name][0]) == arity, name
+        assert INLINE
+        for name, (declared_on, templates) in INLINE.items():
+            assert REGISTRY[name] is declared_on, name
+            arity = len(inspect.signature(declared_on).parameters)
+            assert templates
+            for template in templates:
+                assert len(template.shapes) == arity, (name, template.shapes)
 
     def test_summary_reports_column_types(self):
         report = analyze(programs.shortest_path(), passes=["types"])

@@ -7,7 +7,10 @@ the property tests here hold all three to the same heads -- on every
 builtin program and on random rule shapes -- and the unit tests pin
 what the generator must preserve: error paths, live index capture,
 late function registration, once-per-program compilation, readable
-tracebacks, and independence from the hash seed.
+tracebacks, and independence from the hash seed.  Two sections follow
+the calling convention (a kernel takes a run; a run's heads are its
+rows' heads, concatenated) and the inlined builtins (every template
+equals its function; the function in ``db.functions`` decides).
 """
 
 import gc
@@ -39,10 +42,21 @@ from repro.engine.table import Table
 from repro.errors import EvaluationError
 from repro.ndlog import parse, programs
 from repro.ndlog.ast import Literal
-from repro.ndlog.terms import Constant, evaluate
+from repro.ndlog.functions import (
+    INLINE,
+    NIL,
+    REGISTRY,
+    f_concat_path,
+    f_first,
+    f_member,
+    node_sequence,
+    register,
+)
+from repro.ndlog.terms import Constant, ConstructedTuple, evaluate
 from repro.opt.costbased import StatsCatalog
 
-from interpreter import interpret, solve
+from interpreter import interpret, interpreted_kernel, solve
+from test_obs import RecordingObserver
 from test_pretty import random_programs
 
 SETTINGS = dict(
@@ -111,12 +125,12 @@ def strand_outcomes(crule, driver_index, db, args):
 
     def via_kernel():
         out = []
-        code.bind(db)(args, functions, out)
+        code.bind(db)([fact], functions, out)
         return out
 
     def via_capture_kernel():
         out = []
-        code.bind(db, capture=True)(args, functions, out)
+        code.bind(db, capture=True)([fact], functions, out)
         for _head, body in out:
             # The ground body: one stored tuple per body literal, in
             # body order, the driving tuple at its own position.
@@ -412,7 +426,7 @@ def test_strand_repr_and_kernel_source():
     strand = next(s for s in engine.strands["link"] if s.crule.label == "SP2")
     assert "<kernel SP2/link>" in repr(strand)
     source = strand.kernel_source
-    assert "def kernel(args, functions, out):" in source
+    assert "def kernel(rows, functions, out):" in source
     assert "v_C = (v_C1 + v_C2)" in source
 
 
@@ -429,7 +443,328 @@ def test_explain_kernels_section_is_opt_in():
         for literal in rule.body:
             if isinstance(literal, Literal):
                 assert f"<kernel {rule.label}/{literal.pred}" in section
-    assert "def kernel(args, functions, out):" in section
+    assert "def kernel(rows, functions, out):" in section
+
+
+# ----------------------------------------------------------------------
+# The run convention: kernel(rows, functions, out)
+# ----------------------------------------------------------------------
+RUN_CASES = [
+    # self-join: both strands, the early one excluding its driver
+    ("T: tc(X, Z) :- tc(X, Y), tc(Y, Z).",
+     {"tc": [("a", "a"), ("a", "b"), ("d", "e"), ("b", "a"), ("b", "c")]}),
+    # constant, repeated variable and residual checks on the driver:
+    # rows that do not match sit in the middle of the run
+    ("R: out(@A, C) :- p(@A, A, c7, B, B + 1), q(@A, C).",
+     {"p": [("x", "x", "c7", 1, 2), ("x", "y", "c7", 1, 2),
+            ("y", "y", "c7", 1, 2), ("y", "y", "c8", 1, 2),
+            ("y", "y", "c7", 1, 3), ("z", "z", "c7", 0, 1)],
+      "q": [("x", 1), ("x", 2), ("y", 3), ("n", 4)]}),
+    # inlined builtins inside the run loop
+    ("R: hop(@S, P) :- p(@S, P1, D), f_member(P1, D) == 0, "
+     "P := f_concatPath(P1, link(@S, D, 1)).",
+     {"p": [("a", ("a",), "b"), ("a", ("a", "b"), "b"), ("a", (), "c"),
+            ("b", ("a", "b"), "c")]}),
+]
+
+
+@pytest.mark.parametrize("text,rows", RUN_CASES)
+@pytest.mark.parametrize("capture", [False, True])
+def test_a_run_is_the_concatenation_of_its_rows(text, rows, capture):
+    """One call over N driving rows appends, in order, what N one-row
+    calls append -- so firing a strand once per run (plain) and once
+    per row (traced) derive the same heads in the same order."""
+    program = parse(text)
+    db = Database.for_program(program)
+    for pred, pred_rows in rows.items():
+        db.load_facts(pred, pred_rows)
+    crule = CompiledRule(program.rules[0])
+    derived = 0
+    for driver_index in crule.literal_indexes:
+        pred = crule.body[driver_index].pred
+        # Queue rows as the engine hands them over, the table's rows
+        # twice over so the run revisits every bucket.
+        run = [(pred, args, 1, False, False, None)
+               for args in db.table(pred).rows() * 2]
+        kernel = strand_kernel(crule, driver_index, StatsCatalog()).bind(
+            db, capture)
+        whole, parts, empty = [], [], []
+        kernel(run, db.functions, whole)
+        shares = []
+        for row in run:
+            before = len(parts)
+            kernel((row,), db.functions, parts)
+            shares.append(len(parts) - before)
+        kernel((), db.functions, empty)
+        assert whole == parts
+        assert empty == []
+        assert 0 in shares[1:-1]        # a mismatch inside the run
+        reference = []
+        interpreted_kernel(crule, driver_index, db, capture)(
+            run, db.functions, reference)
+        assert Counter(whole) == Counter(reference)
+        derived += len(whole)
+    assert derived > 0
+
+
+def test_traced_run_keeps_each_head_under_its_own_drivers_trace():
+    """A traced firing calls the same kernel row by row: with rows that
+    derive two, no and one head, every head's trace is its driver's."""
+    program = parse("R: out(@A, B, C) :- p(@A, B), q(@A, C), B < C.")
+    engine = PSNEngine(program, batch_size=64)
+    engine.inject_run("q", [("n", 2), ("n", 3)])
+    engine.run()
+    fake = engine.observer = RecordingObserver()
+    engine.inject_run("p", [("n", 1), ("n", 9), ("n", 2)])
+    engine.run()
+    minted = {event[2]: event[4] for event in fake.events
+              if event[0] == "inject"}
+    derived = [event for event in fake.events if event[0] == "derive"]
+    assert sorted(event[2] for event in derived) == [
+        ("n", 1, 2), ("n", 1, 3), ("n", 2, 3)]
+    assert len(set(minted.values())) == 3
+    for _kind, _pred, head, _sign, trace in derived:
+        assert trace == minted[("n", head[1])]
+    assert fake.inferred == {("R", "p"): 3}   # one firing, three heads
+
+
+# ----------------------------------------------------------------------
+# Inlined builtins
+# ----------------------------------------------------------------------
+def result_of(thunk):
+    """A value with its exact spelling (``1`` is not ``1.0``), or the
+    exception's type and message."""
+    try:
+        value = thunk()
+    except Exception as error:  # noqa: BLE001 -- parity of *any* failure
+        return (type(error), str(error))
+    return (value, repr(value))
+
+
+#: Few values, several of them equal under ``==`` and spelled
+#: differently, so junctions (``Z == P[0]``) and hits are common.
+SCALARS = st.sampled_from(["a", "b", 1, 1.0, True, None])
+PATH_VALUES = st.lists(st.sampled_from(["a", "b", 1, 1.0]),
+                       max_size=4).map(tuple)
+LINK_VALUES = st.builds(ConstructedTuple, st.just("link"),
+                        st.lists(SCALARS, max_size=3).map(tuple))
+#: What a variable can hold at a call site: paths (``nil`` among
+#: them), link tuples (too short ones too), scalars, non-lists.
+ANY_VALUE = st.one_of(PATH_VALUES, PATH_VALUES, LINK_VALUES, SCALARS,
+                      st.sampled_from(["ab", ["a", "b"], {"a"}]))
+#: A link term's fields are node ids far more often than not.
+LINK_FIELD = st.one_of(SCALARS, SCALARS, SCALARS, ANY_VALUE)
+TEMPLATES = [
+    pytest.param(declared_on, template, id=f"{name}-{index}")
+    for name, (declared_on, templates) in sorted(INLINE.items())
+    for index, template in enumerate(templates)
+]
+
+
+def slot_names(template):
+    return [slot for shape in template.shapes if shape != NIL
+            for slot in ([shape] if isinstance(shape, str) else shape)]
+
+
+def call_site(template, values):
+    """One call site of ``template`` with ``values`` (slot -> value) as
+    its arguments: the source the generator would emit, reading slot
+    ``S`` from a variable ``S``, and what the plain call receives."""
+    actual = []
+    for shape in template.shapes:
+        if isinstance(shape, str):
+            actual.append(values[shape])
+        elif shape == NIL:
+            actual.append(NIL)
+        else:
+            fields = tuple(values[slot] for slot in shape)
+            actual.append(ConstructedTuple("link", fields + (7,)))
+    source = template.expand({slot: slot for slot in values},
+                             "unchanged", "call()")
+    return source, actual
+
+
+@pytest.mark.parametrize("declared_on,template", TEMPLATES)
+@given(data=st.data())
+@settings(max_examples=200, **SETTINGS)
+def test_every_template_equals_the_function_it_is_declared_on(
+        declared_on, template, data):
+    values = {
+        slot: data.draw(ANY_VALUE if slot in template.shapes else LINK_FIELD,
+                        label=slot)
+        for slot in slot_names(template)
+    }
+    source, actual = call_site(template, values)
+    expected = result_of(lambda: declared_on(*actual))
+    for unchanged in (True, False):
+        namespace = dict(values, unchanged=unchanged,
+                         call=lambda: declared_on(*actual))
+        got = result_of(lambda: eval(source, namespace))  # noqa: S307
+        assert got == expected, (source, values, unchanged)
+
+
+@pytest.mark.parametrize("declared_on,template", TEMPLATES)
+def test_every_template_has_a_fast_arm_that_is_taken(declared_on, template):
+    """On the shape it is written for -- a path in every slot -- a
+    template answers without the call, and only while the builtin is
+    unchanged."""
+    values = dict.fromkeys(slot_names(template), ("a", "b"))
+    source, actual = call_site(template, values)
+    calls = []
+
+    def call():
+        calls.append(1)
+        return declared_on(*actual)
+
+    namespace = dict(values, unchanged=True, call=call)
+    assert eval(source, namespace) == declared_on(*actual)  # noqa: S307
+    assert calls == []
+    namespace["unchanged"] = False
+    assert eval(source, namespace) == declared_on(*actual)  # noqa: S307
+    assert calls == [1]
+
+
+LINE = [("a", "b", 1), ("b", "a", 1), ("b", "c", 1), ("c", "b", 1),
+        ("c", "d", 1), ("d", "c", 1)]
+
+
+def short_member(path, item):
+    """An ``f_member`` that also turns away every path of three nodes:
+    ``shortest_path_safe`` then stops at two hops."""
+    return 1 if item in path or len(path) > 2 else 0
+
+
+def spy_on(function):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return function(*args)
+
+    return spy, calls
+
+
+def python_calls(thunk):
+    """Python-level calls made while ``thunk`` runs, by code object --
+    kernel entries under ``"kernel"``."""
+    counts = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith("<kernel "):
+                if code.co_name == "kernel":
+                    counts["kernel"] += 1
+            else:
+                counts[code] += 1
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def run_line(engine, links=LINE):
+    for link in links:
+        engine.insert("link", link)
+    engine.run()
+    return {row[:2] for row in engine.db.rows("shortestPath")}
+
+
+def test_two_engines_of_one_program_each_derive_per_their_own_function():
+    """The generated code is shared per ``Program``; which arm runs is
+    decided per firing, from the ``functions`` of the engine firing."""
+    program = programs.shortest_path_safe()
+    plain, overridden = PSNEngine(program), PSNEngine(program)
+    assert plain.strands["link"][0].code is overridden.strands["link"][0].code
+    overridden.db.functions["f_member"] = short_member
+    reference = interpret(PSNEngine(programs.shortest_path_safe()))
+    reference.db.functions["f_member"] = short_member
+    pairs = run_line(plain)
+    assert ("a", "d") in pairs and len(pairs) == 12
+    assert run_line(overridden) == run_line(reference) == pairs - {
+        ("a", "d"), ("d", "a")}
+    assert (sorted(overridden.db.rows("path"))
+            == sorted(reference.db.rows("path")))
+
+
+def test_an_override_between_runs_is_seen_at_the_next_firing():
+    engine = PSNEngine(programs.shortest_path_safe(), batch_size=8)
+    member = f_member.__code__
+    assert python_calls(lambda: run_line(engine, LINE[:4]))[member] == 0
+    spy, calls = spy_on(f_member)
+    engine.db.functions["f_member"] = spy
+    counts = python_calls(lambda: run_line(engine, LINE[4:]))
+    assert calls and counts[member] == len(calls)
+    # Restoring the builtin re-enables the fast arm.
+    engine.db.functions["f_member"] = f_member
+    del calls[:]
+    more = [("d", "e", 1), ("e", "d", 1)]
+    assert python_calls(lambda: run_line(engine, more))[member] == 0
+    assert calls == []
+    assert ("a", "e") in {row[:2] for row in engine.db.rows("shortestPath")}
+
+
+def test_a_reregistration_before_compile_is_honoured():
+    """The identity test is against the function the template was
+    declared on, not against whatever the registry holds by then."""
+    try:
+        register("f_member")(short_member)
+        engine = PSNEngine(programs.shortest_path_safe())
+        assert engine.db.functions["f_member"] is short_member
+        assert INLINE["f_member"][0] is f_member
+        pairs = run_line(engine)
+    finally:
+        REGISTRY["f_member"] = f_member
+    assert len(pairs) == 10 and ("a", "d") not in pairs
+    assert len(run_line(PSNEngine(programs.shortest_path_safe()))) == 12
+
+
+@pytest.mark.parametrize("body,inlined", [
+    ("B := f_member(P, X)", True),
+    ("B := f_member(P, \"a\")", True),              # a constant argument
+    ("B := f_member(nil, X)", True),
+    ("B := f_first(P)", True),
+    ("B := f_concatPath(link(@A, X, 1), P)", True),
+    ("B := f_concatPath(P, link(@X, A, X))", True),
+    ("B := f_concatPath(link(@A, X), nil)", True),
+    ("B := f_member(f_init(X), X)", False),         # nested call
+    ("B := f_member(P, X + 1)", False),             # computed argument
+    ("B := f_first(f_init(X))", False),
+    ("B := f_concatPath(link(@A, X, X + 1), P)", False),
+    ("B := f_concatPath(link(@A), nil)", False),    # no node sequence
+    ("B := f_concatPath(P, P)", False),             # no template
+    ("B := f_concatPath(link(@A, X, 1), Unbound)", False),
+    ("B := f_size(P)", False),
+])
+def test_only_calls_on_variables_and_constants_are_expanded(body, inlined):
+    program = parse(f"R: out(@A, B) :- p(@A, P, X), {body}.")
+    (strand,) = PSNEngine(program).strands["p"]
+    assert ("inline0" in strand.kernel_source) == inlined
+    db = Database.for_program(program)
+    db.load_facts("p", [("a", ("a", "b"), "b"), ("a", ("b", "c"), "a"),
+                        ("b", (), 1), ("b", ("c",), 1.0)])
+    assert_strands_agree(CompiledRule(program.rules[0]), db)
+
+
+def test_a_fixpoint_makes_no_python_call_per_joined_tuple():
+    program = programs.shortest_path_safe()
+    db = Database.for_program(program)
+    nodes = [f"v{i}" for i in range(8)]
+    for i, node in enumerate(nodes):
+        for step in (1, 3):
+            other = nodes[(i + step) % 8]
+            db.load_facts("link", [(node, other, step), (other, node, step)])
+    engine = PSNEngine(program, db=db, batch_size=64)
+    counts = python_calls(engine.fixpoint)
+    assert engine.inferences > 1000
+    for function in (f_member, f_concat_path, f_first, node_sequence,
+                     ConstructedTuple.__init__):
+        assert counts[function.__code__] == 0, function
+    fired = counts[PSNEngine._fire_strand.__code__]
+    assert 0 < fired == counts["kernel"] < engine.inferences / 4
 
 
 # ----------------------------------------------------------------------

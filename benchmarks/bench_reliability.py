@@ -11,7 +11,17 @@ Two questions, one workload (the dynamic shortest-path protocol on an
 * **lossy recovery** -- with a seeded 10% drop schedule, the reliable
   run must still reach the exact fault-free fixpoint (the raw one
   demonstrably cannot); reported alongside the retransmit count so the
-  recovery cost is visible, not just the correctness claim.
+  recovery cost is visible, not just the correctness claim.  This run
+  carries the protocol *with aggregate selections* (as the lossy chaos
+  tests do, ``tests/test_chaos.py::sp_confluent``): the plain program
+  is not confluent -- a ``path`` slot keeps the neighbour's latest
+  advertisement of any of its paths, so what survives a run depends on
+  which delta arrived last -- and a lossy run's verdict against an
+  exact fixpoint was a function of delta timing and of the hash seed
+  (40 chaos seeds under ``PYTHONHASHSEED=0``: 1 to 3 end with extra,
+  valid rows; with ``aggsel`` 40 of 40 reach the fixpoint).  The
+  lossless overhead ratio stays on the plain program: its base is what
+  the gate was set against and must not move.
 
 Run as a script it medians a few rounds and merges a ``reliability``
 record into ``BENCH_results.json`` (append semantics: other
@@ -45,9 +55,11 @@ def make_overlay():
                          degree=3, seed=5)
 
 
-def compiled_program():
-    return repro.compile(programs.shortest_path_dynamic(),
-                         passes=["localize"])
+def compiled_program(confluent: bool = False):
+    """The protocol; ``confluent`` adds aggregate selections, which the
+    lossy run needs to be held to an exact fixpoint (module docstring)."""
+    passes = ["aggsel", "localize"] if confluent else ["localize"]
+    return repro.compile(programs.shortest_path_dynamic(), passes=passes)
 
 
 def run_lossless(compiled, reliable: bool) -> float:
@@ -85,7 +97,7 @@ def measure(rounds: int) -> dict:
     run_lossless(compiled, False)  # warm caches
     raw = min(run_lossless(compiled, False) for _ in range(rounds))
     reliable = min(run_lossless(compiled, True) for _ in range(rounds))
-    lossy = run_lossy(compiled)
+    lossy = run_lossy(compiled_program(confluent=True))
     overhead = reliable / raw
     print(f"lossless: raw {raw:.3f}s, reliable {reliable:.3f}s "
           f"-> {overhead:.2f}x")

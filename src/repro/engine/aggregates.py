@@ -25,12 +25,23 @@ same structure backs :class:`ArgExtremeView`'s witness promotion, with a
 total-order tie-break key (:func:`order_key`) making the promoted
 witness deterministic for values whose natural ordering admits ties.
 
-Both views also expose :meth:`apply_many`, the batched entry point a
-strand firing driven by a run of several deltas uses: a chunk
-of contributions is applied in order and only the *net* change to each
-emitted head is returned, so a burst that moves a group's value several
-times costs one retraction and one insertion downstream instead of a
-churn of intermediate pairs.
+**A view answers once per chunk.**  ``apply(contribution, weight) ->
+deltas`` is the definition of a view and what the fixpoint engines call.
+The pipelined engine feeds every firing -- a lone head or a run -- to
+:meth:`apply_many` instead, which applies the contributions through
+``apply`` in order and *adds* what they emit to the view's pending net
+(head -> weight, first-seen order; a head was either current when the
+chunk began or it was not, so its net is always -1, 0 or +1), and reads
+the net once with :meth:`drain` when the chunk ends.  An update is
+``{(old, -1), (new, +1)}`` inside one atomic batch and a non-linear
+operator emits the output delta *of the batch*: a best path re-costed
+by its neighbour retracts the best, promotes the runner-up, retracts
+the runner-up and inserts the new best -- four transitions, two of them
+on a value nobody may keep -- and leaves the chunk as one ``-old`` /
+``+new`` pair; a best that leaves and returns within the chunk leaves
+nothing.  ``changes`` counts the transitions, ``emitted`` what was
+drained, so ``changes - emitted`` is the number of transient values
+that never left a chunk.
 """
 
 from __future__ import annotations
@@ -115,6 +126,13 @@ def order_key(value):
     return (type(value).__name__, repr(value))
 
 
+def _uncovered(count: int, value, held: int) -> EvaluationError:
+    return EvaluationError(
+        f"retracting {count} derivation(s) of value {value!r}; "
+        f"aggregate group holds {held}"
+    )
+
+
 class GroupState:
     """The multiset of values currently derived for one group.
 
@@ -153,10 +171,12 @@ class GroupState:
         """Withdraw ``count`` derivations of ``value``."""
         current = self.values.get(value, 0)
         if current < count:
-            raise EvaluationError(
-                f"retracting {count} derivation(s) of value {value!r}; "
-                f"aggregate group holds {current}"
-            )
+            raise _uncovered(count, value, current)
+        self.withdraw(value, count, current)
+
+    def withdraw(self, value, count: int, current: int) -> None:
+        """:meth:`remove` past its check: ``current >= count`` is the
+        number of derivations of ``value`` held."""
         if current == count:
             del self.values[value]
             # Lazy deletion: the heap entry stays until a read pops it.
@@ -203,6 +223,45 @@ class GroupState:
         raise EvaluationError(f"unknown aggregate function {self.func!r}")
 
 
+def _apply_many(self, contributions: Iterable[Tuple], weight: int,
+                traces: Optional[Iterable] = None) -> None:
+    """Apply a firing's uniformly weighted contributions in order and
+    add what they emit to the pending net: a group whose value moves
+    ``5 -> 3 -> 2`` before the next :meth:`drain` owes ``-head(5)`` and
+    ``+head(2)`` with no trace of the intermediate ``3``.  ``traces``
+    (traced firings only) holds each contribution's trace id; a head
+    keeps that of the last contribution that moved it.  A contribution
+    the view refuses raises out of ``apply`` with everything its
+    predecessors emitted already booked."""
+    pending = self.pending
+    apply = self.apply
+    if traces is None:
+        # The loop of record: no zip, no second dict per contribution.
+        for contribution in contributions:
+            for delta_weight, head in apply(contribution, weight):
+                pending[head] = pending.get(head, 0) + delta_weight
+        return
+    moved_by = self.moved_by
+    for contribution, trace in zip(contributions, traces):
+        for delta_weight, head in apply(contribution, weight):
+            pending[head] = pending.get(head, 0) + delta_weight
+            moved_by[head] = trace
+
+
+def _drain(self) -> List[Tuple[int, Tuple, Optional[int]]]:
+    """Hand over the pending net as ``(weight, head, trace)``, heads in
+    first-seen order (a slot's ``-`` precedes its ``+``: the first head
+    a group emits in a chunk is the retraction of the value it began
+    with), zero nets dropped; nothing stays pending."""
+    pending, self.pending = self.pending, {}
+    moved_by = self.moved_by
+    deltas = [(weight, head, moved_by.get(head))
+              for head, weight in pending.items() if weight]
+    moved_by.clear()
+    self.emitted += len(deltas)
+    return deltas
+
+
 class AggregateView:
     """Maintains one aggregate head relation incrementally.
 
@@ -213,7 +272,13 @@ class AggregateView:
     ``[(-1, old_head), (+1, new_head)]`` when the group's value changes.
     A ``min``/``max`` group's heap is read once per contribution, for
     the old extreme; it is read again only when that extreme's last
-    derivation was just withdrawn.
+    derivation was just withdrawn.  A retraction the group cannot cover
+    is refused before anything is read or written.
+
+    ``apply_many`` / ``drain`` are the chunk-level entry the pipelined
+    engine uses (module docstring).  Both views bind them, like
+    ``apply``, in their own class body: an outside-in tracer wraps a
+    view's entry points by looking them up on the class itself.
     """
 
     def __init__(self, pred: str, info: AggregateInfo):
@@ -221,10 +286,17 @@ class AggregateView:
         self.info = info
         self._group_of = projector(info.group_positions)
         self.groups: Dict[Tuple, GroupState] = {}
-        #: Cumulative group-value transitions emitted (pre-netting) --
-        #: a plain int bump per change, pulled into metrics snapshots
-        #: as the view-churn counter.
+        #: Cumulative group-value transitions (pre-netting) -- a plain
+        #: int bump per change, pulled into metrics snapshots as the
+        #: view-churn counter.
         self.changes = 0
+        #: Cumulative deltas handed over by :meth:`drain` (post-netting).
+        self.emitted = 0
+        #: head -> net weight of the transitions since the last
+        #: :meth:`drain`, and (traced firings only) head -> trace id of
+        #: the last contribution that moved it.
+        self.pending: Dict[Tuple, int] = {}
+        self.moved_by: Dict[Tuple, int] = {}
 
     def apply(self, contribution: Tuple, weight: int) -> List[Tuple[int, Tuple]]:
         info = self.info
@@ -233,12 +305,19 @@ class AggregateView:
         state = self.groups.get(group_key)
         if state is None:
             state = GroupState(info.func, distinct=bool(info.var))
-            self.groups[group_key] = state
-        old = state.current()
+            if weight > 0:
+                self.groups[group_key] = state
         if weight > 0:
+            old = state.current()
             state.add(value, weight)
         else:
-            state.remove(value, -weight)
+            # Refused before anything is read off the heap or written
+            # (an unknown group by the empty state it never joins).
+            held = state.values.get(value, 0)
+            if held < -weight:
+                raise _uncovered(-weight, value, held)
+            old = state.current()
+            state.withdraw(value, -weight, held)
         func = info.func
         if func != "min" and func != "max":
             new = state.current()
@@ -264,14 +343,8 @@ class AggregateView:
         self.changes += len(deltas)
         return deltas
 
-    def apply_many(
-        self, contributions: Iterable[Tuple], weight: int
-    ) -> List[Tuple[int, Tuple]]:
-        """Apply a chunk of uniformly weighted contributions in order
-        and return the *net* deltas: a group whose value moves
-        ``5 -> 3 -> 2`` within the chunk emits ``(-1, head(5)),
-        (+1, head(2))`` with no trace of the intermediate ``3``."""
-        return _net_deltas(self.apply, contributions, weight)
+    apply_many = _apply_many
+    drain = _drain
 
     def _head(self, group_key: Tuple, value) -> Tuple:
         info = self.info
@@ -287,21 +360,6 @@ class AggregateView:
             self._head(group_key, state.current())
             for group_key, state in self.groups.items()
         ]
-
-
-def _net_deltas(apply, contributions, weight) -> List[Tuple[int, Tuple]]:
-    """Run ``apply`` per contribution and collapse the emitted deltas to
-    their per-head net weight (first-seen head order, zeros dropped) --
-    Z-set addition over the view's output."""
-    net: Dict[Tuple, int] = {}
-    order: List[Tuple] = []
-    for contribution in contributions:
-        for delta_weight, head in apply(contribution, weight):
-            if head not in net:
-                net[head] = 0
-                order.append(head)
-            net[head] += delta_weight
-    return [(net[head], head) for head in order if net[head] != 0]
 
 
 class ArgExtremeView:
@@ -337,9 +395,13 @@ class ArgExtremeView:
         self.winners: Dict[Tuple, Tuple] = {}
         #: group -> lazy-deletion heap of (value key, tie-breaking member)
         self._heaps: Dict[Tuple, List] = {}
-        #: Cumulative witness transitions emitted (pre-netting); see
-        #: :class:`AggregateView.changes`.
+        #: Cumulative witness transitions (pre-netting), deltas drained
+        #: (post-netting) and the net in between: as on
+        #: :class:`AggregateView`.
         self.changes = 0
+        self.emitted = 0
+        self.pending: Dict[Tuple, int] = {}
+        self.moved_by: Dict[Tuple, int] = {}
 
     def _better(self, a, b) -> bool:
         return a < b if self.func == "min" else a > b
@@ -352,10 +414,12 @@ class ArgExtremeView:
 
     def apply(self, args: Tuple, weight: int) -> List[Tuple[int, Tuple]]:
         group = self._group_of(args)
-        members = self.members.setdefault(group, {})
+        members = self.members.get(group)
         value = args[self.value_position]
         winner = self.winners.get(group)
         if weight > 0:
+            if members is None:
+                members = self.members[group] = {}
             count = members.get(args, 0)
             members[args] = count + weight
             if count == 0:
@@ -371,9 +435,10 @@ class ArgExtremeView:
                 self.changes += 2
                 return [(-1, winner), (1, args)]
             return []
-        # Retraction of ``-weight`` derivations.
+        # Retraction of ``-weight`` derivations; one the group cannot
+        # cover is refused before anything is written.
         drop = -weight
-        current = members.get(args, 0)
+        current = members.get(args, 0) if members else 0
         if current < drop:
             raise EvaluationError(
                 f"retracting {drop} derivation(s) of tuple {args!r}; "
@@ -413,14 +478,8 @@ class ArgExtremeView:
         self.changes += 2
         return [(-1, args), (1, best)]
 
-    def apply_many(
-        self, contributions: Iterable[Tuple], weight: int
-    ) -> List[Tuple[int, Tuple]]:
-        """Batched :meth:`apply`: contributions are applied in order and
-        the emitted witness changes are collapsed to their net -- a
-        witness displaced and re-promoted within one chunk produces no
-        downstream deltas at all."""
-        return _net_deltas(self.apply, contributions, weight)
+    apply_many = _apply_many
+    drain = _drain
 
     def current_rows(self) -> List[Tuple]:
         return list(self.winners.values())

@@ -103,17 +103,31 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    gets runs capped at one delta, as do forced deletions and (in the
    distributed runtime) the cache-intercepted query predicate.  A run
    of one is still a run: same methods, nothing to amortize.
-3. *Aggregate netting* -- a firing driven by more than one delta feeds
-   its aggregate or arg-extreme view through ``apply_many``, which
-   emits only the net group-value change for the run.
+3. *A view answers once per chunk* -- every firing of an aggregate or
+   arg-extreme rule, a lone row's like a run's, feeds its heads to the
+   view through ``apply_many``.  The view applies them in order and
+   *adds* what they emit to its pending net (head -> -1, 0 or +1);
+   :meth:`PSNEngine.process_chunk` drains every view once, after the
+   chunk's last run, and queues the nonzero heads (a slot's ``-`` ahead
+   of its ``+``, each under the trace of the last contribution that
+   moved it).  The chunk commits at one virtual instant, so an update
+   -- ``{(old, -1), (new, +1)}``, whether it arrives as a primary-key
+   replacement or as a ``-old`` run and a ``+new`` run -- reaches the
+   rules downstream of a view as the output delta *of the batch*: a
+   re-costed best path is one ``-old`` / ``+new`` pair, not retract,
+   promote the runner-up, retract it, insert.  Section 5.1.1's periodic
+   aggregate selections buffer new paths and propagate the new
+   shortest ones once per interval; here the chunk is that buffer.
 
 ``batch_size=1`` (the default) is the same path on chunks of one:
-nothing to net, every run a single delta, views fed head by head --
-Algorithm 3 as written, and the differential reference.  Larger chunks
-may change the *intermediate* delta traffic (zero-weight runs never
-commit, netted aggregates skip transient values) but never the fixpoint
-or the final derivation counts -- ``tests/test_batching.py`` and
-``tests/test_zset.py`` hold every batch size to that.
+nothing to net at the queue, every run a single delta, and a view
+answers after each delta -- Algorithm 3 as written, and the
+differential reference.  (A replacement is one delta: its retraction
+and its insertion share the chunk at every size.)  Larger chunks may
+change the *intermediate* delta traffic (zero-weight runs never commit,
+views skip transient values) but never the fixpoint or the final
+derivation counts -- ``tests/test_batching.py``, ``tests/test_zset.py``
+and ``tests/test_view_netting.py`` hold every batch size to that.
 
 """
 
@@ -298,6 +312,8 @@ class PSNEngine:
                 self.argmin_views[crule.head.pred] = ArgExtremeView(
                     crule.head.pred, group_positions, value_position, func
                 )
+        #: Every view, in the order :meth:`process_chunk` drains them.
+        self._all_views = [*self.views.values(), *self.argmin_views.values()]
         self.queue: Deque[QueueRow] = deque()
         #: While True, rule firings keep their heads on this node (the
         #: distributed ``_emit`` override skips shipping).  Set around a
@@ -523,27 +539,38 @@ class PSNEngine:
         single_delta = self._single_delta
         index = 0
         end = len(rows)
-        while index < end:
-            pred, args, weight, force, restore, trace = rows[index]
-            if restore:
-                self._active_trace = trace
-                self._commit_restore(pred, args)
-                index += 1
-                continue
-            plus = weight > 0
-            stop = index + 1
-            if not force and pred not in single_delta:
-                while stop < end:
-                    nxt = rows[stop]
-                    if (nxt[0] != pred or (nxt[2] > 0) != plus
-                            or nxt[3] or nxt[4]):  # forced / restore
-                        break
-                    stop += 1
-            if plus:
-                self._commit_insert_run(rows, index, stop)
-            else:
-                self._commit_delete_run(rows, index, stop)
-            index = stop
+        try:
+            while index < end:
+                pred, args, weight, force, restore, trace = rows[index]
+                if restore:
+                    self._active_trace = trace
+                    self._commit_restore(pred, args)
+                    index += 1
+                    continue
+                plus = weight > 0
+                stop = index + 1
+                if not force and pred not in single_delta:
+                    while stop < end:
+                        nxt = rows[stop]
+                        if (nxt[0] != pred or (nxt[2] > 0) != plus
+                                or nxt[3] or nxt[4]):  # forced / restore
+                            break
+                        stop += 1
+                if plus:
+                    self._commit_insert_run(rows, index, stop)
+                else:
+                    self._commit_delete_run(rows, index, stop)
+                index = stop
+        finally:
+            # The views answer now, once, for the whole chunk (also when
+            # a kernel raised: their state already reflects what the
+            # chunk fed them, and the tables downstream must follow).
+            for view in self._all_views:
+                if view.pending:
+                    pred = view.pred
+                    for weight, args, trace in view.drain():
+                        self._active_trace = trace
+                        self._derive(pred, args, weight)
         return count
 
     def _net_chunk(self, chunk: List[QueueRow]) -> List[QueueRow]:
@@ -666,8 +693,6 @@ class PSNEngine:
                 if fresh:
                     self._fire_strands(fresh, 1)
                     fresh = []
-                    if tracing:
-                        self._active_trace = row[5]
                 self._displace_visible(table, pred, old)
             self.clock += 1
             insert(args, self.clock, weight, deadline)
@@ -840,9 +865,10 @@ class PSNEngine:
         """Fire one strand with a run of driving rows: one kernel call
         takes the run into one ``out``, then the heads are sent on in
         order -- plain heads in one :meth:`_emit`, aggregate /
-        arg-extreme heads through the rule's view, head by head for a
-        lone row, once through ``apply_many`` (net change only) for a
-        longer run.  Traced, each head carries its own driver's trace."""
+        arg-extreme heads into the rule's view in one ``apply_many``,
+        a lone row's like a run's; what the view makes of them is
+        queued when the chunk ends (:meth:`process_chunk`).  Traced,
+        each head carries its own driver's trace."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
@@ -867,15 +893,12 @@ class PSNEngine:
         if traced:
             # One trace id per head: the same kernel over runs of one, a
             # row's share of ``out`` being what its call appended (a
-            # run's heads are its rows' heads, concatenated).  View
-            # outputs go out under the last driver's trace (a netted
-            # change can mix several).
+            # run's heads are its rows' heads, concatenated).
             traces = []
             for row in rows:
                 before = len(out)
                 kernel((row,), functions, out)
                 traces += [row[5]] * (len(out) - before)
-            self._active_trace = rows[-1][5]
         else:
             kernel(rows, functions, out)
         inferences = len(out)
@@ -895,13 +918,7 @@ class PSNEngine:
                 self._emit(pred, out, sign, traces)
             if view is not None:
                 # View rules are local rules: their output never ships.
-                if len(rows) > 1:
-                    for view_sign, view_args in view.apply_many(out, sign):
-                        self._derive(pred, view_args, view_sign)
-                else:
-                    for head in out:
-                        for view_sign, view_args in view.apply(head, sign):
-                            self._derive(pred, view_args, view_sign)
+                view.apply_many(out, sign, traces)
         if timed or (inferences and metered):
             observer.fire(crule.label, strand.driver_literal.pred,
                           inferences,

@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 
 def _relation_entry() -> Dict[str, float]:
     return {"commits": 0, "retractions": 0, "renewals": 0, "rows": 0,
-            "view_changes": 0}
+            "view_changes": 0, "view_emitted": 0}
 
 
 class NodeMetrics:
@@ -75,9 +75,11 @@ class MetricsSnapshot:
         #: (node, rule label) -> {"firings", "inferences"}.
         self.rules = rules
         #: (node, relation) -> {"commits", "retractions", "renewals",
-        #: "rows", "view_changes"}; ``renewals`` are soft-state
-        #: re-insertions that only moved a deadline -- not commits, so
-        #: not churn.
+        #: "rows", "view_changes", "view_emitted"}; ``renewals`` are
+        #: soft-state re-insertions that only moved a deadline -- not
+        #: commits, so not churn.  A view's ``view_changes -
+        #: view_emitted`` is the number of transient values that never
+        #: left the chunk they arose in.
         self.relations = relations
         self.transport = transport
         #: (src, dst) -> retransmits on that link (reliable transport).
@@ -190,6 +192,13 @@ class MetricsSnapshot:
              for (n, p), c in sorted(self.relations.items())
              if c["view_changes"]],
         )
+        family(
+            "ndlog_view_emitted_total", "counter",
+            "View deltas queued after per-chunk netting per (node, view).",
+            [(f'{{node="{n}",relation="{p}"}}', c["view_emitted"])
+             for (n, p), c in sorted(self.relations.items())
+             if c["view_changes"]],
+        )
         for gauge, kind, help_text in (
             ("steps", "counter", "Deltas consumed off the queue."),
             ("inferences", "counter", "Total body instantiations."),
@@ -295,6 +304,7 @@ class MetricsRegistry:
                     slot = relations.setdefault(
                         (name, pred), _relation_entry())
                     slot["view_changes"] += view.changes
+                    slot["view_emitted"] += view.emitted
         stats = cluster.stats
         transport = {
             "messages": stats.messages,

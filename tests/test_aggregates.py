@@ -152,20 +152,109 @@ class TestAggregateView:
     def test_apply_many_emits_net_change_only(self):
         view = make_view()
         view.apply(("a", "b", 5), 1)
-        deltas = view.apply_many(
-            [("a", "b", 4), ("a", "b", 3), ("a", "b", 2)], 1)
+        assert view.apply_many(
+            [("a", "b", 4), ("a", "b", 3), ("a", "b", 2)], 1) is None
         # 5 -> 4 -> 3 -> 2 collapses to one retract + one insert.
-        assert deltas == [(-1, ("a", "b", 5)), (1, ("a", "b", 2))]
+        assert view.drain() == [(-1, ("a", "b", 5), None),
+                                (1, ("a", "b", 2), None)]
+        assert (view.changes, view.emitted) == (7, 2)
+        assert view.drain() == []
 
     def test_apply_many_retractions(self):
         view = make_view()
         view.apply(("a", "b", 5), 1)
-        assert view.apply_many([("a", "b", 5)], -1) == [(-1, ("a", "b", 5))]
+        view.apply_many([("a", "b", 5)], -1)
+        assert view.drain() == [(-1, ("a", "b", 5), None)]
         view.apply(("a", "b", 5), 1)
-        # Retract and re-add the only value in one chunk: no net change.
         view.apply(("a", "b", 4), 1)
-        deltas = view.apply_many([("a", "b", 4)], -1)
-        assert deltas == [(-1, ("a", "b", 4)), (1, ("a", "b", 5))]
+        view.apply_many([("a", "b", 4)], -1)
+        assert view.drain() == [(-1, ("a", "b", 4), None),
+                                (1, ("a", "b", 5), None)]
+        # The net runs over every call since the last drain: the only
+        # value retracted by one firing and re-added by the next is no
+        # change at all, under the trace that moved it last or not.
+        view.apply_many([("a", "b", 5)], -1, [7])
+        assert view.pending == {("a", "b", 5): -1}
+        view.apply_many([("a", "b", 5), ("a", "b", 6)], 1, [8, 9])
+        assert view.pending == {("a", "b", 5): 0}
+        assert view.moved_by == {("a", "b", 5): 8}
+        assert view.drain() == []
+        assert not view.pending and not view.moved_by
+
+
+def make_arg_view(func="min"):
+    # The same grouping as ``make_view``, keeping the witness tuple.
+    return ArgExtremeView("best", (0, 1), 2, func=func)
+
+
+def view_state(view):
+    """Everything a refused retraction must leave as it was: members,
+    multiplicities, heaps entry for entry (a read pops dead entries, so
+    a refusal must come before any), counters and the pending net."""
+    if isinstance(view, AggregateView):
+        held = {
+            group: (dict(state.values), state.total_multiplicity,
+                    [getattr(entry, "key", entry) for entry in state._heap])
+            for group, state in view.groups.items()}
+    else:
+        held = (
+            {group: dict(members) for group, members in view.members.items()},
+            dict(view.winners),
+            {group: [entry[1].args for entry in heap]
+             for group, heap in view._heaps.items()})
+    return (held, view.changes, view.emitted, dict(view.pending),
+            dict(view.moved_by), sorted(view.current_rows()))
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+@pytest.mark.parametrize("make", [make_view, make_arg_view],
+                         ids=["aggregate", "arg-extreme"])
+class TestRefusedRetraction:
+    """A retraction the view cannot cover raises and changes nothing.
+    (It used to leave an empty group behind: ``current_rows()`` then
+    reported ``("a", "b", None)``.)"""
+
+    REFUSED = [
+        (("x", "y", 5), -1),    # unknown group
+        (("a", "b", 5), -3),    # known group, it holds two
+        (("a", "b", 6), -1),    # known group, no such value
+    ]
+
+    def settled(self, make, func):
+        view = make(func)
+        extreme = 1 if func == "min" else 9
+        view.apply_many([("a", "b", 5), ("a", "b", 5), ("a", "b", 7),
+                         ("a", "b", extreme), ("a", "c", 4)], 1)
+        # The extreme leaves: its heap entry is dead and still on top.
+        view.apply(("a", "b", extreme), -1)
+        assert view.pending
+        return view
+
+    def test_view_is_untouched(self, make, func):
+        view = self.settled(make, func)
+        before = view_state(view)
+        for contribution, weight in self.REFUSED:
+            with pytest.raises(EvaluationError, match="retracting"):
+                view.apply(contribution, weight)
+            assert view_state(view) == before
+        assert ("a", "b", None) not in view.current_rows()
+        assert make(func).current_rows() == []
+
+    def test_empty_view_stays_empty(self, make, func):
+        view = make(func)
+        with pytest.raises(EvaluationError, match="retracting"):
+            view.apply(("a", "b", 5), -1)
+        assert view_state(view) == view_state(make(func))
+        assert view.apply(("a", "b", 5), 1) == [(1, ("a", "b", 5))]
+
+    def test_a_run_keeps_what_preceded_the_refusal(self, make, func):
+        view = self.settled(make, func)
+        view.drain()
+        with pytest.raises(EvaluationError, match="retracting"):
+            view.apply_many([("a", "c", 4), ("x", "y", 1)], -1)
+        # The first contribution was applied and its output is booked.
+        assert view.drain() == [(-1, ("a", "c", 4), None)]
+        assert sorted(row[:2] for row in view.current_rows()) == [("a", "b")]
 
 
 EXTREME_VALUES = st.one_of(

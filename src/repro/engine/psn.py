@@ -103,6 +103,23 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    gets runs capped at one delta, as do forced deletions and (in the
    distributed runtime) the cache-intercepted query predicate.  A run
    of one is still a run: same methods, nothing to amortize.
+
+   A run of insertions is a *batch* of updates, and an update is
+   ``{(old, -1), (new, +1)}``: the rows the run displaces by
+   primary-key replacement leave as **one** ``-1`` run, fired while
+   they are still in the table, and the rows that became visible
+   arrive as **one** ``+1`` run -- two firings per strand for n
+   replacements, not 2n.  That holds while no two rows of the batch
+   share a primary-key slot; a row that reaches a slot the pending
+   batch has touched (the row it would displace is itself pending, a
+   second version of one slot, a displaced row announced again)
+   commits the batch first and opens the next, so the interleaving
+   survives exactly there (``Table.run_splits`` counts it,
+   ``Table.replaced`` the displaced rows).  What this orders
+   differently from chunks of one is intermediate traffic only: a
+   run's retractions reach ``on_commit``, the queue and the wire ahead
+   of its insertions, so which deltas share a later chunk or transport
+   window can shift; what a confluent program computes cannot.
 3. *A view answers once per chunk* -- every firing of an aggregate or
    arg-extreme rule, a lone row's like a run's, feeds its heads to the
    view through ``apply_many``.  The view applies them in order and
@@ -120,14 +137,16 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    shortest ones once per interval; here the chunk is that buffer.
 
 ``batch_size=1`` (the default) is the same path on chunks of one:
-nothing to net at the queue, every run a single delta, and a view
+nothing to net at the queue, every run a single delta -- a batch of
+one, its ``-old`` fired just ahead of its ``+new`` -- and a view
 answers after each delta -- Algorithm 3 as written, and the
 differential reference.  (A replacement is one delta: its retraction
 and its insertion share the chunk at every size.)  Larger chunks may
 change the *intermediate* delta traffic (zero-weight runs never commit,
-views skip transient values) but never the fixpoint or the final
-derivation counts -- ``tests/test_batching.py``, ``tests/test_zset.py``
-and ``tests/test_view_netting.py`` hold every batch size to that.
+views skip transient values, a run's retractions precede its
+insertions) but never the fixpoint or the final derivation counts --
+``tests/test_batching.py``, ``tests/test_zset.py`` and
+``tests/test_view_netting.py`` hold every batch size to that.
 
 """
 
@@ -239,8 +258,11 @@ class PSNEngine:
     so sign-only consumers keep working unchanged.  The magnitude
     depends on where netting folds (a fresh row inserted twice in one
     chunk becomes visible as one ``+2``, in chunks of one as a ``+1``
-    and a silent count bump); what every chunk size agrees on is the
-    net of transition *signs* per fact.
+    and a silent count bump), and "commit order" is the order of the
+    batches: a run of insertions reports the rows it displaces, each
+    under its own replacer's trace, *before* the rows it makes visible
+    (chunks of one interleave them).  What every chunk size agrees on
+    is the net of transition *signs* per fact.
 
     ``on_commit`` and ``metrics`` / ``tracer`` / ``profiler`` (a
     :class:`~repro.obs.metrics.NodeMetrics` holder, a
@@ -374,7 +396,10 @@ class PSNEngine:
                    force: bool = False) -> None:
         """Base-fact injection of a run of ``pred`` rows (:meth:`insert`
         and :meth:`delete` are runs of one).  Observed, each row is noted
-        as base support and mints the trace id its derivations carry."""
+        as base support and mints the trace id its derivations carry.
+        As in :meth:`derive`, a zero ``weight`` is a no-op."""
+        if not weight:
+            return
         provenance, observer = self.provenance, self.observer
         traced = observer is not None and observer.traced
         if provenance is None and not traced:
@@ -646,67 +671,124 @@ class PSNEngine:
     def _commit_insert_run(self, rows: List[QueueRow], start: int,
                            stop: int) -> None:
         """Commit ``rows[start:stop]``, a run of same-predicate
-        weighted insertions, then fire each strand once with the rows
-        that became visible.  Join-for-join identical to firing after
-        each commit: unless the run is a single delta, the predicate
-        has no self-join strands (checked by the caller), so the
-        deferred firings read partner tables this run never touches."""
+        weighted insertions, as two runs: the rows it displaces leave,
+        then the rows that became visible arrive, and each strand fires
+        once per half.
+
+        One scan books what changes no visibility in place -- a count
+        bump, a soft-state renewal -- and gathers every other row into
+        the pending *batch*, one row per primary-key slot.  The batch
+        commits as a ``-1`` run of the rows its slots still hold (an
+        update is ``{(old, -1), (new, +1)}``; each old row travels under
+        its replacer's trace), fired **while they are still in the
+        table** -- a dying fact's strands must see it, as in
+        :meth:`_commit_delete_run`, and a kernel that raises there
+        leaves the table as it found it -- then their removal, the
+        insertions, and a ``+1`` run.
+
+        That is join-for-join what firing around each commit computes
+        as long as *no two rows of a batch share a slot*: the halves
+        then touch disjoint rows, and unless the run is a single delta
+        the predicate has no self-join strand (checked by the caller),
+        so neither firing reads a table this run writes.  A row that
+        reaches a slot the pending batch has touched -- the row it
+        would displace is itself pending, a second version of one slot,
+        a row announced again while it waits to be displaced -- commits
+        the batch first and opens the next (``table.run_splits``): the
+        interleaving survives exactly where it is needed.  What moves
+        is intermediate traffic only: on ``on_commit``, the queue and
+        the wire a run's retractions now precede its insertions, so
+        which deltas share a later chunk or transport window can
+        shift."""
         pred = rows[start][0]
         table = self.db.table(pred)
-        observer = self.observer
-        tracing = observer is not None and observer.traced
-        fallback = table.fallback
         # One deadline per run; none for a hard-state table.
         deadline = (None if table.lifetime == INFINITY
                     else self.now() + table.lifetime)
         key_of, get_by_key, insert = (
             table.key_of, table.get_by_key, table.insert
         )
-        fresh: List[QueueRow] = []
         renewed = 0
         traced_renewals: List[QueueRow] = []
-        for index in range(start, stop):
-            row = rows[index]
-            args, weight = row[1], row[2]
-            if args in table:
-                # More derivations of a visible fact: one count bump of
-                # the whole weight, or on a soft-state table a renewal
-                # (Section 4.2: "reinserted ... with a new TTL"): the
-                # table moves the deadline and that is all -- no count,
-                # observer or strand.  Decided here, at dequeue: an
-                # expiry delete queued ahead has already removed the row.
-                self.clock += 1
-                insert(args, self.clock, weight, deadline)
-                if deadline is not None:
-                    renewed += 1
-                    if row[5] is not None:
-                        traced_renewals.append(row)
+        index = start
+        while index < stop:
+            # The pending batch, opened by the first row that is not a
+            # bump: its rows, the rows their slots hold now (as the
+            # ``-1`` run they leave in), and the slots it has touched
+            # (slot -> index of the row that takes it).
+            fresh = displaced = touched = None
+            for index in range(index, stop):
+                row = rows[index]
+                args = row[1]
+                if args in table and not (touched
+                                          and key_of(args) in touched):
+                    # More derivations of a visible fact: one count bump
+                    # of the whole weight, or on a soft-state table a
+                    # renewal (Section 4.2: "reinserted ... with a new
+                    # TTL"): the table moves the deadline and that is
+                    # all -- no count, observer or strand.  Decided
+                    # here, at dequeue: an expiry delete queued ahead
+                    # has already removed the row.
+                    self.clock += 1
+                    insert(args, self.clock, row[2], deadline)
+                    if deadline is not None:
+                        renewed += 1
+                        if row[5] is not None:
+                            traced_renewals.append(row)
+                    continue
+                key = key_of(args)
+                if fresh is None:
+                    fresh, displaced, touched = [], [], {}
+                if touched.setdefault(key, index) != index:
+                    table.run_splits += 1
+                    break
+                if key is not args:
+                    # (On a full-key table the slot is the row itself,
+                    # which is not stored: nothing to displace.)
+                    old = get_by_key(key)
+                    if old is not None:
+                        displaced.append(
+                            (pred, old, -1, False, False, row[5]))
+                fresh.append(row)
+            else:
+                index = stop
+            if fresh is None:
                 continue
-            if tracing:
-                self._active_trace = row[5]
-            old = get_by_key(key_of(args))
-            if old is not None:
-                # Primary-key replacement retracts the superseded row
-                # first; flush deferred firings before that so the
-                # retraction cannot overtake them (the old row may even
-                # be a member of this very run).
-                if fresh:
-                    self._fire_strands(fresh, 1)
-                    fresh = []
-                self._displace_visible(table, pred, old)
-            self.clock += 1
-            insert(args, self.clock, weight, deadline)
-            if fallback:
-                table.absorb_shadow(args)
-            if observer is not None:
-                observer.commit(pred, args, weight, row[5])
-            fresh.append(row)
+            observer, fallback = self.observer, table.fallback
+            if displaced:
+                if observer is not None:
+                    count_of = table.count
+                    for _, old, _, _, _, trace in displaced:
+                        observer.commit(pred, old, -count_of(old), trace)
+                self._fire_strands(displaced, -1)
+                provenance = self.provenance
+                # On a fallback table a displaced derivation stays
+                # outstanding in the slot's shadow: its producer never
+                # withdrew it, so a later withdrawal of the replacement
+                # falls back to it (:meth:`_restore_fallback`).
+                remove = table.supersede if fallback else table.force_delete
+                for row in displaced:
+                    if provenance is not None:
+                        provenance.retracted(Fact(pred, row[1]))
+                    remove(row[1])
+                table.replaced += len(displaced)
+            for row in fresh:
+                args = row[1]
+                self.clock += 1
+                insert(args, self.clock, row[2], deadline)
+                if fallback:
+                    table.absorb_shadow(args)
+                if observer is not None:
+                    observer.commit(pred, args, row[2], row[5])
+            if observer is not None and observer.traced:
+                # What a firing derives outside its kernel (a query
+                # answered from the cache: a run of one) joins this trace.
+                self._active_trace = fresh[-1][5]
+            self._fire_strands(fresh, 1)
         if renewed:
             table.renewals += renewed
             if traced_renewals:
-                observer.renew(pred, traced_renewals)
-        if fresh:
-            self._fire_strands(fresh, 1)
+                self.observer.renew(pred, traced_renewals)
 
     def _commit_delete_run(self, rows: List[QueueRow], start: int,
                            stop: int) -> None:
@@ -777,27 +859,6 @@ class PSNEngine:
                 table.shadow_discard(args, count - current)
         if dying:
             self._fire_strands(dying, -1)
-
-    def _displace_visible(self, table, pred: str, old: Tuple) -> None:
-        """Primary-key replacement: remove the slot's current row
-        ``old``.  Its deletion strands run while it is still in the
-        table (so partners see it), then it is dropped wholesale.  On a
-        fallback table the derivation stays outstanding in the table's
-        shadow: its producer never withdrew it, only the replacement
-        displaced it, so a later withdrawal of the replacement falls
-        back to it (:meth:`_restore_fallback`)."""
-        if self.observer is not None:
-            self.observer.commit(pred, old, -table.count(old),
-                                 self._active_trace)
-        self._fire_strands(
-            ((pred, old, -1, False, False, self._active_trace),), -1
-        )
-        if self.provenance is not None:
-            self.provenance.retracted(Fact(pred, old))
-        if table.fallback:
-            table.supersede(old)
-        else:
-            table.force_delete(old)
 
     def _commit_restore(self, pred: str, args: Tuple) -> None:
         """Process a deferred restore intent: if the keyed slot

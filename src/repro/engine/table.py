@@ -107,6 +107,12 @@ class Table:
         self._deadlines = None if lifetime == INFINITY else {}
         #: Renewals committed so far (the engine adds them run by run).
         self.renewals = 0
+        #: Rows displaced by a primary-key replacement, and the times an
+        #: insert run committed its pending batch early because a row
+        #: hit a slot the batch had touched (the engine adds both, batch
+        #: by batch: ``PSNEngine._commit_insert_run``).
+        self.replaced = 0
+        self.run_splits = 0
         #: key value -> {superseded args -> derivation count}, in
         #: displacement order (most recent last).
         self._shadow: Dict[Tuple, Dict[Tuple, int]] = {}

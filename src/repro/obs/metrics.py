@@ -26,7 +26,8 @@ from typing import Dict, List, Tuple
 
 
 def _relation_entry() -> Dict[str, float]:
-    return {"commits": 0, "retractions": 0, "renewals": 0, "rows": 0,
+    return {"commits": 0, "retractions": 0, "renewals": 0,
+            "replacements": 0, "run_splits": 0, "rows": 0,
             "view_changes": 0, "view_emitted": 0}
 
 
@@ -75,9 +76,13 @@ class MetricsSnapshot:
         #: (node, rule label) -> {"firings", "inferences"}.
         self.rules = rules
         #: (node, relation) -> {"commits", "retractions", "renewals",
-        #: "rows", "view_changes", "view_emitted"}; ``renewals`` are
-        #: soft-state re-insertions that only moved a deadline -- not
-        #: commits, so not churn.  A view's ``view_changes -
+        #: "replacements", "run_splits", "rows", "view_changes",
+        #: "view_emitted"}; ``renewals`` are soft-state re-insertions
+        #: that only moved a deadline -- not commits, so not churn;
+        #: ``replacements`` are rows displaced by a primary-key
+        #: replacement (each also counted under ``retractions``) and
+        #: ``run_splits`` the insert runs that could not commit as one
+        #: ``-1`` run and one ``+1`` run.  A view's ``view_changes -
         #: view_emitted`` is the number of transient values that never
         #: left the chunk they arose in.
         self.relations = relations
@@ -178,6 +183,23 @@ class MetricsSnapshot:
             [(f'{{node="{n}",relation="{p}"}}', c["renewals"])
              for (n, p), c in sorted(self.relations.items())
              if c["renewals"]],
+        )
+        family(
+            "ndlog_replacements_total", "counter",
+            "Rows displaced by a primary-key replacement per (node, "
+            "relation).",
+            [(f'{{node="{n}",relation="{p}"}}', c["replacements"])
+             for (n, p), c in sorted(self.relations.items())
+             if c["replacements"]],
+        )
+        family(
+            "ndlog_run_splits_total", "counter",
+            "Insert runs that committed their pending batch early (a row "
+            "hit a primary-key slot the batch had touched) per (node, "
+            "relation).",
+            [(f'{{node="{n}",relation="{p}"}}', c["run_splits"])
+             for (n, p), c in sorted(self.relations.items())
+             if c["run_splits"]],
         )
         family(
             "ndlog_table_rows", "gauge",
@@ -298,6 +320,8 @@ class MetricsRegistry:
                     entry["retractions"] = pushed.retractions.get(pred, 0)
                 if table is not None:
                     entry["renewals"] = table.renewals
+                    entry["replacements"] = table.replaced
+                    entry["run_splits"] = table.run_splits
                     entry["rows"] = len(table)
             for views in (engine.views, engine.argmin_views):
                 for pred, view in views.items():

@@ -11,9 +11,19 @@ netting pass's slot-order discipline (runs seal at replacements, forced
 deletes and restores) and the orderings a run must keep (self-join
 visibility, forced deletes and restores mid-chunk, replacement of a
 member of the same run) one case at a time.
+
+A run of insertions commits as two runs -- the rows it displaces leave
+as one ``-1`` run, the rows that became visible arrive as one ``+1``
+run -- unless two of its rows meet on one primary-key slot, where it
+commits what is pending first (``Table.run_splits``): the last section
+pins the firing counts, each split case, a kernel that raises in the
+``-1`` half, and holds random insert / update / delete streams on keyed
+tables (base, soft-state, rule-derived with fallback) under a plain
+rule, a ``min`` view and an arg-min view to chunks of one.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -23,6 +33,10 @@ from repro.engine.bsn import BSNEngine
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
 from repro.ndlog import parse, programs
+from repro.obs import NodeMetrics
+from repro.provenance import ProvenanceStore, audit_engine
+
+from interpreter import interpret
 
 SETTINGS = dict(
     deadline=None,
@@ -456,12 +470,57 @@ def forced_delete_between_two_runs(engine_of):
 
 def replacement_of_a_member_of_the_same_run(engine_of):
     """[+k1, +j5, +k2, +m7] is one run; k2 replaces k1, a member of it:
-    k1's pending firing must flush before its retraction."""
+    k1 is still pending when k2 reaches its slot, so the batch [k1, j5]
+    commits (and fires) before k1's retraction."""
     engine = engine_of(parse(KV_PROGRAM))
     for args in [("k", 1), ("j", 5), ("k", 2), ("m", 7)]:
         enqueue(engine, 1, args)
     engine.run()
     assert engine.db.table("out").rows() == [("j", 5), ("k", 2), ("m", 7)]
+    return engine
+
+
+def two_replacements_of_one_slot_in_one_run(engine_of):
+    """k0 is stored; [+k1, +j5, +k2] replaces it twice: k1 must displace
+    k0 and be displaced in turn, never share a batch with k2."""
+    engine = engine_of(parse(KV_PROGRAM))
+    enqueue(engine, 1, ("k", 0))
+    engine.run()
+    for args in [("k", 1), ("j", 5), ("k", 2)]:
+        enqueue(engine, 1, args)
+    engine.run()
+    assert engine.db.table("out").rows() == [("j", 5), ("k", 2)]
+    return engine
+
+
+def displaced_row_announced_again(engine_of):
+    """k1 is stored; [+k2, +k1]: when k1 arrives it is still in the
+    table, waiting to be displaced by k2 -- a count bump there would
+    end on k2 alone.  The run ends on k1, count 1."""
+    engine = engine_of(parse(KV_PROGRAM))
+    enqueue(engine, 1, ("k", 1))
+    engine.run()
+    enqueue(engine, 1, ("k", 2))
+    enqueue(engine, 1, ("k", 1))
+    engine.run()
+    assert engine.db.table("kv").rows() == [("k", 1)]
+    assert engine.db.table("kv").count(("k", 1)) == 1
+    assert engine.db.table("out").rows() == [("k", 1)]
+    return engine
+
+
+def count_bump_of_a_row_the_run_displaces(engine_of):
+    """k1 is stored; [+k1, +j5, +k2]: the bump is booked in place, ahead
+    of the batch, and k2 then displaces k1 with both derivations (one
+    ``-2`` commit)."""
+    engine = engine_of(parse(KV_PROGRAM))
+    enqueue(engine, 1, ("k", 1))
+    engine.run()
+    for args in [("k", 1), ("j", 5), ("k", 2)]:
+        enqueue(engine, 1, args)
+    engine.run()
+    assert engine.db.table("kv").rows() == [("j", 5), ("k", 2)]
+    assert engine.db.table("out").rows() == [("j", 5), ("k", 2)]
     return engine
 
 
@@ -500,6 +559,9 @@ def fallback_restore_mid_chunk(engine_of):
     self_join_insert_then_delete,
     forced_delete_between_two_runs,
     replacement_of_a_member_of_the_same_run,
+    two_replacements_of_one_slot_in_one_run,
+    displaced_row_announced_again,
+    count_bump_of_a_row_the_run_displaces,
     fallback_restore_mid_chunk,
 ], ids=lambda scenario: scenario.__name__)
 def test_run_orderings_match_chunks_of_one(scenario, batch_size):
@@ -519,6 +581,25 @@ def test_run_orderings_match_chunks_of_one(scenario, batch_size):
     assert observed(batch_size) == observed(1)
 
 
+@pytest.mark.parametrize("scenario, splits", [
+    (replacement_of_a_member_of_the_same_run, 1),
+    (two_replacements_of_one_slot_in_one_run, 1),
+    (displaced_row_announced_again, 1),
+    (count_bump_of_a_row_the_run_displaces, 0),
+    (forced_delete_between_two_runs, 0),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_a_run_splits_only_where_two_rows_meet_on_a_slot(scenario, splits):
+    """Whole in one chunk, each scenario's run commits its pending batch
+    early exactly where a row reaches a slot the batch has touched;
+    chunks of one never do."""
+    def engine_of(size):
+        return scenario(
+            lambda program: PSNEngine(program, batch_size=size))
+
+    assert engine_of(64).db.table("kv").run_splits == splits
+    assert engine_of(1).db.table("kv").run_splits == 0
+
+
 def test_chunk_limit_is_exact():
     """max_steps counts consumed deltas exactly, chunked or not."""
     from repro.errors import EvaluationError
@@ -528,3 +609,191 @@ def test_chunk_limit_is_exact():
     with pytest.raises(EvaluationError):
         engine.run(max_steps=5)
     assert engine.steps == 5
+
+
+# ----------------------------------------------------------------------
+# A run of replacements is two runs: displaced rows out, new rows in
+# ----------------------------------------------------------------------
+def test_a_run_of_replacements_fires_each_strand_twice():
+    """n fresh rows are one ``+1`` firing; n replacements on n distinct
+    slots one ``-1`` firing for the displaced rows and one ``+1`` firing
+    for their replacements (a firing per row of either before)."""
+    metrics = NodeMetrics("c")
+    engine = PSNEngine(parse(KV_PROGRAM), batch_size=64, metrics=metrics)
+    n = 9
+    engine.inject_run("kv", [(f"k{i}", 0) for i in range(n)])
+    engine.run()
+    assert metrics.rule_firings == {"KV1": 1}
+    engine.inject_run("kv", [(f"k{i}", 1) for i in range(n)])
+    engine.run()
+    assert metrics.rule_firings == {"KV1": 3}
+    assert metrics.rule_inferences == {"KV1": 3 * n}
+    table = engine.db.table("kv")
+    assert (table.replaced, table.run_splits) == (n, 0)
+    assert sorted(engine.db.table("out").rows()) == sorted(table.rows())
+
+
+def test_a_kernel_that_raises_in_the_retraction_half_leaves_the_table():
+    """The ``-1`` half fires before anything is removed or inserted: a
+    kernel error there leaves the displaced rows stored, with their
+    counts, and none of the run's rows half-inserted."""
+    engine = kv_engine(64, rows=[("k", 1), ("j", 5)])
+    strand, = engine.strands["kv"]
+    kernel = strand.kernel
+
+    def refusing(rows, functions, out):
+        if rows[0][2] < 0:
+            raise RuntimeError("boom")
+        kernel(rows, functions, out)
+
+    strand.kernel = refusing
+    enqueue(engine, 1, ("k", 1))          # a bump: booked in place
+    for args in [("k", 2), ("m", 7), ("j", 6)]:
+        enqueue(engine, 1, args)
+    with pytest.raises(RuntimeError, match="boom"):
+        engine.run()
+    table = engine.db.table("kv")
+    assert counts_snapshot(engine.db)["kv"] == {("k", 1): 2, ("j", 5): 1}
+    assert table.get_by_key(("m",)) is None
+    assert (table.replaced, table.run_splits) == (0, 0)
+    assert sorted(engine.db.table("out").rows()) == [("j", 5), ("k", 1)]
+    assert not engine.queue
+
+
+#: The keyed relation ``kv(@N, K, G, V)`` -- slot ``(N, K)``, narrower
+#: than the row -- under a plain rule that projects the slot away (so
+#: ``out`` rows carry real counts), a ``min`` view and an arg-min view.
+KEYED_RULES = """
+P: out(@N, G) :- kv(@N, K, G, V).
+M: low(@N, min<V>) :- kv(@N, K, G, V).
+W: pick(@N, K, G, V) :- kv(@N, K, G, V).
+"""
+KEYED_PROGRAMS = {
+    # A base table: updates are primary-key replacements of base rows.
+    "base": ("kv", "materialize(kv, infinity, infinity, keys(1, 2))."),
+    # Soft state: an identical re-insertion renews, nothing nets.
+    "soft": ("kv", "materialize(kv, 30, infinity, keys(1, 2))."),
+    # Rule-derived with a declared key: a fallback table, whose slots
+    # shadow what a replacement displaces and restore it on withdrawal.
+    "fallback": ("offer", """
+materialize(kv, infinity, infinity, keys(1, 2)).
+B: kv(@N, K, G, V) :- offer(@N, K, G, V).
+"""),
+}
+
+
+def keyed_program(kind):
+    base, declarations = KEYED_PROGRAMS[kind]
+    program = parse(declarations + KEYED_RULES)
+    # The arg-min annotation has no surface syntax (``aggsel`` sets it).
+    program.rules[:] = [
+        replace(rule, argmin=((0,), 3, "min")) if rule.label == "W" else rule
+        for rule in program.rules
+    ]
+    return base, program
+
+
+#: (kind, slot, payload, value, pick): ``ins`` writes ``(slot, payload,
+#: value)``; ``del`` (counted) and ``wipe`` (forced) target the
+#: ``pick``-th row this stream has written.
+keyed_ops = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(["ins", "ins", "ins", "del", "wipe"]),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=1),
+                  st.integers(min_value=0, max_value=2),
+                  st.integers(min_value=0, max_value=10_000)),
+        min_size=1, max_size=8),
+    min_size=1, max_size=3,
+)
+
+
+def keyed_stream_run(kind, bursts, batch_size, provenance):
+    """Apply ``bursts`` to the program's base relation, each as one
+    enqueued burst run to quiescence.
+
+    A value is ``3 * value + slot``: two slots never tie, so the arg-min
+    witness does not depend on which contribution arrived first.  Two
+    kinds of stream take each row one way per burst -- never inserted
+    once the burst has removed or displaced it, never withdrawn once the
+    burst has inserted it.  Under provenance, because base support is
+    booked at injection and wiped by the removal (ROADMAP, "provenance
+    on the run path").  On the fallback table, because a slot there
+    keeps its *latest* advertisement and empties when that one is
+    withdrawn, whatever it shadows: whether an advertisement and its
+    withdrawal net at the queue or both commit decides what is left
+    (ROADMAP, "a confluence lint").  The plain base-table streams are
+    unrestricted, the re-announced displaced row included."""
+    base, program = keyed_program(kind)
+    store = ProvenanceStore() if provenance else None
+    engine = PSNEngine(program, batch_size=batch_size,
+                       provenance=store and store.recorder())
+    one_way = provenance or kind == "fallback"
+    table = engine.db.table(base)
+    written = []
+    for burst in bursts:
+        current = {table.key_of(row): row for row in table.rows()}
+        inserted, removed = set(), set()
+        for op, slot, payload, value, pick in burst:
+            if op == "ins":
+                row = ("a", f"k{slot}", payload, 3 * value + slot)
+                if one_way and row in removed:
+                    continue
+                old = current.get(table.key_of(row))
+                if old is not None and old != row:
+                    removed.add(old)
+                current[table.key_of(row)] = row
+                inserted.add(row)
+                written.append(row)
+                engine.insert(base, row)
+            elif written:
+                row = written[pick % len(written)]
+                if one_way and row in inserted:
+                    continue
+                removed.add(row)
+                if current.get(table.key_of(row)) == row:
+                    del current[table.key_of(row)]
+                if op == "wipe":
+                    engine.delete(base, row)
+                else:
+                    engine.inject_run(base, [row], -1)
+        engine.run()
+    return engine
+
+
+@pytest.mark.parametrize("provenance", [False, True],
+                         ids=["plain", "provenance"])
+@pytest.mark.parametrize("kind", sorted(KEYED_PROGRAMS))
+@given(bursts=keyed_ops)
+@settings(**SETTINGS)
+def test_keyed_streams_match_chunks_of_one(kind, provenance, bursts):
+    """Tables, derivation counts and views after a random insert /
+    update / delete / forced-delete stream on a keyed relation equal the
+    ``batch_size=1`` run's at every chunk size; where the keyed relation
+    is a base table they also equal what the tests' interpreter derives
+    from scratch out of the surviving base rows."""
+    def observed(engine):
+        return (engine.db.snapshot(), counts_snapshot(engine.db),
+                view_rows(engine))
+
+    engines = {size: keyed_stream_run(kind, bursts, size, provenance)
+               for size in (1, 2, 7, 64)}
+    want = observed(engines[1])
+    for size, engine in engines.items():
+        assert observed(engine) == want, size
+        assert not engine.queue
+        for view in [*engine.views.values(), *engine.argmin_views.values()]:
+            assert not view.pending, (size, view.pred)
+            assert sorted(view.current_rows()) == sorted(
+                engine.db.table(view.pred).rows()), (size, view.pred)
+        if provenance:
+            report = audit_engine(engine)
+            assert report.ok, (size, report.mismatches)
+    base, program = keyed_program(kind)
+    if base == "kv":
+        scratch = interpret(PSNEngine(program, batch_size=1))
+        scratch.inject_run("kv", engines[1].db.table("kv").rows())
+        scratch.run()
+        for pred in set(want[0]) - {"kv"}:
+            assert scratch.db.snapshot()[pred] == want[0][pred], pred
+            assert counts_snapshot(scratch.db)[pred] == want[1][pred], pred

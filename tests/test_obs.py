@@ -390,21 +390,54 @@ class TestTracing:
     @pytest.mark.parametrize("batch_size", [1, 8])
     def test_replacement_retraction_is_traced_to_its_replacer(
             self, batch_size):
-        """A key replacement mid-run flushes the run's earlier firings
-        under their own traces, then retracts the displaced row under
-        the replacing delta's."""
+        """Two key replacements in one run: each displaced row's
+        retraction -- its ``commit``, its ``-1`` firing's ``derive`` --
+        runs under the trace of the delta that replaced *it*, not the
+        run's last, and a fresh row beside them keeps its own."""
         engine, spans = self.traced_engine(batch_size)
         engine.insert("kv", ("k", 1))                # trace 1
+        engine.insert("kv", ("m", 3))                # trace 2
         engine.run()
-        engine.insert("kv", ("j", 5))                # trace 2
-        engine.insert("kv", ("k", 2))                # trace 3 replaces k
+        engine.insert("kv", ("j", 5))                # trace 3
+        engine.insert("kv", ("k", 2))                # trace 4 replaces k
+        engine.insert("kv", ("m", 4))                # trace 5 replaces m
         engine.run()
         assert {span for span in spans() if span[1] == "derive"} == {
             (1, "derive", "out", ("k", 1), 1),
-            (2, "derive", "out", ("j", 5), 1),
-            (3, "derive", "out", ("k", 1), -1),
-            (3, "derive", "out", ("k", 2), 1),
+            (2, "derive", "out", ("m", 3), 1),
+            (3, "derive", "out", ("j", 5), 1),
+            (4, "derive", "out", ("k", 1), -1),
+            (4, "derive", "out", ("k", 2), 1),
+            (5, "derive", "out", ("m", 3), -1),
+            (5, "derive", "out", ("m", 4), 1),
         }
+        assert {span for span in spans()
+                if span[1:3] == ("commit", "kv") and span[4] < 0} == {
+            (4, "commit", "kv", ("k", 1), -1),
+            (5, "commit", "kv", ("m", 3), -1),
+        }
+
+    def test_a_runs_retractions_commit_ahead_of_its_insertions(self):
+        """``on_commit`` sees a run as the batch it is: the displaced
+        rows leave, then the new rows arrive (chunks of one interleave
+        them; per fact the net of signs is the same)."""
+        def commits(batch_size):
+            log = []
+            engine = PSNEngine(
+                parse(self.KV), batch_size=batch_size,
+                on_commit=lambda fact, weight: fact.pred == "kv"
+                and log.append((weight, fact.args)))
+            engine.inject_run("kv", [("k", 1), ("m", 3)])
+            engine.run()
+            del log[:]
+            engine.inject_run("kv", [("j", 5), ("k", 2), ("m", 4)])
+            engine.run()
+            return log
+
+        assert commits(8) == [(-1, ("k", 1)), (-1, ("m", 3)),
+                              (1, ("j", 5)), (1, ("k", 2)), (1, ("m", 4))]
+        assert commits(1) == [(1, ("j", 5)), (-1, ("k", 1)), (1, ("k", 2)),
+                              (-1, ("m", 3)), (1, ("m", 4))]
 
 
 # ----------------------------------------------------------------------

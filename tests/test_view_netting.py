@@ -494,3 +494,11 @@ def test_metrics_expose_emitted_beside_changes():
     text = deployment.metrics_text()
     assert 'ndlog_view_emitted_total{node="s",relation="path__best"}' in text
     assert 'ndlog_view_changes_total{node="s",relation="path__best"}' in text
+    # The re-costing is one key replacement at each end of the link
+    # (the eager wire then ships ``-old`` and ``+new`` apart, so no
+    # ``path`` row is replaced); neither needed a run split.
+    assert settled["link"]["replacements"] == 0
+    assert totals["link"]["replacements"] == 2
+    assert not any(counts["run_splits"] for counts in totals.values())
+    assert 'ndlog_replacements_total{node="z",relation="link"} 1' in text
+    assert "ndlog_run_splits_total" not in text

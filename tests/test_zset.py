@@ -22,10 +22,12 @@ from repro.engine.bsn import BSNEngine
 from repro.engine.facts import Delta, Fact
 from repro.engine.psn import PSNEngine
 from repro.errors import NetworkError
-from repro.ndlog import programs
+from repro.ndlog import parse, programs
 from repro.ndlog.pretty import format_delta
 from repro.net.live import decode_message, encode_message
 from repro.net.message import Message, NetDelta, coalesce, single
+from repro.obs import Tracer
+from repro.provenance import ProvenanceStore
 from repro.topology import build_overlay, transit_stub
 from test_batching import CommitLog
 
@@ -295,6 +297,30 @@ def test_zero_weight_send_is_dropped():
     assert single("a", "b", "p", (1,), 0) is not None  # constructor only
     assert coalesce((NetDelta("p", (1,), 1),
                      NetDelta("p", (1,), -1))) == ()
+
+
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_zero_weight_injection_is_a_no_op(batch_size):
+    """``inject_run(..., weight=0)`` is ``derive``'s "zero is a no-op":
+    no queue row (it used to take a step down the *delete* path), no
+    trace minted, no base-support record."""
+    tracer, store = Tracer(lambda: 0.0), ProvenanceStore()
+    engine = PSNEngine(
+        parse("materialize(kv, infinity, infinity, keys(1)).\n"
+              "KV1: out(@K, V) :- #kv(@K, V)."),
+        batch_size=batch_size, tracer=tracer.recorder("c"),
+        provenance=store.recorder())
+    engine.inject_run("kv", [("k", 1), ("j", 5)])
+    engine.run()
+    before = (engine.steps, len(tracer.events), store.events,
+              engine.db.snapshot())
+    engine.inject_run("kv", [("k", 1), ("k", 2), ("m", 7)], weight=0)
+    assert not engine.queue
+    engine.run()
+    assert (engine.steps, len(tracer.events), store.events,
+            engine.db.snapshot()) == before
+    assert store.base_count(Fact("kv", ("m", 7))) == 0
+    assert engine.db.table("kv").count(("k", 1)) == 1
 
 
 def test_weighted_delta_rendering():

@@ -676,8 +676,11 @@ class PSNEngine:
         once per half.
 
         One scan books what changes no visibility in place -- a count
-        bump, a soft-state renewal -- and gathers every other row into
-        the pending *batch*, one row per primary-key slot.  The batch
+        bump, a soft-state renewal; the stored rows ahead of a batch in
+        one :meth:`Table.bump_run <repro.engine.table.Table.bump_run>`
+        call, so a refresh round is that call and nothing else -- and
+        gathers every other row into the pending *batch*, one row per
+        primary-key slot.  The batch
         commits as a ``-1`` run of the rows its slots still hold (an
         update is ``{(old, -1), (new, +1)}``; each old row travels under
         its replacer's trace), fired **while they are still in the
@@ -705,30 +708,45 @@ class PSNEngine:
         # One deadline per run; none for a hard-state table.
         deadline = (None if table.lifetime == INFINITY
                     else self.now() + table.lifetime)
-        key_of, get_by_key, insert = (
-            table.key_of, table.get_by_key, table.insert
+        key_of, get_by_key, insert, bump_run = (
+            table.key_of, table.get_by_key, table.insert, table.bump_run
         )
+        observer = self.observer
+        tracing = observer is not None and observer.traced
         renewed = 0
         traced_renewals: List[QueueRow] = []
         index = start
         while index < stop:
-            # The pending batch, opened by the first row that is not a
-            # bump: its rows, the rows their slots hold now (as the
+            # Where a batch would open, the stored rows ahead of it are
+            # one table call -- more derivations of visible facts: a
+            # count bump of each row's whole weight, or on a soft-state
+            # table a renewal (Section 4.2: "reinserted ... with a new
+            # TTL"): the table moves the deadline and that is all, no
+            # count, observer or strand.  Decided here, at dequeue: an
+            # expiry delete queued ahead has already removed the row.
+            # A refresh round ends at this call.
+            opened = bump_run(rows, index, stop, self.clock, deadline)
+            if opened > index:
+                self.clock += opened - index
+                if deadline is not None:
+                    renewed += opened - index
+                    if tracing:
+                        traced_renewals += [row for row in rows[index:opened]
+                                            if row[5] is not None]
+                if opened == stop:
+                    break
+            # The pending batch, opened by the first row that is not
+            # stored: its rows, the rows their slots hold now (as the
             # ``-1`` run they leave in), and the slots it has touched
             # (slot -> index of the row that takes it).
-            fresh = displaced = touched = None
-            for index in range(index, stop):
+            fresh, displaced, touched = [], [], {}
+            for index in range(opened, stop):
                 row = rows[index]
                 args = row[1]
                 if args in table and not (touched
                                           and key_of(args) in touched):
-                    # More derivations of a visible fact: one count bump
-                    # of the whole weight, or on a soft-state table a
-                    # renewal (Section 4.2: "reinserted ... with a new
-                    # TTL"): the table moves the deadline and that is
-                    # all -- no count, observer or strand.  Decided
-                    # here, at dequeue: an expiry delete queued ahead
-                    # has already removed the row.
+                    # A stored row behind the batch's first: booked in
+                    # place like the ones ahead of it.
                     self.clock += 1
                     insert(args, self.clock, row[2], deadline)
                     if deadline is not None:
@@ -737,8 +755,6 @@ class PSNEngine:
                             traced_renewals.append(row)
                     continue
                 key = key_of(args)
-                if fresh is None:
-                    fresh, displaced, touched = [], [], {}
                 if touched.setdefault(key, index) != index:
                     table.run_splits += 1
                     break
@@ -752,9 +768,7 @@ class PSNEngine:
                 fresh.append(row)
             else:
                 index = stop
-            if fresh is None:
-                continue
-            observer, fallback = self.observer, table.fallback
+            fallback = table.fallback
             if displaced:
                 if observer is not None:
                     count_of = table.count
@@ -780,7 +794,7 @@ class PSNEngine:
                     table.absorb_shadow(args)
                 if observer is not None:
                     observer.commit(pred, args, row[2], row[5])
-            if observer is not None and observer.traced:
+            if tracing:
                 # What a firing derives outside its kernel (a query
                 # answered from the cache: a run of one) joins this trace.
                 self._active_trace = fresh[-1][5]
@@ -788,7 +802,7 @@ class PSNEngine:
         if renewed:
             table.renewals += renewed
             if traced_renewals:
-                self.observer.renew(pred, traced_renewals)
+                observer.renew(pred, traced_renewals)
 
     def _commit_delete_run(self, rows: List[QueueRow], start: int,
                            stop: int) -> None:

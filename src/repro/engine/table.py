@@ -32,6 +32,16 @@ a run of unit bumps.
 Mutating methods return the list of externally visible deltas
 (``(sign, args)`` pairs) -- visibility *transitions*, always weight
 ``+-1`` -- which is exactly what the semi-naive engines propagate.
+
+What changes no visibility has a run-level entry: :meth:`Table.bump_run`
+takes a run of queue rows and books the stored rows at its head -- count
+bumps, or renewals on a soft-state table -- in one loop, returning the
+index of the first row that is not stored.  That is the commonest delta
+a deployed soft-state node sees (every refresh round is all renewals),
+and PSN's commit path calls it wherever a batch of fresh rows would
+open; fresh rows, replacements and deletions still enter row by row
+through :meth:`Table.insert` / :meth:`Table.delete` /
+:meth:`Table.force_delete`.
 """
 
 from __future__ import annotations
@@ -156,7 +166,9 @@ class Table:
           or on a finite-lifetime table ``deadline`` renewed)
         * primary-key replacement        -> ``[(-1, old), (+1, args)]``
 
-        A soft-state row committed without a ``deadline`` never comes due.
+        A soft-state row committed without a ``deadline`` never comes
+        due, and a renewal that carries none leaves the row's deadline
+        and its place in the deadline order alone.
         """
         args = tuple(args)
         deadlines = self._deadlines
@@ -165,10 +177,11 @@ class Table:
             # table renew the deadline (a row :meth:`claim_due` took
             # stays claimed: its queued delete wins).  Stamps only move
             # forward: callers that omit ``ts`` do not rewind one
-            # (:meth:`restamp` reassigns by force).
+            # (:meth:`restamp` reassigns by force).  A run of these
+            # commits through :meth:`bump_run`, which books the same.
             if deadlines is None:
                 self._counts[args] += count
-            elif args in deadlines:
+            elif deadline is not None and args in deadlines:
                 del deadlines[args]
                 deadlines[args] = deadline
             if ts > self._ts.get(args, -1):
@@ -201,6 +214,47 @@ class Table:
                 bucket.add(args)
         deltas.append((1, args))
         return deltas
+
+    def bump_run(self, rows: Sequence[Tuple], start: int, stop: int,
+                 ts: int = 0, deadline: Optional[float] = None) -> int:
+        """Book the leading rows of the queue run ``rows[start:stop]``
+        (``(pred, args, weight, ...)`` tuples) that are already stored,
+        and return the index of the first one that is not (``stop`` if
+        all are).  Nothing past that index is read.
+
+        Each booked row is what :meth:`insert` does with a duplicate
+        derivation, visible to nobody: a count bump of the row's whole
+        weight, or on a finite-lifetime table a renewal -- the deadline
+        moves to the back of the deadline order unless :meth:`claim_due`
+        already took the row (or the row never held one), and a renewal
+        that carries no ``deadline`` leaves deadline and order alone.
+        The rows are stamped ``ts + 1``, ``ts + 2``, ... in run order,
+        forward only.
+        """
+        counts, stamps, deadlines = self._counts, self._ts, self._deadlines
+        if deadlines is None:
+            for index in range(start, stop):
+                row = rows[index]
+                args = row[1]
+                if args not in counts:
+                    return index
+                counts[args] += row[2]
+                ts += 1
+                if ts > stamps[args]:
+                    stamps[args] = ts
+            return stop
+        renewing = deadline is not None
+        for index in range(start, stop):
+            args = rows[index][1]
+            if args not in counts:
+                return index
+            if renewing and args in deadlines:
+                del deadlines[args]
+                deadlines[args] = deadline
+            ts += 1
+            if ts > stamps[args]:
+                stamps[args] = ts
+        return stop
 
     def delete(self, args: Tuple, count: int = 1) -> List[Tuple[int, Tuple]]:
         """Remove one (or ``count``) derivations of ``args``.

@@ -13,7 +13,17 @@ dataflow thread would.  A tick consumes one chunk of up to
 ``config.cpu_batch`` deltas and books the node for the corresponding
 multiple of ``cpu_delay``, so virtual-time accounting is independent of
 the batch size while the host-side simulation does per-event work once
-per batch instead of once per delta.
+per batch instead of once per delta.  The booking is an event only
+while there is work behind it: a tick that leaves deltas on the queue
+posts the next one ``n * cpu_delay`` later; a tick that drains the
+queue posts nothing and records the time its CPU runs out
+(``_busy_until``: the first delta's ``cpu_delay`` was served ahead of
+the tick, the other ``n - 1`` start now), and whatever arrives next is
+processed at ``max(now + cpu_delay, _busy_until)``.  An idle cluster
+therefore holds no event per node: ``Cluster.run()`` / ``advance()``
+return the time of the last event that did something (the last commit
+or delivery), not the end of the last booking, and ``cpu_delay=0`` (the
+live target) books nothing and reads no clock.
 
 The run is the unit on the wire as it is on the queue (Section 5.2
 buffers outbound tuples so that those bound for one neighbour share a
@@ -77,6 +87,9 @@ class NodeRuntime(PSNEngine):
         #: flag, a cache policy, or the first ``Cluster.subscribe``.
         self.observer = node_observer(self)
         self._tick_scheduled = False
+        #: The time the CPU booked by the last chunk runs out (see
+        #: :meth:`_tick`; never set when ``cpu_delay`` is 0).
+        self._busy_until = 0.0
         #: Remote heads of the chunk being processed: destination ->
         #: deltas in emission order; :meth:`_tick` hands each list to
         #: the transport when the chunk ends.
@@ -119,7 +132,14 @@ class NodeRuntime(PSNEngine):
         if self._tick_scheduled or not self.queue:
             return
         self._tick_scheduled = True
-        self.net_clock.post(self.cluster.config.cpu_delay, self._tick)
+        delay = self.cluster.config.cpu_delay
+        if delay:
+            # Behind the CPU time the last chunk booked, if that runs
+            # out later than this delta's own charge.
+            booked = self._busy_until - self.net_clock.now
+            if booked > delay:
+                delay = booked
+        self.net_clock.post(delay, self._tick)
 
     def _tick(self) -> None:
         chaos = self.cluster.chaos
@@ -143,33 +163,34 @@ class NodeRuntime(PSNEngine):
         observer = self.observer
         if observer is not None and observer.metered:
             observer.tick(len(self.queue))
-        # A tick that only served out the CPU time booked for the last
-        # chunk finds the queue empty.
         processed = 0
         try:
-            if self.queue:
-                processed = self.process_chunk(self.batch_size)
-                self.deltas_processed += processed
-                if self._outbox:
-                    self._ship_outbox()
+            processed = self.process_chunk(self.batch_size)
+            self.deltas_processed += processed
+            if self._outbox:
+                self._ship_outbox()
         finally:
             # (Also when the chunk or a channel raised: the error
             # surfaces through the clock, and a node that did not book
             # its next tick would sit on its queue for good.)
             # The tick that fired was charged one cpu_delay ahead (for
             # its first delta); the remaining (processed - 1) deltas owe
-            # their CPU time now, so the node stays booked for it --
-            # deltas arriving meanwhile wait their turn exactly as
-            # behind a busy single-threaded dataflow.  With batch_size=1
-            # this reduces to the historical schedule: one charged delta
-            # per event, idle immediately after a drain.
+            # their CPU time now.  With work left the next tick is that
+            # far off; a drained node posts nothing and books the time
+            # instead (``_busy_until``), and a delta arriving meanwhile
+            # ticks at ``max(now + cpu_delay, _busy_until)`` -- it waits
+            # its turn exactly as behind a busy single-threaded
+            # dataflow.  With batch_size=1 this reduces to the
+            # historical schedule: one charged delta per event, idle
+            # immediately after a drain.
             delay = self.cluster.config.cpu_delay
             if self.queue:
                 self.net_clock.post(delay * max(processed, 1), self._tick)
-            elif processed > 1:
-                self.net_clock.post(delay * (processed - 1), self._tick)
             else:
                 self._tick_scheduled = False
+                if processed > 1 and delay:
+                    self._busy_until = (
+                        self.net_clock.now + delay * (processed - 1))
 
     def _ship_outbox(self) -> None:
         """Hand the transport the heads of the chunk that just

@@ -19,7 +19,10 @@ commits what is pending first (``Table.run_splits``): the last section
 pins the firing counts, each split case, a kernel that raises in the
 ``-1`` half, and holds random insert / update / delete streams on keyed
 tables (base, soft-state, rule-derived with fallback) under a plain
-rule, a ``min`` view and an arg-min view to chunks of one.
+rule, a ``min`` view and an arg-min view to chunks of one.  The stored
+rows ahead of a batch are booked by one ``Table.bump_run`` call: the
+closing section holds duplicate-heavy streams on the same tables to
+chunks of one, counters and observer events included.
 """
 
 import random
@@ -32,11 +35,14 @@ from repro.engine import Database, seminaive
 from repro.engine.bsn import BSNEngine
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
+from repro.engine.table import Table
 from repro.ndlog import parse, programs
 from repro.obs import NodeMetrics
 from repro.provenance import ProvenanceStore, audit_engine
 
 from interpreter import interpret
+from test_obs import RecordingObserver
+from test_softstate import ClockedEngine
 
 SETTINGS = dict(
     deadline=None,
@@ -797,3 +803,180 @@ def test_keyed_streams_match_chunks_of_one(kind, provenance, bursts):
         for pred in set(want[0]) - {"kv"}:
             assert scratch.db.snapshot()[pred] == want[0][pred], pred
             assert counts_snapshot(scratch.db)[pred] == want[1][pred], pred
+
+
+# ----------------------------------------------------------------------
+# The stored rows ahead of a batch are one table call (Table.bump_run)
+# ----------------------------------------------------------------------
+#: One burst: the time that passes ahead of it (the soft table's
+#: lifetime is 30), then its ops.  ``dup`` re-announces the ``pick``-th
+#: row the keyed table held when the burst began, ``weight`` times over
+#: on a hard-state table; ``ins`` writes ``(slot, payload, value)`` --
+#: fresh, a replacement, or one more duplicate; ``claim`` is the
+#: sweeper passing by mid-burst (due rows leave the deadline order, a
+#: forced delete queues behind the refreshes already waiting).
+duplicate_ops = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 15.0, 31.0]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["dup", "dup", "dup", "ins", "ins", "claim"]),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=1, max_value=3),
+                st.integers(min_value=0, max_value=10_000)),
+            min_size=1, max_size=10)),
+    min_size=1, max_size=4,
+)
+
+
+def duplicate_stream_run(kind, bursts, batch_size):
+    """Insert-only bursts, most of them re-announcements of stored
+    rows, each run to quiescence.  Fresh rows and replacements enter
+    through the program's base relation; duplicates go straight at the
+    keyed table (on the fallback kind: a second derivation of a stored
+    row)."""
+    base, program = keyed_program(kind)
+    engine = ClockedEngine(program, batch_size=batch_size)
+    log = engine.observer = RecordingObserver()
+    table = engine.db.table("kv")
+    for step, burst in bursts:
+        engine.time += step
+        stored = sorted(table.rows())
+        for op, slot, payload, value, weight, pick in burst:
+            if op == "ins":
+                engine.inject_run(
+                    base, [("a", f"k{slot}", payload, 3 * value + slot)],
+                    weight)
+            elif op == "claim":
+                # (Sorted: rows that share a deadline sit in commit
+                # order, which a batch may permute.)
+                for args in sorted(table.claim_due(engine.time)):
+                    engine.delete("kv", args)
+            elif stored:
+                engine.inject_run("kv", [stored[pick % len(stored)]], weight)
+        engine.run()
+    return engine, log
+
+
+ALL_DUPLICATES = [(0.0, [("ins", slot, 0, 0, 1, 0) for slot in range(3)]),
+                  (15.0, [("dup", 0, 0, 0, 2, pick) for pick in range(9)])]
+LEADING_DUPLICATES_THEN_FRESH = [
+    (0.0, [("ins", 0, 0, 0, 1, 0), ("ins", 1, 0, 0, 1, 0)]),
+    (15.0, [("dup", 0, 0, 0, 1, 0), ("dup", 0, 0, 0, 3, 1),
+            ("ins", 2, 0, 0, 1, 0), ("ins", 1, 1, 1, 1, 0)])]
+DUPLICATES_BEHIND_AN_OPEN_BATCH = [
+    (0.0, [("ins", 0, 0, 0, 1, 0), ("ins", 1, 0, 0, 1, 0)]),
+    # A fresh row opens the batch; then a stored row on another slot
+    # (booked in place), a replacement, the stored row it is about to
+    # displace (its slot is touched: the one split), and a row the
+    # flushed batch has just stored (a renewal again).
+    (15.0, [("ins", 2, 0, 0, 1, 0), ("dup", 0, 0, 0, 2, 1),
+            ("ins", 0, 1, 1, 1, 0), ("dup", 0, 0, 0, 1, 0),
+            ("ins", 2, 0, 0, 2, 0)])]
+DUPLICATES_OF_A_CLAIMED_ROW = [
+    (0.0, [("ins", 0, 0, 0, 1, 0), ("ins", 1, 0, 0, 1, 0)]),
+    # The refresh ahead of the sweep is counted and re-tracks nothing;
+    # the ones behind its deletes re-create the rows, and the second
+    # announcement of one of them meets its pending twin (a split).
+    (31.0, [("dup", 0, 0, 0, 1, 0), ("claim", 0, 0, 0, 1, 0),
+            ("dup", 0, 0, 0, 1, 0), ("dup", 0, 0, 0, 1, 1),
+            ("dup", 0, 0, 0, 1, 1)]),
+    (15.0, [("claim", 0, 0, 0, 1, 0), ("dup", 0, 0, 0, 1, 0)])]
+
+
+@pytest.mark.parametrize("kind", sorted(KEYED_PROGRAMS))
+@given(bursts=duplicate_ops)
+@example(bursts=ALL_DUPLICATES)
+@example(bursts=LEADING_DUPLICATES_THEN_FRESH)
+@example(bursts=DUPLICATES_BEHIND_AN_OPEN_BATCH)
+@example(bursts=DUPLICATES_OF_A_CLAIMED_ROW)
+@settings(**{**SETTINGS, "max_examples": 40})
+def test_duplicate_heavy_streams_match_chunks_of_one(kind, bursts):
+    """Whether a stored row's re-announcement is booked by
+    ``Table.bump_run`` ahead of a batch, by ``Table.insert`` behind its
+    first row, or commits alone in a chunk of one, the tables, counts,
+    deadlines, renewal and replacement counters and the keyed
+    relation's observer events come out the same."""
+    def observed(engine, log):
+        table = engine.db.table("kv")
+        signs = {fact: signs for fact, signs in log.commit_signs().items()
+                 if fact[0] == "kv"}
+        state = (engine.db.snapshot(), counts_snapshot(engine.db),
+                 view_rows(engine), dict(table.deadlines),
+                 table.renewals, table.replaced, signs)
+        if kind == "soft":
+            # Nothing nets on a soft table: event for event.
+            state += (sorted(e for e in log.events if e[1] == "kv"),)
+        return state
+
+    runs = {size: duplicate_stream_run(kind, bursts, size)
+            for size in (1, 2, 7, 64)}
+    want = observed(*runs[1])
+    assert runs[1][0].db.table("kv").run_splits == 0
+    for size, (engine, log) in runs.items():
+        assert observed(engine, log) == want, size
+        assert not engine.queue
+        deadlines = list(engine.db.table("kv").deadlines.values())
+        assert deadlines == sorted(deadlines), size
+        if kind != "soft":
+            assert not deadlines and want[4] == 0
+
+
+@pytest.mark.parametrize("bursts, renewals, replaced, splits", [
+    (ALL_DUPLICATES, 9, 0, 0),
+    (LEADING_DUPLICATES_THEN_FRESH, 2, 1, 0),
+    (DUPLICATES_BEHIND_AN_OPEN_BATCH, 2, 2, 1),
+    (DUPLICATES_OF_A_CLAIMED_ROW, 3, 0, 1),
+], ids=["all-duplicates", "leading-duplicates", "behind-an-open-batch",
+        "claimed-row"])
+def test_duplicate_shapes_on_the_soft_table(bursts, renewals, replaced,
+                                            splits):
+    """The named shapes, whole in one chunk: what each books."""
+    engine, _log = duplicate_stream_run("soft", bursts, 64)
+    table = engine.db.table("kv")
+    assert (table.renewals, table.replaced, table.run_splits) == (
+        renewals, replaced, splits)
+
+
+def test_a_refresh_round_is_one_table_call():
+    """Nine stored rows re-announced as one run: one ``bump_run``, no
+    per-row ``insert`` or ``in`` -- and a fresh row behind them hands
+    the rest of the run to the scan exactly once."""
+    base, program = keyed_program("soft")
+    engine = ClockedEngine(program, batch_size=64)
+    rows = [("a", f"k{i}", 0, i) for i in range(9)]
+    engine.inject_run("kv", rows)
+    engine.run()
+    table = engine.db.table("kv")
+    calls = []
+
+    class Counting(Table):
+        def bump_run(self, *args):
+            calls.append("bump_run")
+            return super().bump_run(*args)
+
+        def insert(self, *args):
+            calls.append("insert")
+            return super().insert(*args)
+
+        def __contains__(self, args):
+            calls.append("in")
+            return super().__contains__(args)
+
+    table.__class__ = Counting
+    engine.time = 5.0
+    steps = engine.steps
+    engine.inject_run("kv", rows)
+    engine.run()
+    assert calls == ["bump_run"]
+    assert table.renewals == 9 and engine.steps == steps + 9
+    assert set(table.deadlines.values()) == {35.0}
+    del calls[:]
+    engine.inject_run("kv", rows[:4] + [("a", "k9", 0, 9)] + rows[4:])
+    engine.run()
+    # One call ahead of the batch; the stored rows behind its first row
+    # are found and booked row by row, then the fresh row is inserted.
+    assert calls == ["bump_run", "in"] + ["in", "insert"] * 5 + ["insert"]
+    assert table.renewals == 18 and len(table) == 10

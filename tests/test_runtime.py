@@ -148,29 +148,162 @@ class TestStaticConvergence:
 
 
 class TestBatchedTicks:
+    ECHO = """
+    materialize(item, infinity, infinity, keys(1, 2)).
+    materialize(echo, infinity, infinity, keys(1, 2)).
+    E1: echo(@S, X) :- #item(@S, X).
+    """
+
+    def echo_cluster(self, **config):
+        """One node that will do all the work, and the virtual times
+        (in cpu_delays) at which its ticks fire."""
+        overlay = small_overlay(n=4, degree=2, seed=8)
+        cluster = Cluster(overlay, parse(self.ECHO),
+                          RuntimeConfig(validate=False, **config),
+                          link_loads={})
+        node = cluster.node(overlay.nodes[0])
+        ticks = []
+        tick = node._tick                    # posted by attribute lookup
+
+        def recording_tick():
+            delay = cluster.config.cpu_delay or 1.0
+            ticks.append(round(cluster.clock.now / delay, 6))
+            tick()
+
+        node._tick = recording_tick
+        return cluster, node, ticks
+
+    def inject_items(self, cluster, node, count, start=0):
+        for i in range(start, start + count):
+            cluster.inject(node.address, "item", (node.address, i))
+
     def test_batched_tick_books_full_cpu_time(self):
         """A tick that consumes k deltas keeps the node booked for
         k * cpu_delay of virtual CPU: throughput accounting must not
         depend on cpu_batch (only sub-batch commit times may shift)."""
-        overlay = small_overlay(n=4, degree=2, seed=8)
-        program = parse(
-            """
-            materialize(item, infinity, infinity, keys(1, 2)).
-            materialize(echo, infinity, infinity, keys(1, 2)).
-            E1: echo(@S, X) :- #item(@S, X).
-            """
-        )
-        cluster = Cluster(overlay, program,
-                          RuntimeConfig(validate=False, cpu_batch=16),
-                          link_loads={})
-        node = overlay.nodes[0]
-        for i in range(10):
-            cluster.inject(node, "item", (node, i))
+        cluster, node, ticks = self.echo_cluster(cpu_batch=16)
+        delay = cluster.config.cpu_delay
+        self.inject_items(cluster, node, 10)
+        events = cluster.clock.events_processed
         end = cluster.run()
         # 10 item commits then 10 echo commits, all on one node: the
         # first tick fires one cpu_delay after injection and each batch
-        # stays booked per delta, so quiescence lands at 20 delays.
-        assert end == pytest.approx(20 * cluster.config.cpu_delay)
+        # stays booked per delta.  The drained node posts no event to
+        # serve the time out, so run() returns the time of the last
+        # commit (11 delays) and the 20 delays are the booking.
+        assert ticks == [1, 11]
+        assert cluster.clock.events_processed == events + 2
+        assert end == pytest.approx(11 * delay)
+        assert node._busy_until == pytest.approx(20 * delay)
+        assert node.quiescent and not node._tick_scheduled
+        assert cluster.quiescent
+        assert node.deltas_processed == 20
+        assert len(cluster.rows("echo")) == 10
+
+    def test_arrival_inside_the_booked_window_waits_for_it(self):
+        cluster, node, ticks = self.echo_cluster(cpu_batch=16)
+        delay = cluster.config.cpu_delay
+        self.inject_items(cluster, node, 10)
+        cluster.sim.at(15 * delay,
+                       lambda: self.inject_items(cluster, node, 1, 10))
+        cluster.run(until=19.5 * delay)
+        assert ticks == [1, 11] and node._tick_scheduled
+        assert len(node.queue) == 1          # waiting its turn
+        events = cluster.clock.events_processed
+        cluster.run(until=20.5 * delay)
+        # One simulator event at _busy_until processed it ...
+        assert ticks == [1, 11, 20]
+        assert cluster.clock.events_processed == events + 1
+        # ... and its echo is an ordinary next tick one delay later.
+        assert cluster.run() == pytest.approx(21 * delay)
+        assert ticks == [1, 11, 20, 21]
+        assert node._busy_until == pytest.approx(20 * delay)  # stale, past
+        assert len(cluster.rows("echo")) == 11
+
+    def test_arrival_late_in_the_window_or_after_it_waits_one_cpu_delay(
+            self):
+        cluster, node, ticks = self.echo_cluster(cpu_batch=16)
+        delay = cluster.config.cpu_delay
+        self.inject_items(cluster, node, 10)
+        # max(now + cpu_delay, _busy_until): the last cpu_delay of the
+        # window is no shorter a wait than an idle node's.
+        cluster.sim.at(19.5 * delay,
+                       lambda: self.inject_items(cluster, node, 1, 10))
+        cluster.sim.at(30 * delay,
+                       lambda: self.inject_items(cluster, node, 1, 11))
+        assert cluster.run() == pytest.approx(32 * delay)
+        assert ticks == [1, 11, 20.5, 21.5, 31, 32]
+        assert len(cluster.rows("echo")) == 12
+
+    def test_cpu_batch_1_is_the_historical_schedule(self):
+        """One charged delta per event, idle immediately after a drain:
+        nothing is ever booked, and every event time is what the
+        one-delta-per-event runtime posted."""
+        cluster, node, ticks = self.echo_cluster(cpu_batch=1)
+        delay = cluster.config.cpu_delay
+        self.inject_items(cluster, node, 10)
+        cluster.sim.at(25 * delay,
+                       lambda: self.inject_items(cluster, node, 1, 10))
+        events = cluster.clock.events_processed
+        assert cluster.run() == pytest.approx(27 * delay)
+        assert ticks == list(range(1, 21)) + [26, 27]
+        assert cluster.clock.events_processed == events + 22 + 1
+        assert node._busy_until == 0.0
+        assert node.deltas_processed == 22
+
+    def test_paused_node_parks_and_resumes_with_its_queue_intact(self):
+        from repro.chaos import ChaosSchedule
+
+        overlay = small_overlay(n=4, degree=2, seed=8)
+        down = overlay.nodes[0]
+        delay = RuntimeConfig().cpu_delay
+        cluster, node, ticks = self.echo_cluster(
+            cpu_batch=16,
+            chaos=ChaosSchedule(seed=1).crash(
+                down, at=15 * delay, restart=40 * delay))
+        assert node.address == down
+        self.inject_items(cluster, node, 10)
+        # Arrives while the node is down *and* inside its booked window:
+        # the tick lands at _busy_until, finds the node paused, and
+        # parks until the restart plus one cpu_delay.
+        cluster.sim.at(16 * delay,
+                       lambda: self.inject_items(cluster, node, 3, 10))
+        cluster.run(until=39 * delay)
+        assert ticks == [1, 11, 20]
+        assert node._tick_scheduled and len(node.queue) == 3
+        assert node.deltas_processed == 20
+        assert cluster.run() == pytest.approx(44 * delay)
+        assert ticks == [1, 11, 20, 41, 44]
+        assert node.quiescent and not node._tick_scheduled
+        assert len(cluster.rows("echo")) == 13
+
+    def test_no_cpu_delay_books_nothing_and_reads_no_clock(self):
+        """The live target's setting: a tick is posted with delay 0 and
+        ``_schedule_tick`` / ``_tick`` never ask what time it is."""
+        class PostOnly:
+            def __init__(self, clock):
+                self.post = clock.post
+
+        cluster, node, ticks = self.echo_cluster(cpu_batch=16, cpu_delay=0)
+        node.net_clock = PostOnly(cluster.clock)
+        self.inject_items(cluster, node, 10)
+        assert cluster.run() == 0.0
+        assert len(ticks) == 2 and node.deltas_processed == 20
+        self.inject_items(cluster, node, 5, 10)
+        cluster.run()
+        assert len(ticks) == 4 and node.deltas_processed == 30
+        assert node._busy_until == 0.0
+        assert not node._tick_scheduled and cluster.quiescent
+
+    def test_a_node_still_shares_its_instance_dict_keys(self):
+        """CPython shares instance-dict keys up to 30 attributes; a
+        30th un-shares every node's dict (2-3% of ``converge_cpu_s`` on
+        ``cold-start`` at PR 16)."""
+        overlay = small_overlay(n=4, degree=2, seed=8)
+        cluster = Cluster(overlay, parse(self.ECHO),
+                          RuntimeConfig(validate=False), link_loads={})
+        for node in cluster.nodes.values():
+            assert len(vars(node)) <= 29
 
     def test_cpu_batch_preserves_convergence_regime(self):
         """Batched and per-delta schedules process the same deltas and

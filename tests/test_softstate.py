@@ -134,6 +134,34 @@ class TestTableDeadlines:
         table.insert(("a", "b", 1))
         assert not table.deadlines and table.claim_due(INFINITY) == []
 
+    def test_renewal_without_a_deadline_leaves_the_deadline_order_alone(
+            self):
+        """Re-loading a committed row through ``Database.load_facts``
+        (``Table.insert`` with no deadline) used to store ``None`` in
+        the deadline order, and the next sweep raised ``TypeError: '>'
+        not supported between 'NoneType' and 'float'``."""
+        engine = beacon_engine()
+        first, second = ("a", "b", 1), ("a", "c", 1)
+        engine.insert("beacon", first)
+        engine.run()
+        engine.time = 0.5
+        engine.insert("beacon", second)
+        engine.run()
+        table = engine.db.table("beacon")
+        engine.db.load_facts("beacon", [first])
+        assert list(table.deadlines.items()) == [
+            (first, LIFETIME), (second, 0.5 + LIFETIME)]
+        engine.time = LIFETIME
+        assert sweep(engine) == [first]      # raised TypeError before
+        # The run-level entry books the same: nothing without a deadline.
+        assert table.bump_run([("beacon", second, 1)], 0, 1, ts=99) == 1
+        assert list(table.deadlines.items()) == [(second, 0.5 + LIFETIME)]
+        assert table.count(first) == table.count(second) == 1
+        engine.time = 0.5 + LIFETIME
+        assert sweep(engine) == [second]
+        engine.run()
+        assert not table.rows() and not table.deadlines
+
 
 # ----------------------------------------------------------------------
 # Renewal is a branch of the one commit path

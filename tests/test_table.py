@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SchemaError
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
-from repro.engine.table import Table, projector
+from repro.engine.table import INFINITY, Table, projector
 from repro.ndlog import parse
 
 
@@ -274,3 +274,133 @@ def test_wrong_arity_row_raises_and_keeps_the_rows_before_it():
     table = engine.db.table("p")
     assert sorted(table.rows()) == [("a", 1), ("b", 2)]
     assert set(table.lookup((0,), ("b",))) == {("b", 2)}
+
+
+# ----------------------------------------------------------------------
+# bump_run: the run-level entry for what changes no visibility
+# ----------------------------------------------------------------------
+def queue_rows(pred, *rows):
+    """Queue rows ``(pred, args, weight, force, restore, trace)`` from
+    ``args`` or ``(args, weight)`` entries."""
+    out = []
+    for row in rows:
+        args, weight = row if isinstance(row[0], tuple) else (row, 1)
+        out.append((pred, args, weight, False, False, None))
+    return out
+
+
+def test_bump_run_stops_at_the_first_unstored_row_and_books_nothing_past_it():
+    table = Table("p", 2)
+    for row in (("a", 1), ("b", 2), ("d", 4)):
+        table.insert(row, ts=1)
+    run = queue_rows("p", ("a", 1), ("b", 2), ("c", 3), ("d", 4))
+    assert table.bump_run(run, 0, 4, ts=10) == 2
+    assert [table.count(row[1]) for row in run] == [2, 2, 0, 1]
+    assert [table.ts(row[1]) for row in run] == [11, 12, -1, 1]
+    # From the middle of a run; an empty and an unstored-first range.
+    assert table.bump_run(run, 3, 4, ts=20) == 4
+    assert table.count(("d", 4)) == 2 and table.ts(("d", 4)) == 21
+    assert table.bump_run(run, 2, 4, ts=30) == 2
+    assert table.bump_run(run, 4, 4, ts=30) == 4
+    assert table.count(("d", 4)) == 2 and ("c", 3) not in table
+    assert len(table) == 3
+
+
+def test_bump_run_sums_whole_weights_on_a_hard_state_table():
+    table = Table("link", 3, key=(0, 1))
+    table.insert(("a", "b", 1), ts=1, count=2)
+    table.insert(("a", "c", 1), ts=2)
+    run = queue_rows("link", (("a", "b", 1), 5), (("a", "c", 1), 3),
+                     (("a", "b", 1), 1))
+    # A deadline means nothing to a hard-state table.
+    assert table.bump_run(run, 0, 3, ts=2, deadline=9.0) == 3
+    assert table.count(("a", "b", 1)) == 8
+    assert table.count(("a", "c", 1)) == 4
+    assert table.ts(("a", "b", 1)) == 5 and table.ts(("a", "c", 1)) == 4
+    assert not table.deadlines
+
+
+def test_bump_run_renews_and_leaves_a_claimed_row_claimed():
+    table = Table("beacon", 3, key=(0, 1), lifetime=1.0)
+    claimed, live, undated = ("a", "b", 1), ("a", "c", 1), ("a", "d", 1)
+    table.insert(claimed, ts=1, deadline=1.0)
+    table.insert(live, ts=2, deadline=2.0)
+    table.insert(undated, ts=3)              # never comes due
+    assert table.claim_due(1.0) == [claimed]
+    run = queue_rows("beacon", (claimed, 4), live, undated)
+    assert table.bump_run(run, 0, 3, ts=3, deadline=5.0) == 3
+    # Renewals: no count moves, whatever the weight; the claimed row is
+    # stamped but not re-tracked, the undated one stays undated.
+    assert [table.count(row) for row in (claimed, live, undated)] == [1, 1, 1]
+    assert [table.ts(row) for row in (claimed, live, undated)] == [4, 5, 6]
+    assert list(table.deadlines.items()) == [(live, 5.0)]
+    assert table.claim_due(9.0) == [live]
+
+
+def test_bump_run_never_rewinds_a_stamp():
+    table = Table("p", 2)
+    table.insert(("a", 1), ts=50)
+    table.insert(("b", 2), ts=3)
+    run = queue_rows("p", ("a", 1), ("b", 2))
+    assert table.bump_run(run, 0, 2, ts=10) == 2
+    assert table.ts(("a", 1)) == 50          # 11 would rewind it
+    assert table.ts(("b", 2)) == 12
+    assert table.count(("a", 1)) == 2        # the bump is booked anyway
+
+
+def test_bump_run_keeps_the_deadline_dict_in_deadline_order():
+    table = Table("beacon", 3, key=(0, 1), lifetime=1.0)
+    rows = [("a", name, 1) for name in "bcdefg"]
+    for index, row in enumerate(rows):
+        table.insert(row, ts=index, deadline=1.0 + index)
+    assert table.claim_due(1.0) == [rows[0]]
+    # Renew out of order, one row twice, the claimed row in between; a
+    # fresh row ends the run with the rows behind it untouched.
+    run = queue_rows("beacon", rows[4], rows[0], rows[2], rows[4],
+                     ("a", "z", 1), rows[1])
+    assert table.bump_run(run, 0, len(run), ts=10, deadline=9.0) == 4
+    assert list(table.deadlines.items()) == [
+        (rows[1], 2.0), (rows[3], 4.0), (rows[5], 6.0),
+        (rows[2], 9.0), (rows[4], 9.0)]
+    deadlines = list(table.deadlines.values())
+    assert deadlines == sorted(deadlines)
+    assert table.claim_due(6.0) == [rows[1], rows[3], rows[5]]
+    # Without a deadline the run stamps and leaves the order alone.
+    assert table.bump_run(run, 2, 4, ts=20) == 4
+    assert list(table.deadlines.items()) == [(rows[2], 9.0), (rows[4], 9.0)]
+    assert table.ts(rows[2]) == 21 and table.ts(rows[4]) == 22
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    soft=st.booleans(),
+    stored=st.lists(st.integers(0, 7), unique=True, max_size=8),
+    claim=st.integers(0, 4),
+    run=st.lists(st.tuples(st.integers(0, 9), st.integers(1, 3)),
+                 max_size=12),
+    deadline=st.sampled_from([None, 50.0]),
+)
+def test_bump_run_is_insert_row_by_row_up_to_the_first_unstored_row(
+        soft, stored, claim, run, deadline):
+    def build():
+        table = Table("p", 2, key=(0,), lifetime=1.0 if soft else INFINITY)
+        for ts, key in enumerate(stored):
+            table.insert((key, "v"), ts=ts, deadline=float(ts))
+        table.claim_due(float(claim))
+        return table
+
+    rows = queue_rows("p", *[((key, "v"), weight) for key, weight in run])
+    one, by_row = build(), build()
+    booked = one.bump_run(rows, 0, len(rows), ts=100, deadline=deadline)
+    ts = 100
+    for expected, row in enumerate(rows):
+        if row[1] not in by_row:
+            break
+        ts += 1
+        assert by_row.insert(row[1], ts, row[2], deadline) == []
+    else:
+        expected = len(rows)
+    assert booked == expected
+    assert one._counts == by_row._counts and one._ts == by_row._ts
+    assert list(one.deadlines.items()) == list(by_row.deadlines.items())
+    assert one._rows == by_row._rows

@@ -63,9 +63,7 @@ from repro.engine.fixpoint import EvalResult
 from repro.engine.kernels import strand_kernel
 from repro.engine.rules import (
     AssignStep,
-    CompiledRule,
     LiteralStep,
-    compile_plan,
     shared_compiled_rules,
 )
 from repro.errors import (
@@ -438,8 +436,11 @@ class PassSnapshot:
 
 
 def _describe_plan(plan) -> str:
-    """One-line rendering of a compiled join plan's step chain."""
-    parts: List[str] = []
+    """One-line rendering of a strand's join plan: the driving literal
+    (every row of its table, or every delta, is a scan of it), then
+    the step chain."""
+    driver = plan.crule.body[plan.driver_index]
+    parts: List[str] = [f"{format_literal(driver)} [scan]"]
     for step in plan.steps:
         if isinstance(step, LiteralStep):
             text = format_literal(step.literal)
@@ -452,7 +453,7 @@ def _describe_plan(plan) -> str:
             parts.append(f"{step.name} := {format_term(step.expr)}")
         else:
             parts.append(f"if {format_term(step.expr)}")
-    return " -> ".join(parts) if parts else "(empty body)"
+    return " -> ".join(parts)
 
 
 class CompiledProgram:
@@ -538,13 +539,18 @@ class CompiledProgram:
                 kernels: bool = False) -> str:
         """Human-readable compilation report: validation summary,
         per-pass rule diffs, the final rewritten program, and (by
-        default) the compiled join plan of every rule.
+        default) the join plan of every rule's lead strand -- the first
+        body literal driving, which is how ``naive`` and ``seminaive``'s
+        base case evaluate the rule in full.
         ``timings=True`` appends per-pass compile times (opt-in: the
         numbers vary run to run, so the default report stays
         deterministic for golden-output comparisons).
         ``kernels=True`` appends the generated source of every strand
-        kernel -- one per (rule, driving literal), the function PSN
-        runs when a tuple of that literal's relation commits."""
+        kernel -- one per (rule, driving literal).  They are what
+        *every* engine runs: PSN / BSN when a tuple of that literal's
+        relation commits, ``seminaive`` with an iteration's new tuples
+        of it driving, ``naive`` the first literal's over its whole
+        table."""
         lines: List[str] = []
         lines.append(f"== compiled program {self.name!r} ==")
         pipeline = ", ".join(self.applied_passes) or "(none)"
@@ -585,18 +591,16 @@ class CompiledProgram:
         if join_plans:
             lines.append("-- join plans --")
             stats = StatsCatalog()
-            for rule in self.program.rules:
-                if not rule.body:
-                    continue
-                crule = CompiledRule(rule)
-                plan = compile_plan(crule, stats=stats)
-                label = crule.label or rule.head.pred
+            for crule in shared_compiled_rules(self.program):
+                plan = strand_kernel(crule, crule.literal_indexes[0],
+                                     stats).plan
                 suffix = ""
                 if crule.aggregate is not None:
                     suffix = " (aggregate view)"
                 elif crule.argmin is not None:
                     suffix = " (arg-extreme view)"
-                lines.append(f"{label}{suffix}: {_describe_plan(plan)}")
+                lines.append(
+                    f"{crule.label}{suffix}: {_describe_plan(plan)}")
         if timings:
             lines.append("-- pass timings --")
             total = 0.0

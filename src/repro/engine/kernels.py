@@ -29,6 +29,18 @@ of a run of N rows are the concatenation, in order, of N one-row calls
 (a traced firing makes exactly those calls, ``(row,)`` each, to keep
 every head under its own driver's trace).
 
+**One executor, three bindings.**  Nothing else runs a
+:class:`~repro.engine.rules.JoinPlan`.  PSN / BSN fire a strand with
+the run that just committed to its driving relation.  Semi-naive's
+delta rule at position ``k`` (Algorithm 1, footnote 2) is the strand
+for driver ``k``, fired with the previous iteration's new tuples and
+bound (:meth:`StrandKernel.bind`, ``tables``) so the recursive literals
+before ``k`` probe an ``old`` table -- where ``exclude_driver`` never
+triggers, a delta is never ``old``.  A full evaluation (naive,
+semi-naive's base case, aggregate views) is the strand of the rule's
+*first* body literal fired with every row of its table: nothing
+precedes it, so a self-join meets the driving row as its own partner.
+
 **Inlined builtins.**  A call whose argument shapes the generator can
 see -- variables and constants, ``link(..)`` terms over them, ``nil`` --
 and whose builtin declares a template for that shape
@@ -92,15 +104,15 @@ _INFIX = ("+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=")
 _EAGER_BOOL = {"&&": "&", "||": "|"}
 
 
-def _fail(message: str, rule: Optional[str] = None):
+def _fail(message: str, rule: str):
     raise EvaluationError(message, rule=rule)
 
 
-def _unknown(name: str) -> Callable:
+def _unknown(name: str, rule: str) -> Callable:
     """Stand-in for a builtin missing from ``functions`` at kernel
     entry: raises only if the call is actually reached."""
     def missing(*_args):
-        raise EvaluationError(f"unknown function {name!r}")
+        raise EvaluationError(f"unknown function {name!r}", rule=rule)
     return missing
 
 
@@ -154,8 +166,9 @@ class _Generator:
             isinstance(step, LiteralStep) and step.exclude_driver
             for step in plan.steps
         )
-        #: One ``(pred, arity, positions)`` per ``bind`` parameter.
-        self.slots: List[Tuple[str, int, Tuple[int, ...]]] = []
+        #: One ``(pred, arity, positions, body index)`` per ``bind``
+        #: parameter.
+        self.slots: List[Tuple[str, int, Tuple[int, ...], int]] = []
         driver = self.crule.body[plan.driver_index]
         self._literal(LiteralStep(driver, plan.driver_index, frozenset()),
                       driver=True)
@@ -172,7 +185,7 @@ class _Generator:
         resolve: List[str] = []
         for name, local in self.functions.items():
             resolve.append(f"        {local} = functions.get({name!r}) "
-                           f"or _unknown({name!r})")
+                           f"or _unknown({name!r}, {self.crule.label!r})")
             if name in self.unchanged:
                 flag, declared_on = self.unchanged[name]
                 resolve.append(f"        {flag} = {local} is {declared_on}")
@@ -219,7 +232,8 @@ class _Generator:
                 self._line(f"if {value} != t0_{pos}: continue")
         else:
             rows = f"s{len(self.slots)}"
-            self.slots.append((step.literal.pred, step.arity, step.positions))
+            self.slots.append((step.literal.pred, step.arity, step.positions,
+                               step.body_index))
             if step.positions:
                 rows += f".get({_tuple(values)}, ())"
             if step.exclude_driver or self.capture:
@@ -344,20 +358,22 @@ class _Generator:
         if isinstance(term, Variable):
             local = self.locals.get(term.name)
             message = f"unbound variable {term.name!r}"
-            return local if local else f"_fail({message!r})"
+            return local or f"_fail({message!r}, {self.crule.label!r})"
         if isinstance(term, BinOp):
             left, right = self._expr(term.left), self._expr(term.right)
             if term.op in _INFIX:
                 return f"({left} {term.op} {right})"
             if term.op in _EAGER_BOOL:
                 return f"(bool({left}) {_EAGER_BOOL[term.op]} bool({right}))"
-            raise EvaluationError(f"unknown operator {term.op!r}")
+            raise EvaluationError(f"unknown operator {term.op!r}",
+                                  rule=self.crule.label)
         if isinstance(term, UnaryOp):
             if term.op == "-":
                 return f"(-{self._expr(term.operand)})"
             if term.op == "!":
                 return f"(not {self._expr(term.operand)})"
-            raise EvaluationError(f"unknown unary operator {term.op!r}")
+            raise EvaluationError(f"unknown unary operator {term.op!r}",
+                                  rule=self.crule.label)
         if isinstance(term, FuncCall):
             local = self.functions.get(term.name)
             if local is None:
@@ -371,9 +387,11 @@ class _Generator:
             return f"ConstructedTuple({term.pred!r}, {items})"
         if isinstance(term, AggregateSpec):
             raise EvaluationError(
-                "aggregate specs cannot be evaluated directly"
+                "aggregate specs cannot be evaluated directly",
+                rule=self.crule.label,
             )
-        raise EvaluationError(f"cannot evaluate term {term!r}")
+        raise EvaluationError(f"cannot evaluate term {term!r}",
+                              rule=self.crule.label)
 
 
 class StrandKernel:
@@ -419,18 +437,22 @@ class StrandKernel:
     def source(self, capture: bool = False) -> str:
         return self._variant(capture)[0]
 
-    def bind(self, db, capture: bool = False) -> Callable:
+    def bind(self, db, capture: bool = False, tables=None) -> Callable:
         """The kernel ``(rows, functions, out)`` over ``db``'s tables:
         each partner literal's live index dict (or row view, for a
         scan) is captured and pre-registered here, so the first delta
-        does not pay the index-build cost."""
+        does not pay the index-build cost.  ``tables`` (body index ->
+        table) makes those partner literals read another table than
+        ``db``'s: semi-naive's ``old`` relations."""
         _source, slots, factory = self._variant(capture)
         driver = self.plan.crule.body[self.plan.driver_index]
         if db.table(driver.pred).arity != len(driver.args):
             return _no_solutions
         sources = []
-        for pred, arity, positions in slots:
-            table = db.table(pred)
+        for pred, arity, positions, body_index in slots:
+            table = (tables or {}).get(body_index)
+            if table is None:
+                table = db.table(pred)
             if table.arity != arity:
                 return _no_solutions
             sources.append(

@@ -5,25 +5,26 @@ deltas, no book-keeping -- each iteration re-derives everything from the
 full current state until nothing changes.  Deliberately simple; used for
 correctness baselines and the engine micro-benchmarks.
 
-Each rule's join is compiled once per stratum (see
-:mod:`repro.engine.rules`) and the plan is reused every iteration.
+A rule is evaluated in full by its *lead strand*: the strand kernel
+(:mod:`repro.engine.kernels`) of its first body literal, driven by
+that table's whole row set.  Nothing precedes the first literal, so no
+partner excludes the driving row and a self-join meets it as its own
+partner.  The kernel is the one PSN runs for the same (rule, driver),
+bound once per stratum and reused every iteration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.aggregates import AggregateView
 from repro.engine.database import Database
+from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult, load_program_facts
-from repro.engine.rules import (
-    CompiledRule,
-    compile_plan,
-    execute_plan,
-    instantiate_head as _head_of,
-)
-from repro.engine.stratify import stratify
+from repro.engine.kernels import strand_kernel
+from repro.engine.rules import CompiledRule, shared_compiled_rules
+from repro.engine.stratify import Stratum, stratify
 from repro.ndlog.ast import Program
 from repro.opt.costbased import StatsCatalog
 
@@ -32,19 +33,47 @@ from repro.opt.costbased import StatsCatalog
 DEFAULT_MAX_ITERATIONS = 10_000
 
 
-def _plan_for(crule: CompiledRule, db: Database, stats):
-    """Compile (and index-register) a full-rule plan."""
-    plan = compile_plan(crule, stats=stats)
-    for pred, positions in plan.index_requests():
-        db.table(pred).register_index(positions)
-    return plan
+def compiled_strata(
+    program: Program,
+) -> List[Tuple[Stratum, List[CompiledRule]]]:
+    """The program's strata in evaluation order, each with its rules as
+    the program's shared :class:`CompiledRule` objects -- so the kernels
+    the set-oriented engines run are the ones PSN generated, or will."""
+    compiled = {id(c.rule): c for c in shared_compiled_rules(program)}
+    return [
+        (stratum, [compiled[id(rule)] for rule in stratum.rules])
+        for stratum in stratify(program)
+    ]
 
 
-def _table_sources(crule: CompiledRule, db: Database) -> Dict[int, object]:
-    return {
-        index: db.table(crule.body[index].pred)
-        for index in crule.literal_indexes
-    }
+def derive(crule: CompiledRule, kernel: Callable, rows: Sequence[Tuple],
+           result: EvalResult, provenance) -> List[Tuple]:
+    """The heads ``kernel`` (a strand of ``crule``, the capture variant
+    when ``provenance`` is on) derives from the driving ``rows``, each
+    counted as one inference and recorded with its body facts."""
+    out: List = []
+    kernel(rows, result.db.functions, out)
+    result.inferences += len(out)
+    if provenance is None:
+        return out
+    pred = crule.head.pred
+    for head, body in out:
+        provenance.record_fact(crule.label, Fact(pred, head), body, 1)
+    return [head for head, _body in out]
+
+
+def lead_strand(crule: CompiledRule, stats, result: EvalResult,
+                provenance) -> Callable[[], List[Tuple]]:
+    """``crule`` in full, as a callable returning the heads its body
+    derives from ``result.db`` as it stands: its first body literal
+    drives, over every row that table holds at the call."""
+    index = crule.literal_indexes[0]
+    pred = crule.body[index].pred
+    rows = result.db.table(pred).rows_view()
+    kernel = strand_kernel(crule, index, stats).bind(
+        result.db, provenance is not None)
+    return lambda: derive(crule, kernel, [(pred, args) for args in rows],
+                          result, provenance)
 
 
 def seed_base_provenance(provenance, program: Program, db: Database):
@@ -54,8 +83,6 @@ def seed_base_provenance(provenance, program: Program, db: Database):
     on -- these engines legitimately re-derive every join each
     iteration, and the set semantics must not leak back into the
     caller's recorder."""
-    from repro.engine.facts import Fact
-
     provenance = provenance.bind(dedup=True)
     provenance.register_views({
         rule.head.pred for rule in program.rules
@@ -86,17 +113,11 @@ def evaluate(
         provenance = seed_base_provenance(provenance, program, db)
         result.provenance = provenance.store
 
-    for stratum in stratify(program):
-        compiled = [CompiledRule(rule) for rule in stratum.rules]
-        plain = [c for c in compiled
-                 if c.aggregate is None and c.argmin is None]
-        aggregated = [c for c in compiled if c.aggregate is not None]
-        argmins = [c for c in compiled if c.argmin is not None]
-        # Compile once per stratum; reuse the plan (and the source dict)
-        # on every iteration of the loop below.
-        plans = {id(c): _plan_for(c, db, stats) for c in compiled}
-        sources = {id(c): _table_sources(c, db) for c in compiled}
-
+    for stratum, compiled in compiled_strata(program):
+        plain = [
+            (db.table(c.head.pred), lead_strand(c, stats, result, provenance))
+            for c in compiled if c.aggregate is None and c.argmin is None
+        ]
         iterations = 0
         while True:
             iterations += 1
@@ -108,65 +129,53 @@ def evaluate(
                     engine="naive",
                 )
             changed = False
-            for crule in plain:
-                table = db.table(crule.head.pred)
-                plan = plans[id(crule)]
-                # Materialize the solutions first: the head table may be
-                # among the sources, and inserting while scanning it is
-                # undefined.
-                for bindings in list(
-                    execute_plan(plan, sources[id(crule)], db.functions)
-                ):
-                    result.inferences += 1
-                    head = _head_of(crule, bindings, db.functions)
-                    if provenance is not None:
-                        provenance.capture(crule, bindings, head, 1,
-                                           db.functions)
-                    if head not in table:
-                        table.insert(head)
-                        changed = True
+            for table, solve in plain:
+                changed |= insert_new(table, solve())
             if not changed:
                 break
         result.iterations += iterations
-
-        # Aggregates in a (necessarily non-recursive) stratum: recompute
-        # from the now-complete lower strata.
-        for crule in aggregated:
-            view = AggregateView(crule.head.pred, crule.aggregate)
-            plan = plans[id(crule)]
-            for bindings in execute_plan(
-                plan, sources[id(crule)], db.functions
-            ):
-                result.inferences += 1
-                contribution = _head_of(crule, bindings, db.functions)
-                if provenance is not None:
-                    provenance.capture(crule, bindings, contribution, 1,
-                                       db.functions)
-                view.apply(contribution, 1)
-            table = db.table(crule.head.pred)
-            for head in view.current_rows():
-                if head not in table:
-                    table.insert(head)
-
-        # Arg-min witness views (non-recursive only; see stratify):
-        # recompute the deterministic group winner from scratch.
-        for crule in argmins:
-            _materialize_argmin(db, crule, result, plan=plans[id(crule)],
-                                provenance=provenance)
+        materialize_views(compiled, stats, result, provenance)
     return result
 
 
-def _materialize_argmin(db: Database, crule: CompiledRule,
-                        result: EvalResult, plan,
-                        provenance=None) -> None:
+def insert_new(table, heads: Iterable[Tuple]) -> bool:
+    """Insert the ``heads`` that ``table`` does not hold; whether any
+    was new."""
+    changed = False
+    for head in heads:
+        if head not in table:
+            table.insert(head)
+            changed = True
+    return changed
+
+
+def materialize_views(compiled: Sequence[CompiledRule], stats,
+                      result: EvalResult, provenance) -> None:
+    """Evaluate a stratum's aggregate and arg-extreme rules (which
+    :func:`stratify` holds to non-recursive strata) from the
+    now-complete relations below them."""
+    db = result.db
+
+    def solve(crule):
+        return lead_strand(crule, stats, result, provenance)()
+
+    for crule in compiled:
+        if crule.aggregate is not None:
+            view = AggregateView(crule.head.pred, crule.aggregate)
+            for contribution in solve(crule):
+                view.apply(contribution, 1)
+            insert_new(db.table(crule.head.pred), view.current_rows())
+    for crule in compiled:
+        if crule.argmin is not None:
+            insert_new(db.table(crule.head.pred),
+                       _argmin_winners(crule, solve(crule)))
+
+
+def _argmin_winners(crule: CompiledRule, heads: Iterable[Tuple]):
+    """The deterministic winner of each group among ``heads``."""
     group_positions, value_position, func = crule.argmin
-    rule_sources = _table_sources(crule, db)
-    winners = {}
-    for bindings in execute_plan(plan, rule_sources, db.functions):
-        result.inferences += 1
-        head = _head_of(crule, bindings, db.functions)
-        if provenance is not None:
-            provenance.capture(crule, bindings, head, 1, db.functions)
+    winners: dict = {}
+    for head in heads:
         group = tuple(head[i] for i in group_positions)
         best = winners.get(group)
         if best is None:
@@ -177,7 +186,4 @@ def _materialize_argmin(db: Database, crule: CompiledRule,
         better = value < best_value if func == "min" else value > best_value
         if better or (value == best_value and repr(head) < repr(best)):
             winners[group] = head
-    table = db.table(crule.head.pred)
-    for head in winners.values():
-        if head not in table:
-            table.insert(head)
+    return winners.values()

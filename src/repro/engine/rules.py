@@ -10,71 +10,28 @@ argument position of every literal once: fed to the hash-index lookup
 (constants, prefix-bound variables, prefix-evaluable expressions),
 binding a new variable, repeating one within the literal, or an
 embedded expression to check per candidate.  A :class:`JoinPlan` is
-pure metadata; it has two executors:
+pure metadata with one executor: :mod:`repro.engine.kernels` generates
+one flat Python function per strand from it, and all four engines run
+those -- PSN / BSN one per (rule, driving literal), semi-naive the same
+kernels with the delta literal driving and ``old`` tables bound in
+ahead of it, naive (and semi-naive's base case) the strand of each
+rule's first body literal over that table's whole row set.
 
-- PSN strands generate one flat Python function from it
-  (:mod:`repro.engine.kernels`);
-- the set-oriented engines run it through :func:`execute_plan`, the
-  step chain folded into generator closures over binding dicts.
-
-The left-to-right interpreter, which shares nothing with the planner,
-lives in ``tests/interpreter.py`` as the reference both executors are
-held to.
+The left-to-right interpreter, which shares nothing with the planner
+or the generator, lives in ``tests/interpreter.py`` as the reference
+the kernels are held to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.engine.facts import Fact
-from repro.errors import EvaluationError, PlanError
+from repro.errors import PlanError
 from repro.ndlog.ast import Assignment, Condition, Literal, Program, Rule
-from repro.ndlog.terms import (
-    AggregateSpec,
-    Constant,
-    Term,
-    Variable,
-    compile_term,
-    evaluate,
-)
+from repro.ndlog.terms import Constant, Term, Variable, evaluate
+from repro.ndlog.validator import require_body_literal
 from repro.planner.reorder import choose_next_literal
-
-
-# ----------------------------------------------------------------------
-# Sources
-# ----------------------------------------------------------------------
-class SetSource:
-    """A source over a plain set of tuples (used for SN's old/delta sets).
-
-    Builds per-position indexes lazily; the set must not be mutated after
-    construction.
-    """
-
-    def __init__(self, rows: Sequence[Tuple]):
-        self._rows = list(rows)
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[Tuple]]] = {}
-
-    def rows(self) -> Sequence[Tuple]:
-        return self._rows
-
-    def lookup(self, positions: Tuple[int, ...], values: Tuple):
-        if not positions:
-            return self._rows
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            for args in self._rows:
-                index.setdefault(
-                    tuple(args[i] for i in positions), []
-                ).append(args)
-            self._indexes[positions] = index
-        return index.get(values, ())
-
-
-EMPTY_SOURCE = SetSource(())
 
 
 # ----------------------------------------------------------------------
@@ -123,24 +80,6 @@ class CompiledRule:
         #: Generated strand kernels, ``(driver index, literal order)`` ->
         #: :class:`repro.engine.kernels.StrandKernel`.
         self.kernels: Dict[Tuple[int, Tuple[int, ...]], object] = {}
-
-    def ground_body(self, bindings: Dict[str, object],
-                    functions: Dict[str, Callable]):
-        """Ground every body literal under a full solution's bindings.
-
-        The provenance capture seam of the binding-dict evaluator
-        (:func:`execute_plan`): a solution binds every
-        body-literal variable, so the participating facts can be
-        re-derived from the bindings after the fact -- the evaluator
-        itself stays capture-free.  (Generated strand kernels hand
-        over the matched tuples directly.)
-        """
-        return tuple(
-            Fact(literal.pred, tuple(
-                evaluate(term, bindings, functions) for term in literal.args
-            ))
-            for literal in map(self.body.__getitem__, self.literal_indexes)
-        )
 
     def body_preds(self) -> Tuple[str, ...]:
         return tuple(self.body[i].pred for i in self.literal_indexes)
@@ -218,8 +157,7 @@ class LiteralStep:
     self-join derivation fires exactly once (Theorem 2).
 
     Steps hold terms, not code: the strand-kernel generator
-    (:mod:`repro.engine.kernels`) and the closure executor below each
-    compile them their own way, on first use.
+    (:mod:`repro.engine.kernels`) compiles them, on first use.
     """
 
     __slots__ = (
@@ -287,13 +225,11 @@ class JoinPlan:
     ``order`` records the body indexes of the literals in evaluation
     order (driver excluded); ``steps`` interleaves
     :class:`LiteralStep`, :class:`AssignStep` and :class:`CondStep`.
-    A plan is pure metadata.  PSN strands turn it into a generated
-    kernel (:mod:`repro.engine.kernels`); the set-oriented engines run
-    it through ``executor``, the step chain folded into nested generator
-    closures on first use.
+    A plan is pure metadata; :mod:`repro.engine.kernels` turns it into
+    the generated kernel every engine runs.
     """
 
-    __slots__ = ("crule", "driver_index", "order", "steps", "_executor")
+    __slots__ = ("crule", "driver_index", "order", "steps")
 
     def __init__(self, crule: CompiledRule, driver_index: Optional[int],
                  order: Tuple[int, ...], steps: Tuple):
@@ -301,21 +237,14 @@ class JoinPlan:
         self.driver_index = driver_index
         self.order = order
         self.steps = steps
-        self._executor: Optional[Callable] = None
-
-    @property
-    def executor(self) -> Callable:
-        if self._executor is None:
-            self._executor = _compile_executor(self.steps)
-        return self._executor
 
     def literal_steps(self) -> List[LiteralStep]:
         return [s for s in self.steps if isinstance(s, LiteralStep)]
 
     def index_requests(self) -> List[Tuple[str, Tuple[int, ...]]]:
-        """The ``(pred, positions)`` hash indexes this plan probes --
-        pre-registered on the tables at engine construction so the
-        first delta does not pay the index-build cost."""
+        """The ``(pred, positions)`` hash indexes this plan probes
+        (binding its kernel builds them, so the first delta does not
+        pay the index-build cost)."""
         return [
             (step.literal.pred, step.positions)
             for step in self.literal_steps()
@@ -332,17 +261,14 @@ class JoinPlan:
 def compile_plan(
     crule: CompiledRule,
     driver_index: Optional[int] = None,
-    lead_index: Optional[int] = None,
     stats=None,
 ) -> JoinPlan:
     """Compile a join plan for ``crule``.
 
     ``driver_index`` marks a strand's driving literal: it is *skipped*
     (its bindings arrive pre-seeded) and its variables start out bound.
-    ``lead_index`` instead forces a literal to be evaluated first while
-    still scanning its source (the semi-naive engines lead with the
-    delta literal).  Remaining literals are ordered greedily --
-    bound-ness first, then estimated selectivity (``stats``), via
+    Remaining literals are ordered greedily -- bound-ness first, then
+    estimated selectivity (``stats``), via
     :func:`repro.planner.reorder.choose_next_literal`.  Assignments and
     conditions run at the earliest point their inputs are bound,
     preserving their original relative order: bodies are evaluated
@@ -351,9 +277,6 @@ def compile_plan(
     inputs simply waits for that literal.  Items whose inputs never
     become bound raise ``EvaluationError`` when reached.
     """
-    if driver_index is not None and lead_index is not None:
-        raise PlanError("driver_index and lead_index are mutually exclusive")
-
     bound: set = set()
     if driver_index is not None:
         bound |= set(crule.body[driver_index].variables())
@@ -393,17 +316,8 @@ def compile_plan(
         if index != driver_index
     ]
     order: List[int] = []
-    forced = lead_index
-    if forced is not None and all(e[0] != forced for e in remaining):
-        raise PlanError(
-            f"lead_index {forced} is not a body literal of {crule.label}"
-        )
     while remaining:
-        if forced is not None:
-            entry = next(e for e in remaining if e[0] == forced)
-            forced = None
-        else:
-            entry = choose_next_literal(remaining, bound, stats)
+        entry = choose_next_literal(remaining, bound, stats)
         remaining.remove(entry)
         body_index, literal = entry
         exclude = (
@@ -430,155 +344,14 @@ def compile_plan(
     return JoinPlan(crule, driver_index, tuple(order), tuple(steps))
 
 
-def execute_plan(
-    plan: JoinPlan,
-    sources: Dict[int, object],
-    functions: Dict[str, Callable],
-    bindings: Optional[Dict[str, object]] = None,
-    skip_fact=None,
-) -> Iterator[Dict[str, object]]:
-    """Yield every satisfying assignment of the plan's rule body.
-
-    ``sources`` maps body-item index to source (a table or a
-    :class:`SetSource`); ``skip_fact`` is a strand's driving fact
-    (excluded from the steps flagged ``exclude_driver``).
-
-    Yielded binding dicts may be shared between solutions when a step
-    binds no new variables; callers must treat them as read-only.
-    """
-    return plan.executor(
-        bindings if bindings is not None else {},
-        sources, functions, skip_fact,
-    )
-
-
-def _yield_solution(bindings, sources, functions, skip_fact):
-    yield bindings
-
-
-def _compile_executor(steps: Tuple) -> Callable:
-    """Fold the step tuple (right to left) into one generator closure
-    per step, each capturing its metadata as locals and calling the
-    next step's closure directly -- no step-type dispatch in the loop.
-    """
-    follow = _yield_solution
-    for step in reversed(steps):
-        if isinstance(step, LiteralStep):
-            follow = _literal_runner(step, follow)
-        elif isinstance(step, AssignStep):
-            follow = _assign_runner(step, follow)
-        elif isinstance(step, CondStep):
-            follow = _cond_runner(step, follow)
-        else:
-            raise PlanError(f"unsupported plan step {step!r}")
-    return follow
-
-
-def _literal_runner(step: LiteralStep, follow: Callable) -> Callable:
-    body_index = step.body_index
-    positions = step.positions
-    arity = step.arity
-    dup_checks = step.dup_checks
-    bind_specs = step.bind_specs
-    residual = tuple(
-        (pos, compile_term(term)) for pos, term in step.residual_exprs
-    )
-    exclude_driver = step.exclude_driver
-    getters = tuple(compile_term(term) for term in step.getters)
-
-    def run(bindings, sources, functions, skip_fact):
-        source = sources.get(body_index, EMPTY_SOURCE)
-        values = tuple([get(bindings, functions) for get in getters])
-        exclude = (
-            skip_fact.args
-            if (exclude_driver and skip_fact is not None)
-            else None
-        )
-        for fact_args in source.lookup(positions, values):
-            if len(fact_args) != arity or fact_args == exclude:
-                continue
-            if dup_checks and any(fact_args[pos] != fact_args[first]
-                                  for pos, first in dup_checks):
-                continue
-            if bind_specs:
-                extended = dict(bindings)
-                for pos, name in bind_specs:
-                    extended[name] = fact_args[pos]
-            else:
-                extended = bindings
-            if residual and any(expr_fn(extended, functions) != fact_args[pos]
-                                for pos, expr_fn in residual):
-                continue
-            yield from follow(extended, sources, functions, skip_fact)
-
-    return run
-
-
-def _assign_runner(step: AssignStep, follow: Callable) -> Callable:
-    name = step.name
-    fn = compile_term(step.expr)
-
-    def run(bindings, sources, functions, skip_fact):
-        value = fn(bindings, functions)
-        current = bindings.get(name, _MISSING)
-        if current is _MISSING:
-            extended = dict(bindings)
-            extended[name] = value
-            yield from follow(extended, sources, functions, skip_fact)
-        elif current == value:
-            yield from follow(bindings, sources, functions, skip_fact)
-
-    return run
-
-
-def _cond_runner(step: CondStep, follow: Callable) -> Callable:
-    fn = compile_term(step.expr)
-
-    def run(bindings, sources, functions, skip_fact):
-        if fn(bindings, functions):
-            yield from follow(bindings, sources, functions, skip_fact)
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Head instantiation
-# ----------------------------------------------------------------------
-def instantiate_head(
-    crule: CompiledRule,
-    bindings: Dict[str, object],
-    functions: Dict[str, Callable],
-) -> Tuple:
-    """Ground the head under ``bindings``.
-
-    For aggregate rules the aggregate position carries the aggregated
-    *input value* (the aggregation itself is maintained by
-    :mod:`repro.engine.aggregates`).
-    """
-    values: List[object] = []
-    for term in crule.head.args:
-        if isinstance(term, AggregateSpec):
-            if term.var:
-                try:
-                    values.append(bindings[term.var])
-                except KeyError:
-                    raise EvaluationError(
-                        f"aggregate variable {term.var!r} unbound",
-                        rule=crule.label,
-                    ) from None
-            else:
-                values.append(1)  # count<*> contribution
-        else:
-            values.append(evaluate(term, bindings, functions))
-    return tuple(values)
-
-
 def shared_compiled_rules(program: Program) -> List[CompiledRule]:
     """One :class:`CompiledRule` per non-empty rule of ``program``,
     memoized on the program object: every engine built over the same
     ``Program`` (each node of a deployment) shares them, and with them
     the strand kernels generated from them -- code is compiled once per
-    program and collected with it."""
+    program and collected with it.  All four engines take their rules
+    from here, so this is where a rule no strand can drive is refused
+    (:func:`repro.ndlog.validator.require_body_literal`)."""
     cache = program.compiled_cache
     compiled = []
     for rule in program.rules:
@@ -588,6 +361,7 @@ def shared_compiled_rules(program: Program) -> List[CompiledRule]:
         # An entry keeps its rule alive, so its id cannot be recycled --
         # unless the cache was copied along with a copied program.
         if crule is None or crule.rule is not rule:
+            require_body_literal(rule)
             crule = cache[id(rule)] = CompiledRule(rule)
         compiled.append(crule)
     return compiled

@@ -17,8 +17,8 @@ would be on deploy) and the *rewritten* form is analyzed; ``--raw``
 lints the source program as written.
 
 Exit status: 0 when no finding reaches warning severity, 1 when the
-worst finding is a warning, 2 on errors (including unparseable
-targets) -- so the CLI doubles as a CI gate.
+worst finding is a warning, 2 on errors (including targets that do
+not parse or fail validation) -- so the CLI doubles as a CI gate.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def lint_one(name: str, target, passes=None,
         return analyze(target, passes=passes, name=name)
     from repro import api
 
-    artifact = api.compile(target, strict=False, name=name, lint="off")
+    artifact = api.compile(target, name=name, lint="off")
     return analyze(artifact, passes=passes, name=name)
 
 

@@ -16,7 +16,6 @@ enforce address type safety (Definition 6.2 of the paper).
 
 from __future__ import annotations
 
-import operator as _operator
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -192,21 +191,6 @@ _BOOL = {
     "||": lambda a, b: bool(a) or bool(b),
 }
 
-#: C-level equivalents of _ARITH/_COMPARE used by :func:`compile_term`.
-_OPERATOR_C = {
-    "+": _operator.add,
-    "-": _operator.sub,
-    "*": _operator.mul,
-    "/": _operator.truediv,
-    "%": _operator.mod,
-    "==": _operator.eq,
-    "!=": _operator.ne,
-    "<": _operator.lt,
-    "<=": _operator.le,
-    ">": _operator.gt,
-    ">=": _operator.ge,
-}
-
 
 def evaluate(term: Term, bindings: dict, functions: dict) -> object:
     """Evaluate ``term`` under ``bindings`` using the builtin ``functions``.
@@ -252,88 +236,6 @@ def evaluate(term: Term, bindings: dict, functions: dict) -> object:
     if isinstance(term, TupleTerm):
         values = tuple(evaluate(a, bindings, functions) for a in term.args)
         return ConstructedTuple(term.pred, values)
-    if isinstance(term, AggregateSpec):
-        raise EvaluationError("aggregate specs cannot be evaluated directly")
-    raise EvaluationError(f"cannot evaluate term {term!r}")
-
-
-def compile_term(term: Term):
-    """Compile ``term`` into a closure ``fn(bindings, functions)``.
-
-    Semantically identical to :func:`evaluate`, but the type dispatch
-    happens once, here, instead of per evaluation -- the compiled join
-    plans (:mod:`repro.engine.rules`) call these closures in their hot
-    loops.  Raises :class:`EvaluationError` for terms that can never be
-    evaluated (aggregate specs, unknown operators).
-    """
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda bindings, functions: value
-    if isinstance(term, Variable):
-        name = term.name
-
-        def var_fn(bindings, functions):
-            try:
-                return bindings[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"unbound variable {name!r}"
-                ) from None
-
-        return var_fn
-    if isinstance(term, BinOp):
-        left = compile_term(term.left)
-        right = compile_term(term.right)
-        op = term.op
-        # C-level operator functions where available (one Python frame
-        # instead of two per evaluation).
-        fn = _OPERATOR_C.get(op) or _BOOL.get(op)
-        if fn is None:
-            raise EvaluationError(f"unknown operator {op!r}")
-        return lambda bindings, functions: fn(
-            left(bindings, functions), right(bindings, functions)
-        )
-    if isinstance(term, UnaryOp):
-        operand = compile_term(term.operand)
-        if term.op == "-":
-            return lambda bindings, functions: -operand(bindings, functions)
-        if term.op == "!":
-            return lambda bindings, functions: not operand(bindings, functions)
-        raise EvaluationError(f"unknown unary operator {term.op!r}")
-    if isinstance(term, FuncCall):
-        name = term.name
-        arg_fns = tuple(compile_term(arg) for arg in term.args)
-
-        def _resolve(functions):
-            func = functions.get(name)
-            if func is None:
-                raise EvaluationError(f"unknown function {name!r}")
-            return func
-
-        # Specialize the common small arities: no argument-list frame.
-        if len(arg_fns) == 1:
-            arg0 = arg_fns[0]
-            return lambda bindings, functions: _resolve(functions)(
-                arg0(bindings, functions)
-            )
-        if len(arg_fns) == 2:
-            arg0, arg1 = arg_fns
-            return lambda bindings, functions: _resolve(functions)(
-                arg0(bindings, functions), arg1(bindings, functions)
-            )
-
-        def call_fn(bindings, functions):
-            return _resolve(functions)(
-                *[fn(bindings, functions) for fn in arg_fns]
-            )
-
-        return call_fn
-    if isinstance(term, TupleTerm):
-        pred = term.pred
-        arg_fns = tuple(compile_term(arg) for arg in term.args)
-        return lambda bindings, functions: ConstructedTuple(
-            pred, tuple(fn(bindings, functions) for fn in arg_fns)
-        )
     if isinstance(term, AggregateSpec):
         raise EvaluationError("aggregate specs cannot be evaluated directly")
     raise EvaluationError(f"cannot evaluate term {term!r}")

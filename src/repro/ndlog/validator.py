@@ -13,9 +13,9 @@ Datalog (Definition 6):
    (Definition 5): exactly one link literal, and every other predicate
    (head included) is located at the link's source or destination field.
 
-The validator also enforces basic sanity: consistent arities, aggregates
-only in heads, no negation (deferred to future work in the paper), bound
-head variables, and safe conditions.
+The validator also enforces basic sanity: consistent arities, a literal
+in every rule body, aggregates only in heads, no negation (deferred to
+future work in the paper), bound head variables, and safe conditions.
 """
 
 from __future__ import annotations
@@ -111,6 +111,20 @@ def _address_usage(rule: Rule) -> Dict[str, Set[bool]]:
     return usage
 
 
+def require_body_literal(rule: Rule) -> None:
+    """Raise unless ``rule``'s body names a relation.  Every engine
+    derives a rule's heads by driving one of its body literals (a
+    strand, Section 3.2), so a body of assignments and conditions
+    alone -- ``p(@X) :- X := "a".`` -- has nothing to drive it.
+    :func:`validate` and every engine (through
+    ``repro.engine.rules.shared_compiled_rules``) ask here."""
+    if rule.body and not rule.body_literals:
+        raise NDlogValidationError(
+            f"{rule.label or repr(rule.head)}: rule body has no literal "
+            f"(nothing drives the rule; state {rule.head.pred} as a fact)"
+        )
+
+
 def validate(program: Program, strict_address_types: bool = False,
              distributed: bool = True) -> ValidationReport:
     """Validate ``program`` and return a :class:`ValidationReport`.
@@ -148,6 +162,10 @@ def validate(program: Program, strict_address_types: bool = False,
 
     for rule in program.rules:
         name = rule.label or repr(rule.head)
+        try:
+            require_body_literal(rule)
+        except NDlogValidationError as exc:
+            errors.append(str(exc))
 
         # Aggregates only in heads; at most one per head.
         agg_count = sum(

@@ -352,26 +352,10 @@ class ProvenanceRecorder:
             dedup=self.dedup if dedup is None else dedup,
         )
 
-    def capture(self, crule, bindings: Dict[str, object], head: Tuple,
-                sign: int, functions: Dict) -> Optional[int]:
-        """Record one rule firing: the body facts are re-grounded from
-        the solution bindings (see ``CompiledRule.ground_body``), so the
-        join executors themselves stay provenance-free."""
-        clock = self.clock
-        return self.store.record(
-            crule.label,
-            Fact(crule.head.pred, head),
-            crule.ground_body(bindings, functions),
-            sign,
-            node=self.node,
-            time=clock() if clock is not None else 0.0,
-            dedup=self.dedup,
-        )
-
     def record_fact(self, rule: str, head: Fact, body: Sequence[Fact],
                     sign: int) -> Optional[int]:
-        """Record a firing whose body facts are already ground (PSN
-        strand kernels, cache hits, synthesized derivations)."""
+        """Record a firing by its ground body facts (what a capture
+        kernel hands over, cache hits, synthesized derivations)."""
         return self.store.record(rule, head, body, sign, node=self.node,
                                  time=self.now(), dedup=self.dedup)
 

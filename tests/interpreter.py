@@ -1,30 +1,45 @@
 """The interpreter: the one join evaluator that shares nothing with
-``compile_plan`` -- the tests' reference for ``execute_plan`` and the
-generated strand kernels.
+``compile_plan`` or the kernel generator -- the tests' one independent
+reference for the strand kernels all four engines run.
 
 :func:`solve` evaluates a rule body left to right; each literal is
-matched against a *source* -- a full table, a snapshot set, or a single
-driving fact -- re-deriving the bound positions from the body AST on
-every call and re-unifying every argument of every candidate tuple.
-Moved verbatim out of ``repro.engine.rules`` when the engines stopped
-offering it (``use_plans=False``); :func:`interpret` puts it back
-behind a built engine's strands for engine-level differentials.
+matched against a *source* -- a full table, a :class:`Snapshot` set, or
+a single driving fact -- re-deriving the bound positions from the body
+AST on every call and re-unifying every argument of every candidate
+tuple.  Moved verbatim out of ``repro.engine.rules`` when the engines
+stopped offering it (``use_plans=False``), and :func:`instantiate_head`
+after it when the closure executor went and left it no other caller;
+:func:`interpret` puts the interpreter back behind a built engine's
+strands for engine-level differentials.
 """
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.facts import Fact
-from repro.engine.rules import (
-    EMPTY_SOURCE,
-    CompiledRule,
-    instantiate_head,
-    unify_literal,
-)
-from repro.errors import PlanError
+from repro.engine.rules import CompiledRule, unify_literal
+from repro.errors import EvaluationError, PlanError
 from repro.ndlog.ast import Assignment, Condition, Literal
-from repro.ndlog.terms import Constant, Variable, evaluate
+from repro.ndlog.terms import AggregateSpec, Constant, Variable, evaluate
 
 _MISSING = object()
+
+
+class Snapshot:
+    """A frozen set of tuples as a source (semi-naive's ``old`` and
+    delta sets): filters on every lookup, indexes nothing."""
+
+    def __init__(self, rows):
+        self._rows = list(rows)
+
+    def rows(self):
+        return self._rows
+
+    def lookup(self, positions, values):
+        return [args for args in self._rows
+                if tuple(args[i] for i in positions) == values]
+
+
+EMPTY_SOURCE = Snapshot(())
 
 
 def _literal_candidates(
@@ -144,19 +159,62 @@ def _solve_from(
     raise PlanError(f"unsupported body item {item!r}")
 
 
+def instantiate_head(
+    crule: CompiledRule,
+    bindings: Dict[str, object],
+    functions: Dict[str, Callable],
+) -> Tuple:
+    """Ground the head under ``bindings``.
+
+    For aggregate rules the aggregate position carries the aggregated
+    *input value* (the aggregation itself is maintained by
+    :mod:`repro.engine.aggregates`).
+    """
+    values: List[object] = []
+    for term in crule.head.args:
+        if isinstance(term, AggregateSpec):
+            if term.var:
+                try:
+                    values.append(bindings[term.var])
+                except KeyError:
+                    raise EvaluationError(
+                        f"aggregate variable {term.var!r} unbound",
+                        rule=crule.label,
+                    ) from None
+            else:
+                values.append(1)  # count<*> contribution
+        else:
+            values.append(evaluate(term, bindings, functions))
+    return tuple(values)
+
+
+def ground_body(crule: CompiledRule, bindings: Dict[str, object],
+                functions: Dict[str, Callable]) -> Tuple[Fact, ...]:
+    """Every body literal grounded under a full solution's bindings
+    (which bind every body-literal variable), in body order."""
+    return tuple(
+        Fact(literal.pred, tuple(
+            evaluate(term, bindings, functions) for term in literal.args
+        ))
+        for literal in map(crule.body.__getitem__, crule.literal_indexes)
+    )
+
+
 def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
-                       capture: bool = False) -> Callable:
+                       capture: bool = False, sources=None) -> Callable:
     """One strand through the interpreter, behind the calling convention
     of the generated kernels (:mod:`repro.engine.kernels`):
     ``kernel(rows, functions, out)`` appends every head the driving
     tuples of the run derive (queue rows: the tuple is field 1), row by
-    row -- ``(head, ground body facts)`` pairs under ``capture``."""
+    row -- ``(head, ground body facts)`` pairs under ``capture``.
+    ``sources`` (body index -> source) overrides what a partner literal
+    reads, as ``StrandKernel.bind(tables=...)`` does."""
     literal = crule.body[driver_index]
     sources = {
         index: db.table(crule.body[index].pred)
         for index in crule.literal_indexes
         if index != driver_index
-    }
+    } | (sources or {})
 
     def kernel(rows, functions, out):
         for row in rows:
@@ -170,7 +228,7 @@ def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
                 head = instantiate_head(crule, bindings, functions)
                 if capture:
                     out.append((head,
-                                crule.ground_body(bindings, functions)))
+                                ground_body(crule, bindings, functions)))
                 else:
                     out.append(head)
 

@@ -329,7 +329,9 @@ class TestCli:
 
         assert main(["shortest_path"]) == 0
         assert main([str(DATA / "divergent_path_growth.ndlog")]) == 1
-        capsys.readouterr()
+        # A target that fails validation fails to compile.
+        assert main([str(DATA / "literal_free_rule.ndlog")]) == 2
+        assert "L1: rule body has no literal" in capsys.readouterr().err
 
     def test_all_builtin_programs_pass(self, capsys):
         from repro.lint import main

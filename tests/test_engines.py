@@ -2,15 +2,19 @@
 PSN (Algorithm 3) must compute identical fixpoints (Theorem 1), and the
 delta-based engines must not repeat inferences (Theorem 2)."""
 
+import pathlib
 import random
 
 import pytest
 
+import repro
 from repro.engine import Database, bsn, naive, psn, seminaive
 from repro.engine.bsn import BSNEngine
 from repro.engine.facts import Fact
+from repro.engine.kernels import StrandKernel
 from repro.engine.psn import PSNEngine
-from repro.errors import EvaluationError, PlanError
+from repro.engine.rules import compile_plan, shared_compiled_rules
+from repro.errors import EvaluationError, NDlogValidationError, PlanError
 from repro.ndlog import parse
 from repro.ndlog.programs import (
     shortest_path,
@@ -254,8 +258,6 @@ def test_facts_in_program_text_are_loaded():
 def test_removed_use_plans_option_fails_loudly():
     """There is one evaluator per engine; asking for another is an
     error at every entry point, not a silently ignored keyword."""
-    import repro
-
     program = transitive_closure()
     for engine_cls in (PSNEngine, BSNEngine):
         with pytest.raises(TypeError, match="use_plans"):
@@ -266,6 +268,93 @@ def test_removed_use_plans_option_fails_loudly():
         with pytest.raises(EvaluationError, match="use_plans"):
             repro.compile(program).run(
                 engine=module.__name__.rsplit(".", 1)[-1], use_plans=False)
+
+
+def test_the_closure_executor_is_gone():
+    """One code generator stands between a ``JoinPlan`` and every
+    engine's result; the closure chain that ran naive and semi-naive
+    left no name behind to import."""
+    import repro.engine.rules as rules
+    import repro.ndlog.terms as terms
+
+    for name in ("execute_plan", "SetSource", "EMPTY_SOURCE"):
+        assert not hasattr(rules, name), name
+    assert not hasattr(terms, "compile_term")
+    crule = shared_compiled_rules(transitive_closure())[1]
+    with pytest.raises(TypeError, match="lead_index"):
+        compile_plan(crule, lead_index=1)
+
+
+def test_semi_naive_runs_psns_strand_kernels(monkeypatch):
+    """Algorithm 1's delta rule at position ``k`` is the strand kernel
+    for driver ``k``: the same object PSN's strand holds for that
+    ``(rule, driver)`` -- generated once per ``Program`` -- bound with
+    ``old`` tables ahead of ``k``."""
+    program = transitive_closure_nonlinear()
+    strands = {
+        (strand.crule.label, strand.driver_index): strand
+        for strand_list in PSNEngine(program).strands.values()
+        for strand in strand_list
+    }
+    bound = []
+    bind = StrandKernel.bind
+
+    def recording_bind(self, db, capture=False, tables=None):
+        bound.append((self, db, tables))
+        return bind(self, db, capture, tables)
+
+    monkeypatch.setattr(StrandKernel, "bind", recording_bind)
+    edges = [(f"n{i}", f"n{(i * 3 + 1) % 7}") for i in range(7)]
+    result = run(seminaive, program, {"edge": edges})
+    run(naive, program, {"edge": edges})
+    assert result.inferences > 0
+
+    delta_rules = {}
+    for code, db, tables in bound:
+        driver = code.plan.driver_index
+        strand = strands[(code.plan.crule.label, driver)]
+        assert code is strand.code
+        assert code.source() == strand.kernel_source
+        if tables is not None:      # a delta rule, not a lead strand
+            delta_rules[(code.plan.crule.label, driver)] = (db, tables)
+    # tc(X, Z) :- tc(X, Y), tc(Y, Z): delta at 0 reads the full table
+    # at 1, delta at 1 reads ``old`` at 0.
+    assert sorted(delta_rules) == [("T2", 0), ("T2", 1)]
+    assert delta_rules[("T2", 0)][1] == {}
+    db, tables = delta_rules[("T2", 1)]
+    assert list(tables) == [0] and tables[0] is not db.table("tc")
+    for crule in shared_compiled_rules(program):
+        assert len(crule.kernels) == len(crule.literal_indexes)
+
+
+LINT_DATA = pathlib.Path(__file__).parent / "data" / "lint"
+
+
+def test_a_rule_without_a_body_literal_fails_loudly_everywhere():
+    """No literal, no strand: every engine would have to invent a way
+    to run ``p(@X) :- X := "a".`` (the set-oriented ones used to, and
+    disagreed with PSN / BSN).  Validation and every engine refuse it
+    with the same typed error."""
+    source = (LINT_DATA / "literal_free_rule.ndlog").read_text()
+    naming_the_rule = "L1: rule body has no literal"
+    with pytest.raises(NDlogValidationError, match=naming_the_rule):
+        repro.compile(source)
+    unvalidated = repro.compile(source, validate=False)
+    assert sorted(repro.api.ENGINES) == ["bsn", "naive", "psn", "seminaive"]
+    for engine, evaluate in repro.api.ENGINES.items():
+        with pytest.raises(NDlogValidationError, match=naming_the_rule):
+            unvalidated.run(engine=engine)
+        with pytest.raises(NDlogValidationError, match=naming_the_rule):
+            evaluate(parse(source))
+
+
+@pytest.mark.parametrize("engine", sorted(repro.api.ENGINES))
+def test_an_evaluation_error_names_the_rule_that_was_firing(engine):
+    compiled = repro.compile("r1: p(@X, Z) :- e(@X, Y), Z := W + 1.")
+    with pytest.raises(EvaluationError,
+                       match="unbound variable 'W'") as raised:
+        compiled.run(engine=engine, facts={"e": [("a", 1)]})
+    assert raised.value.rule == "r1"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The compiled join-plan layer (``repro.engine.rules``): plan compiler
-unit tests, planned-vs-interpreted equivalence at the rule level (the
-interpreter is ``tests/interpreter.py``), and the engine-level
-properties: every engine reaches the naive fixpoint, and PSN/BSN
-compute identical fixpoints with identical inference counts whether
-their strands run generated kernels or the interpreter -- planning
-must not change *what* fires, only how fast."""
+unit tests (a plan is metadata; what the kernels generated from it
+derive is held to the interpreter, rule by rule, in
+``tests/test_kernels.py``), and the engine-level properties: every
+engine reaches the naive fixpoint, and PSN/BSN compute identical
+fixpoints with identical inference counts whether their strands run
+generated kernels or the interpreter (``tests/interpreter.py``) --
+planning must not change *what* fires, only how fast."""
 
 import random
 
@@ -14,18 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.engine import Database, bsn, naive, psn, seminaive
 from repro.engine.bsn import BSNEngine
 from repro.engine.psn import PSNEngine
-from repro.engine.rules import (
-    CompiledRule,
-    LiteralStep,
-    SetSource,
-    compile_plan,
-    execute_plan,
-    unify_literal,
-)
+from repro.engine.rules import CompiledRule, LiteralStep, compile_plan
 from repro.engine.table import Table
-from repro.errors import PlanError
 from repro.ndlog import parse, programs
-from repro.ndlog.functions import default_functions
 from repro.ndlog.terms import Constant
 from repro.opt.costbased import StatsCatalog
 from repro.planner.reorder import bound_positions, greedy_join_order
@@ -107,22 +99,6 @@ def test_plan_respects_selectivity_stats():
     assert plan.order[0] == 1  # small first
 
 
-def test_lead_index_forces_delta_literal_first():
-    crule = CompiledRule(rule_of(
-        "T2: tc(X, Z) :- edge(X, Y), tc(Y, Z)."
-    ))
-    plan = compile_plan(crule, lead_index=1)
-    assert plan.order == (1, 0)
-
-
-def test_driver_and_lead_are_mutually_exclusive():
-    crule = CompiledRule(rule_of(
-        "T2: tc(X, Z) :- edge(X, Y), tc(Y, Z)."
-    ))
-    with pytest.raises(PlanError):
-        compile_plan(crule, driver_index=0, lead_index=1)
-
-
 def test_conditions_and_assignments_run_at_earliest_bound_point():
     crule = CompiledRule(rule_of(
         "R: out(@A, C) :- p(@A, B), q(@B, C), C := B + 1, B != z9."
@@ -187,66 +163,6 @@ def test_table_indexes_preregistered_on_engine_construction():
     # tc-driven strand probes edge on position 1 (Y bound).
     assert (0,) in engine.db.table("tc")._indexes
     assert (1,) in engine.db.table("edge")._indexes
-
-
-# ----------------------------------------------------------------------
-# execute_plan vs solve
-# ----------------------------------------------------------------------
-def solutions(bindings_iter, head_vars):
-    return sorted(
-        tuple(b[v] for v in head_vars) for b in bindings_iter
-    )
-
-
-def test_execute_plan_matches_solve_on_joins():
-    crule = CompiledRule(rule_of(
-        "R: out(@A, D) :- p(@A, B), q(@B, C), r(@C, D), B != D."
-    ))
-    functions = default_functions()
-    rng = random.Random(5)
-    rows = {
-        0: [(f"a{rng.randrange(4)}", f"b{rng.randrange(4)}") for _ in range(12)],
-        1: [(f"b{rng.randrange(4)}", f"c{rng.randrange(4)}") for _ in range(12)],
-        2: [(f"c{rng.randrange(4)}", f"a{rng.randrange(4)}") for _ in range(12)],
-    }
-    sources = {i: SetSource(r) for i, r in rows.items()}
-    plan = compile_plan(crule)
-    planned = solutions(
-        execute_plan(plan, sources, functions), ("A", "B", "C", "D")
-    )
-    interpreted = solutions(
-        solve(crule, sources, functions), ("A", "B", "C", "D")
-    )
-    assert planned == interpreted
-    assert planned  # non-vacuous
-
-
-def test_execute_plan_skip_fact_matches_solve_self_join():
-    crule = CompiledRule(rule_of(
-        "T2: tc(X, Z) :- tc(X, Y), tc(Y, Z)."
-    ))
-    functions = default_functions()
-    table = Table("tc", 2)
-    for row in [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")]:
-        table.insert(row)
-
-    class FakeFact:
-        pred = "tc"
-        args = ("b", "c")
-
-    seed = unify_literal(crule.body[1], FakeFact.args, {}, functions)
-    plan = compile_plan(crule, driver_index=1)
-    planned = solutions(
-        execute_plan(plan, {0: table}, functions, bindings=dict(seed),
-                     skip_fact=FakeFact),
-        ("X", "Y", "Z"),
-    )
-    interpreted = solutions(
-        solve(crule, {0: table}, functions, bindings=dict(seed),
-              skip_index=1, skip_fact=FakeFact),
-        ("X", "Y", "Z"),
-    )
-    assert planned == interpreted
 
 
 # ----------------------------------------------------------------------

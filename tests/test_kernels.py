@@ -1,21 +1,26 @@
-"""Generated strand kernels (``repro.engine.kernels``).
+"""Generated strand kernels (``repro.engine.kernels``): the one join
+executor of all four engines.
 
-A kernel is the third implementation of one strand's join, beside the
-closure executor (``execute_plan``) and the interpreter (``solve``,
-kept in ``tests/interpreter.py`` as the reference);
-the property tests here hold all three to the same heads -- on every
-builtin program and on random rule shapes -- and the unit tests pin
-what the generator must preserve: error paths, live index capture,
-late function registration, once-per-program compilation, readable
-tracebacks, and independence from the hash seed.  Two sections follow
-the calling convention (a kernel takes a run; a run's heads are its
-rows' heads, concatenated) and the inlined builtins (every template
-equals its function; the function in ``db.functions`` decides).
+The interpreter (``solve``, kept in ``tests/interpreter.py``) is the
+one independent reference; the property tests here hold the kernels to
+its heads -- on every builtin program, on random rule shapes, and under
+the three *bindings* the engines use: a strand driven by one tuple
+(PSN / BSN), a rule's first literal driven by its whole table (naive,
+semi-naive's base case) and a delta literal driving with ``old`` tables
+bound in ahead of it (semi-naive's iterations).  The unit tests pin
+what the generator must preserve: when a kernel raises and whose name
+the error carries, live index capture, late function registration,
+once-per-program compilation, readable tracebacks, and independence
+from the hash seed.  Two sections follow the calling convention (a
+kernel takes a run; a run's heads are its rows' heads, concatenated)
+and the inlined builtins (every template equals its function; the
+function in ``db.functions`` decides).
 """
 
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import traceback
@@ -31,17 +36,11 @@ from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.kernels import strand_kernel
 from repro.engine.psn import PSNEngine
-from repro.engine.rules import (
-    CompiledRule,
-    LiteralStep,
-    execute_plan,
-    instantiate_head,
-    unify_literal,
-)
+from repro.engine.rules import CompiledRule, unify_literal
 from repro.engine.table import Table
 from repro.errors import EvaluationError
 from repro.ndlog import parse, programs
-from repro.ndlog.ast import Literal
+from repro.ndlog.ast import Condition, Literal, Rule
 from repro.ndlog.functions import (
     INLINE,
     NIL,
@@ -52,10 +51,16 @@ from repro.ndlog.functions import (
     node_sequence,
     register,
 )
-from repro.ndlog.terms import Constant, ConstructedTuple, evaluate
+from repro.ndlog.terms import BinOp, Constant, ConstructedTuple, Variable
 from repro.opt.costbased import StatsCatalog
 
-from interpreter import interpret, interpreted_kernel, solve
+from interpreter import (
+    Snapshot,
+    instantiate_head,
+    interpret,
+    interpreted_kernel,
+    solve,
+)
 from test_obs import RecordingObserver
 from test_pretty import random_programs
 
@@ -78,7 +83,7 @@ PATHS = [(), ("a",), ("a", "b"), ("b", "c"), ("c", "a", "b")]
 
 
 # ----------------------------------------------------------------------
-# Three evaluators, one strand
+# Kernel against interpreter, one strand
 # ----------------------------------------------------------------------
 def outcome(thunk):
     """Heads as a multiset, or the exception class when evaluation
@@ -91,28 +96,9 @@ def outcome(thunk):
         return type(error)
 
 
-def match_driver(step, args, functions):
-    """Reference matcher for a strand's driving tuple under the planned
-    (declarative) reading, step metadata walked one check at a time:
-    constants and variable-free expressions in position order, repeated
-    variables, then expressions over the variables the literal binds."""
-    if len(args) != step.arity:
-        return None
-    for pos, term in zip(step.positions, step.getters):
-        if evaluate(term, {}, functions) != args[pos]:
-            return None
-    if any(args[pos] != args[first] for pos, first in step.dup_checks):
-        return None
-    bindings = {name: args[pos] for pos, name in step.bind_specs}
-    for pos, term in step.residual_exprs:
-        if evaluate(term, bindings, functions) != args[pos]:
-            return None
-    return bindings
-
-
 def strand_outcomes(crule, driver_index, db, args):
     """Heads one driving tuple derives through the kernel, the capture
-    kernel, the closure executor and the interpreter."""
+    kernel and the interpreter."""
     functions = db.functions
     literal = crule.body[driver_index]
     fact = Fact(literal.pred, args)
@@ -121,7 +107,6 @@ def strand_outcomes(crule, driver_index, db, args):
         for index in crule.literal_indexes if index != driver_index
     }
     code = strand_kernel(crule, driver_index, StatsCatalog())
-    plan = code.plan
 
     def via_kernel():
         out = []
@@ -139,17 +124,6 @@ def strand_outcomes(crule, driver_index, db, args):
             assert body[crule.literal_indexes.index(driver_index)] == fact
         return [head for head, _body in out]
 
-    def via_plan():
-        seed = match_driver(
-            LiteralStep(literal, driver_index, frozenset()), args, functions)
-        if seed is None:
-            return []
-        return [
-            instantiate_head(crule, bindings, functions)
-            for bindings in execute_plan(plan, sources, functions,
-                                         bindings=seed, skip_fact=fact)
-        ]
-
     def via_solve():
         seed = unify_literal(literal, args, {}, functions)
         if seed is None:
@@ -160,32 +134,30 @@ def strand_outcomes(crule, driver_index, db, args):
                                   skip_index=driver_index, skip_fact=fact)
         ]
 
-    return (outcome(via_kernel), outcome(via_capture_kernel),
-            outcome(via_plan), outcome(via_solve))
+    return outcome(via_kernel), outcome(via_capture_kernel), outcome(via_solve)
 
 
 def assert_strands_agree(crule, db):
     """Every strand of ``crule``, driven by every stored tuple of its
-    driving relation.  Kernel and closure executor walk the same plan,
-    so they must agree outright (heads, or both failing); the
-    interpreter evaluates strictly left to right and may fail where the
-    plans do not, so it is compared when it succeeds."""
+    driving relation.  The two kernel variants come from one plan, so
+    they must agree outright (heads, or the same failure); the
+    interpreter evaluates strictly left to right while a plan hoists
+    each condition to where its inputs are bound, so either may fail
+    where the other does not and their heads are compared when both
+    succeed.  *When* a kernel raises is pinned by the directed cases
+    under "Error paths"."""
     compared = 0
     for driver_index in crule.literal_indexes:
         table = db.table(crule.body[driver_index].pred)
         for args in table.rows():
-            kernel, captured, planned, interpreted = strand_outcomes(
+            kernel, captured, interpreted = strand_outcomes(
                 crule, driver_index, db, args)
             context = (crule, driver_index, args)
-            if isinstance(planned, Counter):
-                assert kernel == planned, context
-                assert captured == planned, context
-                if isinstance(interpreted, Counter):
-                    assert interpreted == planned, context
-                    compared += sum(planned.values())
-            else:
-                assert not isinstance(kernel, Counter), context
-                assert not isinstance(captured, Counter), context
+            assert captured == kernel, context
+            if isinstance(kernel, Counter) and isinstance(interpreted,
+                                                           Counter):
+                assert kernel == interpreted, context
+                compared += sum(kernel.values())
     return compared
 
 
@@ -204,7 +176,7 @@ def column_values(name):
                          ids=lambda b: b.__name__)
 @given(data=st.data())
 @settings(max_examples=8, **SETTINGS)
-def test_kernels_match_plans_and_interpreter_on_builtin_programs(
+def test_kernels_match_the_interpreter_on_builtin_programs(
         builder, data):
     program = builder()
     db = Database.for_program(program)
@@ -244,7 +216,7 @@ POOL = NODES + ["node1", 0, 1, 2, ("a", "b"), ()]
 
 @given(program=random_programs(), data=st.data())
 @settings(max_examples=120, **SETTINGS)
-def test_kernels_match_plans_and_interpreter_on_random_rules(program, data):
+def test_kernels_match_the_interpreter_on_random_rules(program, data):
     """Random rule shapes from the surface grammar: self-joins,
     ``p(X, X)``, constants and expressions in literal arguments,
     assignments to bound variables, aggregate heads, unknown functions."""
@@ -268,10 +240,13 @@ def test_kernels_match_plans_and_interpreter_on_random_rules(program, data):
         assert_strands_agree(CompiledRule(rule), db)
 
 
+CHAIN = random.Random(5)
+
+
 @pytest.mark.parametrize("text,rows", [
     # self-join: the driving fact is excluded before its own position
     ("T: tc(X, Z) :- tc(X, Y), tc(Y, Z).",
-     {"tc": [("a", "a"), ("a", "b"), ("b", "a")]}),
+     {"tc": [("a", "a"), ("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")]}),
     # repeated variable and constant in the driver and in a partner
     ("R: out(@A, B) :- p(@A, A, c7), q(@B, B, A).",
      {"p": [("x", "x", "c7"), ("x", "y", "c7"), ("x", "x", "c8")],
@@ -286,6 +261,11 @@ def test_kernels_match_plans_and_interpreter_on_random_rules(program, data):
     # count<*> and eager boolean operators in a condition
     ("R: cnt(@A, count<*>) :- p(@A, B, C), B > 1 || C > 1, !(B == C).",
      {"p": [("n", 2, 1), ("n", 1, 1), ("n", 2, 2), ("n", 0, 3)]}),
+    # a three-way chain join with a condition across its ends
+    ("R: out(@A, D) :- p(@A, B), q(@B, C), r(@C, D), B != D.",
+     {pred: [(f"{x}{CHAIN.randrange(4)}", f"{y}{CHAIN.randrange(4)}")
+             for _ in range(12)]
+      for pred, x, y in (("p", "a", "b"), ("q", "b", "c"), ("r", "c", "b"))}),
 ])
 def test_generator_semantics_on_directed_cases(text, rows):
     program = parse(text)
@@ -293,6 +273,119 @@ def test_generator_semantics_on_directed_cases(text, rows):
     for pred, pred_rows in rows.items():
         db.load_facts(pred, pred_rows)
     assert assert_strands_agree(CompiledRule(program.rules[0]), db) > 0
+
+
+# ----------------------------------------------------------------------
+# The set-oriented engines' bindings of the same kernels
+# ----------------------------------------------------------------------
+def kernel_heads(crule, driver_index, db, rows, capture, tables=None):
+    """Heads the strand derives from the driving ``rows`` -- the capture
+    kernel's checked to carry one ground fact per body literal."""
+    pred = crule.body[driver_index].pred
+    kernel = strand_kernel(crule, driver_index, StatsCatalog()).bind(
+        db, capture, tables)
+    out = []
+    kernel([(pred, args) for args in rows], db.functions, out)
+    if not capture:
+        return Counter(out)
+    for _head, body in out:
+        assert [f.pred for f in body] == list(crule.body_preds())
+    return Counter(head for head, _body in out)
+
+
+def interpreted_heads(crule, sources, functions):
+    """The rule body evaluated in full over ``sources``, no driver."""
+    return Counter(
+        instantiate_head(crule, bindings, functions)
+        for bindings in solve(crule, sources, functions)
+    )
+
+
+PAIRS = st.lists(st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
+                 max_size=9, unique=True)
+
+
+@pytest.mark.parametrize("capture", [False, True])
+@given(rows=PAIRS)
+@settings(max_examples=40, **SETTINGS)
+def test_a_lead_strand_over_a_whole_table_is_the_rule_in_full(capture, rows):
+    """Naive's binding (and semi-naive's base case): the first body
+    literal driven by every row its table holds.  Nothing precedes it,
+    so no partner excludes the driving row -- in a self-join that row
+    must match itself as its own partner."""
+    program = parse("T: tc(X, Z) :- tc(X, Y), tc(Y, Z).")
+    db = Database.for_program(program)
+    db.load_facts("tc", rows + [("a", "a")])
+    crule = CompiledRule(program.rules[0])
+    table = db.table("tc")
+    heads = kernel_heads(crule, 0, db, table.rows(), capture)
+    assert heads == interpreted_heads(crule, {0: table, 1: table},
+                                      db.functions)
+    # (a, a) joined with itself, once.
+    assert heads[("a", "a")] == 1 + sum(
+        1 for x, y in set(rows) if (x, y) != ("a", "a")
+        and x == "a" and (y, "a") in table)
+
+
+MUTUAL = """
+A1: a(X, Z) :- e(X, Z).
+A2: a(X, Z) :- b(X, Y), a(Y, Z).
+B1: b(X, W) :- a(X, Y), b(Y, Z), a(Z, W), X != W.
+"""
+
+
+def assert_delta_strands_agree(capture, old_a, new_a, old_b, new_b):
+    """Every delta rule of ``MUTUAL`` over one iteration's state; the
+    number of heads compared."""
+    program = parse(MUTUAL)
+    db = Database.for_program(program)
+    old = {"a": set(old_a), "b": set(old_b)}
+    delta = {"a": set(new_a) - old["a"], "b": set(new_b) - old["b"]}
+    shadow = {pred: Table(pred, 2) for pred in old}
+    for pred in old:
+        db.load_facts(pred, old[pred] | delta[pred])
+        for args in old[pred]:
+            shadow[pred].insert(args)
+    derived = 0
+    for rule in program.rules[1:]:
+        crule = CompiledRule(rule)
+        for position in crule.literal_indexes:
+            pred = crule.body[position].pred
+            before = [i for i in crule.literal_indexes if i < position]
+            heads = kernel_heads(
+                crule, position, db, sorted(delta[pred]), capture,
+                tables={i: shadow[crule.body[i].pred] for i in before})
+            sources = {
+                i: db.table(crule.body[i].pred)
+                for i in crule.literal_indexes if i > position
+            }
+            sources[position] = Snapshot(delta[pred])
+            for i in before:
+                sources[i] = Snapshot(old[crule.body[i].pred])
+            assert heads == interpreted_heads(crule, sources, db.functions), (
+                crule, position)
+            derived += sum(heads.values())
+    return derived
+
+
+@pytest.mark.parametrize("capture", [False, True])
+@given(old_a=PAIRS, new_a=PAIRS, old_b=PAIRS, new_b=PAIRS)
+@settings(max_examples=40, **SETTINGS)
+def test_a_delta_strand_with_old_partners_is_algorithm_1s_delta_rule(
+        capture, old_a, new_a, old_b, new_b):
+    """Semi-naive's binding, on a mutually recursive pair: the strand
+    of delta position ``k`` driven by the previous iteration's new
+    tuples, recursive literals before ``k`` bound to ``old`` tables,
+    those after it reading everything so far.  The interpreter runs
+    footnote 2's rule as written, over snapshot sets."""
+    assert_delta_strands_agree(capture, old_a, new_a, old_b, new_b)
+
+
+def test_the_delta_strand_property_is_not_vacuous():
+    assert assert_delta_strands_agree(
+        False,
+        old_a=[("a", "b"), ("b", "c")], new_a=[("c", "a"), ("b", "b")],
+        old_b=[("a", "a"), ("c", "b")], new_b=[("b", "a"), ("a", "c")]) > 0
 
 
 # ----------------------------------------------------------------------
@@ -321,18 +414,38 @@ class TestErrorPathParity:
         # The guard fails first: the call is never reached, nothing raises.
         engine = run_program(text, {"p": [("n", 1)]}, generated)
         assert engine.db.rows("out") == []
-        with pytest.raises(EvaluationError, match="unknown function"):
+        with pytest.raises(EvaluationError,
+                           match="unknown function") as raised:
             run_program(text, {"p": [("n", 9)]}, generated)
+        if generated:
+            assert raised.value.rule == "R"
 
     def test_unbound_aggregate_variable(self, generated):
         text = "R: low(@A, min<Z>) :- p(@A, X)."
-        with pytest.raises(EvaluationError, match="aggregate variable 'Z'"):
+        with pytest.raises(EvaluationError,
+                           match="aggregate variable 'Z'") as raised:
             run_program(text, {"p": [("n", 1)]}, generated)
+        assert raised.value.rule == "R"
 
-    def test_unbound_variable_in_an_expression(self, generated):
-        text = "R: out(@A, B) :- p(@A, X), B := Y + 1."
+    def test_unbound_variable_raises_only_when_reached(self, generated):
+        text = "R: out(@A, B) :- p(@A, X), X > 5, B := Y + 1."
+        # Behind a failed condition the expression is never evaluated.
+        engine = run_program(text, {"p": [("n", 1)]}, generated)
+        assert engine.db.rows("out") == []
+        with pytest.raises(EvaluationError,
+                           match="unbound variable 'Y'") as raised:
+            run_program(text, {"p": [("n", 9)]}, generated)
+        if generated:
+            assert raised.value.rule == "R"
+
+    def test_unbound_variable_in_a_partner_lookup(self, generated):
+        text = "R: out(@A, B) :- p(@A, X), q(@A, Y + 1, B)."
+        # No candidate tuple, nothing reached.
+        assert run_program(text, {"p": [("n", 1)]},
+                           generated).db.rows("out") == []
         with pytest.raises(EvaluationError, match="unbound variable 'Y'"):
-            run_program(text, {"p": [("n", 1)]}, generated)
+            run_program(text, {"p": [("n", 1)], "q": [("n", 1, 2)]},
+                        generated)
 
     def test_boolean_operators_evaluate_both_sides(self, generated):
         calls = []
@@ -351,6 +464,29 @@ class TestErrorPathParity:
                              functions={"f_spy": f_spy})
         assert engine.db.rows("out") == [("n",)]
         assert calls == [1, 2]
+
+
+def test_an_unknown_operator_fails_at_generation():
+    """No surface syntax spells one, a rewrite could: the generator
+    refuses it when the strand is bound, before any tuple arrives."""
+    program = parse("R9: out(@A) :- p(@A, X), X > 1.")
+    rule = program.rules[0]
+    power = Condition(BinOp("**", Variable("X"), Constant(2)))
+    program.rules[0] = Rule(rule.head, (rule.body[0], power), rule.label)
+    with pytest.raises(EvaluationError, match="unknown operator") as raised:
+        PSNEngine(program)
+    assert raised.value.rule == "R9"
+
+
+def test_a_partner_of_another_arity_has_no_solutions():
+    program = parse("R: out(@A, B) :- p(@A), q(@A, B).")
+    db = Database.for_program(program)
+    db.tables["q"] = Table("q", 3)
+    db.load_facts("q", [("n", 1, 2)])
+    engine = PSNEngine(program, db=db)
+    engine.insert("p", ("n",))
+    engine.run()
+    assert engine.db.rows("out") == []
 
 
 def test_kernel_traceback_shows_the_generated_line():

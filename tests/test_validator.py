@@ -138,6 +138,14 @@ def test_unbound_head_variable_rejected():
     assert any("not bound" in e for e in report.errors)
 
 
+def test_rule_without_a_body_literal_rejected():
+    program = parse('L1: p(@X) :- X := "a". L2: p(@X) :- q(@X), X != "a".')
+    report = validate(program)
+    assert [e for e in report.errors if "no literal" in e] == [
+        "L1: rule body has no literal (nothing drives the rule; "
+        "state p as a fact)"]
+
+
 def test_non_ground_fact_rejected():
     program = parse("p(@a, X).")
     report = validate(program, strict_address_types=False)

@@ -62,9 +62,8 @@ class ChaosMonitor:
         self.topology = topology
         self.config = config
         self.link_loads = link_loads
-        #: Cached reference rows, keyed by whether the quiescent
-        #: slot-repair sweep was applied (see :meth:`expected`).
-        self._reference: Dict[bool, frozenset] = {}
+        #: Cached reference rows (see :meth:`expected`).
+        self._reference: Optional[frozenset] = None
         #: Pre-start workload to replay in the reference run, mirroring
         #: what the checked deployment was given (e.g. magic facts).
         self._injects: list = []
@@ -72,17 +71,9 @@ class ChaosMonitor:
     def inject(self, node: str, pred: str, args: Tuple) -> None:
         self._injects.append((node, pred, tuple(args)))
 
-    def expected(self, repair: bool = False) -> frozenset:
-        """Query rows of the fault-free virtual-time run (cached).
-
-        With ``repair=True`` the reference is the *repaired* fixpoint:
-        after quiescence the slot-repair sweep runs
-        (:meth:`~repro.runtime.cluster.Cluster.repair`).  A watchdog
-        teardown triggers that sweep automatically on the checked
-        deployment, and repair is part of the convergence semantics --
-        so a deployment that tore links must be compared against a
-        reference computed under the same semantics."""
-        if repair not in self._reference:
+    def expected(self) -> frozenset:
+        """Query rows of the fault-free virtual-time run (cached)."""
+        if self._reference is None:
             import dataclasses
 
             from repro.runtime.cluster import Cluster
@@ -98,10 +89,8 @@ class ChaosMonitor:
             for node, pred, args in self._injects:
                 cluster.inject(node, pred, args)
             cluster.run()
-            if repair:
-                cluster.repair()
-            self._reference[repair] = cluster.query_rows()
-        return self._reference[repair]
+            self._reference = cluster.query_rows()
+        return self._reference
 
     def check(self, deployment,
               exclude_nodes: Iterable[str] = ()) -> ChaosVerdict:
@@ -117,12 +106,8 @@ class ChaosMonitor:
             if name in excluded:
                 continue
             actual.update(runtime.db.table(query_pred).rows())
-        # A deployment whose watchdog tore links down has run the
-        # quiescent slot-repair sweep; hold it to the reference
-        # computed under the same (repaired) semantics.
-        repaired = deployment.stats.links_torn_down > 0
         expected = {
-            row for row in self.expected(repair=repaired)
+            row for row in self.expected()
             if not row or row[0] not in excluded
         }
         missing = frozenset(expected - actual)

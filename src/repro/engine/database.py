@@ -63,27 +63,18 @@ class Database:
                 )
             agg_keys[rule.head.pred] = group
 
-        head_preds = {rule.head.pred for rule in program.rules}
         for pred, arity in arities.items():
             declared = program.materializations.get(pred)
-            fallback = False
             if declared is not None:
                 key = declared.key_indexes()
                 lifetime = declared.lifetime
-                # A declared key on a rule-derived relation makes each
-                # slot a *latest advertisement* cell fed by independent
-                # derivations; shadow superseded versions so withdrawing
-                # the current one falls back to a still-outstanding
-                # alternative instead of leaving the slot empty.
-                fallback = pred in head_preds
             elif pred in agg_keys:
                 key, lifetime = agg_keys[pred], INFINITY
             elif pred in link_preds and arity >= 2:
                 key, lifetime = (0, 1), INFINITY
             else:
                 key, lifetime = (), INFINITY
-            db.tables[pred] = Table(pred, arity, key=key, lifetime=lifetime,
-                                    fallback=fallback)
+            db.tables[pred] = Table(pred, arity, key=key, lifetime=lifetime)
 
         # Declared-only tables (materialize without any rule usage).
         for pred, declared in program.materializations.items():

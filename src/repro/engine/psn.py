@@ -13,17 +13,13 @@ weight, insert ``+1`` / delete ``-1``) on a FIFO queue:
   count adjustment instead of a run of unit deltas.
 
 **Queue rows.**  An intent on the queue is one Z-set entry as a plain
-tuple, ``(pred, args, weight, force, restore, trace)``: ``weight``
-derivations of ``pred(args)`` asserted (``> 0``) or withdrawn (``< 0``).
-``force`` removes the row regardless of its derivation count (external
-base deletions) -- an *assignment*, outside the weight algebra, so
-forced intents never net.  ``restore`` is a deferred fallback check on
-the row's keyed slot: it re-materializes the latest shadowed version
-only if the slot is still empty when the intent is processed (a
-replacement already in flight fills it first, so transient
-``-old/+new`` update pairs do not churn through stale versions).
-``trace`` is the delta-propagation trace id the intent belongs to
-(minted at base-fact injection; ``None`` when tracing is off).  That
+tuple, ``(pred, args, weight, force, trace)``: ``weight`` derivations
+of ``pred(args)`` asserted (``> 0``) or withdrawn (``< 0``).  ``force``
+removes the row regardless of its derivation count (external base
+deletions) -- an *assignment*, outside the weight algebra, so forced
+intents never net.  ``trace`` is the delta-propagation trace id the
+intent belongs to (minted at base-fact injection; ``None`` when
+tracing is off).  That
 one tuple is all that travels: a strand kernel appends head tuples to
 a list, :meth:`PSNEngine._emit` turns the list into rows on the queue
 in one call, netting and run splitting read rows by position, and the
@@ -40,7 +36,9 @@ whose deltas precede the current one -- the "same or older timestamp"
 join prefix of Section 3.3.2 *is* the table itself.  A duplicate
 derivation of a visible fact commits as a count bump (no strands); a
 deletion of a fact that was superseded in the meantime commits as a
-no-op.
+no-op.  A keyed slot holds its latest version only: a replacement
+removes the old row outright, and withdrawing the current row leaves
+the slot empty (P2's rule, Section 2).
 
 Under this discipline:
 
@@ -79,10 +77,9 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    and a zero sum vanishes outright.  Cancellation is not a special
    case -- it is the group law.  Folding is restricted to slots where
    it is provably equivalent to sequential replay: every chunk intent
-   on the slot must target one identical tuple, none may be forced or
-   a deferred restore (primary-key replacement and forced deletion are
-   assignments, not group elements, so weights must not flow across
-   them), the table must not be soft-state (a re-insertion there
+   on the slot must target one identical tuple, none may be forced
+   (primary-key replacement and forced deletion are assignments, not
+   group elements, so weights must not flow across them), the table must not be soft-state (a re-insertion there
    renews a deadline and adds no derivation, so a renewal followed by a
    counted withdrawal is not addition), the stored row under the key --
    if any -- must be that same tuple, and no prefix of the slot's
@@ -175,7 +172,7 @@ DEFAULT_MAX_STEPS = 20_000_000
 
 #: One intent on the queue (layout and field meanings: module docstring,
 #: "Queue rows").
-QueueRow = Tuple[str, Tuple, int, bool, bool, Optional[int]]
+QueueRow = Tuple[str, Tuple, int, bool, Optional[int]]
 
 
 class Strand:
@@ -337,11 +334,6 @@ class PSNEngine:
         #: Every view, in the order :meth:`process_chunk` drains them.
         self._all_views = [*self.views.values(), *self.argmin_views.values()]
         self.queue: Deque[QueueRow] = deque()
-        #: While True, rule firings keep their heads on this node (the
-        #: distributed ``_emit`` override skips shipping).  Set around a
-        #: fallback restore: the restored row is an old advertisement
-        #: that must not re-announce itself to the network.
-        self._local_only = False
         #: Insertions committed so far, bumps and renewals included: the
         #: clock provenance records are stamped with (tables keep no
         #: per-row timestamp).
@@ -406,7 +398,7 @@ class PSNEngine:
         provenance, observer = self.provenance, self.observer
         traced = observer is not None and observer.traced
         if provenance is None and not traced:
-            self.queue.extend([(pred, tuple(args), weight, force, False, None)
+            self.queue.extend([(pred, tuple(args), weight, force, None)
                                for args in rows])
             return
         rows = [tuple(args) for args in rows]
@@ -415,7 +407,7 @@ class PSNEngine:
                 provenance.base(Fact(pred, args), weight)
         traces = (observer.inject(pred, rows, weight) if traced
                   else repeat(None))
-        self.queue.extend([(pred, args, weight, force, False, trace)
+        self.queue.extend([(pred, args, weight, force, trace)
                            for args, trace in zip(rows, traces)])
 
     def update(self, pred: str, args: Tuple) -> None:
@@ -442,7 +434,7 @@ class PSNEngine:
             trace = self._active_trace
             if trace is not None:
                 self.observer.span("derive", pred, args, weight, trace)
-            self._enqueue((pred, args, weight, False, False, trace))
+            self._enqueue((pred, args, weight, False, trace))
 
     # ------------------------------------------------------------------
     # Fixpoint driving
@@ -473,7 +465,7 @@ class PSNEngine:
                 table.force_delete(args)
                 if provenance is not None:
                     provenance.base(Fact(table.name, args), count)
-                self._enqueue((table.name, args, count, False, False, None))
+                self._enqueue((table.name, args, count, False, None))
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Process queued deltas until quiescent; returns steps taken.
@@ -491,34 +483,6 @@ class PSNEngine:
                 engine="psn",
             )
         return taken
-
-    def queue_slot_repairs(self) -> int:
-        """Queue a restore intent for every *broken slot*: a primary key
-        of a fallback table that has shadowed (superseded-but-
-        outstanding) versions and no current row.  Returns the number of
-        intents queued.
-
-        This is the convergence watchdog's repair hook, and it must run
-        only at a quiescence boundary (this engine's queue is dry and --
-        in a distributed run -- nothing is in flight towards it):
-        restoring eagerly amid churn re-advertises stale versions into
-        latest-wins slots on a cyclic topology, and the feedback wave
-        never dissipates.  At quiescence, an empty slot with outstanding
-        shadowed versions is a genuine casualty of destructive
-        replacement -- nothing upstream will ever refill it (its
-        alternatives' support never changed, so no delta fires there).
-        """
-        queued = 0
-        for table in self.db.tables.values():
-            if not table.fallback:
-                continue
-            for key, bucket in table._shadow.items():
-                if table.get_by_key(key) is not None or not bucket:
-                    continue
-                witness = next(iter(bucket))
-                self._enqueue((table.name, witness, 1, False, True, None))
-                queued += 1
-        return queued
 
     def run_batch(self, batch: int) -> int:
         """Process at most ``batch`` deltas (used by BSN scheduling)."""
@@ -555,8 +519,8 @@ class PSNEngine:
         # Netting can only change anything when the chunk mixes
         # directions; all-refresh or all-expiry bursts skip the scan.
         has_plus = has_minus = False
-        for _, _, weight, force, restore, _ in rows:
-            if force or restore:
+        for _, _, weight, force, _ in rows:
+            if force:
                 continue
             if weight > 0:
                 has_plus = True
@@ -569,19 +533,14 @@ class PSNEngine:
         end = len(rows)
         try:
             while index < end:
-                pred, args, weight, force, restore, trace = rows[index]
-                if restore:
-                    self._active_trace = trace
-                    self._commit_restore(pred, args)
-                    index += 1
-                    continue
+                pred, _, weight, force, _ = rows[index]
                 plus = weight > 0
                 stop = index + 1
                 if not force and pred not in single_delta:
                     while stop < end:
                         nxt = rows[stop]
                         if (nxt[0] != pred or (nxt[2] > 0) != plus
-                                or nxt[3] or nxt[4]):  # forced / restore
+                                or nxt[3]):  # forced
                             break
                         stop += 1
                 if plus:
@@ -615,7 +574,7 @@ class PSNEngine:
         groups: Dict[Tuple[str, Tuple], List] = {}
         slots: List[Tuple[str, Tuple]] = []
         for position, row in enumerate(chunk):
-            pred, args, _, force, restore, _ = row
+            pred, args, _, force, _ = row
             table = table_of(pred)
             slot = (pred, table.key_of(args))
             slots.append(slot)
@@ -623,12 +582,12 @@ class PSNEngine:
             if group is None:
                 groups[slot] = [
                     args,
-                    not (force or restore) and table.lifetime == INFINITY,
+                    not force and table.lifetime == INFINITY,
                     [position],
                     None,
                 ]
             else:
-                if force or restore or group[0] != args:
+                if force or group[0] != args:
                     group[1] = False
                 group[2].append(position)
         for slot, group in groups.items():
@@ -654,14 +613,14 @@ class PSNEngine:
             if weight is None:
                 survivors.append(row)
                 continue
-            pred, args, own_weight, _, _, trace = row
+            pred, args, own_weight, _, trace = row
             if weight == 0:
                 netted += 1
             elif position == group[2][0]:
                 netted += len(group[2]) - 1
                 # The folded intent keeps the first delta's trace (the
                 # slot's other traces end here with a net span below).
-                survivors.append((pred, args, weight, False, False, trace))
+                survivors.append((pred, args, weight, False, trace))
                 continue
             if trace is not None:
                 # This intent was annihilated (or folded into the
@@ -735,7 +694,7 @@ class PSNEngine:
                     renewed += opened - index
                     if tracing:
                         traced_renewals += [row for row in rows[index:opened]
-                                            if row[5] is not None]
+                                            if row[4] is not None]
                 if opened == stop:
                     break
             # The pending batch, opened by the first row that is not
@@ -754,7 +713,7 @@ class PSNEngine:
                     insert(args, row[2], deadline)
                     if deadline is not None:
                         renewed += 1
-                        if row[5] is not None:
+                        if row[4] is not None:
                             traced_renewals.append(row)
                     continue
                 key = key_of(args)
@@ -767,40 +726,32 @@ class PSNEngine:
                     old = get_by_key(key)
                     if old is not None:
                         displaced.append(
-                            (pred, old, -1, False, False, row[5]))
+                            (pred, old, -1, False, row[4]))
                 fresh.append(row)
             else:
                 index = stop
-            fallback = table.fallback
             if displaced:
                 if observer is not None:
                     count_of = table.count
-                    for _, old, _, _, _, trace in displaced:
+                    for _, old, _, _, trace in displaced:
                         observer.commit(pred, old, -count_of(old), trace)
                 self._fire_strands(displaced, -1)
                 provenance = self.provenance
-                # On a fallback table a displaced derivation stays
-                # outstanding in the slot's shadow: its producer never
-                # withdrew it, so a later withdrawal of the replacement
-                # falls back to it (:meth:`_restore_fallback`).
-                remove = table.supersede if fallback else table.force_delete
                 for row in displaced:
                     if provenance is not None:
                         provenance.retracted(Fact(pred, row[1]))
-                    remove(row[1])
+                    table.force_delete(row[1])
                 table.replaced += len(displaced)
             for row in fresh:
                 args = row[1]
                 self.clock += 1
                 insert(args, row[2], deadline)
-                if fallback:
-                    table.absorb_shadow(args)
                 if observer is not None:
-                    observer.commit(pred, args, row[2], row[5])
+                    observer.commit(pred, args, row[2], row[4])
             if tracing:
                 # What a firing derives outside its kernel (a query
                 # answered from the cache: a run of one) joins this trace.
-                self._active_trace = fresh[-1][5]
+                self._active_trace = fresh[-1][4]
             self._fire_strands(fresh, 1)
         if renewed:
             table.renewals += renewed
@@ -826,7 +777,6 @@ class PSNEngine:
         table = self.db.table(pred)
         observer = self.observer
         tracing = observer is not None and observer.traced
-        fallback = table.fallback
         count_of, force_delete = table.count, table.force_delete
         lone = stop - start == 1
         dying: List[QueueRow] = []
@@ -834,23 +784,16 @@ class PSNEngine:
             row = rows[index]
             args, force = row[1], row[3]
             if tracing:
-                self._active_trace = row[5]
+                self._active_trace = row[4]
             count = -row[2]
             current = count_of(args)
             if current <= 0:
-                # Superseded, never committed, or already gone.  On a
-                # fallback table the deletion may target a shadowed
-                # version: its producer withdrew an advertisement that
-                # was never (or no longer) current, so it must stop
-                # being a restore candidate.
-                if fallback:
-                    table.shadow_discard(args, count)
-                continue
+                continue  # superseded, never committed, or already gone
             if current > count and not force:
                 table.delete(args, count)
                 continue
             if observer is not None:
-                observer.commit(pred, args, -current, row[5])
+                observer.commit(pred, args, -current, row[4])
             if lone:
                 self._fire_strands((row,), -1)
             else:
@@ -862,75 +805,8 @@ class PSNEngine:
                 # on the queue may have recorded fresh support).
                 self.provenance.retracted(Fact(pred, args))
             force_delete(args)
-            if not fallback:
-                continue
-            if force:
-                # A forced delete wipes the slot outright (base-table
-                # semantics: superseded values never resurrect).
-                table.clear_shadow(table.key_of(args))
-            elif count > current:
-                # The withdrawal outweighs the visible count: the excess
-                # targets shadowed copies of the same advertisement
-                # (e.g. a dead peer's netted contributions), which must
-                # stop being restore candidates.
-                table.shadow_discard(args, count - current)
         if dying:
             self._fire_strands(dying, -1)
-
-    def _commit_restore(self, pred: str, args: Tuple) -> None:
-        """Process a deferred restore intent: if the keyed slot
-        ``pred(args)`` was retracted from is *still* empty (no
-        replacement landed while the intent waited in the queue),
-        re-materialize its latest shadowed version."""
-        table = self.db.table(pred)
-        key = table.key_of(args)
-        if table.get_by_key(key) is not None:
-            return  # a newer version already refilled the slot
-        self._restore_fallback(table, key)
-
-    def _restore_fallback(self, table, key: Tuple) -> None:
-        """A keyed slot lost its visible row and nothing refilled it.
-        If older advertisements for the slot are still outstanding, the
-        most recent one becomes current again -- without this, a slot
-        whose latest version is withdrawn goes empty even though a
-        perfectly live alternative derivation was destructively
-        superseded earlier, and nothing upstream will ever re-send it
-        (its support never changed, so no delta fires there).
-
-        The restore propagates *locally only*: its strands fire (so
-        same-node consumers -- e.g. a query projection -- are made
-        whole), but remote heads are not shipped.  The restored row is
-        an **old** advertisement: when it was displaced, its ``-1``
-        already propagated and downstream slots moved on to newer
-        versions, so re-announcing it would override them with stale
-        state and (on a cyclic topology) feed an oscillation that never
-        damps.  Future derivations join against the restored row
-        normally, and a later withdrawal of it fires full ``-1``
-        strands, which downstream treats as an exact-args miss (a
-        no-op, per the count discipline)."""
-        entry = table.pop_fallback(key)
-        if entry is None:
-            return
-        args, _count = entry
-        # Restore with a fresh single-derivation count: the superseded
-        # support was already marked retracted when the version was
-        # displaced, and the repair's own "<fallback>" record is its one
-        # live justification (keeps the provenance audit exact).
-        self.clock += 1
-        table.insert(args)
-        if self.observer is not None:
-            self.observer.commit(table.name, args, 1, self._active_trace)
-        if self.provenance is not None:
-            self.provenance.record_fact(
-                "<fallback>", Fact(table.name, args), (), 1)
-        self._local_only = True
-        try:
-            self._fire_strands(
-                ((table.name, args, 1, False, False, self._active_trace),),
-                1,
-            )
-        finally:
-            self._local_only = False
 
     def _fire_strands(self, rows, sign: int) -> None:
         """Fire every strand of the run's predicate once with the whole
@@ -976,7 +852,7 @@ class PSNEngine:
             for row in rows:
                 before = len(out)
                 kernel((row,), functions, out)
-                traces += [row[5]] * (len(out) - before)
+                traces += [row[4]] * (len(out) - before)
         else:
             kernel(rows, functions, out)
         inferences = len(out)
@@ -1009,7 +885,7 @@ class PSNEngine:
         if traces is not None:
             self.observer.derive(pred, heads, sign, traces)
         self.queue.extend(
-            [(pred, head, sign, False, False, trace)
+            [(pred, head, sign, False, trace)
              for head, trace in zip(heads, traces or repeat(None))]
         )
 

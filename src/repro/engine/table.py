@@ -7,7 +7,9 @@ Semantics follow P2 (Section 2 of the paper):
   key is the full set of attributes;
 * inserting a tuple whose key matches an existing tuple with *different*
   non-key attributes **replaces** it (this is how a link-cost update or a
-  neighbour's new best-path advertisement supersedes the old value);
+  neighbour's new best-path advertisement supersedes the old value).
+  A slot keeps no earlier version: withdrawing the tuple it holds
+  leaves it empty;
 * re-inserting an identical tuple increments its *derivation count* (the
   count algorithm of [Gupta et al. 93], used in Section 4); a tuple is
   only removed when its count drops to zero;
@@ -82,7 +84,6 @@ class Table:
         arity: int,
         key: Sequence[int] = (),
         lifetime: float = INFINITY,
-        fallback: bool = False,
     ):
         if arity <= 0:
             raise SchemaError(f"table {name!r} must have positive arity")
@@ -101,15 +102,6 @@ class Table:
         self.key_of: Callable[[Tuple], Tuple] = (
             tuple if self._full_key else projector(self.key)
         )
-        #: Shadow superseded slot versions so the latest outstanding one
-        #: can be restored when the current row is withdrawn.  Only
-        #: meaningful for keyed tables that rules derive into, where a
-        #: slot aggregates independently-derived versions (a neighbour's
-        #: successive advertisements); full-key or soft-state tables
-        #: never shadow.
-        self.fallback = (
-            fallback and not self._full_key and lifetime == INFINITY
-        )
         #: args -> derivation count, in insertion order: the table.
         self._counts: Dict[Tuple, int] = {}
         #: key value -> stored args; full-key tables: None.
@@ -126,9 +118,6 @@ class Table:
         #: by batch: ``PSNEngine._commit_insert_run``).
         self.replaced = 0
         self.run_splits = 0
-        #: key value -> {superseded args -> derivation count}, in
-        #: displacement order (most recent last).
-        self._shadow: Dict[Tuple, Dict[Tuple, int]] = {}
         #: positions tuple -> (projector, value tuple -> set of args)
         self._indexes: Dict[
             Tuple[int, ...], Tuple[Callable, Dict[Tuple, Set[Tuple]]]
@@ -275,77 +264,6 @@ class Table:
         if args in self._counts:
             self._remove(args)
 
-    # ------------------------------------------------------------------
-    # Slot shadows (fallback tables only)
-    # ------------------------------------------------------------------
-    def supersede(self, args: Tuple) -> None:
-        """Displace the stored tuple ``args`` into its key's shadow,
-        preserving its derivation count: the version is still
-        *outstanding* (whoever derived it has not withdrawn it), it is
-        merely no longer the slot's current value."""
-        args = tuple(args)
-        count = self._counts.get(args)
-        if count is None:
-            return
-        key = self.key_of(args)
-        self._remove(args)
-        bucket = self._shadow.setdefault(key, {})
-        count += bucket.pop(args, 0)
-        bucket[args] = count  # re-append: most recent displacement last
-
-    def shadowed(self, args: Tuple) -> bool:
-        """Whether ``args`` is a superseded-but-outstanding version."""
-        args = tuple(args)
-        bucket = self._shadow.get(self.key_of(args))
-        return bucket is not None and args in bucket
-
-    def shadow_discard(self, args: Tuple, count: int = 1) -> None:
-        """Withdraw ``count`` derivations of a shadowed version (its
-        producer retracted an advertisement that was never current)."""
-        args = tuple(args)
-        key = self.key_of(args)
-        bucket = self._shadow.get(key)
-        if bucket is None or args not in bucket:
-            return
-        remaining = bucket[args] - count
-        if remaining > 0:
-            bucket[args] = remaining
-        else:
-            del bucket[args]
-            if not bucket:
-                del self._shadow[key]
-
-    def pop_fallback(self, key: Tuple) -> Optional[Tuple[Tuple, int]]:
-        """Remove and return the most recently displaced outstanding
-        version under ``key`` as ``(args, count)``, or ``None``."""
-        bucket = self._shadow.get(key)
-        if not bucket:
-            return None
-        args, count = bucket.popitem()
-        if not bucket:
-            del self._shadow[key]
-        return args, count
-
-    def absorb_shadow(self, args: Tuple) -> None:
-        """Drop any shadow entry for ``args``: a version that was
-        re-advertised while shadowed is current again and must not also
-        linger as its own fallback.  The shadow is a *passive* stock of
-        repair hints -- it never feeds live derivation counts (which
-        stay exactly what the baseline count algorithm produces)."""
-        args = tuple(args)
-        key = self.key_of(args)
-        bucket = self._shadow.get(key)
-        if bucket is None:
-            return
-        bucket.pop(args, None)
-        if not bucket:
-            del self._shadow[key]
-
-    def clear_shadow(self, key: Tuple) -> None:
-        """Drop every shadowed version under ``key`` (forced deletes
-        wipe the whole slot: nothing may resurrect)."""
-        self._shadow.pop(key, None)
-
     @property
     def deadlines(self) -> Dict[Tuple, float]:
         """Live ``args -> deadline`` view of the rows holding one, in
@@ -371,7 +289,6 @@ class Table:
         self._counts.clear()
         if self._slots is not None:
             self._slots.clear()
-        self._shadow.clear()
         if self._deadlines is not None:
             self._deadlines.clear()
         for _, index in self._indexes.values():

@@ -132,7 +132,7 @@ class Observer:
         tracer = self.tracer
         now, node = tracer.now(), self.node
         tracer.events.extend([
-            _span(TraceEvent, (now, row[5], "renew", node, pred, row[1],
+            _span(TraceEvent, (now, row[4], "renew", node, pred, row[1],
                                row[2], None, None))
             for row in rows
         ])

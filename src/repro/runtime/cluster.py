@@ -79,9 +79,6 @@ class Cluster:
             if self.config.metrics or self.config.trace else None)
         self.metrics = None if wire is None else wire.metrics
         self.tracer = None if wire is None else wire.tracer
-        #: True while a watchdog teardown's repair window is open (the
-        #: deferred fallback restores it queued are not yet drained).
-        self._repair_pending = False
         self.loss_rng = random.Random(self.config.seed)
 
         if isinstance(program, CompiledProgram):
@@ -258,7 +255,6 @@ class Cluster:
         self.stats.links_torn_down += 1
         if self.observer is not None:
             self.observer.fault("link_teardown", src, dst)
-        self._begin_repair()
         for pred in self.link_loads:
             table = node.db.tables.get(pred)
             if table is None:
@@ -287,45 +283,7 @@ class Cluster:
                 "cluster.run() drives the virtual clock; a live cluster "
                 "advances on wall time (await deployment.quiescent())"
             )
-        end = self.clock.run(until=until)
-        # Quiescence boundary inside an open repair window (a watchdog
-        # teardown happened): restore broken keyed slots -- empty, but
-        # with superseded-yet-outstanding versions shadowed -- and run
-        # each repair wave to quiescence; when a sweep finds none, the
-        # repair is complete.  Restores must wait for quiescence (not
-        # run amid churn) or stale re-advertisements into latest-wins
-        # slots feed back around topology cycles forever.
-        while self.clock.pending == 0 and self._repair_pending:
-            if self._queue_slot_repairs():
-                end = self.clock.run(until=until)
-            else:
-                self._repair_pending = False
-        return end
-
-    def _begin_repair(self) -> None:
-        """Open the repair window: the next quiescence sweeps for broken
-        slots (:meth:`~repro.engine.psn.PSNEngine.queue_slot_repairs`)."""
-        self._repair_pending = True
-
-    def repair(self) -> float:
-        """Run the quiescent slot-repair sweep to fixpoint.  The
-        watchdog opens the repair window automatically when it tears a
-        link down; calling this explicitly computes the same *repaired*
-        fixpoint on a fault-free run (the reference side of a
-        :class:`~repro.chaos.ChaosMonitor` comparison)."""
-        self._begin_repair()
-        return self.run()
-
-    def _queue_slot_repairs(self) -> int:
-        down = (
-            self.chaos.dead_nodes(self.clock.now)
-            if self.chaos is not None else frozenset()
-        )
-        queued = 0
-        for name, node in self.nodes.items():
-            if name not in down:
-                queued += node.queue_slot_repairs()
-        return queued
+        return self.clock.run(until=until)
 
     @property
     def quiescent(self) -> bool:

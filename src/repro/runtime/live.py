@@ -301,15 +301,6 @@ class LiveDeployment(Deployment):
         while True:
             streak = streak + 1 if cluster.idle else 0
             if streak >= settle:
-                # Quiescence with an open repair window (the watchdog
-                # tore a link down): sweep for broken keyed slots, and
-                # if the sweep queued restores, settle again -- same
-                # discipline as the simulator's Cluster.run loop.
-                if cluster._repair_pending:
-                    if cluster._queue_slot_repairs():
-                        streak = 0
-                        continue
-                    cluster._repair_pending = False
                 return True
             if loop.time() >= deadline:
                 return False

@@ -243,7 +243,7 @@ class NodeRuntime(PSNEngine):
             ledger = self.peer_ledger.setdefault(origin, {})
         if ledger is None and provenance is None and not traced:
             self.queue.extend([
-                (delta.pred, delta.args, delta.weight, False, False, None)
+                (delta.pred, delta.args, delta.weight, False, None)
                 for delta in deltas if delta.weight
             ])
             self._schedule_tick()
@@ -266,7 +266,7 @@ class NodeRuntime(PSNEngine):
             trace = delta.trace if traced else None
             if trace is not None:
                 observer.receive(pred, args, weight, trace, origin)
-            rows.append((pred, args, weight, False, False, trace))
+            rows.append((pred, args, weight, False, trace))
         self.queue.extend(rows)
         self._schedule_tick()
 
@@ -288,11 +288,6 @@ class NodeRuntime(PSNEngine):
         destination (shipped when the chunk ends, see :meth:`_tick`)."""
         address = self.address
         outbox = self._outbox
-        # A zero weight is no change at all, and during a fallback
-        # restore the restored row is an old advertisement -- downstream
-        # already saw, and moved past, it -- so it must not be
-        # re-announced.
-        shipping = sign and not self._local_only
         # Piggyback the freshest live derivation id -- read now, before
         # the firing's next head is recorded -- so the remote
         # materialization links back to this firing.
@@ -305,7 +300,7 @@ class NodeRuntime(PSNEngine):
             if destination == address:
                 local.append(head)
                 local_traces.append(trace)
-            elif shipping:
+            elif sign:  # a zero weight is no change at all
                 prov = None
                 if store is not None:
                     prov = store.latest_live_id(Fact(pred, head))

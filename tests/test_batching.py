@@ -7,10 +7,10 @@ compute: property tests hold the fixpoint contents, the final
 derivation counts, the aggregate views, and the net commit multiset
 equal across batch sizes and engines, ``batch_size=1`` (chunks of one:
 nothing to net) being the reference; deterministic tests pin the
-netting pass's slot-order discipline (runs seal at replacements, forced
-deletes and restores) and the orderings a run must keep (self-join
-visibility, forced deletes and restores mid-chunk, replacement of a
-member of the same run) one case at a time.
+netting pass's slot-order discipline (runs seal at replacements and
+forced deletes) and the orderings a run must keep (self-join
+visibility, forced deletes mid-chunk, replacement of a member of the
+same run, a withdrawn slot left empty) one case at a time.
 
 A run of insertions commits as two runs -- the rows it displaces leave
 as one ``-1`` run, the rows that became visible arrive as one ``+1``
@@ -18,7 +18,7 @@ run -- unless two of its rows meet on one primary-key slot, where it
 commits what is pending first (``Table.run_splits``): the last section
 pins the firing counts, each split case, a kernel that raises in the
 ``-1`` half, and holds random insert / update / delete streams on keyed
-tables (base, soft-state, rule-derived with fallback) under a plain
+tables (base, soft-state, rule-derived) under a plain
 rule, a ``min`` view and an arg-min view to chunks of one.  The stored
 rows ahead of a batch are booked by one ``Table.bump_run`` call: the
 closing section holds duplicate-heavy streams on the same tables to
@@ -409,7 +409,7 @@ def test_duplicate_then_delete_nets_to_count(batch_size):
 # ----------------------------------------------------------------------
 # Orderings every run must keep, whatever the chunk size
 # ----------------------------------------------------------------------
-FALLBACK_PROGRAM = """
+DERIVED_SLOT_PROGRAM = """
 materialize(offer, infinity, infinity, keys(1, 2)).
 materialize(best, infinity, infinity, keys(1)).
 materialize(out, infinity, infinity, keys(1, 2)).
@@ -530,32 +530,32 @@ def count_bump_of_a_row_the_run_displaces(engine_of):
     return engine
 
 
-def fallback_restore_mid_chunk(engine_of):
-    """A keyed slot whose current version is withdrawn falls back to the
-    superseded one through a restore intent, which stays outside runs
-    (here between two inserts of another predicate's run)."""
-    engine = engine_of(parse(FALLBACK_PROGRAM))
+def withdrawn_slot_stays_empty(engine_of):
+    """A keyed slot holds its latest version only: withdrawing it
+    empties the slot, whatever versions that slot held before (k1, which
+    k2 displaced, is still offered), and neither later runs on other
+    slots nor a forced delete bring an older version back."""
+    engine = engine_of(parse(DERIVED_SLOT_PROGRAM))
+    best = engine.db.table("best")
     for args in [("k", 1), ("j", 9), ("k", 2)]:
         enqueue(engine, 1, args, pred="offer")
     engine.run()
+    assert best.rows() == [("j", 9), ("k", 2)]
     enqueue(engine, -1, ("k", 2), pred="offer")
     engine.run()
-    assert engine.db.table("best").rows() == [("j", 9)]
-    enqueue(engine, 1, ("m", 3), pred="offer")
-    assert engine.queue_slot_repairs() == 1
-    enqueue(engine, 1, ("n", 4), pred="offer")
+    assert best.rows() == [("j", 9)]
+    for args in [("m", 3), ("n", 4), ("n", 5)]:
+        enqueue(engine, 1, args, pred="offer")
     engine.run()
-    assert engine.db.table("out").rows() == [
-        ("j", 9), ("k", 1), ("m", 3), ("n", 4)]
-    # A forced delete wipes the whole slot: the version n4 shadowed when
-    # n5 displaced it must not come back.
-    enqueue(engine, 1, ("n", 5), pred="offer")
-    engine.run()
-    assert engine.db.table("best").shadowed(("n", 4))
+    assert best.get_by_key(("k",)) is None
+    assert best.get_by_key(("n",)) == ("n", 5)
     engine.delete("best", ("n", 5))
+    enqueue(engine, 1, ("p", 6), pred="offer")
     engine.run()
-    assert engine.queue_slot_repairs() == 0
-    assert ("n", 4) not in engine.db.table("out")
+    assert best.rows() == [("j", 9), ("m", 3), ("p", 6)]
+    assert engine.db.table("out").rows() == [("j", 9), ("m", 3), ("p", 6)]
+    assert ("k", 1) in engine.db.table("offer")
+    assert ("n", 4) in engine.db.table("offer")
     return engine
 
 
@@ -568,7 +568,7 @@ def fallback_restore_mid_chunk(engine_of):
     two_replacements_of_one_slot_in_one_run,
     displaced_row_announced_again,
     count_bump_of_a_row_the_run_displaces,
-    fallback_restore_mid_chunk,
+    withdrawn_slot_stays_empty,
 ], ids=lambda scenario: scenario.__name__)
 def test_run_orderings_match_chunks_of_one(scenario, batch_size):
     """Rows, derivation counts and the net commit multiset of each
@@ -679,9 +679,9 @@ KEYED_PROGRAMS = {
     "base": ("kv", "materialize(kv, infinity, infinity, keys(1, 2))."),
     # Soft state: an identical re-insertion renews, nothing nets.
     "soft": ("kv", "materialize(kv, 30, infinity, keys(1, 2))."),
-    # Rule-derived with a declared key: a fallback table, whose slots
-    # shadow what a replacement displaces and restore it on withdrawal.
-    "fallback": ("offer", """
+    # Rule-derived with a declared key: each slot keeps the latest
+    # version derived into it, and withdrawing that version empties it.
+    "derived": ("offer", """
 materialize(kv, infinity, infinity, keys(1, 2)).
 B: kv(@N, K, G, V) :- offer(@N, K, G, V).
 """),
@@ -724,9 +724,9 @@ def keyed_stream_run(kind, bursts, batch_size, provenance):
     once the burst has removed or displaced it, never withdrawn once the
     burst has inserted it.  Under provenance, because base support is
     booked at injection and wiped by the removal (ROADMAP, "provenance
-    on the run path").  On the fallback table, because a slot there
+    on the run path").  On the derived table, because a slot there
     keeps its *latest* advertisement and empties when that one is
-    withdrawn, whatever it shadows: whether an advertisement and its
+    withdrawn, whatever it held before: whether an advertisement and its
     withdrawal net at the queue or both commit decides what is left
     (ROADMAP, "a confluence lint").  The plain base-table streams are
     unrestricted, the re-announced displaced row included."""
@@ -734,7 +734,7 @@ def keyed_stream_run(kind, bursts, batch_size, provenance):
     store = ProvenanceStore() if provenance else None
     engine = PSNEngine(program, batch_size=batch_size,
                        provenance=store and store.recorder())
-    one_way = provenance or kind == "fallback"
+    one_way = provenance or kind == "derived"
     table = engine.db.table(base)
     written = []
     for burst in bursts:
@@ -835,7 +835,7 @@ def duplicate_stream_run(kind, bursts, batch_size):
     """Insert-only bursts, most of them re-announcements of stored
     rows, each run to quiescence.  Fresh rows and replacements enter
     through the program's base relation; duplicates go straight at the
-    keyed table (on the fallback kind: a second derivation of a stored
+    keyed table (on the derived kind: a second derivation of a stored
     row)."""
     base, program = keyed_program(kind)
     engine = ClockedEngine(program, batch_size=batch_size)

@@ -52,6 +52,12 @@ def sp_provenance():
                          passes=["localize"], provenance=True)
 
 
+@pytest.fixture(scope="module")
+def sp_confluent_provenance():
+    return repro.compile(programs.shortest_path_dynamic(),
+                         passes=["aggsel", "localize"], provenance=True)
+
+
 def combined_schedule():
     """The acceptance scenario: every message fault plus a partition
     that heals, on one seed."""
@@ -316,31 +322,36 @@ class TestCombinedScenario:
 
 
 class TestWatchdog:
+    @pytest.mark.parametrize("dead", ["n1", "n3", "n7"])
     def test_watchdog_tears_down_dead_links_and_routes_around(
-        self, sp_provenance
+        self, sp_confluent_provenance, dead
     ):
         """Crash without restart: the retry budget exhausts on every
         link of the dead node, the watchdog tears them down through the
         link-update path, and the survivors re-converge to the fixpoint
         of the post-fault topology.  The provenance audit must come
         back clean too -- the crashed node's frozen tables are exempt,
-        the survivors' are not."""
-        dead = "n3"
+        the survivors' are not.
+
+        The program runs with ``aggsel``: a plain ``path`` slot keeps
+        the neighbour's latest advertisement, so the plain program has
+        no exact fault-free fixpoint to hold a teardown to (ROADMAP,
+        first open item)."""
         post = overlay8()
         post.links = {k: v for k, v in post.links.items()
                       if dead not in k}
-        monitor = ChaosMonitor(sp_provenance, post)
-        deployment = sp_provenance.deploy(
+        monitor = ChaosMonitor(sp_confluent_provenance, post)
+        deployment = sp_confluent_provenance.deploy(
             topology=overlay8(),
             config=RuntimeConfig(reliable=True, retry_budget=4),
-            chaos=ChaosSchedule(seed=7).crash(dead, at=0.5),
+            chaos=ChaosSchedule(seed=8).crash(dead, at=0.02),
         )
         deployment.advance()
         verdict = monitor.check(deployment, exclude_nodes=[dead])
         assert verdict.ok, verdict.summary()
         assert verdict.audit_ok is True
-        # n3 had degree 5 in this overlay: every surviving neighbour's
-        # watchdog independently declared it dead.
+        # Each of these nodes has degree 5 in this overlay: every
+        # surviving neighbour's watchdog independently declared it dead.
         assert verdict.stats["links_torn_down"] == 5
         survivors = [n for n in overlay8().nodes if n != dead]
         reached = {row[:2] for node in survivors

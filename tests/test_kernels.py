@@ -620,7 +620,7 @@ def test_a_run_is_the_concatenation_of_its_rows(text, rows, capture):
         pred = crule.body[driver_index].pred
         # Queue rows as the engine hands them over, the table's rows
         # twice over so the run revisits every bucket.
-        run = [(pred, args, 1, False, False, None)
+        run = [(pred, args, 1, False, None)
                for args in db.table(pred).rows() * 2]
         kernel = strand_kernel(crule, driver_index, StatsCatalog()).bind(
             db, capture)

@@ -467,7 +467,7 @@ class RecordingObserver:
                         for head, trace in zip(heads, traces)]
 
     def renew(self, pred, rows):
-        self.events += [("renew", pred, row[1], row[2], row[5])
+        self.events += [("renew", pred, row[1], row[2], row[4])
                         for row in rows]
 
     def span(self, kind, pred, args, weight, trace):

@@ -455,7 +455,7 @@ class TestReceiveARun:
         _deployment, node = self.deploy(overlay)
         node.receive(self.run_of(), "n1")
         assert self.queued(node) == [r for r in self.RUN if r[2]]
-        assert all(row[3:] == (False, False, None) for row in node.queue)
+        assert all(row[3:] == (False, None) for row in node.queue)
         assert node._tick_scheduled
         assert node.peer_ledger == {}
 
@@ -500,59 +500,7 @@ class TestReceiveARun:
             ("receive", 24, self.RUN[5][1], -1, "n1", "n0"),
         ]
         # The trace id stays on the queue row; the zero weight is gone.
-        assert [row[5] for row in node.queue] == [21, None, 23, None, 24]
-
-
-class TestRestoreShipsNothing:
-    PROGRAM = """
-    materialize(offer, infinity, infinity, keys(1, 2, 3)).
-    materialize(best, infinity, infinity, keys(1, 2)).
-    F1: best(@A, K, V) :- offer(@A, K, V).
-    F2: seen(@B, A, K, V) :- #link(@A, @B, C), best(@A, K, V).
-    """
-
-    def test_fallback_restore_in_a_chunk_that_ships_other_heads(self):
-        """A restored row is an old advertisement: its strands fire
-        locally only, while the other heads of the same chunk ship."""
-        from repro.engine.facts import Fact
-        from repro.net.message import NetDelta
-
-        overlay = small_overlay(n=4, degree=2, seed=8)
-        cluster = Cluster(overlay, parse(self.PROGRAM),
-                          RuntimeConfig(cpu_batch=16, validate=False),
-                          link_loads={"link": "hopcount"})
-        a = overlay.nodes[0]
-        neighbours = sorted(overlay.neighbors(a))
-        node = cluster.node(a)
-        node.insert("offer", (a, "k", 1))
-        cluster.run()
-        node.insert("offer", (a, "k", 2))   # shadows best(a, k, 1)
-        cluster.run()
-        node.derive(Fact("offer", (a, "k", 2)), -1)
-        cluster.run()
-        assert not node.db.table("best").rows()
-
-        carried = []
-        for channel in cluster._channels.values():
-            real_transmit = channel.transmit
-
-            def transmit(clock, message, deliver, rng=None,
-                         real_transmit=real_transmit):
-                carried.append(message)
-                return real_transmit(clock, message, deliver, rng=rng)
-
-            channel.transmit = transmit
-        assert node.queue_slot_repairs() == 1
-        node.derive(Fact("best", (a, "m", 3)), 1)
-        assert len(node.queue) == 2          # one chunk at cpu_batch=16
-        processed = node.deltas_processed
-        cluster.run()
-        assert node.deltas_processed == processed + 2
-        assert node.db.table("best").rows() == [(a, "k", 1), (a, "m", 3)]
-        assert sorted((m.dst, m.deltas) for m in carried) == [
-            (b, (NetDelta("seen", (b, a, "m", 3), 1),)) for b in neighbours]
-        for b in neighbours:
-            assert (b, a, "k", 1) not in cluster.rows("seen", node=b)
+        assert [row[4] for row in node.queue] == [21, None, 23, None, 24]
 
 
 class TestRefusedRun:

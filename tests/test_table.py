@@ -209,12 +209,11 @@ def _reference_index(table, positions):
 TABLE_SHAPES = {
     "full-key": dict(key=()),
     "keyed": dict(key=(0, 1)),
-    "fallback": dict(key=(0, 1), fallback=True),
     "soft-state": dict(key=(0, 1), lifetime=1.0),
 }
 # A row pick: 0-7 is one of the eight rows (two values a column, four
-# keys); 8-15 is a row the model holds, stored or shadowed, so bumps,
-# renewals and withdrawals of a shadow come up often.
+# keys); 8-15 is a row the model holds, so bumps, renewals and
+# withdrawals of a stored row come up often.
 picks = st.integers(min_value=0, max_value=15)
 weights = st.integers(min_value=1, max_value=2)
 table_ops = st.lists(
@@ -225,9 +224,6 @@ table_ops = st.lists(
         st.tuples(st.just("bump_run"),
                   st.lists(st.tuples(picks, weights), max_size=4),
                   st.booleans()),
-        st.tuples(st.just("supersede"), picks),
-        st.tuples(st.just("shadow_discard"), picks, weights),
-        st.tuples(st.just("absorb_shadow"), picks),
         st.tuples(st.just("claim_due"), st.integers(0, 6)),
         st.tuples(st.just("clear")),
     ),
@@ -239,12 +235,12 @@ ALL_ROWS = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
 
 class TableModel:
     """What a table is, written plainly: row -> count in insertion
-    order, a deadline order, and per-key shadows.  The slot a key holds
-    is found by scanning the rows."""
+    order and a deadline order.  The slot a key holds is found by
+    scanning the rows."""
 
     def __init__(self, key, soft):
         self.key, self.soft = key, soft
-        self.counts, self.deadlines, self.shadow = {}, {}, {}
+        self.counts, self.deadlines = {}, {}
 
     def key_of(self, args):
         return tuple(args[i] for i in self.key)
@@ -295,27 +291,6 @@ class TableModel:
             self.insert(args, weight, deadline)
         return len(run)
 
-    def supersede(self, args):
-        if args in self.counts:
-            count = self.counts[args]
-            self.remove(args)
-            bucket = self.shadow.setdefault(self.key_of(args), {})
-            bucket[args] = count + bucket.pop(args, 0)
-
-    def shadow_discard(self, args, count):
-        bucket = self.shadow.get(self.key_of(args), {})
-        if args in bucket:
-            bucket[args] -= count
-            if bucket[args] <= 0:
-                self.absorb_shadow(args)
-
-    def absorb_shadow(self, args):
-        key = self.key_of(args)
-        bucket = self.shadow.get(key, {})
-        bucket.pop(args, None)
-        if not bucket:
-            self.shadow.pop(key, None)
-
     def claim_due(self, now):
         due = [args for args, deadline in self.deadlines.items()
                if deadline <= now]
@@ -326,21 +301,18 @@ class TableModel:
     def clear(self):
         self.counts.clear()
         self.deadlines.clear()
-        self.shadow.clear()
 
 
 @pytest.mark.parametrize("shape", sorted(TABLE_SHAPES))
 @given(ops=table_ops)
-# A renewal behind another dated row; a shadow withdrawn to exactly zero.
+# A renewal behind another dated row.
 @example(ops=[("insert", 0, 1, True), ("insert", 2, 1, True),
               ("insert", 0, 1, True)])
-@example(ops=[("insert", 0, 2, False), ("supersede", 0),
-              ("shadow_discard", 0, 2)])
 @settings(deadline=None, max_examples=100)
 def test_table_matches_a_reference_model(shape, ops):
     """Any sequence of the table's operations leaves it equal to the
     reference model: rows in the model's insertion order, the same
-    counts, slots, deadline order and shadows; every maintained index
+    counts, slots and deadline order; every maintained index
     equal to a rebuild from ``rows()`` (an index registered midway is
     built from the rows already stored); mutations return nothing.
     Deadlines are issued in step order, as one lifetime per table and a
@@ -354,9 +326,7 @@ def test_table_matches_a_reference_model(shape, ops):
         if step == len(ops) // 2:
             for positions in index_positions[2:]:
                 live[positions] = table.index_for(positions)
-        known = sorted({*model.counts,
-                        *(args for bucket in model.shadow.values()
-                          for args in bucket)})
+        known = sorted(model.counts)
 
         def row(pick):
             if pick < 8 or not known:
@@ -393,11 +363,8 @@ def test_table_matches_a_reference_model(shape, ops):
         for args in ALL_ROWS:
             assert table.count(args) == model.counts.get(args, 0), context
             assert (args in table) == (args in model.counts)
-            assert table.shadowed(args) == (
-                args in model.shadow.get(model.key_of(args), {}))
         for key in {model.key_of(args) for args in ALL_ROWS}:
             assert table.get_by_key(key) == model.slot(key), context
-        assert table._shadow == model.shadow, context
         for positions, index in live.items():
             assert index is table.index_for(positions)  # stable object
             assert index == _reference_index(table, positions), (
@@ -432,12 +399,12 @@ def test_wrong_arity_row_raises_and_keeps_the_rows_before_it():
 # bump_run: the run-level entry for what changes no visibility
 # ----------------------------------------------------------------------
 def queue_rows(pred, *rows):
-    """Queue rows ``(pred, args, weight, force, restore, trace)`` from
+    """Queue rows ``(pred, args, weight, force, trace)`` from
     ``args`` or ``(args, weight)`` entries."""
     out = []
     for row in rows:
         args, weight = row if isinstance(row[0], tuple) else (row, 1)
-        out.append((pred, args, weight, False, False, None))
+        out.append((pred, args, weight, False, None))
     return out
 
 

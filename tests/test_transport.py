@@ -615,11 +615,10 @@ class TestRunOnTheWire:
             return real_chunk(node, limit)
 
         def emit(node, pred, heads, sign, traces=None):
-            if not node._local_only:
-                emitted.extend(
-                    (node.address, head[0], chunk_of[node.address],
-                     NetDelta(pred, head, sign))
-                    for head in heads if head[0] != node.address)
+            emitted.extend(
+                (node.address, head[0], chunk_of[node.address],
+                 NetDelta(pred, head, sign))
+                for head in heads if head[0] != node.address)
             real_emit(node, pred, heads, sign, traces)
 
         monkeypatch.setattr(NodeRuntime, "process_chunk", process_chunk)

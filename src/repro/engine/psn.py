@@ -93,8 +93,12 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
 2. *Runs* -- surviving weighted intents are split into maximal runs of
    one (predicate, direction); each run is committed to the table in
    order, and every strand of that predicate then fires **once per
-   run** with the list of driving deltas.  Commit-then-fire is
-   join-for-join identical to firing after each commit because a run
+   run** with the list of driving deltas.  One pass over the chunk
+   gives both the run boundaries and step 1's test -- do its unforced
+   rows carry both signs? -- since netting can change nothing in a
+   chunk of one direction (an all-refresh or all-expiry burst); only a
+   mixed chunk is netted and split again over its survivors.
+   Commit-then-fire is join-for-join identical to firing after each commit because a run
    never touches its own partner tables -- so a predicate with a
    self-join strand (a rule both driven by and joining against it)
    gets runs capped at one delta, as do forced deletions and (in the
@@ -509,45 +513,36 @@ class PSNEngine:
 
     def process_chunk(self, limit: int) -> int:
         """Drain up to ``limit`` deltas as one chunk; returns the number
-        of deltas consumed off the queue (cancelled pairs included)."""
+        of deltas consumed off the queue (cancelled pairs included).
+
+        A chunk that empties the queue is taken in one call.  One pass
+        over it (:meth:`_split`) yields the run boundaries and whether
+        its unforced rows mix directions; only a mixed chunk can net, so
+        only a mixed chunk is netted and split again over its
+        survivors.  Each run then commits in order."""
         queue = self.queue
         count = min(limit, len(queue))
         if count <= 0:
             return 0
-        rows = [queue.popleft() for _ in range(count)]
+        if count == len(queue):
+            rows = list(queue)
+            queue.clear()
+        else:
+            popleft = queue.popleft
+            rows = [popleft() for _ in range(count)]
         self.steps += count
-        # Netting can only change anything when the chunk mixes
-        # directions; all-refresh or all-expiry bursts skip the scan.
-        has_plus = has_minus = False
-        for _, _, weight, force, _ in rows:
-            if force:
-                continue
-            if weight > 0:
-                has_plus = True
-            else:
-                has_minus = True
-        if has_plus and has_minus:
+        stops, mixed = self._split(rows)
+        if mixed:
             rows = self._net_chunk(rows)
-        single_delta = self._single_delta
-        index = 0
-        end = len(rows)
+            stops = self._split(rows)[0]
         try:
-            while index < end:
-                pred, _, weight, force, _ = rows[index]
-                plus = weight > 0
-                stop = index + 1
-                if not force and pred not in single_delta:
-                    while stop < end:
-                        nxt = rows[stop]
-                        if (nxt[0] != pred or (nxt[2] > 0) != plus
-                                or nxt[3]):  # forced
-                            break
-                        stop += 1
-                if plus:
-                    self._commit_insert_run(rows, index, stop)
+            start = 0
+            for stop in stops:
+                if rows[start][2] > 0:
+                    self._commit_insert_run(rows, start, stop)
                 else:
-                    self._commit_delete_run(rows, index, stop)
-                index = stop
+                    self._commit_delete_run(rows, start, stop)
+                start = stop
         finally:
             # The views answer now, once, for the whole chunk (also when
             # a kernel raised: their state already reflects what the
@@ -559,6 +554,35 @@ class PSNEngine:
                         self._active_trace = trace
                         self._derive(pred, args, weight)
         return count
+
+    def _split(self, rows: List[QueueRow]) -> Tuple[List[int], bool]:
+        """One pass over a chunk: the end index of each of its runs, in
+        order, and whether its unforced rows carry both signs.
+
+        A run is a maximal stretch of one (predicate, direction); a
+        forced row, and a row of a predicate whose runs are capped at
+        one delta, is a run of its own.  A longer run is unforced and of
+        one sign throughout, so the signs are read where runs start."""
+        single_delta = self._single_delta
+        stops: List[int] = []
+        has_plus = has_minus = extends = plus = False
+        pred = None
+        for index, (row_pred, _, weight, force, _) in enumerate(rows):
+            if (extends and row_pred == pred and (weight > 0) == plus
+                    and not force):
+                continue
+            if index:
+                stops.append(index)
+            pred, plus = row_pred, weight > 0
+            extends = not force and pred not in single_delta
+            if not force:
+                if plus:
+                    has_plus = True
+                else:
+                    has_minus = True
+        if rows:
+            stops.append(len(rows))
+        return stops, has_plus and has_minus
 
     def _net_chunk(self, chunk: List[QueueRow]) -> List[QueueRow]:
         """Net the chunk by Z-set addition before any table or strand

@@ -53,11 +53,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.errors import SchemaError
 
 INFINITY = float("inf")
+
+#: What :attr:`Table.deadlines` reads on every hard-state table.
+NO_DEADLINES: Mapping[Tuple, float] = MappingProxyType({})
 
 
 @lru_cache(maxsize=None)
@@ -265,17 +270,23 @@ class Table:
             self._remove(args)
 
     @property
-    def deadlines(self) -> Dict[Tuple, float]:
+    def deadlines(self) -> Mapping[Tuple, float]:
         """Live ``args -> deadline`` view of the rows holding one, in
-        deadline order (do not mutate; empty on a hard-state table)."""
-        return self._deadlines or {}
+        deadline order, so its first value is the earliest deadline (do
+        not mutate).  A soft-state table returns its own dict, empty or
+        not, so a view held from construction sees every later row; a
+        hard-state table returns one shared read-only empty mapping."""
+        deadlines = self._deadlines
+        return NO_DEADLINES if deadlines is None else deadlines
 
     def claim_due(self, now: float) -> List[Tuple]:
         """Take the rows with a deadline ``<= now`` out of the deadline
         order, earliest first.  They stay stored: the caller queues
         their deletion, and until it commits a claimed row can be
         neither claimed nor renewed again."""
-        deadlines = self.deadlines
+        deadlines = self._deadlines
+        if deadlines is None:
+            return []
         due: List[Tuple] = []
         for args, deadline in deadlines.items():
             if deadline > now:

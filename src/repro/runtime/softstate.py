@@ -9,7 +9,11 @@ row's deadline at commit and moves it when the row is re-inserted (a
 *renewal*, which nothing downstream sees; :mod:`repro.engine.table`).
 The manager is the two timers around that.  The *sweeper* asks each
 node's soft tables for their due rows every ``sweep_interval`` and
-queues their deletion.  Base-tuple *refreshers* model the protocol side:
+queues their deletion.  It holds each table's live deadline dict
+(:attr:`~repro.engine.table.Table.deadlines`), whose first value is the
+earliest deadline, and skips a table whose earliest deadline is still
+in the future: a sweep between refreshes costs one read per table.
+Base-tuple *refreshers* model the protocol side:
 periodic reinsertion of ground truth, which (in a quiescent network)
 restores eventual consistency even after message loss or reordering --
 the trade-off discussed at the end of Section 4.
@@ -38,15 +42,16 @@ class SoftStateManager:
                 "SoftStateManager needs a cluster with at least one node "
                 "(no node runtimes to read table lifetimes from)"
             )
-        #: Every finite-lifetime table, node by node in cluster order.
+        #: Every finite-lifetime table with its live deadline dict, node
+        #: by node in cluster order.
         self._tables = [
-            (node, table)
+            (node, table, table.deadlines)
             for node in cluster.nodes.values()
             for table in node.db.tables.values()
             if table.lifetime != INFINITY
         ]
         self.soft_preds: Tuple[str, ...] = tuple(
-            sorted({table.name for _, table in self._tables}))
+            sorted({table.name for _, table, _ in self._tables}))
 
     def install(self) -> None:
         """Start the sweeper, and listen for commits so that a row
@@ -69,8 +74,14 @@ class SoftStateManager:
     def _sweep(self) -> None:
         self._armed = False
         now = self.cluster.clock.now
-        pending = 0
-        for node, table in self._tables:
+        pending = False
+        for node, table, deadlines in self._tables:
+            if not deadlines:
+                continue
+            # Deadlines still held, or deletes about to be queued.
+            pending = True
+            if next(iter(deadlines.values())) > now:
+                continue  # the first deadline is the earliest
             # Claimed rows leave the deadline order here, so each is
             # counted once; its forced delete queues behind any refresh
             # already waiting (the delete wins, the next refresh
@@ -79,9 +90,7 @@ class SoftStateManager:
             for args in due:
                 node.delete(table.name, args)
             self.expired_count += len(due)
-            pending += len(due) + len(table.deadlines)
         if pending:
-            # Deadlines still held, or deletes not yet committed.
             self._arm()
 
     def schedule_refresh(self, pred: str, rows_by_node, interval: float,

@@ -617,6 +617,104 @@ def test_chunk_limit_is_exact():
     assert engine.steps == 5
 
 
+def test_a_chunk_short_of_the_queue_leaves_the_tail_in_order():
+    """A chunk that empties the queue is taken in one call; a shorter
+    one takes its head and leaves the rest queued, in order, ahead of
+    what the chunk derives."""
+    engine = kv_engine(64)
+    for i in range(10):
+        enqueue(engine, 1, (f"k{i}", i))
+    queued = list(engine.queue)
+    assert engine.process_chunk(4) == 4
+    assert list(engine.queue)[:6] == queued[4:]
+    assert [row[:3] for row in list(engine.queue)[6:]] == [
+        ("out", (f"k{i}", i), 1) for i in range(4)]
+    assert engine.process_chunk(6) == 6
+    assert [row[0] for row in engine.queue] == ["out"] * 10
+    engine.run()
+    assert engine.db.table("kv").rows() == [row[1] for row in queued]
+    assert engine.steps == 20 and not engine.queue
+
+
+def two_scan_split(rows, single_delta):
+    """The split as two scans: the direction test over the unforced
+    rows, then the run boundaries, each grown from its first row."""
+    has_plus = has_minus = False
+    for _, _, weight, force, _ in rows:
+        if force:
+            continue
+        if weight > 0:
+            has_plus = True
+        else:
+            has_minus = True
+    stops = []
+    index = 0
+    while index < len(rows):
+        pred, _, weight, force, _ = rows[index]
+        plus = weight > 0
+        stop = index + 1
+        if not force and pred not in single_delta:
+            while stop < len(rows):
+                nxt = rows[stop]
+                if nxt[0] != pred or (nxt[2] > 0) != plus or nxt[3]:
+                    break
+                stop += 1
+        stops.append(stop)
+        index = stop
+    return stops, has_plus and has_minus
+
+
+SPLIT_PROGRAM = """
+materialize(kv, infinity, infinity, keys(1)).
+materialize(aux, infinity, infinity, keys(1)).
+materialize(hop, infinity, infinity, keys(1, 2)).
+S1: out(K, V) :- kv(K, V), aux(K, V).
+S2: two(X, Z) :- hop(X, Y), hop(Y, Z).
+"""
+
+split_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["kv", "aux", "hop"]),
+        st.sampled_from([("a", "b"), ("b", "a"), ("a", "a")]),
+        st.sampled_from([1, 2, -1, -3]),
+        st.booleans(),
+    ).map(lambda row: (row[0], row[1], -1 if row[3] else row[2], row[3],
+                       None)),
+    max_size=24,
+)
+
+
+@given(rows=split_rows)
+@example(rows=[])
+@example(rows=[("kv", ("a", "b"), 1, False, None)] * 5)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_split_matches_the_two_scans(rows):
+    """One pass over a chunk yields its maximal (predicate, direction)
+    runs in order -- a forced row or a row of a capped (self-joining)
+    predicate alone -- and whether its unforced rows carry both signs,
+    exactly as the two scans it replaced did."""
+    engine = PSNEngine(parse(SPLIT_PROGRAM), batch_size=64)
+    assert engine._single_delta == {"hop"}
+    stops, mixed = engine._split(rows)
+    assert (stops, mixed) == two_scan_split(rows, engine._single_delta)
+    starts = [0] + stops[:-1]
+    assert stops == sorted(set(stops)) and stops[-1:] == (
+        [len(rows)] if rows else [])
+    for start, stop in zip(starts, stops):
+        pred, _, weight, force, _ = rows[start]
+        if force or pred == "hop":
+            assert stop == start + 1
+        for row in rows[start + 1:stop]:
+            assert (row[0], row[2] > 0, row[3]) == (pred, weight > 0, False)
+        if stop < len(rows):
+            # Maximal: the next row could not have joined this run.
+            nxt = rows[stop]
+            assert (force or pred == "hop" or nxt[3] or nxt[0] != pred
+                    or (nxt[2] > 0) != (weight > 0))
+    signs = {row[2] > 0 for row in rows if not row[3]}
+    assert mixed == (signs == {True, False})
+
+
 # ----------------------------------------------------------------------
 # A run of replacements is two runs: displaced rows out, new rows in
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Database, PSNEngine
 from repro.engine.facts import Fact
-from repro.engine.table import INFINITY, Table
+from repro.engine.table import INFINITY, NO_DEADLINES, Table
 from repro.ndlog import parse
 from repro.runtime import Cluster, RuntimeConfig, SoftStateManager
 from repro.topology import build_overlay, transit_stub
@@ -78,6 +78,23 @@ class TestTableDeadlines:
         assert table.count(("a", "b", 1)) == 2
         assert table.deadlines.get(("a", "b", 1)) is None
         assert not table.deadlines and table.claim_due(INFINITY) == []
+
+    def test_deadlines_is_a_live_view_from_construction(self):
+        """Regression: an empty soft table used to hand out a fresh,
+        detached ``{}``, so a view read before the first insert never
+        showed the row -- and a hard-state table a new mutable dict
+        per read."""
+        table = Table("beacon", 3, key=(0, 1), lifetime=LIFETIME)
+        view = table.deadlines
+        table.insert(("a", "b", 1), deadline=2.0)
+        assert view == {("a", "b", 1): 2.0} and table.deadlines is view
+        table.clear()
+        assert not view and table.deadlines is view
+        hard, other = Table("link", 3, key=(0, 1)), Table("cost", 2)
+        assert hard.deadlines is other.deadlines is NO_DEADLINES
+        with pytest.raises(TypeError):
+            hard.deadlines[("a", "b", 1)] = 2.0
+        assert not NO_DEADLINES
 
     def test_duplicate_insert_renews_and_leaves_the_count_alone(self):
         table = Table("beacon", 3, key=(0, 1), lifetime=LIFETIME)
@@ -388,6 +405,39 @@ class TestManager:
         assert manager.expired_count == total + 1
         cluster.run()
         assert cluster.quiescent
+
+    def test_a_sweep_claims_only_where_something_is_due(self):
+        """A sweep reads each table's earliest deadline and calls
+        ``claim_due`` only where it has passed: sweeps over future
+        deadlines claim nothing and stay armed, every due row still
+        expires exactly once, and a sweep that leaves every table empty
+        stops re-arming."""
+        cluster, rows_by_node = beacon_cluster()
+        total = sum(len(rows) for rows in rows_by_node.values())
+        claimed = []
+
+        class Counting(Table):
+            def claim_due(self, now):
+                due = super().claim_due(now)
+                claimed.append(len(due))
+                return due
+
+        tables = [node.db.table("beacon") for node in cluster.nodes.values()]
+        for table in tables:
+            table.__class__ = Counting
+        manager = SoftStateManager(cluster, SWEEP)
+        manager.install()
+        cluster.run(until=0.9 * LIFETIME)          # three sweeps so far
+        assert min(min(table.deadlines.values()) for table in tables) > (
+            0.9 * LIFETIME)
+        assert claimed == [] and manager._armed
+        assert len(cluster.rows("beacon")) == total
+        end = cluster.run()
+        assert not cluster.rows("beacon") and cluster.quiescent
+        assert manager.expired_count == sum(claimed) == total
+        assert claimed and all(claimed)            # no empty claim
+        assert not manager._armed and cluster.clock.pending == 0
+        assert end <= LIFETIME + 3 * SWEEP
 
     def test_install_is_idempotent_and_soft_preds_are_reported(self):
         cluster, _ = beacon_cluster()

@@ -217,8 +217,8 @@ def compare_soft_state(rounds):
         deltas = {
             "batched": cluster_b.total_deltas_processed(),
             "unbatched": cluster_u.total_deltas_processed(),
-            "batched_events": cluster_b.sim.events_processed,
-            "unbatched_events": cluster_u.sim.events_processed,
+            "batched_events": cluster_b.clock.events_processed,
+            "unbatched_events": cluster_u.clock.events_processed,
         }
     record = {
         "batched_seconds": statistics.median(batched_times),

@@ -56,7 +56,7 @@ def run_live_round(channels="inproc"):
 
     elapsed = asyncio.run(drive())
     assert deployment.query_rows(), "no shortest paths computed"
-    return elapsed, deployment.cluster.total_deltas_processed()
+    return elapsed, deployment.total_deltas_processed()
 
 
 def main(argv):

@@ -63,7 +63,7 @@ async def main() -> None:
     assert await live.quiescent(timeout=60.0), "live network did not settle"
     elapsed = time.perf_counter() - t0
 
-    fabric = live.cluster.fabric
+    fabric = live.fabric
     rows = live.query_rows()
     print(f"converged in {elapsed:.2f}s wall; "
           f"{fabric.datagrams_sent} datagrams sent, "

@@ -28,7 +28,7 @@ deployment = repro.compile(
     config=RuntimeConfig(buffer_interval=0.2),
     link_loads={"link": "random"},
 )
-driver = LinkUpdateDriver(deployment.cluster, metric="random", fraction=0.10,
+driver = LinkUpdateDriver(deployment, metric="random", fraction=0.10,
                           magnitude=0.10, seed=2)
 
 deployment.advance()

@@ -40,6 +40,12 @@ Quickstart::
     live.converge(timeout=30.0)
     print(live.query_rows())
 
+``deploy()`` returns the deployed network itself: a
+:class:`~repro.runtime.cluster.Cluster` on the simulator, a
+:class:`~repro.runtime.live.LiveCluster` on wall time.
+``repro.Deployment`` and ``repro.LiveDeployment`` name the same two
+classes.
+
 Compile with ``provenance=True`` and any run or deployment records
 rule-level derivation provenance: ``result.why(pred, row)`` /
 ``deployment.why(...)`` return derivation trees, ``why_not(...)``
@@ -75,7 +81,6 @@ from repro.chaos import ChaosMonitor, ChaosSchedule  # noqa: F401
 from repro.api import (
     DEFAULT_REGISTRY,
     CompiledProgram,
-    Deployment,
     Pass,
     PassRegistry,
     compile,
@@ -88,7 +93,7 @@ from repro.provenance import (  # noqa: F401
     ProvenanceStore,
     WhyNotReport,
 )
-from repro.runtime import Cluster, LiveDeployment, RuntimeConfig
+from repro.runtime import Cluster, Deployment, LiveDeployment, RuntimeConfig
 
 __all__ = [
     "compile",

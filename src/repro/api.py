@@ -16,11 +16,12 @@ distributed.  This module exposes that lifecycle behind one surface:
   :meth:`~CompiledProgram.explain` pretty-prints the per-pass rule
   diffs and the final join plans, :meth:`~CompiledProgram.run`
   evaluates centrally on any of the four engines, and
-  :meth:`~CompiledProgram.deploy` stands up a simulated declarative
-  network, returning a :class:`Deployment` handle;
-* :class:`Deployment` wraps :class:`~repro.runtime.cluster.Cluster`
-  with the live-system verbs: ``inject`` / ``update`` / ``delete`` /
-  ``watch`` / ``subscribe`` / ``advance`` / ``query_rows``.
+  :meth:`~CompiledProgram.deploy` stands up a declarative network and
+  returns it -- a :class:`~repro.runtime.cluster.Cluster` on the
+  simulator, a :class:`~repro.runtime.live.LiveCluster` on wall time,
+  one class per target -- with the live-system verbs: ``inject`` /
+  ``update`` / ``delete`` / ``watch`` / ``subscribe`` / ``advance`` /
+  ``query_rows``.
 
 Quickstart::
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from time import perf_counter
-from types import SimpleNamespace
 from typing import (
     Callable,
     Dict,
@@ -85,7 +85,6 @@ from repro.ndlog.pretty import (
 )
 from repro.ndlog.validator import ValidationReport
 from repro.ndlog.validator import validate as validate_program
-from repro.net.stats import ResultTracker
 from repro.opt import aggsel as _aggsel
 from repro.opt.costbased import StatsCatalog
 from repro.planner.localization import localize as _localize
@@ -105,7 +104,6 @@ __all__ = [
     "ENGINES",
     "compile",
     "CompiledProgram",
-    "Deployment",
 ]
 
 #: Engine name -> ``evaluate(program, db, **opts)`` entry point.  This
@@ -722,8 +720,9 @@ class CompiledProgram:
         metrics: bool = False,
         trace: bool = False,
         profile: bool = False,
-    ) -> "Deployment":
-        """Stand up the program as a distributed declarative network.
+    ):
+        """Stand up the program as a distributed declarative network and
+        return it.
 
         ``topology`` is an :class:`~repro.topology.overlay.Overlay`
         (default: a transit-stub overlay built from ``n_nodes`` /
@@ -734,15 +733,17 @@ class CompiledProgram:
         if it has not run yet.
 
         ``target`` selects the execution substrate: ``"sim"`` (the
-        default) returns a :class:`Deployment` over the deterministic
-        virtual-time simulator (the network is *not* run; call
-        :meth:`Deployment.advance`); ``"live"`` returns a
-        :class:`~repro.runtime.live.LiveDeployment` that runs each node
-        as an asyncio task on wall-clock time, exchanging deltas over
-        ``channels`` -- in-process asyncio queues (``"inproc"``) or
-        real UDP datagram sockets on ``host`` (``"udp"``).  Drive it
-        with ``await start()`` / ``await quiescent()`` / ``await
-        stop()``, or synchronously with ``converge()``.
+        default) returns a :class:`~repro.runtime.cluster.Cluster` over
+        the deterministic virtual-time simulator (the network is *not*
+        run; call :meth:`~repro.runtime.cluster.Cluster.advance`);
+        ``"live"`` returns a :class:`~repro.runtime.live.LiveCluster`
+        that runs each node as an asyncio task on wall-clock time,
+        exchanging deltas over ``channels`` -- in-process asyncio
+        queues (``"inproc"``) or real UDP datagram sockets on ``host``
+        (``"udp"``).  Drive it with ``await start()`` / ``await
+        quiescent()`` / ``await stop()``, or synchronously with
+        ``converge()``; verbs called before ``start()`` run at once and
+        only the timers they schedule wait for it.
 
         ``chaos`` attaches a fault-injection plan
         (:class:`repro.chaos.ChaosSchedule`) and ``reliable=True`` ships
@@ -752,11 +753,10 @@ class CompiledProgram:
 
         Observability (:mod:`repro.obs`, also config shorthand, any
         target): ``metrics=True`` collects the per-(node, rule,
-        relation) registry behind :meth:`Deployment.metrics` /
-        ``metrics_text``; ``trace=True`` records causally-linked
-        delta-propagation spans exported by
-        :meth:`Deployment.save_trace`; ``profile=True`` accumulates
-        per-rule/per-strand CPU time for :meth:`Deployment.profile`.
+        relation) registry behind ``metrics()`` / ``metrics_text()``;
+        ``trace=True`` records causally-linked delta-propagation spans
+        exported by ``save_trace(path)``; ``profile=True`` accumulates
+        per-rule/per-strand CPU time for ``profile()``.
         """
         from repro.runtime.cluster import Cluster
         from repro.runtime.config import RuntimeConfig
@@ -781,21 +781,17 @@ class CompiledProgram:
             )
         compiled = self.localized()
         if target == "live":
-            from repro.runtime.live import LiveDeployment
+            from repro.runtime.live import LiveCluster
 
-            return LiveDeployment(
-                compiled, topology, config=config, link_loads=link_loads,
+            return LiveCluster(
+                topology, compiled, config, link_loads=link_loads,
                 channels=channels, host=host,
             )
         if target != "sim":
             raise PlanError(
                 f"unknown deploy target {target!r}; pick 'sim' or 'live'"
             )
-        cluster = Cluster(
-            topology, compiled, config or RuntimeConfig(),
-            link_loads=link_loads,
-        )
-        return Deployment(cluster, compiled)
+        return Cluster(topology, compiled, config, link_loads=link_loads)
 
 
 # ----------------------------------------------------------------------
@@ -977,211 +973,3 @@ def _enforce_lint(artifact: CompiledProgram) -> None:
         f"report on .diagnostics)",
         report=analysis,
     )
-
-
-# ----------------------------------------------------------------------
-# The deployment handle
-# ----------------------------------------------------------------------
-class Deployment:
-    """A deployed declarative network -- one object from source text to
-    running distributed system, on either target.
-
-    Thin, stable facade over :class:`~repro.runtime.cluster.Cluster`:
-    data-plane verbs (``inject`` / ``update`` / ``delete``), observation
-    (``watch`` / ``subscribe`` / ``rows`` / ``query_rows``), and
-    lifecycle (``advance`` / ``quiescent``).  The underlying cluster
-    stays reachable as ``.cluster`` for simulator-level control.
-    The simulator's handle, and the base of the live one
-    (:class:`~repro.runtime.live.LiveDeployment`).
-    """
-
-    def __init__(self, cluster, compiled: Optional[CompiledProgram] = None):
-        self.cluster = cluster
-        self.compiled = compiled if compiled is not None \
-            else getattr(cluster, "compiled", None)
-
-    # -- lifecycle ------------------------------------------------------
-    def advance(self, until: Optional[float] = None) -> float:
-        """Run the network until quiescence (or virtual time ``until``);
-        returns the final virtual time."""
-        return self.cluster.run(until=until)
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Alias of :meth:`advance`."""
-        return self.advance(until=until)
-
-    def stop(self) -> None:
-        """Tear down the deployment.  The simulator holds no external
-        resources, so this is a no-op -- it exists so target-agnostic
-        scripts can always call ``stop()`` (the live target's version
-        closes sockets and cancels node tasks)."""
-
-    @property
-    def quiescent(self) -> bool:
-        return self.cluster.quiescent
-
-    @property
-    def now(self) -> float:
-        return self.cluster.clock.now
-
-    def at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at clock ``time`` (workload injection)."""
-        self.cluster.clock.at(time, fn)
-
-    # -- data plane -----------------------------------------------------
-    def _op(self, verb: str, node: str, pred: str, args: Tuple) -> None:
-        """The engine's ``insert`` / ``update`` / ``delete`` at ``node``."""
-        getattr(self.cluster.node(node), verb)(pred, tuple(args))
-
-    def inject(self, node: str, pred: str, args: Tuple) -> None:
-        """Insert a base tuple at ``node`` (e.g. a magic seed fact)."""
-        self._op("insert", node, pred, args)
-
-    def update(self, node: str, pred: str, args: Tuple) -> None:
-        """Update a base tuple at ``node``: a primary-key match commits
-        as a deletion of the old row followed by this insertion."""
-        self._op("update", node, pred, args)
-
-    def delete(self, node: str, pred: str, args: Tuple) -> None:
-        """Delete a base tuple at ``node`` outright."""
-        self._op("delete", node, pred, args)
-
-    # -- observation ----------------------------------------------------
-    def _listen(self, listener) -> Callable[[], None]:
-        return self.cluster.subscribe(listener)
-
-    def watch(self, pred: str) -> ResultTracker:
-        """Track completion times for ``pred``; returns the
-        :class:`~repro.net.stats.ResultTracker`."""
-        tracker = ResultTracker(watch_pred=pred)
-        self._listen(tracker)
-        return tracker
-
-    def subscribe(
-        self, pred: Optional[str], callback: Callable
-    ) -> Callable[[], None]:
-        """Call ``callback(time, fact, weight)`` on every weighted
-        visibility transition of ``pred`` anywhere in the network
-        (``pred=None`` observes every relation): ``+k`` derivations
-        became visible, ``-k`` left.  Returns an unsubscribe
-        callable."""
-        if pred is None:
-            on_commit = callback
-        else:
-            def on_commit(now: float, fact, weight: int) -> None:
-                if fact.pred == pred:
-                    callback(now, fact, weight)
-
-        return self._listen(SimpleNamespace(on_commit=on_commit))
-
-    def rows(self, pred: str, node: Optional[str] = None) -> frozenset:
-        """Union of ``pred`` rows across nodes (or one node's rows)."""
-        return self.cluster.rows(pred, node)
-
-    def query_rows(self) -> frozenset:
-        """Union of the query predicate's rows across all nodes."""
-        return self.cluster.query_rows()
-
-    # -- provenance -----------------------------------------------------
-    @property
-    def provenance(self):
-        """The deployment's shared
-        :class:`~repro.provenance.store.ProvenanceStore` (``None`` when
-        capture is off)."""
-        return self.cluster.provenance
-
-    def why(self, pred: str, args: Tuple, max_depth: int = 128):
-        """Derivation tree for ``pred(args)`` anywhere in the network:
-        the lineage crosses nodes through the recorded firings (remote
-        deltas piggyback their derivation ids on the wire).  Requires
-        ``compile(..., provenance=True)``; returns ``None`` when the
-        store holds no live support (then ask :meth:`why_not`)."""
-        return self.cluster.why(pred, args, max_depth=max_depth)
-
-    def why_not(self, pred: str, args: Tuple, depth: int = 2):
-        """Failed-body analysis for the absent ``pred(args)`` against
-        the pre-localization rule set and the union table state across
-        nodes (``None`` entries are wildcards).  Works with or without
-        provenance capture."""
-        return self.cluster.why_not(pred, args, depth=depth)
-
-    def audit(self, strict: Optional[bool] = None,
-              exclude_nodes=()):
-        """Cross-check every node's derivation counts against the
-        provenance graph (see :func:`repro.provenance.audit_cluster`);
-        call at quiescence."""
-        return self.cluster.audit(strict=strict,
-                                  exclude_nodes=exclude_nodes)
-
-    # -- observability --------------------------------------------------
-    @property
-    def tracer(self):
-        """The shared delta :class:`~repro.obs.Tracer` (``None`` when
-        tracing is off)."""
-        return self.cluster.tracer
-
-    def metrics(self):
-        """Point-in-time :class:`~repro.obs.MetricsSnapshot` of every
-        counter the deployment exposes.  Requires
-        ``deploy(..., metrics=True)``."""
-        return self.cluster.metrics_snapshot()
-
-    def metrics_text(self) -> str:
-        """The snapshot in Prometheus text exposition format."""
-        return self.cluster.metrics_text()
-
-    def refresh_stats(self) -> None:
-        """Feed live table sizes and commit churn into each node's
-        :class:`~repro.opt.costbased.StatsCatalog`."""
-        self.cluster.refresh_stats()
-
-    def profile(self):
-        """Merged per-(rule, strand) CPU :class:`~repro.obs.Profiler`
-        across nodes.  Requires ``deploy(..., profile=True)``."""
-        return self.cluster.profile_report()
-
-    def save_trace(self, path: str) -> None:
-        """Export recorded delta-propagation spans as Chrome
-        trace-event JSON (``chrome://tracing`` / Perfetto).  Requires
-        ``deploy(..., trace=True)``."""
-        self.cluster.save_trace(path)
-
-    # -- surfaces -------------------------------------------------------
-    @property
-    def overlay(self):
-        return self.cluster.overlay
-
-    @property
-    def sim(self):
-        return self.cluster.sim
-
-    @property
-    def stats(self):
-        return self.cluster.stats
-
-    @property
-    def nodes(self):
-        return self.cluster.nodes
-
-    @property
-    def config(self):
-        return self.cluster.config
-
-    @property
-    def program(self) -> Program:
-        """The deployed (localized) program."""
-        return self.cluster.program
-
-    def explain(self, join_plans: bool = True, timings: bool = False,
-                kernels: bool = False) -> str:
-        if self.compiled is None:
-            return format_program(self.cluster.program)
-        return self.compiled.explain(join_plans=join_plans, timings=timings,
-                                     kernels=kernels)
-
-    def __repr__(self) -> str:
-        return (
-            f"Deployment({self.cluster.program.name!r}, "
-            f"nodes={len(self.cluster.nodes)}, "
-            f"quiescent={self.quiescent})"
-        )

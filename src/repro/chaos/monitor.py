@@ -94,12 +94,12 @@ class ChaosMonitor:
 
     def check(self, deployment,
               exclude_nodes: Iterable[str] = ()) -> ChaosVerdict:
-        """Compare a quiescent deployment (sim or live handle) against
-        the reference.  Rows homed at ``exclude_nodes`` (first argument
+        """Compare a quiescent deployment (sim or live) against the
+        reference.  Rows homed at ``exclude_nodes`` (first argument
         = the node, per the localized head convention) are ignored on
         both sides."""
         excluded = tuple(exclude_nodes)
-        query_pred = self._query_pred(deployment)
+        query_pred = deployment.source_program.query.pred
         actual = set()
         nodes = deployment.nodes
         for name, runtime in nodes.items():
@@ -116,8 +116,7 @@ class ChaosMonitor:
 
         audit_ok: Optional[bool] = None
         audit_issues: Tuple[str, ...] = ()
-        cluster = getattr(deployment, "cluster", deployment)
-        if getattr(cluster, "provenance", None) is not None:
+        if deployment.provenance is not None:
             report = deployment.audit(exclude_nodes=excluded)
             audit_ok = report.ok
             audit_issues = tuple(repr(m) for m in report.mismatches)
@@ -140,7 +139,3 @@ class ChaosMonitor:
                 "faults": sum(stats.faults_injected.values()),
             },
         )
-
-    def _query_pred(self, deployment) -> str:
-        cluster = getattr(deployment, "cluster", deployment)
-        return cluster.source_program.query.pred

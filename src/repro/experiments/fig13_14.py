@@ -111,24 +111,24 @@ def _run_dynamic(
         config=RuntimeConfig(buffer_interval=0.2),
         link_loads={"link": "random"},
     )
-    cluster = deployment.cluster
-    driver = LinkUpdateDriver(cluster, metric="random", seed=seed)
+    driver = LinkUpdateDriver(deployment, metric="random", seed=seed)
     driver.schedule_bursts(burst_times)
     deployment.advance(until=horizon)
     deployment.advance()  # drain whatever is still in flight after the horizon
 
     node_count = len(overlay.nodes)
-    series = cluster.stats.per_node_kbps_series(node_count)
+    stats = deployment.stats
+    series = stats.per_node_kbps_series(node_count)
     first_burst = burst_times[0]
     initial_peak = max((v for t, v in series if t <= first_burst),
                        default=0.0)
     burst_peak = max((v for t, v in series if t > first_burst),
                      default=0.0)
-    initial_mb = cluster.stats.bytes_between(0.0, first_burst) / 1e6
-    burst_bytes = cluster.stats.bytes_between(first_burst, float("inf"))
+    initial_mb = stats.bytes_between(0.0, first_burst) / 1e6
+    burst_bytes = stats.bytes_between(first_burst, float("inf"))
     mean_burst_mb = burst_bytes / len(burst_times) / 1e6
 
-    consistent = _check_consistency(cluster, driver)
+    consistent = _check_consistency(deployment, driver)
     return DynamicRunResult(
         label=label,
         initial_peak_kbps=initial_peak,

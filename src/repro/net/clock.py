@@ -9,8 +9,8 @@ executes unchanged on either implementation:
 * :class:`~repro.net.sim.Simulator` -- deterministic virtual time, the
   substrate for every reproduced experiment (results are byte-identical
   run to run);
-* :class:`WallClock` -- real time over a running asyncio event loop,
-  the substrate for the live deployment target
+* :class:`WallClock` -- real time over the asyncio event loop it is
+  bound to, the substrate for the live deployment target
   (:mod:`repro.runtime.live`).
 
 The semantic difference callers may observe: virtual time only moves
@@ -75,19 +75,26 @@ class WallTimer:
 
 
 class WallClock(Clock):
-    """Real time over the running asyncio event loop.
+    """Real time over an asyncio event loop.
 
-    ``now`` starts at 0.0 when the clock is created, so programs
-    written against virtual timestamps (workload bursts at t=2.0,
-    refreshers every 0.5s) run unchanged in wall time.  Callback
-    exceptions are captured on :attr:`failures` rather than left to the
-    loop's exception handler, so the live runtime can surface them at
-    :meth:`~repro.runtime.live.LiveDeployment.stop` time.
+    The clock runs from :meth:`bind` to :meth:`close`.  Before ``bind``
+    ``now`` reads 0.0 and timers are held (``pending`` counts them);
+    ``bind`` arms them on the loop and ``now`` counts from there, so
+    programs written against virtual timestamps (workload bursts at
+    t=2.0, refreshers every 0.5s) run unchanged in wall time.  After
+    ``close`` scheduling raises :class:`NetworkError`: the loop that
+    would fire the timer is gone.  Callback exceptions are captured on
+    :attr:`failures` rather than left to the loop's exception handler,
+    so the live runtime can surface them at
+    :meth:`~repro.runtime.live.LiveCluster.stop` time.
     """
 
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
-        self._t0 = self._loop.time()
+    def __init__(self):
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._t0 = 0.0
+        #: ``(delay, timer, callback)`` scheduled before :meth:`bind`.
+        self._held: List[Tuple[float, Optional[WallTimer], Callable]] = []
+        self.closed = False
         self._pending = 0
         self.events_processed = 0
         #: ``(now, exception)`` pairs from callbacks that raised.
@@ -95,7 +102,39 @@ class WallClock(Clock):
 
     @property
     def now(self) -> float:
-        return self._loop.time() - self._t0
+        loop = self._loop
+        return 0.0 if loop is None else loop.time() - self._t0
+
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Start the clock on ``loop`` and arm the held timers."""
+        self._loop = loop
+        self._t0 = loop.time()
+        held, self._held = self._held, []
+        for delay, timer, callback in held:
+            if timer is None:
+                loop.call_later(delay, self._fire, None, callback)
+            elif not timer.cancelled:
+                timer._handle = loop.call_later(
+                    delay, self._fire, timer, callback)
+
+    def close(self) -> None:
+        """Stop the clock: nothing may be scheduled on it any more."""
+        self.closed = True
+
+    def _schedule(self, delay: float, timer: Optional[WallTimer],
+                  callback: Callable[[], None]):
+        if delay < 0:
+            raise NetworkError(f"negative delay {delay}")
+        if self.closed:
+            raise NetworkError(
+                "wall clock already stopped: its event loop is gone, so "
+                "nothing more can be scheduled on it"
+            )
+        self._pending += 1
+        if self._loop is None:
+            self._held.append((delay, timer, callback))
+            return None
+        return self._loop.call_later(delay, self._fire, timer, callback)
 
     def _fire(self, timer: Optional[WallTimer],
               callback: Callable[[], None]) -> None:
@@ -117,20 +156,12 @@ class WallClock(Clock):
         return self.after(max(0.0, time - self.now), callback)
 
     def after(self, delay: float, callback: Callable[[], None]) -> WallTimer:
-        if delay < 0:
-            raise NetworkError(f"negative delay {delay}")
         timer = WallTimer(self)
-        self._pending += 1
-        timer._handle = self._loop.call_later(
-            delay, self._fire, timer, callback
-        )
+        timer._handle = self._schedule(delay, timer, callback)
         return timer
 
     def post(self, delay: float, callback: Callable[[], None]) -> None:
-        if delay < 0:
-            raise NetworkError(f"negative delay {delay}")
-        self._pending += 1
-        self._loop.call_later(delay, self._fire, None, callback)
+        self._schedule(delay, None, callback)
 
     @property
     def pending(self) -> int:

@@ -57,7 +57,7 @@ class MetricsSnapshot:
     """A point-in-time reading of every counter a deployment exposes.
 
     ``nodes``/``rules``/``relations`` are plain dicts (see
-    ``Cluster.metrics_snapshot`` docs and the README counter table);
+    ``Cluster.metrics`` docs and the README counter table);
     :meth:`counter_totals` flattens the order-independent counters for
     sim-vs-live equivalence checks and :meth:`to_prometheus` renders
     the whole snapshot as a Prometheus text exposition.

@@ -204,11 +204,13 @@ class Observer:
 def node_observer(node) -> Optional[Observer]:
     """Compose a :class:`~repro.runtime.node.NodeRuntime`'s observer
     from what its cluster was deployed and subscribed with; ``None``
-    while nothing listens (``Cluster.subscribe`` asks again when the
+    while nothing listens (``Cluster.listen`` asks again when the
     first listener arrives)."""
     cluster = node.cluster
     config = cluster.config
-    metrics, tracer = cluster.metrics, cluster.tracer
+    wire = cluster.observer
+    metrics, tracer = ((None, None) if wire is None
+                       else (wire.metrics, wire.tracer))
     return Observer.compose(
         metrics=None if metrics is None else metrics.node(node.address),
         tracer=None if tracer is None else tracer.recorder(node.address),

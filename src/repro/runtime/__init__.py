@@ -3,7 +3,7 @@ target -- the virtual-time simulated network or the live wall-clock
 asyncio runtime -- with transport-level optimizations and dynamic
 workloads."""
 
-from repro.runtime.cluster import Cluster
+from repro.runtime.cluster import Cluster, Deployment
 from repro.runtime.config import CachePolicy, RuntimeConfig, ShareSpec
 from repro.runtime.live import LiveCluster, LiveDeployment
 from repro.runtime.node import NodeRuntime
@@ -12,6 +12,7 @@ from repro.runtime.updates import LinkUpdateDriver
 
 __all__ = [
     "Cluster",
+    "Deployment",
     "LiveCluster",
     "LiveDeployment",
     "RuntimeConfig",

@@ -18,6 +18,7 @@ re-applied; the artifact's pass pipeline wins over config flags).
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, PlanError, SchemaError
@@ -37,7 +38,15 @@ from repro.topology.overlay import Overlay
 
 
 class Cluster:
-    """A deployed declarative network."""
+    """A deployed declarative network: what
+    :meth:`~repro.api.CompiledProgram.deploy` returns on the simulator
+    (:class:`~repro.runtime.live.LiveCluster` on wall time).
+
+    Workload verbs (``inject`` / ``update`` / ``delete`` / ``at``),
+    observation (``watch`` / ``subscribe`` / ``rows`` / ``query_rows``,
+    provenance and :mod:`repro.obs` readers) and lifecycle
+    (``advance`` / ``quiescent`` / ``stop``) are declared here once, for
+    both targets."""
 
     def __init__(
         self,
@@ -64,12 +73,9 @@ class Cluster:
         self.overlay = overlay
         self.config = config or RuntimeConfig()
         self.clock = clock if clock is not None else Simulator()
-        #: Back-compat alias: experiments and tests drive the virtual
-        #: clock as ``cluster.sim``.
-        self.sim = self.clock
         self.stats = TrafficStats()
-        #: Commit listeners (:meth:`subscribe`): the one list every
-        #: node's observer delivers to.
+        #: Commit listeners (:meth:`listen`): the one list every node's
+        #: observer delivers to.
         self.trackers: List = []
         #: Who watches the wire -- transport, chaos injector and link
         #: watchdog raise their events on it -- and the registries it
@@ -77,7 +83,6 @@ class Cluster:
         wire = self.observer = (
             WireObserver(self.config, self.clock)
             if self.config.metrics or self.config.trace else None)
-        self.metrics = None if wire is None else wire.metrics
         self.tracer = None if wire is None else wire.tracer
         self.loss_rng = random.Random(self.config.seed)
 
@@ -148,7 +153,8 @@ class Cluster:
         #: The deployed link relations -- the watchdog tears failed
         #: links down through exactly these predicates.
         self.link_loads: Dict[str, str] = dict(link_loads)
-        self._load_initial(link_loads)
+        for pred, metric in self.link_loads.items():
+            self.load_links(pred, metric)
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -166,12 +172,6 @@ class Cluster:
             metrics=dict(metrics),
         )
 
-    def _load_initial(self, link_loads: Dict[str, str]) -> None:
-        """Initial-load hook: install the link relations now (the live
-        cluster defers this until its node tasks and sockets exist)."""
-        for pred, metric in link_loads.items():
-            self.load_links(pred, metric)
-
     def load_links(self, pred: str, metric: str) -> None:
         """Install ``pred(@src, @dst, cost)`` at each link's source."""
         for src, dst, cost in self.overlay.link_rows(metric):
@@ -187,11 +187,34 @@ class Cluster:
             )
         return runtime
 
+    # ------------------------------------------------------------------
+    # Workload verbs
+    # ------------------------------------------------------------------
     def inject(self, node: str, pred: str, args: Tuple) -> None:
         """Insert a base tuple at ``node`` (e.g. a magic fact)."""
         self.node(node).insert(pred, tuple(args))
 
-    def subscribe(self, listener) -> Callable[[], None]:
+    def update(self, node: str, pred: str, args: Tuple) -> None:
+        """Update a base tuple at ``node``: a primary-key match commits
+        as a deletion of the old row followed by this insertion."""
+        self.node(node).update(pred, tuple(args))
+
+    def delete(self, node: str, pred: str, args: Tuple) -> None:
+        """Delete a base tuple at ``node`` outright."""
+        self.node(node).delete(pred, tuple(args))
+
+    def at(self, time: float, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` at clock ``time`` (workload injection)."""
+        self.clock.at(time, fn)
+
+    @property
+    def now(self) -> float:
+        return self.clock.now
+
+    # ------------------------------------------------------------------
+    # Observation
+    # ------------------------------------------------------------------
+    def listen(self, listener) -> Callable[[], None]:
         """Deliver every visible table change anywhere in the cluster
         to ``listener.on_commit(time, fact, weight)`` (``+k``
         derivations became visible, ``-k`` left); returns the callable
@@ -207,10 +230,27 @@ class Cluster:
 
         return unsubscribe
 
+    def subscribe(
+        self, pred: Optional[str], callback: Callable
+    ) -> Callable[[], None]:
+        """Call ``callback(time, fact, weight)`` on every weighted
+        visibility transition of ``pred`` anywhere in the network
+        (``pred=None`` observes every relation): ``+k`` derivations
+        became visible, ``-k`` left.  Returns an unsubscribe
+        callable."""
+        if pred is None:
+            on_commit = callback
+        else:
+            def on_commit(now: float, fact, weight: int) -> None:
+                if fact.pred == pred:
+                    callback(now, fact, weight)
+
+        return self.listen(SimpleNamespace(on_commit=on_commit))
+
     def watch(self, pred: str) -> ResultTracker:
         """Track completion times for ``pred`` (Figures 8/10 curves)."""
         tracker = ResultTracker(watch_pred=pred)
-        self.subscribe(tracker)
+        self.listen(tracker)
         return tracker
 
     # ------------------------------------------------------------------
@@ -284,6 +324,21 @@ class Cluster:
                 "advances on wall time (await deployment.quiescent())"
             )
         return self.clock.run(until=until)
+
+    #: The name deployment scripts drive the simulator with.
+    advance = run
+
+    def stop(self) -> None:
+        """Tear down the deployment.  The simulator holds no external
+        resources, so this is a no-op -- it exists so target-agnostic
+        scripts can always call ``stop()`` (the live target's version
+        closes sockets and cancels node tasks)."""
+
+    @property
+    def cluster(self) -> "Cluster":
+        """This cluster: the benchmark harness still reads a
+        deployment's network as ``deployment.cluster``."""
+        return self
 
     @property
     def quiescent(self) -> bool:
@@ -376,22 +431,23 @@ class Cluster:
                 f"deploy(..., {flag}=True) to collect it"
             )
 
-    def metrics_snapshot(self):
+    def metrics(self):
         """Point-in-time :class:`~repro.obs.MetricsSnapshot`: pushed
         counters (rule firings, weighted commits, retransmits) merged
-        with state pulled from the engines, tables and traffic stats."""
+        with state pulled from the engines, tables and traffic stats.
+        Requires ``deploy(..., metrics=True)``."""
         self._require("metrics")
-        return self.metrics.snapshot(self)
+        return self.observer.metrics.snapshot(self)
 
     def metrics_text(self) -> str:
         """The snapshot in Prometheus text exposition format."""
-        return self.metrics_snapshot().to_prometheus()
+        return self.metrics().to_prometheus()
 
     def refresh_stats(self) -> None:
         """Feed live table sizes and commit churn into each node's
         :class:`~repro.opt.costbased.StatsCatalog`, closing the loop
         between the metrics registry and the cost-based optimizer."""
-        snapshot = self.metrics_snapshot()
+        snapshot = self.metrics()
         churn = snapshot.churn()
         for name, node in self.nodes.items():
             catalog = node.stats_catalog
@@ -404,8 +460,9 @@ class Cluster:
             }
             catalog.refresh(sizes=sizes, churn=churn)
 
-    def profile_report(self):
-        """Merged per-(rule, strand) CPU profile across all nodes."""
+    def profile(self):
+        """Merged per-(rule, strand) CPU profile across all nodes.
+        Requires ``deploy(..., profile=True)``."""
         self._require("profile")
         merged = Profiler()
         for node in self.nodes.values():
@@ -413,6 +470,24 @@ class Cluster:
         return merged
 
     def save_trace(self, path: str) -> None:
-        """Export the recorded spans as Chrome trace-event JSON."""
+        """Export the recorded spans as Chrome trace-event JSON
+        (``chrome://tracing`` / Perfetto).  Requires
+        ``deploy(..., trace=True)``."""
         self._require("trace")
         self.tracer.save(path)
+
+    def explain(self, join_plans: bool = True, timings: bool = False,
+                kernels: bool = False) -> str:
+        """The deployed artifact's
+        :meth:`~repro.api.CompiledProgram.explain` report."""
+        return self.compiled.explain(join_plans=join_plans, timings=timings,
+                                     kernels=kernels)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.program.name!r}, "
+                f"nodes={len(self.nodes)})")
+
+
+#: The name README and scripts know the simulated deployment by: the
+#: same class, not a wrapper.
+Deployment = Cluster

@@ -18,24 +18,27 @@ All tasks share one event loop, so node steps interleave but never run
 concurrently -- the same single-threaded-dataflow-per-node discipline
 as P2, times N nodes.
 
-Lifecycle (all on the deployment handle)::
+Lifecycle (``deploy`` returns the :class:`LiveCluster` itself)::
 
     deployment = compiled.deploy(topology=overlay, target="live")
+    deployment.inject(node, pred, args)   # runs now; its ticks wait
     await deployment.start()          # bind channels, spawn node tasks
     await deployment.quiescent()      # wait for convergence (wall time)
     rows = deployment.query_rows()
     await deployment.stop()           # tear down tasks and sockets
 
 or, from synchronous code, ``deployment.converge()`` runs the whole
-lifecycle under ``asyncio.run``.
+lifecycle under ``asyncio.run``.  The cluster is whole from
+construction, like the simulated one: a verb runs when it is called
+(an unknown node raises there), and only the timers it schedules wait
+for :meth:`LiveCluster.start`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.api import Deployment
 from repro.errors import NetworkError
 from repro.net.channel import Channel
 from repro.net.clock import WallClock
@@ -50,22 +53,21 @@ __all__ = ["LiveCluster", "LiveDeployment"]
 _SHUTDOWN = None
 
 
-def _check_backend(channels: str) -> str:
-    if channels not in ("inproc", "udp"):
-        raise NetworkError(
-            f"unknown live channel backend {channels!r}; "
-            f"pick 'inproc' or 'udp'"
-        )
-    return channels
-
-
 class LiveCluster(Cluster):
     """A deployed declarative network on wall-clock time.
 
-    Construct *inside a running event loop* (the wall clock binds to
-    it), then ``await start()``.  Construction compiles and instantiates
-    every node but defers the initial link-relation load until the node
-    tasks and channel endpoints exist.
+    Built without an event loop, like the simulated
+    :class:`~repro.runtime.cluster.Cluster`: nodes, channels and the
+    initial link relations exist from construction and every verb and
+    reader works at once, while the :class:`~repro.net.clock.WallClock`
+    holds the timers they schedule until :meth:`start` binds it to the
+    running loop.  Declares only what differs on wall time: the
+    channels and the async lifecycle -- :meth:`start`,
+    :meth:`quiescent` (wait for convergence), :meth:`stop`;
+    :meth:`converge` wraps all three for synchronous callers.
+    :meth:`quiescent` and :meth:`stop` override a property and a plain
+    method with coroutines -- a change of kind that existing callers on
+    both targets pin.
     """
 
     def __init__(
@@ -77,17 +79,25 @@ class LiveCluster(Cluster):
         channels: str = "inproc",
         host: str = "127.0.0.1",
     ):
-        self.backend = _check_backend(channels)
+        if channels not in ("inproc", "udp"):
+            raise NetworkError(
+                f"unknown live channel backend {channels!r}; "
+                f"pick 'inproc' or 'udp'"
+            )
+        self.backend = channels
         self.fabric = UdpFabric(host) if channels == "udp" else None
         self._inboxes: Dict[str, asyncio.Queue] = {}
         self._tasks: List[asyncio.Task] = []
         self._task_failures: List[Tuple[str, BaseException]] = []
         self._started = False
-        self._deferred_link_loads: Dict[str, str] = {}
         super().__init__(overlay, program, config, link_loads,
                          clock=WallClock())
+        if self.fabric is not None:
+            # Route datagrams through the full delivery path (chaos
+            # guard + reliable filter), not straight to the inboxes.
+            self.fabric.on_message = self.deliver
+            self.fabric.stats = self.stats
 
-    # -- construction hooks --------------------------------------------
     def _make_channel(self, a: str, b: str, metrics) -> Channel:
         kwargs = dict(
             a=a,
@@ -101,25 +111,20 @@ class LiveCluster(Cluster):
             return UdpChannel(fabric=self.fabric, **kwargs)
         return QueueChannel(**kwargs)
 
-    def _load_initial(self, link_loads) -> None:
-        # Loading link facts schedules CPU ticks and shipments; those
-        # need inboxes (and, for UDP, bound sockets) -- start() replays
-        # this after the plumbing is up.
-        self._deferred_link_loads = dict(link_loads)
-
     # -- lifecycle ------------------------------------------------------
-    async def start(self) -> None:
-        """Bind channel endpoints, spawn one task per node, and load the
-        initial link relations."""
+    async def start(self) -> "LiveCluster":
+        """Bind channel endpoints, spawn one task per node, then start
+        the wall clock, which arms every timer scheduled so far."""
+        if self.clock.closed:
+            raise NetworkError(
+                "live deployment already stopped; results stay readable, "
+                "but a new run needs a fresh deploy(target='live')"
+            )
         if self._started:
-            return
+            return self
         self._started = True
         loop = asyncio.get_running_loop()
         if self.fabric is not None:
-            # Route datagrams through the full delivery path (chaos
-            # guard + reliable filter), not straight to the inboxes.
-            self.fabric.on_message = self.deliver
-            self.fabric.stats = self.stats
             for name in self.nodes:
                 await self.fabric.bind(name)
         for name in self.nodes:
@@ -129,8 +134,8 @@ class LiveCluster(Cluster):
                 loop.create_task(self._node_loop(name, inbox),
                                  name=f"ndlog-node-{name}")
             )
-        for pred, metric in self._deferred_link_loads.items():
-            self.load_links(pred, metric)
+        self.clock.bind(loop)
+        return self
 
     async def _node_loop(self, name: str, inbox: asyncio.Queue) -> None:
         """One node's ingestion task: messages in, deltas to the engine
@@ -144,9 +149,33 @@ class LiveCluster(Cluster):
             except BaseException as exc:  # noqa: BLE001 -- surfaced at stop
                 self._task_failures.append((name, exc))
 
-    async def stop(self) -> None:
-        """Drain and stop every node task, close sockets, and re-raise
-        the first callback/task failure (if any)."""
+    async def quiescent(  # type: ignore[override]
+        self,
+        timeout: float = 30.0,
+        poll: float = 0.02,
+        settle: int = 3,
+    ) -> bool:
+        """Wait (in wall time) until the network is quiescent: ``settle``
+        consecutive :attr:`idle` samples ``poll`` seconds apart.  Returns
+        True on quiescence, False if ``timeout`` elapses first."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        streak = 0
+        while True:
+            streak = streak + 1 if self.idle else 0
+            if streak >= settle:
+                return True
+            if loop.time() >= deadline:
+                return False
+            await asyncio.sleep(poll)
+
+    async def stop(self) -> None:  # type: ignore[override]
+        """Drain and stop every node task, close sockets and the wall
+        clock, and re-raise the first callback/task failure (if any).
+        The tables stay readable (``rows`` / ``query_rows``), but the
+        verbs and the lifecycle are finished -- the stopped clock
+        refuses what they would schedule, so a new run needs a new
+        deployment."""
         for inbox in self._inboxes.values():
             inbox.put_nowait(_SHUTDOWN)
         if self._tasks:
@@ -156,7 +185,20 @@ class LiveCluster(Cluster):
         self._tasks = []
         if self.fabric is not None:
             self.fabric.close()
+        self.clock.close()
         self.raise_failures()
+
+    def converge(self, timeout: float = 30.0) -> bool:
+        """Synchronous one-shot: start, wait for quiescence, stop.
+        Returns whether the network went quiescent within ``timeout``;
+        results stay readable afterwards."""
+        return asyncio.run(self._converge(timeout))
+
+    async def _converge(self, timeout: float) -> bool:
+        await self.start()
+        ok = await self.quiescent(timeout=timeout)
+        await self.stop()
+        return ok
 
     def raise_failures(self) -> None:
         failures: List[Tuple[str, BaseException]] = list(self._task_failures)
@@ -184,8 +226,7 @@ class LiveCluster(Cluster):
     def idle(self) -> bool:
         """Instantaneous idleness: no timers, no undelivered messages,
         no queued deltas.  One sample can race an in-flight datagram's
-        kernel hop; :meth:`LiveDeployment.quiescent` requires a settle
-        streak."""
+        kernel hop; :meth:`quiescent` requires a settle streak."""
         down = (
             self.chaos.dead_nodes(self.clock.now)
             if self.chaos is not None else frozenset()
@@ -203,184 +244,7 @@ class LiveCluster(Cluster):
             )
         )
 
-    @property
-    def quiescent(self) -> bool:
-        return self.idle
 
-
-class LiveDeployment(Deployment):
-    """Deployment handle for the live target.
-
-    Declares only what differs from :class:`~repro.api.Deployment` on
-    wall time.  The lifecycle is async -- :meth:`start`,
-    :meth:`quiescent` (wait for convergence), :meth:`stop`;
-    :meth:`converge` wraps all three for synchronous callers.  The
-    cluster exists from :meth:`start` on (the wall clock binds to a
-    running loop): before it ``.cluster`` and every inherited reader
-    raise ``NetworkError("... not started ...")``, while ``inject`` /
-    ``update`` / ``delete`` / ``at`` / ``watch`` / ``subscribe`` are
-    buffered and replayed once the network is up, so workload scripts
-    read the same as on the simulator.  :meth:`quiescent` and
-    :meth:`stop` override a property and a plain method with coroutines
-    -- a change of kind that existing callers on both targets pin.
-    """
-
-    def __init__(
-        self,
-        compiled,
-        topology,
-        config: Optional[RuntimeConfig] = None,
-        link_loads: Optional[Dict[str, str]] = None,
-        channels: str = "inproc",
-        host: str = "127.0.0.1",
-    ):
-        _check_backend(channels)
-        self.compiled = compiled
-        self.topology = topology
-        self.link_loads = link_loads
-        self.channels = channels
-        self.host = host
-        self._config = config
-        self._cluster: Optional[LiveCluster] = None
-        self._stopped = False
-        #: Workload verbs issued before start(), as (method, args).
-        self._pending_ops: List[Tuple] = []
-        self._pending_listeners: List = []
-
-    # -- lifecycle ------------------------------------------------------
-    @property
-    def cluster(self) -> LiveCluster:  # type: ignore[override]
-        if self._cluster is None:
-            raise NetworkError(
-                "live deployment not started (await deployment.start(), "
-                "or use deployment.converge())"
-            )
-        return self._cluster
-
-    @property
-    def started(self) -> bool:
-        return self._cluster is not None
-
-    async def start(self) -> "LiveDeployment":
-        """Build the live cluster on the running loop, spawn the node
-        tasks, and replay buffered workload calls."""
-        self._check_not_stopped()
-        if self._cluster is not None:
-            return self
-        cluster = self._cluster = LiveCluster(
-            self.topology,
-            self.compiled,
-            self._config,
-            link_loads=self.link_loads,
-            channels=self.channels,
-            host=self.host,
-        )
-        for listener in self._pending_listeners:
-            cluster.subscribe(listener)
-        await cluster.start()
-        for method, *args in self._pending_ops:
-            method(*args)
-        self._pending_listeners.clear()
-        self._pending_ops.clear()
-        return self
-
-    async def quiescent(  # type: ignore[override]
-        self,
-        timeout: float = 30.0,
-        poll: float = 0.02,
-        settle: int = 3,
-    ) -> bool:
-        """Wait (in wall time) until the network is quiescent: ``settle``
-        consecutive idle samples ``poll`` seconds apart.  Returns True on
-        quiescence, False if ``timeout`` elapses first."""
-        self._check_not_stopped()
-        cluster = self.cluster
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        streak = 0
-        while True:
-            streak = streak + 1 if cluster.idle else 0
-            if streak >= settle:
-                return True
-            if loop.time() >= deadline:
-                return False
-            await asyncio.sleep(poll)
-
-    async def stop(self) -> None:  # type: ignore[override]
-        """Tear down node tasks and channel endpoints; raises if any
-        node callback failed during the run.  The handle's tables stay
-        readable (``rows``/``query_rows``), but workload verbs and the
-        lifecycle are finished -- a new run needs a new deployment."""
-        if self._cluster is not None:
-            self._stopped = True
-            await self._cluster.stop()
-
-    def converge(self, timeout: float = 30.0) -> bool:
-        """Synchronous one-shot: start, wait for quiescence, stop.
-        Returns whether the network went quiescent within ``timeout``;
-        results stay readable on the handle afterwards."""
-        return asyncio.run(self._converge(timeout))
-
-    async def _converge(self, timeout: float) -> bool:
-        await self.start()
-        ok = await self.quiescent(timeout=timeout)
-        await self.stop()
-        return ok
-
-    # -- buffered workload verbs ----------------------------------------
-    def _check_not_stopped(self) -> None:
-        # The wall clock and node tasks died with the loop that ran
-        # them; scheduling against them would surface as an opaque
-        # "Event loop is closed" from deep inside asyncio.
-        if self._stopped:
-            raise NetworkError(
-                "live deployment already stopped; results stay readable, "
-                "but a new run needs a fresh deploy(target='live')"
-            )
-
-    def _op(self, verb: str, node: str, pred: str, args: Tuple) -> None:
-        self._check_not_stopped()
-        if self._cluster is None:
-            self._pending_ops.append((self._op, verb, node, pred, args))
-        else:
-            super()._op(verb, node, pred, args)
-
-    def at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at wall time ``time`` (seconds from start)."""
-        self._check_not_stopped()
-        if self._cluster is None:
-            self._pending_ops.append((self.at, time, fn))
-        else:
-            super().at(time, fn)
-
-    def _listen(self, listener) -> Callable[[], None]:
-        if self._cluster is not None:
-            return super()._listen(listener)
-        self._pending_listeners.append(listener)
-
-        def unsubscribe() -> None:
-            pool = (self._pending_listeners if self._cluster is None
-                    else self._cluster.trackers)
-            if listener in pool:
-                pool.remove(listener)
-
-        return unsubscribe
-
-    # -- surfaces readable before start ---------------------------------
-    @property
-    def config(self) -> RuntimeConfig:
-        if self._cluster is not None:
-            return self._cluster.config
-        return self._config or RuntimeConfig()
-
-    @property
-    def now(self) -> float:
-        return self._cluster.clock.now if self._cluster is not None else 0.0
-
-    def __repr__(self) -> str:
-        state = "running" if self.started else "not started"
-        return (
-            f"LiveDeployment({self.compiled.name!r}, "
-            f"nodes={len(self.topology.nodes)}, "
-            f"channels={self.channels!r}, {state})"
-        )
+#: The name README and scripts know the live deployment by: the same
+#: class, not a wrapper.
+LiveDeployment = LiveCluster

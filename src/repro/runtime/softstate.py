@@ -57,7 +57,7 @@ class SoftStateManager:
         """Start the sweeper, and listen for commits so that a row
         holding a deadline always has a sweep ahead of it."""
         if self not in self.cluster.trackers:
-            self.cluster.subscribe(self)
+            self.cluster.listen(self)
             self._arm()
 
     def _arm(self) -> None:

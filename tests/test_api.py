@@ -1,7 +1,7 @@
 """Tests for the staged compile() -> CompiledProgram -> run()/deploy()
 facade: the pass pipeline (toggleability, order-independence of the
 semantics-preserving passes), explain() introspection, the error
-taxonomy at the facade boundary, the Deployment handle, and the
+taxonomy at the facade boundary, the deployed cluster, and the
 deprecation shims' fixpoint equivalence."""
 
 import itertools
@@ -465,21 +465,35 @@ class TestDeployment:
                 for s, d, p, c in deployment.rows("shortestPath")}
         assert rows[("a", "b")] == (("a", "b"), 0.5)
 
-    def test_unknown_node_is_network_error(self):
+    @pytest.mark.parametrize("target", ["sim", "live"])
+    def test_unknown_node_is_network_error(self, target):
+        """deploy() returns the cluster itself, and every verb or reader
+        that names a node it does not know raises the same
+        NetworkError on either target (on live, before start() too)."""
         from repro.errors import NetworkError
+        from repro.runtime import Cluster, LiveCluster
 
+        assert repro.Deployment is repro.Cluster
+        assert repro.LiveDeployment is LiveCluster
         compiled = api.compile(programs.shortest_path_safe())
-        deployment = compiled.deploy(topology=figure2_overlay())
+        deployment = compiled.deploy(topology=figure2_overlay(),
+                                     target=target)
+        assert type(deployment) is {"sim": Cluster,
+                                    "live": LiveCluster}[target]
+        message = "unknown node 'nope'; this deployment has 5 nodes"
         for verb in (deployment.inject, deployment.update,
                      deployment.delete):
-            with pytest.raises(NetworkError, match="unknown node 'nope'"):
+            with pytest.raises(NetworkError, match=message):
                 verb("nope", "link", ("nope", "x", 1.0))
-        with pytest.raises(NetworkError, match="unknown node"):
+        with pytest.raises(NetworkError, match=message):
             deployment.rows("link", node="nope")
+        with pytest.raises(NetworkError, match=message):
+            deployment.node("nope")
+        assert deployment.node("a") is deployment.nodes["a"]
 
     @pytest.mark.parametrize("target", ["sim", "live"])
     def test_config_is_the_effective_runtime_config(self, target):
-        """Both handles answer ``.config`` with the RuntimeConfig in
+        """Both targets answer ``.config`` with the RuntimeConfig in
         force, never the (possibly ``None``) constructor argument."""
         from repro.runtime import RuntimeConfig
 
@@ -491,47 +505,7 @@ class TestDeployment:
         assert flagged.config == RuntimeConfig(metrics=True)
         if target == "live":
             assert flagged.converge(timeout=30.0)
-            assert flagged.config is flagged.cluster.config
             assert flagged.config.metrics
-
-    @pytest.mark.parametrize("target", ["sim", "live"])
-    def test_cluster_names_an_unknown_node_like_the_handle(self, target):
-        """``Cluster.inject`` / ``Cluster.rows`` raise the handle's
-        NetworkError, not a bare KeyError, on either target."""
-        import asyncio
-
-        from repro.errors import NetworkError
-
-        compiled = api.compile(programs.shortest_path_safe())
-        deployment = compiled.deploy(topology=figure2_overlay(),
-                                     target=target)
-        message = "unknown node 'nope'; this deployment has 5 nodes"
-
-        def check():
-            cluster = deployment.cluster
-            with pytest.raises(NetworkError, match=message):
-                cluster.inject("nope", "link", ("nope", "x", 1.0))
-            with pytest.raises(NetworkError, match=message):
-                cluster.rows("link", node="nope")
-            with pytest.raises(NetworkError, match=message):
-                cluster.node("nope")
-            with pytest.raises(NetworkError, match=message):
-                deployment.rows("link", node="nope")
-            assert cluster.node("a") is deployment.nodes["a"]
-
-        async def live():
-            await deployment.start()
-            try:
-                check()
-                with pytest.raises(NetworkError, match=message):
-                    deployment.inject("nope", "link", ("nope", "x", 1.0))
-            finally:
-                await deployment.stop()
-
-        if target == "live":
-            asyncio.run(live())
-        else:
-            check()
 
     def test_inject_and_delete_roundtrip(self):
         compiled = api.compile(programs.shortest_path_safe())

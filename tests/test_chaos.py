@@ -185,7 +185,7 @@ class TestDeterministicReplay:
                 reliable=True,
             )
             deployment.advance()
-            traces.append(tuple(deployment.cluster.chaos.trace))
+            traces.append(tuple(deployment.chaos.trace))
         assert traces[0] == traces[1]
         assert len(traces[0]) > 100  # the plan really fired
 
@@ -197,7 +197,7 @@ class TestDeterministicReplay:
                 topology=overlay8(), chaos=schedule, reliable=True,
             )
             deployment.advance()
-            traces.append(tuple(deployment.cluster.chaos.trace))
+            traces.append(tuple(deployment.chaos.trace))
         assert traces[0] != traces[1]
 
 

@@ -965,7 +965,7 @@ def burst():
         topology=overlay, link_loads={"link": "latency"},
         config=RuntimeConfig(buffer_interval=0.2, cpu_batch=batch))
     deployment.advance()
-    LinkUpdateDriver(deployment.cluster, metric="latency", fraction=1.0,
+    LinkUpdateDriver(deployment, metric="latency", fraction=1.0,
                      seed=3).apply_burst()
     deployment.advance()
     return {

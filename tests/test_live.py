@@ -25,7 +25,7 @@ from repro.net.live import (
 from repro.net.message import Message, NetDelta, single
 from repro.net.sim import Simulator
 from repro.net.stats import TrafficStats
-from repro.runtime import LiveCluster, LiveDeployment, RuntimeConfig
+from repro.runtime import LiveCluster, RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 
 
@@ -42,6 +42,7 @@ def drive_sim(setup, duration):
 def drive_wall(setup, duration):
     async def main():
         clock = WallClock()
+        clock.bind(asyncio.get_running_loop())
         setup(clock)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + duration + 2.0
@@ -136,13 +137,40 @@ class TestClockConformance:
 
 
 class TestWallClock:
-    def test_requires_running_loop(self):
-        with pytest.raises(RuntimeError):
-            WallClock()
+    def test_holds_timers_until_bound_and_refuses_them_once_closed(self):
+        """Built outside any event loop, the clock reads 0.0 and holds
+        what is scheduled; ``bind`` arms the held timers (in delay
+        order; one cancelled while held never fires), and after
+        ``close`` scheduling is a clear error."""
+        clock = WallClock()
+        log = []
+        clock.after(0.03, lambda: log.append("c"))
+        cancelled = clock.after(0.02, lambda: log.append("cancelled"))
+        clock.post(0.01, lambda: log.append("a"))
+        clock.at(0.025, lambda: log.append("b"))
+        assert clock.now == 0.0
+        assert clock.pending == 4
+        cancelled.cancel()
+        assert clock.pending == 3
+
+        async def main():
+            clock.bind(asyncio.get_running_loop())
+            while clock.pending:
+                await asyncio.sleep(0.005)
+
+        asyncio.run(asyncio.wait_for(main(), timeout=5.0))
+        assert log == ["a", "b", "c"]
+        clock.close()
+        with pytest.raises(NetworkError, match="already stopped"):
+            clock.after(0.0, lambda: None)
+        with pytest.raises(NetworkError, match="already stopped"):
+            clock.post(0.0, lambda: None)
+        assert clock.pending == 0
 
     def test_at_in_the_past_fires_immediately(self):
         async def main():
             clock = WallClock()
+            clock.bind(asyncio.get_running_loop())
             log = []
             await asyncio.sleep(0.02)
             clock.at(0.0, lambda: log.append(clock.now))  # already past
@@ -155,6 +183,7 @@ class TestWallClock:
     def test_callback_failures_are_captured_not_swallowed_by_loop(self):
         async def main():
             clock = WallClock()
+            clock.bind(asyncio.get_running_loop())
             clock.after(0.0, lambda: 1 / 0)
             await asyncio.sleep(0.02)
             return clock
@@ -426,8 +455,7 @@ class TestSimLiveEquivalence:
             pytest.skip(f"cannot open UDP sockets: {exc}")
         assert converged
         assert live.query_rows() == sim_fixpoint
-        fabric = live.cluster.fabric
-        assert fabric.datagrams_sent > 0  # deltas really crossed sockets
+        assert live.fabric.datagrams_sent > 0  # deltas crossed sockets
 
     def test_udp_live_with_timed_windows_loses_no_frame(
         self, sp_compiled, eight_node_overlay, sim_fixpoint
@@ -445,16 +473,16 @@ class TestSimLiveEquivalence:
             pytest.skip(f"cannot open UDP sockets: {exc}")
         assert converged
         assert live.query_rows() == sim_fixpoint
-        fabric = live.cluster.fabric
-        stats = live.cluster.stats
+        fabric = live.fabric
+        stats = live.stats
         assert stats.netdeltas_shipped > stats.messages  # frames share
         assert fabric.datagrams_sent == fabric.datagrams_received > 0
         assert fabric.malformed_dropped == 0
         assert fabric.in_flight == 0
 
-    def test_live_watch_and_buffered_inject(self, eight_node_overlay):
-        """Pre-start watch/inject are replayed once the network is up;
-        commit observation runs on wall time."""
+    def test_live_watch_and_inject_before_start(self, eight_node_overlay):
+        """Pre-start watch/inject run at the call and their ticks wait
+        for start(); commit observation runs on wall time."""
         program = parse(
             """
             R1: reach(@D, S) :- #edge(@S, @D).
@@ -489,14 +517,38 @@ class TestSimLiveEquivalence:
 
     def test_unknown_backend_rejected(self, sp_compiled, eight_node_overlay):
         with pytest.raises(NetworkError, match="channel backend"):
-            LiveDeployment(sp_compiled, eight_node_overlay,
-                           channels="carrier-pigeon")
+            sp_compiled.deploy(topology=eight_node_overlay, target="live",
+                               channels="carrier-pigeon")
 
-    def test_data_verbs_require_start(self, sp_compiled, eight_node_overlay):
+    def test_readers_answer_before_start(self, sp_compiled,
+                                         eight_node_overlay):
+        """The cluster is built at deploy(): before start() the tables
+        are there, still empty (the link relations wait behind the held
+        clock), and config / now answer too."""
         live = sp_compiled.deploy(topology=eight_node_overlay,
                                   target="live")
-        with pytest.raises(NetworkError, match="not started"):
-            live.query_rows()
+        assert live.rows("link") == frozenset()
+        assert live.query_rows() == frozenset()
+        assert live.config == RuntimeConfig()
+        assert live.now == 0.0
+        assert live.clock.pending > 0  # the nodes' first ticks, held
+
+    def test_a_verb_naming_an_unknown_node_fails_at_the_call(
+        self, sp_compiled, eight_node_overlay, sim_fixpoint
+    ):
+        """Before start() a verb runs when it is called: an unknown node
+        is refused there, before any node task exists, and nothing else
+        the deployment was given is dropped."""
+        live = sp_compiled.deploy(
+            topology=eight_node_overlay, link_loads={"link": "hopcount"},
+            target="live",
+        )
+        a = eight_node_overlay.nodes[0]
+        with pytest.raises(NetworkError, match="unknown node 'nope'"):
+            live.inject("nope", "link", ("nope", a, 1.0))
+        assert not live._tasks
+        assert live.converge(timeout=60.0)
+        assert live.query_rows() == sim_fixpoint
 
     def test_workload_verbs_after_stop_raise_clearly(
         self, sp_compiled, eight_node_overlay

@@ -346,7 +346,7 @@ class TestTracing:
         assert deployment.stats.faults_injected
 
     def test_watchdog_teardown_becomes_trace_event(self, observed):
-        observed.cluster.fail_link("n0", "n1")
+        observed.fail_link("n0", "n1")
         kinds = [event.kind for event in observed.tracer.events]
         assert "link_teardown" in kinds
 
@@ -595,10 +595,10 @@ class TestObserverSeam:
         assert len(seen) == delivered
 
         swept = deploy_line()
-        manager = SoftStateManager(swept.cluster)
+        manager = SoftStateManager(swept)
         assert all(node.observer is None for node in nodes_of(swept))
         manager.install()
-        assert swept.cluster.trackers == [manager]
+        assert swept.trackers == [manager]
         assert all(node.observer is not None for node in nodes_of(swept))
 
         # Deployed with a flag, every node is watched from the start

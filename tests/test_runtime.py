@@ -204,7 +204,7 @@ class TestBatchedTicks:
         cluster, node, ticks = self.echo_cluster(cpu_batch=16)
         delay = cluster.config.cpu_delay
         self.inject_items(cluster, node, 10)
-        cluster.sim.at(15 * delay,
+        cluster.clock.at(15 * delay,
                        lambda: self.inject_items(cluster, node, 1, 10))
         cluster.run(until=19.5 * delay)
         assert ticks == [1, 11] and node._tick_scheduled
@@ -227,9 +227,9 @@ class TestBatchedTicks:
         self.inject_items(cluster, node, 10)
         # max(now + cpu_delay, _busy_until): the last cpu_delay of the
         # window is no shorter a wait than an idle node's.
-        cluster.sim.at(19.5 * delay,
+        cluster.clock.at(19.5 * delay,
                        lambda: self.inject_items(cluster, node, 1, 10))
-        cluster.sim.at(30 * delay,
+        cluster.clock.at(30 * delay,
                        lambda: self.inject_items(cluster, node, 1, 11))
         assert cluster.run() == pytest.approx(32 * delay)
         assert ticks == [1, 11, 20.5, 21.5, 31, 32]
@@ -242,7 +242,7 @@ class TestBatchedTicks:
         cluster, node, ticks = self.echo_cluster(cpu_batch=1)
         delay = cluster.config.cpu_delay
         self.inject_items(cluster, node, 10)
-        cluster.sim.at(25 * delay,
+        cluster.clock.at(25 * delay,
                        lambda: self.inject_items(cluster, node, 1, 10))
         events = cluster.clock.events_processed
         assert cluster.run() == pytest.approx(27 * delay)
@@ -266,7 +266,7 @@ class TestBatchedTicks:
         # Arrives while the node is down *and* inside its booked window:
         # the tick lands at _busy_until, finds the node paused, and
         # parks until the restart plus one cpu_delay.
-        cluster.sim.at(16 * delay,
+        cluster.clock.at(16 * delay,
                        lambda: self.inject_items(cluster, node, 3, 10))
         cluster.run(until=39 * delay)
         assert ticks == [1, 11, 20]
@@ -438,7 +438,7 @@ class TestReceiveARun:
                                      link_loads={"link": "latency"},
                                      **options)
         deployment.advance()
-        return deployment, deployment.cluster.node("n0")
+        return deployment, deployment.node("n0")
 
     def run_of(self, **tags):
         from repro.net.message import NetDelta
@@ -488,7 +488,7 @@ class TestReceiveARun:
 
     def test_one_receive_span_per_traced_delta(self, overlay):
         deployment, node = self.deploy(overlay, trace=True)
-        events = deployment.cluster.tracer.events
+        events = deployment.tracer.events
         del events[:]
         node.receive(
             self.run_of(trace=[21, None, 22, 23, None, 24]), "n1")
@@ -594,7 +594,7 @@ class TestMagicAndCaching:
         cluster = Cluster(overlay, programs.multi_query_magic(), config,
                           link_loads={"link": "hopcount"})
         for index, (src, dst) in enumerate(queries):
-            cluster.sim.at(0.2 * index,
+            cluster.clock.at(0.2 * index,
                            lambda s=src, d=dst, i=index: cluster.inject(
                                s, "magicQuery", (s, f"q{i}", d)))
         cluster.run()

@@ -44,7 +44,7 @@ def test_retained_memory_stays_flat_over_bursts():
             topology=overlay, config=RuntimeConfig(buffer_interval=0.2),
             link_loads={"link": "latency"})
         deployment.advance()
-        driver = LinkUpdateDriver(deployment.cluster, metric="latency",
+        driver = LinkUpdateDriver(deployment, metric="latency",
                                   fraction=1.0, seed=SEED)
         retained, stored = {}, {}
         for burst in range(1, 41):

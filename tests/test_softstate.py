@@ -464,7 +464,7 @@ class TestManager:
                 key = (fact.pred, fact.args)
                 signs.setdefault(key, []).append(1 if weight > 0 else -1)
 
-        cluster.subscribe(Listener())
+        cluster.listen(Listener())
         manager = SoftStateManager(cluster, SWEEP)
         manager.install()
         manager.schedule_refresh("beacon", rows_by_node, interval=0.5,
@@ -500,7 +500,7 @@ class TestObservers:
         assert tracker.retracted_weight == 0
         # Completion time is when the row appeared, not its last refresh.
         assert max(tracker.last_insert.values()) < 0.5
-        snapshot = cluster.metrics_snapshot()
+        snapshot = cluster.metrics()
         totals = snapshot.relation_totals()
         assert totals["beacon"]["commits"] == total
         assert totals["beacon"]["renewals"] == total * self.ROUNDS

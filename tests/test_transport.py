@@ -51,7 +51,7 @@ class StubCluster:
             return sim.now
 
     def __init__(self, *tables):
-        self.sim = self.clock = Simulator()
+        self.clock = Simulator()
         self.stats = TrafficStats()
         self.sent = []
         self._channel = self._Channel(self.sent)
@@ -66,7 +66,7 @@ class StubCluster:
 
 
 def drain(cluster):
-    cluster.sim.run()
+    cluster.clock.run()
 
 
 class TestDirectMode:
@@ -584,7 +584,7 @@ class TestRunsReachTheInterpreterFixpoint:
                                  cpu_batch, provenance=True)
         deployment.advance()
         check_fixpoint(deployment,
-                       list(deployment.cluster.overlay.link_rows("latency")))
+                       list(deployment.overlay.link_rows("latency")))
 
     def test_recost_burst(self, transport, cpu_batch):
         # Net-change elimination assumes the aggregate-selections
@@ -593,7 +593,7 @@ class TestRunsReachTheInterpreterFixpoint:
                                  ["aggsel", "localize"], transport,
                                  cpu_batch, provenance=False)
         deployment.advance()
-        driver = LinkUpdateDriver(deployment.cluster, metric="latency",
+        driver = LinkUpdateDriver(deployment, metric="latency",
                                   fraction=0.5, magnitude=0.5, seed=3)
         driver.apply_burst()
         deployment.advance()
@@ -628,7 +628,7 @@ class TestRunOnTheWire:
         deployment = compiled.deploy(
             topology=overlay10(), link_loads={"link": "latency"},
             config=RuntimeConfig(**config))
-        for channel in deployment.cluster._channels.values():
+        for channel in deployment._channels.values():
             real_transmit = channel.transmit
 
             def transmit(clock, message, deliver, rng=None,
@@ -660,7 +660,7 @@ class TestRunOnTheWire:
             assert arrived == sent
         # One message per (chunk, destination) pair that had heads.
         pairs = {(src, chunk, dst) for src, dst, chunk, _delta in emitted}
-        stats = deployment.cluster.stats
+        stats = deployment.stats
         assert stats.messages == len(carried) == len(pairs)
         assert stats.netdeltas_shipped == len(emitted)
         if cpu_batch > 1:

@@ -222,7 +222,7 @@ def sim_rows(zset_compiled, six_node_overlay):
     deployment = zset_compiled.deploy(topology=six_node_overlay,
                                       link_loads={"link": "hopcount"})
     deployment.advance()
-    stats = deployment.cluster.stats
+    stats = deployment.stats
     assert stats.netdeltas_shipped > 0  # the weighted wire was exercised
     return deployment.query_rows()
 

@@ -71,7 +71,10 @@ class WallTimer:
         self.cancelled = True
         if self._handle is not None:
             self._handle.cancel()
-        self._clock._pending -= 1
+        clock = self._clock
+        clock._pending -= 1
+        if clock._pending == 0 and clock.on_drain is not None:
+            clock.on_drain()
 
 
 class WallClock(Clock):
@@ -86,7 +89,12 @@ class WallClock(Clock):
     would fire the timer is gone.  Callback exceptions are captured on
     :attr:`failures` rather than left to the loop's exception handler,
     so the live runtime can surface them at
-    :meth:`~repro.runtime.live.LiveCluster.stop` time.
+    :meth:`~repro.runtime.live.LiveCluster.stop` time; a
+    ``KeyboardInterrupt`` or ``SystemExit`` is not a callback failure
+    and leaves the loop at once.  ``on_drain``, when set, is called
+    each time ``pending`` falls to 0 (after the callback that fired,
+    or at a cancellation): the live runtime's quiescence wait wakes on
+    it.
     """
 
     def __init__(self):
@@ -98,7 +106,8 @@ class WallClock(Clock):
         self._pending = 0
         self.events_processed = 0
         #: ``(now, exception)`` pairs from callbacks that raised.
-        self.failures: List[Tuple[float, BaseException]] = []
+        self.failures: List[Tuple[float, Exception]] = []
+        self.on_drain: Optional[Callable[[], None]] = None
 
     @property
     def now(self) -> float:
@@ -146,8 +155,10 @@ class WallClock(Clock):
         self.events_processed += 1
         try:
             callback()
-        except BaseException as exc:  # noqa: BLE001 -- surfaced at stop()
+        except Exception as exc:  # noqa: BLE001 -- surfaced at stop()
             self.failures.append((self.now, exc))
+        if self._pending == 0 and self.on_drain is not None:
+            self.on_drain()
 
     def at(self, time: float, callback: Callable[[], None]) -> WallTimer:
         """Schedule at absolute clock time ``time``; times already past

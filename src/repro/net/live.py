@@ -344,9 +344,15 @@ class UdpFabric:
         """No datagrams believed to still be on the wire: either none
         outstanding, or the outstanding ones have been silent past the
         loss grace (kernel-dropped)."""
+        return self.grace_left() == 0.0
+
+    def grace_left(self) -> float:
+        """Wall seconds until :attr:`settled` turns True if no datagram
+        is sent or received meanwhile; 0.0 once it is."""
         if self.in_flight <= 0:
-            return True
-        return time.monotonic() - self.last_activity >= self.loss_grace
+            return 0.0
+        return max(0.0, self.last_activity + self.loss_grace
+                   - time.monotonic())
 
     def close(self) -> None:
         for transport in self._transports.values():

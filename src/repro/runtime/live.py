@@ -53,6 +53,11 @@ __all__ = ["LiveCluster", "LiveDeployment"]
 _SHUTDOWN = None
 
 
+def _resolve(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
+
+
 class LiveCluster(Cluster):
     """A deployed declarative network on wall-clock time.
 
@@ -88,14 +93,17 @@ class LiveCluster(Cluster):
         self.fabric = UdpFabric(host) if channels == "udp" else None
         self._inboxes: Dict[str, asyncio.Queue] = {}
         self._tasks: List[asyncio.Task] = []
-        self._task_failures: List[Tuple[str, BaseException]] = []
+        self._task_failures: List[Tuple[str, Exception]] = []
         self._started = False
+        #: Futures of the :meth:`quiescent` calls waiting for a wake-up.
+        self._waiters: List[asyncio.Future] = []
         super().__init__(overlay, program, config, link_loads,
                          clock=WallClock())
+        self.clock.on_drain = self._wake
         if self.fabric is not None:
             # Route datagrams through the full delivery path (chaos
             # guard + reliable filter), not straight to the inboxes.
-            self.fabric.on_message = self.deliver
+            self.fabric.on_message = self._arrive
             self.fabric.stats = self.stats
 
     def _make_channel(self, a: str, b: str, metrics) -> Channel:
@@ -139,35 +147,64 @@ class LiveCluster(Cluster):
 
     async def _node_loop(self, name: str, inbox: asyncio.Queue) -> None:
         """One node's ingestion task: messages in, deltas to the engine
-        (the simulated cluster's dispatch, one task hop later)."""
+        (the simulated cluster's dispatch, one task hop later).  The
+        task that empties its inbox with no timer pending wakes a
+        waiting :meth:`quiescent`: that dispatch may have been the
+        network's last piece of work."""
         while True:
             message = await inbox.get()
             if message is _SHUTDOWN:
                 return
             try:
                 super()._dispatch(message)
-            except BaseException as exc:  # noqa: BLE001 -- surfaced at stop
+            except Exception as exc:  # noqa: BLE001 -- surfaced at stop
                 self._task_failures.append((name, exc))
+            if inbox.empty() and self.clock.pending == 0:
+                self._wake()
 
     async def quiescent(  # type: ignore[override]
-        self,
-        timeout: float = 30.0,
-        poll: float = 0.02,
-        settle: int = 3,
+        self, timeout: float = 30.0
     ) -> bool:
-        """Wait (in wall time) until the network is quiescent: ``settle``
-        consecutive :attr:`idle` samples ``poll`` seconds apart.  Returns
-        True on quiescence, False if ``timeout`` elapses first."""
+        """Wait (in wall time) until the network is :attr:`idle`.
+        Returns True on quiescence, False if ``timeout`` elapses first.
+
+        Nothing is polled: :attr:`idle` is checked once on entry (an
+        idle network returns without yielding) and then once per
+        wake-up.  The wake-ups come where the network can go idle: the
+        clock's last pending timer fires or is cancelled, a node task
+        empties its inbox with no timer pending, a datagram arrives with
+        no timer pending (the chaos guard or the reliable filter may
+        drop it), and, while datagrams are outstanding, the fabric's
+        loss grace runs out (a datagram the kernel dropped never
+        arrives to report itself)."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        streak = 0
-        while True:
-            streak = streak + 1 if self.idle else 0
-            if streak >= settle:
-                return True
-            if loop.time() >= deadline:
+        fabric = self.fabric
+        while not self.idle:
+            now = loop.time()
+            if now >= deadline:
                 return False
-            await asyncio.sleep(poll)
+            wake_at = deadline
+            if fabric is not None:
+                grace = fabric.grace_left()
+                if grace:
+                    wake_at = min(wake_at, now + grace)
+            waiter = loop.create_future()
+            self._waiters.append(waiter)
+            alarm = loop.call_at(wake_at, _resolve, waiter)
+            try:
+                await waiter
+            finally:
+                alarm.cancel()
+        return True
+
+    def _wake(self) -> None:
+        """Resume every waiting :meth:`quiescent` (each re-checks
+        :attr:`idle` itself)."""
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                _resolve(waiter)
 
     async def stop(self) -> None:  # type: ignore[override]
         """Drain and stop every node task, close sockets and the wall
@@ -201,7 +238,7 @@ class LiveCluster(Cluster):
         return ok
 
     def raise_failures(self) -> None:
-        failures: List[Tuple[str, BaseException]] = list(self._task_failures)
+        failures: List[Tuple[str, Exception]] = list(self._task_failures)
         failures.extend(
             ("clock", exc) for _now, exc in self.clock.failures
         )
@@ -221,12 +258,31 @@ class LiveCluster(Cluster):
             raise NetworkError(f"message to unknown node {message.dst}")
         inbox.put_nowait(message)
 
+    def _arrive(self, message: Message) -> None:
+        """A datagram came off a socket: deliver it, and wake a
+        waiting :meth:`quiescent` if no timer is pending -- a delivery
+        the chaos guard or the reliable filter drops queues nothing
+        for a node task to report."""
+        self.deliver(message)
+        if self.clock.pending == 0:
+            self._wake()
+
     # -- quiescence -----------------------------------------------------
     @property
     def idle(self) -> bool:
-        """Instantaneous idleness: no timers, no undelivered messages,
-        no queued deltas.  One sample can race an in-flight datagram's
-        kernel hop; :meth:`quiescent` requires a settle streak."""
+        """No timers, no undelivered messages, no queued deltas.
+
+        One check is exact, because every sign of work changes inside
+        the synchronous callback that creates the work: the clock
+        counts a timer (node tick, in-process delivery, flush, ack,
+        retransmit) until it fires, and whatever its callback starts is
+        counted before the callback returns; a delivery puts the
+        message on an inbox, where it counts until the node task takes
+        it and dispatches it without yielding; and the UDP fabric
+        counts a datagram from ``sendto`` until ``datagram_received``
+        (or until the loss grace declares it dropped).  So no work
+        hides between two signs, and an idle network stays idle until
+        someone injects more."""
         down = (
             self.chaos.dead_nodes(self.clock.now)
             if self.chaos is not None else frozenset()

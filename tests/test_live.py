@@ -1,9 +1,11 @@
 """The live execution target and the seams it shares with the sim:
 Clock conformance (virtual vs wall), the wire format, sim-vs-live
-fixpoint equivalence over in-process channels, and UDP convergence."""
+fixpoint equivalence over in-process channels, UDP convergence, and
+the event-driven quiescence wait."""
 
 import asyncio
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from repro.net.live import (
 from repro.net.message import Message, NetDelta, single
 from repro.net.sim import Simulator
 from repro.net.stats import TrafficStats
-from repro.runtime import LiveCluster, RuntimeConfig
+from repro.runtime import LinkUpdateDriver, LiveCluster, RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 
 
@@ -191,6 +193,25 @@ class TestWallClock:
         clock = asyncio.run(main())
         assert len(clock.failures) == 1
         assert isinstance(clock.failures[0][1], ZeroDivisionError)
+
+    def test_keyboard_interrupt_in_a_callback_leaves_the_loop(self):
+        """An interrupt is not a callback failure: it is not filed on
+        ``failures`` and the run does not carry on behind it."""
+        clock = WallClock()
+        log = []
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        async def main():
+            clock.bind(asyncio.get_running_loop())
+            clock.after(0.0, interrupt)
+            clock.after(0.05, lambda: log.append("ran on"))
+            await asyncio.sleep(1.0)
+
+        with pytest.raises(KeyboardInterrupt):
+            asyncio.run(main())
+        assert clock.failures == [] and log == []
 
 
 # ----------------------------------------------------------------------
@@ -583,3 +604,171 @@ class TestSimLiveEquivalence:
             await cluster.stop()
 
         asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# Quiescence: an event-driven wait with one exact idle check
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sp_dynamic():
+    return repro.compile(programs.shortest_path_dynamic(),
+                         passes=["aggsel", "localize"])
+
+
+def seeded_overlay(seed):
+    return build_overlay(transit_stub(seed=seed), n_nodes=8, degree=3,
+                         seed=seed)
+
+
+def deploy_dynamic(compiled, overlay, **kwargs):
+    return compiled.deploy(topology=overlay, link_loads={"link": "latency"},
+                           config=RuntimeConfig(cpu_delay=0.0), **kwargs)
+
+
+def burst(deployment, seed):
+    LinkUpdateDriver(deployment, metric="latency", fraction=1.0,
+                     seed=seed).apply_burst()
+
+
+def stamp_work(live, stamps):
+    """Append ``time.monotonic()`` to ``stamps`` as every timer callback
+    and every node dispatch of ``live`` returns (install before start)."""
+    fire = live.clock._fire
+
+    def fired(timer, callback):
+        fire(timer, callback)
+        stamps.append(time.monotonic())
+
+    live.clock._fire = fired
+    for node in live.nodes.values():
+        def received(deltas, origin=None, receive=node.receive):
+            receive(deltas, origin)
+            stamps.append(time.monotonic())
+
+        node.receive = received
+
+
+class TestQuiescence:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_the_first_idle_check_is_the_fixpoint(self, sp_dynamic, seed):
+        """One idle check is enough: when quiescent() returns True after
+        a burst, every node already holds the simulator's fixpoint."""
+        overlay = seeded_overlay(seed)
+        sim = deploy_dynamic(sp_dynamic, overlay)
+        sim.advance()
+        burst(sim, seed)
+        sim.advance()
+
+        async def main():
+            live = deploy_dynamic(sp_dynamic, overlay, target="live")
+            await live.start()
+            try:
+                assert await live.quiescent(timeout=30.0)
+                burst(live, seed)
+                assert await live.quiescent(timeout=30.0)
+                return live.query_rows()
+            finally:
+                await live.stop()
+
+        rows = asyncio.run(main())
+        assert rows == sim.query_rows()
+        assert rows  # the comparison is not vacuous
+
+    def test_returns_within_5ms_of_the_last_timer_or_dispatch(
+            self, sp_dynamic):
+        async def main():
+            live = deploy_dynamic(sp_dynamic, seeded_overlay(5),
+                                  target="live")
+            stamps = []
+            stamp_work(live, stamps)
+            lags = []
+            await live.start()
+            try:
+                for step in range(2):
+                    if step:
+                        burst(live, 5)
+                    count = len(stamps)
+                    assert await live.quiescent(timeout=30.0)
+                    lags.append(time.monotonic() - stamps[-1])
+                    assert len(stamps) > count  # work happened
+            finally:
+                await live.stop()
+            return lags
+
+        lags = asyncio.run(main())
+        assert max(lags) < 0.005, lags
+
+    def test_an_idle_deployment_returns_without_sleeping(
+            self, sp_compiled, eight_node_overlay):
+        async def main():
+            live = sp_compiled.deploy(topology=eight_node_overlay,
+                                      link_loads={"link": "hopcount"},
+                                      target="live")
+            await live.start()
+            try:
+                assert await live.quiescent(timeout=30.0)
+                waiting = live.quiescent(timeout=30.0)
+                # The first step of the coroutine finishes it: it never
+                # suspends, so it never reaches the event loop.
+                with pytest.raises(StopIteration) as finished:
+                    waiting.send(None)
+                return finished.value.value
+            finally:
+                await live.stop()
+
+        assert asyncio.run(main()) is True
+
+    def test_a_lost_datagram_ends_the_wait_after_the_loss_grace(
+            self, sp_compiled, eight_node_overlay):
+        """A datagram the kernel dropped never arrives to wake the
+        wait: the loss-grace alarm does, long before the timeout."""
+        async def main():
+            live = sp_compiled.deploy(topology=eight_node_overlay,
+                                      link_loads={"link": "hopcount"},
+                                      target="live", channels="udp")
+            await live.start()
+            fabric = live.fabric
+            try:
+                assert await live.quiescent(timeout=30.0)
+                fabric.in_flight += 1  # sent, never to arrive
+                fabric.last_activity = time.monotonic()
+                assert not live.idle
+                start = time.monotonic()
+                ok = await live.quiescent(timeout=10.0)
+                return ok, time.monotonic() - start, fabric.loss_grace
+            finally:
+                fabric.in_flight = 0
+                await live.stop()
+
+        try:
+            ok, waited, grace = asyncio.run(main())
+        except OSError as exc:  # no loopback sockets in this sandbox
+            pytest.skip(f"cannot open UDP sockets: {exc}")
+        assert ok
+        assert grace - 0.01 <= waited < grace + 0.25, (waited, grace)
+
+    def test_keyboard_interrupt_in_a_dispatch_leaves_the_loop(
+            self, sp_compiled, eight_node_overlay):
+        """A node task files an exception for stop() but lets an
+        interrupt through: the run ends there, not at the timeout."""
+        live = sp_compiled.deploy(topology=eight_node_overlay,
+                                  link_loads={"link": "hopcount"},
+                                  target="live")
+        node = live.nodes[eight_node_overlay.nodes[0]]
+
+        def interrupt(deltas, origin=None):
+            raise KeyboardInterrupt
+
+        node.receive = interrupt
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            live.converge(timeout=10.0)
+        assert time.monotonic() - start < 5.0
+        assert live._task_failures == []
+        # The node task ended on the interrupt (reading it here also
+        # keeps asyncio from logging it as never retrieved).
+        interrupted = [task for task in live._tasks
+                       if task.done() and not task.cancelled()
+                       and task.exception() is not None]
+        assert [type(task.exception()) for task in interrupted] \
+            == [KeyboardInterrupt]

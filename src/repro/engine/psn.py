@@ -17,12 +17,14 @@ tuple, ``(pred, args, weight, force, trace)``: ``weight`` derivations
 of ``pred(args)`` asserted (``> 0``) or withdrawn (``< 0``).  ``force``
 removes the row regardless of its derivation count (external base
 deletions) -- an *assignment*, outside the weight algebra, so forced
-intents never net.  ``trace`` is the delta-propagation trace id the
-intent belongs to (minted at base-fact injection; ``None`` when
-tracing is off).  That
-one tuple is all that travels: a strand kernel appends head tuples to
-a list, :meth:`PSNEngine._emit` turns the list into rows on the queue
-in one call, netting and run splitting read rows by position, and the
+intents never net; under provenance an unforced base intent carries
+``None`` there (falsy like ``False``), so its base support is booked
+where it commits or nets, not where it is queued.  ``trace`` is the
+delta-propagation trace id the intent belongs to (minted at base-fact
+injection; ``None`` when tracing is off).  That one tuple is all that
+travels: a strand kernel appends head tuples to a list,
+:meth:`PSNEngine._emit` turns the list into rows on the queue in one
+call, netting and run splitting read rows by position, and the
 commit hands ``args`` and ``weight`` to the table.  A :class:`Fact` is
 built only where one is consumed -- here for the provenance recorder,
 behind the observer handle (:mod:`repro.obs.observer`) for ``on_commit``
@@ -304,10 +306,6 @@ class PSNEngine:
             for strand in strand_list:
                 # Binding now registers every probed index up front.
                 strand.bind(capture=provenance is not None)
-        #: The catalog plans were costed against; live deployments feed
-        #: observed cardinalities and churn back into it
-        #: (``Cluster.refresh_stats``), the adaptive-cost-model input.
-        self.stats_catalog = stats
         #: Predicates whose runs are capped at one delta: any predicate
         #: that drives a strand also joining against itself (a longer
         #: run would double- or under-count the self-join), plus
@@ -394,21 +392,23 @@ class PSNEngine:
     def inject_run(self, pred: str, rows, weight: int = 1,
                    force: bool = False) -> None:
         """Base-fact injection of a run of ``pred`` rows (:meth:`insert`
-        and :meth:`delete` are runs of one).  Observed, each row is noted
-        as base support and mints the trace id its derivations carry.
-        As in :meth:`derive`, a zero ``weight`` is a no-op."""
+        and :meth:`delete` are runs of one).  Traced, each row mints the
+        trace id its derivations carry.  Under provenance an unforced
+        row carries ``None`` for ``force``: it is base support, booked
+        where it commits (:meth:`_book_base`) -- never here, where a
+        forced delete or displacement committing ahead of it would wipe
+        it.  As in :meth:`derive`, a zero ``weight`` is a no-op."""
         if not weight:
             return
-        provenance, observer = self.provenance, self.observer
+        observer = self.observer
         traced = observer is not None and observer.traced
-        if provenance is None and not traced:
+        if self.provenance is not None:
+            force = force or None
+        elif not traced:
             self.queue.extend([(pred, tuple(args), weight, force, None)
                                for args in rows])
             return
         rows = [tuple(args) for args in rows]
-        if provenance is not None:
-            for args in rows:
-                provenance.base(Fact(pred, args), weight)
         traces = (observer.inject(pred, rows, weight) if traced
                   else repeat(None))
         self.queue.extend([(pred, args, weight, force, trace)
@@ -433,7 +433,7 @@ class PSNEngine:
         self._derive(fact.pred, fact.args, int(weight))
 
     def _derive(self, pred: str, args: Tuple, weight: int) -> None:
-        """:meth:`derive` on a bare row (view outputs, wire arrivals)."""
+        """:meth:`derive` on a bare row (view outputs, cache answers)."""
         if weight:
             trace = self._active_trace
             if trace is not None:
@@ -461,15 +461,14 @@ class PSNEngine:
 
     def seed_existing(self) -> None:
         """Move rows loaded before the engine existed onto the queue, so
-        they flow through the same commit pipeline as everything else."""
-        provenance = self.provenance
+        they flow through the same commit pipeline as everything else
+        (base rows, as :meth:`inject_run` tags them)."""
+        base = None if self.provenance is not None else False
         for table in self.db.tables.values():
             for args in table.rows():
                 count = table.count(args)
                 table.force_delete(args)
-                if provenance is not None:
-                    provenance.base(Fact(table.name, args), count)
-                self._enqueue((table.name, args, count, False, None))
+                self._enqueue((table.name, args, count, base, None))
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Process queued deltas until quiescent; returns steps taken.
@@ -637,7 +636,12 @@ class PSNEngine:
             if weight is None:
                 survivors.append(row)
                 continue
-            pred, args, own_weight, _, trace = row
+            pred, args, own_weight, force, trace = row
+            if force is None:
+                # Netting is where a base intent commits (nothing else
+                # in this chunk can retract its fact: that would be a
+                # forced row or another version in the same slot).
+                self.provenance.base(Fact(pred, args), own_weight)
             if weight == 0:
                 netted += 1
             elif position == group[2][0]:
@@ -697,7 +701,7 @@ class PSNEngine:
         key_of, get_by_key, insert, bump_run = (
             table.key_of, table.get_by_key, table.insert, table.bump_run
         )
-        observer = self.observer
+        observer, provenance = self.observer, self.provenance
         tracing = observer is not None and observer.traced
         renewed = 0
         traced_renewals: List[QueueRow] = []
@@ -713,6 +717,8 @@ class PSNEngine:
             # A refresh round ends at this call.
             opened = bump_run(rows, index, stop, deadline)
             if opened > index:
+                if provenance is not None:
+                    self._book_base(rows, index, opened)
                 self.clock += opened - index
                 if deadline is not None:
                     renewed += opened - index
@@ -735,6 +741,8 @@ class PSNEngine:
                     # place like the ones ahead of it.
                     self.clock += 1
                     insert(args, row[2], deadline)
+                    if row[3] is None:
+                        provenance.base(Fact(pred, args), row[2])
                     if deadline is not None:
                         renewed += 1
                         if row[4] is not None:
@@ -760,7 +768,6 @@ class PSNEngine:
                     for _, old, _, _, trace in displaced:
                         observer.commit(pred, old, -count_of(old), trace)
                 self._fire_strands(displaced, -1)
-                provenance = self.provenance
                 for row in displaced:
                     if provenance is not None:
                         provenance.retracted(Fact(pred, row[1]))
@@ -772,6 +779,8 @@ class PSNEngine:
                 insert(args, row[2], deadline)
                 if observer is not None:
                     observer.commit(pred, args, row[2], row[4])
+            if provenance is not None:
+                self._book_base(fresh, 0, len(fresh))
             if tracing:
                 # What a firing derives outside its kernel (a query
                 # answered from the cache: a run of one) joins this trace.
@@ -807,6 +816,8 @@ class PSNEngine:
         for index in range(start, stop):
             row = rows[index]
             args, force = row[1], row[3]
+            if force is None:
+                self.provenance.base(Fact(pred, args), row[2])
             if tracing:
                 self._active_trace = row[4]
             count = -row[2]
@@ -824,13 +835,24 @@ class PSNEngine:
                 dying.append(row)
             if force and self.provenance is not None:
                 # The row is dropped wholesale, whatever support it
-                # still has; a counted delete was already decremented
-                # by its own ``-1`` firings (and a re-derivation still
-                # on the queue may have recorded fresh support).
+                # has committed; a counted delete was already
+                # decremented by its own ``-1`` firings (a base intent
+                # still queued books its support when it commits, but a
+                # re-derivation still queued has recorded its own).
                 self.provenance.retracted(Fact(pred, args))
             force_delete(args)
         if dying:
             self._fire_strands(dying, -1)
+
+    def _book_base(self, rows, start: int, stop: int) -> None:
+        """Book the base support of the base intents (``force`` is
+        ``None``: provenance is on) among ``rows[start:stop]``, which
+        are committing."""
+        base = self.provenance.base
+        for index in range(start, stop):
+            pred, args, weight, force, _ = rows[index]
+            if force is None:
+                base(Fact(pred, args), weight)
 
     def _fire_strands(self, rows, sign: int) -> None:
         """Fire every strand of the run's predicate once with the whole
@@ -883,18 +905,13 @@ class PSNEngine:
         if out:
             self.inferences += inferences
             if capture is not None:
-                for index, (head, body) in enumerate(out):
+                for head, body in out:
                     capture.record_fact(crule.label, Fact(pred, head), body,
                                         sign)
-                    if view is None:
-                        # Before the next record: a shipped head
-                        # piggybacks its latest derivation id.
-                        self._emit(pred, (head,), sign,
-                                   traces and traces[index:index + 1])
                 out = [head for head, _ in out]
-            elif view is None:
+            if view is None:
                 self._emit(pred, out, sign, traces)
-            if view is not None:
+            else:
                 # View rules are local rules: their output never ships.
                 view.apply_many(out, sign, traces)
         if timed or (inferences and metered):

@@ -17,7 +17,7 @@ decide how an arrival actually reaches the destination:
 Section 4.2 requires that "along any link in the network, there is a
 FIFO ordering of messages" (Theorem 4).  The emulation guarantees it
 structurally: per-direction departure times are monotone (a shared
-transmit queue) and the propagation latency is constant, so arrivals
+transmit queue) and the propagation latency is constant, so deliveries
 never reorder.  The asyncio backends preserve it because timers with
 nondecreasing deadlines fire in order and UDP on loopback does not
 reorder in practice.

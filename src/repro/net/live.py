@@ -104,7 +104,7 @@ def _wire(value, kind: type, what: str):
 
 def _wire_count(value, what: str, optional: bool = True):
     """``value`` if it is a non-negative int (or ``None`` where the
-    field is optional): the byte count, sequence numbers and tags."""
+    field is optional): the byte count, sequence numbers and trace id."""
     if value is None and optional:
         return None
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -113,22 +113,17 @@ def _wire_count(value, what: str, optional: bool = True):
 
 
 def encode_message(message: Message) -> bytes:
-    # Each delta is [pred, weight, args] with optional trailing
-    # elements: the provenance tag of the producing derivation and the
-    # delta-propagation trace id (each omitted when absent; a trace
-    # with no provenance ships an explicit null in the prov slot).
-    # Weight occupies the slot the old format used for the sign, and
-    # unit deltas encode identically under both readings, so frames
-    # from pre-weight senders decode natively (weight = sign).
+    # Each delta is [pred, weight, args], plus the delta-propagation
+    # trace id when the delta is traced.  Weight occupies the slot the
+    # old format used for the sign, and unit deltas encode identically
+    # under both readings, so frames from pre-weight senders decode
+    # natively (weight = sign).
     deltas = []
     for delta in message.deltas:
         entry = [delta.pred, delta.weight,
                  [_encode_value(arg) for arg in delta.args]]
         if delta.trace is not None:
-            entry.append(delta.prov)
             entry.append(delta.trace)
-        elif delta.prov is not None:
-            entry.append(delta.prov)
         deltas.append(entry)
     frame = {
         "s": message.src,
@@ -162,7 +157,7 @@ def decode_message(data: bytes) -> Message:
 
     Every field is type-checked where it is read: endpoints and
     predicates are strings, arguments a list, the shared-byte count,
-    sequence number, ack and the provenance / trace tags non-negative
+    sequence number, ack and the trace id non-negative
     ints (the optional ones may be absent or null), and values nest at
     most :data:`MAX_WIRE_NESTING` levels (a deeper frame than the JSON
     parser itself can take is refused the same way).
@@ -182,8 +177,7 @@ def decode_message(data: bytes) -> Message:
                 tuple(_decode_value(arg)
                       for arg in _wire(entry[2], list, "argument list")),
                 weight,
-                _wire_count(entry[3] if len(entry) > 3 else None, "prov"),
-                _wire_count(entry[4] if len(entry) > 4 else None, "trace"),
+                _wire_count(entry[3] if len(entry) > 3 else None, "trace"),
             ))
         message = Message(
             src=_wire(raw["s"], str, "source"),

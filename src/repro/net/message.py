@@ -74,20 +74,17 @@ class NetDelta:
     built (equality and hash are on ``(pred, args, weight)``); only the
     cached payload size is written later.
 
-    ``prov`` is an optional provenance tag: the derivation id (in the
-    deployment's shared provenance store) of the rule firing that
-    produced this tuple at the sender, piggybacked so the receiving
-    node can link its materialization back to the producing derivation.
-    ``trace`` is the delta-propagation trace id (:mod:`repro.obs`)
-    piggybacked the same way, so a trace's causal spans continue across
-    the wire.  Both are observability metadata: excluded from equality
-    and from the byte model (the paper's communication metric predates
-    them)."""
+    ``trace`` is the delta-propagation trace id (:mod:`repro.obs`),
+    piggybacked so a trace's causal spans continue across the wire.  It
+    is observability metadata: excluded from equality and from the byte
+    model (the paper's communication metric predates it).  No
+    provenance rides along: a deployment shares one provenance store
+    across its nodes, and that store already links a materialization
+    to the firing at the sender."""
 
     pred: str
     args: Tuple
     weight: int
-    prov: Optional[int] = field(default=None, compare=False)
     trace: Optional[int] = field(default=None, compare=False)
     _size: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -122,7 +119,7 @@ class Message:
     ``seq``/``ack`` are the reliable transport's per-direction sequence
     number and piggybacked cumulative ack (:mod:`repro.net.reliable`);
     a pure ack has ``ack`` set, ``seq`` ``None`` and no deltas.  Like
-    provenance tags they ride outside the byte model -- the paper's
+    trace ids they ride outside the byte model -- the paper's
     communication metric is the protocol payload, and the few bytes of
     transport framing are already covered by ``HEADER_BYTES``.
     """
@@ -156,11 +153,11 @@ class Message:
 def coalesce(deltas: Iterable[NetDelta]) -> Tuple[NetDelta, ...]:
     """Net a window of deltas by Z-set addition: same-``(pred, args)``
     entries merge into one carrying the summed weight (first-seen
-    order, zero sums dropped, latest non-``None`` provenance and trace
-    tags kept).  A delta that merged with nothing passes through as the
-    same object; only a merged entry is rebuilt.  A buffered transport
-    applies it once per window flush, so a link flap buffered within
-    one flush interval ships nothing at all."""
+    order, zero sums dropped, latest non-``None`` trace id kept).  A
+    delta that merged with nothing passes through as the same object;
+    only a merged entry is rebuilt.  A buffered transport applies it
+    once per window flush, so a link flap buffered within one flush
+    interval ships nothing at all."""
     net: Dict[Tuple[str, Tuple], NetDelta] = {}
     for delta in deltas:
         key = (delta.pred, delta.args)
@@ -168,10 +165,9 @@ def coalesce(deltas: Iterable[NetDelta]) -> Tuple[NetDelta, ...]:
         if entry is None:
             net[key] = delta
         else:
-            prov, trace = delta.prov, delta.trace
+            trace = delta.trace
             net[key] = NetDelta(
                 entry.pred, entry.args, entry.weight + delta.weight,
-                entry.prov if prov is None else prov,
                 entry.trace if trace is None else trace)
     return tuple([delta for delta in net.values() if delta.weight])
 

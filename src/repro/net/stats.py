@@ -22,7 +22,7 @@ class TrafficStats:
     dropped_no_link: int = 0
     messages: int = 0
     #: Reliable transport: retransmissions fired / pure acks flushed /
-    #: duplicate arrivals discarded / out-of-order arrivals released in
+    #: duplicate deliveries discarded / out-of-order deliveries released in
     #: order from the reassembly buffer.
     retransmits: int = 0
     acks_sent: int = 0

@@ -22,7 +22,7 @@ node, ``ship``, ``netted``, ``retransmit``, ``fault`` on the wire.
 Built without these flags and with no commit listener a deployment
 holds ``None`` and pays one check per site.  Provenance is deliberately
 *not* a subscriber: it is part of the run (it selects the capture
-kernel and must record a head before that head ships).
+kernel and books base support where a row commits).
 """
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, NodeMetrics

@@ -14,10 +14,6 @@ registry those observations hang off:
   already keeps: engine step/inference/cancellation counters, queue
   lengths, table cardinalities, aggregate-view change counters,
   :class:`~repro.net.stats.TrafficStats` wire totals.
-
-Snapshots feed live churn back into the optimizer's
-:class:`~repro.opt.costbased.StatsCatalog` (see
-``Cluster.refresh_stats``) -- the ROADMAP's adaptive-cost-model input.
 """
 
 from __future__ import annotations
@@ -109,14 +105,6 @@ class MetricsSnapshot:
             for key, value in counts.items():
                 slot[key] += value
         return totals
-
-    def churn(self) -> Dict[str, float]:
-        """Relation -> cumulative weighted commits + retractions: the
-        live activity feed for :class:`StatsCatalog.refresh`."""
-        out: Dict[str, float] = {}
-        for pred, counts in self.relation_totals().items():
-            out[pred] = counts["commits"] + counts["retractions"]
-        return out
 
     def counter_totals(self) -> Dict[str, float]:
         """The order-independent counters: identical across sim and

@@ -44,9 +44,9 @@ so a deployment holding only a ``watch()`` tracker pays for commits and
 nothing else.
 
 **Provenance is not a subscriber**, on purpose: the recorder does not
-watch the run, it is part of it.  It selects the capture kernel, and
-``record_fact`` must precede the ``ship`` that piggybacks
-``latest_live_id``; it stays its own handle beside this one.
+watch the run, it is part of it.  It selects the capture kernel and
+books base support where a row commits; it stays its own handle beside
+this one.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 A *trace id* is minted when a base fact is injected into an engine and
 rides along every queued delta derived from it -- through rule firings
 (``derive``), Z-set annihilation (``net``), the wire (``ship`` /
-``receive``, piggybacked on :class:`~repro.net.message.NetDelta` next
-to ``prov``), and table visibility transitions (``commit``).  The
-result answers "where did this delta's latency go?" across a rule
-firing, a wire hop and a remote commit -- on the simulator (virtual
-timestamps) and on live inproc/UDP targets (wall timestamps) alike.
+``receive``, piggybacked on :class:`~repro.net.message.NetDelta`),
+and table visibility transitions (``commit``).  The result answers
+"where did this delta's latency go?" across a rule firing, a wire hop
+and a remote commit -- on the simulator (virtual timestamps) and on
+live inproc/UDP targets (wall timestamps) alike.
 
 The spans are written by the observer seam
 (:mod:`repro.obs.observer`), whose handles append to one shared

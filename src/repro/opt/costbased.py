@@ -64,10 +64,6 @@ class StatsCatalog:
                  default_rows: float = DEFAULT_ROWS):
         self.sizes: Dict[str, float] = dict(sizes or {})
         self.default_rows = default_rows
-        #: Relation -> cumulative weighted commit+retraction activity,
-        #: fed by the metrics registry (``Cluster.refresh_stats``) so a
-        #: live deployment's churn is visible to cost decisions.
-        self.churn: Dict[str, float] = {}
 
     @classmethod
     def from_database(cls, db, default_rows: float = DEFAULT_ROWS) -> "StatsCatalog":
@@ -80,25 +76,6 @@ class StatsCatalog:
             if len(table):
                 sizes[name] = float(len(table))
         return cls(sizes, default_rows=default_rows)
-
-    def refresh(self, sizes: Optional[Dict[str, float]] = None,
-                churn: Optional[Dict[str, float]] = None) -> None:
-        """Fold live observations into the catalog: current table
-        cardinalities and cumulative commit/retraction churn per
-        relation (both from a deployment's metrics snapshot).  Existing
-        entries for relations absent from the update are kept -- a
-        refresh is incremental, not a reset."""
-        if sizes:
-            for pred, rows in sizes.items():
-                self.sizes[pred] = float(rows)
-        if churn:
-            for pred, activity in churn.items():
-                self.churn[pred] = float(activity)
-
-    def churn_of(self, pred: str) -> float:
-        """Cumulative weighted commit+retraction activity observed for
-        ``pred`` (0.0 when never refreshed)."""
-        return self.churn.get(pred, 0.0)
 
     def table_rows(self, pred: str) -> float:
         return self.sizes.get(pred, self.default_rows)

@@ -36,14 +36,12 @@ from repro.provenance.query import (
     why_not,
 )
 from repro.provenance.store import (
-    Arrival,
     Derivation,
     ProvenanceRecorder,
     ProvenanceStore,
 )
 
 __all__ = [
-    "Arrival",
     "AuditMismatch",
     "AuditReport",
     "Derivation",

@@ -34,15 +34,9 @@ Lifecycle mirrors the commit discipline of :mod:`repro.engine.psn`:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.facts import Fact
-
-#: Bound on the arrival log (one entry per tagged remote delta); the
-#: derivation records themselves are merged and stay proportional to the
-#: number of *distinct* derivations, but arrivals are raw events.
-MAX_ARRIVALS = 65_536
 
 
 class Derivation(NamedTuple):
@@ -59,7 +53,7 @@ class Derivation(NamedTuple):
 
 class _Record:
     __slots__ = ("id", "rule", "head_id", "body_ids", "node", "time",
-                 "count", "total")
+                 "count")
 
     def __init__(self, rec_id: int, rule: str, head_id: int,
                  body_ids: Tuple[int, ...], node: Optional[str], time: float):
@@ -70,16 +64,6 @@ class _Record:
         self.node = node
         self.time = time
         self.count = 0
-        self.total = 0
-
-
-class Arrival(NamedTuple):
-    """A provenance tag consumed off the wire at the receiving node."""
-
-    fact: Fact
-    prov_id: Optional[int]       # derivation id at the producing node
-    node: str                    # receiving node
-    time: float
 
 
 class ProvenanceStore:
@@ -88,7 +72,8 @@ class ProvenanceStore:
     A deployment shares one store across all node runtimes (records are
     tagged with the firing node), so a tuple materialized at node X is
     traced through the rules and links that produced it at other nodes
-    without any cross-node query protocol.
+    without any cross-node query protocol -- and without any lineage
+    on the wire.
     """
 
     def __init__(self):
@@ -97,11 +82,8 @@ class ProvenanceStore:
         #: (head_id, rule, body_ids, node) -> record
         self._records: Dict[Tuple, _Record] = {}
         self._by_head: Dict[int, List[_Record]] = {}
-        self._by_id: Dict[int, _Record] = {}
-        #: head_id -> live / total base-event counts
+        #: head_id -> live base-event count
         self._base: Dict[int, int] = {}
-        self._base_total: Dict[int, int] = {}
-        self.arrivals: "deque[Arrival]" = deque(maxlen=MAX_ARRIVALS)
         #: Aggregate / arg-extreme view head predicates: exempt from
         #: wholesale retraction (see module docstring).
         self.view_preds: set = set()
@@ -169,11 +151,9 @@ class ProvenanceStore:
                 self._next_id += 1
                 self._records[key] = rec
                 self._by_head.setdefault(head_id, []).append(rec)
-                self._by_id[rec.id] = rec
             elif dedup and rec.count > 0:
                 return rec.id
             rec.count += 1
-            rec.total += 1
             return rec.id
         if rec is None or rec.count <= 0:
             self.floored += 1
@@ -192,7 +172,6 @@ class ProvenanceStore:
         fid = self.intern(fact)
         if weight > 0:
             self._base[fid] = self._base.get(fid, 0) + weight
-            self._base_total[fid] = self._base_total.get(fid, 0) + weight
         else:
             need = -weight
             live = self._base.get(fid, 0)
@@ -214,11 +193,6 @@ class ProvenanceStore:
             self._base[fid] = 0
         for rec in self._by_head.get(fid, ()):
             rec.count = 0
-
-    def note_arrival(self, fact: Fact, prov_id: Optional[int], node: str,
-                     time: float = 0.0) -> None:
-        """A remote delta carrying a provenance tag materialized here."""
-        self.arrivals.append(Arrival(fact, prov_id, node, time))
 
     # ------------------------------------------------------------------
     # Queries
@@ -243,31 +217,10 @@ class ProvenanceStore:
             support += rec.count
         return support
 
-    def latest_live_id(self, fact: Fact) -> Optional[int]:
-        """The most recent live derivation id for ``fact`` (the tag a
-        shipped delta piggybacks), or ``None``."""
-        best: Optional[int] = None
-        for rec in self.live_records(fact):
-            if best is None or rec.id > best:
-                best = rec.id
-        return best
-
-    def derivation(self, rec_id: int) -> Optional[Derivation]:
-        rec = self._by_id.get(rec_id)
-        if rec is None:
-            return None
-        return self._resolve(rec)
-
-    def derivations_of(self, pred: str, args: Tuple,
-                       live_only: bool = True) -> List[Derivation]:
-        fid = self._fact_ids.get(Fact(pred, tuple(args)))
-        if fid is None:
-            return []
-        return [
-            self._resolve(rec)
-            for rec in self._by_head.get(fid, ())
-            if rec.count > 0 or not live_only
-        ]
+    def derivations_of(self, pred: str, args: Tuple) -> List[Derivation]:
+        """The live derivation records of ``pred(args)``."""
+        return [self._resolve(rec)
+                for rec in self.live_records(Fact(pred, tuple(args)))]
 
     def known_facts(self):
         """Iterate ``(fact, live_support)`` over every fact the store has
@@ -294,11 +247,10 @@ class ProvenanceStore:
             "facts": len(self._facts),
             "records": len(self._records),
             "live_records": sum(
-                1 for r in self._by_id.values() if r.count > 0
+                1 for r in self._records.values() if r.count > 0
             ),
             "events": self.events,
             "floored": self.floored,
-            "arrivals": len(self.arrivals),
         }
 
     # ------------------------------------------------------------------
@@ -364,9 +316,6 @@ class ProvenanceRecorder:
 
     def retracted(self, fact: Fact) -> None:
         self.store.retract_fact(fact)
-
-    def arrival(self, fact: Fact, prov_id: Optional[int]) -> None:
-        self.store.note_arrival(fact, prov_id, self.node or "?", self.now())
 
     def register_views(self, preds) -> None:
         self.store.view_preds.update(preds)

@@ -443,23 +443,6 @@ class Cluster:
         """The snapshot in Prometheus text exposition format."""
         return self.metrics().to_prometheus()
 
-    def refresh_stats(self) -> None:
-        """Feed live table sizes and commit churn into each node's
-        :class:`~repro.opt.costbased.StatsCatalog`, closing the loop
-        between the metrics registry and the cost-based optimizer."""
-        snapshot = self.metrics()
-        churn = snapshot.churn()
-        for name, node in self.nodes.items():
-            catalog = node.stats_catalog
-            if catalog is None:
-                continue
-            sizes = {
-                pred: float(len(table))
-                for pred, table in node.db.tables.items()
-                if len(table)
-            }
-            catalog.refresh(sizes=sizes, churn=churn)
-
     def profile(self):
         """Merged per-(rule, strand) CPU profile across all nodes.
         Requires ``deploy(..., profile=True)``."""

@@ -103,8 +103,8 @@ class RuntimeConfig:
     #: ``None`` for a fault-free run.
     chaos: Optional["ChaosSchedule"] = None
     #: Collect the per-(node, rule, relation) metrics registry
-    #: (:mod:`repro.obs`): ``Deployment.metrics()`` snapshots, the
-    #: Prometheus text exposition, and the live StatsCatalog feed.
+    #: (:mod:`repro.obs`): ``Deployment.metrics()`` snapshots and the
+    #: Prometheus text exposition.
     metrics: bool = False
     #: Record delta-propagation traces: a trace id minted per injected
     #: base fact, spans for derive/net/ship/receive/commit, exported as

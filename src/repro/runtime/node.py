@@ -28,18 +28,19 @@ live target) books nothing and reads no clock.
 The run is the unit on the wire as it is on the queue (Section 5.2
 buffers outbound tuples so that those bound for one neighbour share a
 message).  While a chunk is processed, each remote head joins the
-*outbox* run of its destination (``dst -> [NetDelta]``, emission order,
-the provenance piggyback read as the head is emitted); when the chunk
-ends :meth:`NodeRuntime._tick` hands every destination's run to
-``Transport.send`` once.  A chunk commits at one virtual instant, so
-shipping at its end delays nothing.  Per-link FIFO -- what Theorem 4
+*outbox* run of its destination (``dst -> [NetDelta]``, emission order);
+when the chunk ends :meth:`NodeRuntime._tick` hands every destination's
+run to ``Transport.send`` once.  A chunk commits at one virtual instant,
+so shipping at its end delays nothing.  Per-link FIFO -- what Theorem 4
 needs -- is the list order; a run never mixes destinations, and the
-``+`` and ``-`` deltas of a chunk travel together in the order they
-were emitted.  Arrivals come back the same way: one message's deltas
-are one :meth:`NodeRuntime.receive`, which on a plain deployment is one
-``queue.extend`` and one tick request; the peer ledger (``reliable``),
-the provenance arrival note and the ``receive`` span are the only
-per-delta work, each done only when its feature is on.
+``+`` and ``-`` deltas of a chunk travel together in the order they were
+emitted.  Arrivals come back the same way: one message's deltas are one
+:meth:`NodeRuntime.receive`, which on a plain deployment is one
+``queue.extend`` and one tick request; the peer ledger (``reliable``)
+and the ``receive`` span are the only per-delta work, each done only
+when its feature is on.  No lineage crosses the wire: the nodes of a
+deployment share one provenance store, which already links a
+materialization here to the firing that produced it at the sender.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class NodeRuntime(PSNEngine):
         #: the transport when the chunk ends.
         self._outbox: Dict[str, List[NetDelta]] = {}
         self.deltas_processed = 0
-        #: Net arrivals per neighbor: peer -> fact -> (inserts - deletes).
+        #: Net deliveries per neighbor: peer -> fact -> (inserts - deletes).
         #: Maintained only under the reliable transport, where the
         #: convergence watchdog may need to invalidate everything a dead
         #: peer ever advertised (a deletion cascade cannot route through
@@ -226,22 +227,19 @@ class NodeRuntime(PSNEngine):
         coalesced a window; a zero-weight entry is no change and is
         dropped).
 
-        Three things are done per delta, each only when its feature is
+        Two things are done per delta, each only when its feature is
         on: under ``config.reliable`` the arrival is booked on the peer
         ledger (the watchdog may later need to invalidate that
-        neighbour's contributions); a piggybacked ``prov`` derivation id
-        is noted on the shared provenance store, so the arrival is
-        traceable even across a real (UDP) wire; a traced delta records
-        its ``receive`` span and keeps its trace id on the queue row, so
+        neighbour's contributions); a traced delta records its
+        ``receive`` span and keeps its trace id on the queue row, so
         downstream derivations and the local commit stay causally
         linked."""
         observer = self.observer
         traced = observer is not None and observer.traced
-        provenance = self.provenance
         ledger = None
         if origin is not None and self.cluster.config.reliable:
             ledger = self.peer_ledger.setdefault(origin, {})
-        if ledger is None and provenance is None and not traced:
+        if ledger is None and not traced:
             self.queue.extend([
                 (delta.pred, delta.args, delta.weight, False, None)
                 for delta in deltas if delta.weight
@@ -260,9 +258,6 @@ class NodeRuntime(PSNEngine):
                     ledger[fact] = count
                 else:
                     ledger.pop(fact, None)
-            if (delta.prov is not None and provenance is not None
-                    and weight > 0):
-                provenance.arrival(Fact(pred, args), delta.prov)
             trace = delta.trace if traced else None
             if trace is not None:
                 observer.receive(pred, args, weight, trace, origin)
@@ -288,12 +283,6 @@ class NodeRuntime(PSNEngine):
         destination (shipped when the chunk ends, see :meth:`_tick`)."""
         address = self.address
         outbox = self._outbox
-        # Piggyback the freshest live derivation id -- read now, before
-        # the firing's next head is recorded -- so the remote
-        # materialization links back to this firing.
-        store = None
-        if self.provenance is not None and sign > 0:
-            store = self.provenance.store
         local, local_traces = [], []
         for head, trace in zip(heads, traces or repeat(None)):
             destination = head[0]
@@ -301,10 +290,7 @@ class NodeRuntime(PSNEngine):
                 local.append(head)
                 local_traces.append(trace)
             elif sign:  # a zero weight is no change at all
-                prov = None
-                if store is not None:
-                    prov = store.latest_live_id(Fact(pred, head))
-                delta = NetDelta(pred, head, sign, prov, trace)
+                delta = NetDelta(pred, head, sign, trace)
                 run = outbox.get(destination)
                 if run is None:
                     outbox[destination] = [delta]

@@ -52,8 +52,8 @@ FLUSH_JITTER = 0.10
 
 #: Largest message the transport builds, in model bytes.  A UDP datagram
 #: carries at most 65,507 bytes and the JSON wire codec inflates the
-#: model size 1.3-1.5x on path-vector tuples (more with provenance and
-#: trace tags, which the byte model does not charge), so half the
+#: model size 1.3-1.5x on path-vector tuples (more with trace ids,
+#: which the byte model does not charge), so half the
 #: datagram leaves headroom.  It is an estimate, not a guarantee -- a
 #: float is 8 model bytes and up to 24 characters -- and a frame that
 #: still overruns the datagram is refused by the UDP channel with a
@@ -220,8 +220,7 @@ class Transport:
                 suppressed.append(delta)  # nothing to retract
             else:
                 del advertised[slot]
-                out.append(NetDelta(delta.pred, last, -1,
-                                    None, delta.trace))
+                out.append(NetDelta(delta.pred, last, -1, delta.trace))
         return out
 
     def _share_groups(self, deltas: Sequence[NetDelta]):
@@ -295,7 +294,7 @@ class ReliableTransport(Transport):
     Protocol state lives in :mod:`repro.net.reliable`; this class wires
     it to the cluster: stamping outbound messages, arming the
     per-direction retransmit and delayed-ack timers on the cluster
-    clock, filtering arrivals back into the FIFO exactly-once stream
+    clock, filtering arriving messages back into the FIFO exactly-once stream
     the engine assumes, and escalating a spent retry budget to the
     convergence watchdog (``cluster.fail_link``).
     """

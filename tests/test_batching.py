@@ -817,22 +817,21 @@ def keyed_stream_run(kind, bursts, batch_size, provenance):
     enqueued burst run to quiescence.
 
     A value is ``3 * value + slot``: two slots never tie, so the arg-min
-    witness does not depend on which contribution arrived first.  Two
-    kinds of stream take each row one way per burst -- never inserted
-    once the burst has removed or displaced it, never withdrawn once the
-    burst has inserted it.  Under provenance, because base support is
-    booked at injection and wiped by the removal (ROADMAP, "provenance
-    on the run path").  On the derived table, because a slot there
-    keeps its *latest* advertisement and empties when that one is
-    withdrawn, whatever it held before: whether an advertisement and its
+    witness does not depend on which contribution arrived first.  The
+    derived table's stream takes each row one way per burst -- never
+    inserted once the burst has removed or displaced it, never withdrawn
+    once the burst has inserted it -- because a slot there keeps its
+    *latest* advertisement and empties when that one is withdrawn,
+    whatever it held before: whether an advertisement and its
     withdrawal net at the queue or both commit decides what is left
-    (ROADMAP, "a confluence lint").  The plain base-table streams are
-    unrestricted, the re-announced displaced row included."""
+    (ROADMAP, "a confluence lint").  The base-table streams are
+    unrestricted, the re-announced displaced row included, with
+    provenance on as well as off."""
     base, program = keyed_program(kind)
     store = ProvenanceStore() if provenance else None
     engine = PSNEngine(program, batch_size=batch_size,
                        provenance=store and store.recorder())
-    one_way = provenance or kind == "derived"
+    one_way = kind == "derived"
     table = engine.db.table(base)
     written = []
     for burst in bursts:

@@ -18,7 +18,6 @@ from repro.net.message import Message, NetDelta, coalesce
 from repro.net.stats import ResultTracker, TrafficStats
 from repro.obs import MetricsRegistry, Profiler, Tracer
 from repro.obs.__main__ import main as obs_cli
-from repro.opt.costbased import StatsCatalog
 from repro.runtime import RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 from repro.topology.overlay import Overlay
@@ -152,28 +151,6 @@ class TestMetrics:
         assert sum(snap.links.values()) == deployment.stats.retransmits
         text = snap.to_prometheus()
         assert "ndlog_link_retransmits_total{src=" in text
-
-    def test_refresh_stats_feeds_catalogs(self, observed):
-        observed.refresh_stats()
-        node = observed.nodes["n1"]
-        catalog = node.stats_catalog
-        assert catalog.table_rows("reach") == float(
-            len(node.db.tables["reach"])
-        )
-        assert catalog.churn_of("reach") > 0
-        assert catalog.churn_of("never_seen") == 0.0
-
-
-class TestStatsCatalogRefresh:
-    def test_refresh_is_incremental(self):
-        catalog = StatsCatalog({"a": 10.0})
-        catalog.refresh(sizes={"b": 5}, churn={"b": 2})
-        assert catalog.table_rows("a") == 10.0
-        assert catalog.table_rows("b") == 5.0
-        assert catalog.churn_of("b") == 2.0
-        catalog.refresh(churn={"b": 7})
-        assert catalog.churn_of("b") == 7.0
-        assert catalog.table_rows("b") == 5.0
 
 
 # ----------------------------------------------------------------------
@@ -657,20 +634,17 @@ class TestTraceOnTheWire:
         message = Message(src="a", dst="b", deltas=(delta,))
         return decode_message(encode_message(message)).deltas[0]
 
-    def test_trace_and_prov_roundtrip(self):
-        got = self.roundtrip(NetDelta("p", ("x", 1), 2, prov=9, trace=4))
-        assert (got.prov, got.trace) == (9, 4)
+    def test_trace_roundtrips(self):
+        got = self.roundtrip(NetDelta("p", ("x", 1), 2, trace=4))
+        assert (got.args, got.weight, got.trace) == (("x", 1), 2, 4)
 
-    def test_trace_without_prov_roundtrips(self):
-        got = self.roundtrip(NetDelta("p", ("x",), 1, trace=7))
-        assert got.prov is None
-        assert got.trace == 7
-
-    def test_untagged_layout_unchanged(self):
+    def test_frame_layout(self):
+        # [pred, weight, args], plus the trace id when traced.
         message = Message(src="a", dst="b",
-                          deltas=(NetDelta("p", ("x",), 1),))
+                          deltas=(NetDelta("p", ("x",), 1),
+                                  NetDelta("p", ("y",), -2, trace=7)))
         frame = json.loads(encode_message(message))
-        assert frame["t"][0] == ["p", 1, ["x"]]
+        assert frame["t"] == [["p", 1, ["x"]], ["p", -2, ["y"], 7]]
 
     def test_coalesce_keeps_latest_trace(self):
         merged = coalesce([

@@ -428,12 +428,11 @@ class TestReceiveARun:
         ("path", ("n0", "nV", "nY", ("n0", "nY", "nV"), 4.0), -1),
     ]
 
-    def deploy(self, overlay, provenance=False, **options):
+    def deploy(self, overlay, **options):
         import repro
 
         compiled = repro.compile(programs.shortest_path(),
-                                 passes=["aggsel", "localize"],
-                                 provenance=provenance)
+                                 passes=["aggsel", "localize"])
         deployment = compiled.deploy(topology=overlay,
                                      link_loads={"link": "latency"},
                                      **options)
@@ -472,18 +471,6 @@ class TestReceiveARun:
             Fact(*self.RUN[0][:2]): 2,    # booked twice
             Fact(*self.RUN[3][:2]): -2,   # the weight, not the sign
         }                                 # the +1/-1 pair nets away
-        assert self.queued(node) == [r for r in self.RUN if r[2]]
-
-    def test_tagged_arrivals_are_noted_on_the_provenance_store(
-            self, overlay):
-        deployment, node = self.deploy(overlay, provenance=True)
-        store = deployment.provenance
-        store.arrivals.clear()
-        node.receive(
-            self.run_of(prov=[11, None, 12, 13, 14, 15]), "n1")
-        # Tagged, positive and nonzero: the first and the fifth.
-        assert [(a.fact.args, a.prov_id, a.node) for a in store.arrivals] \
-            == [(self.RUN[0][1], 11, "n0"), (self.RUN[4][1], 14, "n0")]
         assert self.queued(node) == [r for r in self.RUN if r[2]]
 
     def test_one_receive_span_per_traced_delta(self, overlay):

@@ -184,13 +184,13 @@ class TestShareMode:
 # The wire delta as a record
 # ----------------------------------------------------------------------
 class TestNetDeltaRecord:
-    def test_equality_and_hash_ignore_the_tags(self):
-        tagged = NetDelta("p", ("x", 1), 2, prov=3, trace=4)
+    def test_equality_and_hash_ignore_the_trace(self):
+        tagged = NetDelta("p", ("x", 1), 2, trace=4)
         plain = NetDelta(pred="p", args=("x", 1), weight=2)
         assert tagged == plain and hash(tagged) == hash(plain)
         assert {tagged, plain} == {plain}
         assert tagged != NetDelta("p", ("x", 1), -2)
-        assert (tagged.prov, tagged.trace, tagged.sign) == (3, 4, 1)
+        assert (tagged.trace, tagged.sign) == (4, 1)
 
     def test_no_instance_dict(self):
         delta = NetDelta("p", (1,), 1)
@@ -212,12 +212,12 @@ class TestNetDeltaRecord:
 
     def test_coalesce_passes_a_delta_that_merged_with_nothing_through(self):
         lone = NetDelta("p", (1,), 1, trace=1)
-        first = NetDelta("p", (2,), 1, prov=5, trace=2)
-        second = NetDelta("p", (2,), 2, trace=3)
+        first = NetDelta("p", (2,), 1, trace=2)
+        second = NetDelta("p", (2,), 2)
         out = coalesce([lone, first, second])
         assert out[0] is lone
-        assert [(d.args, d.weight, d.prov, d.trace) for d in out] == [
-            ((1,), 1, None, 1), ((2,), 3, 5, 3)]
+        assert [(d.args, d.weight, d.trace) for d in out] == [
+            ((1,), 1, 1), ((2,), 3, 2)]
 
 
 # ----------------------------------------------------------------------
@@ -232,19 +232,17 @@ def spec_coalesce(deltas):
         key = (delta.pred, delta.args)
         entry = net.get(key)
         if entry is None:
-            net[key] = [delta.weight, delta.prov, delta.trace]
+            net[key] = [delta.weight, delta.trace]
             order.append(key)
         else:
             entry[0] += delta.weight
-            if delta.prov is not None:
-                entry[1] = delta.prov
             if delta.trace is not None:
-                entry[2] = delta.trace
+                entry[1] = delta.trace
     out = []
     for pred, args in order:
         entry = net[(pred, args)]
         if entry[0] != 0:
-            out.append(NetDelta(pred, args, entry[0], entry[1], entry[2]))
+            out.append(NetDelta(pred, args, entry[0], entry[1]))
     return tuple(out)
 
 
@@ -280,8 +278,7 @@ class SpecNetChange:
                 if last is None:
                     continue  # never advertised; nothing to retract
                 advertised.pop(pkey, None)
-                out.append(NetDelta(delta.pred, last, -1,
-                                    None, delta.trace))
+                out.append(NetDelta(delta.pred, last, -1, delta.trace))
         return out
 
 
@@ -295,7 +292,6 @@ KEYED, FULL = Table("best", 3, key=(0, 1)), Table("link", 2)
 def _deltas(pred, args):
     return st.builds(NetDelta, st.just(pred), args,
                      st.sampled_from([1, 1, -1, -1, 2, -2]),
-                     st.none() | st.integers(1, 3),
                      st.none() | st.integers(1, 6))
 
 
@@ -309,7 +305,7 @@ WINDOWS = st.lists(st.lists(WINDOW_DELTA, max_size=12),
 
 
 def tagged(deltas):
-    return [(d.pred, d.args, d.weight, d.prov, d.trace) for d in deltas]
+    return [(d.pred, d.args, d.weight, d.trace) for d in deltas]
 
 
 @given(windows=WINDOWS)
@@ -385,7 +381,7 @@ def test_a_window_nets_each_dropped_trace_at_the_sender():
     transport.observer = wire = RecordingWire()
 
     def best(dst, cost, weight, trace):
-        return NetDelta("best", ("a", dst, cost), weight, None, trace)
+        return NetDelta("best", ("a", dst, cost), weight, trace)
 
     transport.send("a", "b", [
         best("d", 5, 1, 1), best("d", 5, -1, 2),  # a zero sum

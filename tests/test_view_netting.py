@@ -253,33 +253,23 @@ def churned(engine, facts, edge_set, ops, improving=False):
                  for row in both_ways(pair, cost)])
     engine.fixpoint()
     assert_views_answered(engine)
-    gone = set()
     for serial, (kind, pick, cost) in enumerate(ops):
         pair = pairs[pick % len(pairs)]
         stored = state.get(pair)
         if (kind == "ins" and stored is not None) or (
                 kind == "del" and (stored is None or improving)):
             continue
-        if stored is not None:
-            gone.add((pair, stored))
         if kind == "del":
             del state[pair]
             for row in both_ways(pair, stored):
                 engine.delete("link", row)
             continue
-        # An update is an insertion over the stored key.  (Never of a
-        # row this burst has already deleted or replaced: base support
-        # is noted at injection, and the forced delete or displacement
-        # committed in between wipes it, the queued re-insertion's
-        # included -- a base-fact provenance defect that has nothing to
-        # do with views; ROADMAP.)
+        # An update is an insertion over the stored key.
         if tie_free:
             # Below every initial cost and every earlier update if
             # ``improving``, above them all otherwise.
             cost = 7 ** (len(ops) - 1 - serial if improving
                          else len(ops) + len(pairs) + serial)
-        while (pair, cost) in gone:
-            cost = cost % 9 + 1
         state[pair] = cost
         for row in both_ways(pair, cost):
             engine.insert("link", row)

@@ -260,14 +260,14 @@ def test_udp_target_matches_sim(zset_compiled, six_node_overlay, sim_rows):
 def test_coalesce_sums_weights_per_fact():
     deltas = (
         NetDelta("p", (1,), 2), NetDelta("q", (2,), 1),
-        NetDelta("p", (1,), -2), NetDelta("q", (2,), 3, prov=9),
+        NetDelta("p", (1,), -2), NetDelta("q", (2,), 3),
     )
-    assert coalesce(deltas) == (NetDelta("q", (2,), 4, prov=9),)
+    assert coalesce(deltas) == (NetDelta("q", (2,), 4),)
 
 
 def test_weighted_frame_round_trips():
     message = Message(src="a", dst="b",
-                      deltas=(NetDelta("p", ("x", 2), 3, prov=5),
+                      deltas=(NetDelta("p", ("x", 2), 3, trace=5),
                               NetDelta("q", (1,), -2)),
                       shared_bytes=0)
     assert decode_message(encode_message(message)) == message
@@ -276,10 +276,10 @@ def test_weighted_frame_round_trips():
 def test_old_signed_frame_decodes_as_unit_weights():
     # A frame as a pre-weight sender built it: sign in slot 1.
     wire = (b'{"s":"a","d":"b","h":0,'
-            b'"t":[["p",1,["x"]],["p",-1,["y"],7]]}')
+            b'"t":[["p",1,["x"]],["p",-1,["y"]]]}')
     message = decode_message(wire)
     assert message.deltas == (NetDelta("p", ("x",), 1),
-                              NetDelta("p", ("y",), -1, prov=7))
+                              NetDelta("p", ("y",), -1))
     assert message.deltas[0].sign == 1
     assert message.deltas[1].sign == -1
 

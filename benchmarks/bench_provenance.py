@@ -8,8 +8,8 @@ and reports the wall-clock ratio:
   (the engine hot path: strand firings, view maintenance);
 * **dsr** -- the dynamic-source-routing regime: the multi-query magic
   program deployed on a simulated overlay with staggered route
-  requests (the distributed path: per-node recorders, wire tags,
-  shared-store interning).
+  requests (the distributed path: per-node recorders sharing one
+  store).
 
 Run as a script it medians a few rounds, merges a ``provenance``
 record into ``BENCH_results.json`` (append semantics: other

@@ -56,10 +56,7 @@ def derive(crule: CompiledRule, kernel: Callable, rows: Sequence[Tuple],
     result.inferences += len(out)
     if provenance is None:
         return out
-    pred = crule.head.pred
-    for head, body in out:
-        provenance.record_fact(crule.label, Fact(pred, head), body, 1)
-    return [head for head, _body in out]
+    return provenance.record_run(crule.label, crule.head.pred, out, 1)
 
 
 def lead_strand(crule: CompiledRule, stats, result: EvalResult,
@@ -93,8 +90,7 @@ def seed_base_provenance(provenance, program: Program, db: Database):
         if table.name in idb:
             continue
         for args in table.rows():
-            for _ in range(table.count(args)):
-                provenance.base(Fact(table.name, args), 1)
+            provenance.base(Fact(table.name, args), table.count(args))
     return provenance
 
 

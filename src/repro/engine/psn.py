@@ -905,10 +905,7 @@ class PSNEngine:
         if out:
             self.inferences += inferences
             if capture is not None:
-                for head, body in out:
-                    capture.record_fact(crule.label, Fact(pred, head), body,
-                                        sign)
-                out = [head for head, _ in out]
+                out = capture.record_run(crule.label, pred, out, sign)
             if view is None:
                 self._emit(pred, out, sign, traces)
             else:

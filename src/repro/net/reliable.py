@@ -16,14 +16,15 @@ Section 4.2 / Theorem 4) on top of a channel that guarantees none of it:
 * **Cumulative acks, piggybacked.**  Every data message carries the
   highest in-order sequence received on the reverse direction; a
   direction with no reverse traffic flushes a pure ack after
-  ``ack_delay`` (one ack then covers a whole burst).
+  :data:`ACK_DELAY` (one ack then covers a whole burst).
 * **One retransmit timer per direction**, covering the oldest unacked
   message -- TCP's discipline.  Because the receiver reassembles out of
   order, retransmitting the oldest gap makes the cumulative ack jump
   past everything buffered behind it.
 * **Exponential backoff with jitter and a retry budget.**  Consecutive
-  timeouts without ack progress double the RTO (decorrelated by a
-  seeded jitter factor) until the budget exhausts -- at which point the
+  timeouts without ack progress multiply the RTO by
+  :data:`RTO_BACKOFF`, up to :data:`RTO_MAX` (decorrelated by a
+  seeded jitter factor), until the budget exhausts -- at which point the
   peer is declared dead and the convergence watchdog tears the link
   down through the link-update path (see
   :meth:`repro.runtime.cluster.Cluster.fail_link`).
@@ -40,7 +41,16 @@ from typing import Dict, List, Optional
 
 from repro.net.message import Message
 
-__all__ = ["Flow", "FlowTable"]
+__all__ = ["ACK_DELAY", "Flow", "FlowTable", "RTO_BACKOFF", "RTO_MAX",
+           "RTO_MIN"]
+
+#: Retransmit-timer floor and ceiling (seconds) and backoff factor.
+RTO_MIN = 0.05
+RTO_MAX = 2.0
+RTO_BACKOFF = 2.0
+#: How long a direction may owe a cumulative ack before flushing a pure
+#: ack (reverse traffic inside the window piggybacks it).
+ACK_DELAY = 0.02
 
 
 class Flow:
@@ -99,7 +109,8 @@ class Flow:
             self.rto = self.rto_base
         return progressed
 
-    def backoff(self, factor: float, cap: float) -> None:
+    def backoff(self, factor: float = RTO_BACKOFF,
+                cap: float = RTO_MAX) -> None:
         self.retries += 1
         self.rto = min(self.rto * factor, cap)
 
@@ -135,9 +146,7 @@ class Flow:
 class FlowTable:
     """All flows of one cluster, keyed by ordered ``(src, dst)``."""
 
-    def __init__(self, rto_min: float, ack_delay: float):
-        self.rto_min = rto_min
-        self.ack_delay = ack_delay
+    def __init__(self):
         self._flows: Dict[tuple, Flow] = {}
 
     def get(self, src: str, dst: str,
@@ -146,8 +155,8 @@ class FlowTable:
         flow = self._flows.get(key)
         if flow is None:
             # A sensible initial RTO: two round trips plus the delayed
-            # ack, floored at the configured minimum.
-            rto = max(self.rto_min, 4.0 * latency + 2.0 * self.ack_delay)
+            # ack, floored at the minimum.
+            rto = max(RTO_MIN, 4.0 * latency + 2.0 * ACK_DELAY)
             flow = Flow(src, dst, rto)
             self._flows[key] = flow
         return flow

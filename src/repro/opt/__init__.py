@@ -1,5 +1,5 @@
 """Query optimizations from Section 5: aggregate selections (+ the
-arg-min advertising view), cost-based hybrid search; result caching and
+arg-min advertising view) and cost-based join statistics; result caching and
 message sharing live in the runtime transport/config layer."""
 
 from repro.opt import aggsel, costbased

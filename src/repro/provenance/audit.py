@@ -108,7 +108,7 @@ def audit_engine(engine, strict: bool = True) -> AuditReport:
     _audit_tables(report, store, engine.db, None, strict)
     if strict:
         for fact, support in store.known_facts():
-            if support <= 0 or fact.pred in store.view_preds:
+            if fact.pred in store.view_preds:
                 continue
             table = engine.db.tables.get(fact.pred)
             if table is None or table.lifetime != INFINITY:
@@ -163,7 +163,7 @@ def audit_cluster(cluster, strict: Optional[bool] = None,
         _audit_tables(report, store, runtime.db, name, strict)
     if strict:
         for fact, support in store.known_facts():
-            if support <= 0 or fact.pred in store.view_preds:
+            if fact.pred in store.view_preds:
                 continue
             if fact.args and fact.args[0] in skipped:
                 continue

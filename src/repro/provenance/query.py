@@ -129,19 +129,15 @@ def _build_tree(
     # shortestPath derivation then follows the *same* path witness the
     # head joined against, not an arbitrary equal-cost route.
     def preference(rec):
-        overlap = sum(
-            1 for body_id in rec.body_ids
-            if store.fact_of(body_id) in context
-        )
-        return (overlap, rec.id)
+        return (sum(1 for body_fact in rec.body if body_fact in context),
+                rec.id)
 
     rec = max(records, key=preference)
     child_path = path | {fact}
-    body_facts = [store.fact_of(body_id) for body_id in rec.body_ids]
     children: List[DerivationTree] = []
-    for index, body_fact in enumerate(body_facts):
+    for index, body_fact in enumerate(rec.body):
         siblings = frozenset(
-            sibling for j, sibling in enumerate(body_facts) if j != index
+            sibling for j, sibling in enumerate(rec.body) if j != index
         )
         child = _build_tree(store, body_fact, child_path, depth - 1,
                             siblings)

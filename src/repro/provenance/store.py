@@ -4,15 +4,17 @@ The engines prove *that* a tuple holds (Gupta-style derivation counts in
 the PSN/BSN commit discipline); this module remembers *how*.  Every rule
 firing is recorded as a :class:`Derivation` -- ``rule`` fired at ``node``
 at ``time``, grounding ``head`` from the ground ``body`` facts -- and
-external base-table changes are recorded as base events.  The result is
+external base-table changes are recorded as base counts.  The result is
 a queryable derivation graph (:mod:`repro.provenance.query` builds
 ``why`` trees over it) and an independent count ledger
 (:mod:`repro.provenance.audit` cross-checks it against the tables).
 
-Compactness: facts are interned once (an integer id per distinct ground
-tuple) and derivations are merged by ``(head, rule, body, node)`` with a
-live count, so a burst that re-derives the same join a thousand times
-costs one record and a counter.
+The store holds live support only.  Derivations are merged by ``(head,
+rule, body, node)`` with a live count, so a burst that re-derives the
+same join a thousand times costs one record and a counter; a record or
+a base count that falls to zero is deleted, as a Z-set drops an entry
+of weight zero.  A record holds its own head and body facts, so what
+the store retains is bounded by what is live.
 
 Lifecycle mirrors the commit discipline of :mod:`repro.engine.psn`:
 
@@ -30,40 +32,39 @@ Lifecycle mirrors the commit discipline of :mod:`repro.engine.psn`:
 * a ``-1`` with no live record to decrement is *floored* (counted in
   :attr:`ProvenanceStore.floored`), mirroring "a deletion of a fact that
   was superseded in the meantime commits as a no-op".
+
+Every record gets a fresh id when it is created -- also a derivation
+that died and is derived again -- so the highest id is the newest live
+derivation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.facts import Fact
 
 
-class Derivation(NamedTuple):
-    """One resolved provenance record (the public view of a record)."""
+class Derivation:
+    """One live derivation record: ``rule`` fired at ``node`` (``None``:
+    centralized) at ``time``, grounding ``head`` from the ground
+    ``body`` facts, ``count`` live times."""
 
-    id: int
-    rule: Optional[str]          # ``None`` marks a base-table event
-    head: Fact
-    body: Tuple[Fact, ...]
-    node: Optional[str]          # node whose strand fired (None: centralized)
-    time: float
-    count: int                   # live derivations merged into this record
+    __slots__ = ("id", "rule", "head", "body", "node", "time", "count")
 
-
-class _Record:
-    __slots__ = ("id", "rule", "head_id", "body_ids", "node", "time",
-                 "count")
-
-    def __init__(self, rec_id: int, rule: str, head_id: int,
-                 body_ids: Tuple[int, ...], node: Optional[str], time: float):
+    def __init__(self, rec_id: int, rule: str, head: Fact,
+                 body: Tuple[Fact, ...], node: Optional[str], time: float):
         self.id = rec_id
         self.rule = rule
-        self.head_id = head_id
-        self.body_ids = body_ids
+        self.head = head
+        self.body = body
         self.node = node
         self.time = time
-        self.count = 0
+        self.count = 1
+
+    def __repr__(self) -> str:
+        return (f"Derivation({self.id}, {self.rule}: {self.head!r} <- "
+                f"{list(self.body)!r} @ {self.node}, count={self.count})")
 
 
 class ProvenanceStore:
@@ -77,13 +78,10 @@ class ProvenanceStore:
     """
 
     def __init__(self):
-        self._fact_ids: Dict[Fact, int] = {}
-        self._facts: List[Fact] = []
-        #: (head_id, rule, body_ids, node) -> record
-        self._records: Dict[Tuple, _Record] = {}
-        self._by_head: Dict[int, List[_Record]] = {}
-        #: head_id -> live base-event count
-        self._base: Dict[int, int] = {}
+        #: head -> {(rule, body, node): live record}
+        self._records: Dict[Fact, Dict[Tuple, Derivation]] = {}
+        #: fact -> live base count
+        self._base: Dict[Fact, int] = {}
         #: Aggregate / arg-extreme view head predicates: exempt from
         #: wholesale retraction (see module docstring).
         self.view_preds: set = set()
@@ -92,93 +90,65 @@ class ProvenanceStore:
         self._next_id = 1
 
     # ------------------------------------------------------------------
-    # Interning
-    # ------------------------------------------------------------------
-    def intern(self, fact: Fact) -> int:
-        fid = self._fact_ids.get(fact)
-        if fid is None:
-            fid = len(self._facts)
-            self._fact_ids[fact] = fid
-            self._facts.append(fact)
-        return fid
-
-    def fact_of(self, fid: int) -> Fact:
-        return self._facts[fid]
-
-    # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(
-        self,
-        rule: str,
-        head: Fact,
-        body: Sequence[Fact],
-        sign: int,
-        node: Optional[str] = None,
-        time: float = 0.0,
-        dedup: bool = False,
-    ) -> Optional[int]:
-        """Record one signed rule firing; returns the record id (``None``
-        for a floored retraction).  ``dedup=True`` gives set semantics
-        (re-recording a live derivation does not bump its count) -- used
-        by the iterate-to-fixpoint engines, which legitimately re-derive
-        the same join every iteration."""
-        self.events += 1
-        # Interning inlined: this runs once per rule firing, and the
-        # method-call overhead of intern() is measurable there.
-        fact_ids = self._fact_ids
-        facts = self._facts
-        head_id = fact_ids.get(head)
-        if head_id is None:
-            head_id = len(facts)
-            fact_ids[head] = head_id
-            facts.append(head)
-        ids: List[int] = []
-        for body_fact in body:
-            fid = fact_ids.get(body_fact)
-            if fid is None:
-                fid = len(facts)
-                fact_ids[body_fact] = fid
-                facts.append(body_fact)
-            ids.append(fid)
-        body_ids = tuple(ids)
-        key = (head_id, rule, body_ids, node)
-        rec = self._records.get(key)
-        if sign > 0:
-            if rec is None:
-                rec = _Record(self._next_id, rule, head_id, body_ids, node,
-                              time)
-                self._next_id += 1
-                self._records[key] = rec
-                self._by_head.setdefault(head_id, []).append(rec)
-            elif dedup and rec.count > 0:
-                return rec.id
-            rec.count += 1
-            return rec.id
-        if rec is None or rec.count <= 0:
-            self.floored += 1
-            return None
-        rec.count -= 1
-        return rec.id
+    def record_run(self, rule: str, pred: str, out: Sequence[Tuple],
+                   sign: int, node: Optional[str] = None, time: float = 0.0,
+                   dedup: bool = False) -> None:
+        """Record one firing of ``rule``: ``out`` holds its ``(head args,
+        body facts)`` pairs for head predicate ``pred``, each a signed
+        derivation.  ``dedup=True`` gives set semantics (re-recording a
+        live derivation does not bump its count) -- used by the
+        iterate-to-fixpoint engines, which legitimately re-derive the
+        same join every iteration."""
+        self.events += len(out)
+        records = self._records
+        for args, body in out:
+            head = Fact(pred, args)
+            key = (rule, body, node)
+            support = records.get(head)
+            rec = None if support is None else support.get(key)
+            if sign > 0:
+                if rec is None:
+                    if support is None:
+                        support = records[head] = {}
+                    support[key] = Derivation(self._next_id, rule, head,
+                                              body, node, time)
+                    self._next_id += 1
+                elif not dedup:
+                    rec.count += 1
+            elif rec is None:
+                self.floored += 1
+            elif rec.count > 1:
+                rec.count -= 1
+            else:
+                del support[key]
+                if not support:
+                    del records[head]
 
-    def record_base(self, fact: Fact, weight: int, node: Optional[str] = None,
-                    time: float = 0.0) -> None:
+    def record(self, rule: str, head: Fact, body: Sequence[Fact], sign: int,
+               node: Optional[str] = None, time: float = 0.0,
+               dedup: bool = False) -> Optional[Derivation]:
+        """Record one signed firing; returns its record while it is
+        live (``None`` once its count is spent, or when floored)."""
+        body = tuple(body)
+        self.record_run(rule, head.pred, ((head.args, body),), sign,
+                        node=node, time=time, dedup=dedup)
+        return self._records.get(head, {}).get((rule, body, node))
+
+    def record_base(self, fact: Fact, weight: int) -> None:
         """Record an external base-table change as a Z-set weight:
         ``+w`` base insertions or ``-w`` deletions in one event (a
         seeded multiplicity arrives as a single weighted call).  The
-        live count clamps at zero; the shortfall is floored exactly as
-        the unit path floored each over-delete."""
+        live count clamps at zero, where the entry goes; the shortfall
+        is floored exactly as the unit path floored each over-delete."""
         self.events += 1
-        fid = self.intern(fact)
-        if weight > 0:
-            self._base[fid] = self._base.get(fid, 0) + weight
-        else:
-            need = -weight
-            live = self._base.get(fid, 0)
-            take = min(live, need)
-            self.floored += need - take
-            if take:
-                self._base[fid] = live - take
+        live = self._base.get(fact, 0) + weight
+        if live > 0:
+            self._base[fact] = live
+        elif weight < 0:
+            self.floored -= live
+            self._base.pop(fact, None)
 
     def retract_fact(self, fact: Fact) -> None:
         """Kill all live support for ``fact`` (replacement / forced
@@ -186,69 +156,37 @@ class ProvenanceStore:
         exempt -- their support is managed purely by +/- firings."""
         if fact.pred in self.view_preds:
             return
-        fid = self._fact_ids.get(fact)
-        if fid is None:
-            return
-        if self._base.get(fid):
-            self._base[fid] = 0
-        for rec in self._by_head.get(fid, ()):
-            rec.count = 0
+        self._base.pop(fact, None)
+        self._records.pop(fact, None)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def base_count(self, fact: Fact) -> int:
-        fid = self._fact_ids.get(fact)
-        return self._base.get(fid, 0) if fid is not None else 0
+        return self._base.get(fact, 0)
 
-    def live_records(self, fact: Fact) -> List[_Record]:
-        fid = self._fact_ids.get(fact)
-        if fid is None:
-            return []
-        return [rec for rec in self._by_head.get(fid, ()) if rec.count > 0]
+    def live_records(self, fact: Fact) -> List[Derivation]:
+        return list(self._records.get(fact, {}).values())
 
     def live_support(self, fact: Fact) -> int:
-        """Live base events plus live derivation count for ``fact``."""
-        fid = self._fact_ids.get(fact)
-        if fid is None:
-            return 0
-        support = self._base.get(fid, 0)
-        for rec in self._by_head.get(fid, ()):
-            support += rec.count
-        return support
+        """Live base count plus live derivation count for ``fact``."""
+        return self._base.get(fact, 0) + sum(
+            rec.count for rec in self._records.get(fact, {}).values())
 
     def derivations_of(self, pred: str, args: Tuple) -> List[Derivation]:
         """The live derivation records of ``pred(args)``."""
-        return [self._resolve(rec)
-                for rec in self.live_records(Fact(pred, tuple(args)))]
+        return self.live_records(Fact(pred, tuple(args)))
 
     def known_facts(self):
-        """Iterate ``(fact, live_support)`` over every fact the store has
-        seen (audit uses this for the orphan sweep)."""
-        for fact, fid in self._fact_ids.items():
-            support = self._base.get(fid, 0)
-            for rec in self._by_head.get(fid, ()):
-                support += rec.count
-            yield fact, support
-
-    def _resolve(self, rec: _Record) -> Derivation:
-        return Derivation(
-            id=rec.id,
-            rule=rec.rule,
-            head=self._facts[rec.head_id],
-            body=tuple(self._facts[b] for b in rec.body_ids),
-            node=rec.node,
-            time=rec.time,
-            count=rec.count,
-        )
+        """Iterate ``(fact, live_support)`` over every fact the store
+        holds support for (audit uses this for the orphan sweep)."""
+        for fact in {**self._base, **self._records}:
+            yield fact, self.live_support(fact)
 
     def stats(self) -> Dict[str, int]:
         return {
-            "facts": len(self._facts),
-            "records": len(self._records),
-            "live_records": sum(
-                1 for r in self._records.values() if r.count > 0
-            ),
+            "facts": len(self._base.keys() | self._records.keys()),
+            "records": sum(map(len, self._records.values())),
             "events": self.events,
             "floored": self.floored,
         }
@@ -265,7 +203,7 @@ class ProvenanceStore:
         s = self.stats()
         return (
             f"ProvenanceStore(facts={s['facts']}, records={s['records']}, "
-            f"live={s['live_records']}, events={s['events']})"
+            f"events={s['events']})"
         )
 
 
@@ -304,15 +242,16 @@ class ProvenanceRecorder:
             dedup=self.dedup if dedup is None else dedup,
         )
 
-    def record_fact(self, rule: str, head: Fact, body: Sequence[Fact],
-                    sign: int) -> Optional[int]:
-        """Record a firing by its ground body facts (what a capture
-        kernel hands over, cache hits, synthesized derivations)."""
-        return self.store.record(rule, head, body, sign, node=self.node,
-                                 time=self.now(), dedup=self.dedup)
+    def record_run(self, rule: str, pred: str, out: Sequence[Tuple],
+                   sign: int) -> List[Tuple]:
+        """Record one firing's ``(head args, body facts)`` pairs (what a
+        capture kernel appends to ``out``) and return their head args."""
+        self.store.record_run(rule, pred, out, sign, node=self.node,
+                              time=self.now(), dedup=self.dedup)
+        return [head for head, _body in out]
 
     def base(self, fact: Fact, weight: int) -> None:
-        self.store.record_base(fact, weight, node=self.node, time=self.now())
+        self.store.record_base(fact, weight)
 
     def retracted(self, fact: Fact) -> None:
         self.store.retract_fact(fact)

@@ -92,13 +92,6 @@ class RuntimeConfig:
     #: Consecutive unacked retransmits before the convergence watchdog
     #: declares the peer dead and tears the link down.
     retry_budget: int = 6
-    #: Retransmit-timer floor/ceiling (seconds) and backoff factor.
-    rto_min: float = 0.05
-    rto_max: float = 2.0
-    rto_backoff: float = 2.0
-    #: How long a direction may owe a cumulative ack before flushing a
-    #: pure ack (reverse traffic inside the window piggybacks it).
-    ack_delay: float = 0.02
     #: Fault-injection plan (:class:`repro.chaos.ChaosSchedule`), or
     #: ``None`` for a fault-free run.
     chaos: Optional["ChaosSchedule"] = None

@@ -364,8 +364,8 @@ class NodeRuntime(PSNEngine):
         if self.provenance is not None:
             # A cache hit synthesizes the answer outside any rule strand;
             # record it so the derivation graph still supports the tuple.
-            self.provenance.record_fact(
-                "<cache>", Fact(policy.answer_pred, answer),
-                (Fact(policy.query_pred, args),), 1)
+            self.provenance.record_run(
+                "<cache>", policy.answer_pred,
+                [(answer, (Fact(policy.query_pred, args),))], 1)
         self._derive(policy.answer_pred, answer, 1)
         return policy.suppress_labels

@@ -42,7 +42,7 @@ from repro.net.message import (
     coalesce,
     value_size,
 )
-from repro.net.reliable import Flow, FlowTable
+from repro.net.reliable import ACK_DELAY, Flow, FlowTable
 from repro.runtime.config import RuntimeConfig
 
 #: Buffered flush timers carry +-10% deterministic jitter so that
@@ -301,7 +301,7 @@ class ReliableTransport(Transport):
 
     def __init__(self, cluster, config: RuntimeConfig):
         super().__init__(cluster, config)
-        self.flows = FlowTable(config.rto_min, config.ack_delay)
+        self.flows = FlowTable()
         # Decorrelates retransmit timers; seeded apart from the flush
         # jitter stream so enabling reliability does not perturb it.
         self._rto_jitter = random.Random(config.seed + 7331)
@@ -376,7 +376,7 @@ class ReliableTransport(Transport):
         if channel is None:  # link removed under us
             flow.unacked.clear()
             return
-        flow.backoff(self.config.rto_backoff, self.config.rto_max)
+        flow.backoff()
         self.cluster.stats.retransmits += 1
         if self.observer is not None:
             self.observer.retransmit(flow.src, flow.dst)
@@ -421,7 +421,7 @@ class ReliableTransport(Transport):
         flow.ack_owed = True
         if flow.ack_timer is None:
             flow.ack_timer = self.cluster.clock_for(flow.dst).after(
-                self.config.ack_delay, lambda: self._flush_ack(flow)
+                ACK_DELAY, lambda: self._flush_ack(flow)
             )
 
     def _flush_ack(self, flow: Flow) -> None:
@@ -436,7 +436,7 @@ class ReliableTransport(Transport):
             if resume != float("inf"):
                 clock = self.cluster.clock_for(flow.dst)
                 flow.ack_timer = clock.after(
-                    max(0.0, resume - clock.now) + self.config.ack_delay,
+                    max(0.0, resume - clock.now) + ACK_DELAY,
                     lambda: self._flush_ack(flow),
                 )
             return

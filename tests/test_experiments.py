@@ -14,7 +14,6 @@ from repro.experiments.common import (
     format_series,
     format_table,
 )
-from repro.opt.costbased import hybrid_study, recommend_strategy, zone_radius
 from repro.topology import build_overlay, transit_stub
 
 TINY = Scale(
@@ -87,30 +86,6 @@ def test_fig14_smoke(overlay):
     result = fig13_14.run_fig14(overlay=overlay, scale=TINY)
     assert result.consistent
     assert "Figure 14" in result.report()
-
-
-class TestCostBased:
-    def test_hybrid_study(self, overlay):
-        study = hybrid_study(overlay, pairs=20, seed=3)
-        assert study.hybrid_total <= study.td_total
-        assert study.hybrid_total <= study.bu_total
-        assert "hybrid" in study.report()
-
-    def test_recommend_strategy_valid(self, overlay):
-        pick = recommend_strategy(overlay, overlay.nodes[0],
-                                  overlay.nodes[-1])
-        assert pick in ("td", "bu", "hybrid")
-
-    def test_zone_radius_budget(self, overlay):
-        node = overlay.nodes[0]
-        small = zone_radius(overlay, node, budget=1)
-        large = zone_radius(overlay, node, budget=len(overlay.nodes))
-        assert small == 0
-        assert large >= small
-        from repro.topology import neighborhood_at
-
-        assert neighborhood_at(overlay, node,
-                               zone_radius(overlay, node, 8)) <= 8
 
 
 class TestReporting:

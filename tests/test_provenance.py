@@ -2,7 +2,11 @@
 why/why-not queries, distributed lineage (sim, live inproc and live
 UDP), and the count/graph auditor."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -534,7 +538,7 @@ class TestLiveProvenance:
 # Store internals
 # ----------------------------------------------------------------------
 class TestStore:
-    def test_interning_merges_duplicate_derivations(self):
+    def test_duplicate_derivations_merge(self):
         store = ProvenanceStore()
         head = Fact("p", ("x",))
         body = (Fact("q", ("x",)),)
@@ -543,6 +547,42 @@ class TestStore:
         assert first == second
         assert store.live_support(head) == 2
         assert len(store.live_records(head)) == 1
+
+    def test_a_spent_derivation_leaves_no_entry(self):
+        store = ProvenanceStore()
+        head = Fact("p", ("x",))
+        body = (Fact("q", ("x",)),)
+        store.record("r1", head, body, 1)
+        store.record("r1", head, body, -1)
+        assert store.stats()["records"] == 0
+        assert list(store.known_facts()) == []
+
+    def test_retract_fact_leaves_no_entry(self):
+        store = ProvenanceStore()
+        fact = Fact("p", ("x",))
+        store.record_base(fact, 1)
+        store.record("r1", fact, (Fact("q", ("x",)),), 1)
+        store.retract_fact(fact)
+        assert store.stats()["records"] == 0
+        assert list(store.known_facts()) == []
+
+    def test_a_spent_base_count_leaves_no_entry(self):
+        store = ProvenanceStore()
+        fact = Fact("p", ("x",))
+        store.record_base(fact, 2)
+        store.record_base(fact, -2)
+        assert store.base_count(fact) == 0 and store.floored == 0
+        assert list(store.known_facts()) == []
+
+    def test_a_reborn_derivation_gets_a_fresh_id(self):
+        store = ProvenanceStore()
+        head = Fact("p", ("x",))
+        body = (Fact("q", ("x",)),)
+        first = store.record("r1", head, body, 1)
+        store.record("r1", head, body, -1)
+        assert store.live_records(head) == []
+        reborn = store.record("r1", head, body, 1)
+        assert reborn.id > first.id and reborn.count == 1
 
     def test_minus_decrements_and_floors(self):
         store = ProvenanceStore()
@@ -581,3 +621,22 @@ class TestStore:
         agg_child = next(c for c in tree.children if c.fact == out)
         assert agg_child.children[0].fact == via_b
         assert agg_child.alternatives == 2
+
+
+# ----------------------------------------------------------------------
+# The why() walkthrough's output
+# ----------------------------------------------------------------------
+def test_why_routing_example_output_is_unchanged():
+    """``examples/why_routing.py`` prints its why / why-not answers byte
+    for byte as recorded in ``tests/data/why_routing.out``, under any
+    hash seed."""
+    root = Path(__file__).resolve().parents[1]
+    src = Path(repro.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "examples" / "why_routing.py")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    expected = (root / "tests" / "data" / "why_routing.out").read_bytes()
+    assert done.stdout == expected

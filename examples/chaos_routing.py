@@ -9,9 +9,13 @@ two halves of the chaos story:
 * with ``reliable=True`` the ack/retransmit transport absorbs every
   message fault and the network converges to the *exact* fault-free
   fixpoint (checked by :class:`repro.chaos.ChaosMonitor`);
-* the crashed-for-good node exhausts its neighbours' retry budgets,
-  the convergence watchdog tears its links down through the
-  link-update path, and the survivors route around the hole.
+* a link is live only while its peer shows signs of life (data, acks,
+  or the heartbeats an idle link sends): the crashed-for-good node's
+  links expire a lifetime later, the teardown takes the link-update
+  path, and the survivors route around the hole;
+* a partition longer than a lifetime expires the links it cuts, and
+  the first frame across after the heal restores them: the network
+  ends on the full topology's fixpoint.
 
 The protocol runs with aggregate selections (``aggsel``): a node
 advertises only improvements on its best path, so the fixpoint is the
@@ -28,7 +32,7 @@ Run:  python examples/chaos_routing.py
 import repro
 from repro.chaos import ChaosMonitor, ChaosSchedule
 from repro.ndlog import programs
-from repro.runtime import RuntimeConfig
+from repro.net.reliable import LINK_LIFETIME
 from repro.topology import build_overlay, transit_stub
 
 
@@ -65,7 +69,8 @@ print(f"  {verdict.stats['faults']} faults injected | "
 assert verdict.ok
 
 # ----------------------------------------------------------------------
-# Act 2: crash a node for good; the watchdog routes around it.
+# Act 2: crash a node for good; its links expire and the survivors
+# route around it.
 # ----------------------------------------------------------------------
 dead = "n3"
 post_fault = overlay8()
@@ -74,14 +79,34 @@ post_fault.links = {pair: meta for pair, meta in post_fault.links.items()
 monitor = ChaosMonitor(compiled, post_fault)
 deployment = compiled.deploy(
     topology=overlay8(),
-    config=RuntimeConfig(reliable=True, retry_budget=4),
+    reliable=True,
     chaos=ChaosSchedule(seed=8).crash(dead, at=0.02),
 )
 deployment.advance()
 verdict = monitor.check(deployment, exclude_nodes=[dead])
-print(f"watchdog run: {verdict.summary()}")
+print(f"crash run: {verdict.summary()}")
 print(f"  {deployment.stats.links_torn_down} links torn down after "
       f"{dead} crashed; survivors converged on the post-fault topology")
+assert verdict.ok
+assert deployment.stats.links_torn_down > 0
+
+# ----------------------------------------------------------------------
+# Act 3: a partition outlives a link lifetime, then heals.  A crash or
+# cut is noticed a lifetime after it, and heartbeats run on daemon
+# timers (advance() alone returns once only they are left), so the run
+# advances past the heal.
+# ----------------------------------------------------------------------
+heal = 10 * LINK_LIFETIME
+monitor = ChaosMonitor(compiled, overlay8())
+deployment = compiled.deploy(
+    topology=overlay8(), reliable=True,
+    chaos=ChaosSchedule(seed=1).partition(["n2"], start=0.01, end=heal),
+)
+deployment.advance(until=heal + 5 * LINK_LIFETIME)
+verdict = monitor.check(deployment)
+print(f"healed partition: {verdict.summary()}")
+print(f"  {deployment.stats.links_torn_down} link ends expired during the "
+      f"{heal:.0f}s cut and were restored after it")
 assert verdict.ok
 assert deployment.stats.links_torn_down > 0
 print("ok")

@@ -39,7 +39,7 @@ class SkewedClock(Clock):
     axis); every *relative* delay the node schedules is stretched by
     ``drift``, which is how skew manifests: a slow node's CPU ticks,
     soft-state refreshes, and retransmit timers all fire late relative
-    to its peers.
+    to its peers, heartbeats included.
     """
 
     def __init__(self, inner: Clock, drift: float):
@@ -59,6 +59,9 @@ class SkewedClock(Clock):
 
     def post(self, delay: float, callback: Callable[[], None]) -> None:
         self.inner.post(delay * self.drift, callback)
+
+    def daemon(self, delay: float, callback: Callable[[], None]):
+        return self.inner.daemon(delay * self.drift, callback)
 
     @property
     def pending(self) -> int:

@@ -14,8 +14,8 @@ a finished (quiescent) chaotic deployment on *any* target against it:
 
 ``exclude_nodes`` removes crashed-for-good nodes from the comparison:
 their frozen tables are expected to disagree.  For scenarios whose
-*correct* outcome differs from the fault-free one (e.g. a watchdog
-teardown permanently removes a link), pass the post-fault ``topology``
+*correct* outcome differs from the fault-free one (e.g. a node that
+crashed for good takes its links with it), pass the post-fault ``topology``
 the reference should converge on.
 """
 

@@ -21,12 +21,12 @@ Fault kinds and their windows:
     Fail-pause at ``start``: the node stops processing and all its
     traffic black-holes; with ``restart`` set it resumes with state
     intact (a process pause/VM migration), without it the node is dead
-    for good and only the watchdog's link teardown routes around it.
+    for good and only its neighbours' link expiry routes around it.
 ``skew``
     The node's clock runs ``drift`` times slow (>1) or fast (<1) for
-    the whole run: CPU ticks, flush windows, and retransmit timers all
-    stretch by the factor.  Windowless -- skew is a property of the
-    node, not an event.
+    the whole run: CPU ticks, flush windows, retransmit timers and
+    heartbeats all stretch by the factor.  Windowless -- skew is a
+    property of the node, not an event.
 """
 
 from __future__ import annotations

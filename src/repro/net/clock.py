@@ -2,9 +2,10 @@
 
 Everything above the network substrate -- node CPU ticks, transport
 flush windows, soft-state expiry sweeps, workload drivers -- schedules
-work through four verbs: ``now`` / ``at`` / ``after`` / ``post``.  The
-:class:`Clock` base pins that contract down so the same runtime code
-executes unchanged on either implementation:
+work through four verbs: ``now`` / ``at`` / ``after`` / ``post``; link
+heartbeats use a fifth, ``daemon``.  The :class:`Clock` base pins that
+contract down so the same runtime code executes unchanged on either
+implementation:
 
 * :class:`~repro.net.sim.Simulator` -- deterministic virtual time, the
   substrate for every reproduced experiment (results are byte-identical
@@ -35,8 +36,11 @@ class Clock:
     wall seconds since the clock was created).  ``at`` schedules at an
     absolute time on that axis and returns a cancellable handle;
     ``after`` is relative; ``post`` is fire-and-forget ``after`` (no
-    handle, not cancellable).  ``pending`` counts scheduled-but-unfired
-    events -- the quiescence test both execution targets share.
+    handle, not cancellable).  ``daemon`` is ``after`` for background
+    work: a daemon timer fires like any other, but ``pending`` -- the
+    count of scheduled-but-unfired events, the quiescence test both
+    execution targets share -- does not count it, so periodic
+    housekeeping never holds a finished network open.
     """
 
     now: float
@@ -50,18 +54,51 @@ class Clock:
     def post(self, delay: float, callback: Callable[[], None]) -> None:
         raise NotImplementedError
 
+    def daemon(self, delay: float, callback: Callable[[], None]):
+        raise NotImplementedError
+
     @property
     def pending(self) -> int:
         raise NotImplementedError
 
 
+class DaemonView(Clock):
+    """``inner`` with every timer a daemon: the clock a frame that
+    carries no data (a pure ack or heartbeat) travels on, so that in
+    flight it holds no run open either."""
+
+    def __init__(self, inner: Clock):
+        self.inner = inner
+
+    @property
+    def now(self) -> float:
+        return self.inner.now
+
+    def at(self, time: float, callback: Callable[[], None]):
+        return self.inner.daemon(max(0.0, time - self.inner.now), callback)
+
+    def after(self, delay: float, callback: Callable[[], None]):
+        return self.inner.daemon(delay, callback)
+
+    def post(self, delay: float, callback: Callable[[], None]) -> None:
+        self.inner.daemon(delay, callback)
+
+    def daemon(self, delay: float, callback: Callable[[], None]):
+        return self.inner.daemon(delay, callback)
+
+    @property
+    def pending(self) -> int:
+        return self.inner.pending
+
+
 class WallTimer:
     """Cancellation handle for one :class:`WallClock` timer."""
 
-    __slots__ = ("cancelled", "_clock", "_handle")
+    __slots__ = ("cancelled", "daemon", "_clock", "_handle")
 
-    def __init__(self, clock: "WallClock"):
+    def __init__(self, clock: "WallClock", daemon: bool = False):
         self.cancelled = False
+        self.daemon = daemon
         self._clock = clock
         self._handle: Optional[asyncio.TimerHandle] = None
 
@@ -71,6 +108,8 @@ class WallTimer:
         self.cancelled = True
         if self._handle is not None:
             self._handle.cancel()
+        if self.daemon:
+            return  # never counted in pending
         clock = self._clock
         clock._pending -= 1
         if clock._pending == 0 and clock.on_drain is not None:
@@ -86,7 +125,8 @@ class WallClock(Clock):
     programs written against virtual timestamps (workload bursts at
     t=2.0, refreshers every 0.5s) run unchanged in wall time.  After
     ``close`` scheduling raises :class:`NetworkError`: the loop that
-    would fire the timer is gone.  Callback exceptions are captured on
+    would fire the timer is gone, and a daemon timer due after it does
+    not fire.  Callback exceptions are captured on
     :attr:`failures` rather than left to the loop's exception handler,
     so the live runtime can surface them at
     :meth:`~repro.runtime.live.LiveCluster.stop` time; a
@@ -139,7 +179,8 @@ class WallClock(Clock):
                 "wall clock already stopped: its event loop is gone, so "
                 "nothing more can be scheduled on it"
             )
-        self._pending += 1
+        if timer is None or not timer.daemon:
+            self._pending += 1
         if self._loop is None:
             self._held.append((delay, timer, callback))
             return None
@@ -147,17 +188,22 @@ class WallClock(Clock):
 
     def _fire(self, timer: Optional[WallTimer],
               callback: Callable[[], None]) -> None:
+        daemon = False
         if timer is not None:
             if timer.cancelled:
                 return
             timer.cancelled = True  # fired; cancel() must not double-count
-        self._pending -= 1
+            daemon = timer.daemon
+            if daemon and self.closed:
+                return
+        if not daemon:
+            self._pending -= 1
         self.events_processed += 1
         try:
             callback()
         except Exception as exc:  # noqa: BLE001 -- surfaced at stop()
             self.failures.append((self.now, exc))
-        if self._pending == 0 and self.on_drain is not None:
+        if not daemon and self._pending == 0 and self.on_drain is not None:
             self.on_drain()
 
     def at(self, time: float, callback: Callable[[], None]) -> WallTimer:
@@ -173,6 +219,11 @@ class WallClock(Clock):
 
     def post(self, delay: float, callback: Callable[[], None]) -> None:
         self._schedule(delay, None, callback)
+
+    def daemon(self, delay: float, callback: Callable[[], None]) -> WallTimer:
+        timer = WallTimer(self, daemon=True)
+        timer._handle = self._schedule(delay, timer, callback)
+        return timer
 
     @property
     def pending(self) -> int:

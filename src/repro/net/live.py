@@ -131,12 +131,14 @@ def encode_message(message: Message) -> bytes:
         "h": message.shared_bytes,
         "t": deltas,
     }
-    # Reliable-transport framing ("q"uence / "a"ck), omitted when the
-    # transport is off so the historical wire layout is untouched.
+    # Reliable-transport framing ("q"uence / "a"ck / "e"poch), omitted
+    # when unset so the historical wire layout is untouched.
     if message.seq is not None:
         frame["q"] = message.seq
     if message.ack is not None:
         frame["a"] = message.ack
+    if message.epoch:
+        frame["e"] = message.epoch
     return json.dumps(frame, separators=(",", ":")).encode("utf-8")
 
 
@@ -157,7 +159,7 @@ def decode_message(data: bytes) -> Message:
 
     Every field is type-checked where it is read: endpoints and
     predicates are strings, arguments a list, the shared-byte count,
-    sequence number, ack and the trace id non-negative
+    sequence number, ack, epoch and the trace id non-negative
     ints (the optional ones may be absent or null), and values nest at
     most :data:`MAX_WIRE_NESTING` levels (a deeper frame than the JSON
     parser itself can take is refused the same way).
@@ -186,7 +188,8 @@ def decode_message(data: bytes) -> Message:
             shared_bytes=_wire_count(raw["h"], "shared bytes",
                                      optional=False),
             seq=_wire_count(raw.get("q"), "sequence number"),
-            ack=_wire_count(raw.get("a"), "ack"))
+            ack=_wire_count(raw.get("a"), "ack"),
+            epoch=_wire_count(raw.get("e", 0), "epoch", optional=False))
     except NetworkError:
         raise  # already taxonomied
     except (ValueError, KeyError, IndexError, TypeError,

@@ -118,8 +118,10 @@ class Message:
 
     ``seq``/``ack`` are the reliable transport's per-direction sequence
     number and piggybacked cumulative ack (:mod:`repro.net.reliable`);
-    a pure ack has ``ack`` set, ``seq`` ``None`` and no deltas.  Like
-    trace ids they ride outside the byte model -- the paper's
+    a pure ack has ``ack`` set, ``seq`` ``None`` and no deltas.
+    ``epoch`` counts the sender's resets of the link (a frame from a
+    newer epoch makes the receiver reset too).  Like trace ids they
+    ride outside the byte model -- the paper's
     communication metric is the protocol payload, and the few bytes of
     transport framing are already covered by ``HEADER_BYTES``.
     """
@@ -130,6 +132,7 @@ class Message:
     shared_bytes: int = 0
     seq: Optional[int] = None
     ack: Optional[int] = None
+    epoch: int = 0
     _size: int = field(default=0, repr=False, compare=False)
 
     @property

@@ -21,17 +21,28 @@ Section 4.2 / Theorem 4) on top of a channel that guarantees none of it:
   message -- TCP's discipline.  Because the receiver reassembles out of
   order, retransmitting the oldest gap makes the cumulative ack jump
   past everything buffered behind it.
-* **Exponential backoff with jitter and a retry budget.**  Consecutive
-  timeouts without ack progress multiply the RTO by
-  :data:`RTO_BACKOFF`, up to :data:`RTO_MAX` (decorrelated by a
-  seeded jitter factor), until the budget exhausts -- at which point the
-  peer is declared dead and the convergence watchdog tears the link
-  down through the link-update path (see
-  :meth:`repro.runtime.cluster.Cluster.fail_link`).
+* **Exponential backoff with jitter.**  Consecutive timeouts without
+  ack progress multiply the RTO by :data:`RTO_BACKOFF`, up to
+  :data:`RTO_MAX` (decorrelated by a seeded jitter factor).
+  Retransmission recovers loss; it does not decide liveness.
 * **Receive-side dedup + in-order release.**  Duplicates (chaos or
   retransmit races) re-ack and drop; gaps buffer until the missing
   sequence arrives, then release in order -- so the engine above still
   observes the FIFO stream Theorem 4 requires.
+* **Liveness is soft state** (Section 4.2's rule applied to the links
+  themselves).  An endpoint holds its link live while some frame from
+  the peer -- data, pure ack or duplicate -- arrived within
+  :data:`LINK_LIFETIME`.  Each endpoint ticks every :data:`HEARTBEAT`,
+  and a direction that sent nothing since its last tick sends a pure
+  ack as a heartbeat, so a live peer sends at least ``HEARTBEATS / 2``
+  frames in any lifetime, and a false expiry needs them all lost
+  (0.2 ** 8 ~ 2.6e-6 at 20% loss, for each of the many overlapping
+  lifetimes of a run).  Expiry tears the link down through the link-update path
+  (:meth:`repro.runtime.cluster.Cluster.fail_link`); the first frame
+  after it restores the link.  Each expiry starts a new *epoch* of the
+  pair: frames carry the sender's epoch, and a frame from a newer one
+  makes the receiver reset and restore too, so both ends agree on every
+  reset and no sequence cursor or peer ledger outlives one.
 """
 
 from __future__ import annotations
@@ -41,8 +52,8 @@ from typing import Dict, List, Optional
 
 from repro.net.message import Message
 
-__all__ = ["ACK_DELAY", "Flow", "FlowTable", "RTO_BACKOFF", "RTO_MAX",
-           "RTO_MIN"]
+__all__ = ["ACK_DELAY", "Flow", "FlowTable", "HEARTBEAT", "HEARTBEATS",
+           "LINK_LIFETIME", "RTO_BACKOFF", "RTO_MAX", "RTO_MIN"]
 
 #: Retransmit-timer floor and ceiling (seconds) and backoff factor.
 RTO_MIN = 0.05
@@ -51,37 +62,70 @@ RTO_BACKOFF = 2.0
 #: How long a direction may owe a cumulative ack before flushing a pure
 #: ack (reverse traffic inside the window piggybacks it).
 ACK_DELAY = 0.02
+#: How long an endpoint holds its link live without hearing from the
+#: peer (seconds).  Longer than any backoff interval, and than the
+#: sub-second crash-and-restart windows the chaos suite survives
+#: without a teardown.
+LINK_LIFETIME = RTO_MAX
+#: Endpoint ticks per lifetime (heartbeat when idle, expire when
+#: silent).  At 8, one of 200 ``drop(0.2)`` chaos runs still lost
+#: every heartbeat of some lifetime.
+HEARTBEATS = 16
+HEARTBEAT = LINK_LIFETIME / HEARTBEATS
 
 
 class Flow:
-    """State for one direction ``src -> dst``."""
+    """State for one direction ``src -> dst``.  The receiver side also
+    holds ``dst``'s view of the pair: when it last heard from ``src``,
+    whether it holds the link live, and its epoch."""
 
     __slots__ = (
         "src", "dst",
         # sender side (at src)
-        "next_seq", "unacked", "retries", "rto_base", "rto", "timer",
-        "dead",
+        "next_seq", "unacked", "rto_base", "rto", "timer", "sent",
         # receiver side (at dst)
         "cursor", "ooo", "ack_owed", "ack_timer",
+        "heard", "live", "epoch",
     )
 
-    def __init__(self, src: str, dst: str, rto_base: float):
+    def __init__(self, src: str, dst: str, rto_base: float,
+                 now: float = 0.0):
         self.src = src
         self.dst = dst
+        self.rto_base = rto_base
+        self.timer = None
+        self.ack_timer = None
+        self.reset_sender()
+        self.reset_receiver()
+        #: Whether a frame went out since ``src``'s last tick.
+        self.sent = False
+        #: When the last frame from ``src`` arrived at ``dst``.
+        self.heard = now
+        self.live = True
+        self.epoch = 0
+
+    def reset_sender(self) -> None:
+        """A fresh sequence space at ``src``: nothing unacked, no
+        retransmit timer, the initial RTO."""
         self.next_seq = 1
         #: seq -> Message, insertion (= sequence) ordered.
         self.unacked: "OrderedDict[int, Message]" = OrderedDict()
-        self.retries = 0
-        self.rto_base = rto_base
-        self.rto = rto_base
-        self.timer = None
-        self.dead = False
+        self.rto = self.rto_base
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def reset_receiver(self) -> None:
+        """A fresh sequence space at ``dst``: nothing delivered, nothing
+        buffered, no ack owed."""
         #: Highest sequence delivered in order (cumulative ack value).
         self.cursor = 0
         #: Out-of-order reassembly buffer: seq -> Message.
         self.ooo: Dict[int, Message] = {}
         self.ack_owed = False
-        self.ack_timer = None
+        if self.ack_timer is not None:
+            self.ack_timer.cancel()
+            self.ack_timer = None
 
     # -- sender side ----------------------------------------------------
     def stamp(self, message: Message) -> int:
@@ -105,13 +149,11 @@ class Flow:
             self.unacked.popitem(last=False)
             progressed = True
         if progressed:
-            self.retries = 0
             self.rto = self.rto_base
         return progressed
 
     def backoff(self, factor: float = RTO_BACKOFF,
                 cap: float = RTO_MAX) -> None:
-        self.retries += 1
         self.rto = min(self.rto * factor, cap)
 
     # -- receiver side --------------------------------------------------
@@ -135,13 +177,6 @@ class Flow:
             healed += 1
         return ready, False, healed
 
-    def cancel_timers(self) -> None:
-        for name in ("timer", "ack_timer"):
-            handle = getattr(self, name)
-            if handle is not None:
-                handle.cancel()
-                setattr(self, name, None)
-
 
 class FlowTable:
     """All flows of one cluster, keyed by ordered ``(src, dst)``."""
@@ -149,17 +184,13 @@ class FlowTable:
     def __init__(self):
         self._flows: Dict[tuple, Flow] = {}
 
-    def get(self, src: str, dst: str,
-            latency: float = 0.0) -> Flow:
-        key = (src, dst)
-        flow = self._flows.get(key)
-        if flow is None:
-            # A sensible initial RTO: two round trips plus the delayed
-            # ack, floored at the minimum.
-            rto = max(RTO_MIN, 4.0 * latency + 2.0 * ACK_DELAY)
-            flow = Flow(src, dst, rto)
-            self._flows[key] = flow
-        return flow
+    def get(self, src: str, dst: str) -> Optional[Flow]:
+        return self._flows.get((src, dst))
 
-    def values(self):
-        return self._flows.values()
+    def add(self, src: str, dst: str, latency: float,
+            now: float) -> Flow:
+        # A sensible initial RTO: two round trips plus the delayed ack,
+        # floored at the minimum.
+        rto = max(RTO_MIN, 4.0 * latency + 2.0 * ACK_DELAY)
+        flow = self._flows[src, dst] = Flow(src, dst, rto, now)
+        return flow

@@ -21,21 +21,33 @@ from repro.net.clock import Clock
 
 
 class EventHandle:
-    """Returned by :meth:`Simulator.at`; allows cancellation."""
+    """Returned by :meth:`Simulator.at` and :meth:`Simulator.daemon`;
+    allows cancellation.  A fired event reads as cancelled, so a late
+    ``cancel()`` is a no-op; cancelling a pending event tells ``_sim``
+    that one fewer event holds the run open (a daemon's handle has no
+    ``_sim``: it never held the run open)."""
 
-    __slots__ = ("cancelled",)
+    __slots__ = ("cancelled", "_sim")
 
-    def __init__(self):
+    def __init__(self, sim: Optional["Simulator"]):
         self.cancelled = False
+        self._sim = sim
 
     def cancel(self) -> None:
+        if self.cancelled:
+            return
         self.cancelled = True
+        if self._sim is not None:
+            self._sim._idle += 1
 
 
 class Simulator(Clock):
     """A minimal event loop: schedule callbacks at virtual times.
 
     Ties are broken by scheduling order, so runs are fully deterministic.
+    A *daemon* event (:meth:`daemon`) fires like any other but does not
+    hold the run open: :meth:`run` without ``until`` returns once only
+    daemons are pending, and :attr:`pending` does not count them.
     """
 
     def __init__(self):
@@ -47,6 +59,9 @@ class Simulator(Clock):
         # step()/run() use cannot overshoot the cap.
         self._event_limit: Optional[int] = None
         self._event_budget = 0
+        #: Heap entries that hold no run open: pending daemons and
+        #: cancelled events not yet popped.
+        self._idle = 0
 
     def at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute virtual ``time``."""
@@ -54,7 +69,7 @@ class Simulator(Clock):
             raise NetworkError(
                 f"cannot schedule at {time} (now is {self.now})"
             )
-        handle = EventHandle()
+        handle = EventHandle(self)
         heapq.heappush(self._heap, (time, next(self._sequence), handle, callback))
         return handle
 
@@ -75,9 +90,29 @@ class Simulator(Clock):
             self._heap, (self.now + delay, next(self._sequence), None, callback)
         )
 
+    def daemon(self, delay: float,
+               callback: Callable[[], None]) -> EventHandle:
+        """Schedule a daemon event ``delay`` seconds from now: periodic
+        background work (link heartbeats) that must not keep a
+        finished network running."""
+        if delay < 0:
+            raise NetworkError(f"negative delay {delay}")
+
+        def fire() -> None:
+            self._idle -= 1
+            callback()
+
+        handle = EventHandle(None)
+        self._idle += 1
+        heapq.heappush(
+            self._heap, (self.now + delay, next(self._sequence), handle,
+                         fire))
+        return handle
+
     @property
     def pending(self) -> int:
-        return len(self._heap)
+        """Events that hold a run open: neither daemons nor cancelled."""
+        return len(self._heap) - self._idle
 
     def _check_budget(self, item) -> None:
         """Raise the livelock error *before* consuming ``item``: the
@@ -100,11 +135,14 @@ class Simulator(Clock):
         error instead of silently overshooting the cap.
         """
         while self._heap:
-            if self._heap[0][2] is not None and self._heap[0][2].cancelled:
-                heapq.heappop(self._heap)
-                continue
             item = heapq.heappop(self._heap)
+            handle = item[2]
+            if handle is not None and handle.cancelled:
+                self._idle -= 1
+                continue
             self._check_budget(item)
+            if handle is not None:
+                handle.cancelled = True  # fired
             time, _seq, _handle, callback = item
             self.now = time
             self.events_processed += 1
@@ -118,7 +156,8 @@ class Simulator(Clock):
         max_events: int = 50_000_000,
     ) -> float:
         """Run until quiescence (or virtual time ``until``); returns the
-        final virtual time.
+        final virtual time.  Quiescence means no event but daemons is
+        pending; with ``until`` daemons keep firing up to that time.
 
         ``until`` is an *observation* time, not just a stop condition:
         the clock always advances to ``until`` even when the event heap
@@ -130,7 +169,8 @@ class Simulator(Clock):
         batched node runtimes make the event schedule burstier (fewer,
         heavier events), but a large network still pushes millions of
         events through here, so the per-event constant -- one heap pop,
-        one cancellation test, one call -- is kept minimal.
+        one daemon-count and one cancellation test, one call -- is kept
+        minimal.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -138,15 +178,22 @@ class Simulator(Clock):
         self._event_limit = limit
         self._event_budget = max_events
         while heap:
-            if until is not None and heap[0][0] > until:
+            if until is None:
+                if len(heap) == self._idle:
+                    break  # only daemons (and cancelled events) left
+            elif heap[0][0] > until:
                 if until > self.now:
                     self.now = until
                 return self.now
             item = pop(heap)
-            if item[2] is not None and item[2].cancelled:
+            handle = item[2]
+            if handle is not None and handle.cancelled:
+                self._idle -= 1
                 continue
             if self.events_processed >= limit:
                 self._check_budget(item)
+            if handle is not None:
+                handle.cancelled = True  # fired
             time, _seq, _handle, callback = item
             self.now = time
             self.events_processed += 1

@@ -21,16 +21,16 @@ class TrafficStats:
     records: List[Tuple[float, str, int]] = field(default_factory=list)
     dropped_no_link: int = 0
     messages: int = 0
-    #: Reliable transport: retransmissions fired / pure acks flushed /
-    #: duplicate deliveries discarded / out-of-order deliveries released in
-    #: order from the reassembly buffer.
+    #: Reliable transport: retransmissions fired / pure acks sent
+    #: (delayed acks and heartbeats) / duplicate deliveries discarded /
+    #: out-of-order deliveries released in order from the reassembly
+    #: buffer.
     retransmits: int = 0
     acks_sent: int = 0
     dup_dropped: int = 0
     reorders_healed: int = 0
-    #: Sends suppressed because the watchdog declared the peer dead.
-    dead_link_drops: int = 0
-    #: Links the convergence watchdog tore down (retry budget spent).
+    #: Link expiries: an endpoint heard nothing from its peer for a
+    #: link lifetime, or followed the peer's reset.
     links_torn_down: int = 0
     #: Receive-path hardening: undecodable frames discarded, and
     #: datagrams that arrived with no send on the books.

@@ -327,7 +327,6 @@ class MetricsRegistry:
             "acks_sent": stats.acks_sent,
             "dup_dropped": stats.dup_dropped,
             "reorders_healed": stats.reorders_healed,
-            "dead_link_drops": stats.dead_link_drops,
             "links_torn_down": stats.links_torn_down,
             "dropped_no_link": stats.dropped_no_link,
             "malformed_dropped": stats.malformed_dropped,

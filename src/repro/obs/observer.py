@@ -33,7 +33,7 @@ event           payload                                    raised
 
 The first eight are an :class:`Observer`'s (one per centralised engine
 or cluster node), the last four a :class:`WireObserver`'s (one per
-cluster, shared by transport, chaos injector and link watchdog).
+cluster, shared by transport, chaos injector and link liveness).
 
 **What a producer pays.**  ``None``: nobody listens.  With a handle,
 ``commit`` is always raised and every other event only under the
@@ -263,7 +263,7 @@ class WireObserver:
 
     def fault(self, kind: str, src: Optional[str],
               dst: Optional[str]) -> None:
-        """A chaos injection or watchdog link teardown, interleaved
+        """A chaos injection or a link teardown / restore, interleaved
         with the delta spans it affected (outside any trace)."""
         tracer = self.tracer
         if tracer is not None:

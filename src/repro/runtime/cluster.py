@@ -78,7 +78,7 @@ class Cluster:
         #: observer delivers to.
         self.trackers: List = []
         #: Who watches the wire -- transport, chaos injector and link
-        #: watchdog raise their events on it -- and the registries it
+        #: liveness raise their events on it -- and the registries it
         #: feeds, which the nodes' observers bind too; ``None`` when off.
         wire = self.observer = (
             WireObserver(self.config, self.clock)
@@ -150,9 +150,12 @@ class Cluster:
 
         if link_loads is None:
             link_loads = {"link": "latency"}
-        #: The deployed link relations -- the watchdog tears failed
-        #: links down through exactly these predicates.
+        #: The deployed link relations -- an expired link is torn down
+        #: through exactly these predicates.
         self.link_loads: Dict[str, str] = dict(link_loads)
+        #: (src, dst) -> the link rows :meth:`fail_link` deleted at
+        #: ``src``, which :meth:`restore_link` puts back.
+        self._torn: Dict[Tuple[str, str], List[Tuple[str, Tuple]]] = {}
         for pred, metric in self.link_loads.items():
             self.load_links(pred, metric)
 
@@ -285,16 +288,19 @@ class Cluster:
         return self.clock
 
     def fail_link(self, src: str, dst: str) -> None:
-        """Convergence watchdog: ``dst`` stopped acknowledging ``src``.
-        Delete the link facts for the pair at the surviving endpoint --
-        the same declarative path a planned link update takes -- so the
-        protocol re-converges around the dead peer."""
+        """Link expiry: ``src`` heard nothing from ``dst`` for a link
+        lifetime (:data:`repro.net.reliable.LINK_LIFETIME`), or ``dst``
+        reset the pair.  Delete the link facts for the pair at ``src``
+        -- the same declarative path a planned link update takes -- so
+        the protocol re-converges around the silent peer; the rows are
+        kept for :meth:`restore_link`."""
         node = self.nodes.get(src)
         if node is None:
             return
         self.stats.links_torn_down += 1
         if self.observer is not None:
             self.observer.fault("link_teardown", src, dst)
+        torn = self._torn.setdefault((src, dst), [])
         for pred in self.link_loads:
             table = node.db.tables.get(pred)
             if table is None:
@@ -304,11 +310,23 @@ class Cluster:
                 if len(row) >= 2 and row[0] == src and row[1] == dst
             ]:
                 node.delete(pred, args)
-        # A deletion cascade cannot route through the dead peer (the
+                torn.append((pred, args))
+        # A deletion cascade cannot route through the silent peer (the
         # localized joins live there), so withdraw its advertisements
         # on its behalf; re-convergence then propagates normally among
         # the survivors.
         node.invalidate_peer(dst)
+
+    def restore_link(self, src: str, dst: str) -> None:
+        """``src`` heard from ``dst`` again after :meth:`fail_link`:
+        re-insert the link rows the expiry deleted."""
+        node = self.nodes.get(src)
+        if node is None:
+            return
+        if self.observer is not None:
+            self.observer.fault("link_restore", src, dst)
+        for pred, args in self._torn.pop((src, dst), ()):
+            node.insert(pred, args)
 
     # ------------------------------------------------------------------
     # Execution

@@ -35,7 +35,6 @@ class CachePolicy:
     cost_position: int = 4
     answer_pred: str = "answer"
     answer_path_position: int = 2
-    answer_cost_position: int = 3
     suppress_labels: Tuple[str, ...] = ("MQ2",)
 
 
@@ -87,11 +86,9 @@ class RuntimeConfig:
     validate: bool = True
     #: Ship deltas over the ack/retransmit reliable transport
     #: (:mod:`repro.net.reliable`): restores the FIFO + exactly-once
-    #: delivery of Theorem 4 on lossy/reordering links.
+    #: delivery of Theorem 4 on lossy/reordering links, and holds each
+    #: link live only while its peer shows signs of life.
     reliable: bool = False
-    #: Consecutive unacked retransmits before the convergence watchdog
-    #: declares the peer dead and tears the link down.
-    retry_budget: int = 6
     #: Fault-injection plan (:class:`repro.chaos.ChaosSchedule`), or
     #: ``None`` for a fault-free run.
     chaos: Optional["ChaosSchedule"] = None

@@ -282,7 +282,9 @@ class LiveCluster(Cluster):
         counts a datagram from ``sendto`` until ``datagram_received``
         (or until the loss grace declares it dropped).  So no work
         hides between two signs, and an idle network stays idle until
-        someone injects more."""
+        someone injects more.  Link heartbeats, and pure acks in
+        flight, run on daemon timers: they carry no work, so the clock
+        does not count them."""
         down = (
             self.chaos.dead_nodes(self.clock.now)
             if self.chaos is not None else frozenset()

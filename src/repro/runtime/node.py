@@ -97,10 +97,10 @@ class NodeRuntime(PSNEngine):
         self._outbox: Dict[str, List[NetDelta]] = {}
         self.deltas_processed = 0
         #: Net deliveries per neighbor: peer -> fact -> (inserts - deletes).
-        #: Maintained only under the reliable transport, where the
-        #: convergence watchdog may need to invalidate everything a dead
-        #: peer ever advertised (a deletion cascade cannot route through
-        #: a crashed node -- the joins live there).
+        #: Maintained only under the reliable transport, where a link
+        #: expiry must invalidate everything a silent peer advertised
+        #: (a deletion cascade cannot route through a crashed node --
+        #: the joins live there).
         self.peer_ledger: Dict[str, Dict[Fact, int]] = {}
         #: Query-result cache: dst -> (path_suffix, cost).  Section 5.2.
         self.result_cache: Dict[str, Tuple[Tuple, float]] = {}
@@ -229,11 +229,14 @@ class NodeRuntime(PSNEngine):
 
         Two things are done per delta, each only when its feature is
         on: under ``config.reliable`` the arrival is booked on the peer
-        ledger (the watchdog may later need to invalidate that
-        neighbour's contributions); a traced delta records its
-        ``receive`` span and keeps its trace id on the queue row, so
-        downstream derivations and the local commit stay causally
-        linked."""
+        ledger (a link expiry may later need to invalidate that
+        neighbour's contributions), and a retraction of more than the
+        ledger holds is cut to what it holds -- the excess withdraws
+        what a link reset already withdrew (:meth:`invalidate_peer`)
+        and must not touch support from anywhere else; a traced delta
+        records its ``receive`` span and keeps its trace id on the
+        queue row, so downstream derivations and the local commit stay
+        causally linked."""
         observer = self.observer
         traced = observer is not None and observer.traced
         ledger = None
@@ -253,7 +256,12 @@ class NodeRuntime(PSNEngine):
                 continue
             if ledger is not None:
                 fact = Fact(pred, args)
-                count = ledger.get(fact, 0) + weight
+                held = ledger.get(fact, 0)
+                if held + weight < 0:
+                    weight = -held
+                    if not weight:
+                        continue
+                count = held + weight
                 if count:
                     ledger[fact] = count
                 else:
@@ -266,12 +274,13 @@ class NodeRuntime(PSNEngine):
         self._schedule_tick()
 
     def invalidate_peer(self, peer: str) -> None:
-        """Watchdog support: retract every net contribution ``peer``
-        shipped here, as if the dead neighbor had withdrawn its
-        advertisements itself (the deletion cascade then propagates
-        among the survivors normally).  Each fact's net count withdraws
-        as one weighted intent -- the Z-set representation's payoff:
-        the dead peer's whole ledger is a handful of bulk deltas."""
+        """Link expiry support (:meth:`Cluster.fail_link`): retract
+        every net contribution ``peer`` shipped here, as if the silent
+        neighbor had withdrawn its advertisements itself (the deletion
+        cascade then propagates among the survivors normally).  Each
+        fact's net count withdraws as one weighted intent -- the Z-set
+        representation's payoff: the peer's whole ledger is a handful
+        of bulk deltas."""
         ledger = self.peer_ledger.pop(peer, {})
         for fact, count in ledger.items():
             if count > 0:

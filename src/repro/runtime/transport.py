@@ -32,8 +32,9 @@ real traffic).
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+from repro.net.clock import DaemonView
 from repro.net.message import (
     DELTA_HEADER_BYTES,
     HEADER_BYTES,
@@ -42,7 +43,13 @@ from repro.net.message import (
     coalesce,
     value_size,
 )
-from repro.net.reliable import ACK_DELAY, Flow, FlowTable
+from repro.net.reliable import (
+    ACK_DELAY,
+    HEARTBEAT,
+    LINK_LIFETIME,
+    Flow,
+    FlowTable,
+)
 from repro.runtime.config import RuntimeConfig
 
 #: Buffered flush timers carry +-10% deterministic jitter so that
@@ -167,7 +174,7 @@ class Transport:
         # so a link flap buffered whole ships nothing.  Runs before the
         # per-slot net-change pass, which reasons about *slots* and
         # assumes one net intent per fact.
-        coalesced = deltas = coalesce(window)
+        coalesced = deltas = self._coalesce(key, window)
         self.cluster.stats.netdeltas_coalesced += len(window) - len(deltas)
         suppressed: List[NetDelta] = []
         if self.config.buffer_interval:
@@ -185,6 +192,10 @@ class Transport:
         else:
             # One batch message; per-delta headers still paid.
             self._transmit(src, dst, deltas)
+
+    def _coalesce(self, key: Tuple[str, str],
+                  window: List[NetDelta]) -> Sequence[NetDelta]:
+        return coalesce(window)
 
     def _net_change(
         self, key: Tuple[str, str], deltas: Sequence[NetDelta],
@@ -269,7 +280,7 @@ class Transport:
         for message in messages(src, dst, deltas, shared_bytes):
             self._send(channel, message)
 
-    def _send(self, channel, message: Message) -> None:
+    def _send(self, channel, message: Message, clock=None) -> None:
         stats = self.cluster.stats
         stats.netdeltas_shipped += len(message.deltas)
         stats.record(self.cluster.clock.now, message.src, message.size)
@@ -277,7 +288,7 @@ class Transport:
         if observer is not None and observer.traced:
             observer.ship(message)
         channel.transmit(
-            self.cluster.clock, message, self.cluster.deliver,
+            clock or self.cluster.clock, message, self.cluster.deliver,
             rng=self.cluster.loss_rng,
         )
 
@@ -289,14 +300,16 @@ class Transport:
 
 
 class ReliableTransport(Transport):
-    """Ack/retransmit delivery over the same channels.
+    """Ack/retransmit delivery and link liveness over the same channels.
 
     Protocol state lives in :mod:`repro.net.reliable`; this class wires
     it to the cluster: stamping outbound messages, arming the
-    per-direction retransmit and delayed-ack timers on the cluster
-    clock, filtering arriving messages back into the FIFO exactly-once stream
-    the engine assumes, and escalating a spent retry budget to the
-    convergence watchdog (``cluster.fail_link``).
+    per-direction retransmit and delayed-ack timers and each endpoint's
+    daemon tick on the node's clock, filtering arriving messages back
+    into the FIFO exactly-once stream the engine assumes, and turning a
+    peer silent for a lifetime into a link teardown
+    (``cluster.fail_link``) and its next frame into a restore
+    (``cluster.restore_link``).
     """
 
     def __init__(self, cluster, config: RuntimeConfig):
@@ -305,11 +318,27 @@ class ReliableTransport(Transport):
         # Decorrelates retransmit timers; seeded apart from the flush
         # jitter stream so enabling reliability does not perturb it.
         self._rto_jitter = random.Random(config.seed + 7331)
+        #: Links reset since their last window flush: that window is
+        #: not coalesced, so a retraction of what an older epoch shipped
+        #: cannot cancel the re-advertisement behind it (the receiver
+        #: drops the retraction instead, see ``NodeRuntime.receive``).
+        self._cut: Set[Tuple[str, str]] = set()
+        #: Pure acks travel on daemon timers: a frame without data in
+        #: flight holds no run open (heartbeats would, forever).
+        self._idle_clock = DaemonView(cluster.clock)
 
     def _flow(self, src: str, dst: str) -> Flow:
-        channel = self.cluster.channel(src, dst)
-        latency = getattr(channel, "latency", 0.0) if channel else 0.0
-        return self.flows.get(src, dst, latency=latency)
+        flow = self.flows.get(src, dst)
+        if flow is None:
+            channel = self.cluster.channel(src, dst)
+            latency = getattr(channel, "latency", 0.0) if channel else 0.0
+            flow = self.flows.add(src, dst, latency, self.cluster.clock.now)
+            self._arm_tick(flow)
+        return flow
+
+    def _down_until(self, node: str):
+        chaos = self.cluster.chaos
+        return None if chaos is None else chaos.down_until(node)
 
     # -- sender side ----------------------------------------------------
     def _transmit(
@@ -323,18 +352,20 @@ class ReliableTransport(Transport):
         if channel is None:
             self.cluster.stats.dropped_no_link += 1
             return
-        flow = self._flow(src, dst)
-        if flow.dead:
-            # Watchdog already declared the peer dead; the link facts
-            # are gone and stragglers from in-queue work are dropped.
-            self.cluster.stats.dead_link_drops += 1
+        reverse = self._flow(dst, src)  # holds src's view of the pair
+        if not reverse.live:
+            # ``src`` let the link expire: its link facts are gone, and
+            # stragglers from in-queue work are dropped.
+            self.cluster.stats.dropped_no_link += 1
             return
-        reverse = self._flow(dst, src)
+        flow = self._flow(src, dst)
         for message in messages(src, dst, deltas, shared_bytes,
                                 ack=reverse.cursor):
+            message.epoch = reverse.epoch
             message.seq = flow.stamp(message)
             reverse.ack_owed = False  # piggybacked on this send
             self._send(channel, message)
+        flow.sent = True
         if flow.timer is None:
             self._arm_retransmit(flow)
 
@@ -346,30 +377,22 @@ class ReliableTransport(Transport):
             delay, lambda: self._on_timeout(flow)
         )
 
-    def _down_until(self, node: str):
-        chaos = self.cluster.chaos
-        return None if chaos is None else chaos.down_until(node)
-
     def _on_timeout(self, flow: Flow) -> None:
         flow.timer = None
-        if flow.dead or not flow.unacked:
+        if not flow.unacked:
             return
         resume = self._down_until(flow.src)
         if resume is not None:
             # The *sender* is crashed: a dead host neither retransmits
             # nor concludes anything about its peers.  Park the timer
             # until the restart; with no restart the flow is abandoned
-            # (the survivors' watchdogs handle the teardown from their
-            # side).
+            # (the survivors' links expire from their side).
             if resume != float("inf"):
                 clock = self.cluster.clock_for(flow.src)
                 flow.timer = clock.after(
                     max(0.0, resume - clock.now) + flow.rto,
                     lambda: self._on_timeout(flow),
                 )
-            return
-        if flow.retries >= self.config.retry_budget:
-            self._declare_dead(flow)
             return
         message = flow.oldest_unacked()
         channel = self.cluster.channel(flow.src, flow.dst)
@@ -380,20 +403,84 @@ class ReliableTransport(Transport):
         self.cluster.stats.retransmits += 1
         if self.observer is not None:
             self.observer.retransmit(flow.src, flow.dst)
+        flow.sent = True
         self._send(channel, message)
         self._arm_retransmit(flow)
 
-    def _declare_dead(self, flow: Flow) -> None:
-        """The convergence watchdog: ``retry_budget`` retransmissions
-        went unacknowledged, so the peer (or the path to it) is treated
-        as failed and the link is torn down declaratively."""
-        flow.dead = True
-        flow.unacked.clear()
-        flow.cancel_timers()
-        self.cluster.fail_link(flow.src, flow.dst)
+    # -- liveness -------------------------------------------------------
+    def _arm_tick(self, flow: Flow) -> None:
+        self.cluster.clock_for(flow.dst).daemon(
+            HEARTBEAT, lambda: self._tick(flow))
+
+    def _tick(self, flow: Flow) -> None:
+        """``flow.dst``'s periodic look at its link to ``flow.src``: a
+        peer silent for a lifetime expires the link, and a direction
+        that sent nothing since the last tick heartbeats."""
+        self._arm_tick(flow)
+        node, peer = flow.dst, flow.src
+        if self._down_until(node) is not None:
+            return  # a crashed host neither heartbeats nor concludes
+        if flow.live and \
+                self.cluster.clock.now - flow.heard > LINK_LIFETIME:
+            self._expire(flow)
+        out = self._flow(node, peer)
+        if not out.sent:
+            self._send_ack(flow)
+        out.sent = False
+
+    def _expire(self, flow: Flow) -> None:
+        """``flow.dst`` gives its link to ``flow.src`` up: a new epoch,
+        a fresh sequence space, and the link facts torn down."""
+        flow.live = False
+        flow.epoch += 1
+        self._reset(flow)
+        self.cluster.fail_link(flow.dst, flow.src)
+
+    def _resync(self, flow: Flow, epoch: int) -> bool:
+        """Bring ``flow.dst``'s view of the pair up to a frame of
+        ``epoch``; returns whether the frame belongs to the current
+        epoch (an older epoch's frame is a sign of life, nothing
+        more)."""
+        node, peer = flow.dst, flow.src
+        if epoch > flow.epoch:
+            # The peer reset the pair: reset too, so both ends start
+            # the epoch from nothing.
+            if flow.live:
+                flow.live = False
+                self.cluster.fail_link(node, peer)
+            flow.epoch = epoch
+            self._reset(flow)
+        if not flow.live:
+            flow.live = True
+            self.cluster.restore_link(node, peer)
+        return epoch == flow.epoch
+
+    def _reset(self, flow: Flow) -> None:
+        """Start ``flow.dst``'s end of the pair afresh: its sending
+        direction, this receiving one, and the link's window state."""
+        key = (flow.dst, flow.src)
+        self._flow(*key).reset_sender()
+        flow.reset_receiver()
+        self._advertised.pop(key, None)
+        window = self._buffers.get(key)
+        if window is not None:
+            window.clear()
+        self._cut.add(key)
+
+    def _coalesce(self, key: Tuple[str, str],
+                  window: List[NetDelta]) -> Sequence[NetDelta]:
+        if key in self._cut:
+            self._cut.discard(key)
+            return window
+        return coalesce(window)
 
     # -- receiver side --------------------------------------------------
     def on_arrival(self, message: Message) -> Iterable[Message]:
+        flow = self._flow(message.src, message.dst)
+        flow.heard = self.cluster.clock.now
+        if (message.epoch != flow.epoch or not flow.live) and \
+                not self._resync(flow, message.epoch):
+            return ()
         if message.ack is not None:
             sender = self._flow(message.dst, message.src)
             if sender.absorb_ack(message.ack):
@@ -406,7 +493,6 @@ class ReliableTransport(Transport):
             # Pure ack (or a frame from an unreliable sender): nothing
             # to sequence, nothing to deliver.
             return () if not message.deltas else (message,)
-        flow = self._flow(message.src, message.dst)
         ready, dup, healed = flow.admit(message.seq, message)
         stats = self.cluster.stats
         if dup:
@@ -440,11 +526,17 @@ class ReliableTransport(Transport):
                     lambda: self._flush_ack(flow),
                 )
             return
-        flow.ack_owed = False
+        self._send_ack(flow)
+
+    def _send_ack(self, flow: Flow) -> None:
+        """A pure ack ``flow.dst -> flow.src``: a delayed ack, or a
+        heartbeat."""
         channel = self.cluster.channel(flow.dst, flow.src)
         if channel is None:
             return
+        flow.ack_owed = False
+        self._flow(flow.dst, flow.src).sent = True
         ack = Message(src=flow.dst, dst=flow.src, deltas=(),
-                      ack=flow.cursor)
+                      ack=flow.cursor, epoch=flow.epoch)
         self.cluster.stats.acks_sent += 1
-        self._send(channel, ack)
+        self._send(channel, ack, self._idle_clock)

@@ -25,6 +25,7 @@ from repro.net.live import (
     encode_message,
 )
 from repro.net.message import Message, NetDelta, single
+from repro.net.reliable import HEARTBEAT
 from repro.net.sim import Simulator
 from repro.net.stats import TrafficStats
 from repro.runtime import LinkUpdateDriver, LiveCluster, RuntimeConfig
@@ -138,7 +139,48 @@ class TestClockConformance:
         assert log == [0, 1, 2, 3]
 
 
+    def test_daemons_fire_but_are_never_pending(self, drive):
+        observed, log = [], []
+
+        def setup(clock):
+            def tick():
+                log.append("tick")
+                clock.daemon(0.01, tick)
+
+            clock.daemon(0.01, tick)
+            cancelled = clock.daemon(0.02, lambda: log.append("no"))
+            cancelled.cancel()
+            cancelled.cancel()
+            observed.append(clock.pending)
+
+        clock = drive(setup, 0.05)
+        assert observed == [0]
+        assert log.count("tick") >= 3 and "no" not in log
+        assert clock.pending == 0
+
+
 class TestWallClock:
+    def test_pending_excludes_daemons_held_or_armed(self):
+        """A daemon held before ``bind`` counts nowhere, fires once
+        bound, and one due after ``close`` does not fire."""
+        clock = WallClock()
+        log = []
+        clock.daemon(0.01, lambda: log.append("held"))
+        clock.after(0.02, lambda: log.append("timer"))
+        assert clock.pending == 1
+
+        async def main():
+            clock.bind(asyncio.get_running_loop())
+            clock.daemon(0.05, lambda: log.append("after close"))
+            await asyncio.sleep(0.03)
+            assert clock.pending == 0
+            clock.close()
+            await asyncio.sleep(0.04)
+
+        asyncio.run(main())
+        assert log == ["held", "timer"]
+        assert clock.failures == []
+
     def test_holds_timers_until_bound_and_refuses_them_once_closed(self):
         """Built outside any event loop, the clock reads 0.0 and holds
         what is scheduled; ``bind`` arms the held timers (in delay
@@ -715,6 +757,30 @@ class TestQuiescence:
                 await live.stop()
 
         assert asyncio.run(main()) is True
+
+    def test_heartbeats_hold_no_quiescence_open(
+            self, sp_compiled, eight_node_overlay):
+        """Under ``reliable=True`` every link heartbeats on daemon
+        timers for as long as the deployment runs; the network is
+        quiescent all the same."""
+        async def main():
+            live = sp_compiled.deploy(topology=eight_node_overlay,
+                                      link_loads={"link": "hopcount"},
+                                      target="live", reliable=True)
+            await live.start()
+            try:
+                assert await live.quiescent(timeout=30.0)
+                acks = live.stats.acks_sent
+                await asyncio.sleep(3 * HEARTBEAT)
+                assert live.stats.acks_sent > acks  # heartbeats ran
+                assert live.clock.pending == 0
+                assert await live.quiescent(timeout=30.0)
+                return live.query_rows(), live.stats.links_torn_down
+            finally:
+                await live.stop()
+
+        rows, torn = asyncio.run(main())
+        assert rows and torn == 0
 
     def test_a_lost_datagram_ends_the_wait_after_the_loss_grace(
             self, sp_compiled, eight_node_overlay):

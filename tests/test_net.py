@@ -121,6 +121,63 @@ class TestSimulator:
         # An observation horizon never moves the clock backwards.
         assert sim.run(until=1.0) == 3.0
 
+    @staticmethod
+    def periodic_daemon(sim, period=1.0):
+        """A daemon that re-arms itself every ``period``; returns the
+        list of times it fired at."""
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            sim.daemon(period, tick)
+
+        sim.daemon(period, tick)
+        return ticks
+
+    def test_run_returns_with_only_daemons_pending(self):
+        sim = Simulator()
+        ticks = self.periodic_daemon(sim)
+        sim.at(2.5, lambda: None)
+        assert sim.pending == 1  # the daemon is not pending work
+        assert sim.run() == 2.5
+        assert ticks == [1.0, 2.0]  # daemons fire while work remains
+        assert sim.run() == 2.5  # only the daemon: nothing to run
+        assert ticks == [1.0, 2.0]
+
+    def test_run_until_keeps_firing_daemons(self):
+        sim = Simulator()
+        ticks = self.periodic_daemon(sim)
+        assert sim.run(until=4.5) == 4.5
+        assert ticks == [1.0, 2.0, 3.0, 4.0]
+
+    def test_a_cancelled_event_holds_no_run_open(self):
+        sim = Simulator()
+        ticks = self.periodic_daemon(sim)
+        sim.at(5.0, lambda: None).cancel()
+        sim.at(1.5, lambda: None)
+        assert sim.pending == 1
+        assert sim.run() == 1.5
+        assert ticks == [1.0]
+
+    def test_cancelling_a_daemon_is_safe(self):
+        sim = Simulator()
+        log = []
+        daemon = sim.daemon(1.0, lambda: log.append("daemon"))
+        daemon.cancel()
+        daemon.cancel()
+        sim.at(2.0, lambda: log.append("event"))
+        assert sim.pending == 1
+        assert sim.run() == 2.0
+        assert log == ["event"]
+        # Cancelling an event that already fired changes no count.
+        fired = sim.after(1.0, lambda: log.append("fired"))
+        sim.run()
+        fired.cancel()
+        assert sim.pending == 0
+        sim.after(1.0, lambda: log.append("after"))
+        assert sim.run() == 4.0
+        assert log == ["event", "fired", "after"]
+
     def test_run_until_never_rewinds_with_pending_events(self):
         sim = Simulator()
         sim.at(5.0, lambda: None)

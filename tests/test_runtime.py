@@ -462,16 +462,39 @@ class TestReceiveARun:
         from repro.engine.facts import Fact
 
         _deployment, node = self.deploy(overlay, reliable=True)
-        before = dict(node.peer_ledger.get("n1", {}))
+        withdrawn = Fact(*self.RUN[3][:2])
+        node.peer_ledger.setdefault("n1", {})[withdrawn] = 3
+        before = dict(node.peer_ledger["n1"])
         node.receive(self.run_of(), "n1")
         ledger = node.peer_ledger["n1"]
         changed = {fact: count for fact, count in ledger.items()
                    if before.get(fact) != count}
         assert changed == {
             Fact(*self.RUN[0][:2]): 2,    # booked twice
-            Fact(*self.RUN[3][:2]): -2,   # the weight, not the sign
+            withdrawn: 1,                 # the weight, not the sign
         }                                 # the +1/-1 pair nets away
         assert self.queued(node) == [r for r in self.RUN if r[2]]
+
+    def test_reliable_cuts_a_retraction_to_what_the_ledger_holds(
+        self, overlay
+    ):
+        """A peer's retraction beyond what it advertised here withdraws
+        what a link reset already withdrew on its behalf: it is cut to
+        the ledger, and touches no other support."""
+        from repro.engine.facts import Fact
+
+        _deployment, node = self.deploy(overlay, reliable=True)
+        withdrawn = Fact(*self.RUN[3][:2])
+        node.peer_ledger.setdefault("n1", {})[withdrawn] = 1
+        node.receive(self.run_of(), "n1")
+        assert withdrawn not in node.peer_ledger["n1"]
+        assert self.queued(node) == [
+            r if r is not self.RUN[3] else r[:2] + (-1,)
+            for r in self.RUN if r[2]]
+        node.queue.clear()
+        node.receive(self.run_of(), "n1")  # nothing left to withdraw
+        assert self.queued(node) == [
+            r for r in self.RUN if r[2] and r is not self.RUN[3]]
 
     def test_one_receive_span_per_traced_delta(self, overlay):
         deployment, node = self.deploy(overlay, trace=True)

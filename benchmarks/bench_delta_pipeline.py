@@ -34,6 +34,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
@@ -150,9 +151,9 @@ B1: seen(@D, S) :- #beacon(@S, @D, C).
 def run_soft_state(cpu_batch, refresh_rounds=40, seed=8):
     overlay = build_overlay(transit_stub(seed=seed), n_nodes=40, degree=5,
                             seed=seed)
-    program = parse(BEACON_PROGRAM)
-    config = RuntimeConfig(validate=False, cpu_batch=cpu_batch)
-    cluster = Cluster(overlay, program, config,
+    compiled = repro.compile(parse(BEACON_PROGRAM), passes=[], validate=False)
+    config = RuntimeConfig(cpu_batch=cpu_batch)
+    cluster = Cluster(overlay, compiled, config,
                       link_loads={"beacon": "hopcount"})
     manager = SoftStateManager(cluster, sweep_interval=0.25)
     manager.install()

@@ -32,6 +32,7 @@ import random
 import sys
 import time
 
+import repro
 from repro.engine.facts import Fact
 from repro.runtime import Cluster, LinkUpdateDriver, RuntimeConfig
 from repro.ndlog import programs
@@ -109,8 +110,8 @@ def run_wire_coalescing(bursts=6, cycles=3, seed=5):
     overlay = build_overlay(transit_stub(seed=seed), n_nodes=10, degree=3,
                             seed=seed)
     cluster = Cluster(
-        overlay, programs.shortest_path_safe(),
-        RuntimeConfig(aggregate_selections=True, buffer_interval=0.05),
+        overlay, repro.compile(programs.shortest_path_safe(), passes=["aggsel"]),
+        RuntimeConfig(buffer_interval=0.05),
         link_loads={"link": "hopcount"},
     )
     cluster.run()

@@ -11,7 +11,7 @@ Run:  python examples/dynamic_source_routing.py
 
 import repro
 from repro.ndlog import programs
-from repro.runtime import CachePolicy, RuntimeConfig
+from repro.runtime import RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 from repro.topology.neighborhood import hop_distances
 
@@ -29,9 +29,7 @@ compiled = repro.compile(programs.multi_query_magic(),
 
 
 def run(caching: bool) -> repro.Deployment:
-    config = RuntimeConfig(
-        cache=CachePolicy(query_pred="pathQ__best") if caching else None,
-    )
+    config = RuntimeConfig(cache=caching)
     deployment = compiled.deploy(
         topology=overlay,
         config=config,

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import (
     Callable,
@@ -57,8 +58,9 @@ from typing import (
     Union,
 )
 
+from repro.analysis.common import program_is_located
 from repro.engine import bsn, naive, psn, seminaive
-from repro.engine.database import Database
+from repro.engine.database import Database, Schema, format_schemas, program_schemas
 from repro.engine.fixpoint import EvalResult
 from repro.engine.kernels import strand_kernel
 from repro.engine.rules import (
@@ -511,6 +513,13 @@ class CompiledProgram:
                 result = snap.after
         return result
 
+    @cached_property
+    def schemas(self) -> Dict[str, Schema]:
+        """pred -> :class:`~repro.engine.database.Schema` of the
+        rewritten program: derived on first read and kept, so every
+        node of a deployment builds its tables from this one dict."""
+        return program_schemas(self.program)
+
     @property
     def diagnostics(self):
         """The ndlint :class:`~repro.analysis.AnalysisReport` for the
@@ -579,6 +588,8 @@ class CompiledProgram:
                 lines.append(f"  + {text}")
         lines.append("-- rewritten program --")
         lines.append(format_program(self.program).rstrip())
+        lines.append("-- schemas --")
+        lines.append(format_schemas(self.schemas))
         analysis = self.diagnostics
         if analysis is not None:
             lines.append("-- diagnostics --")
@@ -797,23 +808,6 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 # compile()
 # ----------------------------------------------------------------------
-def _is_location_free(program: Program) -> bool:
-    """True when no literal anywhere carries an ``@`` location marker --
-    i.e. the program is plain Datalog, not NDlog, and the distributed
-    validation constraints (Definitions 1-6) do not apply to it."""
-    def marked(literal: Literal) -> bool:
-        return any(getattr(term, "location", False) for term in literal.args)
-
-    literals: List[Literal] = []
-    for rule in program.rules:
-        literals.append(rule.head)
-        literals.extend(rule.body_literals)
-    literals.extend(program.facts)
-    if program.query is not None:
-        literals.append(program.query)
-    return not any(marked(literal) for literal in literals)
-
-
 def compile(
     source_or_program: Union[str, Program, CompiledProgram],
     passes: Optional[Sequence[Union[str, Pass, Tuple]]] = None,
@@ -906,7 +900,7 @@ def compile(
         report = validate_program(
             program,
             strict_address_types=strict_address_types,
-            distributed=not _is_location_free(program),
+            distributed=program_is_located(program),
         )
         if strict and not report.ok:
             raise NDlogValidationError(

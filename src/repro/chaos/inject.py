@@ -192,8 +192,8 @@ class ChaosChannel:
     """Wraps one channel; faults apply where a message enters the link.
 
     Everything except :meth:`transmit` delegates to the wrapped channel,
-    so the emulation model (latency, bandwidth queueing, configured
-    loss) and backend-specific attributes stay untouched.
+    so the emulation model (latency, bandwidth queueing) and
+    backend-specific attributes stay untouched.
     """
 
     def __init__(self, inner: Channel, controller: ChaosController):
@@ -208,7 +208,6 @@ class ChaosChannel:
         clock: Clock,
         message: Message,
         deliver: Callable[[Message], None],
-        rng: Optional[random.Random] = None,
     ) -> float:
         ctl = self.controller
         now = clock.now
@@ -228,31 +227,27 @@ class ChaosChannel:
             if fault.kind == "duplicate":
                 # Extra copy now; the original continues through the
                 # remaining faults and the normal send below.
-                self.inner.transmit(clock, message, deliver, rng=rng)
+                self.inner.transmit(clock, message, deliver)
                 continue
             if fault.kind == "reorder":
                 hold = decide.uniform(fault.min_delay, fault.max_delay)
                 clock.post(
                     hold,
-                    lambda: self.inner.transmit(clock, message, deliver,
-                                                rng=rng),
+                    lambda: self.inner.transmit(clock, message, deliver),
                 )
                 return now + hold
             if fault.kind == "corrupt":
-                return self._corrupt(clock, message, rng)
-        return self.inner.transmit(clock, message, deliver, rng=rng)
+                return self._corrupt(clock, message)
+        return self.inner.transmit(clock, message, deliver)
 
-    def _corrupt(self, clock: Clock, message: Message,
-                 rng: Optional[random.Random]) -> float:
+    def _corrupt(self, clock: Clock, message: Message) -> float:
         """Garble the frame.  On the UDP backend real mangled bytes hit
         the destination socket (exercising ``decode_message``'s
         hardening); elsewhere the wire format is never materialized, so
         the corruption is modeled at its observable outcome: a frame
         that fails validation at the receiver and is discarded."""
         fabric = getattr(self.inner, "fabric", None)
-        arrive, lost = self.inner.plan(clock, message, rng)
-        if lost:
-            return arrive
+        arrive = self.inner.plan(clock, message)
         if fabric is not None:
             from repro.net.live import encode_message
 

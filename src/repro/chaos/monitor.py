@@ -81,9 +81,7 @@ class ChaosMonitor:
 
             config = self.config if self.config is not None \
                 else RuntimeConfig()
-            config = dataclasses.replace(
-                config, chaos=None, reliable=False, loss_rate=0.0
-            )
+            config = dataclasses.replace(config, chaos=None, reliable=False)
             cluster = Cluster(self.topology, self.compiled, config,
                               link_loads=self.link_loads)
             for node, pred, args in self._injects:

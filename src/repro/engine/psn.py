@@ -158,11 +158,11 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.aggregates import AggregateView, ArgExtremeView
-from repro.engine.database import Database
+from repro.engine.database import Database, Schema, program_schemas
 from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult
 from repro.engine.table import INFINITY
@@ -281,6 +281,11 @@ class PSNEngine:
     default) processes one delta per step exactly as Algorithm 3
     writes it; larger chunks are netted and committed run by run (see
     the module docstring).
+
+    ``schemas`` (default: :func:`~repro.engine.database.program_schemas`
+    of ``program``) builds the tables when no ``db`` is given and caps
+    the runs of self-joining predicates; a deployment's nodes pass
+    their artifact's one dict.
     """
 
     def __init__(
@@ -294,9 +299,12 @@ class PSNEngine:
         metrics=None,
         tracer=None,
         profiler=None,
+        schemas: Optional[Mapping[str, Schema]] = None,
     ):
         self.program = program
-        self.db = db if db is not None else Database.for_program(program)
+        if schemas is None:
+            schemas = program_schemas(program)
+        self.db = db if db is not None else Database(schemas=schemas)
         self.compiled = shared_compiled_rules(program)
         self.batch_size = max(1, int(batch_size))
         if stats is None:
@@ -306,21 +314,13 @@ class PSNEngine:
             for strand in strand_list:
                 # Binding now registers every probed index up front.
                 strand.bind(capture=provenance is not None)
-        #: Predicates whose runs are capped at one delta: any predicate
-        #: that drives a strand also joining against itself (a longer
-        #: run would double- or under-count the self-join), plus
-        #: subclass-specific exclusions.
-        self._single_delta = set(self._single_delta_preds())
-        for pred, strand_list in self.strands.items():
-            for strand in strand_list:
-                crule = strand.crule
-                if any(
-                    crule.body[index].pred == pred
-                    for index in crule.literal_indexes
-                    if index != strand.driver_index
-                ):
-                    self._single_delta.add(pred)
-                    break
+        #: Predicates whose runs are capped at one delta: those whose
+        #: schema says so (a self-join), plus subclass-specific
+        #: exclusions.
+        self._single_delta = {
+            pred for pred, schema in schemas.items() if schema.single_delta
+        }
+        self._single_delta.update(self._single_delta_preds())
         self.views: Dict[str, AggregateView] = {}
         self.argmin_views: Dict[str, ArgExtremeView] = {}
         for crule in self.compiled:

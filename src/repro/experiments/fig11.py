@@ -37,7 +37,7 @@ from repro.experiments.common import (
     format_table,
 )
 from repro.ndlog import programs
-from repro.runtime import CachePolicy, RuntimeConfig
+from repro.runtime import RuntimeConfig
 from repro.topology import Overlay
 from repro.topology.neighborhood import hop_distances
 
@@ -112,9 +112,7 @@ def run_magic_queries(
     verify: bool = False,
 ) -> Tuple[float, int]:
     """Run the multi-query magic program; returns (MB, cache hits)."""
-    config = RuntimeConfig(
-        cache=CachePolicy(query_pred="pathQ__best") if caching else None,
-    )
+    config = RuntimeConfig(cache=caching)
     deployment = api.compile(
         programs.multi_query_magic(), passes=["aggsel", "localize"]
     ).deploy(topology=overlay, config=config, link_loads={"link": "hopcount"})

@@ -2,9 +2,10 @@
 
 A :class:`Channel` is one overlay link between two node addresses.  The
 base class owns everything both worlds share -- endpoint validation and
-the link *emulation model* (store-and-forward bandwidth queueing,
-constant propagation latency, Bernoulli loss) -- while subclasses
-decide how an arrival actually reaches the destination:
+the link *emulation model* (store-and-forward bandwidth queueing and
+constant propagation latency; messages are lost only to a chaos
+``drop`` fault, :mod:`repro.chaos`) -- while subclasses decide how an
+arrival actually reaches the destination:
 
 * :class:`~repro.net.link.LinkChannel` -- delivery is a clock timer
   calling straight into the cluster (the simulator substrate, and also
@@ -34,9 +35,8 @@ actually needs.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict
 
 from repro.errors import NetworkError
 from repro.net.clock import Clock
@@ -53,10 +53,8 @@ class Channel:
     b: str
     latency: float                       # seconds, one way
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    loss_rate: float = 0.0               # probability a message is dropped
     metrics: Dict[str, float] = field(default_factory=dict)
     _last_departure: Dict[str, float] = field(default_factory=dict)
-    _loss_rng: Optional[random.Random] = field(default=None, repr=False)
 
     def other_end(self, node: str) -> str:
         if node == self.a:
@@ -78,27 +76,10 @@ class Channel:
                 f"{self.a}-{self.b}"
             )
 
-    def _rng_for_loss(self, rng: Optional[random.Random]) -> random.Random:
-        """The loss decision always has an rng: the caller's, or a
-        per-channel one seeded from the endpoint names -- so a lossy
-        channel is deterministic by default rather than silently
-        lossless when no rng is threaded through."""
-        if rng is not None:
-            return rng
-        if self._loss_rng is None:
-            self._loss_rng = random.Random(f"loss:{self.a}|{self.b}")
-        return self._loss_rng
-
-    def plan(
-        self,
-        clock: Clock,
-        message: Message,
-        rng: Optional[random.Random] = None,
-    ) -> Tuple[float, bool]:
-        """Book ``message`` onto the link: validate endpoints, advance
-        this direction's transmit queue, and decide loss.  Returns
-        ``(arrival_time, lost)``; the booking happens even for lost
-        messages (they occupied the wire)."""
+    def plan(self, clock: Clock, message: Message) -> float:
+        """Book ``message`` onto the link: validate endpoints and
+        advance this direction's transmit queue.  Returns the arrival
+        time."""
         self._check_endpoints(message)
         transmission = message.size * 8.0 / self.bandwidth_bps
         depart = (
@@ -106,12 +87,7 @@ class Channel:
             + transmission
         )
         self._last_departure[message.src] = depart
-        arrive = depart + self.latency
-        lost = (
-            self.loss_rate > 0.0
-            and self._rng_for_loss(rng).random() < self.loss_rate
-        )
-        return arrive, lost
+        return depart + self.latency
 
     # ------------------------------------------------------------------
     # Delivery (per-backend)
@@ -121,8 +97,7 @@ class Channel:
         clock: Clock,
         message: Message,
         deliver: Callable[[Message], None],
-        rng: Optional[random.Random] = None,
     ) -> float:
-        """Queue ``message`` for transmission; returns the arrival time
-        (even for lost messages, which simply never deliver)."""
+        """Queue ``message`` for transmission; returns the arrival
+        time."""
         raise NotImplementedError

@@ -1,6 +1,6 @@
-"""Simulated network links: FIFO, store-and-forward, optional loss.
+"""Simulated network links: FIFO, store-and-forward.
 
-The timing and loss model lives on the shared
+The timing model lives on the shared
 :class:`~repro.net.channel.Channel` base (the live channel backends use
 the same emulation); this subclass is the clock-timer delivery backend:
 an arrival is a scheduled callback straight into the cluster.  On the
@@ -11,9 +11,8 @@ Emulab substrate; the same class runs unmodified on a
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.channel import DEFAULT_BANDWIDTH_BPS, Channel
 from repro.net.clock import Clock
@@ -31,11 +30,9 @@ class LinkChannel(Channel):
         clock: Clock,
         message: Message,
         deliver: Callable[[Message], None],
-        rng: Optional[random.Random] = None,
     ) -> float:
-        """Queue ``message`` for transmission; returns the arrival time
-        (even for lost messages, which simply never deliver)."""
-        arrive, lost = self.plan(clock, message, rng)
-        if not lost:
-            clock.at(arrive, lambda: deliver(message))
+        """Queue ``message`` for transmission; returns the arrival
+        time."""
+        arrive = self.plan(clock, message)
+        clock.at(arrive, lambda: deliver(message))
         return arrive

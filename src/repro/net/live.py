@@ -11,8 +11,8 @@ for the wall-clock deployment target (:mod:`repro.runtime.live`):
   localhost (one :class:`UdpFabric` per cluster manages the
   endpoints); deltas cross an actual kernel network path.
 
-Both reuse the base class's emulation model, so configured latency,
-bandwidth queueing, and loss apply to live runs exactly as they do in
+Both reuse the base class's emulation model, so configured latency and
+bandwidth queueing apply to live runs exactly as they do in
 simulation -- the emulated delay shapes *when* the delivery (or the
 real ``sendto``) happens.
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
 import socket
 import time
 from dataclasses import dataclass, field
@@ -219,14 +218,11 @@ class QueueChannel(Channel):
         clock: Clock,
         message: Message,
         deliver: Callable[[Message], None],
-        rng: Optional[random.Random] = None,
     ) -> float:
-        arrive, lost = self.plan(clock, message, rng)
-        if not lost:
-            # post(): delivery is never cancelled, so skip the handle
-            # allocation on the per-message hot path.
-            clock.post(max(0.0, arrive - clock.now),
-                       lambda: deliver(message))
+        arrive = self.plan(clock, message)
+        # post(): delivery is never cancelled, so skip the handle
+        # allocation on the per-message hot path.
+        clock.post(max(0.0, arrive - clock.now), lambda: deliver(message))
         return arrive
 
 
@@ -376,7 +372,6 @@ class UdpChannel(Channel):
         clock: Clock,
         message: Message,
         deliver: Callable[[Message], None],
-        rng: Optional[random.Random] = None,
     ) -> float:
         if self.fabric is None:
             raise NetworkError(
@@ -391,10 +386,9 @@ class UdpChannel(Channel):
                 f"bytes ({len(message.deltas)} deltas); a UDP datagram "
                 f"carries at most {MAX_DATAGRAM_BYTES}"
             )
-        arrive, lost = self.plan(clock, message, rng)
-        if not lost:
-            clock.post(
-                max(0.0, arrive - clock.now),
-                lambda: self.fabric.sendto(message.src, message.dst, data),
-            )
+        arrive = self.plan(clock, message)
+        clock.post(
+            max(0.0, arrive - clock.now),
+            lambda: self.fabric.sendto(message.src, message.dst, data),
+        )
         return arrive

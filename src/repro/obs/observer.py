@@ -215,7 +215,7 @@ def node_observer(node) -> Optional[Observer]:
         metrics=None if metrics is None else metrics.node(node.address),
         tracer=None if tracer is None else tracer.recorder(node.address),
         profiler=Profiler() if config.profile else None,
-        on_commit=None if config.cache is None else node.cache_answer,
+        on_commit=node.cache_answer if config.cache else None,
         listeners=cluster.trackers, clock=cluster.clock,
     )
 

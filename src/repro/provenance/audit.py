@@ -23,8 +23,8 @@ Checks, per stored tuple:
 
 Strict mode is automatically dropped to support-only when the transport
 is allowed to elide or lose deltas (periodic buffering dedupes
-re-advertisements; lossy links drop firings that were recorded at the
-sender), and soft-state tables are always exempt (a TTL renewal is
+re-advertisements; a chaos ``drop`` loses firings that were recorded at
+the sender), and soft-state tables are always exempt (a TTL renewal is
 injected as base support but adds no derivation to the stored row).
 """
 
@@ -127,7 +127,7 @@ def audit_cluster(cluster, strict: Optional[bool] = None,
 
     ``strict=None`` auto-selects: exact count equality when the
     transport delivers every delta eagerly, support-only when periodic
-    buffering or lossy links may legitimately elide recorded firings.
+    buffering or a chaos schedule may legitimately elide recorded firings.
 
     ``exclude_nodes`` skips those nodes' tables (and orphan checks homed
     there).  Nodes a chaos schedule crashed for good are always skipped:
@@ -147,15 +147,10 @@ def audit_cluster(cluster, strict: Optional[bool] = None,
     if strict is None:
         config = cluster.config
         # Exact counting needs every recorded firing delivered exactly
-        # once: no periodic elision, no unreliable loss (the reliable
-        # transport restores delivery under loss), and no chaos faults
-        # (a crashed-for-good node legitimately never materializes
+        # once: no periodic elision and no chaos faults (a lost message,
+        # or a crashed-for-good node, legitimately never materializes
         # firings recorded at its peers).
-        strict = (
-            not config.buffer_interval
-            and (not config.loss_rate or config.reliable)
-            and config.chaos is None
-        )
+        strict = not config.buffer_interval and config.chaos is None
     report = AuditReport(strict=strict, floored=store.floored)
     for name, runtime in cluster.nodes.items():
         if name in skipped:

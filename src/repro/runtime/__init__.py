@@ -4,7 +4,7 @@ asyncio runtime -- with transport-level optimizations and dynamic
 workloads."""
 
 from repro.runtime.cluster import Cluster, Deployment
-from repro.runtime.config import CachePolicy, RuntimeConfig, ShareSpec
+from repro.runtime.config import RuntimeConfig, ShareSpec
 from repro.runtime.live import LiveCluster, LiveDeployment
 from repro.runtime.node import NodeRuntime
 from repro.runtime.softstate import SoftStateManager
@@ -17,7 +17,6 @@ __all__ = [
     "LiveDeployment",
     "RuntimeConfig",
     "ShareSpec",
-    "CachePolicy",
     "NodeRuntime",
     "SoftStateManager",
     "LinkUpdateDriver",

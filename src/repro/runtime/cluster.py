@@ -1,4 +1,4 @@
-"""The distributed engine: compile an NDlog program, deploy it on every
+"""The distributed engine: deploy a compiled NDlog program on every
 node of a simulated overlay, run to quiescence, and measure.
 
 This is the Python analogue of the modified P2 system of Section 6: the
@@ -6,18 +6,17 @@ pipeline is validate -> (optional aggregate-selections rewrite) ->
 localize (Algorithm 2) -> per-node strand dataflows executing PSN, with
 all communication along overlay links under FIFO ordering.
 
-Program compilation routes through :func:`repro.api.compile` -- the one
-place rewrite order is decided.  A cluster may be built either from a
-plain :class:`~repro.ndlog.ast.Program` (compiled here with the pass
-pipeline implied by the :class:`~repro.runtime.config.RuntimeConfig`)
-or from an already-compiled :class:`~repro.api.CompiledProgram`
-artifact, which is used as-is (localization is ensured, nothing else is
-re-applied; the artifact's pass pipeline wins over config flags).
+A cluster deploys a compiled artifact
+(:class:`~repro.api.CompiledProgram`): :func:`repro.compile` is the one
+place rewrite order is decided, and the cluster only ensures
+localization.  The artifact also decides how each predicate is stored
+(:attr:`~repro.api.CompiledProgram.schemas`, derived once): every node
+builds its tables from that one dict, and the transport keys its
+net-change slots with it.
 """
 
 from __future__ import annotations
 
-import random
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -51,14 +50,14 @@ class Cluster:
     def __init__(
         self,
         overlay: Overlay,
-        program,  # Program or repro.api.CompiledProgram
+        program,  # repro.api.CompiledProgram
         config: Optional[RuntimeConfig] = None,
         link_loads: Optional[Dict[str, str]] = None,
         clock: Optional[Clock] = None,
     ):
-        """``program`` is a :class:`~repro.ndlog.ast.Program` (compiled
-        here per the config flags) or a pre-compiled
-        :class:`~repro.api.CompiledProgram`.  ``link_loads`` maps each
+        """``program`` is a :class:`~repro.api.CompiledProgram` (a bare
+        :class:`~repro.ndlog.ast.Program` raises :class:`PlanError`:
+        compile it with :func:`repro.compile` first).  ``link_loads`` maps each
         link-relation name in the program to the overlay metric that
         fills its cost field (default: ``{"link": "latency"}``).
         Multiple entries let several queries with distinct link
@@ -66,10 +65,16 @@ class Cluster:
         timing substrate (default: a fresh virtual-time
         :class:`Simulator`; the live runtime passes a
         :class:`~repro.net.clock.WallClock`)."""
-        # Deferred import: repro.api provides the compile pipeline and
-        # itself deploys onto this class (no import cycle at load time).
-        from repro.api import CompiledProgram, compile as compile_api
+        # Deferred import: repro.api deploys onto this class (no import
+        # cycle at load time).
+        from repro.api import CompiledProgram
 
+        if not isinstance(program, CompiledProgram):
+            raise PlanError(
+                f"a cluster deploys a compiled artifact, not a "
+                f"{type(program).__name__}: repro.compile(program, "
+                f"passes=[...]) builds one"
+            )
         self.overlay = overlay
         self.config = config or RuntimeConfig()
         self.clock = clock if clock is not None else Simulator()
@@ -84,22 +89,8 @@ class Cluster:
             WireObserver(self.config, self.clock)
             if self.config.metrics or self.config.trace else None)
         self.tracer = None if wire is None else wire.tracer
-        self.loss_rng = random.Random(self.config.seed)
 
-        if isinstance(program, CompiledProgram):
-            # Pre-compiled artifact: its pass pipeline already decided
-            # the rewrites; only ensure it is in deployable form.
-            compiled = program.localized()
-        else:
-            passes = ["aggsel"] if self.config.aggregate_selections else []
-            passes.append("localize")
-            compiled = compile_api(
-                program,
-                passes=passes,
-                validate=self.config.validate,
-                strict=True,
-            )
-        self.compiled = compiled
+        compiled = self.compiled = program.localized()
         source_program = compiled.before_pass("localize")
         self.source_program = (
             source_program if source_program is not None else compiled.program
@@ -141,11 +132,10 @@ class Cluster:
             name: NodeRuntime(name, self.program, self)
             for name in overlay.nodes
         }
-        #: pred -> the deployed table's own primary-key function (the
-        #: transport's net-change pass keys a window's slots with it).
-        sample = next(iter(self.nodes.values()))
+        #: pred -> primary-key function (the transport's net-change
+        #: pass keys a window's slots with it).
         self.key_of: Dict[str, Callable[[Tuple], Tuple]] = {
-            pred: table.key_of for pred, table in sample.db.tables.items()
+            pred: schema.key_of for pred, schema in compiled.schemas.items()
         }
 
         if link_loads is None:
@@ -171,7 +161,6 @@ class Cluster:
             b=b,
             latency=metrics["latency"] / 1000.0,
             bandwidth_bps=self.config.bandwidth_bps,
-            loss_rate=self.config.loss_rate,
             metrics=dict(metrics),
         )
 

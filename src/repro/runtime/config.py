@@ -23,21 +23,6 @@ class ShareSpec:
     value_positions: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CachePolicy:
-    """Query-result caching (Section 5.2) for the multi-query magic
-    program: positions refer to the ``query_pred``/``answer_pred``
-    schemas of :func:`repro.ndlog.programs.multi_query_magic`."""
-
-    query_pred: str = "pathQ"
-    dst_position: int = 2
-    path_position: int = 3
-    cost_position: int = 4
-    answer_pred: str = "answer"
-    answer_path_position: int = 2
-    suppress_labels: Tuple[str, ...] = ("MQ2",)
-
-
 @dataclass
 class RuntimeConfig:
     """Knobs for a cluster run.  Defaults mirror Section 6.1."""
@@ -64,8 +49,6 @@ class RuntimeConfig:
     cpu_batch: int = 16
     #: Link capacity (10 Mbps in the paper's Emulab setup).
     bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    #: Apply the aggregate-selections program rewrite (Section 5.1.1).
-    aggregate_selections: bool = False
     #: Buffer outbound tuples and flush every ``buffer_interval`` seconds
     #: with net-change elimination: the periodic aggregate-selections
     #: scheme (Section 5.1.1 / Figures 9-10).
@@ -76,14 +59,10 @@ class RuntimeConfig:
     share_delay: Optional[float] = None
     #: Relation -> sharing description (required when share_delay set).
     share_specs: Dict[str, ShareSpec] = field(default_factory=dict)
-    #: Query-result caching (Section 5.2 / Figure 11).
-    cache: Optional[CachePolicy] = None
-    #: Per-link message loss probability (soft-state experiments).
-    loss_rate: float = 0.0
-    #: RNG seed for loss decisions.
-    seed: int = 0
-    #: Validate the program against NDlog's constraints before compiling.
-    validate: bool = True
+    #: Query-result caching (Section 5.2 / Figure 11) for the
+    #: multi-query magic program after ``aggsel``
+    #: (:data:`repro.runtime.node.CACHE_QUERY_PRED`).
+    cache: bool = False
     #: Ship deltas over the ack/retransmit reliable transport
     #: (:mod:`repro.net.reliable`): restores the FIFO + exactly-once
     #: delivery of Theorem 4 on lossy/reordering links, and holds each

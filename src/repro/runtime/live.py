@@ -112,7 +112,6 @@ class LiveCluster(Cluster):
             b=b,
             latency=metrics["latency"] / 1000.0,
             bandwidth_bps=self.config.bandwidth_bps,
-            loss_rate=self.config.loss_rate,
             metrics=dict(metrics),
         )
         if self.fabric is not None:

@@ -48,7 +48,6 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine, QueueRow
 from repro.errors import NetworkError
@@ -61,14 +60,24 @@ _SUBPATH = REGISTRY["f_subpath"]
 _CONCAT = REGISTRY["f_concatPath"]
 _LAST = REGISTRY["f_last"]
 
+#: Query-result caching (Section 5.2, ``config.cache``) reads the schema
+#: of :func:`repro.ndlog.programs.multi_query_magic` after ``aggsel``:
+#: the query relation and its destination, path and cost columns, the
+#: answer relation and its path column, and the flooding rule a cache
+#: hit suppresses.
+CACHE_QUERY_PRED = "pathQ__best"
+CACHE_DST, CACHE_PATH, CACHE_COST = 2, 3, 4
+CACHE_ANSWER_PRED = "answer"
+CACHE_ANSWER_PATH = 2
+CACHE_SUPPRESSED = ("MQ2",)
+
 
 class NodeRuntime(PSNEngine):
     """One network node executing the localized program."""
 
     def __init__(self, address: str, program: Program, cluster):
-        # Set before super().__init__: the engine's run-cap scan calls
-        # back into _single_delta_preds, which reads the cluster's
-        # cache policy.
+        # Set before super().__init__: the engine's run cap calls back
+        # into _single_delta_preds, which reads the cluster's config.
         self.address = address
         self.cluster = cluster
         #: This node's scheduling clock: the shared cluster clock, or a
@@ -81,11 +90,11 @@ class NodeRuntime(PSNEngine):
             recorder = store.recorder(
                 node=address, clock=lambda: cluster.clock.now
             )
-        super().__init__(program, db=Database.for_program(program),
-                         batch_size=cluster.config.cpu_batch,
-                         provenance=recorder)
+        super().__init__(program, batch_size=cluster.config.cpu_batch,
+                         provenance=recorder,
+                         schemas=cluster.compiled.schemas)
         #: ``None`` until something watches this node: an observability
-        #: flag, a cache policy, or the first ``Cluster.subscribe``.
+        #: flag, ``config.cache``, or the first ``Cluster.subscribe``.
         self.observer = node_observer(self)
         self._tick_scheduled = False
         #: The time the CPU booked by the last chunk runs out (see
@@ -110,8 +119,7 @@ class NodeRuntime(PSNEngine):
         """Cache-intercepted query tuples commit as runs of one, so
         :meth:`_fire_strands` can suppress the flooding strands per
         query on a hit."""
-        policy = self.cluster.config.cache
-        return () if policy is None else (policy.query_pred,)
+        return (CACHE_QUERY_PRED,) if self.cluster.config.cache else ()
 
     # ------------------------------------------------------------------
     # Scheduling: up to cpu_batch deltas per CPU tick
@@ -313,16 +321,15 @@ class NodeRuntime(PSNEngine):
     # Query-result caching hooks (Section 5.2)
     # ------------------------------------------------------------------
     def cache_answer(self, fact: Fact, weight: int) -> None:
-        """Commit subscriber under a cache policy (composed in
+        """Commit subscriber under ``config.cache`` (composed in
         :func:`~repro.obs.observer.node_observer`): install a cache
         entry from an answer travelling the reverse path -- the suffix
         of the answer path from this node to the destination is itself
         an optimal path ("since the subpaths of shortest paths are
         optimal, these can also be cached")."""
-        policy = self.cluster.config.cache
-        if weight <= 0 or fact.pred != policy.answer_pred:
+        if weight <= 0 or fact.pred != CACHE_ANSWER_PRED:
             return
-        path = fact.args[policy.answer_path_position]
+        path = fact.args[CACHE_ANSWER_PATH]
         if not isinstance(path, tuple) or self.address not in path:
             return
         suffix = _SUBPATH(path, self.address)
@@ -335,38 +342,32 @@ class NodeRuntime(PSNEngine):
             self.result_cache[destination] = (suffix, cost)
 
     def _fire_strands(self, rows, sign: int) -> None:
-        policy = self.cluster.config.cache
         pred, args = rows[0][0], rows[0][1]
-        if (
-            policy is not None
-            and sign > 0
-            and pred == policy.query_pred
-        ):
+        if sign > 0 and pred == CACHE_QUERY_PRED and self.cluster.config.cache:
             # The query predicate's runs are capped at this one delta.
-            suppress = self._try_cache_hit(policy, args)
-            if suppress:
+            if self._try_cache_hit(args):
                 for strand in self.strands.get(pred, ()):
-                    if strand.crule.rule.label not in suppress:
+                    if strand.crule.rule.label not in CACHE_SUPPRESSED:
                         self._fire_strand(strand, rows, sign)
                 return
         super()._fire_strands(rows, sign)
 
-    def _try_cache_hit(self, policy, args: Tuple) -> Tuple[str, ...]:
+    def _try_cache_hit(self, args: Tuple) -> bool:
         """On a cached destination, answer the query tuple ``args``
         directly and stop the flood ("this cached value can be reused by
         all queries for destination d that pass through a")."""
-        destination = args[policy.dst_position]
+        destination = args[CACHE_DST]
         if destination == self.address:
-            return ()
+            return False
         entry = self.result_cache.get(destination)
         if entry is None:
-            return ()
+            return False
         suffix, suffix_cost = entry
-        prefix = args[policy.path_position]
+        prefix = args[CACHE_PATH]
         if any(node in prefix for node in suffix[1:]):
-            return ()  # joining would create a loop; flood normally
+            return False  # joining would create a loop; flood normally
         full_path = _CONCAT(prefix, suffix)
-        full_cost = args[policy.cost_position] + suffix_cost
+        full_cost = args[CACHE_COST] + suffix_cost
         qid = args[1]
         self.cache_hits += 1
         answer = (self.address, qid, full_path, full_cost)
@@ -374,7 +375,7 @@ class NodeRuntime(PSNEngine):
             # A cache hit synthesizes the answer outside any rule strand;
             # record it so the derivation graph still supports the tuple.
             self.provenance.record_run(
-                "<cache>", policy.answer_pred,
-                [(answer, (Fact(policy.query_pred, args),))], 1)
-        self._derive(policy.answer_pred, answer, 1)
-        return policy.suppress_labels
+                "<cache>", CACHE_ANSWER_PRED,
+                [(answer, (Fact(CACHE_QUERY_PRED, args),))], 1)
+        self._derive(CACHE_ANSWER_PRED, answer, 1)
+        return True

@@ -138,7 +138,8 @@ class Transport:
         #: (src, dst) -> (pred, primary-key value) slot -> last
         #: advertised args (periodic mode)
         self._advertised: Dict[Tuple[str, str], Dict[Tuple, Tuple]] = {}
-        self._jitter_rng = random.Random(config.seed + 4099)
+        #: A fixed seed: a lossless run replays byte for byte.
+        self._jitter_rng = random.Random(4099)
 
     def _flush_delay(self) -> float:
         base = self.config.buffer_interval or self.config.share_delay
@@ -287,10 +288,8 @@ class Transport:
         observer = self.observer
         if observer is not None and observer.traced:
             observer.ship(message)
-        channel.transmit(
-            clock or self.cluster.clock, message, self.cluster.deliver,
-            rng=self.cluster.loss_rng,
-        )
+        channel.transmit(clock or self.cluster.clock, message,
+                         self.cluster.deliver)
 
     def on_arrival(self, message: Message) -> Iterable[Message]:
         """Arrival filter hook: the raw transport delivers every
@@ -317,7 +316,7 @@ class ReliableTransport(Transport):
         self.flows = FlowTable()
         # Decorrelates retransmit timers; seeded apart from the flush
         # jitter stream so enabling reliability does not perturb it.
-        self._rto_jitter = random.Random(config.seed + 7331)
+        self._rto_jitter = random.Random(7331)
         #: Links reset since their last window flush: that window is
         #: not coalesced, so a retraction of what an older epoch shipped
         #: cannot cancel the re-advertisement behind it (the receiver

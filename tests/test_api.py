@@ -519,23 +519,3 @@ class TestDeployment:
         deployment.advance()
         assert deployment.rows("link", node="a") == before
 
-
-# ----------------------------------------------------------------------
-# The runtime's own constructor takes a bare Program or the staged
-# artifact and reaches the same fixpoint.
-# ----------------------------------------------------------------------
-class TestShimEquivalence:
-    def test_cluster_accepts_program_and_compiled_equally(self):
-        from repro.runtime import Cluster, RuntimeConfig
-
-        overlay = figure2_overlay()
-        old_style = Cluster(
-            overlay, programs.shortest_path_safe(),
-            RuntimeConfig(aggregate_selections=True),
-        )
-        old_style.run()
-        new_style = api.compile(programs.shortest_path_safe()) \
-            .deploy(topology=overlay)
-        new_style.advance()
-        assert old_style.rows("shortestPath") == \
-            new_style.rows("shortestPath")

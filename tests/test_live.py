@@ -6,11 +6,14 @@ the event-driven quiescence wait."""
 import asyncio
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.chaos import ChaosSchedule
+from repro.chaos.inject import ChaosChannel, ChaosController
 from repro.errors import NetworkError
 from repro.ndlog import parse, programs
 from repro.ndlog.terms import ConstructedTuple
@@ -440,9 +443,14 @@ class TestChannelUnification:
                           for m in messages]
         assert link_arrivals == queue_arrivals
 
-    def test_queue_channel_emulated_loss(self):
+    def test_queue_channel_chaos_drop(self):
         sim = Simulator()
-        channel = QueueChannel("a", "b", latency=0.0, loss_rate=1.0)
+        cluster = SimpleNamespace(clock=sim, stats=TrafficStats(),
+                                  observer=None)
+        channel = ChaosChannel(
+            QueueChannel("a", "b", latency=0.0),
+            ChaosController(cluster, ChaosSchedule(seed=1).drop(rate=1.0)),
+        )
         delivered = []
         channel.transmit(sim, single("a", "b", "p", (1,), 1),
                          delivered.append)

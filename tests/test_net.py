@@ -1,8 +1,12 @@
 """Network substrate tests: simulator determinism, FIFO links, message
 sizing, traffic accounting."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chaos import ChaosSchedule
+from repro.chaos.inject import ChaosChannel, ChaosController
 from repro.errors import NetworkError
 from repro.net.link import LinkChannel
 from repro.net.message import HEADER_BYTES, Message, NetDelta, single, tuple_size
@@ -242,6 +246,14 @@ class TestMessageSizes:
         assert merged.size < unmerged.size
 
 
+def dropping(channel, clock, rate):
+    """``channel`` behind a chaos ``drop`` fault at ``rate``."""
+    cluster = SimpleNamespace(clock=clock, stats=TrafficStats(),
+                              observer=None)
+    schedule = ChaosSchedule(seed=1).drop(rate=rate)
+    return ChaosChannel(channel, ChaosController(cluster, schedule))
+
+
 class TestLinkChannel:
     def make(self, latency=0.01, bandwidth=1e6):
         return LinkChannel("a", "b", latency=latency, bandwidth_bps=bandwidth)
@@ -287,36 +299,21 @@ class TestLinkChannel:
             channel.transmit(sim, single("a", "z", "p", (1,), 1), lambda m: None)
 
     def test_loss(self):
-        import random
-
+        """A message is lost only to a chaos ``drop`` fault."""
         sim = Simulator()
-        channel = self.make()
-        channel.loss_rate = 1.0
-        delivered = []
-        channel.transmit(sim, single("a", "b", "p", (1,), 1),
-                         lambda m: delivered.append(m),
-                         rng=random.Random(1))
-        sim.run()
-        assert delivered == []
-
-    def test_loss_applies_without_an_rng(self):
-        """Regression: ``loss_rate`` used to be silently disabled when
-        no rng was passed; the channel now falls back to its own seeded
-        rng, so a lossy channel is deterministic rather than lossless."""
-        sim = Simulator()
-        channel = self.make()
-        channel.loss_rate = 1.0
+        channel = dropping(self.make(), sim, rate=1.0)
         delivered = []
         channel.transmit(sim, single("a", "b", "p", (1,), 1),
                          lambda m: delivered.append(m))
         sim.run()
         assert delivered == []
 
-    def test_default_loss_rng_is_deterministic_per_channel(self):
+    def test_loss_is_deterministic_per_channel(self):
         outcomes = []
         for _round in range(2):
             sim = Simulator()
-            channel = LinkChannel("a", "b", latency=0.0, loss_rate=0.5)
+            channel = dropping(LinkChannel("a", "b", latency=0.0), sim,
+                               rate=0.5)
             got = []
             for i in range(30):
                 channel.transmit(

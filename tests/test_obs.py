@@ -130,7 +130,7 @@ class TestMetrics:
         compiled = repro.compile(programs.shortest_path())
         deployment = compiled.deploy(
             topology=overlay,
-            config=RuntimeConfig(aggregate_selections=True, metrics=True),
+            config=RuntimeConfig(metrics=True),
             link_loads={"link": "hopcount"},
         )
         deployment.advance()
@@ -142,7 +142,7 @@ class TestMetrics:
     def test_link_retransmits_under_loss(self):
         deployment = deploy_line(
             metrics=True,
-            config=RuntimeConfig(loss_rate=0.4, seed=7),
+            chaos=ChaosSchedule(seed=7).drop(rate=0.4),
             reliable=True,
         )
         deployment.advance()

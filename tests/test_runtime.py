@@ -6,10 +6,10 @@ import heapq
 
 import pytest
 
+import repro
 from repro.ndlog import parse, programs
 from repro.net.message import HEADER_BYTES
 from repro.runtime import (
-    CachePolicy,
     Cluster,
     LinkUpdateDriver,
     RuntimeConfig,
@@ -65,8 +65,8 @@ def overlay():
 class TestStaticConvergence:
     def test_all_pairs_hopcount_matches_bfs(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "hopcount"},
         )
         cluster.run()
@@ -78,8 +78,8 @@ class TestStaticConvergence:
 
     def test_all_pairs_latency_matches_dijkstra(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "latency"},
         )
         cluster.run()
@@ -92,8 +92,8 @@ class TestStaticConvergence:
     @pytest.mark.slow
     def test_safe_program_without_aggsel_also_converges(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path_safe(),
-            RuntimeConfig(aggregate_selections=False),
+            overlay, repro.compile(programs.shortest_path_safe(), passes=[]),
+            RuntimeConfig(),
             link_loads={"link": "hopcount"},
         )
         cluster.run()
@@ -105,7 +105,8 @@ class TestStaticConvergence:
 
     def test_reachability_program(self, overlay):
         cluster = Cluster(
-            overlay, programs.reachability(), RuntimeConfig(),
+            overlay, repro.compile(programs.reachability(), passes=[]),
+            RuntimeConfig(),
             link_loads={"link": "hopcount"},
         )
         cluster.run()
@@ -115,8 +116,8 @@ class TestStaticConvergence:
 
     def test_path_vectors_are_real_paths(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "latency"},
         )
         cluster.run()
@@ -127,8 +128,8 @@ class TestStaticConvergence:
 
     def test_tuples_only_flow_along_links(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "hopcount"},
         )
         cluster.run()
@@ -136,8 +137,8 @@ class TestStaticConvergence:
 
     def test_convergence_tracker(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "hopcount"},
         )
         tracker = cluster.watch("shortestPath")
@@ -154,12 +155,14 @@ class TestBatchedTicks:
     E1: echo(@S, X) :- #item(@S, X).
     """
 
+    def echo(self):
+        return repro.compile(parse(self.ECHO), passes=[], validate=False)
+
     def echo_cluster(self, **config):
         """One node that will do all the work, and the virtual times
         (in cpu_delays) at which its ticks fire."""
         overlay = small_overlay(n=4, degree=2, seed=8)
-        cluster = Cluster(overlay, parse(self.ECHO),
-                          RuntimeConfig(validate=False, **config),
+        cluster = Cluster(overlay, self.echo(), RuntimeConfig(**config),
                           link_loads={})
         node = cluster.node(overlay.nodes[0])
         ticks = []
@@ -300,8 +303,7 @@ class TestBatchedTicks:
         30th un-shares every node's dict (2-3% of ``converge_cpu_s`` on
         ``cold-start`` at PR 16)."""
         overlay = small_overlay(n=4, degree=2, seed=8)
-        cluster = Cluster(overlay, parse(self.ECHO),
-                          RuntimeConfig(validate=False), link_loads={})
+        cluster = Cluster(overlay, self.echo(), RuntimeConfig(), link_loads={})
         for node in cluster.nodes.values():
             assert len(vars(node)) <= 29
 
@@ -312,8 +314,8 @@ class TestBatchedTicks:
 
         def run(batch):
             cluster = Cluster(
-                overlay, programs.shortest_path(),
-                RuntimeConfig(aggregate_selections=True, cpu_batch=batch),
+                overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+                RuntimeConfig(cpu_batch=batch),
                 link_loads={"link": "hopcount"},
             )
             end = cluster.run()
@@ -330,8 +332,8 @@ class TestBatchedTicks:
 class TestDynamics:
     def test_link_update_reconverges(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path_dynamic(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path_dynamic(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "random"},
         )
         driver = LinkUpdateDriver(cluster, metric="random", seed=3)
@@ -347,8 +349,8 @@ class TestDynamics:
         completes (Figure 14's regime) still quiesce to the fresh
         state."""
         cluster = Cluster(
-            overlay, programs.shortest_path_dynamic(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path_dynamic(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "random"},
         )
         driver = LinkUpdateDriver(cluster, metric="random", seed=4)
@@ -360,8 +362,8 @@ class TestDynamics:
 
     def test_burst_cheaper_than_from_scratch(self, overlay):
         cluster = Cluster(
-            overlay, programs.shortest_path_dynamic(),
-            RuntimeConfig(aggregate_selections=True),
+            overlay, repro.compile(programs.shortest_path_dynamic(), passes=["aggsel"]),
+            RuntimeConfig(),
             link_loads={"link": "random"},
         )
         driver = LinkUpdateDriver(cluster, metric="random", seed=5)
@@ -377,9 +379,8 @@ class TestTransportModes:
     def test_periodic_buffering_reduces_messages(self, overlay):
         def run_with(interval):
             cluster = Cluster(
-                overlay, programs.shortest_path(),
-                RuntimeConfig(aggregate_selections=True,
-                              buffer_interval=interval),
+                overlay, repro.compile(programs.shortest_path(), passes=["aggsel"]),
+                RuntimeConfig(buffer_interval=interval),
                 link_loads={"link": "random"},
             )
             cluster.run()
@@ -395,14 +396,14 @@ class TestTransportModes:
         from repro.experiments.fig12 import merged_program, share_specs
 
         program, link_loads = merged_program()
+        compiled = repro.compile(program, passes=["aggsel"])
 
         def run_with(share):
             config = RuntimeConfig(
-                aggregate_selections=True,
                 share_delay=0.3 if share else None,
                 share_specs=share_specs() if share else {},
             )
-            cluster = Cluster(overlay, program, config,
+            cluster = Cluster(overlay, compiled, config,
                               link_loads=link_loads)
             cluster.run()
             return cluster
@@ -541,8 +542,10 @@ class TestRefusedRun:
                 self.frames.append((src, dst, data))
 
         overlay = small_overlay(n=4, degree=2, seed=8)
-        cluster = Cluster(overlay, parse(self.PROGRAM),
-                          RuntimeConfig(cpu_batch=512, validate=False),
+        cluster = Cluster(overlay,
+                          repro.compile(parse(self.PROGRAM), passes=[],
+                                        validate=False),
+                          RuntimeConfig(cpu_batch=512),
                           link_loads={"link": "hopcount"})
         a = overlay.nodes[0]
         node = cluster.node(a)
@@ -597,11 +600,10 @@ class TestRefusedRun:
 
 class TestMagicAndCaching:
     def run_queries(self, overlay, queries, caching, cpu_batch=16):
-        config = RuntimeConfig(
-            aggregate_selections=True, cpu_batch=cpu_batch,
-            cache=CachePolicy(query_pred="pathQ__best") if caching else None,
-        )
-        cluster = Cluster(overlay, programs.multi_query_magic(), config,
+        config = RuntimeConfig(cpu_batch=cpu_batch, cache=caching)
+        compiled = repro.compile(programs.multi_query_magic(),
+                                 passes=["aggsel"])
+        cluster = Cluster(overlay, compiled, config,
                           link_loads={"link": "hopcount"})
         for index, (src, dst) in enumerate(queries):
             cluster.clock.at(0.2 * index,
@@ -681,8 +683,9 @@ class TestSoftState:
             B1: seen(@D, S) :- #beacon(@S, @D, C).
             """
         )
-        cluster = Cluster(overlay, program, RuntimeConfig(validate=False),
-                          link_loads={"beacon": "hopcount"})
+        cluster = Cluster(overlay,
+                          repro.compile(program, passes=[], validate=False),
+                          RuntimeConfig(), link_loads={"beacon": "hopcount"})
         manager = SoftStateManager(cluster, sweep_interval=0.25)
         manager.install()
         cluster.run(until=3.0)
@@ -698,8 +701,9 @@ class TestSoftState:
             B1: seen(@D, S) :- #beacon(@S, @D, C).
             """
         )
-        cluster = Cluster(overlay, program, RuntimeConfig(validate=False),
-                          link_loads={"beacon": "hopcount"})
+        cluster = Cluster(overlay,
+                          repro.compile(program, passes=[], validate=False),
+                          RuntimeConfig(), link_loads={"beacon": "hopcount"})
         manager = SoftStateManager(cluster, sweep_interval=0.25)
         manager.install()
         rows_by_node = {}

@@ -16,6 +16,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
 from repro.engine import Database, PSNEngine
 from repro.engine.facts import Fact
 from repro.engine.table import INFINITY, NO_DEADLINES, Table
@@ -57,8 +58,9 @@ def sweep(engine, pred="beacon"):
 def beacon_cluster(n=8, degree=2, seed=8, **config):
     overlay = build_overlay(transit_stub(seed=seed), n_nodes=n,
                             degree=degree, seed=seed)
-    cluster = Cluster(overlay, parse(BEACON),
-                      RuntimeConfig(validate=False, **config),
+    cluster = Cluster(overlay,
+                      repro.compile(parse(BEACON), passes=[], validate=False),
+                      RuntimeConfig(**config),
                       link_loads={"beacon": "hopcount"})
     rows_by_node = {}
     for row in overlay.link_rows("hopcount"):

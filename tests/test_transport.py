@@ -46,7 +46,7 @@ class StubCluster:
         def __init__(self, log):
             self.log = log
 
-        def transmit(self, sim, message, deliver, rng=None):
+        def transmit(self, sim, message, deliver):
             self.log.append(message)
             return sim.now
 
@@ -56,7 +56,6 @@ class StubCluster:
         self.sent = []
         self._channel = self._Channel(self.sent)
         self.key_of = {table.name: table.key_of for table in tables}
-        self.loss_rng = None
 
     def channel(self, a, b):
         return self._channel
@@ -627,10 +626,10 @@ class TestRunOnTheWire:
         for channel in deployment._channels.values():
             real_transmit = channel.transmit
 
-            def transmit(clock, message, deliver, rng=None,
+            def transmit(clock, message, deliver,
                          real_transmit=real_transmit):
                 carried.append(message)
-                return real_transmit(clock, message, deliver, rng=rng)
+                return real_transmit(clock, message, deliver)
 
             channel.transmit = transmit
         deployment.advance()

@@ -40,6 +40,12 @@ Quickstart::
     live.converge(timeout=30.0)
     print(live.query_rows())
 
+``compile(source, passes=[...])`` picks and orders rewrites from one
+fixed table, ``repro.PASSES`` (magic sets, aggregate selections,
+recursion reordering, cost-based ordering, the semi-naive rewrite and
+localization, in that canonical order); ``passes=None`` runs
+``repro.DEFAULT_PASSES``, aggregate selections alone.
+
 ``deploy()`` returns the deployed network itself: a
 :class:`~repro.runtime.cluster.Cluster` on the simulator, a
 :class:`~repro.runtime.live.LiveCluster` on wall time.
@@ -79,10 +85,10 @@ from repro import ndlog  # noqa: F401
 from repro.analysis import AnalysisReport, Diagnostic, analyze
 from repro.chaos import ChaosMonitor, ChaosSchedule  # noqa: F401
 from repro.api import (
-    DEFAULT_REGISTRY,
+    DEFAULT_PASSES,
+    PASSES,
     CompiledProgram,
     Pass,
-    PassRegistry,
     compile,
 )
 from repro.engine import Database
@@ -101,8 +107,8 @@ __all__ = [
     "Deployment",
     "LiveDeployment",
     "Pass",
-    "PassRegistry",
-    "DEFAULT_REGISTRY",
+    "PASSES",
+    "DEFAULT_PASSES",
     "Database",
     "parse",
     "validate",

@@ -96,9 +96,6 @@ class AnalysisReport:
     def by_code(self, code: str) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.code == code]
 
-    def by_analysis(self, analysis: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.analysis == analysis]
-
     @property
     def errors(self) -> List[Diagnostic]:
         return self.at_least("error")
@@ -106,10 +103,6 @@ class AnalysisReport:
     @property
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "warning"]
-
-    @property
-    def infos(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "info"]
 
     @property
     def ok(self) -> bool:

@@ -9,8 +9,8 @@ distributed.  This module exposes that lifecycle behind one surface:
   through an explicit, introspectable **optimization-pass pipeline** --
   the rewrites of Sections 3-5 (aggregate selections, magic sets,
   predicate reordering, cost-based join ordering, the textual semi-naive
-  rewrite, and rule localization) registered as named, ordered,
-  toggleable passes in a :class:`PassRegistry`, with a before/after
+  rewrite, and rule localization), one fixed table of named passes
+  (:data:`PASSES`) that a caller picks and orders, with a before/after
   :class:`~repro.ndlog.ast.Program` snapshot recorded per pass;
 * the returned :class:`CompiledProgram` is the compiled artifact:
   :meth:`~CompiledProgram.explain` pretty-prints the per-pass rule
@@ -75,7 +75,7 @@ from repro.errors import (
     ReproError,
     StaticAnalysisError,
 )
-from repro.ndlog.ast import Literal, Program
+from repro.ndlog.ast import Program
 from repro.ndlog.parser import parse
 from repro.ndlog.pretty import (
     format_diagnostic,
@@ -87,22 +87,22 @@ from repro.ndlog.pretty import (
 )
 from repro.ndlog.validator import ValidationReport
 from repro.ndlog.validator import validate as validate_program
-from repro.opt import aggsel as _aggsel
+from repro.opt import aggsel
 from repro.opt.costbased import StatsCatalog
-from repro.planner.localization import localize as _localize
-from repro.planner.magic import magic_rewrite as _magic_rewrite
+from repro.planner.localization import localize
+from repro.planner.magic import magic_rewrite
 from repro.planner.reorder import (
     greedy_join_order,
     reorder_body,
     reorder_program,
 )
-from repro.planner.seminaive_rewrite import seminaive_rewrite as _sn_rewrite
+from repro.planner.seminaive_rewrite import seminaive_rewrite
 
 __all__ = [
     "Pass",
-    "PassRegistry",
+    "PASSES",
+    "DEFAULT_PASSES",
     "PassSnapshot",
-    "DEFAULT_REGISTRY",
     "ENGINES",
     "compile",
     "CompiledProgram",
@@ -121,7 +121,7 @@ ENGINES: Dict[str, Callable[..., EvalResult]] = {
 
 
 # ----------------------------------------------------------------------
-# The pass registry
+# The pass table
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Pass:
@@ -132,110 +132,14 @@ class Pass:
     query-matching tuples); passes without the property (the textual
     semi-naive rewrite renames every derived relation) are inspection
     devices and excluded from the pipeline-equivalence guarantees.
-    ``default`` marks passes that run when :func:`compile` is called
-    without an explicit ``passes`` list.
     """
 
     name: str
     fn: Callable[..., Program]
     description: str
     semantics_preserving: bool = True
-    default: bool = False
 
 
-class PassRegistry:
-    """Named, ordered, toggleable program-rewrite passes.
-
-    Registration order is the canonical pipeline order: it is the order
-    the default pipeline runs in, and the order listed by
-    :meth:`describe`.  Callers of :func:`compile` may enable any subset
-    in any order.
-    """
-
-    def __init__(self, passes: Sequence[Pass] = ()):
-        self._passes: Dict[str, Pass] = {}
-        for pass_ in passes:
-            self.register(pass_)
-
-    def register(self, pass_: Pass, replace: bool = False) -> Pass:
-        if pass_.name in self._passes and not replace:
-            raise PlanError(f"pass {pass_.name!r} already registered")
-        self._passes[pass_.name] = pass_
-        return pass_
-
-    def get(self, name: str) -> Pass:
-        pass_ = self._passes.get(name)
-        if pass_ is None:
-            raise PlanError(
-                f"unknown pass {name!r}; registered passes: "
-                f"{', '.join(self.names())}"
-            )
-        return pass_
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._passes)
-
-    def default_pipeline(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self._passes.values() if p.default)
-
-    def semantics_preserving_names(self) -> Tuple[str, ...]:
-        return tuple(
-            p.name for p in self._passes.values() if p.semantics_preserving
-        )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._passes
-
-    def __iter__(self):
-        return iter(self._passes.values())
-
-    def resolve(
-        self,
-        passes: Optional[Sequence[Union[str, Pass, Tuple]]],
-    ) -> List[Tuple[Pass, Dict[str, object]]]:
-        """Normalize a user pass list into ``(Pass, options)`` pairs.
-
-        ``None`` selects the default pipeline; entries may be pass
-        names, ``(name, options)`` pairs, or :class:`Pass` objects.
-        """
-        if passes is None:
-            passes = self.default_pipeline()
-        resolved: List[Tuple[Pass, Dict[str, object]]] = []
-        for entry in passes:
-            options: Dict[str, object] = {}
-            if isinstance(entry, tuple):
-                if len(entry) != 2 or not isinstance(entry[1], dict):
-                    raise PlanError(
-                        f"tuple pass specifiers must be (name, options "
-                        f"dict); got {entry!r}"
-                    )
-                entry, options = entry
-            if isinstance(entry, Pass):
-                pass_ = entry
-            elif isinstance(entry, str):
-                pass_ = self.get(entry)
-            else:
-                raise PlanError(f"bad pass specifier {entry!r}")
-            resolved.append((pass_, dict(options)))
-        return resolved
-
-    def describe(self) -> List[Tuple[str, str, str, str]]:
-        """Rows of ``(name, default, semantics, description)`` for docs
-        and ``explain()`` headers."""
-        return [
-            (
-                p.name,
-                "on" if p.default else "off",
-                "preserving" if p.semantics_preserving else "inspection",
-                p.description,
-            )
-            for p in self._passes.values()
-        ]
-
-
-# ----------------------------------------------------------------------
-# The passes (wrappers over the planner/opt modules)
-# ----------------------------------------------------------------------
 def _recursive_preds(program: Program) -> List[str]:
     """Predicates defined by at least one directly-recursive rule."""
     out = []
@@ -246,19 +150,6 @@ def _recursive_preds(program: Program) -> List[str]:
         if any(lit.pred == pred for lit in rule.body_literals):
             out.append(pred)
     return sorted(out)
-
-
-def _pass_magic(program: Program, query: Optional[Literal] = None) -> Program:
-    """Magic-sets rewrite (Section 5.1.2) for the program's query (or an
-    explicit ``query`` literal); degenerates to the identity when the
-    query binds nothing."""
-    return _magic_rewrite(program, query=query)
-
-
-def _pass_aggsel(program: Program, specs=None) -> Program:
-    """Aggregate selections (Section 5.1.1): prune recursion through
-    group-optimal ``__best`` views of monotonic aggregates."""
-    return _aggsel.rewrite(program, specs=specs)
 
 
 def _pass_reorder(
@@ -302,60 +193,51 @@ def _pass_costbased(
     )
 
 
-def _pass_seminaive(program: Program, recursive_preds=None) -> Program:
-    """The textual semi-naive delta rewrite (Section 3.1); an inspection
-    rewrite -- it renames derived relations, so it is not part of the
-    semantics-preserving pipeline."""
-    return _sn_rewrite(program, recursive_preds=recursive_preds)
+#: Every compile pass by name, in canonical pipeline order.  A pass
+#: function takes the program plus the options of a ``(name, options)``
+#: specifier and returns the rewritten program.
+PASSES: Dict[str, Pass] = {pass_.name: pass_ for pass_ in (
+    Pass("magic", magic_rewrite,
+         "magic-sets rewrite for a bound query (Section 5.1.2)"),
+    Pass("aggsel", aggsel.rewrite,
+         "aggregate selections: prune via group-optimal views "
+         "(Section 5.1.1)"),
+    Pass("reorder", _pass_reorder,
+         "flip recursion orientation (TD/BU, Section 5.1.2)"),
+    Pass("costbased", _pass_costbased,
+         "greedy selectivity-driven body reorder (Section 5.3)"),
+    Pass("seminaive", seminaive_rewrite,
+         "textual semi-naive delta rewrite (Section 3.1, inspection)",
+         semantics_preserving=False),
+    Pass("localize", localize,
+         "rule localization for distributed execution (Algorithm 2)"),
+)}
+
+#: The passes :func:`compile` runs when given no ``passes`` list.
+DEFAULT_PASSES: Tuple[str, ...] = ("aggsel",)
+
+#: A pass specifier: a pass name, or a ``(name, options)`` pair.
+PassSpec = Union[str, Tuple[str, Dict[str, object]]]
 
 
-def _pass_localize(program: Program) -> Program:
-    """Rule localization (Algorithm 2): rewrite every link-restricted
-    rule so each body executes at a single node, with communication only
-    along links."""
-    return _localize(program)
-
-
-def default_registry() -> PassRegistry:
-    """The stock registry wrapping the planner/opt rewrites.  The
-    registration order is the canonical pipeline order."""
-    return PassRegistry([
-        Pass(
-            "magic", _pass_magic,
-            "magic-sets rewrite for a bound query (Section 5.1.2)",
-            semantics_preserving=True, default=False,
-        ),
-        Pass(
-            "aggsel", _pass_aggsel,
-            "aggregate selections: prune via group-optimal views "
-            "(Section 5.1.1)",
-            semantics_preserving=True, default=True,
-        ),
-        Pass(
-            "reorder", _pass_reorder,
-            "flip recursion orientation (TD/BU, Section 5.1.2)",
-            semantics_preserving=True, default=False,
-        ),
-        Pass(
-            "costbased", _pass_costbased,
-            "greedy selectivity-driven body reorder (Section 5.3)",
-            semantics_preserving=True, default=False,
-        ),
-        Pass(
-            "seminaive", _pass_seminaive,
-            "textual semi-naive delta rewrite (Section 3.1, inspection)",
-            semantics_preserving=False, default=False,
-        ),
-        Pass(
-            "localize", _pass_localize,
-            "rule localization for distributed execution (Algorithm 2)",
-            semantics_preserving=True, default=False,
-        ),
-    ])
-
-
-#: The registry :func:`compile` uses unless given another one.
-DEFAULT_REGISTRY = default_registry()
+def _resolve(spec: PassSpec) -> Tuple[Pass, Dict[str, object]]:
+    """The table's pass and its options for one specifier."""
+    options: Dict[str, object] = {}
+    if isinstance(spec, tuple):
+        if len(spec) != 2 or not isinstance(spec[1], dict):
+            raise PlanError(
+                f"tuple pass specifiers must be (name, options dict); "
+                f"got {spec!r}"
+            )
+        spec, options = spec
+    if not isinstance(spec, str):
+        raise PlanError(f"bad pass specifier {spec!r}")
+    pass_ = PASSES.get(spec)
+    if pass_ is None:
+        raise PlanError(
+            f"unknown pass {spec!r}; passes: {', '.join(PASSES)}"
+        )
+    return pass_, dict(options)
 
 
 def _apply_pass(
@@ -364,27 +246,13 @@ def _apply_pass(
     """Run one pass with taxonomy-enforcing error wrapping: anything
     that escapes is a :class:`PlanError` carrying the pass name."""
     try:
-        result = pass_.fn(program, **options)
-    except PlanError as exc:
-        if exc.pass_name is not None:
-            raise
-        # Re-wrap from the raw message so an already-rendered "[rule ...]"
-        # prefix is not duplicated.
-        raise PlanError(
-            exc.raw_message, pass_name=pass_.name, rule=exc.rule
-        ) from exc
+        return pass_.fn(program, **options)
     except ReproError as exc:
         raise PlanError(str(exc), pass_name=pass_.name) from exc
     except Exception as exc:  # bare ValueError/KeyError/TypeError etc.
         raise PlanError(
             f"{type(exc).__name__}: {exc}", pass_name=pass_.name
         ) from exc
-    if not isinstance(result, Program):
-        raise PlanError(
-            f"pass returned {type(result).__name__}, not a Program",
-            pass_name=pass_.name,
-        )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +336,6 @@ class CompiledProgram:
         program: Program,
         trace: Tuple[PassSnapshot, ...],
         report: Optional[ValidationReport] = None,
-        registry: Optional[PassRegistry] = None,
         provenance: bool = False,
         lint: str = "warn",
     ):
@@ -476,7 +343,6 @@ class CompiledProgram:
         self.program = program
         self.trace = tuple(trace)
         self.report = report
-        self.registry = registry or DEFAULT_REGISTRY
         #: Capture rule-level derivation provenance when this artifact
         #: runs or deploys (``compile(..., provenance=True)``).
         self.provenance = provenance
@@ -492,10 +358,6 @@ class CompiledProgram:
     @property
     def applied_passes(self) -> Tuple[str, ...]:
         return tuple(snap.name for snap in self.trace)
-
-    @property
-    def pass_specs(self) -> Tuple[Tuple[str, Dict[str, object]], ...]:
-        return tuple((snap.name, dict(snap.options)) for snap in self.trace)
 
     def before_pass(self, name: str) -> Optional[Program]:
         """The program as it stood entering the first application of
@@ -563,9 +425,8 @@ class CompiledProgram:
         pipeline = ", ".join(self.applied_passes) or "(none)"
         lines.append(f"passes: {pipeline}")
         if self.report is not None:
-            status = "ok" if self.report.ok else "FAILED"
             lines.append(
-                f"validation: {status} "
+                f"validation: ok "
                 f"({len(self.report.local_rules)} local rules, "
                 f"{len(self.report.link_restricted_rules)} link-restricted)"
             )
@@ -628,32 +489,23 @@ class CompiledProgram:
         return "\n".join(lines)
 
     # -- derived artifacts ----------------------------------------------
-    def extended(
-        self,
-        passes: Sequence[Union[str, Pass, Tuple]],
-        registry: Optional[PassRegistry] = None,
-    ) -> "CompiledProgram":
+    def extended(self, passes: Sequence[PassSpec]) -> "CompiledProgram":
         """A new artifact with further passes applied on top of this
-        one's result (the trace is carried forward and extended).
-        ``registry`` resolves the new pass names (default: the registry
-        this artifact was compiled with) and becomes the result's
-        registry."""
-        registry = registry or self.registry
+        one's result (the trace is carried forward and extended).  Every
+        specifier resolves before the first pass runs."""
         trace = list(self.trace)
         current = self.program
-        for pass_, options in registry.resolve(passes):
+        for pass_, options in [_resolve(spec) for spec in passes]:
             before = current
             started = perf_counter()
             current = _apply_pass(pass_, before, options)
-            trace.append(PassSnapshot(pass_.name, dict(options),
-                                      before, current,
+            trace.append(PassSnapshot(pass_.name, options, before, current,
                                       elapsed=perf_counter() - started))
         return CompiledProgram(
             source=self.source,
             program=current,
             trace=tuple(trace),
             report=self.report,
-            registry=registry,
             provenance=self.provenance,
             lint=self.lint,
         )
@@ -810,13 +662,10 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 def compile(
     source_or_program: Union[str, Program, CompiledProgram],
-    passes: Optional[Sequence[Union[str, Pass, Tuple]]] = None,
+    passes: Optional[Sequence[PassSpec]] = None,
     *,
-    strict: bool = True,
     validate: bool = True,
-    strict_address_types: bool = False,
     name: Optional[str] = None,
-    registry: Optional[PassRegistry] = None,
     provenance: Optional[bool] = None,
     lint: Optional[str] = None,
 ) -> CompiledProgram:
@@ -824,16 +673,16 @@ def compile(
     :class:`CompiledProgram`.
 
     ``passes`` selects and orders the optimization passes by name (see
-    :data:`DEFAULT_REGISTRY`); entries may be ``(name, options)`` pairs,
-    e.g. ``("reorder", {"pred": "path", "to_left": True})``.  ``None``
-    runs the registry's default pipeline; ``[]`` runs no passes.
-    ``strict=True`` raises :class:`NDlogValidationError` when validation
-    fails; ``strict=False`` records the report on the artifact and
-    continues.  ``validate=False`` skips validation entirely.  Programs
-    with no ``@`` location specifiers anywhere are recognized as plain
-    Datalog and validated without the NDlog distributed constraints
-    (rule safety, arities, aggregate placement and ground facts still
-    apply; deploying one still fails in ``localize``).
+    :data:`PASSES`); entries may be ``(name, options)`` pairs, e.g.
+    ``("reorder", {"pred": "path", "to_left": True})``.  ``None`` runs
+    :data:`DEFAULT_PASSES`; ``[]`` runs no passes.  A program that fails
+    validation raises :class:`NDlogValidationError`; ``validate=False``
+    skips validation entirely (``repro.ndlog.validate`` returns the
+    report without raising).  Programs with no ``@`` location
+    specifiers anywhere are recognized as plain Datalog and validated
+    without the NDlog distributed constraints (rule safety, arities,
+    aggregate placement and ground facts still apply; deploying one
+    still fails in ``localize``).
 
     ``provenance=True`` arms derivation capture on the artifact: every
     subsequent :meth:`CompiledProgram.run` / ``deploy`` records
@@ -854,33 +703,29 @@ def compile(
 
     A :class:`CompiledProgram` input composes instead of restarting:
     explicit ``passes`` are appended to its existing trace (see
-    :meth:`CompiledProgram.extended`, honouring ``registry``) and
-    ``passes=None`` returns the artifact unchanged -- the default
-    pipeline never runs twice.  The validation arguments do not apply
-    to an already-compiled artifact (its source was validated when it
-    was first compiled).
+    :meth:`CompiledProgram.extended`) and ``passes=None`` returns the
+    artifact unchanged -- the default pipeline never runs twice.
+    ``validate`` and ``name`` do not apply to an already-compiled
+    artifact (its source was validated when it was first compiled).
     """
     if isinstance(source_or_program, CompiledProgram):
         # Re-compiling an artifact composes with what already ran: the
         # trace is carried forward and only the explicitly requested
         # passes are appended (running the *default* pipeline again on
         # an already-rewritten program would double-apply rewrites).
-        # An explicit provenance flag yields a derived artifact; the
-        # input is never mutated.
+        # An explicit provenance or lint setting yields a derived
+        # artifact; the input is never mutated.
         artifact = source_or_program
-        same_provenance = provenance is None or provenance == artifact.provenance
-        same_lint = lint is None or lint == artifact.lint
-        if passes is None and registry is None and same_provenance \
-                and same_lint:
+        if passes is None and provenance in (None, artifact.provenance) \
+                and lint in (None, artifact.lint):
             return artifact
-        derived = artifact.extended(passes or [], registry=registry)
-        if not same_provenance:
-            derived.provenance = provenance
-        if not same_lint:
-            derived.lint = _check_lint_mode(lint)
-        _enforce_lint(derived)
-        return derived
-    registry = registry or DEFAULT_REGISTRY
+        artifact = artifact.extended(passes or ())
+        if provenance is not None:
+            artifact.provenance = provenance
+        if lint is not None:
+            artifact.lint = _check_lint_mode(lint)
+        _enforce_lint(artifact)
+        return artifact
     lint = _check_lint_mode("warn" if lint is None else lint)
     if isinstance(source_or_program, Program):
         program = source_or_program
@@ -898,35 +743,23 @@ def compile(
         # constraints (Definitions 1-6) do not apply, but rule safety,
         # arities, aggregate placement and ground facts still do.
         report = validate_program(
-            program,
-            strict_address_types=strict_address_types,
-            distributed=program_is_located(program),
+            program, distributed=program_is_located(program)
         )
-        if strict and not report.ok:
+        if not report.ok:
             raise NDlogValidationError(
                 f"program {program.name or '<anonymous>'!r} failed "
                 f"validation: " + "; ".join(report.errors)
                 + " (pass validate=False to compile anyway)"
             )
 
-    trace: List[PassSnapshot] = []
-    current = program
-    for pass_, options in registry.resolve(passes):
-        before = current
-        started = perf_counter()
-        current = _apply_pass(pass_, before, options)
-        trace.append(PassSnapshot(pass_.name, dict(options), before, current,
-                                  elapsed=perf_counter() - started))
-
     artifact = CompiledProgram(
         source=program,
-        program=current,
-        trace=tuple(trace),
+        program=program,
+        trace=(),
         report=report,
-        registry=registry,
         provenance=bool(provenance),
         lint=lint,
-    )
+    ).extended(DEFAULT_PASSES if passes is None else passes)
     _enforce_lint(artifact)
     return artifact
 

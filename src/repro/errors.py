@@ -65,23 +65,15 @@ class PlanError(ReproError):
     """Raised during plan generation (localization, magic-sets, or
     strand compilation) when a program cannot be compiled.
 
-    ``pass_name`` and ``rule`` identify, when known, which optimization
-    pass of the compile pipeline failed and which rule (by label) it was
-    processing; both are attached to the message and kept as attributes
-    for programmatic handling.
+    ``pass_name`` identifies, when known, which optimization pass of
+    the compile pipeline failed; it is attached to the message and kept
+    as an attribute for programmatic handling.
     """
 
-    def __init__(self, message: str, pass_name: str = None, rule: str = None):
+    def __init__(self, message: str, pass_name: str = None):
         self.pass_name = pass_name
-        self.rule = rule
-        self.raw_message = message
-        context = []
         if pass_name:
-            context.append(f"pass {pass_name!r}")
-        if rule:
-            context.append(f"rule {rule!r}")
-        if context:
-            message = f"[{', '.join(context)}] {message}"
+            message = f"[pass {pass_name!r}] {message}"
         super().__init__(message)
 
 

@@ -125,10 +125,6 @@ class Rule:
     def body_literals(self) -> Tuple[Literal, ...]:
         return tuple(item for item in self.body if isinstance(item, Literal))
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
     def head_aggregate(self) -> Optional[Tuple[int, AggregateSpec]]:
         """Return ``(position, spec)`` if the head contains an aggregate."""
         for idx, arg in enumerate(self.head.args):
@@ -228,9 +224,6 @@ class Program:
                 if lit.link_literal:
                     preds.add(lit.pred)
         return frozenset(preds)
-
-    def rules_for(self, pred: str) -> List[Rule]:
-        return [r for r in self.rules if r.head.pred == pred]
 
     def rename_predicates(self, mapping_or_suffix) -> "Program":
         """Return a copy with predicates renamed.

@@ -55,10 +55,6 @@ class PruneSpec:
     def best_pred(self) -> str:
         return f"{self.pred}__best"
 
-    @property
-    def agg_pred(self) -> str:
-        return f"{self.pred}__bestval"
-
 
 def detect(program: Program) -> List[PruneSpec]:
     """Find relations with a monotonic aggregate computed over them.

@@ -183,17 +183,43 @@ class Cluster:
     # Workload verbs
     # ------------------------------------------------------------------
     def inject(self, node: str, pred: str, args: Tuple) -> None:
-        """Insert a base tuple at ``node`` (e.g. a magic fact)."""
-        self.node(node).insert(pred, tuple(args))
+        """Insert a base tuple at ``node`` (e.g. a magic fact).  A row
+        of an expired link replaces its torn version instead, so
+        :meth:`restore_link` puts back the latest planned row."""
+        args = tuple(args)
+        torn = self._torn_rows(node, pred, args)
+        if torn is None:
+            self.node(node).insert(pred, args)
+            return
+        key_of = self.key_of[pred]
+        key = key_of(args)
+        torn[:] = [(p, row) for p, row in torn
+                   if p != pred or key_of(row) != key]
+        torn.append((pred, args))
 
     def update(self, node: str, pred: str, args: Tuple) -> None:
         """Update a base tuple at ``node``: a primary-key match commits
         as a deletion of the old row followed by this insertion."""
-        self.node(node).update(pred, tuple(args))
+        self.inject(node, pred, args)
 
     def delete(self, node: str, pred: str, args: Tuple) -> None:
-        """Delete a base tuple at ``node`` outright."""
-        self.node(node).delete(pred, tuple(args))
+        """Delete a base tuple at ``node`` outright (from the torn rows
+        while its link is expired, so it stays gone at restore)."""
+        args = tuple(args)
+        torn = self._torn_rows(node, pred, args)
+        if torn is None:
+            self.node(node).delete(pred, args)
+        elif (pred, args) in torn:
+            torn.remove((pred, args))
+
+    def _torn_rows(self, node: str, pred: str,
+                   args: Tuple) -> Optional[List[Tuple[str, Tuple]]]:
+        """The torn rows of the expired link ``args`` names at
+        ``node``, or ``None`` when it is no expired link's row."""
+        if pred not in self.link_loads or len(args) < 2 \
+                or args[0] != node:
+            return None
+        return self._torn.get((node, args[1]))
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at clock ``time`` (workload injection)."""

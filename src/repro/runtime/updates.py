@@ -57,8 +57,8 @@ class LinkUpdateDriver:
             delta = old * self.magnitude * self.rng.uniform(-1.0, 1.0)
             new = max(1.0, round(old + delta, 3))
             self.costs[(a, b)] = new
-            self.cluster.nodes[a].insert(self.pred, (a, b, new))
-            self.cluster.nodes[b].insert(self.pred, (b, a, new))
+            self.cluster.update(a, self.pred, (a, b, new))
+            self.cluster.update(b, self.pred, (b, a, new))
             record.updated_links.append((a, b, new))
         self.bursts.append(record)
         return record

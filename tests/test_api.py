@@ -29,8 +29,10 @@ FIGURE2_LINKS = [
     ("e", "a", 1), ("a", "e", 1),
 ]
 
-#: Every semantics-preserving pass in the default registry.
-PRESERVING = api.DEFAULT_REGISTRY.semantics_preserving_names()
+#: Every semantics-preserving pass of the pass table.
+PRESERVING = tuple(
+    name for name, pass_ in api.PASSES.items() if pass_.semantics_preserving
+)
 
 
 def shortest_path_rows(passes, engine="psn"):
@@ -57,10 +59,9 @@ class TestCompile:
         assert from_source.applied_passes == from_program.applied_passes
         assert len(from_source.program.rules) == len(from_program.program.rules)
 
-    def test_default_pipeline_is_registry_default(self):
+    def test_default_pipeline_is_default_passes(self):
         compiled = api.compile(programs.shortest_path_safe())
-        assert compiled.applied_passes == \
-            api.DEFAULT_REGISTRY.default_pipeline()
+        assert compiled.applied_passes == api.DEFAULT_PASSES
 
     def test_no_passes_keeps_program(self):
         program = programs.shortest_path_safe()
@@ -110,9 +111,6 @@ class TestCompile:
             api.compile(bad)
         # The error names the escape hatch.
         assert "validate=False" in str(excinfo.value)
-        # Non-strict: compiles, report carries the errors.
-        compiled = api.compile(bad, strict=False, passes=[])
-        assert not compiled.report.ok
 
     def test_plain_datalog_compiles_without_validate_false(self):
         # No location specifiers anywhere: plain Datalog is auto-detected
@@ -202,7 +200,7 @@ class TestErrorTaxonomy:
             )
         assert excinfo.value.engine == "psn"
 
-    def test_non_registry_pass_entry_rejected(self):
+    def test_non_name_pass_entry_rejected(self):
         with pytest.raises(PlanError, match="bad pass specifier"):
             api.compile(programs.shortest_path_safe(), passes=[42])
 
@@ -220,67 +218,24 @@ class TestErrorTaxonomy:
 
 
 # ----------------------------------------------------------------------
-# The pass registry
+# The pass table
 # ----------------------------------------------------------------------
-class TestPassRegistry:
-    def test_canonical_order_and_flags(self):
-        names = api.DEFAULT_REGISTRY.names()
-        assert names == ("magic", "aggsel", "reorder", "costbased",
-                         "seminaive", "localize")
-        assert api.DEFAULT_REGISTRY.default_pipeline() == ("aggsel",)
-        assert "seminaive" not in PRESERVING
+class TestPassTable:
+    def test_canonical_order(self):
+        assert tuple(api.PASSES) == ("magic", "aggsel", "reorder",
+                                     "costbased", "seminaive", "localize")
+        assert all(name == pass_.name for name, pass_ in api.PASSES.items())
 
-    def test_duplicate_registration_rejected(self):
-        registry = api.default_registry()
-        with pytest.raises(PlanError, match="already registered"):
-            registry.register(registry.get("aggsel"))
+    def test_default_passes(self):
+        assert api.DEFAULT_PASSES == ("aggsel",)
+        assert repro.DEFAULT_PASSES is api.DEFAULT_PASSES
+        assert repro.PASSES is api.PASSES
 
-    def test_recompile_artifact_honours_caller_registry(self):
-        registry = api.default_registry()
-        registry.register(api.Pass("identity", lambda p: p, "no-op"))
-        artifact = api.compile(programs.shortest_path_safe())
-        extended = api.compile(artifact, passes=["identity"],
-                               registry=registry)
-        assert extended.applied_passes == ("aggsel", "identity")
-        assert extended.registry is registry
-
-    def test_wrapped_plan_error_does_not_duplicate_rule_prefix(self):
-        registry = api.default_registry()
-
-        def failing(program):
-            raise PlanError("aggregate not monotonic", rule="SP3")
-
-        registry.register(api.Pass("failing", failing, "always fails"))
-        with pytest.raises(PlanError) as excinfo:
-            api.compile(programs.shortest_path_safe(), passes=["failing"],
-                        registry=registry)
-        message = str(excinfo.value)
-        assert excinfo.value.pass_name == "failing"
-        assert excinfo.value.rule == "SP3"
-        assert message.count("SP3") == 1
-
-    def test_custom_pass_runs(self):
-        registry = api.default_registry()
-        seen = []
-
-        def spy(program):
-            seen.append(program.name)
-            return program
-
-        registry.register(api.Pass("spy", spy, "records the program"))
-        compiled = api.compile(
-            programs.shortest_path_safe(),
-            passes=["spy", "aggsel"],
-            registry=registry,
-        )
-        assert seen == ["shortest_path_safe"]
-        assert compiled.applied_passes == ("spy", "aggsel")
-
-    def test_describe_rows(self):
-        rows = api.DEFAULT_REGISTRY.describe()
-        assert [r[0] for r in rows] == list(api.DEFAULT_REGISTRY.names())
-        aggsel_row = next(r for r in rows if r[0] == "aggsel")
-        assert aggsel_row[1] == "on"
+    def test_preserving_flags(self):
+        # Only the textual semi-naive rewrite renames relations.
+        assert PRESERVING == ("magic", "aggsel", "reorder", "costbased",
+                              "localize")
+        assert not api.PASSES["seminaive"].semantics_preserving
 
 
 # ----------------------------------------------------------------------

@@ -413,6 +413,32 @@ class TestLiveness:
         assert verdict.audit_ok is True
         assert verdict.stats["links_torn_down"] > 0  # it did expire
 
+    @pytest.mark.parametrize("verb, row, expected", [
+        ("update", ("n2", "n3", 99), [("n2", "n3", 99)]),
+        ("delete", ("n2", "n3", 78.0), []),
+    ], ids=["update", "delete"])
+    def test_a_link_row_changed_while_expired_survives_restore(
+        self, sp_confluent, verb, row, expected
+    ):
+        """A planned change to a link row while its link is expired
+        edits the torn row, so the heal puts back the changed row (or
+        none): the run ends where a fault-free run making the same
+        change ends."""
+        runs = []
+        for chaos in (None, ChaosSchedule(seed=1).partition(
+                ["n2"], start=0.01, end=30.0)):
+            deployment = sp_confluent.deploy(
+                topology=overlay8(), reliable=True, chaos=chaos)
+            change = getattr(deployment, verb)
+            deployment.at(20.5, lambda: change("n2", "link", row))
+            deployment.advance(until=60.0)
+            runs.append(deployment)
+        reference, healed = runs
+        assert healed.stats.links_torn_down > 0  # changed while expired
+        links = healed.nodes["n2"].db.table("link").rows()
+        assert [link for link in links if link[1] == "n3"] == expected
+        assert healed.query_rows() == reference.query_rows()
+
     def test_a_quiet_neighbour_notices_a_crash(self, sp_confluent):
         monitor = ChaosMonitor(sp_confluent, without("n0"))
         deployment = sp_confluent.deploy(

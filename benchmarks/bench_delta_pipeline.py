@@ -22,17 +22,13 @@ Run as a script it interleaves batched and unbatched rounds, verifies
 the fixpoints *and per-tuple derivation counts* are identical, writes
 ``BENCH_results.json`` (workload -> median seconds, inferences,
 speedup), and asserts the acceptance bar: >= 2x on at least one churn
-workload.  ``--fast`` trims rounds for CI.  Under pytest each workload
-is a pytest-benchmark case.
+workload.  ``--fast`` trims rounds for CI.
 """
 
 import random
 import statistics
 import sys
 import time
-from pathlib import Path
-
-import pytest
 
 import repro
 from repro.engine import Database
@@ -42,7 +38,8 @@ from repro.ndlog import parse, programs
 from repro.runtime import Cluster, RuntimeConfig, SoftStateManager
 from repro.topology import build_overlay, transit_stub
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+from bench_results import RESULTS_PATH, merge_results
+
 BATCH = 64
 
 
@@ -252,8 +249,6 @@ def main(argv):
           f"unbatched {r['unbatched_seconds']:.3f}s  "
           f"speedup {r['speedup']:.2f}x")
 
-    from bench_results import merge_results
-
     merge_results(results)
     print(f"\nwrote {RESULTS_PATH}")
 
@@ -264,32 +259,6 @@ def main(argv):
     )
     print(f"OK: best churn speedup {best:.2f}x (>= 2x required)")
     return 0
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark cases
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("batch_size", [BATCH, 1],
-                         ids=["batched", "unbatched"])
-def test_link_flap(benchmark, batch_size):
-    _elapsed, engine = benchmark.pedantic(
-        run_link_flap, args=(batch_size,), rounds=1, iterations=1)
-    assert engine.quiescent
-
-
-@pytest.mark.parametrize("batch_size", [BATCH, 1],
-                         ids=["batched", "unbatched"])
-def test_bursty_update(benchmark, batch_size):
-    _elapsed, engine = benchmark.pedantic(
-        run_bursty_update, args=(batch_size,), rounds=1, iterations=1)
-    assert engine.quiescent
-
-
-@pytest.mark.parametrize("cpu_batch", [16, 1], ids=["batched", "unbatched"])
-def test_soft_state_expiry(benchmark, cpu_batch):
-    _elapsed, cluster, manager = benchmark.pedantic(
-        run_soft_state, args=(cpu_batch,), rounds=1, iterations=1)
-    assert manager.expired_count > 0
 
 
 if __name__ == "__main__":

@@ -12,21 +12,19 @@ clock timers, channel hops, inbox queues, and the PSN engines.
 Run as a script it medians a few rounds, merges a ``live-runtime``
 record into ``BENCH_results.json`` (append semantics: the other
 benchmarks' records are preserved), and asserts a modest throughput
-floor.  Under pytest it is a pytest-benchmark case.
+floor.
 """
 
 import asyncio
 import sys
 import time
-from pathlib import Path
-
-import pytest
 
 import repro
 from repro.ndlog import programs
 from repro.topology import build_overlay, transit_stub
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+from bench_results import RESULTS_PATH, merge_results
+
 N_NODES = 16
 #: CI gate: the loop must sustain at least this many deltas/sec.  The
 #: observed rate is an order of magnitude above; the floor only catches
@@ -79,8 +77,6 @@ def main(argv):
         "deltas_per_sec": rate,
         "rounds": rounds,
     }
-    from bench_results import merge_results
-
     merge_results({"live-runtime": record})
     print(f"\nlive-runtime: {rate:,.0f} deltas/sec over in-process "
           f"channels ({N_NODES} nodes); wrote {RESULTS_PATH}")
@@ -90,12 +86,6 @@ def main(argv):
     )
     print(f"OK: above the {FLOOR_DELTAS_PER_SEC:,} deltas/sec floor")
     return 0
-
-
-def test_live_throughput(benchmark):
-    _elapsed, deltas = benchmark.pedantic(
-        run_live_round, rounds=1, iterations=1)
-    assert deltas > 0
 
 
 if __name__ == "__main__":

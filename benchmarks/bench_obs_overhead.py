@@ -36,6 +36,8 @@ import repro
 from repro.ndlog import programs
 from repro.topology import build_overlay, transit_stub
 
+from bench_results import RESULTS_PATH, merge_results
+
 N_NODES = 24
 #: Metrics-only gate: steady state measures ~1.00x (the push hooks are
 #: a handful of dict bumps per firing/commit); the gate leaves room
@@ -127,8 +129,6 @@ def measure(rounds: int):
 
 
 def main(argv):
-    from bench_results import RESULTS_PATH, merge_results
-
     rounds = 2 if "--fast" in argv else 4
     results = measure(rounds)
     record = {"rounds": rounds, "nodes": N_NODES,
@@ -149,16 +149,6 @@ def main(argv):
     print(f"OK: metrics {worst_metrics:.2f}x (gate {MAX_METRICS:.2f}x), "
           f"full {worst_full:.2f}x (gate {MAX_FULL:.1f}x)")
     return 0
-
-
-def test_observed_run(benchmark):
-    """pytest-benchmark case (collected only when pytest targets
-    benchmarks/): one fully-observed convergence; the gates themselves
-    live in main()."""
-    elapsed = benchmark.pedantic(
-        lambda: run_dv_sim(metrics=True, trace=True, profile=True),
-        rounds=1, iterations=1)
-    assert elapsed > 0
 
 
 if __name__ == "__main__":

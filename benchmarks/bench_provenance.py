@@ -26,6 +26,8 @@ import repro
 from repro.ndlog import programs
 from repro.topology import build_overlay, transit_stub
 
+from bench_results import RESULTS_PATH, merge_results
+
 N_NODES = 24
 #: CI gate: provenance-on may cost at most this factor over capture-off.
 #: Capture itself costs what it cost -- 0.053 s -> 0.050 s added on
@@ -102,8 +104,6 @@ def measure(rounds: int):
 
 
 def main(argv):
-    from bench_results import RESULTS_PATH, merge_results
-
     rounds = 2 if "--fast" in argv else 4
     results = measure(rounds)
     record = {"rounds": rounds, "nodes": N_NODES,
@@ -118,15 +118,6 @@ def main(argv):
     print(f"OK: worst overhead {worst:.2f}x within the "
           f"{MAX_OVERHEAD:.1f}x gate")
     return 0
-
-
-def test_capture_run(benchmark):
-    """pytest-benchmark case (collected only when pytest targets
-    benchmarks/): one capture-on convergence; the gate itself lives in
-    main()."""
-    elapsed = benchmark.pedantic(
-        lambda: run_shortest_path(True), rounds=1, iterations=1)
-    assert elapsed > 0
 
 
 if __name__ == "__main__":

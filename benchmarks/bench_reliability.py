@@ -36,6 +36,8 @@ from repro.chaos import ChaosMonitor, ChaosSchedule
 from repro.ndlog import programs
 from repro.topology import build_overlay, transit_stub
 
+from bench_results import RESULTS_PATH, merge_results
+
 N_NODES = 8
 #: CI gate: reliable transport on a lossless link may cost at most
 #: this factor over the raw path.  The bound is what the layer was
@@ -112,8 +114,6 @@ def measure(rounds: int) -> dict:
 
 
 def main(argv):
-    from bench_results import RESULTS_PATH, merge_results
-
     rounds = 2 if "--fast" in argv else 4
     results = measure(rounds)
     record = {"rounds": rounds, "nodes": N_NODES,
@@ -128,16 +128,6 @@ def main(argv):
     print(f"OK: lossless overhead {results['overhead']:.2f}x within "
           f"the {MAX_OVERHEAD:.2f}x gate")
     return 0
-
-
-def test_reliable_convergence(benchmark):
-    """pytest-benchmark case (collected only when pytest targets
-    benchmarks/): one reliable lossless convergence; the overhead gate
-    itself lives in main()."""
-    compiled = compiled_program()
-    elapsed = benchmark.pedantic(
-        lambda: run_lossless(compiled, True), rounds=1, iterations=1)
-    assert elapsed > 0
 
 
 if __name__ == "__main__":

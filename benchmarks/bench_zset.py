@@ -20,14 +20,12 @@ holds the new representation to the old one's recorded bar:
   shipped/coalesced NetDelta counts from ``net/stats.py`` quantify the
   reduction.
 
-The CI gate compares the measured weighted speedups against the PR 2
-netting speedups recorded in ``BENCH_results.json`` (the guard-based
-pass's own acceptance run): weighted netting must be at least as fast
-relative to the unbatched reference as the old pass was.  ``--fast``
-trims rounds for CI.
+The CI gate compares the measured weighted speedups against the
+guard-based pass's own acceptance run (``GUARD_NETTING_SPEEDUP``): weighted
+netting must be at least as fast relative to the unbatched reference
+as the old pass was.  ``--fast`` trims rounds for CI.
 """
 
-import json
 import random
 import sys
 import time
@@ -39,18 +37,22 @@ from repro.ndlog import programs
 from repro.topology import build_overlay, transit_stub
 
 from bench_delta_pipeline import (
-    BATCH,
-    RESULTS_PATH,
     compare_engine_workload,
     converged_engine,
     random_links,
     run_bursty_update,
 )
+from bench_results import RESULTS_PATH, merge_results
 
-#: Headroom on the recorded PR 2 speedups: speedup ratios are mostly
+#: Headroom on the recorded reference speedups: speedup ratios are mostly
 #: machine-independent, but the two runs still live on different host
 #: load; the gate tolerates this much shortfall before failing.
 GATE_TOLERANCE = 0.85
+
+#: The guard-based netting's speedups over the unbatched engine, from
+#: its own acceptance run (``bench_delta_pipeline.py`` at batch 64, as
+#: recorded in commit 2eb9354).
+GUARD_NETTING_SPEEDUP = {"link-flap": 6.115, "bursty-update": 1.285}
 
 
 # ----------------------------------------------------------------------
@@ -137,37 +139,21 @@ def run_wire_coalescing(bursts=6, cycles=3, seed=5):
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def recorded_reference():
-    """The PR 2 netting speedups recorded by ``bench_delta_pipeline``'s
-    acceptance run (absent entries gate against 1.0: never slower than
-    unbatched)."""
-    try:
-        recorded = json.loads(RESULTS_PATH.read_text())
-    except (ValueError, OSError):
-        recorded = {}
-    return {
-        "link-flap": recorded.get("link-flap", {}).get("speedup", 1.0),
-        "bursty-update": recorded.get("bursty-update", {}).get("speedup",
-                                                               1.0),
-    }
-
-
 def main(argv):
     fast = "--fast" in argv
     rounds = 2 if fast else 4
-    reference = recorded_reference()
     results = {}
     for name, run, ref_key in (
         ("zset-link-flap", run_flap_storm, "link-flap"),
         ("zset-bursty-update", run_bursty_update, "bursty-update"),
     ):
         record = compare_engine_workload(name, run, rounds)
-        record["pr2_reference_speedup"] = reference[ref_key]
+        record["reference_speedup"] = GUARD_NETTING_SPEEDUP[ref_key]
         results[name] = record
         print(f"{name:20s} weighted {record['batched_seconds']:.3f}s  "
               f"unbatched {record['unbatched_seconds']:.3f}s  "
               f"speedup {record['speedup']:.2f}x  "
-              f"(PR 2 netting: {reference[ref_key]:.2f}x)")
+              f"(guard-based netting: {GUARD_NETTING_SPEEDUP[ref_key]:.2f}x)")
 
     wire = run_wire_coalescing()
     results["zset-wire-coalescing"] = wire
@@ -175,16 +161,14 @@ def main(argv):
           f"coalesced away {wire['netdeltas_coalesced']}  "
           f"({wire['coalesced_fraction']:.1%} of the stream)")
 
-    from bench_results import merge_results
-
     merge_results(results)
     print(f"\nwrote {RESULTS_PATH}")
 
     flap = results["zset-link-flap"]
-    assert flap["speedup"] >= GATE_TOLERANCE * flap["pr2_reference_speedup"], (
+    assert flap["speedup"] >= GATE_TOLERANCE * flap["reference_speedup"], (
         f"weighted netting regressed the link-flap bar: "
         f"{flap['speedup']:.2f}x < {GATE_TOLERANCE:.2f} * "
-        f"{flap['pr2_reference_speedup']:.2f}x (PR 2 netting)"
+        f"{flap['reference_speedup']:.2f}x (guard-based netting)"
     )
     assert wire["netdeltas_coalesced"] > 0, (
         "wire coalescing removed no NetDeltas under buffered flap bursts"

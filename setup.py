@@ -1,5 +1,6 @@
-"""Legacy setup shim so ``pip install -e .`` works without the ``wheel``
-package (offline environments); configuration lives in pyproject.toml."""
+"""Package metadata for ``pip install -e .``: the ``repro`` package lives
+under ``src/``.  Tool settings live beside it in ``pytest.ini``,
+``ruff.toml`` and ``mypy.ini``."""
 
 from setuptools import find_packages, setup
 

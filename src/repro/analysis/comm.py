@@ -89,18 +89,6 @@ def _pinned_variables(rule: Rule, link: Optional[Literal]) -> Set[str]:
     return pinned
 
 
-def _recursive_preds(program: Program) -> Set[str]:
-    rules = [rule for rule in program.rules if rule.body]
-    graph = dependency_graph(rules)
-    out: Set[str] = set()
-    for component in tarjan_sccs(graph):
-        if len(component) > 1:
-            out.update(component)
-        elif component[0] in graph.get(component[0], ()):
-            out.add(component[0])
-    return out
-
-
 def _component_map(program: Program) -> Dict[str, frozenset]:
     rules = [rule for rule in program.rules if rule.body]
     out: Dict[str, frozenset] = {}
@@ -111,13 +99,13 @@ def _component_map(program: Program) -> Dict[str, frozenset]:
     return out
 
 
-def analyze(program: Program, stats: Optional[StatsCatalog] = None):
+def analyze(program: Program):
     """Profile per-rule shipments; returns ``(diagnostics, summary)``."""
     diagnostics: List[Diagnostic] = []
     if not program_is_located(program):
         return diagnostics, {"located": False, "profiles": []}
 
-    stats = stats or StatsCatalog()
+    stats = StatsCatalog()
     view = _localized_view(program)
     components = _component_map(view)
     profiles: List[Dict[str, object]] = []

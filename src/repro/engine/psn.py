@@ -293,7 +293,6 @@ class PSNEngine:
         program: Program,
         db: Optional[Database] = None,
         on_commit: Optional[Callable[[Fact, int], None]] = None,
-        stats: Optional[StatsCatalog] = None,
         batch_size: int = 1,
         provenance=None,
         metrics=None,
@@ -307,9 +306,8 @@ class PSNEngine:
         self.db = db if db is not None else Database(schemas=schemas)
         self.compiled = shared_compiled_rules(program)
         self.batch_size = max(1, int(batch_size))
-        if stats is None:
-            stats = StatsCatalog.from_database(self.db)
-        self.strands = build_strands(self.compiled, self.db, stats)
+        self.strands = build_strands(self.compiled, self.db,
+                                     StatsCatalog.from_database(self.db))
         for strand_list in self.strands.values():
             for strand in strand_list:
                 # Binding now registers every probed index up front.

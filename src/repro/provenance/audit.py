@@ -97,35 +97,33 @@ def _audit_tables(
                 ))
 
 
-def audit_engine(engine, strict: bool = True) -> AuditReport:
+def audit_engine(engine) -> AuditReport:
     """Audit one centralized engine (PSN/BSN) against its recorder's
-    store.  Call at quiescence."""
+    store, in strict mode.  Call at quiescence."""
     recorder = getattr(engine, "provenance", None)
     if recorder is None:
         raise ValueError("engine was built without provenance capture")
     store = recorder.store
-    report = AuditReport(strict=strict, floored=store.floored)
-    _audit_tables(report, store, engine.db, None, strict)
-    if strict:
-        for fact, support in store.known_facts():
-            if fact.pred in store.view_preds:
-                continue
-            table = engine.db.tables.get(fact.pred)
-            if table is None or table.lifetime != INFINITY:
-                continue
-            if fact.args not in table:
-                report.mismatches.append(AuditMismatch(
-                    None, fact, "orphan", 0, support
-                ))
+    report = AuditReport(floored=store.floored)
+    _audit_tables(report, store, engine.db, None, True)
+    for fact, support in store.known_facts():
+        if fact.pred in store.view_preds:
+            continue
+        table = engine.db.tables.get(fact.pred)
+        if table is None or table.lifetime != INFINITY:
+            continue
+        if fact.args not in table:
+            report.mismatches.append(AuditMismatch(
+                None, fact, "orphan", 0, support
+            ))
     return report
 
 
-def audit_cluster(cluster, strict: Optional[bool] = None,
-                  exclude_nodes: Iterable[str] = ()) -> AuditReport:
+def audit_cluster(cluster, exclude_nodes: Iterable[str] = ()) -> AuditReport:
     """Audit a deployed cluster (simulated or live) against its shared
     store.  Call at quiescence.
 
-    ``strict=None`` auto-selects: exact count equality when the
+    The mode follows the deployment: exact count equality when the
     transport delivers every delta eagerly, support-only when periodic
     buffering or a chaos schedule may legitimately elide recorded firings.
 
@@ -144,13 +142,12 @@ def audit_cluster(cluster, strict: Optional[bool] = None,
     chaos = getattr(cluster, "chaos", None)
     if chaos is not None:
         skipped.update(chaos.dead_nodes(float("inf")))
-    if strict is None:
-        config = cluster.config
-        # Exact counting needs every recorded firing delivered exactly
-        # once: no periodic elision and no chaos faults (a lost message,
-        # or a crashed-for-good node, legitimately never materializes
-        # firings recorded at its peers).
-        strict = not config.buffer_interval and config.chaos is None
+    config = cluster.config
+    # Exact counting needs every recorded firing delivered exactly
+    # once: no periodic elision and no chaos faults (a lost message,
+    # or a crashed-for-good node, legitimately never materializes
+    # firings recorded at its peers).
+    strict = not config.buffer_interval and config.chaos is None
     report = AuditReport(strict=strict, floored=store.floored)
     for name, runtime in cluster.nodes.items():
         if name in skipped:

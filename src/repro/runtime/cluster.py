@@ -444,15 +444,13 @@ class Cluster:
             functions=sample.db.functions, depth=depth,
         )
 
-    def audit(self, strict: Optional[bool] = None,
-              exclude_nodes=()):
+    def audit(self, exclude_nodes=()):
         """Cross-check per-node derivation counts against the shared
         provenance graph; call at quiescence."""
         self._require_provenance()
         from repro.provenance import audit_cluster
 
-        return audit_cluster(self, strict=strict,
-                             exclude_nodes=exclude_nodes)
+        return audit_cluster(self, exclude_nodes=exclude_nodes)
 
     # ------------------------------------------------------------------
     # Observability (:mod:`repro.obs`)

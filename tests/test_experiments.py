@@ -1,16 +1,21 @@
-"""Smoke tests for the experiment harness at miniature scale: every
-figure driver runs end to end, reports, and keeps its key shape
-properties even on a small overlay (the full-scale shape assertions run
-in benchmarks/)."""
+"""The paper's Section 6 claims (Figures 7-14) on the experiment drivers.
+
+Tier-1 runs every driver on a 16-node overlay (``TINY``, about 3 s in
+all) and asserts each figure's ``check_shape()`` there, except Figure
+11, whose MS line crosses No-MS only with more queries than ``TINY``
+issues.  The slow tier (``pytest -m slow``) runs every driver's
+``check_shape()`` at the default ``small`` scale.  ``python -m
+repro.experiments.figNN`` prints a figure and checks the same shape.
+"""
 
 import pytest
 
-pytestmark = pytest.mark.slow  # multi-minute sims; run with `pytest -m slow`
-
 from repro.experiments import fig7_8, fig9_10, fig11, fig12, fig13_14
 from repro.experiments.common import (
+    SMALL,
     Scale,
     current_scale,
+    default_overlay,
     format_series,
     format_table,
 )
@@ -48,16 +53,14 @@ def test_fig7_8_smoke(overlay):
         assert run.convergence > 0
         assert run.total_mb > 0
         assert run.results_series[-1][1] == 1.0
-    # Core orderings hold even at tiny scale.
-    assert result.runs["hopcount"].total_mb < result.runs["random"].total_mb
     assert "Hop-Count" in result.report()
+    result.check_shape()
 
 
 def test_fig9_10_smoke(overlay):
     result = fig9_10.run(overlay=overlay, scale=TINY, interval=0.3)
-    for metric in result.periodic.runs:
-        assert result.reduction(metric) > 0
     assert "periodic" in result.report()
+    result.check_shape()
 
 
 def test_fig11_smoke(overlay):
@@ -70,22 +73,53 @@ def test_fig11_smoke(overlay):
 
 def test_fig12_smoke(overlay):
     result = fig12.run(overlay=overlay, scale=TINY)
-    assert result.share_mb < result.no_share_mb
-    assert result.saving > 0
     assert "sharing" in result.report()
+    result.check_shape()
 
 
 def test_fig13_smoke(overlay):
     result = fig13_14.run_fig13(overlay=overlay, scale=TINY)
-    assert result.consistent
-    assert result.mean_burst_mb < result.initial_mb
     assert "Figure 13" in result.report()
+    result.check_shape()
 
 
 def test_fig14_smoke(overlay):
     result = fig13_14.run_fig14(overlay=overlay, scale=TINY)
-    assert result.consistent
     assert "Figure 14" in result.report()
+    result.check_shape()
+
+
+# ----------------------------------------------------------------------
+# The default ``small`` scale (48 nodes): slow tier
+# ----------------------------------------------------------------------
+FIG12_DEVIATION = (
+    "Figure 12 at the small scale: sharing's per-node peak is above the "
+    "no-share run's (79.7 against 75.2 kB/s at PYTHONHASHSEED=0; the "
+    "paper has 27 -> 16).  It began at 8c43c00, when a chunk's heads "
+    "started to leave as one message per neighbour: the no-share peak "
+    "fell from 95.8 to 75.3 kB/s while sharing stayed at 80.4.  "
+    "Candidate cause: a link's one share window flushes 300 ms after it "
+    "opens, where the paper delays each outbound tuple by 300 ms."
+)
+
+
+@pytest.fixture(scope="module")
+def small_overlay():
+    return default_overlay(SMALL)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("driver", [
+    pytest.param(fig7_8.run, id="fig7_8"),
+    pytest.param(fig9_10.run, id="fig9_10"),
+    pytest.param(fig11.run, id="fig11"),
+    pytest.param(fig12.run, id="fig12", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=FIG12_DEVIATION)),
+    pytest.param(fig13_14.run_fig13, id="fig13"),
+    pytest.param(fig13_14.run_fig14, id="fig14"),
+])
+def test_small_scale_shape(driver, small_overlay):
+    driver(overlay=small_overlay, scale=SMALL).check_shape()
 
 
 class TestReporting:

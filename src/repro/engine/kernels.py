@@ -54,15 +54,18 @@ are honoured at the next firing, and the call stays the definition for
 every value the shape test turns away.  Nested or computed arguments
 are left as calls (nothing is ever evaluated twice).
 
-What is shared and what is per node: the source is generated and
-``compile()``-d once per (rule, driver index, literal order) and kept on
-the rule's shared :class:`~repro.engine.rules.CompiledRule` (one per
-``Program`` object, so the code lives and dies with the program);
-:meth:`StrandKernel.bind` then only calls the ``bind`` factory with one
-node's index dicts, which costs a closure.  The ``capture`` variant
-(provenance) appends ``(head, body facts)`` pairs instead of heads --
-the matched tuples themselves, in body order -- and is generated on
-first use.
+What is shared and what is per node: the literal order is planned once
+per (rule, driver index, catalog), and the source is generated and
+``compile()``-d once per (rule, driver index, literal order); both are
+kept on the rule's shared :class:`~repro.engine.rules.CompiledRule`
+(one per ``Program`` object, so plans and code live and die with the
+program).  Every node of a deployment starts from the same empty
+catalog, so all of them run one plan per strand -- the one
+``explain()`` prints.  :meth:`StrandKernel.bind` then only calls the
+``bind`` factory with one node's index dicts, which costs a closure.
+The ``capture`` variant (provenance) appends ``(head, body facts)``
+pairs instead of heads -- the matched tuples themselves, in body order
+-- and is generated on first use.
 
 Kernels never mutate tables and PSN's ``derive``/``ship`` never read
 them, so collecting a firing's heads and emitting them afterwards is
@@ -466,15 +469,23 @@ def strand_kernel(crule: CompiledRule, driver_index: int,
                   stats=None) -> StrandKernel:
     """The shared kernel of one strand of ``crule``, generated on first
     request and kept on the rule, keyed by the literal order ``stats``
-    implies.  The cache sits in front of planning where it can: with at
-    most one partner literal the order is forced, so a hit costs one
-    dict lookup; only rules with a real ordering choice are re-planned
-    per engine (and still share code per order)."""
+    implies.  With at most one partner literal the order is forced;
+    otherwise it is planned once per catalog and kept on the rule too,
+    keyed by all the plan reads of ``stats`` -- each body literal's
+    ``table_rows`` -- so every engine over the same sizes (each node of
+    a deployment starts empty) shares one plan, and a hit costs a few
+    dict lookups."""
     plan = None
     order = tuple(i for i in crule.literal_indexes if i != driver_index)
     if len(order) > 1:
-        plan = compile_plan(crule, driver_index=driver_index, stats=stats)
-        order = plan.order
+        key = (driver_index, None if stats is None else tuple(
+            stats.table_rows(crule.body[i].pred)
+            for i in crule.literal_indexes
+        ))
+        order = crule.orders.get(key)
+        if order is None:
+            plan = compile_plan(crule, driver_index=driver_index, stats=stats)
+            order = crule.orders[key] = plan.order
     kernel: Optional[StrandKernel] = crule.kernels.get((driver_index, order))
     if kernel is None:
         kernel = crule.kernels[(driver_index, order)] = StrandKernel(

@@ -80,6 +80,9 @@ class CompiledRule:
         #: Generated strand kernels, ``(driver index, literal order)`` ->
         #: :class:`repro.engine.kernels.StrandKernel`.
         self.kernels: Dict[Tuple[int, Tuple[int, ...]], object] = {}
+        #: Planned literal orders, ``(driver index, catalog key)`` ->
+        #: literal order (see :func:`repro.engine.kernels.strand_kernel`).
+        self.orders: Dict[Tuple[int, object], Tuple[int, ...]] = {}
 
     def body_preds(self) -> Tuple[str, ...]:
         return tuple(self.body[i].pred for i in self.literal_indexes)

@@ -92,11 +92,21 @@ def build_overlay(
 ) -> Overlay:
     """Build a connected overlay: ``n_nodes`` overlay nodes hosted on
     random stub nodes, each picking ``degree`` random neighbors."""
+    if degree < 0:
+        raise NetworkError(
+            f"build_overlay: degree must be at least 0, got {degree!r}")
     if underlay is None:
         underlay = transit_stub(seed=seed)
+    if n_nodes > 0 and not underlay.stub_nodes:
+        raise NetworkError("build_overlay: underlay has no stub nodes to host"
+                           " overlay nodes")
     rng = random.Random(seed * 7919 + 13)
+    # Host -> latency map, one Dijkstra per host over one adjacency,
+    # kept across attempts (a retry re-picks hosts, not the underlay).
+    adj = underlay.adjacency()
+    latencies: Dict[str, Dict[str, float]] = {}
     for attempt in range(max_attempts):
-        overlay = _try_build(underlay, n_nodes, degree, rng)
+        overlay = _try_build(underlay, n_nodes, degree, rng, adj, latencies)
         if overlay.is_connected():
             return overlay
     raise NetworkError(
@@ -105,7 +115,9 @@ def build_overlay(
 
 
 def _try_build(
-    underlay: Underlay, n_nodes: int, degree: int, rng: random.Random
+    underlay: Underlay, n_nodes: int, degree: int, rng: random.Random,
+    adj: Dict[str, List[Tuple[str, float]]],
+    latencies: Dict[str, Dict[str, float]],
 ) -> Overlay:
     names = [f"n{i}" for i in range(n_nodes)]
     host = {name: rng.choice(underlay.stub_nodes) for name in names}
@@ -116,14 +128,13 @@ def _try_build(
         for neighbor in rng.sample(candidates, min(degree, len(candidates))):
             pairs.add((name, neighbor) if name <= neighbor else (neighbor, name))
 
-    # Latencies between host stub nodes (single Dijkstra per source host).
-    latency_cache: Dict[str, Dict[str, float]] = {}
     links: Dict[Tuple[str, str], Dict[str, float]] = {}
     for a, b in sorted(pairs):
         host_a, host_b = host[a], host[b]
-        if host_a not in latency_cache:
-            latency_cache[host_a] = underlay.latencies_from(host_a)
-        latency_s = latency_cache[host_a].get(host_b)
+        from_a = latencies.get(host_a)
+        if from_a is None:
+            from_a = latencies[host_a] = underlay.latencies_from(host_a, adj)
+        latency_s = from_a.get(host_b)
         if latency_s is None:
             raise NetworkError(f"underlay not connected: {host_a} {host_b}")
         latency_ms = max(1.0, round(latency_s * 1000.0, 3))

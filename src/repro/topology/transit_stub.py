@@ -15,7 +15,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.errors import NetworkError
 
 
 @dataclass
@@ -33,13 +35,6 @@ class Underlay:
         if existing is None or latency < existing:
             self.edges[key] = latency
 
-    def neighbors(self, node: str):
-        for (a, b), latency in self.edges.items():
-            if a == node:
-                yield b, latency
-            elif b == node:
-                yield a, latency
-
     def adjacency(self) -> Dict[str, List[Tuple[str, float]]]:
         adj: Dict[str, List[Tuple[str, float]]] = {n: [] for n in self.nodes}
         for (a, b), latency in self.edges.items():
@@ -47,18 +42,24 @@ class Underlay:
             adj[b].append((a, latency))
         return adj
 
-    def latencies_from(self, source: str) -> Dict[str, float]:
-        """Single-source shortest latency (Dijkstra)."""
-        adj = self.adjacency()
+    def latencies_from(
+        self, source: str,
+        adj: Optional[Dict[str, List[Tuple[str, float]]]] = None,
+    ) -> Dict[str, float]:
+        """Single-source shortest latency (Dijkstra).  A caller running
+        several passes the :meth:`adjacency` it built once as ``adj``."""
+        if adj is None:
+            adj = self.adjacency()
+        inf = float("inf")
         dist = {source: 0.0}
         heap = [(0.0, source)]
         while heap:
             d, node = heapq.heappop(heap)
-            if d > dist.get(node, float("inf")):
+            if d > dist.get(node, inf):
                 continue
             for nxt, w in adj[node]:
                 nd = d + w
-                if nd < dist.get(nxt, float("inf")):
+                if nd < dist.get(nxt, inf):
                     dist[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
         return dist
@@ -84,6 +85,12 @@ def transit_stub(
     With the defaults this yields 4 transit + 4*3*8 = 96 stub nodes
     (100 total), matching Section 6.1.  Latencies are in seconds.
     """
+    for name, value in (("transits", transits),
+                        ("stubs_per_transit", stubs_per_transit),
+                        ("nodes_per_stub", nodes_per_stub)):
+        if value < 1:
+            raise NetworkError(
+                f"transit_stub: {name} must be at least 1, got {value!r}")
     rng = random.Random(seed)
     underlay = Underlay()
 

@@ -36,7 +36,11 @@ from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.kernels import strand_kernel
 from repro.engine.psn import PSNEngine
-from repro.engine.rules import CompiledRule, unify_literal
+from repro.engine.rules import (
+    CompiledRule,
+    shared_compiled_rules,
+    unify_literal,
+)
 from repro.engine.table import Table
 from repro.errors import EvaluationError
 from repro.ndlog import parse, programs
@@ -555,6 +559,85 @@ def test_kernels_compile_once_per_program_and_die_with_it():
     del codes, program
     gc.collect()
     assert probe() is None
+
+
+def _count_plans(monkeypatch):
+    from repro.engine import kernels
+    calls = []
+    real = kernels.compile_plan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "compile_plan", counting)
+    return calls
+
+
+def test_a_deployment_plans_each_strand_once(monkeypatch):
+    """Every node starts from the same empty catalog, so a deploy plans
+    each strand once, whatever the number of nodes."""
+    calls = _count_plans(monkeypatch)
+    counts = []
+    for n_nodes in (4, 16):
+        del calls[:]
+        compiled = repro.compile(programs.shortest_path(),
+                                 passes=["aggsel", "localize"])
+        cluster = compiled.deploy(n_nodes=n_nodes, seed=2)
+        assert len(cluster.nodes) == n_nodes
+        counts.append(len(calls))
+    strands = sum(len(crule.literal_indexes)
+                  for crule in shared_compiled_rules(compiled.program))
+    assert counts == [strands, strands]
+
+
+def test_every_node_runs_the_plan_explain_prints():
+    compiled = repro.compile(programs.shortest_path(),
+                             passes=["aggsel", "localize"])
+    cluster = compiled.deploy(n_nodes=6, seed=2)
+    codes = {}
+    for node in cluster.nodes.values():
+        for strands in node.strands.values():
+            for strand in strands:
+                key = (strand.crule.label, strand.driver_index)
+                assert codes.setdefault(key, strand.code) is strand.code
+    # explain() plans each rule's lead strand from an empty catalog:
+    # the very kernels the nodes run, so it adds none.
+    generated = {id(crule): dict(crule.kernels)
+                 for crule in shared_compiled_rules(compiled.program)}
+    text = compiled.explain(kernels=True)
+    for crule in shared_compiled_rules(compiled.program):
+        assert crule.kernels == generated[id(crule)]
+        for index in crule.literal_indexes:
+            code = strand_kernel(crule, index, StatsCatalog())
+            assert code is codes[(crule.label, index)]
+            assert code.source().rstrip() in text
+
+
+def test_preloaded_tables_get_their_own_plan(monkeypatch):
+    """Table sizes that change the greedy order give that engine its
+    own plan and kernel; the same sizes again share both."""
+    program = parse("R: out(X, W) :- a(X, Y), b(Y, Z), c(Y, W).")
+    calls = _count_plans(monkeypatch)
+
+    def engine(sizes):
+        """The ``a`` strand's kernel, and how many plans were made."""
+        before = len(calls)
+        db = Database.for_program(program)
+        for pred, n in sizes.items():
+            db.load_facts(pred, [(i, i) for i in range(n)])
+        strand, = PSNEngine(program, db=db).strands["a"]
+        return strand.code, len(calls) - before
+
+    # Each of the three strands has two partner literals to order.
+    empty, planned = engine({})
+    assert planned == 3
+    assert empty.plan.order == (1, 2)       # b, then c: body order
+    assert engine({}) == (empty, 0)
+    small_c, planned = engine({"b": 5, "c": 1})
+    assert planned == 3
+    assert small_c.plan.order == (2, 1)     # the smaller relation first
+    assert engine({"b": 5, "c": 1}) == (small_c, 0)
 
 
 def test_strand_repr_and_kernel_source():

@@ -40,11 +40,11 @@ Quickstart::
     live.converge(timeout=30.0)
     print(live.query_rows())
 
-``compile(source, passes=[...])`` picks and orders rewrites from one
-fixed table, ``repro.PASSES`` (magic sets, aggregate selections,
-recursion reordering, cost-based ordering, the semi-naive rewrite and
-localization, in that canonical order); ``passes=None`` runs
-``repro.DEFAULT_PASSES``, aggregate selections alone.
+``compile(source, passes=[...])`` picks and orders rewrites by name
+from one fixed table, ``repro.PASSES`` (magic sets, aggregate
+selections and localization, in that canonical order); ``passes=None``
+runs ``repro.DEFAULT_PASSES``, aggregate selections alone.  Join order
+is not a pass: every engine plans it per strand, from table sizes.
 
 ``deploy()`` returns the deployed network itself: a
 :class:`~repro.runtime.cluster.Cluster` on the simulator, a
@@ -88,7 +88,6 @@ from repro.api import (
     DEFAULT_PASSES,
     PASSES,
     CompiledProgram,
-    Pass,
     compile,
 )
 from repro.engine import Database
@@ -106,7 +105,6 @@ __all__ = [
     "CompiledProgram",
     "Deployment",
     "LiveDeployment",
-    "Pass",
     "PASSES",
     "DEFAULT_PASSES",
     "Database",

@@ -5,8 +5,9 @@ rule's communication behaviour is statically visible: the head either
 commits locally or ships one hop along a link.  For every shipping
 rule this analysis computes a *shipment profile* -- which literal
 crosses the link, how the destination is determined, and a fan-out
-class -- using the same :class:`~repro.opt.costbased.StatsCatalog`
-estimates the join planner uses:
+class -- with every relation at the join planner's row estimate for a
+table it has no size for (:data:`~repro.engine.rules.DEFAULT_ROWS`;
+the analysis runs before any table holds a row):
 
 * **local** -- head commits where the body evaluates; no traffic;
 * **unicast** -- one message per body match: the destination is pinned
@@ -36,10 +37,10 @@ from typing import Dict, List, Optional, Set
 
 from repro.analysis.common import program_is_located, rule_name, rule_span
 from repro.analysis.diagnostics import Diagnostic
+from repro.engine.rules import DEFAULT_ROWS
 from repro.engine.stratify import dependency_graph, tarjan_sccs
 from repro.ndlog.ast import Assignment, Condition, Literal, Program, Rule
 from repro.ndlog.terms import BinOp, Constant, Term, Variable
-from repro.opt.costbased import StatsCatalog
 
 ANALYSIS = "communication"
 
@@ -105,7 +106,6 @@ def analyze(program: Program):
     if not program_is_located(program):
         return diagnostics, {"located": False, "profiles": []}
 
-    stats = StatsCatalog()
     view = _localized_view(program)
     components = _component_map(view)
     profiles: List[Dict[str, object]] = []
@@ -140,15 +140,10 @@ def analyze(program: Program):
         ]
         data_literals = [lit for lit in rule.body_literals
                          if not lit.link_literal]
-        est_data = max(
-            (stats.table_rows(lit.pred) for lit in data_literals),
-            default=0.0,
-        )
 
         if not endpoint_links:
             profile["class"] = "broadcast"
-            profile["est_msgs_per_round"] = est_data or \
-                stats.default_rows
+            profile["est_msgs_per_round"] = DEFAULT_ROWS
             profiles.append(profile)
             diagnostics.append(Diagnostic(
                 code="ND401", severity="warning", analysis=ANALYSIS,
@@ -175,9 +170,7 @@ def analyze(program: Program):
             # Either the data pins the destination, or the link table
             # itself is the driving relation (one message per link row).
             profile["class"] = "unicast"
-            profile["est_msgs_per_round"] = (
-                est_data if data_literals else stats.table_rows(link.pred)
-            )
+            profile["est_msgs_per_round"] = DEFAULT_ROWS
             profiles.append(profile)
             continue
 
@@ -188,7 +181,7 @@ def analyze(program: Program):
                     for lit in rule.body_literals)
         )
         profile["class"] = "neighborhood"
-        profile["est_msgs_per_round"] = est_data
+        profile["est_msgs_per_round"] = DEFAULT_ROWS
         profile["fanout"] = "degree"
         profiles.append(profile)
         if recursive_flood:
@@ -213,7 +206,7 @@ def analyze(program: Program):
                 message=(
                     f"neighborhood fan-out: each body match ships "
                     f"{rule.head.pred!r} to every neighbor along "
-                    f"{link.pred!r} (~{est_data:.0f} tuples x degree "
+                    f"{link.pred!r} (~{DEFAULT_ROWS:.0f} tuples x degree "
                     f"per round)"
                 ),
             ))

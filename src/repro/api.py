@@ -7,11 +7,12 @@ distributed.  This module exposes that lifecycle behind one surface:
 
 * :func:`compile` parses (if needed), validates, and pushes the program
   through an explicit, introspectable **optimization-pass pipeline** --
-  the rewrites of Sections 3-5 (aggregate selections, magic sets,
-  predicate reordering, cost-based join ordering, the textual semi-naive
-  rewrite, and rule localization), one fixed table of named passes
+  the program rewrites of Sections 3-5 (magic sets, aggregate
+  selections, rule localization), one fixed table of named passes
   (:data:`PASSES`) that a caller picks and orders, with a before/after
-  :class:`~repro.ndlog.ast.Program` snapshot recorded per pass;
+  :class:`~repro.ndlog.ast.Program` snapshot recorded per pass.  Join
+  order, the section's cost-based decision, is no pass: every engine
+  plans it per strand (:func:`repro.engine.rules.compile_plan`);
 * the returned :class:`CompiledProgram` is the compiled artifact:
   :meth:`~CompiledProgram.explain` pretty-prints the per-pass rule
   diffs and the final join plans, :meth:`~CompiledProgram.run`
@@ -66,6 +67,7 @@ from repro.engine.kernels import strand_kernel
 from repro.engine.rules import (
     AssignStep,
     LiteralStep,
+    StatsCatalog,
     shared_compiled_rules,
 )
 from repro.errors import (
@@ -88,18 +90,10 @@ from repro.ndlog.pretty import (
 from repro.ndlog.validator import ValidationReport
 from repro.ndlog.validator import validate as validate_program
 from repro.opt import aggsel
-from repro.opt.costbased import StatsCatalog
 from repro.planner.localization import localize
 from repro.planner.magic import magic_rewrite
-from repro.planner.reorder import (
-    greedy_join_order,
-    reorder_body,
-    reorder_program,
-)
-from repro.planner.seminaive_rewrite import seminaive_rewrite
 
 __all__ = [
-    "Pass",
     "PASSES",
     "DEFAULT_PASSES",
     "PassSnapshot",
@@ -123,135 +117,49 @@ ENGINES: Dict[str, Callable[..., EvalResult]] = {
 # ----------------------------------------------------------------------
 # The pass table
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Pass:
-    """One named program rewrite in the compile pipeline.
-
-    ``semantics_preserving`` means the rewrite preserves the fixpoint of
-    the program's *query predicate* (magic sets restrict it to the
-    query-matching tuples); passes without the property (the textual
-    semi-naive rewrite renames every derived relation) are inspection
-    devices and excluded from the pipeline-equivalence guarantees.
-    """
-
-    name: str
-    fn: Callable[..., Program]
-    description: str
-    semantics_preserving: bool = True
-
-
-def _recursive_preds(program: Program) -> List[str]:
-    """Predicates defined by at least one directly-recursive rule."""
-    out = []
-    for rule in program.rules:
-        pred = rule.head.pred
-        if pred in out:
-            continue
-        if any(lit.pred == pred for lit in rule.body_literals):
-            out.append(pred)
-    return sorted(out)
-
-
-def _pass_reorder(
-    program: Program, pred: Optional[str] = None, to_left: bool = False
-) -> Program:
-    """Recursion-orientation flip (Section 5.1.2): move the recursive
-    literal first (``to_left=True``, Top-Down) or last (Bottom-Up) in
-    the bodies of ``pred`` (default: every directly-recursive
-    predicate)."""
-    preds = [pred] if pred is not None else _recursive_preds(program)
-    for recursive_pred in preds:
-        program = reorder_program(program, recursive_pred, to_left)
-    return program
-
-
-def _pass_costbased(
-    program: Program,
-    sizes: Optional[Dict[str, float]] = None,
-    default_rows: float = StatsCatalog.DEFAULT_ROWS,
-) -> Program:
-    """Cost-based join ordering (Section 5.3): greedily reorder each
-    rule body by bound-ness then estimated candidate count from a
-    :class:`~repro.opt.costbased.StatsCatalog` (``sizes`` maps relation
-    names to cardinality estimates)."""
-    stats = StatsCatalog(sizes, default_rows=default_rows)
-    rules = []
-    for rule in program.rules:
-        literals = list(rule.body_literals)
-        if len(literals) > 1:
-            order = greedy_join_order(
-                list(enumerate(literals)), set(), stats=stats
-            )
-            rule = reorder_body(rule, order)
-        rules.append(rule)
-    return Program(
-        rules=rules,
-        facts=list(program.facts),
-        materializations=dict(program.materializations),
-        query=program.query,
-        name=program.name,
-    )
-
-
-#: Every compile pass by name, in canonical pipeline order.  A pass
-#: function takes the program plus the options of a ``(name, options)``
-#: specifier and returns the rewritten program.
-PASSES: Dict[str, Pass] = {pass_.name: pass_ for pass_ in (
-    Pass("magic", magic_rewrite,
-         "magic-sets rewrite for a bound query (Section 5.1.2)"),
-    Pass("aggsel", aggsel.rewrite,
-         "aggregate selections: prune via group-optimal views "
-         "(Section 5.1.1)"),
-    Pass("reorder", _pass_reorder,
-         "flip recursion orientation (TD/BU, Section 5.1.2)"),
-    Pass("costbased", _pass_costbased,
-         "greedy selectivity-driven body reorder (Section 5.3)"),
-    Pass("seminaive", seminaive_rewrite,
-         "textual semi-naive delta rewrite (Section 3.1, inspection)",
-         semantics_preserving=False),
-    Pass("localize", localize,
-         "rule localization for distributed execution (Algorithm 2)"),
-)}
+#: Every compile pass by name, in canonical pipeline order: a function
+#: from a program to the rewritten program.  ``magic`` rewrites for the
+#: program's ``Query:`` clause (Section 5.1.2), ``aggsel`` prunes
+#: through group-optimal views (Section 5.1.1), ``localize`` makes every
+#: rule body single-site for distributed execution (Algorithm 2).  Join
+#: order is not a pass: every engine plans it per strand
+#: (:func:`repro.engine.rules.compile_plan`).
+PASSES: Dict[str, Callable[[Program], Program]] = {
+    "magic": magic_rewrite,
+    "aggsel": aggsel.rewrite,
+    "localize": localize,
+}
 
 #: The passes :func:`compile` runs when given no ``passes`` list.
 DEFAULT_PASSES: Tuple[str, ...] = ("aggsel",)
 
-#: A pass specifier: a pass name, or a ``(name, options)`` pair.
-PassSpec = Union[str, Tuple[str, Dict[str, object]]]
 
-
-def _resolve(spec: PassSpec) -> Tuple[Pass, Dict[str, object]]:
-    """The table's pass and its options for one specifier."""
-    options: Dict[str, object] = {}
-    if isinstance(spec, tuple):
-        if len(spec) != 2 or not isinstance(spec[1], dict):
-            raise PlanError(
-                f"tuple pass specifiers must be (name, options dict); "
-                f"got {spec!r}"
-            )
-        spec, options = spec
-    if not isinstance(spec, str):
-        raise PlanError(f"bad pass specifier {spec!r}")
-    pass_ = PASSES.get(spec)
-    if pass_ is None:
+def _check_passes(passes: Sequence[str]) -> Tuple[str, ...]:
+    """``passes`` as a tuple of table names, or :class:`PlanError`
+    naming the expected form."""
+    expected = (f"a list of pass names from repro.PASSES "
+                f"({', '.join(PASSES)})")
+    if isinstance(passes, str):
         raise PlanError(
-            f"unknown pass {spec!r}; passes: {', '.join(PASSES)}"
-        )
-    return pass_, dict(options)
+            f"passes must be {expected}, not the string {passes!r}")
+    names = tuple(passes)
+    for name in names:
+        if not isinstance(name, str) or name not in PASSES:
+            raise PlanError(
+                f"unknown pass {name!r}; passes must be {expected}")
+    return names
 
 
-def _apply_pass(
-    pass_: Pass, program: Program, options: Dict[str, object]
-) -> Program:
+def _apply_pass(name: str, program: Program) -> Program:
     """Run one pass with taxonomy-enforcing error wrapping: anything
     that escapes is a :class:`PlanError` carrying the pass name."""
     try:
-        return pass_.fn(program, **options)
+        return PASSES[name](program)
     except ReproError as exc:
-        raise PlanError(str(exc), pass_name=pass_.name) from exc
+        raise PlanError(str(exc), pass_name=name) from exc
     except Exception as exc:  # bare ValueError/KeyError/TypeError etc.
         raise PlanError(
-            f"{type(exc).__name__}: {exc}", pass_name=pass_.name
+            f"{type(exc).__name__}: {exc}", pass_name=name
         ) from exc
 
 
@@ -263,7 +171,6 @@ class PassSnapshot:
     """Before/after record of one pass application."""
 
     name: str
-    options: Dict[str, object]
     before: Program
     after: Program
     #: Wall seconds the pass took (``explain(timings=True)`` renders
@@ -432,11 +339,6 @@ class CompiledProgram:
             )
         for snap in self.trace:
             header = f"-- pass {snap.name}"
-            if snap.options:
-                opts = ", ".join(
-                    f"{k}={v!r}" for k, v in sorted(snap.options.items())
-                )
-                header += f" ({opts})"
             if not snap.changed:
                 lines.append(f"{header}: no change")
                 continue
@@ -489,17 +391,17 @@ class CompiledProgram:
         return "\n".join(lines)
 
     # -- derived artifacts ----------------------------------------------
-    def extended(self, passes: Sequence[PassSpec]) -> "CompiledProgram":
+    def extended(self, passes: Sequence[str]) -> "CompiledProgram":
         """A new artifact with further passes applied on top of this
         one's result (the trace is carried forward and extended).  Every
-        specifier resolves before the first pass runs."""
+        name is checked before the first pass runs."""
         trace = list(self.trace)
         current = self.program
-        for pass_, options in [_resolve(spec) for spec in passes]:
+        for name in _check_passes(passes):
             before = current
             started = perf_counter()
-            current = _apply_pass(pass_, before, options)
-            trace.append(PassSnapshot(pass_.name, options, before, current,
+            current = _apply_pass(name, before)
+            trace.append(PassSnapshot(name, before, current,
                                       elapsed=perf_counter() - started))
         return CompiledProgram(
             source=self.source,
@@ -662,7 +564,7 @@ class CompiledProgram:
 # ----------------------------------------------------------------------
 def compile(
     source_or_program: Union[str, Program, CompiledProgram],
-    passes: Optional[Sequence[PassSpec]] = None,
+    passes: Optional[Sequence[str]] = None,
     *,
     validate: bool = True,
     name: Optional[str] = None,
@@ -672,10 +574,10 @@ def compile(
     """Compile NDlog source (or a parsed :class:`Program`) into a
     :class:`CompiledProgram`.
 
-    ``passes`` selects and orders the optimization passes by name (see
-    :data:`PASSES`); entries may be ``(name, options)`` pairs, e.g.
-    ``("reorder", {"pred": "path", "to_left": True})``.  ``None`` runs
-    :data:`DEFAULT_PASSES`; ``[]`` runs no passes.  A program that fails
+    ``passes`` selects and orders the optimization passes: a list of
+    names from :data:`PASSES` (anything else raises
+    :class:`PlanError`).  ``None`` runs :data:`DEFAULT_PASSES`; ``[]``
+    runs no passes.  A program that fails
     validation raises :class:`NDlogValidationError`; ``validate=False``
     skips validation entirely (``repro.ndlog.validate`` returns the
     report without raising).  Programs with no ``@`` location

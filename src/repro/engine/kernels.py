@@ -86,6 +86,7 @@ from repro.engine.rules import (
     CondStep,
     JoinPlan,
     LiteralStep,
+    StatsCatalog,
     compile_plan,
 )
 from repro.ndlog.functions import INLINE
@@ -466,7 +467,7 @@ class StrandKernel:
 
 
 def strand_kernel(crule: CompiledRule, driver_index: int,
-                  stats=None) -> StrandKernel:
+                  stats: Optional[StatsCatalog] = None) -> StrandKernel:
     """The shared kernel of one strand of ``crule``, generated on first
     request and kept on the rule, keyed by the literal order ``stats``
     implies.  With at most one partner literal the order is forced;

@@ -23,10 +23,9 @@ from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult, load_program_facts
 from repro.engine.kernels import strand_kernel
-from repro.engine.rules import CompiledRule, shared_compiled_rules
+from repro.engine.rules import CompiledRule, StatsCatalog, shared_compiled_rules
 from repro.engine.stratify import Stratum, stratify
 from repro.ndlog.ast import Program
-from repro.opt.costbased import StatsCatalog
 
 #: Guard against non-terminating programs (e.g. Figure 1 on a cyclic
 #: graph without aggregate selections, as discussed in Section 2).

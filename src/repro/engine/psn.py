@@ -167,9 +167,8 @@ from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult
 from repro.engine.table import INFINITY
 from repro.engine.kernels import strand_kernel
-from repro.engine.rules import CompiledRule, shared_compiled_rules
+from repro.engine.rules import CompiledRule, StatsCatalog, shared_compiled_rules
 from repro.obs.observer import Observer
-from repro.opt.costbased import StatsCatalog
 from repro.ndlog.ast import Literal, Program
 from repro.ndlog.terms import evaluate as eval_term
 

@@ -3,13 +3,13 @@
 :func:`compile_plan` is the planner every engine uses.  For a rule
 (optionally relative to a *driving* literal, i.e. one strand of Figures
 3/5 of the paper) it chooses a literal order (bound-ness first, then
-estimated selectivity -- Sections 5.1.2/5.3, via
-:mod:`repro.planner.reorder` and
-:class:`repro.opt.costbased.StatsCatalog`) and classifies every
-argument position of every literal once: fed to the hash-index lookup
-(constants, prefix-bound variables, prefix-evaluable expressions),
-binding a new variable, repeating one within the literal, or an
-embedded expression to check per candidate.  A :class:`JoinPlan` is
+estimated selectivity from a :class:`StatsCatalog` -- Section 5.3's
+"the optimizations of Section 5 can be recast as cost-based decisions",
+made here and only here, by :func:`choose_next_literal`) and classifies
+every argument position of every literal once: fed to the hash-index
+lookup (constants, prefix-bound variables, prefix-evaluable
+expressions), binding a new variable, repeating one within the
+literal, or an embedded expression to check per candidate.  A :class:`JoinPlan` is
 pure metadata with one executor: :mod:`repro.engine.kernels` generates
 one flat Python function per strand from it, and all four engines run
 those -- PSN / BSN one per (rule, driving literal), semi-naive the same
@@ -25,13 +25,14 @@ the kernels are held to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import PlanError
 from repro.ndlog.ast import Assignment, Condition, Literal, Program, Rule
 from repro.ndlog.terms import Constant, Term, Variable, evaluate
 from repro.ndlog.validator import require_body_literal
-from repro.planner.reorder import choose_next_literal
 
 
 # ----------------------------------------------------------------------
@@ -251,23 +252,106 @@ class JoinPlan:
         )
 
 
+# ----------------------------------------------------------------------
+# Join ordering
+# ----------------------------------------------------------------------
+#: Row estimate for a relation the catalog has no size for.  Plans are
+#: compiled when an engine is built, before derived tables have rows,
+#: so the default keeps base-table sizes (loaded ahead of time)
+#: comparable with not-yet-materialized derived tables.
+DEFAULT_ROWS = 1000.0
+
+
+class StatsCatalog:
+    """Relation-cardinality statistics for join ordering.
+
+    The catalog answers one question for the plan compiler: *given an
+    indexed lookup that pins ``bound_count`` of a literal's ``arity``
+    positions, roughly how many candidate tuples come back?*  The
+    estimate assumes attribute values are uniformly distributed, so
+    each additional bound position shaves an equal factor off the
+    relation's row count (``rows ** ((arity - bound) / arity)``).
+    Relations without a size read :data:`DEFAULT_ROWS`.
+    """
+
+    def __init__(self, sizes: Optional[Dict[str, float]] = None):
+        self.sizes: Dict[str, float] = dict(sizes or {})
+
+    @classmethod
+    def from_database(cls, db) -> "StatsCatalog":
+        """Snapshot current table sizes from a ``Database``-like object
+        (anything with a ``tables`` mapping of sized values).  Empty
+        tables keep the default estimate: at plan-compile time an empty
+        derived table says nothing about its eventual size."""
+        return cls({name: float(len(table))
+                    for name, table in db.tables.items() if len(table)})
+
+    def table_rows(self, pred: str) -> float:
+        return self.sizes.get(pred, DEFAULT_ROWS)
+
+    def estimated_candidates(self, pred: str, arity: int, bound_count: int) -> float:
+        rows = self.table_rows(pred)
+        if arity <= 0 or bound_count >= arity:
+            return 1.0
+        if bound_count <= 0:
+            return rows
+        return rows ** ((arity - bound_count) / arity)
+
+
+def bound_positions(literal: Literal, bound: Set[str]) -> int:
+    """How many argument positions of ``literal`` an indexed lookup can
+    consume given the variables in ``bound``: constants, variables
+    already bound, and expressions whose inputs are all bound."""
+    count = 0
+    for term in literal.args:
+        if isinstance(term, Constant):
+            count += 1
+        elif isinstance(term, Variable):
+            if term.name in bound:
+                count += 1
+        elif term.variables() <= bound:
+            count += 1
+    return count
+
+
+def choose_next_literal(
+    candidates: Sequence[Tuple[int, Literal]],
+    bound: Set[str],
+    stats: Optional[StatsCatalog] = None,
+) -> Tuple[int, Literal]:
+    """Greedy pick for join ordering among ``(body_index, literal)``
+    candidates: highest bound fraction first (bound-ness), then lowest
+    estimated candidate count from ``stats`` (selectivity), then
+    original body order."""
+    def key(entry):
+        body_index, literal = entry
+        arity = len(literal.args) or 1
+        n_bound = bound_positions(literal, bound)
+        if stats is not None:
+            est = stats.estimated_candidates(literal.pred, arity, n_bound)
+        else:
+            est = 0.0
+        return (-(n_bound / arity), est, body_index)
+
+    return min(candidates, key=key)
+
+
 def compile_plan(
     crule: CompiledRule,
     driver_index: Optional[int] = None,
-    stats=None,
+    stats: Optional[StatsCatalog] = None,
 ) -> JoinPlan:
     """Compile a join plan for ``crule``.
 
     ``driver_index`` marks a strand's driving literal: it is *skipped*
     (its bindings arrive pre-seeded) and its variables start out bound.
     Remaining literals are ordered greedily -- bound-ness first, then
-    estimated selectivity (``stats``), via
-    :func:`repro.planner.reorder.choose_next_literal`.  Assignments and
-    conditions run at the earliest point their inputs are bound,
-    preserving their original relative order: bodies are evaluated
-    under their *declarative* reading (conjuncts commute), so an
-    assignment or condition written before the literal that binds its
-    inputs simply waits for that literal.  Items whose inputs never
+    estimated selectivity (``stats``), via :func:`choose_next_literal`.
+    Assignments and conditions run at the earliest point their inputs
+    are bound, preserving their original relative order: bodies are
+    evaluated under their *declarative* reading (conjuncts commute), so
+    an assignment or condition written before the literal that binds
+    its inputs simply waits for that literal.  Items whose inputs never
     become bound raise ``EvaluationError`` when reached.
     """
     bound: set = set()

@@ -37,11 +37,10 @@ from repro.engine.naive import (
     materialize_views,
     seed_base_provenance,
 )
-from repro.engine.rules import CompiledRule
+from repro.engine.rules import CompiledRule, StatsCatalog
 from repro.engine.stratify import Stratum
 from repro.engine.table import Table
 from repro.ndlog.ast import Program
-from repro.opt.costbased import StatsCatalog
 
 DEFAULT_MAX_ITERATIONS = 10_000
 

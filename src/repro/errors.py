@@ -63,7 +63,9 @@ class EvaluationError(ReproError):
 
 class PlanError(ReproError):
     """Raised during plan generation (localization, magic-sets, or
-    strand compilation) when a program cannot be compiled.
+    strand compilation) when a program cannot be compiled, and by
+    ``compile()`` when ``passes`` is not a list of names from
+    ``repro.PASSES``.
 
     ``pass_name`` identifies, when known, which optimization pass of
     the compile pipeline failed; it is attached to the message and kept

@@ -1,11 +1,10 @@
-"""Plan generation: rule localization (Algorithm 2), the textual
-semi-naive delta rewrite, magic sets, and predicate reordering."""
+"""Program rewrites: rule localization (Algorithm 2) and magic sets.
+Join ordering is not a rewrite: every engine plans it per strand in
+:mod:`repro.engine.rules`."""
 
-from repro.planner import magic, reorder, seminaive_rewrite
+from repro.planner import magic
 from repro.planner.localization import is_canonical, localize, localize_rule
 from repro.planner.magic import magic_rewrite
-from repro.planner.reorder import reorder_program
-from repro.planner.seminaive_rewrite import seminaive_rewrite as delta_rewrite
 
 __all__ = [
     "localize",
@@ -13,8 +12,4 @@ __all__ = [
     "is_canonical",
     "magic",
     "magic_rewrite",
-    "reorder",
-    "reorder_program",
-    "seminaive_rewrite",
-    "delta_rewrite",
 ]

@@ -12,7 +12,10 @@ left-to-right sideways information passing:
    relation holding the bound argument tuples that are actually needed;
 3. every rule defining an adorned predicate is guarded by its magic
    literal, and every IDB body literal contributes a *magic rule* that
-   forwards the bindings available at its position.
+   forwards the bindings available at its position.  An all-free
+   adornment needs every tuple, so its rules take no guard (a 0-ary
+   magic relation would have nothing to seed it), and a magic rule with
+   nothing before it is a seed fact.
 
 The transformation applies to plain-Datalog programs (location
 specifiers pass through untouched as ordinary bound/free argument
@@ -107,9 +110,10 @@ def magic_rewrite(program: Program, query: Optional[Literal] = None) -> Program:
     bridge_body = Literal(_adorned_name(query.pred, query_adornment), query.args)
     bridge = Rule(head=bridge_head, body=(bridge_body,), label="magic_bridge")
 
+    seeds = [rule.head for rule in new_rules if not rule.body]
     return Program(
-        rules=new_rules + [bridge],
-        facts=list(program.facts) + [seed],
+        rules=[rule for rule in new_rules if rule.body] + [bridge],
+        facts=list(program.facts) + [seed] + seeds,
         materializations=dict(program.materializations),
         query=query,
         name=f"{program.name}_magic" if program.name else "magic",
@@ -138,11 +142,12 @@ def _rewrite_rule(
         if flag == "b":
             bound_vars |= arg.variables()
 
-    magic_guard = Literal(
-        _magic_name(head.pred, adornment), _bound_args(head, adornment)
-    )
     out: List[Rule] = []
-    new_body: List[object] = [magic_guard]
+    new_body: List[object] = []
+    if "b" in adornment:
+        new_body.append(Literal(
+            _magic_name(head.pred, adornment), _bound_args(head, adornment)
+        ))
     for item in rule.body:
         if isinstance(item, Literal) and item.pred in idb:
             item_adornment = adornment_of(item, bound_vars)

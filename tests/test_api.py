@@ -1,15 +1,13 @@
 """Tests for the staged compile() -> CompiledProgram -> run()/deploy()
 facade: the pass pipeline (toggleability, order-independence of the
-semantics-preserving passes), explain() introspection, the error
-taxonomy at the facade boundary, the deployed cluster, and the
-deprecation shims' fixpoint equivalence."""
+passes), explain() introspection, the error taxonomy at the facade
+boundary, the deployed cluster, and the deprecation shims' fixpoint
+equivalence."""
 
 import itertools
 import pathlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro import api
@@ -28,12 +26,6 @@ FIGURE2_LINKS = [
     ("b", "d", 1), ("d", "b", 1),
     ("e", "a", 1), ("a", "e", 1),
 ]
-
-#: Every semantics-preserving pass of the pass table.
-PRESERVING = tuple(
-    name for name, pass_ in api.PASSES.items() if pass_.semantics_preserving
-)
-
 
 def shortest_path_rows(passes, engine="psn"):
     compiled = api.compile(
@@ -88,15 +80,6 @@ class TestCompile:
         assert compiled.before_pass("aggsel") is compiled.source
         assert compiled.after_pass("localize") is compiled.program
         assert compiled.before_pass("magic") is None
-
-    def test_pass_options_forwarded(self):
-        compiled = api.compile(
-            programs.shortest_path_safe(),
-            passes=[("reorder", {"pred": "path", "to_left": True})],
-        )
-        sp2 = next(r for r in compiled.program.rules if r.label == "SP2")
-        # Left-recursive: the path literal now leads the body.
-        assert sp2.body_literals[0].pred == "path"
 
     def test_validation_report_attached(self):
         compiled = api.compile(programs.shortest_path_safe())
@@ -180,14 +163,6 @@ class TestErrorTaxonomy:
         assert excinfo.value.pass_name == "magic"
         assert "magic" in str(excinfo.value)
 
-    def test_bad_pass_options_carry_pass_name(self):
-        with pytest.raises(PlanError) as excinfo:
-            api.compile(
-                programs.shortest_path_safe(),
-                passes=[("reorder", {"bogus": 1})],
-            )
-        assert excinfo.value.pass_name == "reorder"
-
     def test_engine_runaway_is_evaluation_error_with_engine(self):
         compiled = api.compile(
             programs.transitive_closure(), validate=False, passes=[]
@@ -200,21 +175,27 @@ class TestErrorTaxonomy:
             )
         assert excinfo.value.engine == "psn"
 
+    def test_bare_string_passes_rejected(self):
+        # Not iterated letter by letter into "unknown pass 'a'".
+        with pytest.raises(PlanError, match="list of pass names from "
+                           r"repro.PASSES \(magic, aggsel, localize\)"):
+            api.compile(programs.shortest_path_safe(), passes="aggsel")
+
     def test_non_name_pass_entry_rejected(self):
-        with pytest.raises(PlanError, match="bad pass specifier"):
-            api.compile(programs.shortest_path_safe(), passes=[42])
+        for passes in ([42], [None], ["aggsel", 3.5]):
+            with pytest.raises(PlanError,
+                               match="list of pass names from repro.PASSES"):
+                api.compile(programs.shortest_path_safe(), passes=passes)
 
     def test_malformed_tuple_specifier_is_plan_error(self):
-        # A 3-tuple (easy slip) must not leak a bare ValueError.
-        with pytest.raises(PlanError, match="tuple pass specifiers"):
-            api.compile(
-                programs.shortest_path_safe(),
-                passes=[("reorder", {"pred": "path"}, True)],
-            )
-        with pytest.raises(PlanError, match="tuple pass specifiers"):
-            api.compile(
-                programs.shortest_path_safe(), passes=[("reorder", "path")]
-            )
+        # The retired (name, options) form must not leak a bare
+        # ValueError or TypeError, nor be read as a pass list.
+        for passes in (("aggsel", {}), [("aggsel", {})],
+                       [("aggsel", {"pred": "path"}, True)],
+                       [("aggsel", "path")]):
+            with pytest.raises(PlanError,
+                               match="list of pass names from repro.PASSES"):
+                api.compile(programs.shortest_path_safe(), passes=passes)
 
 
 # ----------------------------------------------------------------------
@@ -222,46 +203,28 @@ class TestErrorTaxonomy:
 # ----------------------------------------------------------------------
 class TestPassTable:
     def test_canonical_order(self):
-        assert tuple(api.PASSES) == ("magic", "aggsel", "reorder",
-                                     "costbased", "seminaive", "localize")
-        assert all(name == pass_.name for name, pass_ in api.PASSES.items())
+        assert tuple(api.PASSES) == ("magic", "aggsel", "localize")
 
     def test_default_passes(self):
         assert api.DEFAULT_PASSES == ("aggsel",)
         assert repro.DEFAULT_PASSES is api.DEFAULT_PASSES
         assert repro.PASSES is api.PASSES
 
-    def test_preserving_flags(self):
-        # Only the textual semi-naive rewrite renames relations.
-        assert PRESERVING == ("magic", "aggsel", "reorder", "costbased",
-                              "localize")
-        assert not api.PASSES["seminaive"].semantics_preserving
-
 
 # ----------------------------------------------------------------------
-# Pipeline equivalence: any enabled subset/order of the
-# semantics-preserving passes computes the default pipeline's fixpoint.
+# Pipeline equivalence: any enabled subset/order of the passes computes
+# the default pipeline's fixpoint.
 # ----------------------------------------------------------------------
 class TestPipelineEquivalence:
     @pytest.mark.parametrize(
-        "subset",
+        "pipeline",
         [
-            subset
-            for k in range(len(PRESERVING) + 1)
-            for subset in itertools.combinations(PRESERVING, k)
+            pipeline
+            for k in range(len(api.PASSES) + 1)
+            for pipeline in itertools.permutations(api.PASSES, k)
         ],
-        ids=lambda subset: "+".join(subset) or "none",
+        ids=lambda pipeline: "+".join(pipeline) or "none",
     )
-    def test_every_subset_in_canonical_order(self, subset, default_rows):
-        assert shortest_path_rows(subset) == default_rows
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(pipeline=st.permutations(list(PRESERVING)).flatmap(
-        lambda perm: st.integers(min_value=0, max_value=len(perm)).map(
-            lambda k: tuple(perm[:k])
-        )
-    ))
     def test_any_order_any_subset(self, pipeline, default_rows):
         assert shortest_path_rows(pipeline) == default_rows
 
@@ -290,10 +253,8 @@ class TestPipelineEquivalence:
 
         baseline = answers([])
         assert baseline == {("a", "b"), ("a", "c"), ("a", "d")}
-        for subset in itertools.combinations(("magic", "costbased",
-                                              "reorder"), 2):
-            for perm in itertools.permutations(subset):
-                assert answers(perm) == baseline, perm
+        for perm in itertools.permutations(("magic", "aggsel")):
+            assert answers(perm) == baseline, perm
         # And magic actually restricted the computation.
         compiled = api.compile(
             parse(source), validate=False, passes=["magic"]
@@ -312,9 +273,8 @@ class TestPipelineEquivalence:
             ).rows("shortestPath")
 
         baseline = rows(["aggsel"])
-        for extra in ("reorder", "costbased", "localize"):
-            assert rows(["aggsel", extra]) == baseline
-            assert rows([extra, "aggsel"]) == baseline
+        assert rows(["aggsel", "localize"]) == baseline
+        assert rows(["localize", "aggsel"]) == baseline
 
 
 # ----------------------------------------------------------------------

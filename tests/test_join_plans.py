@@ -5,27 +5,79 @@ derive is held to the interpreter, rule by rule, in
 engine reaches the naive fixpoint, and PSN/BSN compute identical
 fixpoints with identical inference counts whether their strands run
 generated kernels or the interpreter (``tests/interpreter.py``) --
-planning must not change *what* fires, only how fast."""
+planning must not change *what* fires, only how fast.
 
+``tests/data/join_plans.txt`` holds the plan of every strand (every
+driving literal) of every builtin program, raw and after ``aggsel`` +
+``localize``, from an empty :class:`StatsCatalog` -- the catalog every
+node of a deployment plans from.  A change to the join-order policy
+fails here.  When a builtin program or the policy changes on purpose,
+regenerate it:
+
+    PYTHONPATH=src python tests/test_join_plans.py > tests/data/join_plans.txt
+"""
+
+import pathlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
+from repro.api import _describe_plan
 from repro.engine import Database, bsn, naive, psn, seminaive
 from repro.engine.bsn import BSNEngine
 from repro.engine.kernels import strand_kernel
 from repro.engine.psn import PSNEngine
-from repro.engine.rules import CompiledRule, LiteralStep, compile_plan
+from repro.engine.rules import (
+    DEFAULT_ROWS,
+    CompiledRule,
+    LiteralStep,
+    StatsCatalog,
+    bound_positions,
+    compile_plan,
+    shared_compiled_rules,
+)
 from repro.engine.table import Table
+from repro.errors import ReproError
+from repro.lint import BUILTINS
 from repro.ndlog import parse, programs
 from repro.ndlog.terms import Constant
-from repro.opt.costbased import StatsCatalog
-from repro.planner.reorder import bound_positions, greedy_join_order
 
 from interpreter import interpret, solve
 
 ENGINES = (naive, seminaive, bsn, psn)
+GOLDEN = pathlib.Path(__file__).parent / "data" / "join_plans.txt"
+
+
+def render() -> str:
+    out = []
+    for name, builder in BUILTINS.items():
+        for label, passes in (("raw", None),
+                              ("aggsel+localize", ["aggsel", "localize"])):
+            out.append(f"== {name} ({label}) ==")
+            try:
+                if passes is None:
+                    program = builder()
+                else:
+                    program = repro.compile(builder(), passes=passes,
+                                            lint="off").program
+                crules = shared_compiled_rules(program)
+            except ReproError as exc:
+                out.append(f"error: {type(exc).__name__}")
+                out.append("")
+                continue
+            for crule in crules:
+                for index in crule.literal_indexes:
+                    plan = compile_plan(crule, index, StatsCatalog())
+                    out.append(f"{crule.label} @{index}: "
+                               f"{_describe_plan(plan)}")
+            out.append("")
+    return "\n".join(out)
+
+
+def test_builtin_join_plans_match_the_golden():
+    assert render() == GOLDEN.read_text()
 
 
 def rule_of(text):
@@ -182,19 +234,20 @@ def test_bound_positions_counts_constants_vars_and_exprs():
 
 
 def test_greedy_join_order_prefers_bound_then_small():
-    program = parse("R: out(@A) :- big(@B, C), small(@D, E), tied(@A, B).")
-    literals = list(enumerate(program.rules[0].body_literals))
+    crule = CompiledRule(rule_of(
+        "R: out(@A) :- seed(@A), big(@C, D), small(@E, F), tied(@A, B)."))
     stats = StatsCatalog({"big": 1e6, "small": 4.0, "tied": 1e6})
-    # A bound: tied has a bound position, then small (tiny), then big.
-    assert greedy_join_order(literals, {"A"}, stats) == [2, 0, 1]
+    # Driven by seed (A bound): tied has a bound position, then small
+    # (tiny) before big among the unbound.
+    assert compile_plan(crule, 0, stats).order == (3, 2, 1)
 
 
 def test_stats_catalog_estimates():
-    stats = StatsCatalog({"p": 100.0}, default_rows=50.0)
+    stats = StatsCatalog({"p": 100.0})
     assert stats.estimated_candidates("p", 2, 0) == 100.0
     assert stats.estimated_candidates("p", 2, 2) == 1.0
     assert stats.estimated_candidates("p", 2, 1) == pytest.approx(10.0)
-    assert stats.estimated_candidates("unknown", 1, 0) == 50.0
+    assert stats.estimated_candidates("unknown", 1, 0) == DEFAULT_ROWS
 
 
 def test_stats_catalog_from_database_skips_empty_tables():
@@ -203,7 +256,7 @@ def test_stats_catalog_from_database_skips_empty_tables():
     db.load_facts("edge", [("a", "b"), ("b", "c")])
     stats = StatsCatalog.from_database(db)
     assert stats.table_rows("edge") == 2.0
-    assert stats.table_rows("tc") == StatsCatalog.DEFAULT_ROWS
+    assert stats.table_rows("tc") == DEFAULT_ROWS
 
 
 # ----------------------------------------------------------------------
@@ -312,3 +365,7 @@ def test_planned_incremental_updates_match_rebuild():
     fresh.run()
     assert (frozenset(engine.db.table("tc").rows())
             == frozenset(fresh.db.table("tc").rows()))
+
+
+if __name__ == "__main__":
+    print(render(), end="")

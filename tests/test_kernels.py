@@ -38,6 +38,7 @@ from repro.engine.kernels import strand_kernel
 from repro.engine.psn import PSNEngine
 from repro.engine.rules import (
     CompiledRule,
+    StatsCatalog,
     shared_compiled_rules,
     unify_literal,
 )
@@ -56,7 +57,6 @@ from repro.ndlog.functions import (
     register,
 )
 from repro.ndlog.terms import BinOp, Constant, ConstructedTuple, Variable
-from repro.opt.costbased import StatsCatalog
 
 from interpreter import (
     Snapshot,

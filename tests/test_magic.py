@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import repro
 from repro.engine import Database, psn, seminaive
 from repro.errors import PlanError
 from repro.ndlog import make_literal, parse
@@ -145,3 +146,71 @@ def test_magic_seed_fact_present():
     seeds = [f for f in rewritten.facts if f.pred.startswith("magic_")]
     assert len(seeds) == 1
     assert seeds[0].args == (Constant("a"),)
+
+
+# ----------------------------------------------------------------------
+# Through the compile table: magic answers the query as the original
+# program does, for every adornment the query can carry.
+# ----------------------------------------------------------------------
+TC_PROGRAMS = {
+    "left": "T2: tc(X, Z) :- tc(X, Y), edge(Y, Z).",
+    "right": "T2: tc(X, Z) :- edge(X, Y), tc(Y, Z).",
+    "nonlinear": "T2: tc(X, Z) :- tc(X, Y), tc(Y, Z).",
+}
+TC_QUERIES = {
+    "bf": ("n0", "Y"),
+    "fb": ("X", "n1"),
+    "bb": ("n0", "n1"),
+    "ff": ("X", "Y"),
+}
+
+
+def random_edges(seed):
+    rng = random.Random(seed)
+    return {(f"n{rng.randrange(7)}", f"n{rng.randrange(7)}")
+            for _ in range(10)} | {("n0", "n2"), ("n2", "n1")}
+
+
+@pytest.mark.parametrize("engine", ["psn", "seminaive"])
+@pytest.mark.parametrize("adornment", list(TC_QUERIES))
+@pytest.mark.parametrize("shape", list(TC_PROGRAMS))
+def test_magic_pass_answers_the_query(shape, adornment, engine):
+    """An all-free adornment reached inside the recursion (``tc(X, n1)``
+    over left-recursive ``tc`` needs ``tc_ff``) takes no magic guard,
+    since no rule could seed a 0-ary one."""
+    args = TC_QUERIES[adornment]
+    source = (f"T1: tc(X, Y) :- edge(X, Y).\n{TC_PROGRAMS[shape]}\n"
+              f"Query: tc({args[0]}, {args[1]}).")
+
+    def answers(passes, edges):
+        rows = repro.compile(source, passes=passes).run(
+            engine=engine, facts={"edge": edges}).rows("tc")
+        return {row for row in rows
+                if all(arg == value for arg, value in zip(args, row)
+                       if arg.islower())}
+
+    for seed in range(3):
+        edges = random_edges(seed)
+        expected = answers([], edges)
+        assert expected, seed
+        assert answers(["magic"], edges) == expected, seed
+
+
+def test_guardless_rule_seeds_its_bound_literal_as_a_fact():
+    """In an all-free rule, an IDB literal bound by constants alone has
+    nothing before it to forward: its magic relation is a seed fact."""
+    source = """
+    T1: tc(X, Y) :- edge(X, Y).
+    T2: tc(X, Z) :- tc(X, Y), edge(Y, Z).
+    R1: r(X, Y) :- edge(X, Y).
+    R2: r(X, Z) :- tc(n0, Z), r(X, Y).
+    Query: r(X, n1).
+    """
+    compiled = repro.compile(source, passes=["magic"])
+    assert all(rule.body for rule in compiled.program.rules)
+    assert make_literal("magic_tc_bf", "n0") in compiled.program.facts
+    for seed in range(3):
+        edges = random_edges(seed)
+        expected = {row for row in repro.compile(source, passes=[]).run(
+            facts={"edge": edges}).rows("r") if row[1] == "n1"}
+        assert compiled.run(facts={"edge": edges}).rows("r") == expected

@@ -1,24 +1,15 @@
-"""Planner rewrites: aggregate selections, predicate reordering, and the
-textual semi-naive delta rewrite."""
+"""Planner rewrites: aggregate selections."""
 
 import pytest
 
-from repro.engine import Database, psn, seminaive
+from repro.engine import Database, psn
 from repro.errors import PlanError
-from repro.ndlog import parse, parse_rule
 from repro.ndlog.programs import (
     multi_query_magic,
     shortest_path,
     shortest_path_safe,
 )
 from repro.opt import aggsel
-from repro.planner.reorder import (
-    reorder_body,
-    reorder_program,
-    swap_recursive_to_left,
-    swap_recursive_to_right,
-)
-from repro.planner.seminaive_rewrite import delta_rules_for, seminaive_rewrite
 
 FIGURE2_LINKS = [
     ("a", "b", 5), ("b", "a", 5),
@@ -122,82 +113,3 @@ class TestAggregateSelections:
                 shortest_path(),
                 [PruneSpec("nosuch", "min", (0,), 1)],
             )
-
-
-class TestPredicateReordering:
-    def test_sp2_right_to_left(self):
-        """Section 5.1.2: swapping #link and path turns SP2 from
-        right-recursive into left-recursive."""
-        rule = parse_rule(
-            "SP2: path(@S, @D, @Z, P, C) :- #link(@S, @Z, C1), "
-            "path(@Z, @D, @Z2, P2, C2), C := C1 + C2, "
-            "P := f_concatPath(link(@S, @Z, C1), P2)."
-        )
-        swapped = swap_recursive_to_left(rule, "path")
-        assert swapped.body_literals[0].pred == "path"
-        assert swapped.body_literals[1].pred == "link"
-        # Assignments re-placed after their inputs are bound.
-        back = swap_recursive_to_right(swapped, "path")
-        assert back.body_literals[0].pred == "link"
-
-    def test_reordering_preserves_semantics(self):
-        program = shortest_path_safe()
-        left = reorder_program(program, "path", to_left=True)
-        db1 = Database.for_program(program)
-        db1.load_facts("link", FIGURE2_LINKS)
-        db2 = Database.for_program(left)
-        db2.load_facts("link", FIGURE2_LINKS)
-        r1 = seminaive.evaluate(program, db1)
-        r2 = seminaive.evaluate(left, db2)
-        assert r1.rows("shortestPath") == r2.rows("shortestPath")
-
-    def test_bad_order_rejected(self):
-        rule = parse_rule("p(@S) :- q(@S), r(@S).")
-        with pytest.raises(PlanError):
-            reorder_body(rule, [0, 0])
-
-    def test_no_recursive_literal_is_noop(self):
-        rule = parse_rule("p(@S) :- q(@S), r(@S).")
-        assert swap_recursive_to_left(rule, "p") == rule
-
-
-class TestSemiNaiveRewrite:
-    def test_sp2_produces_paper_delta_rule(self):
-        """The rewrite of SP2 is the paper's SP2-1."""
-        rule = parse_rule(
-            "SP2: path(@S, @D, @Z, P, C) :- #link(@S, @Z, C1), "
-            "path(@Z, @D, @Z2, P2, C2), C := C1 + C2, "
-            "P := f_concatPath(link(@S, @Z, C1), P2)."
-        )
-        (delta,) = delta_rules_for(rule, {"path"})
-        assert delta.label == "SP2-1"
-        assert delta.head.pred == "delta_new_path"
-        preds = [lit.pred for lit in delta.body_literals]
-        assert preds == ["link", "delta_old_path"]
-
-    def test_nonlinear_rule_gets_one_strand_per_occurrence(self):
-        rule = parse_rule("T2: tc(X, Z) :- tc(X, Y), tc(Y, Z).")
-        deltas = delta_rules_for(rule, {"tc"})
-        assert len(deltas) == 2
-        first, second = deltas
-        # Footnote 2's form: old before the delta, full after.
-        assert [l.pred for l in first.body_literals] == [
-            "delta_old_tc", "tc"
-        ]
-        assert [l.pred for l in second.body_literals] == [
-            "old_tc", "delta_old_tc"
-        ]
-
-    def test_base_rule_unchanged(self):
-        rule = parse_rule("T1: tc(X, Y) :- edge(X, Y).")
-        assert delta_rules_for(rule, {"tc"}) == [rule]
-
-    def test_program_rewrite_counts(self):
-        program = parse(
-            """
-            T1: tc(X, Y) :- edge(X, Y).
-            T2: tc(X, Z) :- tc(X, Y), tc(Y, Z).
-            """
-        )
-        rewritten = seminaive_rewrite(program)
-        assert len(rewritten.rules) == 3  # T1 + two delta strands

@@ -1,9 +1,12 @@
-"""README's Quickstart and Public API code blocks run as written."""
+"""README's Quickstart and Public API code blocks run as written, and its
+pass table lists `repro.PASSES`."""
 
 import pathlib
 import re
 
 import pytest
+
+import repro
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +23,10 @@ def test_readme_block_runs(section, capsys):
     exec(compile(python_block(section), f"README.md ({section})", "exec"),
          {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def test_pass_table_lists_repro_passes_in_order():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n| Pass | Default |", 1)[1].split("\n\n", 1)[0]
+    names = tuple(re.findall(r"^\| `(\w+)` \|", table, re.M))
+    assert names == tuple(repro.PASSES)

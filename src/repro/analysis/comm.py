@@ -5,9 +5,8 @@ rule's communication behaviour is statically visible: the head either
 commits locally or ships one hop along a link.  For every shipping
 rule this analysis computes a *shipment profile* -- which literal
 crosses the link, how the destination is determined, and a fan-out
-class -- with every relation at the join planner's row estimate for a
-table it has no size for (:data:`~repro.engine.rules.DEFAULT_ROWS`;
-the analysis runs before any table holds a row):
+class.  It prices no traffic: it runs before any table holds a row,
+so how many matches a rule ships per round is not known here.
 
 * **local** -- head commits where the body evaluates; no traffic;
 * **unicast** -- one message per body match: the destination is pinned
@@ -37,7 +36,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.analysis.common import program_is_located, rule_name, rule_span
 from repro.analysis.diagnostics import Diagnostic
-from repro.engine.rules import DEFAULT_ROWS
 from repro.engine.stratify import dependency_graph, tarjan_sccs
 from repro.ndlog.ast import Assignment, Condition, Literal, Program, Rule
 from repro.ndlog.terms import BinOp, Constant, Term, Variable
@@ -127,7 +125,6 @@ def analyze(program: Program):
                                       "head": rule.head.pred}
         if head_key == site:
             profile["class"] = "local"
-            profile["est_msgs_per_round"] = 0.0
             profiles.append(profile)
             continue
 
@@ -143,7 +140,6 @@ def analyze(program: Program):
 
         if not endpoint_links:
             profile["class"] = "broadcast"
-            profile["est_msgs_per_round"] = DEFAULT_ROWS
             profiles.append(profile)
             diagnostics.append(Diagnostic(
                 code="ND401", severity="warning", analysis=ANALYSIS,
@@ -170,7 +166,6 @@ def analyze(program: Program):
             # Either the data pins the destination, or the link table
             # itself is the driving relation (one message per link row).
             profile["class"] = "unicast"
-            profile["est_msgs_per_round"] = DEFAULT_ROWS
             profiles.append(profile)
             continue
 
@@ -181,7 +176,6 @@ def analyze(program: Program):
                     for lit in rule.body_literals)
         )
         profile["class"] = "neighborhood"
-        profile["est_msgs_per_round"] = DEFAULT_ROWS
         profile["fanout"] = "degree"
         profiles.append(profile)
         if recursive_flood:
@@ -206,8 +200,7 @@ def analyze(program: Program):
                 message=(
                     f"neighborhood fan-out: each body match ships "
                     f"{rule.head.pred!r} to every neighbor along "
-                    f"{link.pred!r} (~{DEFAULT_ROWS:.0f} tuples x degree "
-                    f"per round)"
+                    f"{link.pred!r} (degree messages per match)"
                 ),
             ))
 

@@ -20,10 +20,17 @@ as a derivation counter.
 
 min/max retraction is the O(log n) structure of [27]: each group keeps a
 heap with *lazy deletion* -- retractions never touch the heap, and
-reads pop stale entries off the top until a live value surfaces.  The
-same structure backs :class:`ArgExtremeView`'s witness promotion, with a
-total-order tie-break key (:func:`order_key`) making the promoted
-witness deterministic for values whose natural ordering admits ties.
+reads pop stale entries off the top until a live value surfaces.  A
+group also keeps its extreme itself, so reading it is O(1): an insert
+can only move it to the inserted value, and only the death of the
+extreme's last derivation reads the heap.  The same structure backs
+:class:`ArgExtremeView`'s witness promotion, with a total-order
+tie-break key (:func:`order_key`) making the promoted witness
+deterministic for values whose natural ordering admits ties; that heap
+is built at a group's first witness death that leaves survivors (on a
+cold start witnesses are only ever displaced, and the heap is never
+read), so a change costs O(log n) amortized once a witness has died
+and O(1) before.
 
 **A view answers once per chunk.**  ``apply(contribution, weight) ->
 deltas`` is the definition of a view and what the fixpoint engines call.
@@ -139,14 +146,17 @@ class GroupState:
     ``distinct`` controls ``count`` semantics: ``count<Var>`` counts
     distinct values (set semantics), ``count<*>`` counts derivations.
 
-    For ``min``/``max`` the distinct values are mirrored into a heap
-    with lazy deletion: :meth:`add` pushes a value the first time it
-    becomes live, :meth:`remove` leaves the heap untouched, and
-    :meth:`current` pops dead entries off the top until the best live
-    value surfaces -- O(log n) amortized per change.
+    For ``min``/``max`` the group keeps its extreme as ``best`` and
+    mirrors the distinct values into a heap with lazy deletion:
+    :meth:`add` pushes a value the first time it becomes live and moves
+    ``best`` to it when it is better, :meth:`remove` leaves the heap
+    untouched unless it withdraws the last derivation of ``best``, and
+    then pops dead entries off the top until the best live value
+    surfaces -- O(1) per read, O(log n) amortized per change.
     """
 
-    __slots__ = ("func", "values", "total_multiplicity", "distinct", "_heap")
+    __slots__ = ("func", "values", "total_multiplicity", "distinct", "_heap",
+                 "best")
 
     def __init__(self, func: str, distinct: bool = False):
         self.func = func
@@ -154,6 +164,9 @@ class GroupState:
         self.values: Dict[object, int] = {}
         self.total_multiplicity = 0
         self._heap: Optional[List] = [] if func in ("min", "max") else None
+        #: The live extreme of a ``min``/``max`` group (``None`` while
+        #: the group is empty, and for every other function).
+        self.best = None
 
     def add(self, value, count: int = 1) -> None:
         """Add ``count`` derivations of ``value`` (one weighted entry)."""
@@ -164,8 +177,15 @@ class GroupState:
             # Every live value keeps at least one heap entry; re-added
             # values are re-pushed (the stale twin is harmless -- it
             # reads as live for as long as the value is).
-            entry = value if self.func == "min" else _Rev(value)
-            heapq.heappush(self._heap, entry)
+            best = self.best
+            if self.func == "min":
+                heapq.heappush(self._heap, value)
+                if best is None or value < best:
+                    self.best = value
+            else:
+                heapq.heappush(self._heap, _Rev(value))
+                if best is None or value > best:
+                    self.best = value
 
     def remove(self, value, count: int = 1) -> None:
         """Withdraw ``count`` derivations of ``value``."""
@@ -181,8 +201,12 @@ class GroupState:
             del self.values[value]
             # Lazy deletion: the heap entry stays until a read pops it.
             heap = self._heap
-            if heap is not None and len(heap) > 2 * len(self.values) + _COMPACT_SLACK:
-                self._rebuild_heap()
+            if heap is not None:
+                if len(heap) > 2 * len(self.values) + _COMPACT_SLACK:
+                    self._rebuild_heap()
+                if value == self.best:
+                    # The extreme died: the next one is off the heap.
+                    self.best = self._peek_extreme() if self.values else None
         else:
             self.values[value] = current - count
         self.total_multiplicity -= count
@@ -210,10 +234,10 @@ class GroupState:
 
     def current(self):
         """The aggregate value, or ``None`` for an empty group."""
+        if self._heap is not None:
+            return self.best
         if not self.values:
             return None
-        if self.func in ("min", "max"):
-            return self._peek_extreme()
         if self.func == "count":
             return len(self.values) if self.distinct else self.total_multiplicity
         if self.func == "sum":
@@ -270,10 +294,10 @@ class AggregateView:
     derivations added, ``-w`` withdrawn), updates the group, and
     returns the visible deltas on the aggregate relation:
     ``[(-1, old_head), (+1, new_head)]`` when the group's value changes.
-    A ``min``/``max`` group's heap is read once per contribution, for
-    the old extreme; it is read again only when that extreme's last
-    derivation was just withdrawn.  A retraction the group cannot cover
-    is refused before anything is read or written.
+    A ``min``/``max`` group answers from its ``best``; its heap is read
+    only when the extreme's last derivation was just withdrawn.  A
+    retraction the group cannot cover is refused before anything is
+    read or written.
 
     ``apply_many`` / ``drain`` are the chunk-level entry the pipelined
     engine uses (module docstring).  Both views bind them, like
@@ -285,6 +309,12 @@ class AggregateView:
         self.pred = pred
         self.info = info
         self._group_of = projector(info.group_positions)
+        self._extreme = info.func in ("min", "max")
+        #: The head is ``group_key + (value,)`` when the group columns
+        #: lead it in order and the value column follows them.
+        arity = len(info.group_positions)
+        self._appends = (tuple(info.group_positions) == tuple(range(arity))
+                         and info.value_position == arity)
         self.groups: Dict[Tuple, GroupState] = {}
         #: Cumulative group-value transitions (pre-netting) -- a plain
         #: int bump per change, pulled into metrics snapshots as the
@@ -307,30 +337,19 @@ class AggregateView:
             state = GroupState(info.func, distinct=bool(info.var))
             if weight > 0:
                 self.groups[group_key] = state
+        extreme = self._extreme
         if weight > 0:
-            old = state.current()
+            old = state.best if extreme else state.current()
             state.add(value, weight)
         else:
-            # Refused before anything is read off the heap or written
-            # (an unknown group by the empty state it never joins).
+            # Refused before anything is read or written (an unknown
+            # group by the empty state it never joins).
             held = state.values.get(value, 0)
             if held < -weight:
                 raise _uncovered(-weight, value, held)
-            old = state.current()
+            old = state.best if extreme else state.current()
             state.withdraw(value, -weight, held)
-        func = info.func
-        if func != "min" and func != "max":
-            new = state.current()
-        elif weight > 0:
-            # The extreme can only move to the value just added.
-            if old is None or (value < old if func == "min" else value > old):
-                new = value
-            else:
-                new = old
-        elif value == old and value not in state.values:
-            new = state.current()   # the extreme died: next off the heap
-        else:
-            new = old
+        new = state.best if extreme else state.current()
         if not state.values:
             del self.groups[group_key]
         if old == new:
@@ -347,6 +366,8 @@ class AggregateView:
     drain = _drain
 
     def _head(self, group_key: Tuple, value) -> Tuple:
+        if self._appends:
+            return group_key + (value,)
         info = self.info
         head: List[object] = [None] * (len(group_key) + 1)
         for position, group_value in zip(info.group_positions, group_key):
@@ -377,7 +398,10 @@ class ArgExtremeView:
     When the witness dies, the best survivor is promoted off a per-group
     heap with lazy deletion (O(log n), the structure of [27]) rather
     than an O(n) member rescan; ties on the value promote the tuple that
-    is least under :func:`order_key`, a deterministic total order.
+    is least under :func:`order_key`, a deterministic total order.  The
+    heap is built (heapified over the live members) at the group's
+    first witness death that leaves survivors, and kept from then on:
+    a group whose witness is only ever displaced never builds one.
     """
 
     def __init__(self, pred: str, group_positions: Tuple[int, ...],
@@ -393,7 +417,8 @@ class ArgExtremeView:
         self.members: Dict[Tuple, Dict[Tuple, int]] = {}
         #: group -> current witness tuple
         self.winners: Dict[Tuple, Tuple] = {}
-        #: group -> lazy-deletion heap of (value key, tie-breaking member)
+        #: group -> lazy-deletion heap of (value key, tie-breaking
+        #: member), for the groups whose witness has died
         self._heaps: Dict[Tuple, List] = {}
         #: Cumulative witness transitions (pre-netting), deltas drained
         #: (post-netting) and the net in between: as on
@@ -423,9 +448,9 @@ class ArgExtremeView:
             count = members.get(args, 0)
             members[args] = count + weight
             if count == 0:
-                heapq.heappush(
-                    self._heaps.setdefault(group, []), self._entry(args)
-                )
+                heap = self._heaps.get(group)
+                if heap is not None:
+                    heapq.heappush(heap, self._entry(args))
             if winner is None:
                 self.winners[group] = args
                 self.changes += 1
@@ -452,9 +477,7 @@ class ArgExtremeView:
             heap = self._heaps.get(group)
             if (heap is not None and members
                     and len(heap) > 2 * len(members) + _COMPACT_SLACK):
-                rebuilt = [self._entry(member) for member in members]
-                heapq.heapify(rebuilt)
-                self._heaps[group] = rebuilt
+                self._heapify(group, members)
         else:
             members[args] = current - drop
         if args != winner or args in members:
@@ -466,20 +489,27 @@ class ArgExtremeView:
             self._heaps.pop(group, None)
             self.changes += 1
             return [(-1, args)]
-        heap = self._heaps[group]
+        heap = self._heaps.get(group)
+        if heap is None:
+            heap = self._heapify(group, members)
         while heap[0][1].args not in members:
             heapq.heappop(heap)
         best = heap[0][1].args
         if len(heap) > 2 * len(members) + _COMPACT_SLACK:
-            rebuilt = [self._entry(member) for member in members]
-            heapq.heapify(rebuilt)
-            self._heaps[group] = rebuilt
+            self._heapify(group, members)
         self.winners[group] = best
         self.changes += 2
         return [(-1, args), (1, best)]
 
     apply_many = _apply_many
     drain = _drain
+
+    def _heapify(self, group: Tuple, members: Dict[Tuple, int]) -> List:
+        """(Re)build ``group``'s heap over its live members."""
+        heap = [self._entry(member) for member in members]
+        heapq.heapify(heap)
+        self._heaps[group] = heap
+        return heap
 
     def current_rows(self) -> List[Tuple]:
         return list(self.winners.values())

@@ -700,6 +700,7 @@ class PSNEngine:
         )
         observer, provenance = self.observer, self.provenance
         tracing = observer is not None and observer.traced
+        committing = observer is not None and pred in observer.heard
         renewed = 0
         traced_renewals: List[QueueRow] = []
         index = start
@@ -760,7 +761,7 @@ class PSNEngine:
             else:
                 index = stop
             if displaced:
-                if observer is not None:
+                if committing:
                     count_of = table.count
                     for _, old, _, _, trace in displaced:
                         observer.commit(pred, old, -count_of(old), trace)
@@ -774,7 +775,7 @@ class PSNEngine:
                 args = row[1]
                 self.clock += 1
                 insert(args, row[2], deadline)
-                if observer is not None:
+                if committing:
                     observer.commit(pred, args, row[2], row[4])
             if provenance is not None:
                 self._book_base(fresh, 0, len(fresh))
@@ -807,6 +808,7 @@ class PSNEngine:
         table = self.db.table(pred)
         observer = self.observer
         tracing = observer is not None and observer.traced
+        committing = observer is not None and pred in observer.heard
         count_of, force_delete = table.count, table.force_delete
         lone = stop - start == 1
         dying: List[QueueRow] = []
@@ -824,7 +826,7 @@ class PSNEngine:
             if current > count and not force:
                 table.delete(args, count)
                 continue
-            if observer is not None:
+            if committing:
                 observer.commit(pred, args, -current, row[4])
             if lone:
                 self._fire_strands((row,), -1)

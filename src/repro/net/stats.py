@@ -111,6 +111,8 @@ class ResultTracker:
     and 10) and of convergence time."""
 
     watch_pred: str
+    #: What the commit listener hears: the watched relation alone.
+    preds: frozenset = field(init=False, repr=False, compare=False)
     last_insert: Dict[Tuple, float] = field(default_factory=dict)
     #: Weighted visibility totals: a ``+k`` burst (k derivations of one
     #: fact committing together) counts ``k``, and a ``-k`` invalidation
@@ -118,6 +120,9 @@ class ResultTracker:
     #: tallies.  ``retracted_weight`` accumulates positively.
     committed_weight: int = 0
     retracted_weight: int = 0
+
+    def __post_init__(self) -> None:
+        self.preds = frozenset((self.watch_pred,))
 
     def on_commit(self, time: float, fact, weight: int) -> None:
         """A weighted visibility transition for ``fact``: ``weight > 0``

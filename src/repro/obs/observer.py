@@ -8,7 +8,8 @@ counters, the :class:`~repro.obs.trace.Tracer`, the
 :class:`~repro.obs.profile.Profiler`, an ``on_commit`` callable (a
 centralised engine's, or a caching node's query-cache install) and the
 cluster's commit listeners (``watch``, ``subscribe``, the soft-state
-sweeper's re-arm).  Payloads are bare values, per *run* wherever the
+sweeper's re-arm), each of which may declare the predicates it hears
+as ``preds``.  Payloads are bare values, per *run* wherever the
 producer has a run in hand; a :class:`~repro.engine.facts.Fact` is
 built here, once per commit, only when ``on_commit`` or a listener
 takes one.
@@ -36,12 +37,16 @@ or cluster node), the last four a :class:`WireObserver`'s (one per
 cluster, shared by transport, chaos injector and link liveness).
 
 **What a producer pays.**  ``None``: nobody listens.  With a handle,
-``commit`` is always raised and every other event only under the
-boolean that says its subscriber exists -- ``traced`` (rows carry trace
-ids; each span is further guarded by its row's id being non-``None``),
-``timed`` (firings are clocked), ``metered`` (the counters are on) --
-so a deployment holding only a ``watch()`` tracker pays for commits and
-nothing else.
+``commit`` is raised for a run whose predicate is in ``heard`` (one set
+test per run) and every other event only under the boolean that says
+its subscriber exists -- ``traced`` (rows carry trace ids; each span is
+further guarded by its row's id being non-``None``), ``timed``
+(firings are clocked), ``metered`` (the counters are on).  ``heard``
+holds every predicate when the counters, a tracer, ``on_commit`` or a
+listener without ``preds`` takes commits, and otherwise the union of
+the listeners' ``preds`` -- so a deployment holding only a
+``watch("shortestPath")`` tracker pays for the commits of
+``shortestPath`` and nothing else.
 
 **Provenance is not a subscriber**, on purpose: the recorder does not
 watch the run, it is part of it.  It selects the capture kernel and
@@ -58,6 +63,19 @@ from repro.obs.metrics import MetricsRegistry, NodeMetrics
 from repro.obs.profile import Profiler
 from repro.obs.trace import NodeTracer, TraceEvent, Tracer
 
+
+class _Everything:
+    """The ``heard`` set of an observer that takes every commit."""
+
+    __slots__ = ()
+
+    def __contains__(self, pred) -> bool:
+        return True
+
+
+#: Holds every predicate name.
+EVERYTHING = _Everything()
+
 #: ``_span(TraceEvent, fields)``: the named tuple without the Python
 #: frame of its generated ``__new__`` -- about half the cost of a span,
 #: and a fully observed run writes tens of thousands.
@@ -68,12 +86,12 @@ class Observer:
     """The subscribers of one engine (or node), behind one handle."""
 
     __slots__ = ("node", "metrics", "tracer", "profiler", "on_commit",
-                 "listeners", "clock", "traced", "timed", "metered")
+                 "listeners", "clock", "traced", "timed", "metered", "heard")
 
     def __init__(self, metrics: Optional[NodeMetrics],
                  tracer: Optional[NodeTracer], profiler: Optional[Profiler],
                  on_commit: Optional[Callable[[Fact, int], None]],
-                 listeners: Sequence, clock):
+                 listeners: Sequence, clock, heard=frozenset()):
         self.metrics = metrics
         #: The shared :class:`Tracer`: spans go straight onto its log,
         #: stamped with ``node``.
@@ -81,24 +99,37 @@ class Observer:
         self.tracer = None if tracer is None else tracer.tracer
         self.profiler = profiler
         self.on_commit = on_commit
-        #: The cluster's one live list of commit listeners (a later
-        #: ``subscribe`` is heard) and the clock that stamps them.
+        #: The cluster's one live list of commit listeners as
+        #: ``(preds, on_commit)`` pairs (a later ``subscribe`` is heard;
+        #: ``preds`` ``None`` hears every predicate) and the clock that
+        #: stamps them.
         self.listeners = listeners
         self.clock = clock
         self.traced = tracer is not None
         self.timed = profiler is not None
         self.metered = metrics is not None
+        self.hear(heard)
 
     @classmethod
     def compose(cls, metrics=None, tracer=None, profiler=None,
                 on_commit=None, listeners: Sequence = (),
-                clock=None) -> Optional["Observer"]:
+                clock=None, heard=frozenset()) -> Optional["Observer"]:
         """The handle for these subscribers; ``None`` when there are
-        none, which is the producer's cheapest state."""
+        none, which is the producer's cheapest state.  ``heard`` is
+        what the listeners hear together."""
         if (metrics is None and tracer is None and profiler is None
                 and on_commit is None and not listeners):
             return None
-        return cls(metrics, tracer, profiler, on_commit, listeners, clock)
+        return cls(metrics, tracer, profiler, on_commit, listeners, clock,
+                   heard)
+
+    def hear(self, heard) -> None:
+        """Set the predicates whose commits are raised: every one when
+        the counters, a tracer or ``on_commit`` take commits, else
+        ``heard`` -- what the listeners hear together (a cluster calls
+        this again whenever a listener comes or goes)."""
+        self.heard = (EVERYTHING if self.metered or self.traced
+                      or self.on_commit is not None else heard)
 
     # -- engine events -------------------------------------------------
     def inject(self, pred: str, rows: Sequence[Tuple], weight: int):
@@ -165,7 +196,8 @@ class Observer:
                trace: Optional[int]) -> None:
         """A visibility transition: ``+weight`` derivations of
         ``pred(args)`` became visible (a soft-state renewal is not
-        one), or ``-weight`` left -- a ``+k`` burst counts ``k``."""
+        one), or ``-weight`` left -- a ``+k`` burst counts ``k``.
+        Raised only for a predicate in ``heard``."""
         metrics = self.metrics
         if metrics is not None:
             counters = metrics.commits if weight > 0 else metrics.retractions
@@ -182,8 +214,9 @@ class Observer:
                 on_commit(fact, weight)
             if listeners:
                 now = self.clock.now
-                for listener in listeners:
-                    listener.on_commit(now, fact, weight)
+                for preds, hear in listeners:
+                    if preds is None or pred in preds:
+                        hear(now, fact, weight)
 
     # -- node events ---------------------------------------------------
     def tick(self, depth: int) -> None:
@@ -216,7 +249,8 @@ def node_observer(node) -> Optional[Observer]:
         tracer=None if tracer is None else tracer.recorder(node.address),
         profiler=Profiler() if config.profile else None,
         on_commit=node.cache_answer if config.cache else None,
-        listeners=cluster.trackers, clock=cluster.clock,
+        listeners=cluster.audience, clock=cluster.clock,
+        heard=cluster.heard,
     )
 
 

@@ -172,7 +172,7 @@ def _rewrite_rule(
                             head=magic_head,
                             body=tuple(new_body),
                             label=f"magic_{rule.label or rule.head.pred}"
-                                  f"_{rule_index}_{len(out)}",
+                                  f"_{adornment}_{rule_index}_{len(out)}",
                         )
                     )
             new_body.append(item.with_pred(_adorned_name(item.pred, item_adornment)))

@@ -27,7 +27,7 @@ from repro.net.link import LinkChannel
 from repro.net.message import Message
 from repro.net.sim import Simulator
 from repro.net.stats import ResultTracker, TrafficStats
-from repro.obs.observer import WireObserver, node_observer
+from repro.obs.observer import EVERYTHING, WireObserver, node_observer
 from repro.obs.profile import Profiler
 from repro.planner.localization import is_canonical
 from repro.runtime.config import RuntimeConfig
@@ -79,9 +79,12 @@ class Cluster:
         self.config = config or RuntimeConfig()
         self.clock = clock if clock is not None else Simulator()
         self.stats = TrafficStats()
-        #: Commit listeners (:meth:`listen`): the one list every node's
-        #: observer delivers to.
+        #: Commit listeners (:meth:`listen`); the one list every node's
+        #: observer delivers to, one ``(preds, on_commit)`` pair per
+        #: listener, kept in place; and what they hear together.
         self.trackers: List = []
+        self.audience: List[Tuple[Optional[frozenset], Callable]] = []
+        self.heard = frozenset()
         #: Who watches the wire -- transport, chaos injector and link
         #: liveness raise their events on it -- and the registries it
         #: feeds, which the nodes' observers bind too; ``None`` when off.
@@ -236,17 +239,36 @@ class Cluster:
         """Deliver every visible table change anywhere in the cluster
         to ``listener.on_commit(time, fact, weight)`` (``+k``
         derivations became visible, ``-k`` left); returns the callable
-        that stops delivery.  An unwatched node gets its observer here."""
+        that stops delivery.  A listener may declare ``preds``, the
+        predicate names it hears: then no other commit reaches it, and
+        a commit no listener hears is not raised at all (unless the
+        counters, a tracer or the query cache take it).  An unwatched
+        node gets its observer here."""
         self.trackers.append(listener)
-        for node in self.nodes.values():
-            if node.observer is None:
-                node.observer = node_observer(node)
+        self._hear()
 
         def unsubscribe() -> None:
             if listener in self.trackers:
                 self.trackers.remove(listener)
+                self._hear()
 
         return unsubscribe
+
+    def _hear(self) -> None:
+        """Rebuild the audience and the heard set after a listener came
+        or went, and hand the set to every node's observer."""
+        declared = [getattr(listener, "preds", None)
+                    for listener in self.trackers]
+        self.audience[:] = [
+            (None if preds is None else frozenset(preds), listener.on_commit)
+            for preds, listener in zip(declared, self.trackers)]
+        self.heard = (EVERYTHING if None in declared
+                      else frozenset().union(*declared))
+        for node in self.nodes.values():
+            if node.observer is None:
+                node.observer = node_observer(node)
+            else:
+                node.observer.hear(self.heard)
 
     def subscribe(
         self, pred: Optional[str], callback: Callable
@@ -254,16 +276,10 @@ class Cluster:
         """Call ``callback(time, fact, weight)`` on every weighted
         visibility transition of ``pred`` anywhere in the network
         (``pred=None`` observes every relation): ``+k`` derivations
-        became visible, ``-k`` left.  Returns an unsubscribe
-        callable."""
-        if pred is None:
-            on_commit = callback
-        else:
-            def on_commit(now: float, fact, weight: int) -> None:
-                if fact.pred == pred:
-                    callback(now, fact, weight)
-
-        return self.listen(SimpleNamespace(on_commit=on_commit))
+        became visible, ``-k`` left.  The listener declares ``pred`` as
+        its ``preds``.  Returns an unsubscribe callable."""
+        return self.listen(SimpleNamespace(
+            on_commit=callback, preds=None if pred is None else {pred}))
 
     def watch(self, pred: str) -> ResultTracker:
         """Track completion times for ``pred`` (Figures 8/10 curves)."""

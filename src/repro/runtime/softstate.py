@@ -52,6 +52,9 @@ class SoftStateManager:
         ]
         self.soft_preds: Tuple[str, ...] = tuple(
             sorted({table.name for _, table, _ in self._tables}))
+        #: What the commit listener hears (:meth:`Cluster.listen
+        #: <repro.runtime.cluster.Cluster.listen>`).
+        self.preds = self.soft_preds
 
     def install(self) -> None:
         """Start the sweeper, and listen for commits so that a row
@@ -68,7 +71,7 @@ class SoftStateManager:
     def on_commit(self, now: float, fact, weight: int) -> None:
         """Commit listener: a fresh soft-state row re-arms a sweeper
         that ran dry (so an idle cluster can quiesce in between)."""
-        if weight > 0 and fact.pred in self.soft_preds:
+        if weight > 0:
             self._arm()
 
     def _sweep(self) -> None:

@@ -297,6 +297,7 @@ def test_extreme_view_matches_recompute_from_values(func, ops):
         assert view.changes == emitted
         if live:
             assert view.groups[("a", "b")].values == live
+            assert view.groups[("a", "b")].best == best(live)
         assert view.current_rows() == [("a", "b", new)] * (new is not None)
 
     for first, weight in ops:
@@ -308,6 +309,102 @@ def test_extreme_view_matches_recompute_from_values(func, ops):
     for value in sorted(live, reverse=func == "max"):
         step(value, -live[value])       # retract to empty, extreme first
     assert view.groups == {}
+
+
+#: A witness member ``(group, value, tag)``: values tie often, and the
+#: tags mix types so that some ties are settled by ``order_key``.
+WITNESS_MEMBERS = st.tuples(
+    st.sampled_from(["g", "h"]),
+    st.one_of(st.integers(-3, 3), st.sampled_from([0.5, 1.0, 2.5])),
+    st.one_of(st.sampled_from(["a", "b", "c"]), st.integers(0, 2)),
+)
+#: Phases of a stream: a run of inserts (long enough to leave many
+#: members behind a witness that was never read off a heap), then some
+#: witness deaths, then some partial withdrawals of any member.
+WITNESS_PHASES = st.lists(st.tuples(
+    st.lists(st.tuples(WITNESS_MEMBERS, st.integers(1, 2)), max_size=30),
+    st.lists(st.sampled_from(["g", "h"]), max_size=6),
+    st.lists(st.tuples(st.integers(0, 40), st.integers(1, 2)), max_size=4),
+), min_size=1, max_size=5)
+
+
+class WitnessModel:
+    """Arg-min / arg-max by brute force: ties keep the incumbent, and a
+    dead witness is replaced by the best survivor under ``order_key``
+    (value first, then the whole tuple)."""
+
+    def __init__(self, func):
+        self.func = func
+        self.members = {}     # group -> Counter of tuples
+        self.winners = {}
+        #: Groups whose witness has died with survivors left.
+        self.promoted = set()
+
+    def better(self, a, b):
+        return a < b if self.func == "min" else a > b
+
+    def apply(self, args, weight):
+        group = (args[0],)
+        members = self.members.setdefault(group, Counter())
+        winner = self.winners.get(group)
+        members[args] += weight
+        if weight > 0:
+            if winner is None:
+                self.winners[group] = args
+                return [(1, args)]
+            if self.better(args[1], winner[1]):
+                self.winners[group] = args
+                return [(-1, winner), (1, args)]
+            return []
+        if not members[args]:
+            del members[args]
+        if args != winner or args in members:
+            return []
+        if not members:
+            del self.members[group], self.winners[group]
+            self.promoted.discard(group)
+            return [(-1, args)]
+        pick = min if self.func == "min" else max
+        top = pick(order_key(member[1]) for member in members)
+        best = min((member for member in members
+                    if order_key(member[1]) == top), key=order_key)
+        self.winners[group] = best
+        self.promoted.add(group)
+        return [(-1, args), (1, best)]
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+@given(phases=WITNESS_PHASES)
+@settings(max_examples=150, deadline=None)
+def test_arg_extreme_view_matches_brute_force_witnesses(func, phases):
+    """The witness heap is built at a group's first witness death with
+    survivors and kept from then on; before and after, every delta and
+    every witness is what the brute-force model gives."""
+    view = ArgExtremeView("best", (0,), 1, func=func)
+    model = WitnessModel(func)
+
+    def step(args, weight):
+        assert view.apply(args, weight) == model.apply(args, weight)
+        assert view.winners == model.winners
+        assert set(view._heaps) == model.promoted
+
+    for inserts, deaths, withdrawals in phases:
+        for args, weight in inserts:
+            step(args, weight)
+        for group in deaths:
+            winner = model.winners.get((group,))
+            if winner is not None:
+                step(winner, -model.members[(group,)][winner])
+        for pick, weight in withdrawals:
+            live = sorted((args for members in model.members.values()
+                           for args in members), key=order_key)
+            if live:
+                args = live[pick % len(live)]
+                step(args, -min(weight, model.members[(args[0],)][args]))
+    for group, members in list(model.members.items()):
+        for args in sorted(members, key=order_key):
+            step(args, -members[args])
+    assert view.members == {} and view.winners == {} and view._heaps == {}
 
 
 class TestHeapBackedExtremes:
@@ -403,7 +500,7 @@ class TestOrderKey:
             view.apply(("g", 7), 1)
             view.apply(("g", 7), -1)
         assert view.winners[("g",)] == ("g", 1)
-        assert len(view._heaps[("g",)]) <= 2 * 1 + 16 + 1
+        assert len(view._heaps.get(("g",), ())) <= 2 * 1 + 16 + 1
 
     def test_unorderable_values_tie_break_deterministically(self):
         """Witness tuples may carry values with no natural order (e.g.
@@ -517,5 +614,6 @@ class TestLazyTieBreak:
         view.apply(("a", "d", path, 5), 1)
         view.apply(("a", "d", path[:2] + ("x", "d"), 5), 1)
         view.apply(("a", "d", path, 5), -1)
-        # One key per member, for the value alone: never the path.
-        assert calls == [5, 5]
+        # One key, for the survivor's value when the heap is built at
+        # the witness's death: never the path.
+        assert calls == [5]

@@ -214,3 +214,24 @@ def test_guardless_rule_seeds_its_bound_literal_as_a_fact():
         expected = {row for row in repro.compile(source, passes=[]).run(
             facts={"edge": edges}).rows("r") if row[1] == "n1"}
         assert compiled.run(facts={"edge": edges}).rows("r") == expected
+
+
+@pytest.mark.parametrize("source", [
+    # One rule rewritten under two adornments (``fb`` from the query,
+    # ``ff`` from its own recursive literal), each emitting a magic rule
+    # for ``q`` at the same body position.
+    pytest.param("""
+    P1: p(X, Y) :- e(X, Y).
+    P2: p(X, Z) :- p(X, Y), W := 3, q(W, Z).
+    Q1: q(X, Y) :- e(X, Y).
+    Query: p(X, n1).
+    """, id="two-adornments"),
+    *(pytest.param(f"T1: tc(X, Y) :- edge(X, Y).\n{TC_PROGRAMS[shape]}\n"
+                   f"Query: tc({args[0]}, {args[1]}).",
+                   id=f"{shape}-{adornment}")
+      for shape in TC_PROGRAMS for adornment, args in TC_QUERIES.items()),
+])
+def test_every_rewritten_rule_has_its_own_label(source):
+    program = magic_rewrite(parse(source))
+    labels = [rule.label for rule in program.rules]
+    assert len(labels) == len(set(labels)), sorted(labels)

@@ -18,6 +18,7 @@ from repro.net.message import Message, NetDelta, coalesce
 from repro.net.stats import ResultTracker, TrafficStats
 from repro.obs import MetricsRegistry, Profiler, Tracer
 from repro.obs.__main__ import main as obs_cli
+from repro.obs.observer import EVERYTHING
 from repro.runtime import RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 from repro.topology.overlay import Overlay
@@ -425,6 +426,7 @@ class RecordingObserver:
     one entry per row so runs of different lengths compare equal."""
 
     traced = timed = metered = True
+    heard = EVERYTHING
 
     def __init__(self):
         self.events = []
@@ -624,6 +626,80 @@ class TestObserverSeam:
                 key = (event.pred, event.weight > 0)
                 spans[key] = spans.get(key, 0) + abs(event.weight)
         assert spans == tally
+
+
+class TestCommitListeners:
+    """A listener may declare ``preds``: a commit reaches only the
+    listeners that hear its predicate, and a commit nobody hears is not
+    raised at all."""
+
+    def test_tracker_matches_a_listener_that_filters_by_itself(self):
+        deployment = repro.compile(
+            programs.shortest_path(), passes=["aggsel"]).deploy(
+                n_nodes=8, degree=3, seed=2)
+        tracker = deployment.watch("shortestPath")
+        reference = ResultTracker(watch_pred="shortestPath")
+        deployment.subscribe(None, reference.on_commit)
+        heard, filtered = [], []
+        deployment.subscribe(
+            "shortestPath",
+            lambda now, fact, weight: heard.append((now, fact, weight)))
+        deployment.subscribe(
+            None, lambda now, fact, weight: filtered.append(
+                (now, fact, weight)) if fact.pred == "shortestPath" else None)
+        deployment.advance()
+        assert heard == filtered and len(heard) >= 8 * 7
+        assert tracker.last_insert == reference.last_insert
+        assert (tracker.committed_weight, tracker.retracted_weight) == (
+            reference.committed_weight, reference.retracted_weight)
+        assert tracker.retracted_weight > 0
+
+    def test_a_later_listener_is_heard_and_one_without_preds_hears_all(self):
+        deployment = deploy_line()
+        tracker = deployment.watch("reach")
+        deployment.advance()
+        observers = [node.observer for node in deployment.nodes.values()]
+        assert all(observer.heard == {"reach"} for observer in observers)
+        links = []
+        deployment.subscribe(
+            "link", lambda now, fact, weight: links.append(fact.args))
+
+        class Everything:
+            def __init__(self):
+                self.seen = set()
+
+            def on_commit(self, now, fact, weight):
+                self.seen.add(fact.pred)
+
+        everything = Everything()
+        stop = deployment.listen(everything)
+        assert all(observer.heard is EVERYTHING for observer in observers)
+        deployment.inject("n3", "link", ("n3", "n0", 1.0))
+        deployment.advance()
+        assert links == [("n3", "n0", 1.0)]
+        assert everything.seen == {"link", "reach"}
+        assert tracker.committed_weight == 10
+        stop()
+        assert [node.observer for node in deployment.nodes.values()] == (
+            observers)
+        assert all(observer.heard == {"reach", "link"}
+                   for observer in observers)
+
+    def test_no_fact_is_built_for_an_unwatched_predicate(self, monkeypatch):
+        import repro.obs.observer as observer_module
+
+        built = []
+
+        def counting_fact(pred, args):
+            built.append(pred)
+            return Fact(pred, args)
+
+        monkeypatch.setattr(observer_module, "Fact", counting_fact)
+        deployment = deploy_line()
+        tracker = deployment.watch("reach")
+        deployment.advance()
+        assert tracker.committed_weight == 9
+        assert built == ["reach"] * 9
 
 
 # ----------------------------------------------------------------------

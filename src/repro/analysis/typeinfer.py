@@ -1,9 +1,8 @@
 """Analysis 1: relation type inference and consistency (ND1xx).
 
 Infers a type for every column of every relation by unification across
-*all* head/body occurrences, program-wide -- the cross-rule
-generalization of the validator's per-rule ``_address_usage``
-heuristic (Definition 6.2, address type safety):
+*all* head/body occurrences, program-wide -- the check of address type
+safety (Definition 6.2), which the validator leaves to this pass:
 
 * every variable occurrence in a rule unions the column cells it
   appears in (a variable has one type per rule);

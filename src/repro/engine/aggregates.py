@@ -18,19 +18,22 @@ engines' weighted delta representation.
 ``count<*>`` counts derivations (multiplicity included), matching its use
 as a derivation counter.
 
-min/max retraction is the O(log n) structure of [27]: each group keeps a
-heap with *lazy deletion* -- retractions never touch the heap, and
-reads pop stale entries off the top until a live value surfaces.  A
-group also keeps its extreme itself, so reading it is O(1): an insert
-can only move it to the inserted value, and only the death of the
-extreme's last derivation reads the heap.  The same structure backs
-:class:`ArgExtremeView`'s witness promotion, with a total-order
-tie-break key (:func:`order_key`) making the promoted witness
-deterministic for values whose natural ordering admits ties; that heap
-is built at a group's first witness death that leaves survivors (on a
-cold start witnesses are only ever displaced, and the heap is never
-read), so a change costs O(log n) amortized once a witness has died
-and O(1) before.
+Every ``min``/``max`` lives in one structure, :class:`ArgExtremeView`:
+the witness tuple achieving each group's extreme.  An aggregate
+selection keeps its witnesses there, and a ``min<C>`` / ``max<C>``
+head is the arg-extreme witness over its own contributions -- a group's
+members are its distinct values, so no two tie and the witness *is*
+the head (:func:`aggregate_view` picks the view).
+:class:`AggregateView` keeps ``count``/``sum``/``avg``.  Retraction is
+the O(log n) structure of [27]: each group keeps its witness itself,
+so reading the extreme is O(1) (an insert can only move it to the
+inserted member), and a heap with *lazy deletion* -- retractions never
+touch it, and a read pops stale entries off the top until a live
+member surfaces -- is built at the group's first witness death that
+leaves survivors.  On a cold start witnesses are only ever displaced
+and no heap is built; once one is, a change costs O(log n) amortized.
+A total-order tie-break key (:func:`order_key`) makes the promoted
+witness deterministic where values tie.
 
 **A view answers once per chunk.**  ``apply(contribution, weight) ->
 deltas`` is the definition of a view and what the fixpoint engines call.
@@ -66,43 +69,42 @@ from repro.ndlog.terms import ConstructedTuple
 _COMPACT_SLACK = 16
 
 
-class _Rev:
-    """Inverts the ordering of a wrapped key, turning heapq's min-heaps
-    into max-heaps without assuming the values are negatable."""
+class _Member:
+    """A heap entry: a group member ordered by its value (reversed on a
+    max heap), ties by the whole tuple -- :func:`order_key` order, with
+    the keys built only where a raw comparison raises.  Where it does
+    not, the two orders agree: both are lexicographic and decide on the
+    first differing element, which is then same-typed (numbers pool the
+    same way)."""
 
-    __slots__ = ("key",)
+    __slots__ = ("value", "args")
+    #: Whether larger values come first (:class:`_MaxMember`).
+    reverse = False
 
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other) -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other) -> bool:
-        return other.key == self.key
-
-
-class _TieBreak:
-    """A heap member ordered by :func:`order_key` of its tuple, with the
-    key built only when it is needed.  The tie-break is read only when
-    two members tie on the value, and then the raw tuple comparison
-    settles it whenever it does not raise: both orders are
-    lexicographic and decide on the first differing element, which is
-    then same-typed (numbers pool the same way), so they agree."""
-
-    __slots__ = ("args",)
-
-    def __init__(self, args: Tuple):
+    def __init__(self, value, args: Tuple):
+        self.value = value
         self.args = args
 
     def __lt__(self, other) -> bool:
+        a, b = self.value, other.value
+        if self.reverse:
+            a, b = b, a
+        try:
+            if a != b:
+                return a < b
+        except TypeError:
+            a, b = order_key(a), order_key(b)
+            if a != b:
+                return a < b
         try:
             return self.args < other.args
         except TypeError:
             return order_key(self.args) < order_key(other.args)
 
-    def __eq__(self, other) -> bool:
-        return self.args == other.args
+
+class _MaxMember(_Member):
+    __slots__ = ()
+    reverse = True
 
 
 def order_key(value):
@@ -126,116 +128,55 @@ def order_key(value):
                 tuple(order_key(v) for v in value.values))
     if isinstance(value, (int, float)):
         # bool included: raw comparisons treat True as 1, and the heap
-        # order must agree with ArgExtremeView._better's raw ordering.
+        # order must agree with ArgExtremeView.apply's raw comparison.
         return ("", value)
     if isinstance(value, (str, bytes)):
         return (type(value).__name__, value)
     return (type(value).__name__, repr(value))
 
 
-def _uncovered(count: int, value, held: int) -> EvaluationError:
+def _uncovered(count: int, what, held: int) -> EvaluationError:
     return EvaluationError(
-        f"retracting {count} derivation(s) of value {value!r}; "
-        f"aggregate group holds {held}"
+        f"retracting {count} derivation(s) of {what!r}; "
+        f"the group holds {held}"
     )
 
 
 class GroupState:
-    """The multiset of values currently derived for one group.
+    """The multiset of values currently derived for one ``count`` /
+    ``sum`` / ``avg`` group (``min``/``max`` are :class:`ArgExtremeView`'s).
 
     ``distinct`` controls ``count`` semantics: ``count<Var>`` counts
     distinct values (set semantics), ``count<*>`` counts derivations.
-
-    For ``min``/``max`` the group keeps its extreme as ``best`` and
-    mirrors the distinct values into a heap with lazy deletion:
-    :meth:`add` pushes a value the first time it becomes live and moves
-    ``best`` to it when it is better, :meth:`remove` leaves the heap
-    untouched unless it withdraws the last derivation of ``best``, and
-    then pops dead entries off the top until the best live value
-    surfaces -- O(1) per read, O(log n) amortized per change.
     """
 
-    __slots__ = ("func", "values", "total_multiplicity", "distinct", "_heap",
-                 "best")
+    __slots__ = ("func", "values", "total_multiplicity", "distinct")
 
     def __init__(self, func: str, distinct: bool = False):
         self.func = func
         self.distinct = distinct
         self.values: Dict[object, int] = {}
         self.total_multiplicity = 0
-        self._heap: Optional[List] = [] if func in ("min", "max") else None
-        #: The live extreme of a ``min``/``max`` group (``None`` while
-        #: the group is empty, and for every other function).
-        self.best = None
 
     def add(self, value, count: int = 1) -> None:
         """Add ``count`` derivations of ``value`` (one weighted entry)."""
-        current = self.values.get(value, 0)
-        self.values[value] = current + count
+        self.values[value] = self.values.get(value, 0) + count
         self.total_multiplicity += count
-        if current == 0 and self._heap is not None:
-            # Every live value keeps at least one heap entry; re-added
-            # values are re-pushed (the stale twin is harmless -- it
-            # reads as live for as long as the value is).
-            best = self.best
-            if self.func == "min":
-                heapq.heappush(self._heap, value)
-                if best is None or value < best:
-                    self.best = value
-            else:
-                heapq.heappush(self._heap, _Rev(value))
-                if best is None or value > best:
-                    self.best = value
 
     def remove(self, value, count: int = 1) -> None:
-        """Withdraw ``count`` derivations of ``value``."""
+        """Withdraw ``count`` derivations of ``value``; one the group
+        cannot cover is refused before anything is written."""
         current = self.values.get(value, 0)
         if current < count:
             raise _uncovered(count, value, current)
-        self.withdraw(value, count, current)
-
-    def withdraw(self, value, count: int, current: int) -> None:
-        """:meth:`remove` past its check: ``current >= count`` is the
-        number of derivations of ``value`` held."""
         if current == count:
             del self.values[value]
-            # Lazy deletion: the heap entry stays until a read pops it.
-            heap = self._heap
-            if heap is not None:
-                if len(heap) > 2 * len(self.values) + _COMPACT_SLACK:
-                    self._rebuild_heap()
-                if value == self.best:
-                    # The extreme died: the next one is off the heap.
-                    self.best = self._peek_extreme() if self.values else None
         else:
             self.values[value] = current - count
         self.total_multiplicity -= count
 
-    def _rebuild_heap(self) -> None:
-        if self.func == "min":
-            self._heap = list(self.values)
-        else:
-            self._heap = [_Rev(v) for v in self.values]
-        heapq.heapify(self._heap)
-
-    def _peek_extreme(self):
-        heap = self._heap
-        values = self.values
-        while heap:
-            top = heap[0]
-            value = top if self.func == "min" else top.key
-            if value in values:
-                return value
-            heapq.heappop(heap)
-        # Defensive: the push discipline guarantees a live entry exists.
-        self._rebuild_heap()
-        top = self._heap[0]
-        return top if self.func == "min" else top.key
-
     def current(self):
         """The aggregate value, or ``None`` for an empty group."""
-        if self._heap is not None:
-            return self.best
         if not self.values:
             return None
         if self.func == "count":
@@ -286,18 +227,28 @@ def _drain(self) -> List[Tuple[int, Tuple, Optional[int]]]:
     return deltas
 
 
+def aggregate_view(pred: str, info: AggregateInfo):
+    """The view that keeps ``pred``'s aggregate head: for ``min<C>`` /
+    ``max<C>`` the :class:`ArgExtremeView` over the head itself (the
+    witness of a group of distinct values is its extreme), for the
+    other functions an :class:`AggregateView`."""
+    if info.func in ("min", "max"):
+        return ArgExtremeView(pred, tuple(info.group_positions),
+                              info.value_position, info.func)
+    return AggregateView(pred, info)
+
+
 class AggregateView:
-    """Maintains one aggregate head relation incrementally.
+    """Maintains one ``count`` / ``sum`` / ``avg`` head relation
+    incrementally (:func:`aggregate_view` builds the view of any head).
 
     ``apply`` takes a *contribution* (the head tuple with the aggregate
     position holding the input value) and an integer weight (``+w``
     derivations added, ``-w`` withdrawn), updates the group, and
     returns the visible deltas on the aggregate relation:
     ``[(-1, old_head), (+1, new_head)]`` when the group's value changes.
-    A ``min``/``max`` group answers from its ``best``; its heap is read
-    only when the extreme's last derivation was just withdrawn.  A
-    retraction the group cannot cover is refused before anything is
-    read or written.
+    A retraction the group cannot cover is refused before anything is
+    written.
 
     ``apply_many`` / ``drain`` are the chunk-level entry the pipelined
     engine uses (module docstring).  Both views bind them, like
@@ -306,15 +257,13 @@ class AggregateView:
     """
 
     def __init__(self, pred: str, info: AggregateInfo):
+        if info.func in ("min", "max"):
+            raise EvaluationError(
+                f"{pred}: a {info.func}<> head is an ArgExtremeView "
+                f"(build views with aggregate_view)")
         self.pred = pred
         self.info = info
         self._group_of = projector(info.group_positions)
-        self._extreme = info.func in ("min", "max")
-        #: The head is ``group_key + (value,)`` when the group columns
-        #: lead it in order and the value column follows them.
-        arity = len(info.group_positions)
-        self._appends = (tuple(info.group_positions) == tuple(range(arity))
-                         and info.value_position == arity)
         self.groups: Dict[Tuple, GroupState] = {}
         #: Cumulative group-value transitions (pre-netting) -- a plain
         #: int bump per change, pulled into metrics snapshots as the
@@ -337,19 +286,14 @@ class AggregateView:
             state = GroupState(info.func, distinct=bool(info.var))
             if weight > 0:
                 self.groups[group_key] = state
-        extreme = self._extreme
+        old = state.current()
         if weight > 0:
-            old = state.best if extreme else state.current()
             state.add(value, weight)
         else:
-            # Refused before anything is read or written (an unknown
-            # group by the empty state it never joins).
-            held = state.values.get(value, 0)
-            if held < -weight:
-                raise _uncovered(-weight, value, held)
-            old = state.best if extreme else state.current()
-            state.withdraw(value, -weight, held)
-        new = state.best if extreme else state.current()
+            # An unknown group is refused by the empty state it never
+            # joins.
+            state.remove(value, -weight)
+        new = state.current()
         if not state.values:
             del self.groups[group_key]
         if old == new:
@@ -366,8 +310,6 @@ class AggregateView:
     drain = _drain
 
     def _head(self, group_key: Tuple, value) -> Tuple:
-        if self._appends:
-            return group_key + (value,)
         info = self.info
         head: List[object] = [None] * (len(group_key) + 1)
         for position, group_value in zip(info.group_positions, group_key):
@@ -383,25 +325,42 @@ class AggregateView:
         ]
 
 
+class _Witnessed:
+    """One :class:`ArgExtremeView` group: its members with their
+    multiplicities, the witness, and the lazy-deletion heap of
+    :class:`_Member` entries (``None`` until the group's first witness
+    death that leaves survivors)."""
+
+    __slots__ = ("members", "witness", "heap")
+
+    def __init__(self, witness: Tuple, weight: int):
+        self.members: Dict[Tuple, int] = {witness: weight}
+        self.witness = witness
+        self.heap: Optional[List] = None
+
+
 class ArgExtremeView:
     """Maintains one *witness tuple* per group: the tuple achieving the
-    group's min (or max) value.
+    group's min (or max) value.  This is the one ``min``/``max``
+    structure: it keeps every ``min<>``/``max<>`` head (whose witness is
+    the head, :func:`aggregate_view`) and every aggregate selection.
 
-    This is the propagation side of aggregate selections (Section
-    5.1.1): "each node only needs to propagate the most current shortest
+    Aggregate selections are the propagation side of Section 5.1.1:
+    "each node only needs to propagate the most current shortest
     paths for each destination ... whenever a shorter path is derived".
     Ties deliberately keep the incumbent witness -- a same-cost
     alternative is *not* an improvement, so advertising it would only
     churn the network (the dominant cost on hop-count metrics, where
     ties abound).
 
-    When the witness dies, the best survivor is promoted off a per-group
-    heap with lazy deletion (O(log n), the structure of [27]) rather
-    than an O(n) member rescan; ties on the value promote the tuple that
-    is least under :func:`order_key`, a deterministic total order.  The
-    heap is built (heapified over the live members) at the group's
-    first witness death that leaves survivors, and kept from then on:
-    a group whose witness is only ever displaced never builds one.
+    When the witness dies, the best survivor is promoted off the
+    group's heap with lazy deletion (O(log n), the structure of [27])
+    rather than an O(n) member rescan; ties on the value promote the
+    tuple that is least under :func:`order_key`, a deterministic total
+    order.  The heap is built (heapified over the live members) at the
+    group's first witness death that leaves survivors, and kept from
+    then on: a group whose witness is only ever displaced never builds
+    one.  ``groups`` maps a group to its :class:`_Witnessed` state.
     """
 
     def __init__(self, pred: str, group_positions: Tuple[int, ...],
@@ -412,14 +371,10 @@ class ArgExtremeView:
         self.group_positions = group_positions
         self.value_position = value_position
         self.func = func
+        self._min = func == "min"
+        self._member = _Member if self._min else _MaxMember
         self._group_of = projector(tuple(group_positions))
-        #: group -> {tuple: multiplicity}
-        self.members: Dict[Tuple, Dict[Tuple, int]] = {}
-        #: group -> current witness tuple
-        self.winners: Dict[Tuple, Tuple] = {}
-        #: group -> lazy-deletion heap of (value key, tie-breaking
-        #: member), for the groups whose witness has died
-        self._heaps: Dict[Tuple, List] = {}
+        self.groups: Dict[Tuple, _Witnessed] = {}
         #: Cumulative witness transitions (pre-netting), deltas drained
         #: (post-netting) and the net in between: as on
         #: :class:`AggregateView`.
@@ -428,88 +383,77 @@ class ArgExtremeView:
         self.pending: Dict[Tuple, int] = {}
         self.moved_by: Dict[Tuple, int] = {}
 
-    def _better(self, a, b) -> bool:
-        return a < b if self.func == "min" else a > b
-
-    def _entry(self, args: Tuple) -> Tuple:
-        value_key = order_key(args[self.value_position])
-        if self.func == "max":
-            value_key = _Rev(value_key)
-        return (value_key, _TieBreak(args))
-
     def apply(self, args: Tuple, weight: int) -> List[Tuple[int, Tuple]]:
         group = self._group_of(args)
-        members = self.members.get(group)
-        value = args[self.value_position]
-        winner = self.winners.get(group)
+        state = self.groups.get(group)
         if weight > 0:
-            if members is None:
-                members = self.members[group] = {}
-            count = members.get(args, 0)
-            members[args] = count + weight
-            if count == 0:
-                heap = self._heaps.get(group)
-                if heap is not None:
-                    heapq.heappush(heap, self._entry(args))
-            if winner is None:
-                self.winners[group] = args
+            if state is None:
+                self.groups[group] = _Witnessed(args, weight)
                 self.changes += 1
                 return [(1, args)]
-            if self._better(value, winner[self.value_position]):
-                self.winners[group] = args
+            members = state.members
+            count = members.get(args, 0)
+            members[args] = count + weight
+            if count:
+                # A live member is no better than the witness already.
+                return []
+            position = self.value_position
+            if state.heap is not None:
+                heapq.heappush(state.heap, self._member(args[position], args))
+            witness = state.witness
+            if (args[position] < witness[position] if self._min
+                    else args[position] > witness[position]):
+                state.witness = args
                 self.changes += 2
-                return [(-1, winner), (1, args)]
+                return [(-1, witness), (1, args)]
             return []
         # Retraction of ``-weight`` derivations; one the group cannot
         # cover is refused before anything is written.
         drop = -weight
-        current = members.get(args, 0) if members else 0
-        if current < drop:
-            raise EvaluationError(
-                f"retracting {drop} derivation(s) of tuple {args!r}; "
-                f"arg-{self.func} group holds {current}"
-            )
-        if current == drop:
-            del members[args]
+        held = state.members.get(args, 0) if state is not None else 0
+        if held < drop:
+            raise _uncovered(drop, args, held)
+        members = state.members
+        if held > drop:
+            members[args] = held - drop
+            return []
+        del members[args]
+        heap = state.heap
+        if args != state.witness:
             # Any member death strands a heap entry; compact here, not
             # just on witness death -- non-winning alternatives that
             # flap under churn would otherwise grow the heap unboundedly.
-            heap = self._heaps.get(group)
-            if (heap is not None and members
+            if (heap is not None
                     and len(heap) > 2 * len(members) + _COMPACT_SLACK):
-                self._heapify(group, members)
-        else:
-            members[args] = current - drop
-        if args != winner or args in members:
+                state.heap = self._heapify(members)
             return []
-        # The witness died: promote the best survivor off the heap.
         if not members:
-            del self.members[group]
-            del self.winners[group]
-            self._heaps.pop(group, None)
+            del self.groups[group]
             self.changes += 1
             return [(-1, args)]
-        heap = self._heaps.get(group)
+        # The witness died: promote the best survivor off the heap.
         if heap is None:
-            heap = self._heapify(group, members)
-        while heap[0][1].args not in members:
+            heap = self._heapify(members)
+        while heap[0].args not in members:
             heapq.heappop(heap)
-        best = heap[0][1].args
+        best = heap[0].args
         if len(heap) > 2 * len(members) + _COMPACT_SLACK:
-            self._heapify(group, members)
-        self.winners[group] = best
+            heap = self._heapify(members)
+        state.heap = heap
+        state.witness = best
         self.changes += 2
         return [(-1, args), (1, best)]
 
     apply_many = _apply_many
     drain = _drain
 
-    def _heapify(self, group: Tuple, members: Dict[Tuple, int]) -> List:
-        """(Re)build ``group``'s heap over its live members."""
-        heap = [self._entry(member) for member in members]
+    def _heapify(self, members: Dict[Tuple, int]) -> List:
+        """A heap over ``members``, the live members of a group."""
+        position = self.value_position
+        member = self._member
+        heap = [member(args[position], args) for args in members]
         heapq.heapify(heap)
-        self._heaps[group] = heap
         return heap
 
     def current_rows(self) -> List[Tuple]:
-        return list(self.winners.values())
+        return [state.witness for state in self.groups.values()]

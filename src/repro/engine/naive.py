@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.engine.aggregates import AggregateView
+from repro.engine.aggregates import ArgExtremeView, aggregate_view
 from repro.engine.database import Database
 from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult, load_program_facts
@@ -154,31 +154,18 @@ def materialize_views(compiled: Sequence[CompiledRule], stats,
     def solve(crule):
         return lead_strand(crule, stats, result, provenance)()
 
+    def settle(view, contributions):
+        for contribution in contributions:
+            view.apply(contribution, 1)
+        insert_new(db.table(view.pred), view.current_rows())
+
     for crule in compiled:
         if crule.aggregate is not None:
-            view = AggregateView(crule.head.pred, crule.aggregate)
-            for contribution in solve(crule):
-                view.apply(contribution, 1)
-            insert_new(db.table(crule.head.pred), view.current_rows())
+            settle(aggregate_view(crule.head.pred, crule.aggregate),
+                   solve(crule))
     for crule in compiled:
         if crule.argmin is not None:
-            insert_new(db.table(crule.head.pred),
-                       _argmin_winners(crule, solve(crule)))
-
-
-def _argmin_winners(crule: CompiledRule, heads: Iterable[Tuple]):
-    """The deterministic winner of each group among ``heads``."""
-    group_positions, value_position, func = crule.argmin
-    winners: dict = {}
-    for head in heads:
-        group = tuple(head[i] for i in group_positions)
-        best = winners.get(group)
-        if best is None:
-            winners[group] = head
-            continue
-        value = head[value_position]
-        best_value = best[value_position]
-        better = value < best_value if func == "min" else value > best_value
-        if better or (value == best_value and repr(head) < repr(best)):
-            winners[group] = head
-    return winners.values()
+            # A tie keeps the incumbent: fed least repr first, each
+            # group's winner does not depend on the derivation order.
+            settle(ArgExtremeView(crule.head.pred, *crule.argmin),
+                   sorted(solve(crule), key=repr))

@@ -158,10 +158,16 @@ from __future__ import annotations
 from collections import deque
 from itertools import repeat
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.errors import EvaluationError
-from repro.engine.aggregates import AggregateView, ArgExtremeView
+from repro.engine.aggregates import (
+    AggregateView,
+    ArgExtremeView,
+    aggregate_view,
+)
 from repro.engine.database import Database, Schema, program_schemas
 from repro.engine.facts import Fact
 from repro.engine.fixpoint import EvalResult
@@ -318,11 +324,13 @@ class PSNEngine:
             pred for pred, schema in schemas.items() if schema.single_delta
         }
         self._single_delta.update(self._single_delta_preds())
-        self.views: Dict[str, AggregateView] = {}
+        #: Aggregate heads (a ``min<>``/``max<>`` head's view is an
+        #: ArgExtremeView) and aggregate selections.
+        self.views: Dict[str, Union[AggregateView, ArgExtremeView]] = {}
         self.argmin_views: Dict[str, ArgExtremeView] = {}
         for crule in self.compiled:
             if crule.aggregate is not None and crule.head.pred not in self.views:
-                self.views[crule.head.pred] = AggregateView(
+                self.views[crule.head.pred] = aggregate_view(
                     crule.head.pred, crule.aggregate
                 )
             if crule.argmin is not None and crule.head.pred not in self.argmin_views:

@@ -6,7 +6,8 @@ Datalog (Definition 6):
 1. **Location specificity** -- every predicate's first attribute is a
    location specifier (an ``@``-marked term).
 2. **Address type safety** -- a variable used as an address type anywhere
-   in a rule is used as an address type everywhere in that rule.
+   in a rule is used as an address type everywhere in that rule (checked
+   program-wide by the ndlint ``types`` analysis, ND101).
 3. **Stored link relations** -- link relations never appear in the head of
    a rule with a non-empty body.
 4. **Link-restriction** -- every non-local rule is link-restricted
@@ -21,10 +22,10 @@ future work in the paper), bound head variables, and safe conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.errors import NDlogValidationError
-from repro.ndlog.ast import Assignment, Condition, Program, Rule
+from repro.ndlog.ast import Assignment, Program, Rule
 from repro.ndlog.terms import AggregateSpec, Constant, Term, Variable
 
 
@@ -78,39 +79,6 @@ def is_link_restricted(rule: Rule) -> bool:
     return _location_name(rule.head.location) in allowed
 
 
-def _address_usage(rule: Rule) -> Dict[str, Set[bool]]:
-    """For each variable, the set of 'used as address?' flags in the rule."""
-    usage: Dict[str, Set[bool]] = {}
-
-    def note_term(term: Term, in_location_position: bool) -> None:
-        if isinstance(term, Variable):
-            usage.setdefault(term.name, set()).add(
-                term.location or in_location_position
-            )
-            return
-        # Nested terms (function args etc.) count with their own markers.
-        for attr in ("args", "left", "right", "operand", "expr"):
-            child = getattr(term, attr, None)
-            if child is None:
-                continue
-            if isinstance(child, tuple):
-                for sub in child:
-                    note_term(sub, False)
-            elif isinstance(child, Term):
-                note_term(child, False)
-
-    for literal in (rule.head, *rule.body_literals):
-        for index, arg in enumerate(literal.args):
-            note_term(arg, index == 0)
-    for item in rule.body:
-        if isinstance(item, Assignment):
-            note_term(item.var, False)
-            note_term(item.expr, False)
-        elif isinstance(item, Condition):
-            note_term(item.expr, False)
-    return usage
-
-
 def require_body_literal(rule: Rule) -> None:
     """Raise unless ``rule``'s body names a relation.  Every engine
     derives a rule's heads by driving one of its body literals (a
@@ -125,23 +93,17 @@ def require_body_literal(rule: Rule) -> None:
         )
 
 
-def validate(program: Program, strict_address_types: bool = False,
-             distributed: bool = True) -> ValidationReport:
+def validate(program: Program, distributed: bool = True) -> ValidationReport:
     """Validate ``program`` and return a :class:`ValidationReport`.
 
-    ``strict_address_types`` defaults to ``False`` here and in
-    :func:`check` (the two entry points used to disagree; off is the
-    one the paper's program style needs): a variable may appear both
-    with and without ``@`` as long as the ``@``-form appears in a
-    location position (the paper's own examples write
-    ``f_concatPath(link(@S,@D,C), nil)``, reusing address variables
-    inside function arguments).  Per-occurrence strict checking is the
-    job of the ndlint ``types`` analysis (:mod:`repro.analysis`),
-    which unifies column types across *all* rules and reports genuine
-    address/value conflicts as ND101 errors -- a sharper check than
-    this rule-local flag ever was.  ``strict_address_types=True``
-    restores the old behaviour: any mixed use inside one rule is an
-    error.
+    Address type safety (constraint 2) is not checked per rule here: a
+    variable may appear both with and without ``@`` as long as the
+    ``@``-form appears in a location position (the paper's own examples
+    write ``f_concatPath(link(@S,@D,C), nil)``, reusing address
+    variables inside function arguments).  It is the job of the ndlint
+    ``types`` analysis (:mod:`repro.analysis`), which unifies column
+    types across *all* rules and reports genuine address/value
+    conflicts as ND101 errors.
 
     With ``distributed=False`` the NDlog-specific constraints
     (Definitions 1-6: location specificity, address type safety,
@@ -198,15 +160,6 @@ def validate(program: Program, strict_address_types: bool = False,
                         f"a location specifier (@...)"
                     )
 
-            # Constraint 2: address type safety.
-            usage = _address_usage(rule)
-            for var, flags in usage.items():
-                if len(flags) > 1 and strict_address_types:
-                    errors.append(
-                        f"{name}: variable {var} used both as address and "
-                        f"non-address type"
-                    )
-
         # Constraint 3: stored link relations.
         if rule.body and rule.head.pred in link_preds:
             errors.append(
@@ -251,16 +204,14 @@ def validate(program: Program, strict_address_types: bool = False,
     return report
 
 
-def check(program: Program, strict_address_types: bool = False) -> Program:
+def check(program: Program) -> Program:
     """Validate and return ``program``; raise on any error.
 
-    This is the entry point used by the compiler pipeline.  Address-type
-    strictness defaults to off, matching both :func:`validate` and the
-    paper's own program style; cross-rule address/value conflicts are
-    caught by the ndlint ``types`` analysis instead (see
-    :func:`validate`).
+    This is the entry point used by the compiler pipeline; cross-rule
+    address/value conflicts are caught by the ndlint ``types`` analysis
+    instead (see :func:`validate`).
     """
-    report = validate(program, strict_address_types=strict_address_types)
+    report = validate(program)
     if not report.ok:
         raise NDlogValidationError("; ".join(report.errors))
     return program

@@ -10,6 +10,7 @@ from repro.engine.aggregates import (
     AggregateView,
     ArgExtremeView,
     GroupState,
+    aggregate_view,
     order_key,
 )
 from repro.engine.rules import AggregateInfo
@@ -21,38 +22,14 @@ def make_view(func="min"):
     # value at position 2.
     info = AggregateInfo(func=func, var="C", value_position=2,
                          group_positions=(0, 1))
-    return AggregateView("spCost", info)
+    return aggregate_view("spCost", info)
+
+
+def witnesses(view):
+    return {group: state.witness for group, state in view.groups.items()}
 
 
 class TestGroupState:
-    def test_min_incremental(self):
-        g = GroupState("min")
-        g.add(5)
-        assert g.current() == 5
-        g.add(3)
-        assert g.current() == 3
-        g.add(7)
-        assert g.current() == 3
-
-    def test_min_retraction_recomputes(self):
-        g = GroupState("min")
-        for v in (5, 3, 7):
-            g.add(v)
-        g.remove(3)
-        assert g.current() == 5
-        g.remove(5)
-        assert g.current() == 7
-        g.remove(7)
-        assert g.current() is None
-
-    def test_max(self):
-        g = GroupState("max")
-        for v in (5, 3, 7):
-            g.add(v)
-        assert g.current() == 7
-        g.remove(7)
-        assert g.current() == 5
-
     def test_count_counts_derivations(self):
         g = GroupState("count")
         g.add(1)
@@ -80,7 +57,7 @@ class TestGroupState:
         assert g.current() == 3
 
     def test_remove_unknown_value_raises(self):
-        g = GroupState("min")
+        g = GroupState("count")
         with pytest.raises(EvaluationError):
             g.remove(99)
 
@@ -92,6 +69,15 @@ class TestGroupState:
 
 
 class TestAggregateView:
+    def test_min_max_heads_are_arg_extreme_views(self):
+        assert isinstance(make_view("min"), ArgExtremeView)
+        assert isinstance(make_view("max"), ArgExtremeView)
+        assert isinstance(make_view("sum"), AggregateView)
+        info = AggregateInfo(func="min", var="C", value_position=2,
+                             group_positions=(0, 1))
+        with pytest.raises(EvaluationError, match="ArgExtremeView"):
+            AggregateView("spCost", info)
+
     def test_first_contribution_emits_insert(self):
         view = make_view()
         deltas = view.apply(("a", "b", 5), 1)
@@ -145,9 +131,14 @@ class TestAggregateView:
         # bestFirst(min<C>, @S): aggregate in position 0.
         info = AggregateInfo(func="min", var="C", value_position=0,
                              group_positions=(1,))
-        view = AggregateView("bestFirst", info)
+        view = aggregate_view("bestFirst", info)
         assert view.apply((5, "a"), 1) == [(1, (5, "a"))]
         assert view.apply((3, "a"), 1) == [(-1, (5, "a")), (1, (3, "a"))]
+        info = AggregateInfo(func="sum", var="C", value_position=0,
+                             group_positions=(1,))
+        view = aggregate_view("total", info)
+        assert view.apply((5, "a"), 1) == [(1, (5, "a"))]
+        assert view.apply((3, "a"), 1) == [(-1, (5, "a")), (1, (8, "a"))]
 
     def test_apply_many_emits_net_change_only(self):
         view = make_view()
@@ -182,33 +173,32 @@ class TestAggregateView:
         assert not view.pending and not view.moved_by
 
 
-def make_arg_view(func="min"):
-    # The same grouping as ``make_view``, keeping the witness tuple.
-    return ArgExtremeView("best", (0, 1), 2, func=func)
-
-
 def view_state(view):
     """Everything a refused retraction must leave as it was: members,
     multiplicities, heaps entry for entry (a read pops dead entries, so
     a refusal must come before any), counters and the pending net."""
     if isinstance(view, AggregateView):
-        held = {
-            group: (dict(state.values), state.total_multiplicity,
-                    [getattr(entry, "key", entry) for entry in state._heap])
-            for group, state in view.groups.items()}
+        held = {group: (dict(state.values), state.total_multiplicity)
+                for group, state in view.groups.items()}
     else:
-        held = (
-            {group: dict(members) for group, members in view.members.items()},
-            dict(view.winners),
-            {group: [entry[1].args for entry in heap]
-             for group, heap in view._heaps.items()})
+        held = {
+            group: (dict(state.members), state.witness,
+                    state.heap and [entry.args for entry in state.heap])
+            for group, state in view.groups.items()}
     return (held, view.changes, view.emitted, dict(view.pending),
             dict(view.moved_by), sorted(view.current_rows()))
 
 
-@pytest.mark.parametrize("func", ["min", "max"])
-@pytest.mark.parametrize("make", [make_view, make_arg_view],
-                         ids=["aggregate", "arg-extreme"])
+def make_arg_view(func="min"):
+    # The same grouping as ``make_view``, built as an aggregate selection.
+    return ArgExtremeView("best", (0, 1), 2, func=func)
+
+
+@pytest.mark.parametrize("make,func", [
+    pytest.param(make, func, id=f"{name}-{func}")
+    for name, make, funcs in [("aggregate", make_view, ["max", "min", "sum"]),
+                              ("arg-extreme", make_arg_view, ["max", "min"])]
+    for func in funcs])
 class TestRefusedRetraction:
     """A retraction the view cannot cover raises and changes nothing.
     (It used to leave an empty group behind: ``current_rows()`` then
@@ -296,8 +286,9 @@ def test_extreme_view_matches_recompute_from_values(func, ops):
         emitted += len(expected)
         assert view.changes == emitted
         if live:
-            assert view.groups[("a", "b")].values == live
-            assert view.groups[("a", "b")].best == best(live)
+            state = view.groups[("a", "b")]
+            assert state.members == {("a", "b", v): n for v, n in live.items()}
+            assert state.witness == ("a", "b", best(live))
         assert view.current_rows() == [("a", "b", new)] * (new is not None)
 
     for first, weight in ops:
@@ -385,8 +376,9 @@ def test_arg_extreme_view_matches_brute_force_witnesses(func, phases):
 
     def step(args, weight):
         assert view.apply(args, weight) == model.apply(args, weight)
-        assert view.winners == model.winners
-        assert set(view._heaps) == model.promoted
+        assert witnesses(view) == model.winners
+        assert {group for group, state in view.groups.items()
+                if state.heap is not None} == model.promoted
 
     for inserts, deaths, withdrawals in phases:
         for args, weight in inserts:
@@ -404,7 +396,7 @@ def test_arg_extreme_view_matches_brute_force_witnesses(func, phases):
     for group, members in list(model.members.items()):
         for args in sorted(members, key=order_key):
             step(args, -members[args])
-    assert view.members == {} and view.winners == {} and view._heaps == {}
+    assert view.groups == {}
 
 
 class TestHeapBackedExtremes:
@@ -414,30 +406,60 @@ class TestHeapBackedExtremes:
     @pytest.mark.parametrize("func", ["min", "max"])
     def test_random_churn_matches_rescan(self, func):
         rng = random.Random(42)
-        g = GroupState(func)
+        view = make_view(func)
         shadow = []
         for _ in range(3000):
             if shadow and rng.random() < 0.45:
                 value = rng.choice(shadow)
                 shadow.remove(value)
-                g.remove(value)
+                view.apply(("a", "b", value), -1)
             else:
                 value = rng.randint(0, 50)
                 shadow.append(value)
-                g.add(value)
-            expected = None
+                view.apply(("a", "b", value), 1)
+            expected = []
             if shadow:
-                expected = min(shadow) if func == "min" else max(shadow)
-            assert g.current() == expected
+                best = min(shadow) if func == "min" else max(shadow)
+                expected = [("a", "b", best)]
+            assert view.current_rows() == expected
 
     def test_heap_stays_compact_under_churn(self):
-        g = GroupState("min")
+        view = make_view("min")
         for i in range(1000):
-            g.add(i)
+            view.apply(("a", "b", i), 1)
         for i in range(995):
-            g.remove(i)
-        assert g.current() == 995
-        assert len(g._heap) <= 2 * len(g.values) + 16 + 1
+            view.apply(("a", "b", i), -1)
+        assert view.current_rows() == [("a", "b", 995)]
+        state = view.groups[("a", "b")]
+        assert len(state.heap) <= 2 * len(state.members) + 16 + 1
+
+    @pytest.mark.parametrize("func", ["min", "max"])
+    @pytest.mark.parametrize("make", [make_view, make_arg_view],
+                             ids=["aggregate", "arg-extreme"])
+    def test_insert_only_builds_no_heap(self, monkeypatch, make, func):
+        """Values only ever arrive: each group's extreme is displaced
+        again and again and nothing is withdrawn, so no group reads a
+        heap -- and none is built or pushed onto."""
+        import heapq
+
+        import repro.engine.aggregates as aggregates
+
+        calls = []
+
+        class CountingHeapq:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(heapq, name)
+
+        monkeypatch.setattr(aggregates, "heapq", CountingHeapq())
+        view = make(func)
+        rng = random.Random(5)
+        for _ in range(2000):
+            view.apply(("a", rng.choice("bcd"), rng.randint(0, 500)), 1)
+        view.apply_many([("a", "e", value) for value in range(50)], 1)
+        assert view.changes > len(view.groups)    # extremes displaced
+        assert calls == []
+        assert all(state.heap is None for state in view.groups.values())
 
     @pytest.mark.parametrize("func", ["min", "max"])
     def test_argextreme_random_churn_matches_rescan(self, func):
@@ -457,9 +479,9 @@ class TestHeapBackedExtremes:
                 view.apply(args, 1)
             for g, rows in shadow.items():
                 if not rows:
-                    assert (g,) not in view.winners
+                    assert (g,) not in view.groups
                     continue
-                best = view.winners[(g,)]
+                best = view.groups[(g,)].witness
                 values = [r[1] for r in rows]
                 expected = min(values) if func == "min" else max(values)
                 assert best[1] == expected
@@ -472,7 +494,8 @@ class TestOrderKey:
 
     def test_bools_pool_with_numbers_like_raw_comparison(self):
         # Raw comparisons treat True as 1; the heap order must agree
-        # with ArgExtremeView._better or promotion picks a non-extreme.
+        # with ArgExtremeView.apply's raw comparison or promotion picks
+        # a non-extreme.
         assert order_key(True) < order_key(2)
         assert order_key(0) < order_key(True)
         view = ArgExtremeView("best", (0,), 1, func="min")
@@ -499,8 +522,9 @@ class TestOrderKey:
         for _ in range(5000):
             view.apply(("g", 7), 1)
             view.apply(("g", 7), -1)
-        assert view.winners[("g",)] == ("g", 1)
-        assert len(view._heaps.get(("g",), ())) <= 2 * 1 + 16 + 1
+        state = view.groups[("g",)]
+        assert state.witness == ("g", 1)
+        assert len(state.heap or ()) <= 2 * 1 + 16 + 1
 
     def test_unorderable_values_tie_break_deterministically(self):
         """Witness tuples may carry values with no natural order (e.g.
@@ -533,7 +557,7 @@ class TestOrderKey:
         view = ArgExtremeView("best", (0,), 1, func="min")
         view.apply(("g", 5, "zebra"), 1)     # incumbent
         view.apply(("g", 5, "aardvark"), 1)  # tie: incumbent kept
-        assert view.winners[("g",)] == ("g", 5, "zebra")
+        assert view.groups[("g",)].witness == ("g", 5, "zebra")
         deltas = view.apply(("g", 5, "zebra"), -1)
         # Promotion is deterministic: the least tuple under order_key.
         assert deltas == [(-1, ("g", 5, "zebra")), (1, ("g", 5, "aardvark"))]
@@ -614,6 +638,6 @@ class TestLazyTieBreak:
         view.apply(("a", "d", path, 5), 1)
         view.apply(("a", "d", path[:2] + ("x", "d"), 5), 1)
         view.apply(("a", "d", path, 5), -1)
-        # One key, for the survivor's value when the heap is built at
-        # the witness's death: never the path.
-        assert calls == [5]
+        # The heap built at the witness's death compares raw values
+        # and raw paths: no key at all.
+        assert calls == []

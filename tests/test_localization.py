@@ -71,7 +71,7 @@ def test_localized_program_is_canonical():
                     multi_query_magic):
         localized = localize(builder())
         assert is_canonical(localized), builder.__name__
-        report = validate(localized, strict_address_types=False)
+        report = validate(localized)
         assert report.ok, (builder.__name__, report.errors)
 
 

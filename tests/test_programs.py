@@ -48,7 +48,7 @@ def test_program_parses_fresh_each_call(builder):
     ids=lambda b: b.__name__,
 )
 def test_network_programs_are_valid_ndlog(builder):
-    report = validate(builder(), strict_address_types=False)
+    report = validate(builder())
     assert report.ok, report.errors
 
 

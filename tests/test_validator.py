@@ -19,14 +19,14 @@ def first_rule(source):
 
 
 def test_paper_program_is_valid():
-    report = validate(shortest_path(), strict_address_types=False)
+    report = validate(shortest_path())
     assert report.ok, report.errors
 
 
 def test_paper_rule_classification():
     """SP1, SP3, SP4 are local; SP2 is (non-local) link-restricted --
     exactly as stated in Section 2.1."""
-    report = validate(shortest_path(), strict_address_types=False)
+    report = validate(shortest_path())
     assert set(report.local_rules) == {"SP1", "SP3", "SP4"}
     assert set(report.link_restricted_rules) == {"SP2"}
 
@@ -34,7 +34,7 @@ def test_paper_rule_classification():
 def test_canonical_programs_valid():
     for builder in (reachability, magic_src_dst, multi_query_magic,
                     shortest_path_dynamic):
-        report = validate(builder(), strict_address_types=False)
+        report = validate(builder())
         assert report.ok, (builder.__name__, report.errors)
 
 
@@ -85,14 +85,12 @@ def test_constraint1_missing_location_specifier():
 
 
 def test_constraint2_address_type_safety_strict():
-    # S is used as an address in the head and as a plain value in q.
-    program = parse("p(@S) :- q(@X, S).")
-    report = validate(program, strict_address_types=True)
-    assert any("address" in e for e in report.errors)
-    relaxed = validate(program, strict_address_types=False)
+    # S is used as an address in the head and as a plain value in q:
+    # the validator leaves that to ndlint's ND101.
+    report = validate(parse("p(@S) :- q(@X, S)."))
     # Still fails link-restriction (non-local, no link), but not the
     # address check.
-    assert not any("address and" in e for e in relaxed.errors)
+    assert not any("address and" in e for e in report.errors)
 
 
 def test_constraint3_derived_link_relation_rejected():
@@ -102,20 +100,20 @@ def test_constraint3_derived_link_relation_rejected():
         p(@S, X) :- #bad(@S, @D, C), q(@D, X).
         """
     )
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("must be stored" in e or "link relation" in e
                for e in report.errors)
 
 
 def test_constraint4_non_link_restricted_rejected():
     program = parse("p(@D, X) :- q(@S, X).")
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("link-restricted" in e for e in report.errors)
 
 
 def test_negation_rejected():
     program = parse("p(@S) :- q(@S), !r(@S).")
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("negation" in e for e in report.errors)
 
 
@@ -128,13 +126,13 @@ def test_aggregate_in_body_literal_rejected():
     body = Literal("q", (Variable("S", location=True),
                          AggregateSpec("min", "C")))
     program = Program(rules=[Rule(head=head, body=(body,))])
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("aggregate in rule body" in e for e in report.errors)
 
 
 def test_unbound_head_variable_rejected():
     program = parse("p(@S, X) :- q(@S).")
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("not bound" in e for e in report.errors)
 
 
@@ -148,7 +146,7 @@ def test_rule_without_a_body_literal_rejected():
 
 def test_non_ground_fact_rejected():
     program = parse("p(@a, X).")
-    report = validate(program, strict_address_types=False)
+    report = validate(program)
     assert any("not ground" in e for e in report.errors)
 
 

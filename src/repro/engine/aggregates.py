@@ -57,6 +57,8 @@ that never left a chunk.
 from __future__ import annotations
 
 import heapq
+import operator
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import EvaluationError
@@ -150,16 +152,23 @@ class GroupState:
     distinct values (set semantics), ``count<*>`` counts derivations.
     """
 
-    __slots__ = ("func", "values", "total_multiplicity", "distinct")
+    __slots__ = ("func", "values", "total_multiplicity", "distinct",
+                 "total")
 
     def __init__(self, func: str, distinct: bool = False):
         self.func = func
         self.distinct = distinct
         self.values: Dict[object, int] = {}
         self.total_multiplicity = 0
+        #: ``sum`` / ``avg``: the values added left to right (O(1) reads);
+        #: ``None`` once a value leaves a non-``int`` total, re-added at
+        #: the next read (``0.1 + 0.2 - 0.1 != 0.2``).
+        self.total: Optional[object] = 0 if func in ("sum", "avg") else None
 
     def add(self, value, count: int = 1) -> None:
         """Add ``count`` derivations of ``value`` (one weighted entry)."""
+        if self.total is not None and value not in self.values:
+            self.total = self.total + value
         self.values[value] = self.values.get(value, 0) + count
         self.total_multiplicity += count
 
@@ -171,6 +180,8 @@ class GroupState:
             raise _uncovered(count, value, current)
         if current == count:
             del self.values[value]
+            exact = isinstance(self.total, int) and isinstance(value, int)
+            self.total = self.total - value if exact else None
         else:
             self.values[value] = current - count
         self.total_multiplicity -= count
@@ -181,10 +192,12 @@ class GroupState:
             return None
         if self.func == "count":
             return len(self.values) if self.distinct else self.total_multiplicity
-        if self.func == "sum":
-            return sum(self.values)
-        if self.func == "avg":
-            return sum(self.values) / len(self.values)
+        if self.func in ("sum", "avg"):
+            if self.total is None:
+                self.total = reduce(operator.add, self.values, 0)
+            if self.func == "sum":
+                return self.total
+            return self.total / len(self.values)
         raise EvaluationError(f"unknown aggregate function {self.func!r}")
 
 

@@ -5,19 +5,19 @@ The paper executes a program as *rule strands* -- each (rule, driving
 literal) pair compiled once into a fixed dataflow chain (Section 3.2,
 Figures 3/5).  :func:`strand_kernel` does that literally: it walks a
 strand's :class:`~repro.engine.rules.JoinPlan` and emits Python source
-for one straight-line function over a *run* of driving rows -- builtins
-resolved once, then one ``for`` loop over the run's queue rows (the
-driving tuple is field 1), that tuple unpacked into locals, one ``for``
-loop per partner literal over that table's live index dict, conditions
-and assignments inlined as plain expressions, the head tuple built in
-place and appended to ``out``::
+for one straight-line function over a *run* of driving tuples -- the
+``heads`` of a queue run, as the firing that queued them produced them
+-- builtins resolved once, then one ``for`` loop over the run that
+unpacks each tuple into locals, one ``for`` loop per partner literal
+over that table's live index dict, conditions and assignments inlined
+as plain expressions, the head tuple built in place and appended to
+``out``::
 
     def bind(s0):
-        def kernel(rows, functions, out):
+        def kernel(heads, functions, out):
             f_concatPath = functions.get('f_concatPath') or _unknown(...)
             inline0 = f_concatPath is F0
-            for row in rows:
-                v_S, v_Z, v_C1 = row[1]
+            for v_S, v_Z, v_C1 in heads:
                 for _, v_D, v_Z2, v_P2, v_C2 in s0.get((v_Z,), ()):
                     v_C = (v_C1 + v_C2)
                     ...
@@ -25,9 +25,9 @@ place and appended to ``out``::
         return kernel
 
 So a firing is one call whatever the length of the run, and the heads
-of a run of N rows are the concatenation, in order, of N one-row calls
-(a traced firing makes exactly those calls, ``(row,)`` each, to keep
-every head under its own driver's trace).
+of a run of N tuples are the concatenation, in order, of N one-tuple
+calls (a traced firing makes exactly those calls, ``(head,)`` each, to
+keep every derived head under its own driver's trace).
 
 **One executor, three bindings.**  Nothing else runs a
 :class:`~repro.engine.rules.JoinPlan`.  PSN / BSN fire a strand with
@@ -120,7 +120,7 @@ def _unknown(name: str, rule: str) -> Callable:
     return missing
 
 
-def _no_solutions(rows, functions, out) -> None:
+def _no_solutions(heads, functions, out) -> None:
     """Kernel of a strand whose literal arity differs from its table's:
     no tuple can ever match."""
 
@@ -196,9 +196,9 @@ class _Generator:
         params = ", ".join(f"s{i}" for i in range(len(self.slots)))
         self.source = "\n".join([
             f"def bind({params}):",
-            "    def kernel(rows, functions, out):",
+            "    def kernel(heads, functions, out):",
             *resolve,
-            "        for row in rows:",
+            f"        for {self.driver} in heads:",
             *self.lines,
             "    return kernel",
             "",
@@ -226,12 +226,10 @@ class _Generator:
         if set(targets) == {"_"}:
             unpack = "_"
         if driver:
-            source = "row[1]"
-            if self.keep_args:
-                self._line("args = row[1]")
-                source = "args"
-            if unpack != "_":
-                self._line(f"{unpack} = {source}")
+            # The run loop unpacks the driving tuple, or binds it whole.
+            self.driver = "args" if self.keep_args else unpack
+            if self.keep_args and unpack != "_":
+                self._line(f"{unpack} = args")
             for pos, value in zip(step.positions, values):
                 self._line(f"if {value} != t0_{pos}: continue")
         else:
@@ -442,7 +440,7 @@ class StrandKernel:
         return self._variant(capture)[0]
 
     def bind(self, db, capture: bool = False, tables=None) -> Callable:
-        """The kernel ``(rows, functions, out)`` over ``db``'s tables:
+        """The kernel ``(heads, functions, out)`` over ``db``'s tables:
         each partner literal's live index dict (or row view, for a
         scan) is captured and pre-registered here, so the first delta
         does not pay the index-build cost.  ``tables`` (body index ->

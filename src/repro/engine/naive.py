@@ -45,7 +45,7 @@ def compiled_strata(
     ]
 
 
-def derive(crule: CompiledRule, kernel: Callable, rows: Sequence[Tuple],
+def derive(crule: CompiledRule, kernel: Callable, rows: Iterable[Tuple],
            result: EvalResult, provenance) -> List[Tuple]:
     """The heads ``kernel`` (a strand of ``crule``, the capture variant
     when ``provenance`` is on) derives from the driving ``rows``, each
@@ -64,12 +64,10 @@ def lead_strand(crule: CompiledRule, stats, result: EvalResult,
     derives from ``result.db`` as it stands: its first body literal
     drives, over every row that table holds at the call."""
     index = crule.literal_indexes[0]
-    pred = crule.body[index].pred
-    rows = result.db.table(pred).rows_view()
+    rows = result.db.table(crule.body[index].pred).rows_view()
     kernel = strand_kernel(crule, index, stats).bind(
         result.db, provenance is not None)
-    return lambda: derive(crule, kernel, [(pred, args) for args in rows],
-                          result, provenance)
+    return lambda: derive(crule, kernel, rows, result, provenance)
 
 
 def seed_base_provenance(provenance, program: Program, db: Database):

@@ -12,24 +12,24 @@ weight, insert ``+1`` / delete ``-1``) on a FIFO queue:
   a dead peer's netted contributions), which commit as one weighted
   count adjustment instead of a run of unit deltas.
 
-**Queue rows.**  An intent on the queue is one Z-set entry as a plain
-tuple, ``(pred, args, weight, force, trace)``: ``weight`` derivations
-of ``pred(args)`` asserted (``> 0``) or withdrawn (``< 0``).  ``force``
-removes the row regardless of its derivation count (external base
-deletions) -- an *assignment*, outside the weight algebra, so forced
-intents never net; under provenance an unforced base intent carries
-``None`` there (falsy like ``False``), so its base support is booked
-where it commits or nets, not where it is queued.  ``trace`` is the
-delta-propagation trace id the intent belongs to (minted at base-fact
-injection; ``None`` when tracing is off).  That one tuple is all that
-travels: a strand kernel appends head tuples to a list,
-:meth:`PSNEngine._emit` turns the list into rows on the queue in one
-call, netting and run splitting read rows by position, and the
-commit hands ``args`` and ``weight`` to the table.  A :class:`Fact` is
-built only where one is consumed -- here for the provenance recorder,
-behind the observer handle (:mod:`repro.obs.observer`) for ``on_commit``
-or a commit listener; tracer and counters take the bare row -- so with
-those off the loop allocates none.
+**Queue runs.**  The queue holds *runs*, plain tuples
+``(pred, heads, weights, force, traces)``: deltas of one predicate and
+one direction, ``heads`` their argument tuples (a strand kernel's
+``out`` list as it is) and ``weights`` the parallel Z-set weights --
+``weight`` derivations of ``pred(head)`` asserted (``> 0``) or withdrawn
+(``< 0``).  ``force`` removes the row whatever its derivation count
+(external base deletions) -- an *assignment*, outside the weight
+algebra, so forced intents never net; under provenance a run of
+unforced base intents carries ``None`` there, so its base support is
+booked where it commits or nets, not where it is queued.  ``traces`` is
+``None`` or the parallel trace ids (minted at base-fact injection).  An
+enqueue extends the tail run when predicate, direction and ``force``
+match, so run boundaries are decided once, on arrival (a forced delta,
+or one of a predicate capped at runs of one, is a run of its own), and
+``len(queue)`` counts deltas.  A :class:`Fact` is built only where one
+is consumed -- for the provenance recorder, and behind the observer
+handle (:mod:`repro.obs.observer`) for ``on_commit`` or a commit
+listener -- so with those off the loop allocates none.
 
 **Commit discipline.**  The queue is purely event-sourced: table state
 is mutated only when a delta is *processed* (dequeued), never when it is
@@ -64,7 +64,7 @@ into the source of one flat Python function -- driving tuple unpacked
 into locals, one loop per partner literal over that table's live index
 dict, conditions, assignments and the head tuple inlined -- compiled
 once per program and bound per engine to its tables.  A firing is one
-kernel call over the whole run of driving rows -- builtins resolved
+kernel call over a run's heads, its driving tuples -- builtins resolved
 once, the hot ``f_member`` / ``f_concatPath`` shapes expanded in place,
 so no Python call is made per joined tuple -- into one list of head
 tuples, then emits them in one call.
@@ -92,14 +92,11 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    are one count bump of ``+w``, deletions one decrement, and the
    visibility transition (strand firing) happens at most once either
    way.  Every other intent replays in its original position.
-2. *Runs* -- surviving weighted intents are split into maximal runs of
-   one (predicate, direction); each run is committed to the table in
-   order, and every strand of that predicate then fires **once per
-   run** with the list of driving deltas.  One pass over the chunk
-   gives both the run boundaries and step 1's test -- do its unforced
-   rows carry both signs? -- since netting can change nothing in a
-   chunk of one direction (an all-refresh or all-expiry burst); only a
-   mixed chunk is netted and split again over its survivors.
+2. *Runs* -- the chunk is the queue's runs, the last one cut where the
+   chunk ends; each commits to the table in order, and every strand of
+   its predicate then fires **once per run** with the run's heads.
+   Only a chunk whose unforced runs carry both signs can net, so only
+   such a chunk is netted (its survivors merge as the queue merges).
    Commit-then-fire is join-for-join identical to firing after each commit because a run
    never touches its own partner tables -- so a predicate with a
    self-join strand (a rule both driven by and joining against it)
@@ -181,22 +178,106 @@ from repro.ndlog.terms import evaluate as eval_term
 DEFAULT_MAX_STEPS = 20_000_000
 
 
-#: One intent on the queue (layout and field meanings: module docstring,
-#: "Queue rows").
-QueueRow = Tuple[str, Tuple, int, bool, Optional[int]]
+#: One run on the queue (layout and field meanings: module docstring,
+#: "Queue runs").
+Run = Tuple[str, List[Tuple], List[int], Optional[bool], Optional[List]]
+
+
+def _part(run: Run, positions) -> Run:
+    """``run``'s deltas at increasing ``positions`` (all: ``run``)."""
+    pred, heads, weights, force, traces = run
+    if len(positions) == len(heads):
+        return run
+    return (pred, [heads[i] for i in positions],
+            [weights[i] for i in positions], force,
+            None if traces is None else [traces[i] for i in positions])
+
+
+class RunQueue:
+    """PSN's FIFO of runs (module docstring, "Queue runs").  ``len``
+    counts the deltas queued, not the runs; the first ``offset`` deltas
+    of the front run are already taken."""
+
+    __slots__ = ("runs", "depth", "offset", "single_delta")
+
+    def __init__(self, single_delta):
+        self.runs: Deque[Run] = deque()
+        self.depth = self.offset = 0
+        #: Predicates whose runs are capped at one delta.
+        self.single_delta = single_delta
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def push(self, pred: str, heads, weights, force, traces) -> None:
+        """Queue a run: extend the tail run with it when the two share
+        predicate, direction and ``force`` (unforced), else append it
+        -- a forced run, or one of a ``single_delta`` predicate, as
+        runs of one.  The lists become the queue's: a tail run's grow
+        in place."""
+        if not heads:
+            return
+        runs = self.runs
+        self.depth += len(heads)
+        if force or pred in self.single_delta:
+            for index, head in enumerate(heads):
+                runs.append((pred, [head], [weights[index]], force,
+                             None if traces is None else [traces[index]]))
+            return
+        if runs:
+            tail_pred, tail_heads, tail_weights, tail_force, tail_traces = (
+                runs[-1])
+            if (tail_pred == pred and tail_force is force
+                    and (tail_weights[0] > 0) == (weights[0] > 0)):
+                if traces is not None and tail_traces is None:
+                    runs[-1] = (pred, tail_heads, tail_weights, force,
+                                [None] * len(tail_heads) + traces)
+                elif tail_traces is not None:
+                    tail_traces += traces or [None] * len(heads)
+                tail_heads += heads
+                tail_weights += weights
+                return
+        runs.append((pred, heads, weights, force, traces))
+
+    def take(self, count: int) -> List[Run]:
+        """Dequeue the first ``count`` deltas (at most ``len``) as runs,
+        in order.  A run the cut falls inside stays queued behind a
+        larger ``offset``; only what is taken of it is copied out, so
+        draining a long run in chunks of one stays linear."""
+        runs, offset = self.runs, self.offset
+        self.depth -= count
+        if not (self.depth or offset):
+            taken = list(runs)
+            runs.clear()
+            return taken
+        taken = []
+        while count:
+            _, heads, _, _, _ = run = runs[0]
+            size = len(heads) - offset
+            if size > count:
+                self.offset = offset + count
+                taken.append(_part(run, range(offset, self.offset)))
+                return taken
+            runs.popleft()
+            taken.append(_part(run, range(offset, len(heads))) if offset
+                         else run)
+            count -= size
+            offset = 0
+        self.offset = 0
+        return taken
 
 
 class Strand:
     """One rule strand: a compiled rule driven by one body literal
     position, as in Figures 3 and 5 of the paper.
 
-    ``kernel(rows, functions, out)`` is everything the hot path needs:
-    it appends to ``out``, row by row, every head tuple the driving
-    tuples of the run ``rows`` (queue rows; the tuple is field 1)
-    derive against ``db``'s tables -- a generated function
-    (:mod:`repro.engine.kernels`) for the literal order ``stats`` (a
-    :class:`StatsCatalog`) implies, called once per firing (and, traced,
-    once per row with ``(row,)``).  ``code`` is the shared
+    ``kernel(heads, functions, out)`` is everything the hot path needs:
+    it appends to ``out``, driving tuple by driving tuple, every head
+    tuple the run's ``heads`` derive against ``db``'s tables -- a
+    generated function (:mod:`repro.engine.kernels`) for the literal
+    order ``stats`` (a :class:`StatsCatalog`) implies, called once per
+    firing (and, traced, once per driving tuple with ``(head,)``).
+    ``code`` is the shared
     :class:`StrandKernel`, generated at most once per program,
     ``kernel_source`` its text; only the table/index binding happens
     here.  ``capture_kernel`` is the provenance variant, whose ``out``
@@ -340,7 +421,7 @@ class PSNEngine:
                 )
         #: Every view, in the order :meth:`process_chunk` drains them.
         self._all_views = [*self.views.values(), *self.argmin_views.values()]
-        self.queue: Deque[QueueRow] = deque()
+        self.queue = RunQueue(self._single_delta)
         #: Insertions committed so far, bumps and renewals included: the
         #: clock provenance records are stamped with (tables keep no
         #: per-row timestamp).
@@ -399,25 +480,20 @@ class PSNEngine:
         """Base-fact injection of a run of ``pred`` rows (:meth:`insert`
         and :meth:`delete` are runs of one).  Traced, each row mints the
         trace id its derivations carry.  Under provenance an unforced
-        row carries ``None`` for ``force``: it is base support, booked
-        where it commits (:meth:`_book_base`) -- never here, where a
-        forced delete or displacement committing ahead of it would wipe
-        it.  As in :meth:`derive`, a zero ``weight`` is a no-op."""
+        run carries ``None`` for ``force``: it is base support, booked
+        where it commits -- never here, where a forced delete or
+        displacement committing ahead of it would wipe it.  As in
+        :meth:`derive`, a zero ``weight`` is a no-op."""
         if not weight:
             return
+        heads = [tuple(args) for args in rows]
         observer = self.observer
-        traced = observer is not None and observer.traced
-        if self.provenance is not None:
-            force = force or None
-        elif not traced:
-            self.queue.extend([(pred, tuple(args), weight, force, None)
-                               for args in rows])
-            return
-        rows = [tuple(args) for args in rows]
-        traces = (observer.inject(pred, rows, weight) if traced
-                  else repeat(None))
-        self.queue.extend([(pred, args, weight, force, trace)
-                           for args, trace in zip(rows, traces)])
+        traces = None
+        if observer is not None and observer.traced:
+            traces = list(observer.inject(pred, heads, weight))
+        if not force:
+            force = None if self.provenance is not None else False
+        self._enqueue(pred, heads, [weight] * len(heads), force, traces)
 
     def update(self, pred: str, args: Tuple) -> None:
         """Alias of :meth:`insert`; replacement does the delete half."""
@@ -443,7 +519,8 @@ class PSNEngine:
             trace = self._active_trace
             if trace is not None:
                 self.observer.span("derive", pred, args, weight, trace)
-            self._enqueue((pred, args, weight, False, trace))
+            self._enqueue(pred, [args], [weight], False,
+                          None if trace is None else [trace])
 
     # ------------------------------------------------------------------
     # Fixpoint driving
@@ -473,7 +550,7 @@ class PSNEngine:
             for args in table.rows():
                 count = table.count(args)
                 table.force_delete(args)
-                self._enqueue((table.name, args, count, base, None))
+                self._enqueue(table.name, [args], [count], base, None)
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> int:
         """Process queued deltas until quiescent; returns steps taken.
@@ -503,10 +580,10 @@ class PSNEngine:
     def quiescent(self) -> bool:
         return not self.queue
 
-    def _enqueue(self, row: QueueRow) -> None:
-        """Append an intent to the FIFO queue (overridable: the
+    def _enqueue(self, pred: str, heads, weights, force, traces) -> None:
+        """Queue a run (:meth:`RunQueue.push`; overridable: the
         distributed node runtime also schedules a processing tick)."""
-        self.queue.append(row)
+        self.queue.push(pred, heads, weights, force, traces)
 
     # ------------------------------------------------------------------
     # Core processing
@@ -519,34 +596,28 @@ class PSNEngine:
         """Drain up to ``limit`` deltas as one chunk; returns the number
         of deltas consumed off the queue (cancelled pairs included).
 
-        A chunk that empties the queue is taken in one call.  One pass
-        over it (:meth:`_split`) yields the run boundaries and whether
-        its unforced rows mix directions; only a mixed chunk can net, so
-        only a mixed chunk is netted and split again over its
-        survivors.  Each run then commits in order."""
-        queue = self.queue
-        count = min(limit, len(queue))
+        The chunk is the queue's runs, the last one cut where the chunk
+        ends (:meth:`RunQueue.take`).  Only a chunk whose unforced runs
+        carry both signs can net, so only such a chunk is netted; each
+        run then commits in order."""
+        count = min(limit, self.queue.depth)
         if count <= 0:
             return 0
-        if count == len(queue):
-            rows = list(queue)
-            queue.clear()
-        else:
-            popleft = queue.popleft
-            rows = [popleft() for _ in range(count)]
         self.steps += count
-        stops, mixed = self._split(rows)
-        if mixed:
-            rows = self._net_chunk(rows)
-            stops = self._split(rows)[0]
+        runs = self.queue.take(count)
+        plus = minus = False
+        for _, _, weights, force, _ in runs:
+            if not force:
+                plus, minus = plus or weights[0] > 0, minus or weights[0] < 0
+        if plus and minus:
+            runs = self._net_chunk(runs)
         try:
-            start = 0
-            for stop in stops:
-                if rows[start][2] > 0:
-                    self._commit_insert_run(rows, start, stop)
+            for run in runs:
+                _, _, weights, _, _ = run
+                if weights[0] > 0:
+                    self._commit_insert_run(run)
                 else:
-                    self._commit_delete_run(rows, start, stop)
-                start = stop
+                    self._commit_delete_run(run)
         finally:
             # The views answer now, once, for the whole chunk (also when
             # a kernel raised: their state already reflects what the
@@ -559,36 +630,7 @@ class PSNEngine:
                         self._derive(pred, args, weight)
         return count
 
-    def _split(self, rows: List[QueueRow]) -> Tuple[List[int], bool]:
-        """One pass over a chunk: the end index of each of its runs, in
-        order, and whether its unforced rows carry both signs.
-
-        A run is a maximal stretch of one (predicate, direction); a
-        forced row, and a row of a predicate whose runs are capped at
-        one delta, is a run of its own.  A longer run is unforced and of
-        one sign throughout, so the signs are read where runs start."""
-        single_delta = self._single_delta
-        stops: List[int] = []
-        has_plus = has_minus = extends = plus = False
-        pred = None
-        for index, (row_pred, _, weight, force, _) in enumerate(rows):
-            if (extends and row_pred == pred and (weight > 0) == plus
-                    and not force):
-                continue
-            if index:
-                stops.append(index)
-            pred, plus = row_pred, weight > 0
-            extends = not force and pred not in single_delta
-            if not force:
-                if plus:
-                    has_plus = True
-                else:
-                    has_minus = True
-        if rows:
-            stops.append(len(rows))
-        return stops, has_plus and has_minus
-
-    def _net_chunk(self, chunk: List[QueueRow]) -> List[QueueRow]:
+    def _net_chunk(self, runs: List[Run]) -> List[Run]:
         """Net the chunk by Z-set addition before any table or strand
         work -- [Gupta et al. 93]'s count algorithm as a group law
         (eligibility rules: module docstring, "Weight netting at the
@@ -596,35 +638,37 @@ class PSNEngine:
         netting to zero annihilates outright (the sequential wave/unwave
         pairs end exactly where they started), a positive net commits
         as one weighted delta in the slot's first position, and
-        everything else replays intent-by-intent in original order."""
+        everything else replays intent-by-intent in original order,
+        merged into runs as the queue merges them (nothing folds: the
+        chunk's runs as they are)."""
         table_of = self.db.table
-        # slot -> [args, eligible, positions, folded-weight-or-None]
+        # slot -> [args, eligible, first position, weights in order,
+        #          folded weight or None]
         groups: Dict[Tuple[str, Tuple], List] = {}
         slots: List[Tuple[str, Tuple]] = []
-        for position, row in enumerate(chunk):
-            pred, args, _, force, _ = row
+        for pred, heads, weights, force, _ in runs:
             table = table_of(pred)
-            slot = (pred, table.key_of(args))
-            slots.append(slot)
-            group = groups.get(slot)
-            if group is None:
-                groups[slot] = [
-                    args,
-                    not force and table.lifetime == INFINITY,
-                    [position],
-                    None,
-                ]
-            else:
-                if force or group[0] != args:
-                    group[1] = False
-                group[2].append(position)
+            key_of = table.key_of
+            foldable = not force and table.lifetime == INFINITY
+            for index, args in enumerate(heads):
+                slot = (pred, key_of(args))
+                group = groups.get(slot)
+                if group is None:
+                    groups[slot] = [args, foldable, len(slots),
+                                    [weights[index]], None]
+                else:
+                    if force or group[0] != args:
+                        group[1] = False
+                    group[3].append(weights[index])
+                slots.append(slot)
+        folded = False
         for slot, group in groups.items():
-            args, eligible, positions, _ = group
-            if not eligible or len(positions) < 2:
+            args, eligible, _, weights, _ = group
+            if not eligible or len(weights) < 2:
                 continue
             weight = low = 0
-            for position in positions:
-                weight += chunk[position][2]
+            for own in weights:
+                weight += own
                 if weight < low:
                     low = weight
             if low < 0:
@@ -632,43 +676,50 @@ class PSNEngine:
             stored = table_of(slot[0]).get_by_key(slot[1])
             if stored is not None and stored != args:
                 continue
-            group[3] = weight
-        survivors: List[QueueRow] = []
-        netted = 0
-        for position, row in enumerate(chunk):
-            group = groups[slots[position]]
-            weight = group[3]
-            if weight is None:
-                survivors.append(row)
-                continue
-            pred, args, own_weight, force, trace = row
-            if force is None:
-                # Netting is where a base intent commits (nothing else
-                # in this chunk can retract its fact: that would be a
-                # forced row or another version in the same slot).
-                self.provenance.base(Fact(pred, args), own_weight)
-            if weight == 0:
-                netted += 1
-            elif position == group[2][0]:
-                netted += len(group[2]) - 1
-                # The folded intent keeps the first delta's trace (the
-                # slot's other traces end here with a net span below).
-                survivors.append((pred, args, weight, False, trace))
-                continue
-            if trace is not None:
-                # This intent was annihilated (or folded into the
-                # slot's first position) by Z-set addition: its trace's
-                # propagation ends at the queue.
-                self.observer.span("net", pred, args, own_weight, trace)
+            group[4] = weight
+            folded = True
+        if not folded:
+            return runs
+        survivors = RunQueue(self._single_delta)
+        netted = position = 0
+        for pred, heads, weights, force, traces in runs:
+            for index, args in enumerate(heads):
+                _, _, first, slot_weights, weight = groups[slots[position]]
+                own = weights[index]
+                trace = None if traces is None else traces[index]
+                position += 1
+                if weight is None:
+                    survivors.push(pred, [args], [own], force,
+                                   None if traces is None else [trace])
+                    continue
+                if force is None:
+                    # Netting is where a base intent commits (nothing
+                    # else in this chunk can retract its fact: that
+                    # would be a forced row or another version in the
+                    # same slot).
+                    self.provenance.base(Fact(pred, args), own)
+                if weight == 0:
+                    netted += 1
+                elif position - 1 == first:
+                    netted += len(slot_weights) - 1
+                    # The folded intent keeps the first delta's trace
+                    # (the slot's other traces end here with a net span
+                    # below).
+                    survivors.push(pred, [args], [weight], False,
+                                   None if traces is None else [trace])
+                    continue
+                if trace is not None:
+                    # This intent was annihilated (or folded into the
+                    # slot's first position) by Z-set addition: its
+                    # trace's propagation ends at the queue.
+                    self.observer.span("net", pred, args, own, trace)
         self.cancelled += netted
-        return survivors
+        return list(survivors.runs)
 
-    def _commit_insert_run(self, rows: List[QueueRow], start: int,
-                           stop: int) -> None:
-        """Commit ``rows[start:stop]``, a run of same-predicate
-        weighted insertions, as two runs: the rows it displaces leave,
-        then the rows that became visible arrive, and each strand fires
-        once per half.
+    def _commit_insert_run(self, run: Run) -> None:
+        """Commit a run of same-predicate weighted insertions as two
+        runs: the rows it displaces leave, then the rows that became
+        visible arrive, and each strand fires once per half.
 
         One scan books what changes no visibility in place -- a count
         bump, a soft-state renewal; the stored rows ahead of a batch in
@@ -687,7 +738,7 @@ class PSNEngine:
         That is join-for-join what firing around each commit computes
         as long as *no two rows of a batch share a slot*: the halves
         then touch disjoint rows, and unless the run is a single delta
-        the predicate has no self-join strand (checked by the caller),
+        the predicate has no self-join strand (capped by the queue),
         so neither firing reads a table this run writes.  A row that
         reaches a slot the pending batch has touched -- the row it
         would displace is itself pending, a second version of one slot,
@@ -698,7 +749,7 @@ class PSNEngine:
         the wire a run's retractions now precede its insertions, so
         which deltas share a later chunk or transport window can
         shift."""
-        pred = rows[start][0]
+        pred, heads, weights, force, traces = run
         table = self.db.table(pred)
         # One deadline per run; none for a hard-state table.
         deadline = (None if table.lifetime == INFINITY
@@ -707,11 +758,12 @@ class PSNEngine:
             table.key_of, table.get_by_key, table.insert, table.bump_run
         )
         observer, provenance = self.observer, self.provenance
+        base = force is None    # a base run (provenance is on)
         tracing = observer is not None and observer.traced
         committing = observer is not None and pred in observer.heard
         renewed = 0
-        traced_renewals: List[QueueRow] = []
-        index = start
+        renewals: Optional[List[int]] = [] if tracing else None
+        index, stop = 0, len(heads)
         while index < stop:
             # Where a batch would open, the stored rows ahead of it are
             # one table call -- more derivations of visible facts: a
@@ -721,38 +773,38 @@ class PSNEngine:
             # count, observer or strand.  Decided here, at dequeue: an
             # expiry delete queued ahead has already removed the row.
             # A refresh round ends at this call.
-            opened = bump_run(rows, index, stop, deadline)
+            opened = bump_run(heads, weights, index, stop, deadline)
             if opened > index:
-                if provenance is not None:
-                    self._book_base(rows, index, opened)
+                if base:
+                    for i in range(index, opened):
+                        provenance.base(Fact(pred, heads[i]), weights[i])
                 self.clock += opened - index
                 if deadline is not None:
                     renewed += opened - index
-                    if tracing:
-                        traced_renewals += [row for row in rows[index:opened]
-                                            if row[4] is not None]
+                    if renewals is not None:
+                        renewals += range(index, opened)
                 if opened == stop:
                     break
             # The pending batch, opened by the first row that is not
-            # stored: its rows, the rows their slots hold now (as the
-            # ``-1`` run they leave in), and the slots it has touched
-            # (slot -> index of the row that takes it).
+            # stored: its rows' positions, the rows their slots hold now
+            # (the ``-1`` run they leave in, under their replacers'
+            # traces), and the slots it has touched (slot -> position).
             fresh, displaced, touched = [], [], {}
+            moved = None if traces is None else []
             for index in range(opened, stop):
-                row = rows[index]
-                args = row[1]
+                args = heads[index]
                 if args in table and not (touched
                                           and key_of(args) in touched):
                     # A stored row behind the batch's first: booked in
                     # place like the ones ahead of it.
                     self.clock += 1
-                    insert(args, row[2], deadline)
-                    if row[3] is None:
-                        provenance.base(Fact(pred, args), row[2])
+                    insert(args, weights[index], deadline)
+                    if base:
+                        provenance.base(Fact(pred, args), weights[index])
                     if deadline is not None:
                         renewed += 1
-                        if row[4] is not None:
-                            traced_renewals.append(row)
+                        if renewals is not None:
+                            renewals.append(index)
                     continue
                 key = key_of(args)
                 if touched.setdefault(key, index) != index:
@@ -763,46 +815,53 @@ class PSNEngine:
                     # which is not stored: nothing to displace.)
                     old = get_by_key(key)
                     if old is not None:
-                        displaced.append(
-                            (pred, old, -1, False, row[4]))
-                fresh.append(row)
+                        displaced.append(old)
+                        if moved is not None:
+                            moved.append(traces[index])
+                fresh.append(index)
             else:
                 index = stop
             if displaced:
                 if committing:
                     count_of = table.count
-                    for _, old, _, _, trace in displaced:
+                    for old, trace in zip(displaced, moved or repeat(None)):
                         observer.commit(pred, old, -count_of(old), trace)
-                self._fire_strands(displaced, -1)
-                for row in displaced:
+                self._fire_strands(pred, displaced, -1, moved)
+                for old in displaced:
                     if provenance is not None:
-                        provenance.retracted(Fact(pred, row[1]))
-                    table.force_delete(row[1])
+                        provenance.retracted(Fact(pred, old))
+                    table.force_delete(old)
                 table.replaced += len(displaced)
-            for row in fresh:
-                args = row[1]
+            for position in fresh:
+                args = heads[position]
                 self.clock += 1
-                insert(args, row[2], deadline)
+                insert(args, weights[position], deadline)
                 if committing:
-                    observer.commit(pred, args, row[2], row[4])
-            if provenance is not None:
-                self._book_base(fresh, 0, len(fresh))
+                    observer.commit(pred, args, weights[position],
+                                    traces and traces[position])
+                if base:
+                    provenance.base(Fact(pred, args), weights[position])
+            if len(fresh) < stop:
+                _, heads_in, _, _, traces_in = _part(run, fresh)
+            else:
+                heads_in, traces_in = heads, traces
             if tracing:
                 # What a firing derives outside its kernel (a query
                 # answered from the cache: a run of one) joins this trace.
-                self._active_trace = fresh[-1][4]
-            self._fire_strands(fresh, 1)
-        if renewed:
-            table.renewals += renewed
-            if traced_renewals:
-                observer.renew(pred, traced_renewals)
+                self._active_trace = traces and traces[fresh[-1]]
+            self._fire_strands(pred, heads_in, 1, traces_in)
+        table.renewals += renewed
+        if renewals and traces is not None:
+            _, renewed_heads, renewed_weights, _, renewed_traces = _part(
+                run, renewals)
+            observer.renew(pred, renewed_heads, renewed_weights,
+                           renewed_traces)
 
-    def _commit_delete_run(self, rows: List[QueueRow], start: int,
-                           stop: int) -> None:
-        """Commit ``rows[start:stop]``, a run of same-predicate
-        weighted deletions -- ``-weight`` derivations withdrawn per
-        row, or the whole row when ``force`` -- and fire each strand
-        once with the rows that lost visibility.
+    def _commit_delete_run(self, run: Run) -> None:
+        """Commit a run of same-predicate weighted deletions --
+        ``-weight`` derivations withdrawn per row, or the whole row when
+        ``force`` -- and fire each strand once with the rows that lost
+        visibility.
 
         A lone delta's strands run while its fact is still in the table:
         a self-join partner position must see the dying fact (footnote
@@ -812,70 +871,58 @@ class PSNEngine:
         which reads the same ("a co-participant deleted later no longer
         sees it") because the run's facts never appear in each other's
         partner tables."""
-        pred = rows[start][0]
+        pred, heads, weights, force, traces = run
         table = self.db.table(pred)
-        observer = self.observer
+        observer, provenance = self.observer, self.provenance
         tracing = observer is not None and observer.traced
         committing = observer is not None and pred in observer.heard
         count_of, force_delete = table.count, table.force_delete
-        lone = stop - start == 1
-        dying: List[QueueRow] = []
-        for index in range(start, stop):
-            row = rows[index]
-            args, force = row[1], row[3]
+        dying: List[int] = []
+        for index, args in enumerate(heads):
             if force is None:
-                self.provenance.base(Fact(pred, args), row[2])
+                provenance.base(Fact(pred, args), weights[index])
+            trace = None if traces is None else traces[index]
             if tracing:
-                self._active_trace = row[4]
-            count = -row[2]
+                self._active_trace = trace
             current = count_of(args)
             if current <= 0:
                 continue  # superseded, never committed, or already gone
-            if current > count and not force:
-                table.delete(args, count)
+            if current > -weights[index] and not force:
+                table.delete(args, -weights[index])
                 continue
             if committing:
-                observer.commit(pred, args, -current, row[4])
-            if lone:
-                self._fire_strands((row,), -1)
+                observer.commit(pred, args, -current, trace)
+            if len(heads) == 1:
+                self._fire_strands(pred, heads, -1, traces)
             else:
-                dying.append(row)
-            if force and self.provenance is not None:
+                dying.append(index)
+            if force and provenance is not None:
                 # The row is dropped wholesale, whatever support it
                 # has committed; a counted delete was already
                 # decremented by its own ``-1`` firings (a base intent
                 # still queued books its support when it commits, but a
                 # re-derivation still queued has recorded its own).
-                self.provenance.retracted(Fact(pred, args))
+                provenance.retracted(Fact(pred, args))
             force_delete(args)
         if dying:
-            self._fire_strands(dying, -1)
+            _, dying_heads, _, _, dying_traces = _part(run, dying)
+            self._fire_strands(pred, dying_heads, -1, dying_traces)
 
-    def _book_base(self, rows, start: int, stop: int) -> None:
-        """Book the base support of the base intents (``force`` is
-        ``None``: provenance is on) among ``rows[start:stop]``, which
-        are committing."""
-        base = self.provenance.base
-        for index in range(start, stop):
-            pred, args, weight, force, _ = rows[index]
-            if force is None:
-                base(Fact(pred, args), weight)
+    def _fire_strands(self, pred: str, heads, sign: int, traces) -> None:
+        """Fire every strand of ``pred`` once with the run's ``heads``
+        (virtual: the distributed runtime suppresses flooding strands
+        on a query-cache hit)."""
+        for strand in self.strands.get(pred, ()):
+            self._fire_strand(strand, heads, sign, traces)
 
-    def _fire_strands(self, rows, sign: int) -> None:
-        """Fire every strand of the run's predicate once with the whole
-        run of driving rows (virtual: the distributed runtime
-        suppresses flooding strands on a query-cache hit)."""
-        for strand in self.strands.get(rows[0][0], ()):
-            self._fire_strand(strand, rows, sign)
-
-    def _fire_strand(self, strand: Strand, rows, sign: int) -> None:
-        """Fire one strand with a run of driving rows: one kernel call
-        takes the run into one ``out``, then the heads are sent on in
+    def _fire_strand(self, strand: Strand, heads, sign: int, traces) -> None:
+        """Fire one strand with a run's heads: one kernel call takes the
+        run into one ``out``, then the derived heads are sent on in
         order -- plain heads in one :meth:`_emit`, aggregate /
         arg-extreme heads into the rule's view in one ``apply_many``,
         a lone row's like a run's; what the view makes of them is
         queued when the chunk ends (:meth:`process_chunk`).  Traced,
-        each head carries its own driver's trace."""
+        each derived head carries its own driver's trace."""
         crule = strand.crule
         functions = self.db.functions
         capture = self.provenance
@@ -896,43 +943,40 @@ class PSNEngine:
         else:
             view = None
         out: List = []
-        traces: Optional[List] = None
+        derived: Optional[List] = None
         if traced:
-            # One trace id per head: the same kernel over runs of one, a
-            # row's share of ``out`` being what its call appended (a
-            # run's heads are its rows' heads, concatenated).
-            traces = []
-            for row in rows:
+            # One trace id per derived head: the same kernel over runs
+            # of one, a driving tuple's share of ``out`` being what its
+            # call appended (a run derives its tuples' heads, in order).
+            derived = []
+            for head, trace in zip(heads, traces or repeat(None)):
                 before = len(out)
-                kernel((row,), functions, out)
-                traces += [row[4]] * (len(out) - before)
+                kernel((head,), functions, out)
+                derived += [trace] * (len(out) - before)
         else:
-            kernel(rows, functions, out)
+            kernel(heads, functions, out)
         inferences = len(out)
         if out:
             self.inferences += inferences
             if capture is not None:
                 out = capture.record_run(crule.label, pred, out, sign)
             if view is None:
-                self._emit(pred, out, sign, traces)
+                self._emit(pred, out, sign, derived)
             else:
                 # View rules are local rules: their output never ships.
-                view.apply_many(out, sign, traces)
+                view.apply_many(out, sign, derived)
         if timed or (inferences and metered):
             observer.fire(crule.label, strand.driver_literal.pred,
                           inferences,
                           perf_counter() - started if timed else 0.0)
 
     def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
-        """Queue the plain heads of one firing, in order; ``traces``
+        """Queue the plain heads of one firing as one run; ``traces``
         (traced firings only) holds each head's trace id (virtual: the
         distributed runtime ships the heads located at another node)."""
         if traces is not None:
             self.observer.derive(pred, heads, sign, traces)
-        self.queue.extend(
-            [(pred, head, sign, False, trace)
-             for head, trace in zip(heads, traces or repeat(None))]
-        )
+        self.queue.push(pred, heads, [sign] * len(heads), False, traces)
 
 
 def evaluate(

@@ -131,11 +131,10 @@ def _evaluate_stratum(
             )
         # Flush: the previous iteration's new tuples become the deltas,
         # and are now visible in the full tables.
-        delta = {pred: [(pred, args) for args in sorted(rows)]
-                 for pred, rows in buffers.items()}
+        delta = {pred: sorted(rows) for pred, rows in buffers.items()}
         for pred, rows in delta.items():
             table = db.table(pred)
-            for _pred, args in rows:
+            for args in rows:
                 table.insert(args)
         buffers = {pred: set() for pred in recursive_preds}
 
@@ -145,7 +144,7 @@ def _evaluate_stratum(
                                          provenance))
 
         for pred, rows in delta.items():
-            for _pred, args in rows:
+            for args in rows:
                 old[pred].insert(args)
     result.iterations += iterations
 

@@ -39,13 +39,13 @@ visibility transitions reads them off the table (:meth:`count`,
 :meth:`get_by_key`) before it mutates.
 
 What changes no visibility has a run-level entry: :meth:`Table.bump_run`
-takes a run of queue rows and books the stored rows at its head -- count
-bumps, or renewals on a soft-state table -- in one loop, returning the
-index of the first row that is not stored.  That is the commonest delta
-a deployed soft-state node sees (every refresh round is all renewals),
-and PSN's commit path calls it wherever a batch of fresh rows would
-open; fresh rows, replacements and deletions still enter row by row
-through :meth:`Table.insert` / :meth:`Table.delete` /
+takes a queue run's heads and weights and books the stored rows at its
+head -- count bumps, or renewals on a soft-state table -- in one loop,
+returning the index of the first row that is not stored.  That is the
+commonest delta a deployed soft-state node sees (every refresh round is
+all renewals), and PSN's commit path calls it wherever a batch of fresh
+rows would open; fresh rows, replacements and deletions still enter row
+by row through :meth:`Table.insert` / :meth:`Table.delete` /
 :meth:`Table.force_delete`.
 """
 
@@ -211,12 +211,13 @@ class Table:
             else:
                 bucket.add(args)
 
-    def bump_run(self, rows: Sequence[Tuple], start: int, stop: int,
-                 deadline: Optional[float] = None) -> int:
-        """Book the leading rows of the queue run ``rows[start:stop]``
-        (``(pred, args, weight, ...)`` tuples) that are already stored,
-        and return the index of the first one that is not (``stop`` if
-        all are).  Nothing past that index is read.
+    def bump_run(self, heads: Sequence[Tuple], weights: Sequence[int],
+                 start: int, stop: int, deadline: Optional[float] = None
+                 ) -> int:
+        """Book the leading rows ``heads[start:stop]`` of a queue run
+        (``weights`` is the run's parallel list of weights) that are
+        already stored, and return the index of the first one that is
+        not (``stop`` if all are).  Nothing past that index is read.
 
         Each booked row is what :meth:`insert` does with a duplicate
         derivation, visible to nobody: a count bump of the row's whole
@@ -228,15 +229,14 @@ class Table:
         counts, deadlines = self._counts, self._deadlines
         if deadlines is None:
             for index in range(start, stop):
-                row = rows[index]
-                args = row[1]
+                args = heads[index]
                 if args not in counts:
                     return index
-                counts[args] += row[2]
+                counts[args] += weights[index]
             return stop
         renewing = deadline is not None
         for index in range(start, stop):
-            args = rows[index][1]
+            args = heads[index]
             if args not in counts:
                 return index
             if renewing and args in deadlines:

@@ -69,7 +69,7 @@ class NetDelta:
     special case, and :attr:`sign` keeps the direction-only view for
     call sites that branch on it.
 
-    A slotted record, as cheap to build as a queue row: every remote
+    A slotted record, as cheap to build as a plain tuple: every remote
     head a node emits is one.  Its fields must not change once it is
     built (equality and hash are on ``(pred, args, weight)``); only the
     cached payload size is written later.

@@ -19,7 +19,7 @@ event           payload                                    raised
 ==============  =========================================  ===========
 ``inject``      ``(pred, rows, weight) -> trace ids``      per run
 ``derive``      ``(pred, heads, sign, traces)``            per run
-``renew``       ``(pred, queue rows)``                     per run
+``renew``       ``(pred, heads, weights, traces)``         per run
 ``fire``        ``(rule, driver, inferences, seconds)``    per firing
 ``span``        ``(net | derive, pred, args, weight,       per row
                 trace)``
@@ -157,15 +157,16 @@ class Observer:
             for head, trace in zip(heads, traces) if trace is not None
         ])
 
-    def renew(self, pred: str, rows: Sequence[Tuple]) -> None:
-        """Traced queue rows of one run that only renewed a soft-state
-        deadline: each trace ends here, nothing is visible downstream."""
+    def renew(self, pred: str, heads, weights, traces) -> None:
+        """Rows of one run that only renewed a soft-state deadline: each
+        trace among them ends here, nothing is visible downstream."""
         tracer = self.tracer
         now, node = tracer.now(), self.node
         tracer.events.extend([
-            _span(TraceEvent, (now, row[4], "renew", node, pred, row[1],
-                               row[2], None, None))
-            for row in rows
+            _span(TraceEvent, (now, trace, "renew", node, pred, args,
+                               weight, None, None))
+            for args, weight, trace in zip(heads, weights, traces)
+            if trace is not None
         ])
 
     def fire(self, rule: str, driver: str, inferences: int,

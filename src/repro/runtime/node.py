@@ -35,12 +35,13 @@ so shipping at its end delays nothing.  Per-link FIFO -- what Theorem 4
 needs -- is the list order; a run never mixes destinations, and the
 ``+`` and ``-`` deltas of a chunk travel together in the order they were
 emitted.  Arrivals come back the same way: one message's deltas are one
-:meth:`NodeRuntime.receive`, which on a plain deployment is one
-``queue.extend`` and one tick request; the peer ledger (``reliable``)
-and the ``receive`` span are the only per-delta work, each done only
-when its feature is on.  No lineage crosses the wire: the nodes of a
-deployment share one provenance store, which already links a
-materialization here to the firing that produced it at the sender.
+:meth:`NodeRuntime.receive`, which queues one run per stretch of one
+predicate and one sign and requests one tick; the peer ledger
+(``reliable``) and the ``receive`` span are the only per-delta work
+beyond that, each done only when its feature is on.  No lineage
+crosses the wire: the nodes of a deployment share one provenance
+store, which already links a materialization here to the firing that
+produced it at the sender.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.facts import Fact
-from repro.engine.psn import PSNEngine, QueueRow
+from repro.engine.psn import PSNEngine
 from repro.errors import NetworkError
 from repro.ndlog.ast import Program
 from repro.ndlog.functions import REGISTRY
@@ -124,13 +125,8 @@ class NodeRuntime(PSNEngine):
     # ------------------------------------------------------------------
     # Scheduling: up to cpu_batch deltas per CPU tick
     # ------------------------------------------------------------------
-    def _enqueue(self, row: QueueRow) -> None:
-        self.queue.append(row)
-        self._schedule_tick()
-
-    def inject_run(self, pred: str, rows, weight: int = 1,
-                   force: bool = False) -> None:
-        super().inject_run(pred, rows, weight, force)
+    def _enqueue(self, pred: str, heads, weights, force, traces) -> None:
+        self.queue.push(pred, heads, weights, force, traces)
         self._schedule_tick()
 
     def now(self) -> float:
@@ -228,12 +224,12 @@ class NodeRuntime(PSNEngine):
         """The deltas of one message arrived over a link from neighbour
         ``origin``: enqueue them like local deltas ("a timestamp is
         added to each tuple at arrival", Section 3.3.2 -- in our commit
-        discipline the arrival order itself is the timestamp), one
-        ``queue.extend`` and one tick request for the whole run.  A
-        delta's ``weight`` is the Z-set weight off the wire (``+-1`` per
-        visibility transition; larger magnitudes when the sender
-        coalesced a window; a zero-weight entry is no change and is
-        dropped).
+        discipline the arrival order itself is the timestamp), one run
+        per stretch of one predicate and one sign, and request one
+        tick.  A delta's ``weight`` is the Z-set weight off the wire
+        (``+-1`` per visibility transition; larger magnitudes when the
+        sender coalesced a window; a zero-weight entry is no change and
+        is dropped).
 
         Two things are done per delta, each only when its feature is
         on: under ``config.reliable`` the arrival is booked on the peer
@@ -243,27 +239,22 @@ class NodeRuntime(PSNEngine):
         what a link reset already withdrew (:meth:`invalidate_peer`)
         and must not touch support from anywhere else; a traced delta
         records its ``receive`` span and keeps its trace id on the
-        queue row, so downstream derivations and the local commit stay
+        queue, so downstream derivations and the local commit stay
         causally linked."""
         observer = self.observer
         traced = observer is not None and observer.traced
         ledger = None
         if origin is not None and self.cluster.config.reliable:
             ledger = self.peer_ledger.setdefault(origin, {})
-        if ledger is None and not traced:
-            self.queue.extend([
-                (delta.pred, delta.args, delta.weight, False, None)
-                for delta in deltas if delta.weight
-            ])
-            self._schedule_tick()
-            return
-        rows = []
+        push = self.queue.push
+        pred = plus = heads = weights = traces = None
         for delta in deltas:
-            pred, args, weight = delta.pred, delta.args, delta.weight
+            weight = delta.weight
             if not weight:
                 continue
+            args = delta.args
             if ledger is not None:
-                fact = Fact(pred, args)
+                fact = Fact(delta.pred, args)
                 held = ledger.get(fact, 0)
                 if held + weight < 0:
                     weight = -held
@@ -274,11 +265,22 @@ class NodeRuntime(PSNEngine):
                     ledger[fact] = count
                 else:
                     ledger.pop(fact, None)
-            trace = delta.trace if traced else None
-            if trace is not None:
-                observer.receive(pred, args, weight, trace, origin)
-            rows.append((pred, args, weight, False, trace))
-        self.queue.extend(rows)
+            if delta.pred == pred and (weight > 0) == plus:
+                heads.append(args)
+                weights.append(weight)
+            else:
+                # A new run: one predicate, one sign.
+                if heads:
+                    push(pred, heads, weights, False, traces)
+                pred, plus = delta.pred, weight > 0
+                heads, weights = [args], [weight]
+                if traced:
+                    traces = []
+            if traced:
+                traces.append(delta.trace)
+                if delta.trace is not None:
+                    observer.receive(pred, args, weight, delta.trace, origin)
+        push(pred, heads, weights, False, traces)
         self._schedule_tick()
 
     def invalidate_peer(self, peer: str) -> None:
@@ -341,16 +343,15 @@ class NodeRuntime(PSNEngine):
         if existing is None or cost < existing[1]:
             self.result_cache[destination] = (suffix, cost)
 
-    def _fire_strands(self, rows, sign: int) -> None:
-        pred, args = rows[0][0], rows[0][1]
+    def _fire_strands(self, pred: str, heads, sign: int, traces) -> None:
         if sign > 0 and pred == CACHE_QUERY_PRED and self.cluster.config.cache:
             # The query predicate's runs are capped at this one delta.
-            if self._try_cache_hit(args):
+            if self._try_cache_hit(heads[0]):
                 for strand in self.strands.get(pred, ()):
                     if strand.crule.rule.label not in CACHE_SUPPRESSED:
-                        self._fire_strand(strand, rows, sign)
+                        self._fire_strand(strand, heads, sign, traces)
                 return
-        super()._fire_strands(rows, sign)
+        super()._fire_strands(pred, heads, sign, traces)
 
     def _try_cache_hit(self, args: Tuple) -> bool:
         """On a cached destination, answer the query tuple ``args``

@@ -204,9 +204,9 @@ def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
                        capture: bool = False, sources=None) -> Callable:
     """One strand through the interpreter, behind the calling convention
     of the generated kernels (:mod:`repro.engine.kernels`):
-    ``kernel(rows, functions, out)`` appends every head the driving
-    tuples of the run derive (queue rows: the tuple is field 1), row by
-    row -- ``(head, ground body facts)`` pairs under ``capture``.
+    ``kernel(heads, functions, out)`` appends every head the run's
+    driving tuples derive, tuple by tuple -- ``(head, ground body
+    facts)`` pairs under ``capture``.
     ``sources`` (body index -> source) overrides what a partner literal
     reads, as ``StrandKernel.bind(tables=...)`` does."""
     literal = crule.body[driver_index]
@@ -216,9 +216,8 @@ def interpreted_kernel(crule: CompiledRule, driver_index: int, db,
         if index != driver_index
     } | (sources or {})
 
-    def kernel(rows, functions, out):
-        for row in rows:
-            args = row[1]
+    def kernel(heads, functions, out):
+        for args in heads:
             seed = unify_literal(literal, args, {}, functions)
             if seed is None:
                 continue

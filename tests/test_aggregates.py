@@ -67,6 +67,62 @@ class TestGroupState:
         with pytest.raises(EvaluationError):
             g.current()
 
+    @pytest.mark.parametrize("func", ["sum", "avg"])
+    def test_a_contribution_reads_the_value_in_constant_time(self, func):
+        """``apply`` reads a group's value before and after each
+        contribution; with 1,000 distinct values in one group that is
+        a handful of additions per contribution, not a re-sum of the
+        group (about a million)."""
+        calls = [0]
+
+        class Counted(int):
+            def __add__(self, other):
+                calls[0] += 1
+                return int(self) + int(other)
+
+            __radd__ = __add__
+
+            def __rsub__(self, other):
+                calls[0] += 1
+                return int(other) - int(self)
+
+        info = AggregateInfo(func=func, var="C", value_position=1,
+                             group_positions=(0,))
+        view = aggregate_view("total", info)
+        n = 1000
+        for value in range(n):
+            view.apply(("g", Counted(value)), 1)
+        for value in range(0, n, 2):
+            view.apply(("g", Counted(value)), -1)
+        assert calls[0] <= 3 * n
+        expected = sum(range(1, n, 2))
+        assert view.current_rows() == [
+            ("g", expected if func == "sum" else expected / (n // 2))]
+
+    @given(ops=st.lists(st.tuples(st.booleans(),
+                                  st.sampled_from([0.1, 0.2, 0.3, 1e16, 3,
+                                                   -2, 2.5])),
+                        max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_the_total_is_the_left_to_right_sum_of_the_values(self, ops):
+        """Whatever enters and leaves -- ints, floats, both -- the value
+        is the live values added left to right in insertion order:
+        exact int subtraction, and no float residue."""
+        g = GroupState("sum")
+        for adding, value in ops:
+            if adding:
+                g.add(value)
+            elif g.values.get(value):
+                g.remove(value)
+            if g.values:
+                total = 0
+                for live in g.values:
+                    total = total + live
+                assert g.current() == total
+                assert type(g.current()) is type(total)
+            else:
+                assert g.current() is None
+
 
 class TestAggregateView:
     def test_min_max_heads_are_arg_extreme_views(self):

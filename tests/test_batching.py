@@ -39,8 +39,10 @@ from repro.engine.table import Table
 from repro.ndlog import parse, programs
 from repro.obs import NodeMetrics
 from repro.provenance import ProvenanceStore, audit_engine
+from repro.runtime.node import NodeRuntime
 
 from interpreter import interpret
+from queued import flatten, queued
 from test_obs import RecordingObserver
 from test_softstate import ClockedEngine
 
@@ -624,15 +626,15 @@ def test_a_chunk_short_of_the_queue_leaves_the_tail_in_order():
     engine = kv_engine(64)
     for i in range(10):
         enqueue(engine, 1, (f"k{i}", i))
-    queued = list(engine.queue)
+    rows = queued(engine)
     assert engine.process_chunk(4) == 4
-    assert list(engine.queue)[:6] == queued[4:]
-    assert [row[:3] for row in list(engine.queue)[6:]] == [
+    assert queued(engine)[:6] == rows[4:]
+    assert [row[:3] for row in queued(engine)[6:]] == [
         ("out", (f"k{i}", i), 1) for i in range(4)]
     assert engine.process_chunk(6) == 6
-    assert [row[0] for row in engine.queue] == ["out"] * 10
+    assert [row[0] for row in queued(engine)] == ["out"] * 10
     engine.run()
-    assert engine.db.table("kv").rows() == [row[1] for row in queued]
+    assert engine.db.table("kv").rows() == [row[1] for row in rows]
     assert engine.steps == 20 and not engine.queue
 
 
@@ -672,47 +674,109 @@ S1: out(K, V) :- kv(K, V), aux(K, V).
 S2: two(X, Z) :- hop(X, Y), hop(Y, Z).
 """
 
-split_rows = st.lists(
-    st.tuples(
-        st.sampled_from(["kv", "aux", "hop"]),
-        st.sampled_from([("a", "b"), ("b", "a"), ("a", "a")]),
-        st.sampled_from([1, 2, -1, -3]),
-        st.booleans(),
-    ).map(lambda row: (row[0], row[1], -1 if row[3] else row[2], row[3],
-                       None)),
-    max_size=24,
+
+class Receiver(PSNEngine):
+    """A PSN engine that also takes a message's deltas as a node does
+    (no origin: no peer ledger, and no tick to schedule)."""
+
+    receive = NodeRuntime.receive
+
+    def _schedule_tick(self):
+        pass
+
+
+split_preds = st.sampled_from(["kv", "aux", "hop"])
+split_args = st.sampled_from([("a", "b"), ("b", "a"), ("a", "a")])
+split_weights = st.sampled_from([1, 2, -1, -3])
+split_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("inject"), split_preds,
+                  st.lists(split_args, min_size=1, max_size=4),
+                  split_weights, st.booleans()),
+        st.tuples(st.just("derive"), split_preds, split_args,
+                  split_weights),
+        st.tuples(st.just("emit"), split_preds,
+                  st.lists(split_args, min_size=1, max_size=4),
+                  st.sampled_from([1, -1])),
+        st.tuples(st.just("receive"),
+                  st.lists(st.tuples(split_preds, split_args,
+                                     st.sampled_from([1, 2, 0, -1, -3])),
+                           max_size=6)),
+    ),
+    max_size=12,
 )
 
 
-@given(rows=split_rows)
-@example(rows=[])
-@example(rows=[("kv", ("a", "b"), 1, False, None)] * 5)
-@settings(max_examples=200, deadline=None)
-def test_one_pass_split_matches_the_two_scans(rows):
-    """One pass over a chunk yields its maximal (predicate, direction)
-    runs in order -- a forced row or a row of a capped (self-joining)
-    predicate alone -- and whether its unforced rows carry both signs,
-    exactly as the two scans it replaced did."""
-    engine = PSNEngine(parse(SPLIT_PROGRAM), batch_size=64)
+def split_stream(engine, ops):
+    """Queue ``ops`` through the engine's own entry points."""
+    from repro.net.message import NetDelta
+
+    for op, *params in ops:
+        if op == "inject":
+            pred, rows, weight, force = params
+            engine.inject_run(pred, rows, -1 if force else weight, force)
+        elif op == "derive":
+            pred, args, weight = params
+            engine.derive(Fact(pred, args), weight)
+        elif op == "emit":
+            pred, heads, sign = params
+            engine._emit(pred, list(heads), sign)
+        else:
+            engine.receive([NetDelta(*delta) for delta in params[0]])
+
+
+@pytest.mark.parametrize("limit", [1, 7, 64])
+@given(ops=split_ops)
+@example(ops=[("inject", "kv", [("a", "b")] * 5, 1, False)])
+@example(ops=[("derive", "kv", ("a", "b"), 1), ("derive", "kv", ("a", "b"), 2),
+              ("derive", "aux", ("b", "a"), -1),
+              ("derive", "kv", ("a", "b"), -1)])
+@example(ops=[("emit", "kv", [("a", "b")], 1), ("derive", "kv", ("a", "b"), -1),
+              ("emit", "hop", [("a", "b"), ("b", "a")], 1),
+              ("inject", "kv", [("a", "a"), ("b", "a")], -1, True),
+              ("receive", [("aux", ("a", "b"), 2), ("aux", ("b", "a"), 1),
+                           ("aux", ("a", "b"), 0), ("kv", ("a", "b"), 1)])])
+@settings(max_examples=100, deadline=None)
+def test_queue_runs_match_the_two_scans(limit, ops):
+    """The queue decides run boundaries where deltas arrive; every chunk
+    commits the runs the two scans find over its rows -- maximal
+    (predicate, direction) stretches, a forced row or a row of a capped
+    (self-joining) predicate alone -- and is netted exactly when its
+    unforced rows carry both signs, its survivors split the same way.
+    ``len(queue)`` counts deltas throughout."""
+    engine = Receiver(parse(SPLIT_PROGRAM), batch_size=limit)
     assert engine._single_delta == {"hop"}
-    stops, mixed = engine._split(rows)
-    assert (stops, mixed) == two_scan_split(rows, engine._single_delta)
-    starts = [0] + stops[:-1]
-    assert stops == sorted(set(stops)) and stops[-1:] == (
-        [len(rows)] if rows else [])
-    for start, stop in zip(starts, stops):
-        pred, _, weight, force, _ = rows[start]
-        if force or pred == "hop":
-            assert stop == start + 1
-        for row in rows[start + 1:stop]:
-            assert (row[0], row[2] > 0, row[3]) == (pred, weight > 0, False)
-        if stop < len(rows):
-            # Maximal: the next row could not have joined this run.
-            nxt = rows[stop]
-            assert (force or pred == "hop" or nxt[3] or nxt[0] != pred
-                    or (nxt[2] > 0) != (weight > 0))
-    signs = {row[2] > 0 for row in rows if not row[3]}
-    assert mixed == (signs == {True, False})
+    committed = []
+
+    def recording(commit):
+        def record(run):
+            committed.append(run)
+            commit(run)
+        return record
+
+    engine._commit_insert_run = recording(engine._commit_insert_run)
+    engine._commit_delete_run = recording(engine._commit_delete_run)
+    split_stream(engine, ops)
+    for _ in range(200):
+        rows = queued(engine)
+        assert len(engine.queue) == len(rows)
+        if not rows:
+            break
+        chunk = rows[:limit]
+        del committed[:]
+        cancelled = engine.cancelled
+        assert engine.process_chunk(limit) == len(chunk)
+        stops, mixed = two_scan_split(chunk, engine._single_delta)
+        survivors = flatten(committed)
+        if not mixed:
+            assert survivors == chunk
+            assert engine.cancelled == cancelled
+        else:
+            assert len(survivors) + engine.cancelled - cancelled == len(chunk)
+            stops = two_scan_split(survivors, engine._single_delta)[0]
+        sizes = [len(heads) for _, heads, _, _, _ in committed]
+        assert sizes == [stop - start for start, stop
+                         in zip([0] + stops[:-1], stops)]
 
 
 # ----------------------------------------------------------------------
@@ -745,10 +809,10 @@ def test_a_kernel_that_raises_in_the_retraction_half_leaves_the_table():
     strand, = engine.strands["kv"]
     kernel = strand.kernel
 
-    def refusing(rows, functions, out):
-        if rows[0][2] < 0:
+    def refusing(heads, functions, out):
+        if ("k", 1) in heads:             # the -1 half: what is displaced
             raise RuntimeError("boom")
-        kernel(rows, functions, out)
+        kernel(heads, functions, out)
 
     strand.kernel = refusing
     enqueue(engine, 1, ("k", 1))          # a bump: booked in place

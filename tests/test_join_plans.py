@@ -120,7 +120,7 @@ def test_kernel_driver_match_and_mismatch():
             db.tables["p"] = Table("p", arity)
         (strand,) = PSNEngine(program, db=db).strands["p"]
         out = []
-        strand.kernel([("p", args)], db.functions, out)
+        strand.kernel([args], db.functions, out)
         return out
 
     plain = "R: out(@A, B, C) :- p(@A, B, C)."

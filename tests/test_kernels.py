@@ -114,12 +114,12 @@ def strand_outcomes(crule, driver_index, db, args):
 
     def via_kernel():
         out = []
-        code.bind(db)([fact], functions, out)
+        code.bind(db)([args], functions, out)
         return out
 
     def via_capture_kernel():
         out = []
-        code.bind(db, capture=True)([fact], functions, out)
+        code.bind(db, capture=True)([args], functions, out)
         for _head, body in out:
             # The ground body: one stored tuple per body literal, in
             # body order, the driving tuple at its own position.
@@ -285,11 +285,10 @@ def test_generator_semantics_on_directed_cases(text, rows):
 def kernel_heads(crule, driver_index, db, rows, capture, tables=None):
     """Heads the strand derives from the driving ``rows`` -- the capture
     kernel's checked to carry one ground fact per body literal."""
-    pred = crule.body[driver_index].pred
     kernel = strand_kernel(crule, driver_index, StatsCatalog()).bind(
         db, capture, tables)
     out = []
-    kernel([(pred, args) for args in rows], db.functions, out)
+    kernel(list(rows), db.functions, out)
     if not capture:
         return Counter(out)
     for _head, body in out:
@@ -645,7 +644,7 @@ def test_strand_repr_and_kernel_source():
     strand = next(s for s in engine.strands["link"] if s.crule.label == "SP2")
     assert "<kernel SP2/link>" in repr(strand)
     source = strand.kernel_source
-    assert "def kernel(rows, functions, out):" in source
+    assert "def kernel(heads, functions, out):" in source
     assert "v_C = (v_C1 + v_C2)" in source
 
 
@@ -662,11 +661,11 @@ def test_explain_kernels_section_is_opt_in():
         for literal in rule.body:
             if isinstance(literal, Literal):
                 assert f"<kernel {rule.label}/{literal.pred}" in section
-    assert "def kernel(rows, functions, out):" in section
+    assert "def kernel(heads, functions, out):" in section
 
 
 # ----------------------------------------------------------------------
-# The run convention: kernel(rows, functions, out)
+# The run convention: kernel(heads, functions, out)
 # ----------------------------------------------------------------------
 RUN_CASES = [
     # self-join: both strands, the early one excluding its driver
@@ -701,18 +700,17 @@ def test_a_run_is_the_concatenation_of_its_rows(text, rows, capture):
     derived = 0
     for driver_index in crule.literal_indexes:
         pred = crule.body[driver_index].pred
-        # Queue rows as the engine hands them over, the table's rows
-        # twice over so the run revisits every bucket.
-        run = [(pred, args, 1, False, None)
-               for args in db.table(pred).rows() * 2]
+        # A run's heads as the engine hands them over, the table's
+        # rows twice over so the run revisits every bucket.
+        run = db.table(pred).rows() * 2
         kernel = strand_kernel(crule, driver_index, StatsCatalog()).bind(
             db, capture)
         whole, parts, empty = [], [], []
         kernel(run, db.functions, whole)
         shares = []
-        for row in run:
+        for args in run:
             before = len(parts)
-            kernel((row,), db.functions, parts)
+            kernel((args,), db.functions, parts)
             shares.append(len(parts) - before)
         kernel((), db.functions, empty)
         assert whole == parts

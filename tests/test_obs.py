@@ -445,9 +445,12 @@ class RecordingObserver:
         self.events += [("derive", pred, head, sign, trace)
                         for head, trace in zip(heads, traces)]
 
-    def renew(self, pred, rows):
-        self.events += [("renew", pred, row[1], row[2], row[4])
-                        for row in rows]
+    def renew(self, pred, heads, weights, traces):
+        assert len(heads) == len(weights) == len(traces)
+        self.events += [("renew", pred, args, weight, trace)
+                        for args, weight, trace in zip(heads, weights,
+                                                       traces)
+                        if trace is not None]
 
     def span(self, kind, pred, args, weight, trace):
         assert kind in ("net", "derive")

@@ -18,6 +18,8 @@ from repro.runtime import (
 from repro.topology import build_overlay, transit_stub
 from repro.topology.neighborhood import hop_distances
 
+from queued import queued
+
 
 def small_overlay(n=14, degree=3, seed=5):
     return build_overlay(transit_stub(seed=seed), n_nodes=n, degree=degree,
@@ -449,13 +451,14 @@ class TestReceiveARun:
                 for index, (pred, args, weight) in enumerate(self.RUN)]
 
     def queued(self, node):
-        return [(row[0], row[1], row[2]) for row in node.queue]
+        return [(pred, args, weight)
+                for pred, args, weight, _, _ in queued(node)]
 
     def test_plain_run_is_one_extend_and_drops_zero_weights(self, overlay):
         _deployment, node = self.deploy(overlay)
         node.receive(self.run_of(), "n1")
         assert self.queued(node) == [r for r in self.RUN if r[2]]
-        assert all(row[3:] == (False, None) for row in node.queue)
+        assert all(row[3:] == (False, None) for row in queued(node))
         assert node._tick_scheduled
         assert node.peer_ledger == {}
 
@@ -492,7 +495,7 @@ class TestReceiveARun:
         assert self.queued(node) == [
             r if r is not self.RUN[3] else r[:2] + (-1,)
             for r in self.RUN if r[2]]
-        node.queue.clear()
+        node.queue.take(len(node.queue))
         node.receive(self.run_of(), "n1")  # nothing left to withdraw
         assert self.queued(node) == [
             r for r in self.RUN if r[2] and r is not self.RUN[3]]
@@ -511,7 +514,8 @@ class TestReceiveARun:
             ("receive", 24, self.RUN[5][1], -1, "n1", "n0"),
         ]
         # The trace id stays on the queue row; the zero weight is gone.
-        assert [row[4] for row in node.queue] == [21, None, 23, None, 24]
+        assert [trace for *_, trace in queued(node)] == [
+            21, None, 23, None, 24]
 
 
 class TestRefusedRun:

@@ -24,6 +24,8 @@ from repro.ndlog import parse
 from repro.runtime import Cluster, RuntimeConfig, SoftStateManager
 from repro.topology import build_overlay, transit_stub
 
+from queued import queued, run_of
+
 BEACON = """
 materialize(beacon, 1.0, infinity, keys(1, 2)).
 B1: seen(@D, S) :- #beacon(@S, @D, C).
@@ -173,7 +175,7 @@ class TestTableDeadlines:
         engine.time = LIFETIME
         assert sweep(engine) == [first]      # raised TypeError before
         # The run-level entry books the same: nothing without a deadline.
-        assert table.bump_run([("beacon", second, 1)], 0, 1) == 1
+        assert table.bump_run(*run_of(second), 0, 1) == 1
         assert list(table.deadlines.items()) == [(second, 0.5 + LIFETIME)]
         assert table.count(first) == table.count(second) == 1
         engine.time = 0.5 + LIFETIME
@@ -219,7 +221,7 @@ class TestRenewalInTheCommitPath:
         for row in rows:
             one.insert("beacon", row)
         many.inject_run("beacon", [list(row) for row in rows])
-        assert list(one.queue) == list(many.queue)
+        assert queued(one) == queued(many)
         many.run()
         assert sorted(many.db.table("beacon").rows()) == sorted(rows)
 

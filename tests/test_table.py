@@ -10,6 +10,8 @@ from repro.engine.psn import PSNEngine
 from repro.engine.table import INFINITY, Table, projector
 from repro.ndlog import parse
 
+from queued import run_of
+
 
 def test_insert_and_contains():
     t = Table("p", 2)
@@ -342,8 +344,7 @@ def test_table_matches_a_reference_model(shape, ops):
             run, dated = params
             deadline = float(step) if dated else None
             run = [(row(pick), weight) for pick, weight in run]
-            rows = queue_rows("t", *run)
-            assert (table.bump_run(rows, 0, len(rows), deadline)
+            assert (table.bump_run(*run_of(*run), 0, len(run), deadline)
                     == model.bump_run(run, deadline))
         elif op == "claim_due":
             now = float(step - params[0])
@@ -398,28 +399,18 @@ def test_wrong_arity_row_raises_and_keeps_the_rows_before_it():
 # ----------------------------------------------------------------------
 # bump_run: the run-level entry for what changes no visibility
 # ----------------------------------------------------------------------
-def queue_rows(pred, *rows):
-    """Queue rows ``(pred, args, weight, force, trace)`` from
-    ``args`` or ``(args, weight)`` entries."""
-    out = []
-    for row in rows:
-        args, weight = row if isinstance(row[0], tuple) else (row, 1)
-        out.append((pred, args, weight, False, None))
-    return out
-
-
 def test_bump_run_stops_at_the_first_unstored_row_and_books_nothing_past_it():
     table = Table("p", 2)
     for row in (("a", 1), ("b", 2), ("d", 4)):
         table.insert(row)
-    run = queue_rows("p", ("a", 1), ("b", 2), ("c", 3), ("d", 4))
-    assert table.bump_run(run, 0, 4) == 2
-    assert [table.count(row[1]) for row in run] == [2, 2, 0, 1]
+    run = run_of(("a", 1), ("b", 2), ("c", 3), ("d", 4))
+    assert table.bump_run(*run, 0, 4) == 2
+    assert [table.count(args) for args in run[0]] == [2, 2, 0, 1]
     # From the middle of a run; an empty and an unstored-first range.
-    assert table.bump_run(run, 3, 4) == 4
+    assert table.bump_run(*run, 3, 4) == 4
     assert table.count(("d", 4)) == 2
-    assert table.bump_run(run, 2, 4) == 2
-    assert table.bump_run(run, 4, 4) == 4
+    assert table.bump_run(*run, 2, 4) == 2
+    assert table.bump_run(*run, 4, 4) == 4
     assert table.count(("d", 4)) == 2 and ("c", 3) not in table
     # Bumps move no row.
     assert table.rows() == [("a", 1), ("b", 2), ("d", 4)]
@@ -429,10 +420,9 @@ def test_bump_run_sums_whole_weights_on_a_hard_state_table():
     table = Table("link", 3, key=(0, 1))
     table.insert(("a", "b", 1), count=2)
     table.insert(("a", "c", 1))
-    run = queue_rows("link", (("a", "b", 1), 5), (("a", "c", 1), 3),
-                     (("a", "b", 1), 1))
+    run = run_of((("a", "b", 1), 5), (("a", "c", 1), 3), (("a", "b", 1), 1))
     # A deadline means nothing to a hard-state table.
-    assert table.bump_run(run, 0, 3, deadline=9.0) == 3
+    assert table.bump_run(*run, 0, 3, deadline=9.0) == 3
     assert table.count(("a", "b", 1)) == 8
     assert table.count(("a", "c", 1)) == 4
     assert not table.deadlines
@@ -445,8 +435,8 @@ def test_bump_run_renews_and_leaves_a_claimed_row_claimed():
     table.insert(live, deadline=2.0)
     table.insert(undated)                    # never comes due
     assert table.claim_due(1.0) == [claimed]
-    run = queue_rows("beacon", (claimed, 4), live, undated)
-    assert table.bump_run(run, 0, 3, deadline=5.0) == 3
+    run = run_of((claimed, 4), live, undated)
+    assert table.bump_run(*run, 0, 3, deadline=5.0) == 3
     # Renewals: no count moves, whatever the weight; the claimed row is
     # not re-tracked, the undated one stays undated.
     assert [table.count(row) for row in (claimed, live, undated)] == [1, 1, 1]
@@ -462,9 +452,8 @@ def test_bump_run_keeps_the_deadline_dict_in_deadline_order():
     assert table.claim_due(1.0) == [rows[0]]
     # Renew out of order, one row twice, the claimed row in between; a
     # fresh row ends the run with the rows behind it untouched.
-    run = queue_rows("beacon", rows[4], rows[0], rows[2], rows[4],
-                     ("a", "z", 1), rows[1])
-    assert table.bump_run(run, 0, len(run), deadline=9.0) == 4
+    run = run_of(rows[4], rows[0], rows[2], rows[4], ("a", "z", 1), rows[1])
+    assert table.bump_run(*run, 0, len(run[0]), deadline=9.0) == 4
     assert list(table.deadlines.items()) == [
         (rows[1], 2.0), (rows[3], 4.0), (rows[5], 6.0),
         (rows[2], 9.0), (rows[4], 9.0)]
@@ -472,7 +461,7 @@ def test_bump_run_keeps_the_deadline_dict_in_deadline_order():
     assert deadlines == sorted(deadlines)
     assert table.claim_due(6.0) == [rows[1], rows[3], rows[5]]
     # Without a deadline the run leaves the order alone.
-    assert table.bump_run(run, 2, 4) == 4
+    assert table.bump_run(*run, 2, 4) == 4
     assert list(table.deadlines.items()) == [(rows[2], 9.0), (rows[4], 9.0)]
     assert table.rows() == rows                # and moves no row
 
@@ -495,15 +484,15 @@ def test_bump_run_is_insert_row_by_row_up_to_the_first_unstored_row(
         table.claim_due(float(claim))
         return table
 
-    rows = queue_rows("p", *[((key, "v"), weight) for key, weight in run])
+    heads, weights = run_of(*[((key, "v"), weight) for key, weight in run])
     one, by_row = build(), build()
-    booked = one.bump_run(rows, 0, len(rows), deadline=deadline)
-    for expected, row in enumerate(rows):
-        if row[1] not in by_row:
+    booked = one.bump_run(heads, weights, 0, len(heads), deadline=deadline)
+    for expected, args in enumerate(heads):
+        if args not in by_row:
             break
-        by_row.insert(row[1], row[2], deadline)
+        by_row.insert(args, weights[expected], deadline)
     else:
-        expected = len(rows)
+        expected = len(heads)
     assert booked == expected
     assert one.rows() == by_row.rows()
     assert [one.count(args) for args in one.rows()] == [

@@ -35,6 +35,7 @@ from repro.runtime import RuntimeConfig
 from repro.topology import Overlay
 
 from interpreter import interpret
+from queued import queued
 from test_batching import BATCH_SIZES, SETTINGS, counts_snapshot
 
 CHUNKED = BATCH_SIZES[1:]
@@ -340,7 +341,7 @@ def test_a_kernel_that_raises_strands_no_view_output():
         engine.run()
     view = engine.views["low"]
     assert not view.pending
-    assert [row[:3] for row in engine.queue] == [
+    assert [row[:3] for row in queued(engine)] == [
         ("low", ("a", 5), -1), ("low", ("a", 3), 1)]
     engine.run()
     assert engine.db.table("low").rows() == [("a", 3)] == view.current_rows()

@@ -486,7 +486,7 @@ class PSNEngine:
         :meth:`derive`, a zero ``weight`` is a no-op."""
         if not weight:
             return
-        heads = [tuple(args) for args in rows]
+        heads = list(map(tuple, rows))
         observer = self.observer
         traces = None
         if observer is not None and observer.traced:
@@ -561,7 +561,7 @@ class PSNEngine:
         delta too late).
         """
         taken = self.run_batch(max_steps)
-        if self.queue:
+        if self.queue.depth:
             raise EvaluationError(
                 f"PSN exceeded {max_steps} steps (non-terminating "
                 f"program?)",
@@ -572,13 +572,13 @@ class PSNEngine:
     def run_batch(self, batch: int) -> int:
         """Process at most ``batch`` deltas (used by BSN scheduling)."""
         taken = 0
-        while self.queue and taken < batch:
+        while self.queue.depth and taken < batch:
             taken += self.process_chunk(min(self.batch_size, batch - taken))
         return taken
 
     @property
     def quiescent(self) -> bool:
-        return not self.queue
+        return not self.queue.depth
 
     def _enqueue(self, pred: str, heads, weights, force, traces) -> None:
         """Queue a run (:meth:`RunQueue.push`; overridable: the

@@ -44,8 +44,11 @@ head -- count bumps, or renewals on a soft-state table -- in one loop,
 returning the index of the first row that is not stored.  That is the
 commonest delta a deployed soft-state node sees (every refresh round is
 all renewals), and PSN's commit path calls it wherever a batch of fresh
-rows would open; fresh rows, replacements and deletions still enter row
-by row through :meth:`Table.insert` / :meth:`Table.delete` /
+rows would open.  A renewal there is one pop of the row's deadline and
+one store of the new one (the pop finding a deadline is the proof the
+row is stored), and :meth:`Table.insert` books a stored row the same
+way; fresh rows, replacements and deletions still enter row by row
+through :meth:`Table.insert` / :meth:`Table.delete` /
 :meth:`Table.force_delete`.
 """
 
@@ -176,13 +179,14 @@ class Table:
         counts, deadlines = self._counts, self._deadlines
         if args in counts:
             # Duplicate derivation: bump the count, or on a soft-state
-            # table renew the deadline (a row :meth:`claim_due` took
-            # stays claimed: its queued delete wins).  A run of these
-            # commits through :meth:`bump_run`, which books the same.
+            # table renew the deadline -- the pop-and-store of
+            # :meth:`bump_run`, which books a run of these (a row
+            # :meth:`claim_due` took holds no deadline and stays
+            # claimed: its queued delete wins).
             if deadlines is None:
                 counts[args] += count
-            elif deadline is not None and args in deadlines:
-                del deadlines[args]
+            elif (deadline is not None
+                  and deadlines.pop(args, None) is not None):
                 deadlines[args] = deadline
             return
         if len(args) != self.arity:
@@ -225,6 +229,12 @@ class Table:
         moves to the back of the deadline order unless :meth:`claim_due`
         already took the row (or the row never held one), and a renewal
         that carries no ``deadline`` leaves deadline and order alone.
+
+        A renewal costs two hash operations: popping the row's deadline
+        (a row holding one is stored) and storing the new one, which
+        re-inserts it at the back.  A row holding no deadline pays the
+        pop and the test that it is stored; a renewal that carries no
+        ``deadline``, only that test.
         """
         counts, deadlines = self._counts, self._deadlines
         if deadlines is None:
@@ -234,14 +244,13 @@ class Table:
                     return index
                 counts[args] += weights[index]
             return stop
-        renewing = deadline is not None
+        pop = deadlines.pop
         for index in range(start, stop):
             args = heads[index]
-            if args not in counts:
-                return index
-            if renewing and args in deadlines:
-                del deadlines[args]
+            if deadline is not None and pop(args, None) is not None:
                 deadlines[args] = deadline
+            elif args not in counts:
+                return index
         return stop
 
     def delete(self, args: Tuple, count: int = 1) -> None:

@@ -46,7 +46,14 @@ holds every predicate when the counters, a tracer, ``on_commit`` or a
 listener without ``preds`` takes commits, and otherwise the union of
 the listeners' ``preds`` -- so a deployment holding only a
 ``watch("shortestPath")`` tracker pays for the commits of
-``shortestPath`` and nothing else.
+``shortestPath`` and nothing else.  Traced, a per-run event costs one
+record on the tracer's log whatever the run's length (``inject`` and
+``derive`` copy the lists the queue may still grow; ``renew`` holds
+the run's own), and a per-row one a :class:`TraceEvent`: spans are
+built from the records only when the log is read
+(:attr:`Tracer.events <repro.obs.trace.Tracer.events>`), and each
+read builds them again -- on a refresh deployment about what building
+them as they happened cost.
 
 **Provenance is not a subscriber**, on purpose: the recorder does not
 watch the run, it is part of it.  It selects the capture kernel and
@@ -61,7 +68,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.engine.facts import Fact
 from repro.obs.metrics import MetricsRegistry, NodeMetrics
 from repro.obs.profile import Profiler
-from repro.obs.trace import NodeTracer, TraceEvent, Tracer
+from repro.obs.trace import NodeTracer, SpanRun, TraceEvent, Tracer, _span
 
 
 class _Everything:
@@ -75,12 +82,6 @@ class _Everything:
 
 #: Holds every predicate name.
 EVERYTHING = _Everything()
-
-#: ``_span(TraceEvent, fields)``: the named tuple without the Python
-#: frame of its generated ``__new__`` -- about half the cost of a span,
-#: and a fully observed run writes tens of thousands.
-_span = tuple.__new__
-
 
 class Observer:
     """The subscribers of one engine (or node), behind one handle."""
@@ -134,40 +135,34 @@ class Observer:
     # -- engine events -------------------------------------------------
     def inject(self, pred: str, rows: Sequence[Tuple], weight: int):
         """Base-fact injection of a run: mints the trace id each row's
-        derivations will carry and records the root spans."""
+        derivations will carry and logs the root spans as one record
+        (``rows`` copied: the queue may yet grow the list in place)."""
         tracer = self.tracer
         traces = tracer.mint_run(len(rows))
-        now, node = tracer.now(), self.node
-        tracer.events.extend([
-            _span(TraceEvent, (now, trace, "inject", node, pred, args,
-                               weight, None, None))
-            for trace, args in zip(traces, rows)
-        ])
+        tracer.log.append(_span(SpanRun, (
+            tracer.now(), "inject", self.node, pred, rows[:], weight,
+            traces)))
         return traces
 
     def derive(self, pred: str, heads: Sequence[Tuple], sign: int,
                traces: Sequence[Optional[int]]) -> None:
         """Heads of one firing queued at this node, each under its own
-        driver's trace."""
+        driver's trace: one record, the lists copied (they are about to
+        join the queue, which may grow them in place)."""
         tracer = self.tracer
-        now, node = tracer.now(), self.node
-        tracer.events.extend([
-            _span(TraceEvent, (now, trace, "derive", node, pred, head,
-                               sign, None, None))
-            for head, trace in zip(heads, traces) if trace is not None
-        ])
+        tracer.log.append(_span(SpanRun, (
+            tracer.now(), "derive", self.node, pred, heads[:], sign,
+            traces[:])))
 
     def renew(self, pred: str, heads, weights, traces) -> None:
         """Rows of one run that only renewed a soft-state deadline: each
-        trace among them ends here, nothing is visible downstream."""
+        trace among them ends here, nothing is visible downstream.  One
+        record holding the lists as they are: a run taken off the queue
+        grows no more."""
         tracer = self.tracer
-        now, node = tracer.now(), self.node
-        tracer.events.extend([
-            _span(TraceEvent, (now, trace, "renew", node, pred, args,
-                               weight, None, None))
-            for args, weight, trace in zip(heads, weights, traces)
-            if trace is not None
-        ])
+        tracer.log.append(_span(SpanRun, (
+            tracer.now(), "renew", self.node, pred, heads, weights,
+            traces)))
 
     def fire(self, rule: str, driver: str, inferences: int,
              seconds: float) -> None:
@@ -189,7 +184,7 @@ class Observer:
         annihilated or folded away by Z-set addition at the queue, its
         propagation ends here) or a ``derive`` of one (a view output)."""
         tracer = self.tracer
-        tracer.events.append(_span(TraceEvent, (
+        tracer.log.append(_span(TraceEvent, (
             tracer.now(), trace, kind, self.node, pred, args, weight,
             None, None)))
 
@@ -205,7 +200,7 @@ class Observer:
             counters[pred] = counters.get(pred, 0) + abs(weight)
         if trace is not None:
             tracer = self.tracer
-            tracer.events.append(_span(TraceEvent, (
+            tracer.log.append(_span(TraceEvent, (
                 tracer.now(), trace, "commit", self.node, pred, args,
                 weight, None, None)))
         on_commit, listeners = self.on_commit, self.listeners
@@ -230,7 +225,7 @@ class Observer:
                 origin: Optional[str]) -> None:
         """A traced delta arrived over a link."""
         tracer = self.tracer
-        tracer.events.append(_span(TraceEvent, (
+        tracer.log.append(_span(TraceEvent, (
             tracer.now(), trace, "receive", self.node, pred, args, weight,
             origin, self.node)))
 
@@ -272,7 +267,7 @@ class WireObserver:
         retransmits show as repeated spans)."""
         tracer = self.tracer
         now, src, dst = tracer.now(), message.src, message.dst
-        tracer.events.extend([
+        tracer.log.extend([
             _span(TraceEvent, (now, delta.trace, "ship", src, delta.pred,
                                delta.args, delta.weight, src, dst))
             for delta in message.deltas if delta.trace is not None
@@ -284,7 +279,7 @@ class WireObserver:
         ends at ``node``."""
         tracer = self.tracer
         now = tracer.now()
-        tracer.events.extend([
+        tracer.log.extend([
             _span(TraceEvent, (now, delta.trace, "net", node, delta.pred,
                                delta.args, delta.weight, None, None))
             for delta in deltas
@@ -302,5 +297,5 @@ class WireObserver:
         with the delta spans it affected (outside any trace)."""
         tracer = self.tracer
         if tracer is not None:
-            tracer.events.append(_span(TraceEvent, (
+            tracer.log.append(_span(TraceEvent, (
                 tracer.now(), None, kind, src, None, None, None, src, dst)))

@@ -11,8 +11,15 @@ live inproc/UDP targets (wall timestamps) alike.
 
 The spans are written by the observer seam
 (:mod:`repro.obs.observer`), whose handles append to one shared
-:class:`Tracer`'s log; an engine built without tracing carries
-``None`` as every row's trace id and records nothing.
+:class:`Tracer`'s ``log``; an engine built without tracing carries
+``None`` as every row's trace id and records nothing.  A per-row event
+is logged as its :class:`TraceEvent`; a per-run one (``inject``,
+``derive``, ``renew``) as one :class:`SpanRun` holding the run's rows,
+which the readers (:attr:`Tracer.events`, :meth:`Tracer.span_graph`,
+:meth:`Tracer.to_chrome`) expand into its spans where it stands in the
+log -- so a run pays for one record when it happens, and its spans
+are built only when somebody reads them (:meth:`Tracer.trace_of`
+searches the records themselves).
 
 Export is Chrome trace-event JSON (``chrome://tracing`` /
 https://ui.perfetto.dev): one process per node, one instant event per
@@ -23,7 +30,8 @@ span, and flow arrows linking each ``ship`` to its ``receive``.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 
 class TraceEvent(NamedTuple):
@@ -41,11 +49,34 @@ class TraceEvent(NamedTuple):
     dst: Optional[str]
 
 
+#: ``_span(TraceEvent, fields)``: the named tuple without the Python
+#: frame of its generated ``__new__`` -- about half the cost of a span,
+#: and a fully observed run writes tens of thousands (the observer
+#: builds a :class:`SpanRun` the same way).
+_span = tuple.__new__
+
+
+class SpanRun(NamedTuple):
+    """One per-run event as logged: the spans ``(ts, trace, kind, node,
+    pred, args, weight, None, None)`` for each row of ``heads`` whose
+    trace id is not ``None``, in order.  ``weights`` is the run's
+    parallel list, or one weight every row shares; ``heads`` and
+    ``traces`` must not change after the record is logged."""
+
+    ts: float
+    kind: str
+    node: Optional[str]
+    pred: str
+    heads: Sequence[Tuple]
+    weights: Union[int, Sequence[int]]
+    traces: Sequence[Optional[int]]
+
+
 class NodeTracer:
     """One node's name on the shared :class:`Tracer`: what an engine is
     handed as ``tracer=``.  :mod:`repro.obs.observer` unpacks it and
-    appends spans to the shared log directly; :meth:`mint` is the
-    single-row form of its ``inject`` event."""
+    appends to the shared log directly; :meth:`mint` is the single-row
+    form of its ``inject`` event."""
 
     __slots__ = ("tracer", "node")
 
@@ -58,7 +89,7 @@ class NodeTracer:
         the root ``inject`` span."""
         tracer = self.tracer
         (trace,) = tracer.mint_run(1)
-        tracer.events.append(TraceEvent(
+        tracer.log.append(TraceEvent(
             tracer.now(), trace, "inject", self.node,
             fact.pred, fact.args, weight, None, None,
         ))
@@ -71,14 +102,43 @@ class Tracer:
     ``now`` is the deployment clock (``cluster.clock.now``), so sim
     traces carry virtual time and live traces wall time; the exported
     span *graph* is identical either way (see :meth:`span_graph`).
+    ``log`` is what the producers append, a :class:`TraceEvent` per
+    per-row event and a :class:`SpanRun` per per-run one; read the
+    spans through :attr:`events`.
     """
 
-    __slots__ = ("now", "events", "_next")
+    __slots__ = ("now", "log", "_next")
 
     def __init__(self, now: Callable[[], float]):
         self.now = now
-        self.events: List[TraceEvent] = []
+        self.log: List[Union[TraceEvent, SpanRun]] = []
         self._next = 0
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every span so far, in the order it happened: the log
+        expanded into a new list on each read, so emptying that list
+        leaves the trace as it was -- :meth:`clear` empties it."""
+        spans: List[TraceEvent] = []
+        append, extend = spans.append, spans.extend
+        for entry in self.log:
+            if type(entry) is not SpanRun:
+                append(entry)
+                continue
+            ts, kind, node, pred, heads, weights, traces = entry
+            if type(weights) is int:
+                weights = repeat(weights)
+            extend([
+                _span(TraceEvent, (ts, trace, kind, node, pred, args,
+                                   weight, None, None))
+                for args, weight, trace in zip(heads, weights, traces)
+                if trace is not None
+            ])
+        return spans
+
+    def clear(self) -> None:
+        """Drop every span logged so far (trace ids keep counting)."""
+        self.log.clear()
 
     def mint_run(self, count: int) -> range:
         """``count`` fresh consecutive trace ids."""
@@ -113,9 +173,16 @@ class Tracer:
     def trace_of(self, pred: str, args: Tuple) -> Optional[int]:
         """The trace id minted for the injection of ``pred(args)``."""
         args = tuple(args)
-        for ev in self.events:
-            if ev.kind == "inject" and ev.pred == pred and ev.args == args:
-                return ev.trace
+        for entry in self.log:
+            if entry.kind != "inject" or entry.pred != pred:
+                continue
+            if type(entry) is not SpanRun:
+                if entry.args == args:
+                    return entry.trace
+                continue
+            for head, trace in zip(entry.heads, entry.traces):
+                if trace is not None and head == args:
+                    return trace
         return None
 
     # -- export --------------------------------------------------------

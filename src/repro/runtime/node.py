@@ -134,7 +134,7 @@ class NodeRuntime(PSNEngine):
         return self.cluster.clock.now
 
     def _schedule_tick(self) -> None:
-        if self._tick_scheduled or not self.queue:
+        if self._tick_scheduled or not self.queue.depth:
             return
         self._tick_scheduled = True
         delay = self.cluster.config.cpu_delay
@@ -167,7 +167,7 @@ class NodeRuntime(PSNEngine):
                 return
         observer = self.observer
         if observer is not None and observer.metered:
-            observer.tick(len(self.queue))
+            observer.tick(self.queue.depth)
         processed = 0
         try:
             processed = self.process_chunk(self.batch_size)
@@ -189,7 +189,7 @@ class NodeRuntime(PSNEngine):
             # historical schedule: one charged delta per event, idle
             # immediately after a drain.
             delay = self.cluster.config.cpu_delay
-            if self.queue:
+            if self.queue.depth:
                 self.net_clock.post(delay * max(processed, 1), self._tick)
             else:
                 self._tick_scheduled = False

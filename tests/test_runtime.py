@@ -502,12 +502,12 @@ class TestReceiveARun:
 
     def test_one_receive_span_per_traced_delta(self, overlay):
         deployment, node = self.deploy(overlay, trace=True)
-        events = deployment.tracer.events
-        del events[:]
+        tracer = deployment.tracer
+        tracer.clear()
         node.receive(
             self.run_of(trace=[21, None, 22, 23, None, 24]), "n1")
         spans = [(ev.kind, ev.trace, ev.args, ev.weight, ev.src, ev.dst)
-                 for ev in events]
+                 for ev in tracer.events]
         assert spans == [
             ("receive", 21, self.RUN[0][1], 1, "n1", "n0"),
             ("receive", 23, self.RUN[3][1], -2, "n1", "n0"),

@@ -91,7 +91,11 @@ bursts; PSN "can allow just as much buffering as BSN", Section 3.3.2):
    weight is *exactly* the sequential outcome: duplicate insertions
    are one count bump of ``+w``, deletions one decrement, and the
    visibility transition (strand firing) happens at most once either
-   way.  Every other intent replays in its original position.
+   way.  Every other intent replays in its original position.  Every
+   slot that can fold therefore holds two unforced intents on one
+   tuple of a hard-state table, so a chunk where no such fact repeats
+   folds nothing: one set test per run finds that out before any slot
+   is keyed, and only a chunk with a repeat pays the slot pass.
 2. *Runs* -- the chunk is the queue's runs, the last one cut where the
    chunk ends; each commits to the table in order, and every strand of
    its predicate then fires **once per run** with the run's heads.
@@ -181,6 +185,19 @@ DEFAULT_MAX_STEPS = 20_000_000
 #: One run on the queue (layout and field meanings: module docstring,
 #: "Queue runs").
 Run = Tuple[str, List[Tuple], List[int], Optional[bool], Optional[List]]
+
+
+def _mixed(runs: List[Run]) -> bool:
+    """Whether the unforced runs of a chunk carry both signs -- the
+    only chunk netting can fold anything in."""
+    plus = minus = False
+    for _, _, weights, force, _ in runs:
+        if not force:
+            if weights[0] > 0:
+                plus = True
+            elif weights[0] < 0:
+                minus = True
+    return plus and minus
 
 
 def _part(run: Run, positions) -> Run:
@@ -283,10 +300,15 @@ class Strand:
     here.  ``capture_kernel`` is the provenance variant, whose ``out``
     receives ``(head, ground body facts)`` pairs.  Either is bound on
     first need (:meth:`bind`).
+
+    ``head`` is the head predicate and ``sink`` where a firing's heads
+    go: the engine's view of an aggregate or arg-extreme rule, or
+    ``None`` for the queue (:meth:`PSNEngine._emit`); the engine binds
+    it once, when it builds its views.
     """
 
     __slots__ = ("crule", "driver_index", "driver_literal", "code",
-                 "kernel", "capture_kernel", "_db")
+                 "kernel", "capture_kernel", "_db", "head", "sink")
 
     def __init__(self, crule: CompiledRule, driver_index: int,
                  db: Database, stats):
@@ -297,6 +319,8 @@ class Strand:
         self.kernel: Optional[Callable] = None
         self.capture_kernel: Optional[Callable] = None
         self._db = db
+        self.head: str = crule.head.pred
+        self.sink: Optional[Union[AggregateView, ArgExtremeView]] = None
 
     def bind(self, capture: bool) -> Callable:
         """Bind (and keep) the plain or the capture kernel; registers
@@ -394,10 +418,6 @@ class PSNEngine:
         self.batch_size = max(1, int(batch_size))
         self.strands = build_strands(self.compiled, self.db,
                                      StatsCatalog.from_database(self.db))
-        for strand_list in self.strands.values():
-            for strand in strand_list:
-                # Binding now registers every probed index up front.
-                strand.bind(capture=provenance is not None)
         #: Predicates whose runs are capped at one delta: those whose
         #: schema says so (a self-join), plus subclass-specific
         #: exclusions.
@@ -421,6 +441,20 @@ class PSNEngine:
                 )
         #: Every view, in the order :meth:`process_chunk` drains them.
         self._all_views = [*self.views.values(), *self.argmin_views.values()]
+        for strand_list in self.strands.values():
+            for strand in strand_list:
+                # Binding now registers every probed index up front.
+                strand.bind(capture=provenance is not None)
+                crule = strand.crule
+                if crule.aggregate is not None:
+                    strand.sink = self.views[strand.head]
+                elif crule.argmin is not None:
+                    strand.sink = self.argmin_views[strand.head]
+        #: Hard-state predicates -- the only ones netting may fold
+        #: (module docstring, "Weight netting at the queue").
+        self._foldable = frozenset(
+            pred for pred, table in self.db.tables.items()
+            if table.lifetime == INFINITY)
         self.queue = RunQueue(self._single_delta)
         #: Insertions committed so far, bumps and renewals included: the
         #: clock provenance records are stamped with (tables keep no
@@ -599,22 +633,22 @@ class PSNEngine:
         The chunk is the queue's runs, the last one cut where the chunk
         ends (:meth:`RunQueue.take`).  Only a chunk whose unforced runs
         carry both signs can net, so only such a chunk is netted; each
-        run then commits in order."""
+        run then commits in order.  Under a profiler (the observer is
+        ``timed``) :meth:`_clocked_chunk` does the same, phase by
+        phase."""
         count = min(limit, self.queue.depth)
         if count <= 0:
             return 0
         self.steps += count
+        observer = self.observer
+        if observer is not None and observer.timed:
+            return self._clocked_chunk(count, observer)
         runs = self.queue.take(count)
-        plus = minus = False
-        for _, _, weights, force, _ in runs:
-            if not force:
-                plus, minus = plus or weights[0] > 0, minus or weights[0] < 0
-        if plus and minus:
+        if _mixed(runs):
             runs = self._net_chunk(runs)
         try:
             for run in runs:
-                _, _, weights, _, _ = run
-                if weights[0] > 0:
+                if run[2][0] > 0:
                     self._commit_insert_run(run)
                 else:
                     self._commit_delete_run(run)
@@ -624,11 +658,44 @@ class PSNEngine:
             # chunk fed them, and the tables downstream must follow).
             for view in self._all_views:
                 if view.pending:
-                    pred = view.pred
-                    for weight, args, trace in view.drain():
-                        self._active_trace = trace
-                        self._derive(pred, args, weight)
+                    self._answer(view)
         return count
+
+    def _clocked_chunk(self, count: int, observer: Observer) -> int:
+        """:meth:`process_chunk`'s work on ``count`` deltas, each phase
+        clocked and raised as one ``chunk`` event: take (the queue's
+        runs and the sign test), net, commit (the table work and the
+        strand firings it triggers, which the firings' own clocks
+        split off) and the views' answer."""
+        clock = perf_counter
+        started = clock()
+        runs = self.queue.take(count)
+        mixed = _mixed(runs)
+        taken = clock()
+        if mixed:
+            runs = self._net_chunk(runs)
+        netted = clock()
+        try:
+            for run in runs:
+                if run[2][0] > 0:
+                    self._commit_insert_run(run)
+                else:
+                    self._commit_delete_run(run)
+        finally:
+            committed = clock()
+            for view in self._all_views:
+                if view.pending:
+                    self._answer(view)
+            observer.chunk(taken - started, netted - taken,
+                           committed - netted, clock() - committed)
+        return count
+
+    def _answer(self, view) -> None:
+        """Queue what ``view``'s pending net holds (at a chunk's end)."""
+        pred = view.pred
+        for weight, args, trace in view.drain():
+            self._active_trace = trace
+            self._derive(pred, args, weight)
 
     def _net_chunk(self, runs: List[Run]) -> List[Run]:
         """Net the chunk by Z-set addition before any table or strand
@@ -640,7 +707,19 @@ class PSNEngine:
         as one weighted delta in the slot's first position, and
         everything else replays intent-by-intent in original order,
         merged into runs as the queue merges them (nothing folds: the
-        chunk's runs as they are)."""
+        chunk's runs as they are).  The slot pass runs only where an
+        unforced row of a hard-state table repeats (one set update per
+        run; a row two predicates share reads as a repeat, and the
+        exact slot pass then runs for nothing)."""
+        foldable = self._foldable
+        rows: set = set()
+        unforced = 0
+        for pred, heads, _, force, _ in runs:
+            if not force and pred in foldable:
+                rows.update(heads)
+                unforced += len(heads)
+        if len(rows) == unforced:
+            return runs
         table_of = self.db.table
         # slot -> [args, eligible, first position, weights in order,
         #          folded weight or None]
@@ -754,16 +833,14 @@ class PSNEngine:
         # One deadline per run; none for a hard-state table.
         deadline = (None if table.lifetime == INFINITY
                     else self.now() + table.lifetime)
-        key_of, get_by_key, insert, bump_run = (
-            table.key_of, table.get_by_key, table.insert, table.bump_run
-        )
+        bump_run = table.bump_run
         observer, provenance = self.observer, self.provenance
         base = force is None    # a base run (provenance is on)
         tracing = observer is not None and observer.traced
-        committing = observer is not None and pred in observer.heard
         renewed = 0
         renewals: Optional[List[int]] = [] if tracing else None
         index, stop = 0, len(heads)
+        counts = None
         while index < stop:
             # Where a batch would open, the stored rows ahead of it are
             # one table call -- more derivations of visible facts: a
@@ -785,6 +862,13 @@ class PSNEngine:
                         renewals += range(index, opened)
                 if opened == stop:
                     break
+            if counts is None:
+                # What only a batch reads, bound once a row is found
+                # not stored (a refresh round never gets here).
+                counts, key_of, get_by_key, insert = (
+                    table.counts, table.key_of, table.get_by_key,
+                    table.insert)
+                committing = observer is not None and pred in observer.heard
             # The pending batch, opened by the first row that is not
             # stored: its rows' positions, the rows their slots hold now
             # (the ``-1`` run they leave in, under their replacers'
@@ -793,8 +877,8 @@ class PSNEngine:
             moved = None if traces is None else []
             for index in range(opened, stop):
                 args = heads[index]
-                if args in table and not (touched
-                                          and key_of(args) in touched):
+                if args in counts and not (touched
+                                           and key_of(args) in touched):
                     # A stored row behind the batch's first: booked in
                     # place like the ones ahead of it.
                     self.clock += 1
@@ -823,9 +907,9 @@ class PSNEngine:
                 index = stop
             if displaced:
                 if committing:
-                    count_of = table.count
-                    for old, trace in zip(displaced, moved or repeat(None)):
-                        observer.commit(pred, old, -count_of(old), trace)
+                    for position, old in enumerate(displaced):
+                        observer.commit(pred, old, -counts[old],
+                                        moved and moved[position])
                 self._fire_strands(pred, displaced, -1, moved)
                 for old in displaced:
                     if provenance is not None:
@@ -876,7 +960,7 @@ class PSNEngine:
         observer, provenance = self.observer, self.provenance
         tracing = observer is not None and observer.traced
         committing = observer is not None and pred in observer.heard
-        count_of, force_delete = table.count, table.force_delete
+        count_of, force_delete = table.counts.get, table.force_delete
         dying: List[int] = []
         for index, args in enumerate(heads):
             if force is None:
@@ -885,7 +969,7 @@ class PSNEngine:
             if tracing:
                 self._active_trace = trace
             current = count_of(args)
-            if current <= 0:
+            if current is None:
                 continue  # superseded, never committed, or already gone
             if current > -weights[index] and not force:
                 table.delete(args, -weights[index])
@@ -908,22 +992,22 @@ class PSNEngine:
             _, dying_heads, _, _, dying_traces = _part(run, dying)
             self._fire_strands(pred, dying_heads, -1, dying_traces)
 
-    def _fire_strands(self, pred: str, heads, sign: int, traces) -> None:
-        """Fire every strand of ``pred`` once with the run's ``heads``
-        (virtual: the distributed runtime suppresses flooding strands
-        on a query-cache hit)."""
-        for strand in self.strands.get(pred, ()):
-            self._fire_strand(strand, heads, sign, traces)
-
-    def _fire_strand(self, strand: Strand, heads, sign: int, traces) -> None:
-        """Fire one strand with a run's heads: one kernel call takes the
-        run into one ``out``, then the derived heads are sent on in
-        order -- plain heads in one :meth:`_emit`, aggregate /
-        arg-extreme heads into the rule's view in one ``apply_many``,
-        a lone row's like a run's; what the view makes of them is
-        queued when the chunk ends (:meth:`process_chunk`).  Traced,
-        each derived head carries its own driver's trace."""
-        crule = strand.crule
+    def _fire_strands(self, pred: str, heads, sign: int, traces,
+                      strands: Optional[List[Strand]] = None) -> None:
+        """Fire every strand of ``pred`` (or just ``strands``) once with
+        the run's ``heads``: per strand one kernel call takes the run
+        into one ``out``, then the derived heads go to the strand's
+        sink in order -- plain heads in one :meth:`_emit`, aggregate /
+        arg-extreme heads into its view in one ``apply_many``, whose
+        answer is queued when the chunk ends (:meth:`process_chunk`).
+        Observer flags and the provenance recorder are read once per
+        run.  Traced, each derived head carries its own driver's trace:
+        the same kernel over runs of one, a driving tuple's share of
+        ``out`` being what its call appended."""
+        if strands is None:
+            strands = self.strands.get(pred)
+            if strands is None:
+                return
         functions = self.db.functions
         capture = self.provenance
         observer = self.observer
@@ -931,44 +1015,37 @@ class PSNEngine:
         if observer is not None:
             traced, timed, metered = (
                 observer.traced, observer.timed, observer.metered)
-        started = perf_counter() if timed else 0.0
-        kernel = strand.kernel if capture is None else strand.capture_kernel
-        if kernel is None:
-            kernel = strand.bind(capture is not None)
-        pred = crule.head.pred
-        if crule.aggregate is not None:
-            view = self.views[pred]
-        elif crule.argmin is not None:
-            view = self.argmin_views[pred]
-        else:
-            view = None
-        out: List = []
-        derived: Optional[List] = None
-        if traced:
-            # One trace id per derived head: the same kernel over runs
-            # of one, a driving tuple's share of ``out`` being what its
-            # call appended (a run derives its tuples' heads, in order).
-            derived = []
-            for head, trace in zip(heads, traces or repeat(None)):
-                before = len(out)
-                kernel((head,), functions, out)
-                derived += [trace] * (len(out) - before)
-        else:
-            kernel(heads, functions, out)
-        inferences = len(out)
-        if out:
-            self.inferences += inferences
-            if capture is not None:
-                out = capture.record_run(crule.label, pred, out, sign)
-            if view is None:
-                self._emit(pred, out, sign, derived)
+        for strand in strands:
+            started = perf_counter() if timed else 0.0
+            kernel = strand.kernel if capture is None else strand.capture_kernel
+            if kernel is None:
+                kernel = strand.bind(capture is not None)
+            out: List = []
+            derived: Optional[List] = None
+            if traced:
+                derived = []
+                for head, trace in zip(heads, traces or repeat(None)):
+                    before = len(out)
+                    kernel((head,), functions, out)
+                    derived += [trace] * (len(out) - before)
             else:
-                # View rules are local rules: their output never ships.
-                view.apply_many(out, sign, derived)
-        if timed or (inferences and metered):
-            observer.fire(crule.label, strand.driver_literal.pred,
-                          inferences,
-                          perf_counter() - started if timed else 0.0)
+                kernel(heads, functions, out)
+            inferences = len(out)
+            if inferences:
+                self.inferences += inferences
+                if capture is not None:
+                    out = capture.record_run(strand.crule.label, strand.head,
+                                             out, sign)
+                sink = strand.sink
+                if sink is None:
+                    self._emit(strand.head, out, sign, derived)
+                else:
+                    # View rules are local rules: their output never ships.
+                    sink.apply_many(out, sign, derived)
+            if timed or (inferences and metered):
+                observer.fire(strand.crule.label, strand.driver_literal.pred,
+                              inferences,
+                              perf_counter() - started if timed else 0.0)
 
     def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
         """Queue the plain heads of one firing as one run; ``traces``

@@ -111,7 +111,11 @@ class Table:
             tuple if self._full_key else projector(self.key)
         )
         #: args -> derivation count, in insertion order: the table.
+        #: ``counts`` is the same dict, for a caller that tests or
+        #: counts a whole run of rows without a call per row (read it,
+        #: never mutate it: ``in`` and :meth:`count` read it the same).
         self._counts: Dict[Tuple, int] = {}
+        self.counts: Mapping[Tuple, int] = self._counts
         #: key value -> stored args; full-key tables: None.
         self._slots: Optional[Dict[Tuple, Tuple]] = (
             None if self._full_key else {}

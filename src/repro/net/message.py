@@ -39,8 +39,11 @@ def _fields_size(values) -> int:
     """Summed :func:`value_size` of a tuple's fields.  Sizing walks
     every path vector shipped and nearly every field is a plain str,
     tuple or number, so those are sized in place on their exact type
-    (no call, no ``isinstance`` chain per element); bool, subclasses and
-    ConstructedTuple go through :func:`value_size`, the definition."""
+    (no call, no ``isinstance`` chain per element) -- a plain tuple
+    field (a path vector) too: its elements are walked in this loop,
+    not in a nested call.  Bool, subclasses, ConstructedTuple and
+    whatever a path vector nests go through :func:`value_size`, the
+    definition."""
     total = 0
     for value in values:
         kind = type(value)
@@ -48,7 +51,16 @@ def _fields_size(values) -> int:
             size = len(value)
             total += size if size > 4 else 4
         elif kind is tuple:
-            total += 4 + _fields_size(value)
+            total += 4
+            for item in value:
+                kind = type(item)
+                if kind is str:
+                    size = len(item)
+                    total += size if size > 4 else 4
+                elif kind is float or kind is int:
+                    total += 8
+                else:
+                    total += value_size(item)
         elif kind is float or kind is int:
             total += 8
         else:
@@ -137,18 +149,22 @@ class Message:
 
     @property
     def size(self) -> int:
-        if self._size:
-            return self._size
-        if self.shared_bytes:
-            # Shared fields charged once; each member pays only its
-            # distinct remainder plus a small delta header.
-            distinct = sum(
-                max(0, delta.payload_size() - self.shared_bytes)
-                for delta in self.deltas
-            )
-            size = HEADER_BYTES + self.shared_bytes + distinct
-        else:
-            size = HEADER_BYTES + sum(d.payload_size() for d in self.deltas)
+        size = self._size
+        if size:
+            return size
+        # Shared fields charged once; each member pays only its distinct
+        # remainder (its whole payload when nothing is shared).  One
+        # pass sizes every delta not sized yet, into its ``_size`` slot
+        # (:meth:`NetDelta.payload_size`).
+        shared = self.shared_bytes
+        size = HEADER_BYTES + shared
+        for delta in self.deltas:
+            own = delta._size
+            if not own:
+                own = delta._size = (DELTA_HEADER_BYTES + len(delta.pred)
+                                     + _fields_size(delta.args))
+            if own > shared:
+                size += own - shared
         self._size = size
         return size
 

@@ -21,6 +21,7 @@ event           payload                                    raised
 ``derive``      ``(pred, heads, sign, traces)``            per run
 ``renew``       ``(pred, heads, weights, traces)``         per run
 ``fire``        ``(rule, driver, inferences, seconds)``    per firing
+``chunk``       ``(take, net, commit, views)`` seconds     per chunk
 ``span``        ``(net | derive, pred, args, weight,       per row
                 trace)``
 ``commit``      ``(pred, args, weight, trace)``            per row
@@ -32,7 +33,7 @@ event           payload                                    raised
 ``fault``       ``(kind, src, dst)``                       per fault
 ==============  =========================================  ===========
 
-The first eight are an :class:`Observer`'s (one per centralised engine
+The first nine are an :class:`Observer`'s (one per centralised engine
 or cluster node), the last four a :class:`WireObserver`'s (one per
 cluster, shared by transport, chaos injector and link liveness).
 
@@ -41,10 +42,11 @@ cluster, shared by transport, chaos injector and link liveness).
 test per run) and every other event only under the boolean that says
 its subscriber exists -- ``traced`` (rows carry trace ids; each span is
 further guarded by its row's id being non-``None``), ``timed``
-(firings are clocked), ``metered`` (the counters are on).  ``heard``
-holds every predicate when the counters, a tracer, ``on_commit`` or a
-listener without ``preds`` takes commits, and otherwise the union of
-the listeners' ``preds`` -- so a deployment holding only a
+(firings and chunk phases are clocked), ``metered`` (the counters are
+on).  ``heard`` holds every predicate when the counters, a tracer,
+``on_commit`` or a listener without ``preds`` takes commits, and
+otherwise the union of the listeners' ``preds`` -- so a deployment
+holding only a
 ``watch("shortestPath")`` tracker pays for the commits of
 ``shortestPath`` and nothing else.  Traced, a per-run event costs one
 record on the tracer's log whatever the run's length (``inject`` and
@@ -177,6 +179,13 @@ class Observer:
             firings[rule] = firings.get(rule, 0) + 1
             counts = metrics.rule_inferences
             counts[rule] = counts.get(rule, 0) + inferences
+
+    def chunk(self, take: float, net: float, commit: float,
+              views: float) -> None:
+        """One chunk's phases, clocked (raised when ``timed``): booked
+        on the profiler (:meth:`~repro.obs.profile.Profiler.book_chunk`),
+        which splits the firings out of ``commit``."""
+        self.profiler.book_chunk(take, net, commit, views)
 
     def span(self, kind: str, pred: str, args: Tuple, weight: int,
              trace: int) -> None:

@@ -31,7 +31,7 @@ from repro.obs.observer import EVERYTHING, WireObserver, node_observer
 from repro.obs.profile import Profiler
 from repro.planner.localization import is_canonical
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.node import NodeRuntime
+from repro.runtime.node import CachingNodeRuntime, NodeRuntime
 from repro.runtime.transport import ReliableTransport, Transport
 from repro.topology.overlay import Overlay
 
@@ -131,8 +131,10 @@ class Cluster:
             self.chaos = ChaosController(self, self.config.chaos)
             self.chaos.wrap_channels(self._channels)
 
+        node_class = (CachingNodeRuntime if self.config.cache
+                      else NodeRuntime)
         self.nodes: Dict[str, NodeRuntime] = {
-            name: NodeRuntime(name, self.program, self)
+            name: node_class(name, self.program, self)
             for name in overlay.nodes
         }
         #: pred -> primary-key function (the transport's net-change

@@ -46,7 +46,7 @@ produced it at the sender.
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.facts import Fact
@@ -104,7 +104,7 @@ class NodeRuntime(PSNEngine):
         #: Remote heads of the chunk being processed: destination ->
         #: deltas in emission order; :meth:`_tick` hands each list to
         #: the transport when the chunk ends.
-        self._outbox: Dict[str, List[NetDelta]] = {}
+        self._outbox: Dict[str, List[NetDelta]] = defaultdict(list)
         self.deltas_processed = 0
         #: Net deliveries per neighbor: peer -> fact -> (inserts - deletes).
         #: Maintained only under the reliable transport, where a link
@@ -115,12 +115,6 @@ class NodeRuntime(PSNEngine):
         #: Query-result cache: dst -> (path_suffix, cost).  Section 5.2.
         self.result_cache: Dict[str, Tuple[Tuple, float]] = {}
         self.cache_hits = 0
-
-    def _single_delta_preds(self):
-        """Cache-intercepted query tuples commit as runs of one, so
-        :meth:`_fire_strands` can suppress the flooding strands per
-        query on a hit."""
-        return (CACHE_QUERY_PRED,) if self.cluster.config.cache else ()
 
     # ------------------------------------------------------------------
     # Scheduling: up to cpu_batch deltas per CPU tick
@@ -205,7 +199,7 @@ class NodeRuntime(PSNEngine):
         datagram can carry: the byte model only estimates the encoded
         size); the other neighbours' runs still leave before the first
         refusal surfaces."""
-        outbox, self._outbox = self._outbox, {}
+        outbox, self._outbox = self._outbox, defaultdict(list)
         send = self.cluster.transport.send
         address = self.address
         refused = None
@@ -299,29 +293,41 @@ class NodeRuntime(PSNEngine):
     def _emit(self, pred: str, heads, sign: int, traces=None) -> None:
         """Split one firing's heads by location specifier: local heads
         join this node's queue, the rest join the outbox run of their
-        destination (shipped when the chunk ends, see :meth:`_tick`)."""
+        destination (shipped when the chunk ends, see :meth:`_tick`).
+        ``sign`` is the firing's, ``+1`` or ``-1``."""
         address = self.address
         outbox = self._outbox
-        local, local_traces = [], []
-        for head, trace in zip(heads, traces or repeat(None)):
-            destination = head[0]
-            if destination == address:
-                local.append(head)
-                local_traces.append(trace)
-            elif sign:  # a zero weight is no change at all
-                delta = NetDelta(pred, head, sign, trace)
-                run = outbox.get(destination)
-                if run is None:
-                    outbox[destination] = [delta]
+        local = []
+        local_traces = None if traces is None else []
+        if traces is None:
+            for head in heads:
+                if head[0] == address:
+                    local.append(head)
                 else:
-                    run.append(delta)
+                    outbox[head[0]].append(NetDelta(pred, head, sign))
+        else:
+            for head, trace in zip(heads, traces):
+                if head[0] == address:
+                    local.append(head)
+                    local_traces.append(trace)
+                else:
+                    outbox[head[0]].append(NetDelta(pred, head, sign, trace))
         if local:
-            super()._emit(pred, local, sign, traces and local_traces)
+            super()._emit(pred, local, sign, local_traces)
             self._schedule_tick()
 
-    # ------------------------------------------------------------------
-    # Query-result caching hooks (Section 5.2)
-    # ------------------------------------------------------------------
+
+class CachingNodeRuntime(NodeRuntime):
+    """A node of a ``config.cache`` deployment: query-result caching
+    (Section 5.2).  The cache-intercepted query predicate commits as
+    runs of one, so :meth:`_fire_strands` can suppress the flooding
+    strands per query on a hit; answers travelling the reverse path
+    install cache entries (:meth:`cache_answer`).  A plain node pays
+    nothing for either."""
+
+    def _single_delta_preds(self):
+        return (CACHE_QUERY_PRED,)
+
     def cache_answer(self, fact: Fact, weight: int) -> None:
         """Commit subscriber under ``config.cache`` (composed in
         :func:`~repro.obs.observer.node_observer`): install a cache
@@ -343,15 +349,15 @@ class NodeRuntime(PSNEngine):
         if existing is None or cost < existing[1]:
             self.result_cache[destination] = (suffix, cost)
 
-    def _fire_strands(self, pred: str, heads, sign: int, traces) -> None:
-        if sign > 0 and pred == CACHE_QUERY_PRED and self.cluster.config.cache:
+    def _fire_strands(self, pred: str, heads, sign: int, traces,
+                      strands=None) -> None:
+        if sign > 0 and pred == CACHE_QUERY_PRED:
             # The query predicate's runs are capped at this one delta.
             if self._try_cache_hit(heads[0]):
-                for strand in self.strands.get(pred, ()):
-                    if strand.crule.rule.label not in CACHE_SUPPRESSED:
-                        self._fire_strand(strand, heads, sign, traces)
-                return
-        super()._fire_strands(pred, heads, sign, traces)
+                strands = [
+                    strand for strand in self.strands.get(pred, ())
+                    if strand.crule.rule.label not in CACHE_SUPPRESSED]
+        super()._fire_strands(pred, heads, sign, traces, strands)
 
     def _try_cache_hit(self, args: Tuple) -> bool:
         """On a cached destination, answer the query tuple ``args``

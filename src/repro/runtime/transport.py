@@ -75,11 +75,7 @@ def messages(src: str, dst: str, deltas: Sequence[NetDelta],
     lone delta above it travels alone).  Each piece is its own message,
     hence gets its own ``seq``: per-link FIFO and the reliable layer see
     ordinary messages."""
-    def piece(chunk) -> Message:
-        return Message(src=src, dst=dst, deltas=tuple(chunk),
-                       shared_bytes=shared_bytes, ack=ack)
-
-    whole = piece(deltas)
+    whole = Message(src, dst, tuple(deltas), shared_bytes, None, ack)
     if whole.size <= MAX_MESSAGE_BYTES or len(deltas) < 2:
         yield whole
         return
@@ -87,10 +83,11 @@ def messages(src: str, dst: str, deltas: Sequence[NetDelta],
     for index, delta in enumerate(deltas):
         size = delta.payload_size()
         if total + size > MAX_MESSAGE_BYTES and index > start:
-            yield piece(deltas[start:index])
+            yield Message(src, dst, tuple(deltas[start:index]),
+                          shared_bytes, None, ack)
             start, total = index, HEADER_BYTES
         total += size
-    yield piece(deltas[start:])
+    yield Message(src, dst, tuple(deltas[start:]), shared_bytes, None, ack)
 
 
 def _dropped(window: Sequence[NetDelta], coalesced: Sequence[NetDelta],

@@ -304,6 +304,45 @@ def test_transient_announce_withdraw_cancels(batch_size):
         assert engine.cancelled == 0
 
 
+def test_a_chunk_without_a_repeated_fact_keys_no_slot():
+    """Both signs, but every row distinct: nothing can fold (a slot
+    folds two intents on one tuple), so the netting pass keys no slot
+    -- ``key_of`` is not called, where the slot pass called it once per
+    row -- and the chunk commits as queued."""
+    stored = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
+    engine = kv_engine(64, rows=stored + stored)    # each row counts 2
+    table = engine.db.table("kv")
+    keyed = []
+    key_of = table.key_of
+
+    def counting_key_of(args):
+        keyed.append(args)
+        return key_of(args)
+
+    table.key_of = counting_key_of
+    for args in stored[:2]:
+        enqueue(engine, 1, args)
+    for args in stored[2:]:
+        enqueue(engine, -1, args)
+    engine.run()
+    assert keyed == []
+    assert engine.cancelled == 0
+    assert [table.count(args) for args in stored] == [3, 3, 1, 1]
+
+
+def test_a_fact_repeated_across_runs_still_folds():
+    """``+f``, a run of another predicate, then ``-f``: no run holds f
+    twice, yet the chunk does, and the pair annihilates."""
+    engine = kv_engine(64)
+    enqueue(engine, 1, ("a", 1))
+    enqueue(engine, 1, ("z", 9), pred="out")
+    enqueue(engine, -1, ("a", 1))
+    engine.run()
+    assert engine.cancelled == 2
+    assert engine.db.table("kv").rows() == []
+    assert engine.db.table("out").rows() == [("z", 9)]
+
+
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_minus_first_pair_is_not_cancelled(batch_size):
     """-f then +f on an absent fact must leave f visible: the run's
@@ -1104,7 +1143,9 @@ def test_duplicate_shapes_on_the_soft_table(bursts, renewals, replaced,
 def test_a_refresh_round_is_one_table_call():
     """Nine stored rows re-announced as one run: one ``bump_run``, no
     per-row ``insert`` or ``in`` -- and a fresh row behind them hands
-    the rest of the run to the scan exactly once."""
+    the rest of the run to the scan exactly once.  The commit loop tests
+    membership on the table's live ``counts`` mapping; ``in`` is logged
+    there."""
     base, program = keyed_program("soft")
     engine = ClockedEngine(program, batch_size=64)
     rows = [("a", f"k{i}", 0, i) for i in range(9)]
@@ -1112,6 +1153,22 @@ def test_a_refresh_round_is_one_table_call():
     engine.run()
     table = engine.db.table("kv")
     calls = []
+
+    class Membership:
+        """The live row -> count mapping, its ``in`` tests logged."""
+
+        def __init__(self, counts):
+            self.counts = counts
+
+        def __contains__(self, args):
+            calls.append("in")
+            return args in self.counts
+
+        def __getitem__(self, args):
+            return self.counts[args]
+
+        def get(self, args, default=None):
+            return self.counts.get(args, default)
 
     class Counting(Table):
         def bump_run(self, *args):
@@ -1122,11 +1179,8 @@ def test_a_refresh_round_is_one_table_call():
             calls.append("insert")
             return super().insert(*args)
 
-        def __contains__(self, args):
-            calls.append("in")
-            return super().__contains__(args)
-
     table.__class__ = Counting
+    table.counts = Membership(table.counts)
     engine.time = 5.0
     steps = engine.steps
     engine.inject_run("kv", rows)

@@ -4,6 +4,7 @@ contracts that ride with it (weight-aware commit observation, traffic
 time-series helpers, fault trace events, sim-vs-live equivalence)."""
 
 import json
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.net.stats import ResultTracker, TrafficStats
 from repro.obs import MetricsRegistry, Profiler, Tracer
 from repro.obs.__main__ import main as obs_cli
 from repro.obs.observer import EVERYTHING
+from repro.obs.profile import PHASES
 from repro.runtime import RuntimeConfig
 from repro.topology import build_overlay, transit_stub
 from repro.topology.overlay import Overlay
@@ -464,6 +466,10 @@ class RecordingObserver:
         key = (rule, driver)
         self.inferred[key] = self.inferred.get(key, 0) + inferences
 
+    def chunk(self, take, net, commit, views):
+        assert min(take, net, commit, views) >= 0.0
+        self.chunks = getattr(self, "chunks", 0) + 1
+
     def commit_signs(self):
         signs = {}
         for kind, pred, args, weight, _trace in self.events:
@@ -749,6 +755,33 @@ class TestProfiling:
         report = profile.report()
         assert "R2" in report and "us/call" in report
 
+    def test_profile_reports_the_chunk_phases(self, monkeypatch):
+        """Each chunk is clocked phase by phase onto the node's
+        profiler: the deployment's profile holds one booking per chunk,
+        its ``fire`` phase is the strand rows' total, and the phases
+        fit inside the chunks' own time."""
+        real = PSNEngine.process_chunk
+        chunks = []
+
+        def clocked(engine, limit):
+            started = time.perf_counter()
+            taken = real(engine, limit)
+            if taken:
+                chunks.append(time.perf_counter() - started)
+            return taken
+
+        monkeypatch.setattr(PSNEngine, "process_chunk", clocked)
+        deployment = deploy_line(profile=True)
+        deployment.advance()
+        profile = deployment.profile()
+        assert tuple(profile.phases) == PHASES
+        assert profile.chunks == len(chunks) > 0
+        assert all(seconds >= 0 for seconds in profile.phases.values())
+        assert profile.phases["fire"] == pytest.approx(
+            profile.total_seconds())
+        assert 0 < profile.chunk_seconds <= sum(chunks)
+        assert "views" in profile.report()
+
     def test_profile_off_raises_planerror(self):
         deployment = deploy_line()
         deployment.advance()
@@ -830,7 +863,12 @@ class TestRegistry:
         left.add("r1", "link", 0.5)
         right.add("r1", "link", 0.25)
         right.add("r2", "path", 1.0)
+        right.book_chunk(0.5, 0.0, 2.0, 0.25)    # its firings: 1.25 s
         left.merge(right)
         assert left.strands[("r1", "link")] == [0.75, 2]
         assert left.rule_totals()["r2"] == 1.0
         assert left.total_seconds() == pytest.approx(1.75)
+        assert left.phases == pytest.approx(
+            {"take": 0.5, "net": 0.0, "commit": 0.75, "fire": 1.25,
+             "views": 0.25})
+        assert left.chunks == 1 and left.fired == pytest.approx(1.75)

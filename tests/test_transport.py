@@ -513,6 +513,20 @@ class TestByteModel:
                       for d in deltas)
         assert Message("a", "b", deltas).size == HEADER_BYTES + payload
 
+    def test_a_message_sizes_its_unsized_deltas_in_one_pass(self):
+        """Pre-sized and unsized deltas in one message, one carrying a
+        path vector that nests two levels down: the message charges
+        each its reference size, and leaves every delta sized."""
+        nested = ("n1", ("n2", ("n3", 4, True), _Address("n44444")), 2.5)
+        deltas = (NetDelta("path", ("a", nested, 3), 1),
+                  NetDelta("q", ("a", 1), -2),
+                  NetDelta("path", (("x", ("y",)), "b"), 1))
+        deltas[1].payload_size()
+        sizes = [4 + len(d.pred) + sum(map(reference_value_size, d.args))
+                 for d in deltas]
+        assert Message("a", "b", deltas).size == HEADER_BYTES + sum(sizes)
+        assert [d.payload_size() for d in deltas] == sizes
+
 
 # ----------------------------------------------------------------------
 # The run on the wire, end to end

@@ -3,10 +3,8 @@
 Draining the queue in chunks larger than one (Z-set weight netting at
 the queue, one strand firing per run, netted aggregate views) may
 change *intermediate* traffic but must never change what the engines
-compute: property tests hold the fixpoint contents, the final
-derivation counts, the aggregate views, and the net commit multiset
-equal across batch sizes and engines, ``batch_size=1`` (chunks of one:
-nothing to net) being the reference; deterministic tests pin the
+compute (the contract matrix, ``test_contract.py``, holds every batch
+size to chunks of one on the interpreter); deterministic tests pin the
 netting pass's slot-order discipline (runs seal at replacements and
 forced deletes) and the orderings a run must keep (self-join
 visibility, forced deletes mid-chunk, replacement of a member of the
@@ -25,14 +23,12 @@ closing section holds duplicate-heavy streams on the same tables to
 chunks of one, counters and observer events included.
 """
 
-import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.engine import Database, seminaive
-from repro.engine.bsn import BSNEngine
+from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
 from repro.engine.table import Table
@@ -53,20 +49,6 @@ SETTINGS = dict(
 )
 
 BATCH_SIZES = (1, 7, 64)
-
-nodes = st.integers(min_value=0, max_value=5).map(lambda i: f"n{i}")
-undirected_edges = st.sets(
-    st.tuples(nodes, nodes).filter(lambda e: e[0] < e[1]),
-    min_size=1, max_size=10,
-)
-
-
-def weighted_rows(state):
-    rows = []
-    for (a, b), cost in state.items():
-        rows.append((a, b, cost))
-        rows.append((b, a, cost))
-    return rows
 
 
 def counts_snapshot(db):
@@ -128,134 +110,6 @@ class CommitLog:
         if self.duplicates:
             return signs, None
         return signs, {f: n for f, n in self.weights.items() if n != 0}
-
-
-def interleaved_burst_run(program_builder, batch_size, edge_set, seed, ops,
-                          engine_cls=PSNEngine, record_commits=False):
-    """Converge, apply ``ops`` random insert/delete/update operations as
-    one enqueued burst, run to quiescence; return the observable state."""
-    rng = random.Random(seed)
-    state = {}
-    for a, b in sorted(edge_set):
-        state[(a, b)] = rng.randint(1, 9)
-
-    program = program_builder()
-    db = Database.for_program(program)
-    db.load_facts("link", weighted_rows(state))
-    commits = CommitLog()
-
-    def insert(args):
-        commits.inserting("link", args)
-        engine.insert("link", args)
-
-    engine = engine_cls(
-        program, db=db, batch_size=batch_size,
-        on_commit=commits if record_commits else None,
-    )
-    engine.fixpoint()
-    if record_commits:
-        commits.clear()  # compare the burst phase only
-
-    pairs = sorted(edge_set)
-    for _ in range(ops):
-        kind = rng.choice(["del", "ins", "upd", "flap"])
-        if kind == "del" and state:
-            pair = rng.choice(sorted(state))
-            cost = state.pop(pair)
-            engine.delete("link", (*pair, cost))
-            engine.delete("link", (pair[1], pair[0], cost))
-        elif kind == "ins":
-            pair = tuple(rng.choice(pairs))
-            if pair not in state:
-                cost = rng.randint(1, 9)
-                state[pair] = cost
-                insert((*pair, cost))
-                insert((pair[1], pair[0], cost))
-        elif kind == "upd" and state:
-            pair = rng.choice(sorted(state))
-            cost = rng.randint(1, 9)
-            state[pair] = cost
-            insert((*pair, cost))  # update() is insert()
-            insert((pair[1], pair[0], cost))
-        elif kind == "flap":
-            # Transient announce/withdraw of a link that is not part of
-            # the stored graph: the plus-first pattern cancellation is
-            # allowed to annihilate.
-            pair = tuple(rng.choice(pairs))
-            if pair not in state:
-                cost = rng.randint(1, 9)
-                engine.derive(Fact("link", (*pair, cost)), 1)
-                engine.derive(Fact("link", (pair[1], pair[0], cost)), 1)
-                engine.derive(Fact("link", (*pair, cost)), -1)
-                engine.derive(Fact("link", (pair[1], pair[0], cost)), -1)
-    engine.run()
-    return engine, commits
-
-
-@given(
-    edge_set=undirected_edges,
-    seed=st.integers(min_value=0, max_value=999),
-    ops=st.integers(min_value=1, max_value=8),
-)
-@example(edge_set={("n0", "n1"), ("n0", "n2")}, seed=545, ops=6)
-@settings(**SETTINGS)
-def test_batched_psn_matches_reference_on_shortest_path(edge_set, seed, ops):
-    """Fixpoint contents, derivation counts, aggregate views and the net
-    commit multiset (:class:`CommitLog`) agree across batch sizes on
-    interleaved bursts.  The pinned example inserts a fresh link and
-    then updates it to the same cost: one ``+2`` transition in a chunk,
-    ``+1`` and a silent bump in chunks of one."""
-    reference = None
-    for batch_size in BATCH_SIZES:
-        engine, commits = interleaved_burst_run(
-            programs.shortest_path_safe, batch_size, edge_set, seed, ops,
-            record_commits=True,
-        )
-        observed = (
-            engine.db.snapshot(),
-            counts_snapshot(engine.db),
-            view_rows(engine),
-            commits.net(),
-        )
-        if reference is None:
-            reference = observed
-        else:
-            assert observed[0] == reference[0], f"rows @ batch={batch_size}"
-            assert observed[1] == reference[1], f"counts @ batch={batch_size}"
-            assert observed[2] == reference[2], f"views @ batch={batch_size}"
-            assert observed[3] == reference[3], f"commits @ batch={batch_size}"
-
-
-@given(edge_set=undirected_edges, seed=st.integers(min_value=0, max_value=99))
-@settings(**SETTINGS)
-def test_batched_engines_match_seminaive_fixpoint(edge_set, seed):
-    """PSN and BSN at every batch size reach the semi-naive fixpoint,
-    including on self-join rules (whose runs are capped at one delta
-    inside a chunk)."""
-    rng = random.Random(seed)
-    links = []
-    for a, b in sorted(edge_set):
-        cost = rng.randint(1, 9)
-        links.append((a, b, cost))
-        links.append((b, a, cost))
-    for builder, pred, rows in (
-        (programs.transitive_closure_nonlinear, "edge", sorted(edge_set)),
-        (programs.shortest_path_safe, "link", links),
-    ):
-        program = builder()
-        db = Database.for_program(program)
-        db.load_facts(pred, rows)
-        reference = seminaive.evaluate(program, db).db.snapshot()
-        for engine_cls in (PSNEngine, BSNEngine):
-            for batch_size in BATCH_SIZES[1:]:
-                program2 = builder()
-                db2 = Database.for_program(program2)
-                db2.load_facts(pred, rows)
-                engine = engine_cls(program2, db=db2, batch_size=batch_size)
-                engine.fixpoint()
-                assert engine.db.snapshot() == reference, (
-                    engine_cls.__name__, batch_size, builder.__name__,
-                )
 
 
 # ----------------------------------------------------------------------

@@ -56,50 +56,6 @@ def test_shortest_path_on_figure2(module):
     assert len({(s, d) for s, d, _p, _c in sp}) == 20
 
 
-@pytest.mark.parametrize("module", ENGINES)
-def test_transitive_closure_matches_reference(module):
-    random.seed(11)
-    edges = {(f"n{random.randrange(9)}", f"n{random.randrange(9)}")
-             for _ in range(16)}
-    edges = {(a, b) for a, b in edges if a != b}
-    result = run(module, transitive_closure(), {"edge": edges})
-
-    # Reference closure via simple BFS.
-    adjacency = {}
-    for a, b in edges:
-        adjacency.setdefault(a, set()).add(b)
-    expected = set()
-    for start in {a for a, _ in edges}:
-        frontier = [start]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        expected |= {(start, node) for node in seen}
-    assert result.rows("tc") == frozenset(expected)
-
-
-def test_all_engines_agree_on_random_graphs():
-    random.seed(3)
-    for _trial in range(8):
-        edges = {(f"n{random.randrange(7)}", f"n{random.randrange(7)}")
-                 for _ in range(12)}
-        baselines = {}
-        for builder in (transitive_closure, transitive_closure_nonlinear):
-            outputs = set()
-            for module in ENGINES:
-                result = run(module, builder(), {"edge": edges})
-                outputs.add(result.rows("tc"))
-            assert len(outputs) == 1
-            baselines[builder.__name__] = outputs.pop()
-        # Linear and non-linear TC agree with each other too.
-        assert (baselines["transitive_closure"]
-                == baselines["transitive_closure_nonlinear"])
-
-
 def test_theorem2_no_repeated_inferences():
     """SN is inference-optimal; PSN and BSN must match it exactly
     (Theorem 2), including on non-linear rules (self-joins)."""
@@ -140,38 +96,6 @@ def test_safe_program_terminates_on_cycles():
     result = run(seminaive, shortest_path_safe(),
                  {"link": [("a", "b", 1), ("b", "a", 1)]})
     assert ("a", "b", ("a", "b"), 1) in result.rows("shortestPath")
-
-
-def test_bsn_random_batching_matches_fixpoint():
-    """BSN may buffer arbitrarily (Section 3.3.1): any batching schedule
-    must reach the same fixpoint."""
-    random.seed(9)
-    edges = {(f"n{random.randrange(8)}", f"n{random.randrange(8)}")
-             for _ in range(14)}
-    reference = run(seminaive, transitive_closure(), {"edge": edges})
-
-    rng = random.Random(1234)
-    for _trial in range(5):
-        program = transitive_closure()
-        db = Database.for_program(program)
-        db.load_facts("edge", edges)
-        engine = BSNEngine(program, db=db,
-                           scheduler=lambda n: rng.randint(1, max(1, n)))
-        result = engine.fixpoint()
-        assert result.rows("tc") == reference.rows("tc")
-
-
-def test_psn_incremental_insert_equals_batch():
-    """PSN processes tuples as they arrive: inserting base facts one at a
-    time (running to quiescence in between) must equal batch loading."""
-    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "d")]
-    program = transitive_closure()
-    engine = PSNEngine(program)
-    for edge in edges:
-        engine.insert("edge", edge)
-        engine.run()
-    batch = run(psn, transitive_closure(), {"edge": edges})
-    assert frozenset(engine.db.table("tc").rows()) == batch.rows("tc")
 
 
 def test_psn_max_steps_limit_is_exact():

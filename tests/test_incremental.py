@@ -6,8 +6,6 @@ PSN equals what PSN would compute from scratch on the quiesced state.
 
 import random
 
-import pytest
-
 from repro.engine import Database
 from repro.engine.psn import PSNEngine
 from repro.ndlog import parse
@@ -94,76 +92,6 @@ class TestBaseTableChanges:
         assert link_commits[0][1].args == ("a", "b", 5)
         assert link_commits[1][0] == 1
         assert link_commits[1][1].args == ("a", "b", 2)
-
-
-class TestTheorem3RandomBursts:
-    # Note: the *dynamic* program form (path keyed on (src, dst, nexthop))
-    # is only confluent when combined with aggregate-selection
-    # advertising -- each neighbour then advertises exactly its final
-    # best, making "latest advert wins" deterministic.  That combination
-    # lives in the distributed runtime and is tested there; the
-    # unrestricted centralized engine exercises the full-key form here.
-    @pytest.mark.parametrize("builder", [shortest_path_safe])
-    def test_random_burst_trials(self, builder):
-        rng = random.Random(2024)
-        nodes = ["a", "b", "c", "d", "e"]
-        pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1:]]
-        for _trial in range(25):
-            state = {p: rng.randint(1, 9) for p in pairs
-                     if rng.random() < 0.6}
-            engine = fresh_fixpoint(builder, link_rows(state))
-            # One burst of mixed updates, applied mid-flight.
-            for _ in range(rng.randint(1, 6)):
-                op = rng.choice(["del", "ins", "upd"])
-                if op == "del" and state:
-                    pair = rng.choice(sorted(state))
-                    cost = state.pop(pair)
-                    a, b = pair
-                    engine.delete("link", (a, b, cost))
-                    engine.delete("link", (b, a, cost))
-                elif op == "ins":
-                    pair = rng.choice(pairs)
-                    if pair not in state:
-                        cost = rng.randint(1, 9)
-                        state[pair] = cost
-                        a, b = pair
-                        engine.insert("link", (a, b, cost))
-                        engine.insert("link", (b, a, cost))
-                elif op == "upd" and state:
-                    pair = rng.choice(sorted(state))
-                    cost = rng.randint(1, 9)
-                    state[pair] = cost
-                    a, b = pair
-                    engine.update("link", (a, b, cost))
-                    engine.update("link", (b, a, cost))
-            engine.run()
-            # shortestPath/spCost must match from scratch for both
-            # program forms; the dynamic form's path table keeps only the
-            # latest advert per (src, dst, nexthop), which from-scratch
-            # reproduces as well since the advert is the final best.
-            assert_matches_scratch(engine, builder, state,
-                                   preds=("spCost", "shortestPath"))
-
-    def test_interleaved_bursts_without_quiescence(self):
-        """Bursts arriving before the previous burst's fixpoint completes
-        (the demanding workload of Figure 14) still converge."""
-        rng = random.Random(7)
-        nodes = ["a", "b", "c", "d", "e", "f"]
-        pairs = [(x, y) for i, x in enumerate(nodes) for y in nodes[i + 1:]]
-        state = {p: rng.randint(1, 9) for p in pairs if rng.random() < 0.5}
-        engine = fresh_fixpoint(shortest_path_safe, link_rows(state))
-        for _burst in range(5):
-            for _ in range(3):
-                pair = rng.choice(pairs)
-                cost = rng.randint(1, 9)
-                state[pair] = cost
-                a, b = pair
-                engine.update("link", (a, b, cost))
-                engine.update("link", (b, a, cost))
-            # Process only part of the queue: the next burst lands early.
-            engine.run_batch(rng.randint(1, 20))
-        engine.run()
-        assert_matches_scratch(engine, shortest_path_safe, state)
 
 
 class TestDerivationCounts:

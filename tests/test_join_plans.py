@@ -18,7 +18,6 @@ regenerate it:
 """
 
 import pathlib
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -278,16 +277,6 @@ GRAPH_PROGRAMS = (
 )
 
 
-def weighted(edge_set, seed=3):
-    rng = random.Random(seed)
-    rows = []
-    for a, b in sorted(edge_set):
-        cost = rng.randint(1, 9)
-        rows.append((a, b, cost))
-        rows.append((b, a, cost))
-    return rows
-
-
 def loaded(builder, pred, rows):
     program = builder()
     db = Database.for_program(program)
@@ -295,76 +284,25 @@ def loaded(builder, pred, rows):
     return program, db
 
 
-def assert_planned_equals_unplanned(builder, pred, rows,
-                                    same_inferences=False):
-    """Every engine reaches the naive fixpoint, and so do PSN/BSN run
-    on the interpreter (no plan, no generated code) -- on aggregate-free
-    programs with the same number of inferences as on their kernels
-    (with aggregates the join order decides which transient group
-    values exist)."""
-    reference = naive.evaluate(*loaded(builder, pred, rows)).db.snapshot()
-    for module in ENGINES[1:]:
-        result = module.evaluate(*loaded(builder, pred, rows))
-        assert result.db.snapshot() == reference, module.__name__
-    for engine_cls in (PSNEngine, BSNEngine):
-        planned = engine_cls(*loaded(builder, pred, rows)).fixpoint()
-        unplanned = interpret(
-            engine_cls(*loaded(builder, pred, rows))).fixpoint()
-        context = (engine_cls.__name__, builder.__name__)
-        assert unplanned.db.snapshot() == reference, context
-        if same_inferences:
-            assert unplanned.inferences == planned.inferences, context
-
-
 @given(edge_set=edges)
 @settings(**SETTINGS)
 def test_property_planned_equals_unplanned_tc(edge_set):
+    """Every engine reaches the naive fixpoint, and PSN/BSN run on the
+    interpreter (no plan, no generated code) make as many inferences as
+    on their kernels."""
     for pred, builder in GRAPH_PROGRAMS:
-        assert_planned_equals_unplanned(builder, pred, edge_set,
-                                        same_inferences=True)
-
-
-@given(edge_set=edges)
-@settings(**SETTINGS)
-def test_property_planned_equals_unplanned_shortest_path(edge_set):
-    assert_planned_equals_unplanned(
-        programs.shortest_path_safe, "link", weighted(edge_set))
-
-
-@given(edge_set=edges)
-@settings(**SETTINGS)
-def test_property_planned_equals_unplanned_distance_vector(edge_set):
-    assert_planned_equals_unplanned(
-        programs.distance_vector, "link", weighted(edge_set, seed=9))
-
-
-def test_planned_incremental_updates_match_rebuild():
-    """PSN with plans: after a burst of inserts and deletes, the
-    incrementally maintained state equals evaluation from scratch on the
-    final base tables (Theorem 3, now through the planned path)."""
-    rng = random.Random(17)
-    program = programs.transitive_closure()
-    engine = PSNEngine(program)
-    live = set()
-    for _ in range(60):
-        a, b = f"n{rng.randrange(6)}", f"n{rng.randrange(6)}"
-        if a == b:
-            continue
-        if (a, b) in live:
-            if rng.random() < 0.4:
-                engine.delete("edge", (a, b))
-                live.discard((a, b))
-        else:
-            engine.insert("edge", (a, b))
-            live.add((a, b))
-    engine.run()
-
-    fresh = PSNEngine(programs.transitive_closure())
-    for edge in live:
-        fresh.insert("edge", edge)
-    fresh.run()
-    assert (frozenset(engine.db.table("tc").rows())
-            == frozenset(fresh.db.table("tc").rows()))
+        reference = naive.evaluate(
+            *loaded(builder, pred, edge_set)).db.snapshot()
+        for module in ENGINES[1:]:
+            result = module.evaluate(*loaded(builder, pred, edge_set))
+            assert result.db.snapshot() == reference, module.__name__
+        for engine_cls in (PSNEngine, BSNEngine):
+            planned = engine_cls(*loaded(builder, pred, edge_set)).fixpoint()
+            unplanned = interpret(
+                engine_cls(*loaded(builder, pred, edge_set))).fixpoint()
+            context = (engine_cls.__name__, builder.__name__)
+            assert unplanned.db.snapshot() == reference, context
+            assert unplanned.inferences == planned.inferences, context
 
 
 if __name__ == "__main__":

@@ -1,20 +1,14 @@
-"""Property-based tests (hypothesis) for the core invariants:
+"""Property-based tests (hypothesis) for the core invariants beside
+the contract matrix (``test_contract.py``, Theorems 1 and 3):
 
-* Theorem 1: SN, BSN and PSN compute the naive fixpoint;
 * Theorem 2: the delta engines never repeat an inference;
-* Theorem 3: incremental maintenance under random update bursts equals
-  evaluation from scratch on the quiesced state;
 * parser round-trip: pretty-printing then re-parsing is the identity;
 * f_concatPath algebra.
 """
 
-import random
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine import Database, bsn, naive, psn, seminaive
-from repro.engine.bsn import BSNEngine
-from repro.engine.psn import PSNEngine
+from repro.engine import Database, bsn, psn, seminaive
 from repro.ndlog import parse, pretty, programs
 from repro.ndlog.functions import REGISTRY
 
@@ -27,53 +21,6 @@ SETTINGS = dict(
 nodes = st.integers(min_value=0, max_value=6).map(lambda i: f"n{i}")
 edges = st.sets(st.tuples(nodes, nodes).filter(lambda e: e[0] != e[1]),
                 min_size=1, max_size=16)
-#: Undirected links: canonical (a < b) pairs, so that the two directions
-#: of one physical link never carry different costs.
-undirected_edges = st.sets(
-    st.tuples(nodes, nodes).filter(lambda e: e[0] < e[1]),
-    min_size=1, max_size=12,
-)
-weights = st.integers(min_value=1, max_value=9)
-
-
-def weighted_links(edge_set, seed):
-    rng = random.Random(seed)
-    rows = []
-    for a, b in sorted(edge_set):
-        cost = rng.randint(1, 9)
-        rows.append((a, b, cost))
-        rows.append((b, a, cost))
-    return rows
-
-
-@given(edge_set=edges)
-@settings(**SETTINGS)
-def test_theorem1_engines_agree_on_tc(edge_set):
-    reference = None
-    for module in (naive, seminaive, bsn, psn):
-        program = programs.transitive_closure()
-        db = Database.for_program(program)
-        db.load_facts("edge", edge_set)
-        rows = module.evaluate(program, db).rows("tc")
-        if reference is None:
-            reference = rows
-        else:
-            assert rows == reference
-
-
-@given(edge_set=edges)
-@settings(**SETTINGS)
-def test_theorem1_engines_agree_on_nonlinear_tc(edge_set):
-    reference = None
-    for module in (seminaive, bsn, psn):
-        program = programs.transitive_closure_nonlinear()
-        db = Database.for_program(program)
-        db.load_facts("edge", edge_set)
-        rows = module.evaluate(program, db).rows("tc")
-        if reference is None:
-            reference = rows
-        else:
-            assert rows == reference
 
 
 @given(edge_set=edges)
@@ -86,86 +33,6 @@ def test_theorem2_inference_parity(edge_set):
         db.load_facts("edge", edge_set)
         counts.add(module.evaluate(program, db).inferences)
     assert len(counts) == 1
-
-
-@given(edge_set=edges, seed=st.integers(min_value=0, max_value=999))
-@settings(**SETTINGS)
-def test_bsn_arbitrary_batching(edge_set, seed):
-    """BSN may buffer arbitrarily (Section 3.3.1): any schedule reaches
-    the same fixpoint."""
-    program = programs.transitive_closure()
-    db = Database.for_program(program)
-    db.load_facts("edge", edge_set)
-    reference = seminaive.evaluate(program, db).rows("tc")
-
-    rng = random.Random(seed)
-    program2 = programs.transitive_closure()
-    db2 = Database.for_program(program2)
-    db2.load_facts("edge", edge_set)
-    engine = BSNEngine(program2, db=db2,
-                       scheduler=lambda n: rng.randint(1, max(1, n)))
-    assert engine.fixpoint().rows("tc") == reference
-
-
-@given(
-    edge_set=undirected_edges,
-    seed=st.integers(min_value=0, max_value=999),
-    ops=st.integers(min_value=1, max_value=8),
-)
-@settings(**SETTINGS)
-def test_theorem3_bursty_updates_converge(edge_set, seed, ops):
-    """Random insert/delete/update bursts on the shortest-path program:
-    the quiesced incremental state equals from-scratch."""
-    rng = random.Random(seed)
-    state = {}
-    for a, b in sorted(edge_set):
-        state[(a, b)] = rng.randint(1, 9)
-
-    program = programs.shortest_path_safe()
-    db = Database.for_program(program)
-    db.load_facts("link", weighted_rows(state))
-    engine = PSNEngine(program, db=db)
-    engine.fixpoint()
-
-    pairs = sorted(edge_set)
-    for _ in range(ops):
-        kind = rng.choice(["del", "ins", "upd"])
-        if kind == "del" and state:
-            pair = rng.choice(sorted(state))
-            cost = state.pop(pair)
-            engine.delete("link", (*pair, cost))
-            engine.delete("link", (pair[1], pair[0], cost))
-        elif kind == "ins":
-            pair = tuple(rng.choice(pairs))
-            if pair not in state:
-                cost = rng.randint(1, 9)
-                state[pair] = cost
-                engine.insert("link", (*pair, cost))
-                engine.insert("link", (pair[1], pair[0], cost))
-        elif kind == "upd" and state:
-            pair = rng.choice(sorted(state))
-            cost = rng.randint(1, 9)
-            state[pair] = cost
-            engine.update("link", (*pair, cost))
-            engine.update("link", (pair[1], pair[0], cost))
-    engine.run()
-
-    scratch_db = Database.for_program(program)
-    scratch_db.load_facts("link", weighted_rows(state))
-    scratch = PSNEngine(program, db=scratch_db)
-    scratch.fixpoint()
-    for pred in ("path", "spCost", "shortestPath"):
-        assert frozenset(engine.db.table(pred).rows()) == frozenset(
-            scratch.db.table(pred).rows()
-        ), pred
-
-
-def weighted_rows(state):
-    rows = []
-    for (a, b), cost in state.items():
-        rows.append((a, b, cost))
-        rows.append((b, a, cost))
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -343,6 +343,30 @@ class TestAuditor:
         report = audit_engine(engine)
         assert report.ok, report.mismatches[:5]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 8")
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    @pytest.mark.parametrize("engine_class", [PSNEngine, BSNEngine],
+                             ids=["psn", "bsn"])
+    def test_rederivation_behind_a_removal_keeps_its_support(
+            self, engine_class, batch_size):
+        """The derived analogue: a forced delete of ``q(a)`` commits
+        while a second derivation of it, fired by ``s(a)`` ahead of the
+        delete, still waits on the queue.  The delete wipes the support
+        ``q(a)`` had; the re-derivation must book its own where it
+        commits, not where it fired."""
+        engine = engine_class(
+            repro.compile("r1: q(X) :- p(X). r2: q(X) :- s(X).").program,
+            batch_size=batch_size, provenance=ProvenanceStore().recorder())
+        engine.db.load_facts("p", [("a",)])
+        engine.fixpoint()
+        engine.insert("s", ("a",))
+        engine.delete("q", ("a",))
+        engine.run()
+        assert engine.db.table("q").count(("a",)) == 1
+        report = audit_engine(engine)
+        assert report.ok, report.mismatches[:5]
+
     @pytest.mark.parametrize("batch_size", [1, 4])
     def test_base_rows_netted_at_the_queue_keep_their_support(
             self, batch_size):

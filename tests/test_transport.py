@@ -1,10 +1,9 @@
 """Transport tests: the flush policies (eager, net-change elimination,
 share grouping) against a stub cluster, window netting held to its
-two-pass spec and its net spans, the run on the wire end to end (order,
-grouping, fixpoints at every chunk size), message splitting and the
-byte model."""
+two-pass spec and its net spans, the run on the wire end to end (order
+and grouping; ``test_contract.py`` holds its fixpoints), message
+splitting and the byte model."""
 
-import functools
 from collections import Counter, OrderedDict
 
 import pytest
@@ -12,8 +11,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 import repro.net.message as message_module
-from interpreter import interpret
-from repro.engine import Database, PSNEngine
 from repro.engine.table import Table
 from repro.ndlog import programs
 from repro.ndlog.terms import ConstructedTuple
@@ -27,7 +24,7 @@ from repro.net.message import (
 )
 from repro.net.sim import Simulator
 from repro.net.stats import TrafficStats
-from repro.runtime import LinkUpdateDriver, RuntimeConfig
+from repro.runtime import RuntimeConfig
 from repro.runtime.config import ShareSpec
 from repro.runtime.node import NodeRuntime
 from repro.runtime.transport import (
@@ -534,79 +531,6 @@ class TestByteModel:
 def overlay10(seed=5):
     return build_overlay(transit_stub(seed=seed), n_nodes=10, degree=3,
                          seed=seed)
-
-
-@functools.lru_cache(maxsize=None)
-def interpreter_costs(link_rows):
-    """The reference fixpoint: ``shortest_path_safe`` over ``link_rows``
-    on a centralised engine running the tests' interpreter, in chunks of
-    one, as ``{(src, dst): cost}`` over the pairs with ``src != dst``
-    (only the unguarded Figure 1 program routes a node to itself)."""
-    program = programs.shortest_path_safe()
-    engine = interpret(PSNEngine(program, db=Database.for_program(program),
-                                 batch_size=1))
-    for row in link_rows:
-        engine.insert("link", row)
-    engine.run()
-    return {(s, d): c
-            for s, d, _p, c in engine.db.table("shortestPath").rows()
-            if s != d}
-
-
-def check_fixpoint(deployment, link_rows):
-    want = interpreter_costs(tuple(sorted(link_rows)))
-    cost_of = {(a, b): c for a, b, c in link_rows}
-    rows = [row for row in deployment.rows("shortestPath")
-            if row[0] != row[1]]
-    assert {(s, d): c for s, d, _p, c in rows} == pytest.approx(want)
-    for s, d, path, cost in rows:
-        assert path[0] == s and path[-1] == d
-        assert sum(cost_of[hop] for hop in zip(path, path[1:])) \
-            == pytest.approx(cost)
-    if deployment.provenance is not None:
-        assert deployment.audit().ok
-
-
-TRANSPORTS = {
-    "eager": {},
-    "periodic": {"buffer_interval": 0.2},
-    "reliable": {"reliable": True},
-}
-
-
-@pytest.mark.parametrize("transport", sorted(TRANSPORTS))
-@pytest.mark.parametrize("cpu_batch", [1, 7, 16, 64])
-class TestRunsReachTheInterpreterFixpoint:
-    def deploy(self, program, passes, transport, cpu_batch, provenance):
-        options = dict(TRANSPORTS[transport])
-        reliable = options.pop("reliable", False)
-        compiled = repro.compile(program, passes=passes,
-                                 provenance=provenance)
-        return compiled.deploy(
-            topology=overlay10(), link_loads={"link": "latency"},
-            config=RuntimeConfig(cpu_batch=cpu_batch, **options),
-            reliable=reliable)
-
-    def test_cold_start(self, transport, cpu_batch):
-        deployment = self.deploy(programs.shortest_path(),
-                                 ["aggsel", "localize"], transport,
-                                 cpu_batch, provenance=True)
-        deployment.advance()
-        check_fixpoint(deployment,
-                       list(deployment.overlay.link_rows("latency")))
-
-    def test_recost_burst(self, transport, cpu_batch):
-        # Net-change elimination assumes the aggregate-selections
-        # rewrite (one advertisement per slot), as in the paper.
-        deployment = self.deploy(programs.shortest_path_dynamic(),
-                                 ["aggsel", "localize"], transport,
-                                 cpu_batch, provenance=False)
-        deployment.advance()
-        driver = LinkUpdateDriver(deployment, metric="latency",
-                                  fraction=0.5, magnitude=0.5, seed=3)
-        driver.apply_burst()
-        deployment.advance()
-        check_fixpoint(deployment, driver.current_link_rows())
 
 
 class TestRunOnTheWire:

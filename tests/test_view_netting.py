@@ -9,28 +9,24 @@ best path leaves it as one ``-old`` / ``+new`` pair on the view
 relations -- not retract, promote the runner-up, retract it, insert --
 at every ``batch_size``: a primary-key replacement is a chunk of one.
 
-Pinned one case at a time first; then a differential over every builtin
-program with a view holds tables, derivation counts, the provenance
-audit and the views themselves to the tests' interpreter at chunks of
-one; then what must survive around it: a kernel that raises mid-chunk,
+Pinned one case at a time first (the contract matrix,
+``test_contract.py``, holds every program with a view to the
+interpreter and checks :func:`assert_views_answered`); then what must
+survive around it: a kernel that raises mid-chunk,
 trace ids, the ``emitted`` counter, a predicate that is both an
 aggregate head and a plain head.
 """
-
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
 from repro.ndlog import parse, programs
 from repro.ndlog.validator import validate
 from repro.obs import Tracer
 from repro.opt import aggsel
-from repro.provenance import ProvenanceStore, audit_engine
 from repro.runtime import RuntimeConfig
 from repro.topology import Overlay
 
@@ -187,133 +183,7 @@ def test_best_that_leaves_and_returns(batch_size):
 
 
 # ----------------------------------------------------------------------
-# (2) Differential: every builtin program with a view
-# ----------------------------------------------------------------------
-#: name -> (program builder, base facts beside ``link``).  The unguarded
-#: Figure 1 program terminates on cycles only with aggregate selections
-#: (and takes improving updates only: :func:`churned`).  Plain
-#: ``shortest_path_dynamic`` is not confluent (a ``path`` slot keeps the
-#: latest of several advertisements: ROADMAP, first open item), so only
-#: its ``aggsel`` form can be held to a reference.
-VIEW_PROGRAMS = {
-    "shortest_path+aggsel":
-        (lambda: aggsel.rewrite(programs.shortest_path()), {}),
-    "shortest_path_safe": (programs.shortest_path_safe, {}),
-    "shortest_path_safe+aggsel":
-        (lambda: aggsel.rewrite(programs.shortest_path_safe()), {}),
-    "shortest_path_dynamic+aggsel":
-        (lambda: aggsel.rewrite(programs.shortest_path_dynamic()), {}),
-    "magic_dst": (programs.magic_dst, {"magicDst": [("n0",), ("n3",)]}),
-    "magic_src_dst": (programs.magic_src_dst, {
-        "magicSrc": [("n0",), ("n2",)], "magicDst": [("n1",), ("n3",)]}),
-    "multi_query_magic": (programs.multi_query_magic, {
-        "magicQuery": [("n0", "q1", "n3"), ("n2", "q2", "n0")]}),
-    "distance_vector": (programs.distance_vector, {}),
-}
-
-nodes = st.integers(min_value=0, max_value=4).map(lambda i: f"n{i}")
-undirected_edges = st.sets(
-    st.tuples(nodes, nodes).filter(lambda e: e[0] < e[1]),
-    min_size=2, max_size=7,
-)
-#: (kind, edge pick, cost)
-link_ops = st.lists(
-    st.tuples(st.sampled_from(["ins", "del", "upd"]),
-              st.integers(min_value=0, max_value=10_000),
-              st.integers(min_value=1, max_value=9)),
-    min_size=1, max_size=6,
-)
-
-
-def both_ways(pair, cost):
-    return [(pair[0], pair[1], cost), (pair[1], pair[0], cost)]
-
-
-def churned(engine, facts, edge_set, ops, improving=False):
-    """Converge ``engine`` on the graph, then apply ``ops`` to ``link``
-    as one enqueued burst and run to quiescence.
-
-    Which of two same-cost witnesses an arg-extreme group keeps is the
-    one that arrived first -- by design, and so a function of the chunk
-    size -- so a program with such a view runs on tie-free costs: every
-    link version costs its own power of 7 (a route reuses a link a few
-    times at most), and two routes then cost the same only when they
-    are the same.  ``improving`` is for the unguarded Figure 1 program,
-    which has no path vector to break a cycle with and counts up to any
-    cost that rises (to infinity when a destination is cut off): no
-    deletions, and every update lowers its link's cost."""
-    tie_free = bool(engine.argmin_views)
-    rng = random.Random(len(edge_set))
-    pairs = sorted(edge_set)
-    state = {pair: 7 ** (len(ops) + index) if tie_free else rng.randint(1, 9)
-             for index, pair in enumerate(pairs)}
-    for pred, rows in facts.items():
-        engine.db.load_facts(pred, rows)
-    engine.db.load_facts(
-        "link", [row for pair, cost in state.items()
-                 for row in both_ways(pair, cost)])
-    engine.fixpoint()
-    assert_views_answered(engine)
-    for serial, (kind, pick, cost) in enumerate(ops):
-        pair = pairs[pick % len(pairs)]
-        stored = state.get(pair)
-        if (kind == "ins" and stored is not None) or (
-                kind == "del" and (stored is None or improving)):
-            continue
-        if kind == "del":
-            del state[pair]
-            for row in both_ways(pair, stored):
-                engine.delete("link", row)
-            continue
-        # An update is an insertion over the stored key.
-        if tie_free:
-            # Below every initial cost and every earlier update if
-            # ``improving``, above them all otherwise.
-            cost = 7 ** (len(ops) - 1 - serial if improving
-                         else len(ops) + len(pairs) + serial)
-        state[pair] = cost
-        for row in both_ways(pair, cost):
-            engine.insert("link", row)
-    engine.run()
-    return engine
-
-
-@pytest.mark.parametrize("provenance", [False, True],
-                         ids=["plain", "provenance"])
-@pytest.mark.parametrize("name", sorted(VIEW_PROGRAMS))
-@given(edge_set=undirected_edges, ops=link_ops)
-@settings(**SETTINGS)
-def test_views_match_the_interpreter_at_every_batch_size(
-        name, provenance, edge_set, ops):
-    builder, facts = VIEW_PROGRAMS[name]
-    program = builder()
-    improving = name == "shortest_path+aggsel"
-    reference = churned(
-        interpret(PSNEngine(program, db=Database.for_program(program),
-                            batch_size=1)),
-        facts, edge_set, ops, improving)
-    assert all_views(reference)
-    want = reference.db.snapshot()
-    counts = None
-    for batch_size in BATCH_SIZES:
-        store = ProvenanceStore() if provenance else None
-        engine = churned(
-            PSNEngine(program, db=Database.for_program(program),
-                      batch_size=batch_size,
-                      provenance=store and store.recorder()),
-            facts, edge_set, ops, improving)
-        assert engine.db.snapshot() == want, batch_size
-        if counts is None:
-            counts = counts_snapshot(engine.db)
-        assert counts_snapshot(engine.db) == counts, batch_size
-        assert_views_answered(engine)
-        if provenance:
-            report = audit_engine(engine)
-            assert report.ok, (batch_size, report.mismatches)
-
-
-# ----------------------------------------------------------------------
-# (3) A kernel that raises mid-chunk
+# (2) A kernel that raises mid-chunk
 # ----------------------------------------------------------------------
 LOW_AND_BOOM = """
 materialize(p, infinity, infinity, keys(1, 2)).
@@ -348,7 +218,7 @@ def test_a_kernel_that_raises_strands_no_view_output():
 
 
 # ----------------------------------------------------------------------
-# (4) Trace ids
+# (3) Trace ids
 # ----------------------------------------------------------------------
 def test_a_netted_head_carries_its_last_movers_trace():
     tracer = Tracer(lambda: 0.0)
@@ -376,7 +246,7 @@ def test_a_netted_head_carries_its_last_movers_trace():
 
 
 # ----------------------------------------------------------------------
-# (5) An aggregate head that is also a plain head
+# (4) An aggregate head that is also a plain head
 # ----------------------------------------------------------------------
 MIXED_HEAD = """
 materialize(e, infinity, infinity, keys(1, 2, 3)).

@@ -17,8 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro
-from repro.engine import Database, naive, seminaive
-from repro.engine.bsn import BSNEngine
+from repro.engine import Database
 from repro.engine.facts import Fact
 from repro.engine.psn import PSNEngine
 from repro.errors import NetworkError
@@ -28,7 +27,7 @@ from repro.net.message import Message, NetDelta, coalesce, single
 from repro.obs import Tracer
 from repro.provenance import ProvenanceStore
 from repro.topology import build_overlay, transit_stub
-from test_batching import CommitLog
+from test_batching import CommitLog, counts_snapshot, view_rows
 
 SETTINGS = dict(
     deadline=None,
@@ -60,22 +59,6 @@ def _link_rows(state):
         rows.append((a, b, cost))
         rows.append((b, a, cost))
     return rows
-
-
-def counts_snapshot(db):
-    return {
-        name: {args: table.count(args) for args in table.rows()}
-        for name, table in db.tables.items()
-    }
-
-
-def view_rows(engine):
-    out = {}
-    for pred, view in engine.views.items():
-        out[pred] = frozenset(view.current_rows())
-    for pred, view in engine.argmin_views.items():
-        out[pred] = frozenset(view.current_rows())
-    return out
 
 
 def weighted_burst_run(edge_set, ops, batch_size, unit_intents):
@@ -171,37 +154,6 @@ def test_weighted_intents_match_signed_reference(edge_set, ops):
             assert observed[1] == reference[1], f"counts @ {label}"
             assert observed[2] == reference[2], f"views @ {label}"
             assert observed[3] == reference[3], f"commits @ {label}"
-
-
-@given(edge_set=undirected_edges, seed=st.integers(min_value=0, max_value=99))
-@settings(**SETTINGS)
-def test_all_four_engines_reach_one_fixpoint(edge_set, seed):
-    """naive, seminaive, PSN, and BSN agree on the weighted-core
-    fixpoint of the same loaded database."""
-    rng = random.Random(seed)
-    links = []
-    for a, b in sorted(edge_set):
-        cost = rng.randint(1, 9)
-        links.append((a, b, cost))
-        links.append((b, a, cost))
-
-    def fresh_db(program):
-        db = Database.for_program(program)
-        db.load_facts("link", links)
-        return db
-
-    program = programs.shortest_path_safe()
-    reference = naive.evaluate(program, fresh_db(program)).db.snapshot()
-    assert seminaive.evaluate(
-        program, fresh_db(program)).db.snapshot() == reference
-    for engine_cls in (PSNEngine, BSNEngine):
-        for batch_size in (1, 16):
-            engine = engine_cls(program, db=fresh_db(program),
-                                batch_size=batch_size)
-            engine.fixpoint()
-            assert engine.db.snapshot() == reference, (
-                engine_cls.__name__, batch_size,
-            )
 
 
 # ----------------------------------------------------------------------
